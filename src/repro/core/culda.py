@@ -39,7 +39,7 @@ from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.engine.algorithm import Algorithm, IterationOutcome
 from repro.engine.loop import LoopConfig, TrainingLoop
-from repro.engine.results import IterationStats, TrainResult
+from repro.engine.results import BREAKDOWN_KINDS, IterationStats, TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.kernel import KernelLaunch
@@ -66,13 +66,6 @@ __all__ = [
     "CuLDA",
     "BREAKDOWN_KINDS",
 ]
-
-#: The operation kinds a training timeline decomposes into. Together
-#: they cover every simulated interval a train() run records, so
-#: breakdown percentages over these kinds sum to 100.
-BREAKDOWN_KINDS = (
-    "sampling", "update_theta", "update_phi", "sync", "p2p", "h2d", "d2h",
-)
 
 #: Backward-compatible alias (the implementation moved to repro.sched).
 _busy_fractions = busy_fractions

@@ -22,11 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import KernelConfig, gibbs_sample_chunk, recount_theta
+from repro.core.kernels import (
+    KernelConfig,
+    WordTables,
+    gibbs_sample_chunk,
+    recount_theta,
+    word_tables,
+)
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.corpus.corpus import Corpus
 
-__all__ = ["InferenceResult", "infer_documents", "held_out_log_likelihood"]
+__all__ = [
+    "InferenceResult",
+    "infer_documents",
+    "foldin_tables",
+    "held_out_log_likelihood",
+]
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,7 @@ def infer_documents(
     burn_in: int | None = None,
     seed: int = 0,
     config: KernelConfig | None = None,
+    tables: WordTables | None = None,
 ) -> InferenceResult:
     """Fold *corpus* into a trained model.
 
@@ -69,6 +81,10 @@ def infer_documents(
     iterations: Gibbs sweeps over the new documents.
     burn_in: sweeps before θ starts being averaged (default: half).
     seed: RNG seed.
+    tables: :func:`foldin_tables` of *phi*. Built once per call when
+        not given; a caller that folds many corpora into one φ builds
+        them once and passes them here. The result is the same bits
+        either way.
 
     Returns
     -------
@@ -96,10 +112,16 @@ def infer_documents(
     if not 0 <= burn_in < iterations:
         raise ValueError("burn_in must lie in [0, iterations)")
 
-    # Pad φ columns to the corpus vocabulary if phi is wider (fine) or
-    # equal; frozen statistics.
-    phi64 = phi.astype(np.int64)
-    n_k = phi64.sum(axis=1)
+    # Frozen statistics: p* and Q are built once and read by every sweep
+    # and by the held-out likelihood.
+    if tables is None:
+        tables = foldin_tables(phi, hyper)
+    elif tables.pstar.shape != phi.shape:
+        raise ValueError(
+            f"tables cover {tables.pstar.shape} (topics, words), phi is "
+            f"{phi.shape}"
+        )
+    # Pad the corpus vocabulary to φ's columns if phi is wider.
     V = phi.shape[1]
     if corpus.num_words < V:
         corpus = Corpus(
@@ -116,7 +138,7 @@ def infer_documents(
     samples = 0
     for it in range(iterations):
         topics, _ = gibbs_sample_chunk(
-            chunk, topics, theta, phi64, n_k, hyper, rng, config
+            chunk, topics, theta, phi, None, hyper, rng, config, tables
         )
         theta = recount_theta(chunk, topics, K, compressed=False)
         if it >= burn_in:
@@ -128,13 +150,21 @@ def infer_documents(
     doc_topic = (mean_theta + hyper.alpha) / (
         lengths[:, None] + K * hyper.alpha
     )
-    ll = held_out_log_likelihood(corpus, doc_topic, phi64, n_k, hyper)
+    ll = _predictive_log_likelihood(corpus, doc_topic, tables.pstar)
     return InferenceResult(
         theta=theta,
         doc_topic=doc_topic,
         log_likelihood_per_token=ll,
         iterations=iterations,
     )
+
+
+def foldin_tables(phi: np.ndarray, hyper: LDAHyperParams) -> WordTables:
+    """The sampler tables :func:`infer_documents` reads for a frozen *phi*:
+    :func:`~repro.core.kernels.word_tables` of φ (as int64 counts) and
+    its row sums n_k."""
+    phi64 = np.asarray(phi).astype(np.int64)
+    return word_tables(phi64, phi64.sum(axis=1), hyper)
 
 
 def _check_word_ids(corpus: Corpus, vocab: int) -> None:
@@ -168,8 +198,6 @@ def held_out_log_likelihood(
     ``Σ_i log Σ_k p(k|d_i) p(w_i|k)`` with the smoothed word
     distribution ``(φ_kv + β)/(n_k + βV)``.
     """
-    if corpus.num_tokens == 0:
-        raise ValueError("empty corpus")
     phi = np.asarray(phi)
     if phi.ndim != 2:
         raise ValueError(
@@ -179,6 +207,19 @@ def held_out_log_likelihood(
     _check_word_ids(corpus, phi.shape[1])
     beta, V = hyper.beta, phi.shape[1]
     word_dist = (phi + beta) / (n_k + beta * V)[:, None]  # (K, V)
+    return _predictive_log_likelihood(corpus, doc_topic, word_dist)
+
+
+def _predictive_log_likelihood(
+    corpus: Corpus, doc_topic: np.ndarray, word_dist: np.ndarray
+) -> float:
+    """``Σ_i log Σ_k doc_topic[d_i, k] · word_dist[k, w_i]`` per token.
+
+    *word_dist* is the smoothed ``(K, V)`` word distribution, which is
+    p* itself; word ids are checked by the callers.
+    """
+    if corpus.num_tokens == 0:
+        raise ValueError("empty corpus")
     docs = corpus.token_doc.astype(np.int64)
     words = corpus.token_word.astype(np.int64)
     # p(w_i) = θ row · φ column, batched in slabs to bound memory.

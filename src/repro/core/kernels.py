@@ -35,6 +35,7 @@ the sequential exact-CGS oracle lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ from repro.telemetry.context import emit_counter
 __all__ = [
     "KernelConfig",
     "SamplingStats",
+    "WordTables",
+    "word_tables",
     "gibbs_sample_chunk",
     "tree_search_levels",
     "recount_theta",
@@ -172,21 +175,63 @@ def sampling_launch_plan(word_indptr: np.ndarray) -> tuple[int, int]:
 # Functional kernel bodies
 # ----------------------------------------------------------------------
 
+class WordTables(NamedTuple):
+    """The sampler's per-word tables for one frozen φ (§6.1 ``reuse_pstar``).
+
+    Built by :func:`word_tables`; valid for as long as the φ and n_k
+    they were built from stay unchanged.
+    """
+
+    #: p*(k, v) = (φ_kv + β) / (n_k + βV), ``float64[K, V]``.
+    pstar: np.ndarray
+    #: The same values as a C-contiguous ``float64[V, K]``, so one
+    #: token's gather touches one contiguous row.
+    pstar_vk: np.ndarray
+    #: Dense-branch mass Q per word, α Σ_k p*(k, v), ``float64[V]``.
+    q: np.ndarray
+
+
+def word_tables(
+    phi: np.ndarray, n_k: np.ndarray, hyper: LDAHyperParams
+) -> WordTables:
+    """p*, its word-major copy and Q for a ``[K, V]`` φ (see
+    :class:`WordTables`).
+
+    The real kernel stages p* once per word block and every sampler of
+    the block reuses it; this is the functional counterpart, built once
+    per φ and shared by every :func:`gibbs_sample_chunk` call that reads
+    that φ.
+    """
+    beta, V = hyper.beta, phi.shape[1]
+    pstar = (phi.astype(np.float64) + beta) / (
+        n_k.astype(np.float64) + beta * V
+    )[:, None]
+    return WordTables(
+        pstar=pstar,
+        pstar_vk=np.ascontiguousarray(pstar.T),
+        q=hyper.alpha * pstar.sum(axis=0),
+    )
+
+
 def gibbs_sample_chunk(
     chunk: TokenChunk,
     topics: np.ndarray,
     theta: SparseTheta,
     phi: np.ndarray,
-    n_k: np.ndarray,
+    n_k: np.ndarray | None,
     hyper: LDAHyperParams,
     rng: np.random.Generator,
     config: KernelConfig | None = None,
+    tables: WordTables | None = None,
 ) -> tuple[np.ndarray, SamplingStats]:
     """Sample a new topic for every token of *chunk* (Alg 2, vectorized).
 
     Reads the iteration-start model ``(theta, phi, n_k)`` and returns
     ``(new_topics, stats)``; does **not** mutate its inputs. The returned
-    topics use the same dtype as the input ``topics``.
+    topics use the same dtype as the input ``topics``. *tables* are
+    :func:`word_tables` of ``(phi, n_k)``, built here when not given
+    (*phi* and *n_k* are read only for that); callers that sample
+    against one frozen φ many times build them once and pass them in.
 
     The vectorization reproduces the S/Q control flow exactly:
 
@@ -201,21 +246,25 @@ def gibbs_sample_chunk(
     """
     config = config or KernelConfig()
     K, V = hyper.num_topics, chunk.num_words
-    alpha, beta = hyper.alpha, hyper.beta
+    alpha = hyper.alpha
     T = chunk.num_tokens
     if T == 0:
         return topics.copy(), SamplingStats(0, 0, 0, 1, 1)
 
     # --- shared sub-expression p*(k, v) and dense-branch masses -------
-    pstar = (phi.astype(np.float64) + beta) / (
-        n_k.astype(np.float64) + beta * V
-    )[:, None]
-    q_col = alpha * pstar.sum(axis=0)          # Q per word
-    q_cum = alpha * np.cumsum(pstar, axis=0)   # p2 prefix sums per word
+    if tables is None:
+        tables = word_tables(phi, n_k, hyper)
+    if tables.pstar.shape != (K, V):
+        raise ValueError(
+            f"word tables cover {tables.pstar.shape} (topics, words); the "
+            f"chunk needs {(K, V)}"
+        )
+    q_col = tables.q
+    pstar_flat = tables.pstar_vk.ravel()       # index w·K + k
 
     token_word = chunk.token_word_expanded().astype(np.int64)
     token_doc = chunk.token_doc.astype(np.int64)
-    t_ip, t_idx, t_cnt = theta.indptr, theta.indices.astype(np.int64), theta.data
+    t_ip, t_idx, t_cnt = theta.indptr, theta.indices, theta.data
 
     new_topics = np.empty(T, dtype=np.int64)
     u_all = rng.random(T)
@@ -233,22 +282,28 @@ def gibbs_sample_chunk(
         docs = token_doc[lo:hi]
         words = token_word[lo:hi]
         L = row_len_all[lo:hi]
-        n = hi - lo
 
-        # Flat expansion of each token's θ row.
+        # Flat expansion of each token's θ row: entry j of token t sits
+        # at θ-CSR position t_ip[doc_t] + j, i.e. flat index minus the
+        # token's row start plus its row's CSR offset.
         total = int(L.sum())
         kd_sum += total
         row_start = np.concatenate(([0], np.cumsum(L)))  # per-token offsets
-        base = np.repeat(t_ip[docs], L)
-        within = np.arange(total, dtype=np.int64) - np.repeat(row_start[:-1], L)
-        flat_pos = base + within
+        flat_pos = np.repeat(t_ip[docs] - row_start[:-1], L)
+        flat_pos += np.arange(total, dtype=np.int64)
         k_flat = t_idx[flat_pos]
-        vals = t_cnt[flat_pos] * pstar[k_flat, np.repeat(words, L)]
+        # p*(k, w) for every entry, gathered from the word-major table.
+        gather = np.repeat(words * K, L)
+        gather += k_flat
+        vals = pstar_flat.take(gather)
+        vals *= t_cnt[flat_pos]
 
-        # Masses and the branch draw.
-        cs = np.cumsum(vals)
+        # Masses and the branch draw. The global cumsum fixes S's bits
+        # and is what the p₁ search below reads.
+        cs = np.cumsum(vals, out=vals)
         seg_end = row_start[1:] - 1
-        S = cs[seg_end] - np.concatenate(([0.0], cs[seg_end[:-1]]))
+        seg_base = np.concatenate(([0.0], cs[seg_end[:-1]]))
+        S = cs[seg_end] - seg_base
         Q = q_col[words]
         target = u_all[lo:hi] * (S + Q)
         sparse_mask = target < S
@@ -262,10 +317,11 @@ def gibbs_sample_chunk(
         # --- p₁ branch: search within the token's θ-row segment -------
         if sparse_mask.any():
             t_idx_local = np.nonzero(sparse_mask)[0]
-            seg_base = np.concatenate(([0.0], cs[seg_end[:-1]]))[t_idx_local]
             # Global-cumsum trick: vals > 0 strictly, so the hit stays
             # inside the token's own segment.
-            j = np.searchsorted(cs, seg_base + target[t_idx_local], side="right")
+            j = np.searchsorted(
+                cs, seg_base[t_idx_local] + target[t_idx_local], side="right"
+            )
             j = np.minimum(j, seg_end[t_idx_local])
             j = np.maximum(j, row_start[:-1][t_idx_local])
             new_topics[lo + t_idx_local] = k_flat[j]
@@ -275,17 +331,9 @@ def gibbs_sample_chunk(
         if dense_mask.any():
             d_idx_local = np.nonzero(dense_mask)[0]
             resid = target[d_idx_local] - S[d_idx_local]
-            cols = words[d_idx_local]
-            # Column-gather in sub-slabs: (K, m) blocks.
-            step = max(1, (1 << 22) // max(K, 1))
-            for s in range(0, d_idx_local.size, step):
-                sel = slice(s, min(s + step, d_idx_local.size))
-                block = q_cum[:, cols[sel]]             # (K, m)
-                hit = (block > resid[sel][None, :]).argmax(axis=0)
-                # Round-off guard: if no entry exceeded, take the top.
-                none = block[-1, np.arange(block.shape[1])] <= resid[sel]
-                hit[none] = K - 1
-                new_topics[lo + d_idx_local[sel]] = hit
+            new_topics[lo + d_idx_local] = _p2_search(
+                tables.pstar_vk, words[d_idx_local], resid, alpha
+            )
 
     out = new_topics.astype(topics.dtype)
     num_blocks, num_segments = sampling_launch_plan(chunk.word_indptr)
@@ -317,6 +365,30 @@ def gibbs_sample_chunk(
         help="index-tree search levels descended across all draws",
     )
     return out, stats
+
+
+def _p2_search(
+    pstar_vk: np.ndarray, words: np.ndarray, resid: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Dense-branch draw: per token, the first topic whose p₂ prefix sum
+    α·Σ_{k'≤k} p*(k', w) exceeds *resid* (K−1 if none does).
+
+    The prefix sums are built only for the distinct words present, each
+    row summed in k order exactly as a full-table cumsum would, so they
+    carry the same bits.
+    """
+    K = pstar_vk.shape[1]
+    uniq, row = np.unique(words, return_inverse=True)
+    q_cum = alpha * np.cumsum(pstar_vk[uniq], axis=1)    # (distinct words, K)
+    hit = np.empty(words.size, dtype=np.int64)
+    # Row-gather in sub-slabs: (m, K) blocks.
+    step = max(1, (1 << 22) // K)
+    for s in range(0, words.size, step):
+        above = q_cum[row[s : s + step]] > resid[s : s + step, None]
+        sel = hit[s : s + step]
+        sel[:] = above.argmax(axis=1)
+        sel[~above[:, -1]] = K - 1       # round-off guard: none exceeded
+    return hit
 
 
 def _slab_edges(row_len: np.ndarray, slab: int) -> list[tuple[int, int]]:

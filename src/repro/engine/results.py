@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["IterationStats", "TrainResult"]
+__all__ = ["BREAKDOWN_KINDS", "IterationStats", "TrainResult"]
 
-#: Kernel-time breakdown categories (kept in sync with
-#: ``repro.core.culda.BREAKDOWN_KINDS``, re-declared here so this module
-#: stays import-free of the trainers).
-_BREAKDOWN_KINDS = (
+#: The operation kinds a training timeline decomposes into. Together
+#: they cover every simulated interval a train() run records, so
+#: breakdown percentages over these kinds sum to 100.
+BREAKDOWN_KINDS = (
     "sampling", "update_theta", "update_phi", "sync", "p2p", "h2d", "d2h",
 )
 
@@ -152,7 +152,7 @@ class TrainResult:
         if self.breakdown:
             parts = ", ".join(
                 f"{k} {self.breakdown.get(k, 0.0) * 100:.1f}%"
-                for k in _BREAKDOWN_KINDS
+                for k in BREAKDOWN_KINDS
             )
             lines.append(f"  breakdown: {parts}")
         return "\n".join(lines)

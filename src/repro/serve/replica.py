@@ -17,8 +17,15 @@ clock for three things, the same way training does:
 Functionally each request runs its own
 :func:`repro.core.inference.infer_documents` with its own seed, so the
 payload is bit-identical to a direct call — batching, placement, and
-failover only move *time*, never bits. The fault surface is the same
-as training's: a dead device raises
+failover only move *time*, never bits. The sampler's p\\*/Q tables
+(:func:`~repro.core.inference.foldin_tables`) are built once per
+resident model, at its first batch on the replica, and shared by every
+request after it: the functional counterpart of the kernel's shared
+p\\* staging (§6.1). They live and die with the φ buffer, keyed by the
+same content digest, so a rewritten checkpoint never meets stale
+tables.
+
+The fault surface is the same as training's: a dead device raises
 :class:`~repro.gpusim.errors.DeviceLost` at enqueue, a dead or flaky
 uplink raises :class:`~repro.gpusim.errors.LinkDown` at the link
 reservation, an armed kernel fault raises
@@ -32,10 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inference import InferenceResult, infer_documents
+from repro.core.inference import (
+    InferenceResult,
+    foldin_tables,
+    infer_documents,
+)
 from repro.core.kernels import (
     KernelConfig,
     SamplingStats,
+    WordTables,
     sampling_cost,
     sampling_launch_plan,
     tree_search_levels,
@@ -136,6 +148,9 @@ class PhiReplica:
         self.stream = device.create_stream("serve")
         #: digest → device-resident φ buffer, in LRU order.
         self._models: dict[str, DeviceArray] = {}
+        #: digest → sampler tables of a resident φ, built at its first
+        #: batch here; dropped with the buffer.
+        self._tables: dict[str, WordTables] = {}
 
     @property
     def replica_id(self) -> int:
@@ -192,13 +207,30 @@ class PhiReplica:
         for key, buf in list(self._models.items()):
             if buf is victim:
                 del self._models[key]
+                self._tables.pop(key, None)
         victim.free()
 
     def evict_all(self) -> None:
         """Free every resident φ buffer (shutdown / tests)."""
         for buf in list(self._models.values()):
             buf.free()
+        self.forget_models()
+
+    def forget_models(self) -> None:
+        """Drop the residency bookkeeping without freeing (the device
+        died and its memory with it)."""
         self._models.clear()
+        self._tables.clear()
+
+    def _word_tables(
+        self, digest: str, phi: np.ndarray, hyper: LDAHyperParams
+    ) -> WordTables:
+        tables = self._tables.get(digest)
+        if tables is None:
+            tables = foldin_tables(phi, hyper)
+            if digest in self._models:
+                self._tables[digest] = tables
+        return tables
 
     # ------------------------------------------------------------------
     def execute(
@@ -210,8 +242,12 @@ class PhiReplica:
         config: KernelConfig,
         not_before: float,
         batch_id: int,
+        digest: str,
     ) -> BatchExecution:
         """Run *batch* on this replica, charging the simulated clock.
+
+        *digest* names *phi*'s checkpoint; the sampler tables are cached
+        under it while φ stays resident.
 
         Raises any :class:`~repro.gpusim.errors.FaultError` the
         simulated hardware surfaces; the caller owns failover. Staged
@@ -239,6 +275,7 @@ class PhiReplica:
             )
 
             def run_foldin() -> list[InferenceResult]:
+                tables = self._word_tables(digest, phi, hyper)
                 return [
                     infer_documents(
                         Corpus.from_documents(
@@ -254,6 +291,7 @@ class PhiReplica:
                         ),
                         seed=req.seed,
                         config=config,
+                        tables=tables,
                     )
                     for req in batch
                 ]

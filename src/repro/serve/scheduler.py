@@ -161,7 +161,7 @@ class ReplicaScheduler:
         if isinstance(exc, DeviceLost):
             # Drop bookkeeping for the dead device; its memory is gone
             # with it — and never route here again.
-            replica._models.clear()
+            replica.forget_models()
             self.dead_replicas.add(replica.replica_id)
             if self.health is not None:
                 self.health.mark_dead(replica.replica_id, now)
@@ -186,7 +186,7 @@ class ReplicaScheduler:
         for replica in self.replicas:
             if replica.alive or replica.replica_id in self.dead_replicas:
                 continue
-            replica._models.clear()
+            replica.forget_models()
             self.dead_replicas.add(replica.replica_id)
             if self.health is not None:
                 self.health.mark_dead(replica.replica_id, now)
@@ -250,7 +250,7 @@ class ReplicaScheduler:
                     uploaded = self._ensure_model(replica, digest, phi)
                     execution = replica.execute(
                         batch, phi, hyper, default_iterations, config,
-                        not_before=now, batch_id=batch_id,
+                        not_before=now, batch_id=batch_id, digest=digest,
                     )
                 except FaultError as exc:
                     last_fault = exc
@@ -320,7 +320,7 @@ class ReplicaScheduler:
             uploaded = self._ensure_model(replica, digest, phi)
             execution = replica.execute(
                 batch, phi, hyper, default_iterations, config,
-                not_before=not_before, batch_id=batch_id,
+                not_before=not_before, batch_id=batch_id, digest=digest,
             )
         except FaultError as exc:
             self._note_fault(replica, exc, not_before)

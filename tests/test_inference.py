@@ -7,9 +7,11 @@ import pytest
 
 from repro.core import CuLDA, TrainConfig
 from repro.core.inference import (
+    foldin_tables,
     held_out_log_likelihood,
     infer_documents,
 )
+from repro.core.kernels import word_tables
 from repro.core.model import LDAHyperParams
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
@@ -68,6 +70,39 @@ class TestInferDocuments:
         bad = infer_documents(held, fake_phi, result.hyper,
                               iterations=15, seed=3)
         assert good.log_likelihood_per_token > bad.log_likelihood_per_token
+
+    def test_passed_tables_give_the_same_bits(self, trained):
+        """Tables built once by the caller == tables built per call."""
+        result, _, held = trained
+        phi64 = result.phi.astype(np.int64)
+        tables = word_tables(phi64, phi64.sum(axis=1), result.hyper)
+        default = infer_documents(held, result.phi, result.hyper,
+                                  iterations=6, seed=4)
+        for given in (tables, foldin_tables(result.phi, result.hyper)):
+            cached = infer_documents(held, result.phi, result.hyper,
+                                     iterations=6, seed=4, tables=given)
+            assert np.array_equal(cached.doc_topic, default.doc_topic)
+            assert np.array_equal(cached.theta.to_dense(),
+                                  default.theta.to_dense())
+            assert (cached.log_likelihood_per_token
+                    == default.log_likelihood_per_token)
+
+    def test_tables_of_another_shape_rejected(self, trained):
+        result, _, held = trained
+        narrow = foldin_tables(result.phi[:, :-1], result.hyper)
+        with pytest.raises(ValueError, match="tables"):
+            infer_documents(held, result.phi, result.hyper, tables=narrow)
+
+    def test_likelihood_matches_public_estimate(self, trained):
+        """The fold-in's likelihood (read off p*) equals the public
+        held-out estimate on the same mixtures, bit for bit."""
+        result, _, held = trained
+        inf = infer_documents(held, result.phi, result.hyper, iterations=4,
+                              seed=2)
+        phi64 = result.phi.astype(np.int64)
+        assert inf.log_likelihood_per_token == held_out_log_likelihood(
+            held, inf.doc_topic, phi64, phi64.sum(axis=1), result.hyper
+        )
 
     def test_validation(self, trained):
         result, _, held = trained

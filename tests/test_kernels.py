@@ -10,6 +10,7 @@ from repro.core.kernels import (
     BLOCK_TOKEN_CAPACITY,
     KernelConfig,
     SamplingStats,
+    _p2_search,
     _slab_edges,
     accumulate_phi,
     gibbs_sample_chunk,
@@ -19,6 +20,7 @@ from repro.core.kernels import (
     sampling_launch_plan,
     update_phi_cost,
     update_theta_cost,
+    word_tables,
 )
 from repro.core.model import LDAHyperParams, LDAState, SparseTheta, check_state_invariants
 from repro.core.sampler import compute_pstar, dense_conditional
@@ -165,6 +167,80 @@ class TestGibbsSampleChunk:
         _, _, stats_late = _run_iterations(medium_corpus, hyper, 15, seed=0)
         assert stats_late.mean_kd < stats_early.mean_kd
 
+    def test_passed_tables_give_the_same_bits(self, small_corpus, hyper8):
+        chunk = small_corpus.to_chunk()
+        state = LDAState.initialize(chunk, hyper8, seed=0)
+        tables = word_tables(state.phi, state.n_k, hyper8)
+        a, sa = gibbs_sample_chunk(
+            chunk, state.topics, state.theta, state.phi, state.n_k,
+            hyper8, np.random.default_rng(5),
+        )
+        b, sb = gibbs_sample_chunk(
+            chunk, state.topics, state.theta, None, None,
+            hyper8, np.random.default_rng(5), tables=tables,
+        )
+        assert np.array_equal(a, b)
+        assert sa == sb
+
+    def test_tables_for_another_vocabulary_rejected(self, small_corpus,
+                                                    hyper8, rng):
+        chunk = small_corpus.to_chunk()
+        state = LDAState.initialize(chunk, hyper8, seed=0)
+        narrow = word_tables(state.phi[:, :-1], state.n_k, hyper8)
+        with pytest.raises(ValueError, match="word tables"):
+            gibbs_sample_chunk(
+                chunk, state.topics, state.theta, state.phi, state.n_k,
+                hyper8, rng, tables=narrow,
+            )
+
+    def test_word_tables_layout(self, small_corpus, hyper8):
+        chunk = small_corpus.to_chunk()
+        state = LDAState.initialize(chunk, hyper8, seed=0)
+        tables = word_tables(state.phi, state.n_k, hyper8)
+        assert tables.pstar_vk.flags.c_contiguous
+        assert np.array_equal(tables.pstar_vk, tables.pstar.T)
+        assert np.array_equal(
+            tables.q, hyper8.alpha * tables.pstar.sum(axis=0)
+        )
+
+    def test_outputs_pinned(self):
+        """Absolute bits of the sampler, not one path against another.
+
+        sha256 (first 16 hex digits) of training outputs and a fold-in,
+        recorded before the sampler's tables were hoisted out of the
+        kernel. Any change to the float operations the kernel performs,
+        or their order, moves these digests.
+        """
+        import hashlib
+
+        from repro.core.inference import infer_documents
+        from repro.obs.workloads import make_corpus, make_culda
+
+        def digest(*arrays):
+            data = b"".join(a.tobytes() for a in arrays)
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        corpus = make_corpus("nytimes", tokens=20_000, seed=0)
+        one = make_culda(corpus, platform="pascal", gpus=1, num_topics=64,
+                         iterations=5, seed=0).train()
+        assert digest(
+            one.topics.astype(np.int64), one.phi.astype(np.int64)
+        ) == "4c565aee29b8d166"
+        four = make_culda(corpus, platform="pascal", gpus=4,
+                          chunks_per_gpu=2, num_topics=64, iterations=5,
+                          seed=0).train()
+        assert digest(
+            four.topics.astype(np.int64), four.phi.astype(np.int64)
+        ) == "140f5f8bb606841b"
+        inferred = infer_documents(
+            corpus.slice_docs(0, 20), one.phi, LDAHyperParams(64),
+            iterations=5, seed=3,
+        )
+        assert digest(
+            inferred.doc_topic,
+            np.float64(inferred.log_likelihood_per_token),
+        ) == "7beb3f1bb7e70b2b"
+
     def test_empty_chunk(self, hyper8, rng):
         from repro.corpus.corpus import Corpus
 
@@ -179,6 +255,26 @@ class TestGibbsSampleChunk:
         )
         assert out.size == 0
         assert stats.num_tokens == 0
+
+
+class TestP2Search:
+    def test_matches_a_per_token_scan(self):
+        """The dense-branch search equals a scan of each token's own
+        full-column prefix sums, including draws that land exactly on a
+        prefix sum and draws past the top (round-off guard)."""
+        rng = np.random.default_rng(0)
+        K, V, alpha = 13, 9, 0.7
+        pstar = rng.random((K, V)) + 1e-3
+        pstar_vk = np.ascontiguousarray(pstar.T)
+        q_cum = alpha * np.cumsum(pstar, axis=0)
+        words = rng.integers(0, V, size=400)
+        resid = rng.random(400) * q_cum[-1, words]
+        resid[:20] = q_cum[rng.integers(0, K, size=20), words[:20]]
+        resid[20:25] = q_cum[-1, words[20:25]] * 1.5
+        got = _p2_search(pstar_vk, words, resid, alpha)
+        for t, (w, r) in enumerate(zip(words, resid)):
+            above = np.nonzero(q_cum[:, w] > r)[0]
+            assert got[t] == (above[0] if above.size else K - 1)
 
 
 class TestUpdateKernels:

@@ -9,6 +9,8 @@ plans, against real format-v3 checkpoints.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -46,15 +48,25 @@ def direct(request, ckpt):
     )
 
 
-def serve(trace, gpus, fault_plan=None, max_batch_size=4):
-    service = InferenceService(
+def make_service(gpus, fault_plan=None, max_batch_size=4):
+    return InferenceService(
         make_machine("pascal", gpus),
         ServiceConfig(max_batch_size=max_batch_size,
                       max_wait_seconds=1e-3, max_queue=4096,
                       iterations=ITERATIONS),
         fault_plan=fault_plan,
     )
-    return service.run_trace(trace)
+
+
+def serve(trace, gpus, fault_plan=None, max_batch_size=4):
+    return make_service(gpus, fault_plan, max_batch_size).run_trace(trace)
+
+
+def split_at_midpoint(trace):
+    """The trace's first and second halves, in arrival order."""
+    half = len(trace) // 2
+    order = sorted(trace, key=lambda r: (r.arrival_time, r.request_id))
+    return order[:half], order[half:]
 
 
 def assert_identical_payloads(report, trace, ckpt):
@@ -110,6 +122,44 @@ class TestServeEqualsDirect:
         faulted = serve(trace, gpus=2, fault_plan=plan)
         assert faulted.failovers > 0
         assert_identical_payloads(faulted, trace, ckpt)
+
+    def test_tables_rebuilt_after_eviction(self, trace, ckpt):
+        """A replica drops its p*/Q tables with the φ buffer; the batch
+        after the rebuild still returns direct ``infer_documents`` bits."""
+        service = make_service(gpus=1)
+        first, second = split_at_midpoint(trace)
+        service.run_trace(first)
+        (replica,) = service.scheduler.replicas
+        (before,) = replica._tables.values()
+        replica.evict_all()
+        assert not replica._tables
+        report = service.run_trace(second)
+        (after,) = replica._tables.values()
+        assert after is not before
+        assert_identical_payloads(report, second, ckpt)
+
+    def test_rewritten_checkpoint_never_meets_stale_tables(
+        self, serve_checkpoints, tmp_path
+    ):
+        """Rewriting the checkpoint under the same path gives it a new
+        digest, so the replica builds tables for the new φ even though
+        the old φ and its tables are still resident."""
+        path = tmp_path / "model.npz"
+        shutil.copyfile(serve_checkpoints[0], path)
+        old, new = (load_model(p) for p in serve_checkpoints)
+        trace = poisson_trace([str(path)], int(old.phi.shape[1]),
+                              rate=3000, duration=0.008, seed=22)
+        first, second = split_at_midpoint(trace)
+        service = make_service(gpus=1)
+        assert_identical_payloads(service.run_trace(first), first, old)
+        shutil.copyfile(serve_checkpoints[1], path)
+        report = service.run_trace(second)
+        (replica,) = service.scheduler.replicas
+        assert len(replica._tables) == 2
+        assert_identical_payloads(report, second, new)
+        stale = direct(second[0], old)
+        served = report.results[0]
+        assert not np.array_equal(served.doc_topic, stale.doc_topic)
 
     def test_timings_differ_even_when_bits_do_not(self, trace, ckpt):
         """Sanity: the simulated clock *does* see the batching policy
