@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import banner, make_corpus, make_culda
+from repro.comm import broadcast_phi, cpu_gather_sync, reduce_phi_tree
 from repro.core.kernels import KernelConfig
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import pascal_platform
-from repro.sched.sync import broadcast_phi, cpu_gather_sync, reduce_phi_tree
 
 K, V = 1024, 100_000  # paper-scale φ
 

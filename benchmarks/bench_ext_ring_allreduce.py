@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import banner
+from repro.comm import broadcast_phi, reduce_phi_tree, ring_allreduce_phi
 from repro.core import CuLDA, TrainConfig
 from repro.core.kernels import KernelConfig
 from repro.corpus.synthetic import pubmed_like
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import pascal_platform
-from repro.sched.sync import broadcast_phi, reduce_phi_tree, ring_allreduce_phi
 
 
 def _setup(machine, K, V):

@@ -46,6 +46,7 @@ import numpy as np
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import place_token_lightest
 from repro.corpus.corpus import Corpus, TokenChunk
 from repro.core.kernels import (
     KernelConfig,
@@ -410,18 +411,14 @@ class LDAStar(Algorithm):
                 min(dead) if dead else 0,
                 "no surviving nodes to migrate work to",
             )
-        load = {n: 0 for n in survivors}
-        for w in self.workers:
-            host = self._node_of[w.worker_id]
-            if host in load:
-                load[host] += w.chunk.num_tokens
-        for w in self.workers:
-            host = self._node_of[w.worker_id]
-            if host in survivors:
+        hosting = [self._node_of[w.worker_id] for w in self.workers]
+        placed = place_token_lightest(
+            hosting, [w.chunk.num_tokens for w in self.workers], survivors
+        )
+        for w, old, target in zip(self.workers, hosting, placed):
+            if target == old:
                 continue
-            target = min(survivors, key=lambda n: (load[n], n))
             self._node_of[w.worker_id] = target
-            load[target] += w.chunk.num_tokens
             emit_counter(
                 "node_migrations_total", 1,
                 help="Logical workers migrated off dead cluster nodes.",

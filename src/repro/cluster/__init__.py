@@ -14,6 +14,8 @@ server. This subpackage simulates that substrate:
 - :mod:`repro.cluster.membership` — the heartbeat/lease failure
   detector that turns node silence into ``alive → suspect → dead``
   membership verdicts on the simulated clock.
+- :mod:`repro.cluster.placement` — token-lightest migration of a dead
+  node's logical workers onto the survivors.
 """
 
 from repro.cluster.membership import (
@@ -23,6 +25,7 @@ from repro.cluster.membership import (
 )
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import place_token_lightest
 
 __all__ = [
     "ClusterNetwork",
@@ -30,4 +33,5 @@ __all__ = [
     "MembershipMonitor",
     "NodeLost",
     "ShardedParameterServer",
+    "place_token_lightest",
 ]

@@ -21,9 +21,13 @@ statistical outputs (φ, θ, topic assignments, log-likelihood trace) and
 the performance outputs (simulated per-iteration throughput, kernel
 time breakdown) the paper reports.
 
-Iteration control (likelihood cadence, early stopping, callbacks,
-checkpoint/resume) lives in :mod:`repro.engine`; this module implements
-the :class:`~repro.engine.algorithm.Algorithm` strategy surface for the
+The trainer body is written per node over ``self.machines``: one
+machine here, N in :class:`~repro.core.distributed.DistributedCuLDA`,
+which adds only the cluster layer (inter-node leg, failure detection,
+node migration, cluster clock). Iteration control (likelihood cadence,
+early stopping, callbacks, checkpoint/resume) lives in
+:mod:`repro.engine`; this module implements the
+:class:`~repro.engine.algorithm.Algorithm` strategy surface for the
 multi-GPU sampler.
 """
 
@@ -42,14 +46,13 @@ from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import BREAKDOWN_KINDS, IterationStats, TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import KernelCost
+from repro.gpusim.errors import FaultError
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.platform import Machine, volta_platform
 from repro.sched.partition import PartitionPlan, choose_chunking
 from repro.sched.schedule import (
     ChunkRuntime,
-    DeviceChunk,
     GpuWorker,
-    busy_fractions,
     download_chunk,
     iteration_trace_stats,
     run_iteration_resident,
@@ -66,9 +69,6 @@ __all__ = [
     "CuLDA",
     "BREAKDOWN_KINDS",
 ]
-
-#: Backward-compatible alias (the implementation moved to repro.sched).
-_busy_fractions = busy_fractions
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,10 @@ class CuLDA(Algorithm):
     pin ``chunks_per_gpu`` when comparing across G.) Checkpoints written
     by ``train(save_every=...)`` resume bit-identically too: they carry
     every chunk's topic assignments, θ and RNG stream position, and φ is
-    recounted exactly from the restored assignments.
+    recounted exactly from the restored assignments. For the same
+    reason a lost GPU (``recovery="elastic"``) costs only time: its
+    chunks move intact to the survivors and the recovered model is
+    bit-identical to the fault-free one.
     """
 
     name = "culda"
@@ -163,6 +166,8 @@ class CuLDA(Algorithm):
     ):
         self.corpus = corpus
         self.machine = machine or volta_platform(1)
+        #: The nodes the per-node bodies run over (one machine here).
+        self.machines = [self.machine]
         self.config = config or TrainConfig()
         self._telemetry_init(callbacks, registry)
         if not self.machine.gpus:
@@ -179,6 +184,18 @@ class CuLDA(Algorithm):
     @property
     def hyper(self) -> LDAHyperParams:
         return self.config.hyper()
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.machines)
+
+    @property
+    def gpus_per_node(self) -> int:
+        return len(self.machines[0].gpus)
+
+    @property
+    def num_workers(self) -> int:
+        return self.num_nodes * self.gpus_per_node
 
     def _validate_compression(self) -> None:
         cfg = self.config
@@ -254,46 +271,32 @@ class CuLDA(Algorithm):
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
         cfg = self.config
-        hyper = cfg.hyper()
-        kcfg = cfg.kernel_config()
-        machine = self.machine
-        G = len(machine.gpus)
+        self._hyper, self._kcfg = cfg.hyper(), cfg.kernel_config()
+        N = self.num_nodes
 
         with span("preprocess"):
-            plan = choose_chunking(
-                self.corpus,
-                G,
-                hyper,
-                kcfg,
-                machine.gpus[0].spec,
+            # ONE global plan over all W = N × G workers: chunk i belongs
+            # to global worker i % W, worker w = n*G + j lives on node n.
+            # Chunk ids (and therefore RNG streams) are layout-invariant.
+            self._plan = choose_chunking(
+                self.corpus, self.num_workers, self._hyper, self._kcfg,
+                self.machine.gpus[0].spec,
                 chunks_per_gpu=cfg.chunks_per_gpu,
             )
-            runtimes = self._init_runtimes(plan, hyper, kcfg)
+            self._runtimes = self._init_runtimes(
+                self._plan, self._hyper, self._kcfg
+            )
             if resume is not None:
-                self._restore_runtimes(runtimes, resume, hyper, kcfg)
-            phi_host = self._initial_phi(runtimes, hyper, kcfg)
-        workers = [
-            GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
-            for dev in machine.gpus
-        ]
+                self._restore_runtimes(resume)
 
-        # Initial distribution (Alg 1 lines 7-9).
-        dev_chunks: list[DeviceChunk] = []
-        for w in workers:
-            machine.memcpy_h2d(w.phi_full, phi_host, stream=w.upload, label="h2d:phi")
-            self._launch_nk(w, kcfg)
-        if plan.chunks_per_gpu == 1:
-            dev_chunks = [
-                upload_chunk(machine, workers[g], runtimes[g])
-                for g in range(G)
-            ]
-        machine.synchronize()
-        machine.reset_clock()  # measure iterations from t=0, as Fig 7 does
-
-        self._hyper, self._kcfg = hyper, kcfg
-        self._plan, self._runtimes = plan, runtimes
-        self._workers, self._dev_chunks = workers, dev_chunks
-        self._t_prev = 0.0
+        self._t_prev_node = [0.0] * N
+        self._node_workers: list[list[GpuWorker]] = [[] for _ in range(N)]
+        self._node_dev_chunks: list[list] = [[] for _ in range(N)]
+        self._node_resident: list[bool] = [False] * N
+        self._restore_hosting(resume)
+        # Initial distribution (Alg 1 lines 7-9), then measure iterations
+        # from t=0, as Fig 7 does.
+        self._rebuild_nodes("h2d:phi", resume, reset_clock=True)
         self._peak_device_bytes = 0
 
         state = resume if resume is not None else RunState(algo=self.name)
@@ -303,15 +306,10 @@ class CuLDA(Algorithm):
         self.capture_state(state)
         return state
 
-    def _restore_runtimes(
-        self,
-        runtimes: list[ChunkRuntime],
-        state: RunState,
-        hyper: LDAHyperParams,
-        kcfg: KernelConfig,
-    ) -> None:
-        """Overwrite freshly initialized chunk runtimes with checkpoint
+    def _restore_runtimes(self, state: RunState) -> None:
+        """Overwrite the chunk runtimes with a checkpoint's or snapshot's
         state (topics z, θ, RNG stream position), validating shape."""
+        runtimes = self._runtimes
         if len(state.topics) != len(runtimes):
             raise ValueError(
                 f"checkpoint has {len(state.topics)} chunk(s), this run "
@@ -319,7 +317,7 @@ class CuLDA(Algorithm):
             )
         if state.thetas is None or len(state.rngs) != len(runtimes):
             raise ValueError("checkpoint is missing per-chunk sampler state")
-        dtype = hyper.topic_dtype(kcfg.compressed)
+        dtype = self._hyper.topic_dtype(self._kcfg.compressed)
         for i, rt in enumerate(runtimes):
             topics = state.topics[i]
             if topics.size != rt.chunk.num_tokens:
@@ -329,6 +327,11 @@ class CuLDA(Algorithm):
             rt.topics = topics.astype(dtype, copy=False)
             rt.theta = state.thetas[i]
             rt.rng = state.rngs[i]
+
+    def _restore_hosting(self, state: RunState | None) -> None:
+        """Chunk hosting: logical worker w lives on node w // G."""
+        G = self.gpus_per_node
+        self._worker_node = [w // G for w in range(self.num_workers)]
 
     def start_event(self, state: RunState) -> dict:
         return {
@@ -341,68 +344,23 @@ class CuLDA(Algorithm):
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
-        cfg = self.config
-        machine = self.machine
-        runtimes, workers = self._runtimes, self._workers
-        iv0 = len(machine.trace.intervals)
-        with span("iteration"):
-            retry = self._transfer_retry()
-            if self._plan.chunks_per_gpu == 1:
-                run_iteration_resident(
-                    machine, workers, runtimes, self._dev_chunks,
-                    self._hyper, self._kcfg, cfg.sync_algorithm,
-                    retry=retry,
-                )
-            else:
-                run_iteration_streaming(
-                    machine, workers, runtimes, self._hyper, self._kcfg,
-                    self._plan.chunks_per_gpu, cfg.sync_algorithm,
-                    overlap=cfg.overlap_transfers, retry=retry,
-                )
-            t_now = machine.synchronize()
-        dt = t_now - self._t_prev
-        sync_seconds, p2p_bytes, busy = iteration_trace_stats(
-            machine.trace.intervals[iv0:],
-            [w.device.device_id for w in workers],
-            self._t_prev,
-            t_now,
-        )
-        self._t_prev = t_now
-
-        kd = np.array([r.last_stats.mean_kd for r in runtimes])
-        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
-        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
-        weights /= weights.sum()
+        legs = self._run_nodes(self._transfer_retry())
+        dt = max(self._t_prev_node[n] - start for n, (_, start) in legs.items())
         tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
-
-        emit_observe(
-            "iteration_sim_seconds", dt,
-            help="simulated duration of one training iteration",
-        )
-        emit_gauge(
-            "train_tokens_per_sec", tps,
-            help="simulated sampling throughput (Eq 2)",
-        )
-        for d, f in busy.items():
-            emit_gauge(
-                "device_busy_fraction", f,
-                help="device busy share of the last iteration",
-                device=str(d),
-            )
+        sync_seconds, p2p_bytes, busy = self._trace_stats(legs)
+        sampler = self._sampler_stats()
+        self._emit_iteration(dt, tps, busy)
+        runtimes = self._runtimes
         return IterationOutcome(
             sim_seconds=dt,
             tokens_per_sec=tps,
-            stats={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
-            },
+            stats=sampler,
             sync_event={
                 "sync_seconds": sync_seconds,
                 "p2p_bytes": p2p_bytes,
             },
             event={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
+                **sampler,
                 "p1_draws": sum(r.last_stats.p1_draws for r in runtimes),
                 "p2_draws": sum(
                     r.last_stats.num_tokens - r.last_stats.p1_draws
@@ -412,80 +370,55 @@ class CuLDA(Algorithm):
                     r.last_stats.tree_probe_levels for r in runtimes
                 ),
                 "device_busy_fraction": busy,
-                "phi": lambda w=workers[0]: (
-                    w.phi_full.data.astype(np.int32).copy()
-                ),
+                "phi": lambda phi=self._phi(): phi.astype(np.int32),
             },
         )
 
     def log_likelihood(self, state: RunState) -> float:
+        """Joint log-likelihood per token from the host mirrors.
+
+        Analysis-only (not charged to the simulated clock), as the paper
+        evaluates likelihood offline from model snapshots.
+        """
         with span("likelihood"):
-            return self._likelihood(self._runtimes, self._workers[0], self._hyper)
+            hyper = self._hyper
+            phi = self._phi().astype(np.int64)
+            n_k = phi.sum(axis=1)
+            ll = word_log_likelihood(phi, n_k, hyper, self.corpus.num_words)
+            for r in self._runtimes:
+                ll += _doc_log_likelihood(r.theta, r.chunk.doc_lengths, hyper)
+            return ll / self.corpus.num_tokens
 
     def capture_state(self, state: RunState) -> None:
-        state.phi = self._workers[0].phi_full.data.astype(np.int32).copy()
+        state.phi = self._phi().astype(np.int32)
         state.topics = [r.topics for r in self._runtimes]
         state.thetas = [r.theta for r in self._runtimes]
         state.rngs = [r.rng for r in self._runtimes]
 
     def check_invariants(self, state: RunState) -> list[str]:
-        """Every GPU must hold the same synchronized φ replica — silent
-        transfer corruption of any one replica breaks this."""
-        workers = self._workers
-        ref = workers[0].phi_full.data
-        out = []
-        for w in workers[1:]:
-            if not np.array_equal(w.phi_full.data, ref):
-                out.append(
-                    f"phi replica on GPU {w.device.device_id} diverges "
-                    f"from GPU {workers[0].device.device_id}"
-                )
+        """Every GPU of a node must hold the same synchronized φ replica —
+        silent transfer corruption of any one replica breaks this."""
+        out: list[str] = []
+        for n, workers in enumerate(self._node_workers):
+            if not workers:  # dead node / work migrated away
+                continue
+            ref = workers[0].phi_full.data
+            for w in workers[1:]:
+                if not np.array_equal(w.phi_full.data, ref):
+                    out.append(
+                        f"phi replica on node {n} GPU {w.device.device_id} "
+                        f"diverges from GPU {workers[0].device.device_id}"
+                    )
         return out
 
     def finalize(self, state: RunState, wall_seconds: float) -> TrainResult:
-        machine = self.machine
-        runtimes, workers = self._runtimes, self._workers
-        plan, hyper = self._plan, self._hyper
-        G = len(workers)  # surviving GPUs (== all, absent device loss)
-        total_sim = self._sim_base + machine.synchronize()
-
-        # Final collection (Alg 1 lines 17-20 / 35).
-        machine.memcpy_d2h(workers[0].phi_full, stream=workers[0].download,
-                           label="d2h:phi")
-        if plan.chunks_per_gpu == 1:
-            for g in range(G):
-                download_chunk(machine, workers[g], runtimes[g],
-                               self._dev_chunks[g])
-        machine.synchronize()
-
-        breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-        phi_final = workers[0].phi_full.data.astype(np.int32).copy()
-        theta_final = SparseTheta.concatenate(
-            [r.theta for r in runtimes], hyper.num_topics
-        )
-        topics_final = self._merge_topics(runtimes)
-        peak = max(gpu.allocator.peak_bytes for gpu in machine.gpus)
-        for w in workers:
-            w.free_all()
-        self._peak_device_bytes = peak
-
-        return TrainResult(
-            corpus_name=self.corpus.name,
-            machine_name=machine.name,
-            num_gpus=G,
-            num_tokens=self.corpus.num_tokens,
-            plan_chunks=plan.num_chunks,
-            chunks_per_gpu=plan.chunks_per_gpu,
-            iterations=list(state.history),
-            total_sim_seconds=total_sim,
-            wall_seconds=wall_seconds,
-            breakdown=breakdown,
-            phi=phi_final,
-            theta=theta_final,
-            hyper=hyper,
-            peak_device_bytes=peak,
-            topics=topics_final,
-            algo=self.name,
+        # One machine's clock stops before the final collection.
+        total_sim = self._sim_base + max(m.synchronize() for m in self.machines)
+        num_gpus = sum(len(w) for w in self._node_workers)  # the survivors
+        self._collect()
+        return self._result(
+            state, wall_seconds, total_sim,
+            machine_name=self.machine.name, num_gpus=num_gpus,
         )
 
     def end_event(self, state: RunState, result: TrainResult) -> dict:
@@ -504,132 +437,336 @@ class CuLDA(Algorithm):
         rerun of the poisoned iteration is bit-identical to a run that
         never faulted.
         """
-        machine = self.machine
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError(
-                "rollback state does not match the live chunk layout"
-            )
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
-        phi_host = self._initial_phi(runtimes, hyper, kcfg)
-        for w in self._workers:
-            machine.memcpy_h2d(
-                w.phi_full, phi_host, stream=w.upload, label="h2d:phi_rollback"
-            )
-            self._launch_nk(w, kcfg)
-        if self._plan.chunks_per_gpu == 1:
-            for g, w in enumerate(self._workers):
-                dc, rt = self._dev_chunks[g], runtimes[g]
-                machine.memcpy_h2d(
-                    dc.topics, rt.topics, stream=w.upload,
-                    label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
-                )
-                dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+        self._restore_runtimes(state)
+        views = self._recount(state)
+        advance = 0.0
+        for n in self._host_nodes:
+            machine = self.machines[n]
+            self._upload_phi(n, views[n], "h2d:phi_rollback")
+            if self._node_resident[n]:
+                for w, rt, dc in zip(
+                    self._node_workers[n], self._node_runtimes[n],
+                    self._node_dev_chunks[n],
+                ):
+                    machine.memcpy_h2d(
+                        dc.topics, rt.topics, stream=w.upload,
+                        label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
+                    )
+                    dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+            t_now = machine.synchronize()
+            advance = max(advance, t_now - self._t_prev_node[n])
+            self._t_prev_node[n] = t_now
         # Recovery time stays on the clock (no reset): fault handling is
         # part of the run the timeline reports.
-        self._t_prev = machine.synchronize()
-        state.phi = self._workers[0].phi_full.data.astype(np.int32).copy()
+        self._charge_recovery(advance)
+        state.phi = self._phi().astype(np.int32)
 
     def handle_device_loss(self, state: RunState) -> None:
-        """Elastic re-partition over the surviving GPUs.
+        """Elastic recovery from a lost GPU.
 
-        From the known-good *state*: merge every chunk's assignments
-        back to corpus token order (the dead GPU's shard state lives in
-        the snapshot, not on the dead GPU), re-chunk the corpus over the
-        G−1 survivors with the same token-balancing planner, recount φ,
-        and rebuild workers/device buffers. Chunk RNGs are re-spawned
-        from (seed, generation) so the continued run stays deterministic
-        given the same fault plan.
+        The node's chunks move intact — chunk, topic assignments, θ, RNG
+        stream — round-robin over its surviving GPUs, restored from the
+        known-good *state* (the dead GPU's shard state lives in the
+        snapshot, not on the dead GPU). Nothing is re-chunked and no RNG
+        is re-spawned, so the recovered model is bit-identical to the
+        fault-free run; φ is recounted exactly and the node's reduce
+        tree is re-planned at the new fan-in by the per-machine sync
+        planner. Migration time stays on the simulated clock.
         """
-        from repro.gpusim.errors import FaultError
-
-        machine = self.machine
-        cfg = self.config
-        hyper, kcfg = self._hyper, self._kcfg
-        alive = machine.alive_gpus
-        if not alive:
-            raise FaultError("no surviving GPUs to re-partition over")
-        old_runtimes = self._runtimes
-        if len(state.topics) != len(old_runtimes) or state.thetas is None:
-            raise ValueError(
-                "device-loss state does not match the live chunk layout"
-            )
-
-        # Dead GPU's shard state comes from the snapshot: merge all
-        # chunks' assignments back to the original corpus token order.
-        global_topics = np.empty(self.corpus.num_tokens, dtype=np.int32)
-        for i, rt in enumerate(old_runtimes):
-            base = int(self.corpus.doc_indptr[rt.chunk.doc_offset])
-            global_topics[base + rt.chunk.source_pos] = (
-                state.topics[i].astype(np.int32)
-            )
-
-        # Drop every old device buffer (host-side bookkeeping only; the
-        # dead GPU's memory is gone with the GPU).
-        for dc in self._dev_chunks:
-            dc.free_all()
-        for w in self._workers:
-            w.free_all()
-
-        plan = choose_chunking(
-            self.corpus, len(alive), hyper, kcfg, alive[0].spec,
-            chunks_per_gpu=cfg.chunks_per_gpu,
-        )
-        self._rng_generation = getattr(self, "_rng_generation", 0) + 1
-        children = np.random.default_rng(
-            [cfg.seed, self._rng_generation]
-        ).spawn(len(plan.doc_ranges))
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        runtimes = []
-        for cid, (lo, hi) in enumerate(plan.doc_ranges):
-            chunk = TokenChunk.from_corpus_range(self.corpus, lo, hi)
-            base = int(self.corpus.doc_indptr[chunk.doc_offset])
-            topics = global_topics[base + chunk.source_pos].astype(dtype)
-            theta = SparseTheta.from_assignments(
-                chunk, topics, hyper.num_topics, kcfg.compressed
-            )
-            runtimes.append(ChunkRuntime(cid, chunk, topics, theta, children[cid]))
-        phi_host = self._initial_phi(runtimes, hyper, kcfg)
-
-        workers = [
-            GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
-            for dev in alive
-        ]
-        dev_chunks: list[DeviceChunk] = []
-        for w in workers:
-            machine.memcpy_h2d(
-                w.phi_full, phi_host, stream=w.upload,
-                label="h2d:phi_repartition",
-            )
-            self._launch_nk(w, kcfg)
-        if plan.chunks_per_gpu == 1:
-            dev_chunks = [
-                upload_chunk(machine, workers[g], runtimes[g])
-                for g in range(len(workers))
-            ]
-        self._plan, self._runtimes = plan, runtimes
-        self._workers, self._dev_chunks = workers, dev_chunks
-        # Migration/redistribution time stays on the clock.
-        self._t_prev = machine.synchronize()
+        self._restore_runtimes(state)
+        self._charge_recovery(self._rebuild_nodes("h2d:phi_repartition"))
         emit_gauge(
-            "surviving_gpus", float(len(alive)),
+            "surviving_gpus", float(sum(len(w) for w in self._node_workers)),
             help="GPUs still alive after elastic re-partition",
         )
+        # Refresh the restored state: φ reflects the recount.
+        self.capture_state(state)
 
-        # Refresh the restored state to the new shard layout.
-        state.topics = [r.topics for r in runtimes]
-        state.thetas = [r.theta for r in runtimes]
-        state.rngs = [r.rng for r in runtimes]
-        state.phi = workers[0].phi_full.data.astype(np.int32).copy()
+    def _charge_recovery(self, seconds: float) -> None:
+        """Account a recovery stall of *seconds*. One machine keeps it on
+        its own clock only: it counts in ``total_sim_seconds``, and the
+        next iteration is timed from the end of the recovery."""
 
     # ------------------------------------------------------------------
-    # Internals
+    # Per-node internals
     # ------------------------------------------------------------------
+    def _phi(self) -> np.ndarray:
+        """The synchronized model φ: after the intra-node all-reduce
+        every GPU of the node holds it."""
+        return self._node_workers[self._host_nodes[0]][0].phi_full.data
+
+    def _device_key(self, node: int, device: int):
+        """The key of a GPU in per-device reports (its device id)."""
+        return device
+
+    def _recount(self, state: RunState | None = None) -> dict[int, np.ndarray]:
+        """Recount φ exactly from the chunks' current assignments (a pure
+        function of z). Returns the φ each hosting node samples against,
+        in the device dtype."""
+        phi = self._sum_counts(
+            [self._node_phi_counts(n) for n in range(self.num_nodes)]
+        )
+        view = self._as_phi_dtype(phi, self._kcfg)
+        return {n: view for n in self._host_nodes}
+
+    def _hosted_runtimes(self) -> list[list[ChunkRuntime]]:
+        """Per-node chunk-runtime lists under the current hosting map,
+        round-major then worker-ascending — identical to the pristine
+        ``m*W + n*G + j`` order while hosting is the identity."""
+        W, M = self.num_workers, self._plan.chunks_per_gpu
+        by_node: list[list[ChunkRuntime]] = [[] for _ in range(self.num_nodes)]
+        for m in range(M):
+            for w in range(W):
+                by_node[self._worker_node[w]].append(self._runtimes[m * W + w])
+        return by_node
+
+    def _rebuild_nodes(
+        self,
+        label: str,
+        state: RunState | None = None,
+        reset_clock: bool = False,
+    ) -> float:
+        """Rebuild every node's device state under the current hosting
+        map: free the old buffers, recount φ (see :meth:`_recount`), then
+        create GPU workers on each hosting node's alive GPUs, upload the
+        node's φ view (and resident chunks), and leave every machine
+        synchronized. Returns the largest per-node clock advance (zero
+        when resetting clocks at init)."""
+        self._release()
+        self._node_runtimes = self._hosted_runtimes()
+        self._host_nodes = [
+            n for n in range(self.num_nodes) if self._node_runtimes[n]
+        ]
+        views = self._recount(state)
+        hyper, kcfg = self._hyper, self._kcfg
+        hosting = set(self._host_nodes)
+        advance = 0.0
+        for n in range(self.num_nodes):
+            if n not in hosting:
+                self._node_workers[n] = []
+                self._node_dev_chunks[n] = []
+                self._node_resident[n] = False
+                continue
+            machine = self.machines[n]
+            local = self._node_runtimes[n]
+            workers = [
+                GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
+                for dev in machine.alive_gpus
+            ]
+            if not workers:
+                raise FaultError(f"node {n} hosts work but has no alive GPUs")
+            self._node_workers[n] = workers
+            self._upload_phi(n, views[n], label)
+            resident = len(local) == len(workers)
+            dev_chunks = []
+            if resident:
+                dev_chunks = [
+                    upload_chunk(machine, workers[j], local[j])
+                    for j in range(len(workers))
+                ]
+            t_now = machine.synchronize()
+            if reset_clock:
+                machine.reset_clock()
+                t_now = 0.0
+            advance = max(advance, t_now - self._t_prev_node[n])
+            self._t_prev_node[n] = t_now
+            self._node_dev_chunks[n] = dev_chunks
+            self._node_resident[n] = resident
+        return advance
+
+    def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
+        """Copy a φ view to every GPU of *node* and recount n_k there."""
+        machine = self.machines[node]
+        for w in self._node_workers[node]:
+            machine.memcpy_h2d(
+                w.phi_full, view_host, stream=w.upload, label=label
+            )
+            self._launch_nk(w, self._kcfg)
+
+    def _release(self) -> None:
+        """Free every node's device buffers (host-side bookkeeping only;
+        a dead GPU's memory is gone with the GPU)."""
+        for n in range(self.num_nodes):
+            for dc in self._node_dev_chunks[n]:
+                dc.free_all()
+            for w in self._node_workers[n]:
+                w.free_all()
+
+    def _run_nodes(
+        self, retry, extract_phi: bool = False
+    ) -> dict[int, tuple[int, float]]:
+        """Alg 1's iteration on every hosting node: WorkSchedule1/2 plus
+        the node's reduce tree. With *extract_phi* the node-summed φ then
+        leaves GPU 0 for the NIC. Returns, per node, its trace mark and
+        the clock the iteration started at; the node's clock
+        (``_t_prev_node``) ends it."""
+        cfg = self.config
+        legs = {}
+        for n in self._host_nodes:
+            machine = self.machines[n]
+            workers = self._node_workers[n]
+            local = self._node_runtimes[n]
+            mark = len(machine.trace.intervals)
+            with span("iteration"):
+                if self._node_resident[n]:
+                    run_iteration_resident(
+                        machine, workers, local, self._node_dev_chunks[n],
+                        self._hyper, self._kcfg, cfg.sync_algorithm,
+                        retry=retry,
+                    )
+                else:
+                    cpg = self._plan.chunks_per_gpu
+                    if len(local) != cpg * len(workers):
+                        cpg = None  # uneven round-robin after a migration
+                    run_iteration_streaming(
+                        machine, workers, local, self._hyper, self._kcfg,
+                        cpg, cfg.sync_algorithm,
+                        overlap=cfg.overlap_transfers, retry=retry,
+                    )
+                if extract_phi:
+                    machine.memcpy_d2h(
+                        workers[0].phi_full, stream=workers[0].download,
+                        label="d2h:node_phi",
+                    )
+                t_now = machine.synchronize()
+            legs[n] = (mark, self._t_prev_node[n])
+            self._t_prev_node[n] = t_now
+        return legs
+
+    def _trace_stats(self, legs) -> tuple[float, float, dict]:
+        """``(sync_seconds, p2p_bytes, busy share by device)`` over each
+        node's iteration window, from its start to the node's clock."""
+        sync_seconds = p2p_bytes = 0
+        busy = {}
+        for n, (mark, start) in legs.items():
+            machine = self.machines[n]
+            s, p, b = iteration_trace_stats(
+                machine.trace.intervals[mark:],
+                [w.device.device_id for w in self._node_workers[n]],
+                start, self._t_prev_node[n],
+            )
+            sync_seconds += s
+            p2p_bytes += p
+            for d, f in b.items():
+                busy[self._device_key(n, d)] = f
+        return sync_seconds, p2p_bytes, busy
+
+    def _sampler_stats(self) -> dict:
+        """Token-weighted mean K_d and p1 share of the last sweep."""
+        runtimes = self._runtimes
+        kd = np.array([r.last_stats.mean_kd for r in runtimes])
+        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
+        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
+        weights /= weights.sum()
+        return {
+            "mean_kd": float(kd @ weights),
+            "p1_fraction": float(p1 @ weights),
+        }
+
+    @staticmethod
+    def _emit_iteration(dt: float, tps: float, busy: dict) -> None:
+        emit_observe(
+            "iteration_sim_seconds", dt,
+            help="simulated duration of one training iteration",
+        )
+        emit_gauge(
+            "train_tokens_per_sec", tps,
+            help="simulated sampling throughput (Eq 2)",
+        )
+        for dev, f in busy.items():
+            emit_gauge(
+                "device_busy_fraction", f,
+                help="device busy share of the last iteration",
+                device=str(dev),
+            )
+
+    def _collect(self) -> float:
+        """Final collection on every hosting node (Alg 1 lines 17-20 /
+        35). Returns the slowest node's collection time."""
+        tail = 0.0
+        for n in self._host_nodes:
+            machine = self.machines[n]
+            workers = self._node_workers[n]
+            machine.memcpy_d2h(
+                workers[0].phi_full, stream=workers[0].download, label="d2h:phi"
+            )
+            if self._node_resident[n]:
+                for w, rt, dc in zip(
+                    workers, self._node_runtimes[n], self._node_dev_chunks[n]
+                ):
+                    download_chunk(machine, w, rt, dc)
+            tail = max(tail, machine.synchronize() - self._t_prev_node[n])
+        return tail
+
+    def _result(
+        self, state: RunState, wall_seconds: float, total_sim: float, **where
+    ) -> TrainResult:
+        """The run's TrainResult (*where* names the hardware); frees every
+        device buffer."""
+        hyper, plan, runtimes = self._hyper, self._plan, self._runtimes
+        # Kernel-time breakdown over every machine's trace.
+        by_kind = dict.fromkeys(BREAKDOWN_KINDS, 0.0)
+        for machine in self.machines:
+            for iv in machine.trace.intervals:
+                if iv.kind in by_kind:
+                    by_kind[iv.kind] += iv.duration
+        grand = sum(by_kind.values())
+        breakdown = {
+            k: (v / grand if grand > 0 else 0.0) for k, v in by_kind.items()
+        }
+        phi_final = self._phi().astype(np.int32)
+        theta_final = SparseTheta.concatenate(
+            [r.theta for r in runtimes], hyper.num_topics
+        )
+        topics_final = self._merge_topics(runtimes)
+        peak = max(
+            gpu.allocator.peak_bytes
+            for machine in self.machines for gpu in machine.gpus
+        )
+        self._release()
+        self._peak_device_bytes = peak
+        return TrainResult(
+            corpus_name=self.corpus.name,
+            num_tokens=self.corpus.num_tokens,
+            plan_chunks=plan.num_chunks,
+            chunks_per_gpu=plan.chunks_per_gpu,
+            iterations=list(state.history),
+            total_sim_seconds=total_sim,
+            wall_seconds=wall_seconds,
+            breakdown=breakdown,
+            phi=phi_final,
+            theta=theta_final,
+            hyper=hyper,
+            peak_device_bytes=peak,
+            topics=topics_final,
+            algo=self.name,
+            **where,
+        )
+
+    def _node_phi_counts(self, node: int) -> np.ndarray:
+        """Node *node*'s exact φ contribution (int64), recounted from
+        its chunks' current topic assignments."""
+        K = self._hyper.num_topics
+        counts = np.zeros((K, self.corpus.num_words), dtype=np.int64)
+        for r in self._node_runtimes[node]:
+            counts += accumulate_phi(r.chunk, r.topics, K)
+        return counts
+
+    @staticmethod
+    def _sum_counts(node_counts: list[np.ndarray]) -> np.ndarray:
+        total = np.zeros_like(node_counts[0])
+        for c in node_counts:
+            total += c
+        return total
+
+    @staticmethod
+    def _as_phi_dtype(phi: np.ndarray, kcfg: KernelConfig) -> np.ndarray:
+        if kcfg.compressed:
+            if phi.max(initial=0) >= 2**16:
+                raise OverflowError("φ overflows 16-bit compression")
+            return phi.astype(np.uint16)
+        return phi.astype(np.int32)
+
     def _init_runtimes(
         self, plan: PartitionPlan, hyper: LDAHyperParams, kcfg: KernelConfig
     ) -> list[ChunkRuntime]:
@@ -672,26 +809,6 @@ class CuLDA(Algorithm):
             runtimes.append(ChunkRuntime(cid, chunk, topics, theta, rng))
         return runtimes
 
-    def _initial_phi(
-        self,
-        runtimes: list[ChunkRuntime],
-        hyper: LDAHyperParams,
-        kcfg: KernelConfig,
-    ) -> np.ndarray:
-        """The full initial φ (host-side, part of preprocessing).
-
-        On resume this recounts φ from the restored assignments, which
-        reproduces the checkpoint's synchronized φ exactly (integer
-        counts are a pure function of z).
-        """
-        phi = np.zeros((hyper.num_topics, self.corpus.num_words), dtype=np.int64)
-        for r in runtimes:
-            phi += accumulate_phi(r.chunk, r.topics, hyper.num_topics)
-        if kcfg.compressed and phi.max(initial=0) >= 2**16:
-            raise OverflowError("initial φ overflows 16-bit compression")
-        dtype = np.uint16 if kcfg.compressed else np.int32
-        return phi.astype(dtype)
-
     def _launch_nk(self, worker: GpuWorker, kcfg: KernelConfig) -> None:
         K, V = worker.phi_full.shape
 
@@ -708,24 +825,6 @@ class CuLDA(Algorithm):
             "n_k_rowsum",
             "sync",
         ).launch(worker.upload)
-
-    def _likelihood(
-        self,
-        runtimes: list[ChunkRuntime],
-        worker0: GpuWorker,
-        hyper: LDAHyperParams,
-    ) -> float:
-        """Joint log-likelihood per token from the host mirrors.
-
-        Analysis-only (not charged to the simulated clock), as the paper
-        evaluates likelihood offline from model snapshots.
-        """
-        phi = worker0.phi_full.data.astype(np.int64)
-        n_k = phi.sum(axis=1)
-        ll = word_log_likelihood(phi, n_k, hyper, self.corpus.num_words)
-        for r in runtimes:
-            ll += _doc_log_likelihood(r.theta, r.chunk.doc_lengths, hyper)
-        return ll / self.corpus.num_tokens
 
     def _merge_topics(self, runtimes: list[ChunkRuntime]) -> np.ndarray:
         """Scatter each chunk's (word-sorted) topics back to the original

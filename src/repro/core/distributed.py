@@ -7,13 +7,21 @@ substrate with hierarchical synchronization:
    same planner the single-machine trainer uses — one *global* plan
    over all ``W = N × G`` workers, so chunk boundaries and per-chunk
    RNG streams are identical for every (N, G) layout with the same W;
-2. each node runs the paper's intra-node iteration unchanged
-   (WorkSchedule1/2 plus the §5.2 reduce tree, ``--sync`` planned per
-   machine), producing a node-summed φ on every local GPU;
+2. each node runs the paper's intra-node iteration unchanged — the
+   per-node body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2
+   plus the §5.2 reduce tree, ``--sync`` planned per machine),
+   producing a node-summed φ on every local GPU;
 3. an inter-node leg combines the node sums over the Ethernet fabric
    through a cluster collective (``eth_ring`` or ``param_server``,
    chosen by the replay-exact cost planner behind ``--inter-sync
    auto``), and the global φ is re-broadcast to every GPU.
+
+This class adds only that cluster layer: the inter-node leg, failure
+detection, the parameter server, the staleness cache, node migration,
+the cluster clock and the ``dist_*`` checkpoint extras. A one-node
+cluster has none of it, so ``DistributedCuLDA`` over one machine *is*
+the single-machine trainer (same plan, same timings, same checkpoint
+bytes).
 
 Because the reduction is exact integer addition and chunk RNGs are
 keyed by global chunk id, synchronous training is **bit-identical**
@@ -24,9 +32,7 @@ Bounded staleness (``TrainConfig.staleness = s``, after F+NOMAD): the
 inter-node leg runs every ``s+1`` iterations; in between, each node
 samples against the last global φ *plus its own pending updates*
 (read-your-writes, so token counts are conserved). ``s = 0`` is the
-synchronous mode and degenerates bit-identically; ``num_nodes = 1``
-degenerates to the single-machine trainer exactly (same plan, same
-timings, same checkpoint bytes).
+synchronous mode and degenerates bit-identically.
 
 Elasticity (docs/DISTRIBUTED.md §5, docs/ROBUSTNESS.md §8): under a
 :class:`~repro.engine.recovery.ClusterRecoveryPolicy` the trainer
@@ -52,35 +58,49 @@ from typing import Sequence
 import numpy as np
 
 from repro.comm import AUTO, ClusterSyncContext, get_cluster_collective, plan_cluster_sync
-from repro.core.culda import BREAKDOWN_KINDS, CuLDA, TrainConfig
-from repro.core.kernels import accumulate_phi
-from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
-from repro.core.model import SparseTheta
+from repro.core.culda import CuLDA, TrainConfig
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import place_token_lightest
 from repro.corpus.corpus import Corpus
 from repro.engine.algorithm import IterationOutcome
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
-from repro.gpusim.errors import FaultError, NodeLost
+from repro.gpusim.errors import NodeLost
 from repro.gpusim.platform import Machine
-from repro.sched.partition import choose_chunking
-from repro.sched.schedule import (
-    GpuWorker,
-    download_chunk,
-    iteration_trace_stats,
-    run_iteration_resident,
-    run_iteration_streaming,
-    upload_chunk,
-)
-from repro.telemetry.context import emit_counter, emit_gauge, emit_observe
+from repro.telemetry.context import emit_counter, emit_gauge
 from repro.telemetry.spans import span
+
+# The per-node code that calls these lives in repro.core.culda now; the
+# names stay importable here because bench/layertrace.py patches them.
+from repro.core.kernels import accumulate_phi  # noqa: F401
+from repro.sched.partition import choose_chunking  # noqa: F401
+from repro.sched.schedule import download_chunk, upload_chunk  # noqa: F401
 
 __all__ = ["DistributedCuLDA"]
 
 #: φ travels the wire as int32 entries on the inter-node leg.
 _ENTRY_BYTES = 4
+
+
+def _check_cluster_args(
+    config: TrainConfig,
+    num_nodes: int,
+    network: ClusterNetwork | None,
+    num_shards: int | None,
+) -> None:
+    if config.staleness < 0:
+        raise ValueError("staleness must be >= 0")
+    if config.inter_sync != AUTO:
+        get_cluster_collective(config.inter_sync)  # raises on unknown name
+    if network is not None and network.num_nodes != num_nodes:
+        raise ValueError(
+            f"network has {network.num_nodes} node(s), trainer has "
+            f"{num_nodes}"
+        )
+    if num_shards is not None and not 1 <= num_shards <= num_nodes:
+        raise ValueError("num_shards must be in [1, num_nodes]")
 
 
 class DistributedCuLDA(CuLDA):
@@ -90,8 +110,8 @@ class DistributedCuLDA(CuLDA):
     ----------
     corpus: input corpus.
     machines: one simulated machine per node; all nodes must have the
-        same GPU count (G). A single machine degenerates exactly to
-        :class:`~repro.core.culda.CuLDA`.
+        same GPU count (G). A single machine builds
+        :class:`~repro.core.culda.CuLDA` itself.
     network: the Ethernet fabric; defaults to a fresh
         :class:`~repro.cluster.network.ClusterNetwork` over the nodes.
     num_shards: parameter-server shards for the ``param_server``
@@ -101,6 +121,28 @@ class DistributedCuLDA(CuLDA):
     single-machine trainer, so run-state files resume across any
     layout with the same total worker count.
     """
+
+    def __new__(
+        cls,
+        corpus: Corpus,
+        machines: Sequence[Machine],
+        network: ClusterNetwork | None = None,
+        config: TrainConfig | None = None,
+        warm_start_phi: np.ndarray | None = None,
+        callbacks=None,
+        registry=None,
+        num_shards: int | None = None,
+    ):
+        """A one-node cluster has no cluster layer — no inter-node leg,
+        no cluster clock, no ``dist_*`` extras — so after the same
+        argument checks it is the single-machine trainer itself."""
+        if len(machines) != 1:
+            return super().__new__(cls)
+        _check_cluster_args(config or TrainConfig(), 1, network, num_shards)
+        return CuLDA(
+            corpus, machines[0], config, warm_start_phi=warm_start_phi,
+            callbacks=callbacks, registry=registry,
+        )
 
     def __init__(
         self,
@@ -127,34 +169,14 @@ class DistributedCuLDA(CuLDA):
             registry=registry,
         )
         self.machines = machines
-        self.num_nodes = len(machines)
-        cfg = self.config
-        if cfg.staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        if cfg.inter_sync != AUTO:
-            get_cluster_collective(cfg.inter_sync)  # raises on unknown name
+        _check_cluster_args(self.config, self.num_nodes, network, num_shards)
         self.network = network or ClusterNetwork(self.num_nodes)
-        if self.network.num_nodes != self.num_nodes:
-            raise ValueError(
-                f"network has {self.network.num_nodes} node(s), trainer has "
-                f"{self.num_nodes}"
-            )
-        if num_shards is not None and not 1 <= num_shards <= self.num_nodes:
-            raise ValueError("num_shards must be in [1, num_nodes]")
         self._num_shards = num_shards or self.num_nodes
         #: Built in init_state (needs φ); exposed for fault wiring.
         self.server: ShardedParameterServer | None = None
         #: Heartbeat failure detector; built in init_state so it picks
         #: up the active recovery policy's thresholds.
         self.membership: MembershipMonitor | None = None
-
-    @property
-    def gpus_per_node(self) -> int:
-        return len(self.machines[0].gpus)
-
-    @property
-    def num_workers(self) -> int:
-        return self.num_nodes * self.gpus_per_node
 
     def train(
         self,
@@ -169,10 +191,9 @@ class DistributedCuLDA(CuLDA):
     ) -> TrainResult:
         """Same contract as :meth:`CuLDA.train`, except a ``recovery``
         mode string becomes a
-        :class:`~repro.engine.recovery.ClusterRecoveryPolicy` on a
-        multi-node run, so the heartbeat failure detector gets its
-        lease thresholds (single-node keeps the GPU-domain policy)."""
-        if self.num_nodes > 1 and isinstance(recovery, str):
+        :class:`~repro.engine.recovery.ClusterRecoveryPolicy`, so the
+        heartbeat failure detector gets its lease thresholds."""
+        if isinstance(recovery, str):
             from repro.engine.recovery import ClusterRecoveryPolicy
 
             recovery = ClusterRecoveryPolicy(mode=recovery)
@@ -190,31 +211,6 @@ class DistributedCuLDA(CuLDA):
     # Algorithm strategy surface
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
-        if self.num_nodes == 1:
-            # Exact single-machine degeneration: same plan, same clock,
-            # same checkpoint bytes (no distributed extras).
-            return super().init_state(resume)
-
-        cfg = self.config
-        hyper, kcfg = cfg.hyper(), cfg.kernel_config()
-        N, G = self.num_nodes, self.gpus_per_node
-        W = N * G
-
-        with span("preprocess"):
-            # ONE global plan over all W workers: chunk i belongs to
-            # global worker i % W, worker w = n*G + j lives on node n.
-            # Chunk ids (and therefore RNG streams) are layout-invariant.
-            plan = choose_chunking(
-                self.corpus, W, hyper, kcfg,
-                self.machines[0].gpus[0].spec,
-                chunks_per_gpu=cfg.chunks_per_gpu,
-            )
-            runtimes = self._init_runtimes(plan, hyper, kcfg)
-            if resume is not None:
-                self._restore_runtimes(runtimes, resume, hyper, kcfg)
-        self._hyper, self._kcfg = hyper, kcfg
-        self._plan, self._runtimes = plan, runtimes
-
         # Failure detector over the fabric; lease thresholds come from
         # the ClusterRecoveryPolicy when one is active (the loop sets
         # recovery_policy before init_state).
@@ -225,17 +221,37 @@ class DistributedCuLDA(CuLDA):
         self.membership = MembershipMonitor(self.network, heartbeat)
         self._cluster_time = 0.0
         self._charged = 0.0
-        self._t_prev_node = [0.0] * N
-
-        # Chunk hosting: logical worker w starts on physical node w // G.
-        # A checkpoint written after an elastic recovery carries the
-        # migrated map and the buried node set in extras; both apply
-        # only when the node count matches — on any other layout the
-        # resume point is a fresh, healthy cluster (exact for sync
-        # mode, where placement is invisible to the numerics).
-        self._worker_node = [w // G for w in range(W)]
-        self._dead_nodes: set[int] = set()
         extras = resume.extras if resume is not None else {}
+        self._net_base = 0.0
+        if "dist_net_base" in extras:
+            self._net_base = float(np.asarray(extras["dist_net_base"])[0])
+        self._iter_index = resume.iteration if resume is not None else 0
+
+        state = super().init_state(resume)
+
+        self.server = ShardedParameterServer(
+            self._phi_cache.copy(), self._num_shards, self.network
+        )
+        if self._dead_nodes:
+            self.server.rehome([
+                n for n in range(self.num_nodes) if self.network.node_up(n)
+            ])
+        self._park_plan()
+        return state
+
+    def _restore_hosting(self, state: RunState | None) -> None:
+        """Logical worker w starts on physical node w // G. A checkpoint
+        or snapshot written after an elastic recovery carries the
+        migrated map and the buried node set in extras; both apply only
+        when the node count matches — on any other layout the resume
+        point is a fresh, healthy cluster (exact for sync mode, where
+        placement is invisible to the numerics). Buried nodes are
+        re-failed on the network and re-declared to the detector, so
+        the restored run matches the one that wrote the state."""
+        super()._restore_hosting(state)
+        N, W = self.num_nodes, self.num_workers
+        self._dead_nodes: set[int] = set()
+        extras = state.extras if state is not None else {}
         hosting = extras.get("dist_worker_node")
         wrote_nodes = extras.get("dist_num_nodes")
         if (
@@ -252,72 +268,63 @@ class DistributedCuLDA(CuLDA):
                     for x in np.asarray(extras.get("dist_dead_nodes", ()))
                 }
         for n in sorted(self._dead_nodes):
-            # Re-bury nodes the checkpointed run had already lost.
             if self.network.node_alive(n):
                 self.network.fail_node(n)
-            self.membership.force_dead(n, 0.0)
+            self.membership.force_dead(n, self._cluster_time)
 
-        self._node_runtimes = self._hosted_runtimes()
-        self._host_nodes = [n for n in range(N) if self._node_runtimes[n]]
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
+    def _recount(self, state: RunState | None = None) -> dict[int, np.ndarray]:
+        """Keeps every node's contribution and their sum, plus the
+        staleness bookkeeping: the last globally synced φ and each
+        node's contribution at that sync. Those are restored from
+        *state*'s extras when it stopped mid-window on this node count;
+        otherwise the recount is a fresh sync point (exact for
+        synchronous runs, where cache and base are pure functions of z).
+        A node samples against the synced φ plus its own pending
+        updates."""
+        N = self.num_nodes
+        self._node_counts = [self._node_phi_counts(n) for n in range(N)]
+        self._global_phi = self._sum_counts(self._node_counts)
+        extras = state.extras if state is not None else {}
+        cache = extras.get("dist_phi_cache")
+        bases = [extras.get(f"dist_node_base_{n}") for n in range(N)]
+        if cache is not None and all(b is not None for b in bases):
+            self._phi_cache = np.asarray(cache).astype(np.int64)
+            self._node_base = [np.asarray(b).astype(np.int64) for b in bases]
+        else:
+            self._phi_cache = self._global_phi.copy()
+            self._node_base = [c.copy() for c in self._node_counts]
+        return {
+            n: self._as_phi_dtype(
+                self._phi_cache + self._node_counts[n] - self._node_base[n],
+                self._kcfg,
+            )
+            for n in self._host_nodes
+        }
 
-        # Staleness bookkeeping: the last globally synced φ and each
-        # node's contribution at that sync. Restored from checkpoint
-        # extras when resuming mid-window on the same node count;
-        # otherwise the resume point becomes a fresh sync (exact for
-        # synchronous runs, where cache/base are pure functions of z).
-        cache, base = self._resolve_dist_extras(resume, N, node_counts, global_phi)
-        self._phi_cache, self._node_base = cache, base
-        self._node_counts = node_counts
-        self._global_phi = global_phi
-        self._net_base = 0.0
-        if resume is not None and "dist_net_base" in resume.extras:
-            self._net_base = float(np.asarray(resume.extras["dist_net_base"])[0])
+    def _phi(self) -> np.ndarray:
+        return self._global_phi
 
-        self._node_workers: list[list[GpuWorker]] = [[] for _ in range(N)]
-        self._node_dev_chunks: list[list] = [[] for _ in range(N)]
-        self._node_resident: list[bool] = [False] * N
-        self._attach_nodes("h2d:phi", reset_clock=True)
+    def _device_key(self, node: int, device: int):
+        return f"{node}.{device}"
 
-        # Parent-method compatibility (likelihood helpers, summaries).
-        self._workers = self._node_workers[self._host_nodes[0]]
-        self._dev_chunks = self._node_dev_chunks[self._host_nodes[0]]
-        self._peak_device_bytes = 0
-
-        self.server = ShardedParameterServer(
-            cache.copy(), self._num_shards, self.network
-        )
-        if self._dead_nodes:
-            self.server.rehome([
-                n for n in range(N) if self.network.node_up(n)
-            ])
-        self._park_plan()
-
-        state = resume if resume is not None else RunState(algo=self.name)
-        self._iter_index = state.iteration
-        self._sim_base = state.sim_seconds
-        self.capture_state(state)
-        return state
+    def _charge_recovery(self, seconds: float) -> None:
+        """The cluster clock charges the stall to the next iteration."""
+        self._cluster_time += seconds
 
     def start_event(self, state: RunState) -> dict:
         event = super().start_event(state)
-        if self.num_nodes > 1:
-            event.update(
-                num_nodes=self.num_nodes,
-                gpus_per_node=self.gpus_per_node,
-                inter_sync=self.config.inter_sync,
-                staleness=self.config.staleness,
-            )
+        event.update(
+            num_nodes=self.num_nodes,
+            gpus_per_node=self.gpus_per_node,
+            inter_sync=self.config.inter_sync,
+            staleness=self.config.staleness,
+        )
         return event
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
-        if self.num_nodes == 1:
-            return super().run_iteration(state)
-
         cfg = self.config
-        N, G = self.num_nodes, self.gpus_per_node
-        hyper, kcfg = self._hyper, self._kcfg
+        N = self.num_nodes
+        kcfg = self._kcfg
         it = self._iter_index
         self._iter_index += 1
         sync_round = cfg.staleness == 0 or it % (cfg.staleness + 1) == 0
@@ -351,42 +358,13 @@ class DistributedCuLDA(CuLDA):
                 raise NodeLost(n)
             # The NIC came back during the stall; training proceeds.
 
-        # --- intra-node leg: the paper's iteration, per machine --------
-        t0_node = {n: self._t_prev_node[n] for n in hosts}
-        trace_marks, ready, dt_intra = {}, {}, {}
-        for n in hosts:
-            machine = self.machines[n]
-            iv0 = len(machine.trace.intervals)
-            workers = self._node_workers[n]
-            local = self._node_runtimes[n]
-            with span("iteration"):
-                if self._node_resident[n]:
-                    run_iteration_resident(
-                        machine, workers, local, self._node_dev_chunks[n],
-                        hyper, kcfg, cfg.sync_algorithm, retry=retry,
-                    )
-                else:
-                    cpg = self._plan.chunks_per_gpu
-                    if len(local) != cpg * len(workers):
-                        cpg = None  # uneven round-robin after a migration
-                    run_iteration_streaming(
-                        machine, workers, local, hyper, kcfg,
-                        cpg, cfg.sync_algorithm,
-                        overlap=cfg.overlap_transfers, retry=retry,
-                    )
-                if sync_round:
-                    # Leader extraction: the node-summed φ leaves GPU 0
-                    # for the NIC.
-                    machine.memcpy_d2h(
-                        workers[0].phi_full, stream=workers[0].download,
-                        label="d2h:node_phi",
-                    )
-                t_now = machine.synchronize()
-            dt = t_now - self._t_prev_node[n]
-            self._t_prev_node[n] = t_now
-            trace_marks[n] = iv0
-            dt_intra[n] = dt
-            ready[n] = self._cluster_time + dt
+        # --- intra-node leg: the paper's iteration, per machine; the
+        # leader extraction sends each node-summed φ to the NIC --------
+        legs = self._run_nodes(retry, extract_phi=sync_round)
+        dt_intra = {
+            n: self._t_prev_node[n] - start for n, (_, start) in legs.items()
+        }
+        ready = {n: self._cluster_time + dt_intra[n] for n in hosts}
 
         # After the intra all-reduce every GPU on node n holds the sum
         # of node n's chunk counts — the node's contribution. Nodes
@@ -446,16 +424,11 @@ class DistributedCuLDA(CuLDA):
         # --- redistribution: every GPU gets its node's φ view ----------
         redist = {}
         for n in hosts:
-            machine = self.machines[n]
-            view_host = self._as_phi_dtype(views[n], kcfg)
             t_a = self._t_prev_node[n]
-            for w in self._node_workers[n]:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload,
-                    label="h2d:phi_global",
-                )
-                self._launch_nk(w, kcfg)
-            t_b = machine.synchronize()
+            self._upload_phi(
+                n, self._as_phi_dtype(views[n], kcfg), "h2d:phi_global"
+            )
+            t_b = self.machines[n].synchronize()
             redist[n] = t_b - t_a
             self._t_prev_node[n] = t_b
 
@@ -477,48 +450,15 @@ class DistributedCuLDA(CuLDA):
             max(done.values()) - max(ready.values()) if sync_round else 0.0
         )
 
-        # --- stats (same aggregation as the single-machine trainer) ----
-        runtimes = self._runtimes
-        kd = np.array([r.last_stats.mean_kd for r in runtimes])
-        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
-        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
-        weights /= weights.sum()
         tps = self.corpus.num_tokens / dt_iter if dt_iter > 0 else 0.0
-
-        sync_seconds, p2p_bytes = 0.0, 0.0
-        busy: dict[str, float] = {}
-        for n in hosts:
-            machine = self.machines[n]
-            s, p, b = iteration_trace_stats(
-                machine.trace.intervals[trace_marks[n]:],
-                [w.device.device_id for w in self._node_workers[n]],
-                t0_node[n], self._t_prev_node[n],
-            )
-            sync_seconds += s
-            p2p_bytes += p
-            for d, f in b.items():
-                busy[f"{n}.{d}"] = f
-
-        emit_observe(
-            "iteration_sim_seconds", dt_iter,
-            help="simulated duration of one training iteration",
-        )
-        emit_gauge(
-            "train_tokens_per_sec", tps,
-            help="simulated sampling throughput (Eq 2)",
-        )
-        for dev, f in busy.items():
-            emit_gauge(
-                "device_busy_fraction", f,
-                help="device busy share of the last iteration",
-                device=dev,
-            )
+        sync_seconds, p2p_bytes, busy = self._trace_stats(legs)
+        sampler = self._sampler_stats()
+        self._emit_iteration(dt_iter, tps, busy)
         return IterationOutcome(
             sim_seconds=dt_iter,
             tokens_per_sec=tps,
             stats={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
+                **sampler,
                 "network_seconds": net_seconds,
                 "compute_seconds": max(dt_intra.values()),
             },
@@ -527,35 +467,21 @@ class DistributedCuLDA(CuLDA):
                 "p2p_bytes": p2p_bytes,
             },
             event={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
+                **sampler,
                 "sync_round": sync_round,
                 "internode_bytes": internode_bytes,
                 "device_busy_fraction": busy,
-                "phi": lambda g=self._global_phi: g.astype(np.int32).copy(),
+                "phi": lambda g=self._global_phi: g.astype(np.int32),
             },
         )
 
     def log_likelihood(self, state: RunState) -> float:
-        if self.num_nodes == 1:
-            return super().log_likelihood(state)
-        with span("likelihood"):
-            hyper = self._hyper
-            phi = self._global_phi
-            n_k = phi.sum(axis=1)
-            ll = word_log_likelihood(phi, n_k, hyper, self.corpus.num_words)
-            for r in self._runtimes:
-                ll += _doc_log_likelihood(r.theta, r.chunk.doc_lengths, hyper)
-            return ll / self.corpus.num_tokens
+        # Defined here, not only inherited: bench/layertrace.py patches
+        # each trainer class's own attribute.
+        return super().log_likelihood(state)
 
     def capture_state(self, state: RunState) -> None:
-        if self.num_nodes == 1:
-            super().capture_state(state)
-            return
-        state.phi = self._global_phi.astype(np.int32).copy()
-        state.topics = [r.topics for r in self._runtimes]
-        state.thetas = [r.theta for r in self._runtimes]
-        state.rngs = [r.rng for r in self._runtimes]
+        super().capture_state(state)
         state.extras["dist_net_base"] = np.array(
             [self._net_base + self.network.total_bytes()]
         )
@@ -584,92 +510,15 @@ class DistributedCuLDA(CuLDA):
             for n in range(self.num_nodes):
                 state.extras[f"dist_node_base_{n}"] = self._node_base[n].copy()
 
-    def check_invariants(self, state: RunState) -> list[str]:
-        if self.num_nodes == 1:
-            return super().check_invariants(state)
-        out: list[str] = []
-        for n, workers in enumerate(self._node_workers):
-            if not workers:  # dead node / work migrated away
-                continue
-            ref = workers[0].phi_full.data
-            for w in workers[1:]:
-                if not np.array_equal(w.phi_full.data, ref):
-                    out.append(
-                        f"phi replica on node {n} GPU {w.device.device_id} "
-                        f"diverges from GPU {workers[0].device.device_id}"
-                    )
-        return out
-
     def finalize(self, state: RunState, wall_seconds: float) -> TrainResult:
-        if self.num_nodes == 1:
-            return super().finalize(state, wall_seconds)
-        N, G = self.num_nodes, self.gpus_per_node
-        hyper, plan = self._hyper, self._plan
-        runtimes = self._runtimes
-
-        # Final collection per node (Alg 1 lines 17-20 / 35).
-        tail = 0.0
-        for n in self._host_nodes:
-            machine = self.machines[n]
-            workers = self._node_workers[n]
-            machine.memcpy_d2h(
-                workers[0].phi_full, stream=workers[0].download, label="d2h:phi"
-            )
-            if self._node_resident[n]:
-                local = self._node_runtimes[n]
-                for j, w in enumerate(workers):
-                    download_chunk(
-                        machine, w, local[j],
-                        self._node_dev_chunks[n][j],
-                    )
-            t_fin = machine.synchronize()
-            tail = max(tail, t_fin - self._t_prev_node[n])
-        total_sim = self._sim_base + self._cluster_time + tail
-
-        # Kernel-time breakdown over every machine's trace.
-        by_kind = dict.fromkeys(BREAKDOWN_KINDS, 0.0)
-        for machine in self.machines:
-            for iv in machine.trace.intervals:
-                if iv.kind in by_kind:
-                    by_kind[iv.kind] += iv.duration
-        grand = sum(by_kind.values())
-        breakdown = {
-            k: (v / grand if grand > 0 else 0.0) for k, v in by_kind.items()
-        }
-
-        phi_final = self._global_phi.astype(np.int32).copy()
-        theta_final = SparseTheta.concatenate(
-            [r.theta for r in runtimes], hyper.num_topics
-        )
-        topics_final = self._merge_topics(runtimes)
-        peak = max(
-            gpu.allocator.peak_bytes
-            for machine in self.machines for gpu in machine.gpus
-        )
-        for n in range(N):
-            for dc in self._node_dev_chunks[n]:
-                dc.free_all()
-            for w in self._node_workers[n]:
-                w.free_all()
-        self._peak_device_bytes = peak
-
-        return TrainResult(
-            corpus_name=self.corpus.name,
-            machine_name=f"{N}x {self.machines[0].name}",
-            num_gpus=N * G,
-            num_tokens=self.corpus.num_tokens,
-            plan_chunks=plan.num_chunks,
-            chunks_per_gpu=plan.chunks_per_gpu,
-            iterations=list(state.history),
-            total_sim_seconds=total_sim,
-            wall_seconds=wall_seconds,
-            breakdown=breakdown,
-            phi=phi_final,
-            theta=theta_final,
-            hyper=hyper,
-            peak_device_bytes=peak,
-            topics=topics_final,
-            algo=self.name,
+        # The cluster clock runs through the slowest node's final
+        # collection.
+        total_sim = self._sim_base + self._cluster_time + self._collect()
+        N = self.num_nodes
+        return self._result(
+            state, wall_seconds, total_sim,
+            machine_name=f"{N}x {self.machine.name}",
+            num_gpus=N * self.gpus_per_node,
             num_workers=N,
             network_bytes=self._net_base + self.network.total_bytes(),
         )
@@ -678,52 +527,10 @@ class DistributedCuLDA(CuLDA):
     # Recovery surface
     # ------------------------------------------------------------------
     def rollback(self, state: RunState) -> None:
-        if self.num_nodes == 1:
-            super().rollback(state)
-            return
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError("rollback state does not match the live chunk layout")
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
-        N = self.num_nodes
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
-        cache, base = self._resolve_dist_extras(state, N, node_counts, global_phi)
-        self._phi_cache, self._node_base = cache, base
-        self._node_counts, self._global_phi = node_counts, global_phi
+        super().rollback(state)
         if self.server is not None:
-            self.server.phi = cache.copy()
-        advance = 0.0
-        for n in self._host_nodes:
-            machine = self.machines[n]
-            view_host = self._as_phi_dtype(cache + node_counts[n] - base[n], kcfg)
-            for w in self._node_workers[n]:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload,
-                    label="h2d:phi_rollback",
-                )
-                self._launch_nk(w, kcfg)
-            if self._node_resident[n]:
-                local = self._node_runtimes[n]
-                for j, w in enumerate(self._node_workers[n]):
-                    dc, rt = self._node_dev_chunks[n][j], local[j]
-                    machine.memcpy_h2d(
-                        dc.topics, rt.topics, stream=w.upload,
-                        label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
-                    )
-                    dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
-            t_now = machine.synchronize()
-            advance = max(advance, t_now - self._t_prev_node[n])
-            self._t_prev_node[n] = t_now
-        # Recovery time stays on the (global) clock.
-        self._cluster_time += advance
+            self.server.phi = self._phi_cache.copy()
         self._iter_index = state.iteration
-        state.phi = global_phi.astype(np.int32).copy()
 
     def handle_device_loss(self, state: RunState) -> None:
         """Elastic recovery for the hierarchical trainer.
@@ -737,11 +544,10 @@ class DistributedCuLDA(CuLDA):
           stream identical to the fault-free run, so the recovered
           synchronous model is bit-identical; only the wire placement
           changes.
-        - a **dead GPU** inside a surviving node: the node's chunk list
-          is redistributed round-robin over its remaining GPUs (the
-          multi-node analogue of the single-machine elastic
-          re-partition) and the node's reduce tree is re-planned at the
-          new fan-in by the per-machine sync planner.
+        - a **dead GPU** inside a surviving node: the single-machine
+          path (:meth:`CuLDA.handle_device_loss`) — the node's chunks
+          move round-robin over its remaining GPUs and the node's
+          reduce tree is re-planned at the new fan-in.
 
         Afterwards the parameter server re-shards φ over the surviving
         placement from an exact recount, any open staleness window is
@@ -751,13 +557,10 @@ class DistributedCuLDA(CuLDA):
         the replicated server. All recovery traffic stays on the
         simulated clock.
         """
-        if self.num_nodes == 1:
-            super().handle_device_loss(state)
-            return
         N, W = self.num_nodes, self.num_workers
         M = self._plan.chunks_per_gpu
         t_start = self._cluster_time
-        self._restore_dist(state)
+        self._restore_hosting(state)
 
         dead = set(self._dead_nodes) | set(self.membership.dead_nodes)
         survivors = [
@@ -773,7 +576,7 @@ class DistributedCuLDA(CuLDA):
         # The hosting plan parked in the replicated server survives the
         # node that owned any given assignment; the snapshot extras are
         # the fallback when no server is wired yet.
-        hosting = list(self._worker_node)
+        hosting = self._worker_node
         parked = (
             self.server.parked("chunk_hosting")
             if self.server is not None else None
@@ -787,51 +590,28 @@ class DistributedCuLDA(CuLDA):
             sum(self._runtimes[m * W + w].chunk.num_tokens for m in range(M))
             for w in range(W)
         ]
-        load = {n: 0 for n in survivors}
-        for w in range(W):
-            if hosting[w] in load:
-                load[hosting[w]] += wtok[w]
-        for w in range(W):
-            if hosting[w] in survivors:
-                continue
-            target = min(survivors, key=lambda n: (load[n], n))
-            emit_counter(
-                "workers_migrated_total", 1,
-                help="Logical CuLDA workers migrated off dead cluster "
-                     "nodes onto token-lightest survivors.",
-                worker=str(w), to_node=str(target),
-            )
-            hosting[w] = target
-            load[target] += wtok[w]
-        self._worker_node = hosting
+        placed = place_token_lightest(hosting, wtok, survivors)
+        for w, (old, new) in enumerate(zip(hosting, placed)):
+            if new != old:
+                emit_counter(
+                    "workers_migrated_total", 1,
+                    help="Logical CuLDA workers migrated off dead cluster "
+                         "nodes onto token-lightest survivors.",
+                    worker=str(w), to_node=str(new),
+                )
+        self._worker_node = placed
         self._dead_nodes = dead
 
-        # Tear down every node's device state and rebuild it under the
-        # new hosting map on the alive GPUs only.
-        for n in range(N):
-            for dc in self._node_dev_chunks[n]:
-                dc.free_all()
-            for w in self._node_workers[n]:
-                w.free_all()
-        self._node_runtimes = self._hosted_runtimes()
-        self._host_nodes = [n for n in range(N) if self._node_runtimes[n]]
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
-        # Fresh sync point: the recount covers every token's current
-        # assignment, so any open staleness window — including the dead
-        # node's — is drained exactly once.
-        self._phi_cache = global_phi.copy()
-        self._node_base = [c.copy() for c in node_counts]
-        self._node_counts, self._global_phi = node_counts, global_phi
-        advance = self._attach_nodes("h2d:phi_repartition")
-        self._cluster_time += advance
+        # Rebuild every node under the new hosting map on the alive GPUs
+        # only. The recount is a fresh sync point: it covers every
+        # token's current assignment, so any open staleness window —
+        # including the dead node's — is drained exactly once.
+        super().handle_device_loss(state)
 
         if self.server is not None:
             _, done = self.server.reshard(self._phi_cache, self._cluster_time)
             self._cluster_time = max(self._cluster_time, done)
             self._park_plan()
-        self._workers = self._node_workers[self._host_nodes[0]]
-        self._dev_chunks = self._node_dev_chunks[self._host_nodes[0]]
 
         stall = self._cluster_time - t_start
         if stall > 0:
@@ -853,92 +633,6 @@ class DistributedCuLDA(CuLDA):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _hosted_runtimes(self) -> list[list]:
-        """Per-node chunk-runtime lists under the current hosting map,
-        round-major then worker-ascending — identical to the pristine
-        ``m*W + n*G + j`` order while hosting is the identity."""
-        W, M = self.num_workers, self._plan.chunks_per_gpu
-        by_node: list[list] = [[] for _ in range(self.num_nodes)]
-        for m in range(M):
-            for w in range(W):
-                by_node[self._worker_node[w]].append(self._runtimes[m * W + w])
-        return by_node
-
-    def _attach_nodes(self, label: str, reset_clock: bool = False) -> float:
-        """(Re)create GPU workers on every hosting node's alive GPUs,
-        upload the node's φ view (and resident chunks), and leave every
-        machine synchronized. Returns the largest per-node clock
-        advance (zero when resetting clocks at init)."""
-        hyper, kcfg = self._hyper, self._kcfg
-        cache, base = self._phi_cache, self._node_base
-        hosting = set(self._host_nodes)
-        advance = 0.0
-        for n in range(self.num_nodes):
-            if n not in hosting:
-                self._node_workers[n] = []
-                self._node_dev_chunks[n] = []
-                self._node_resident[n] = False
-                continue
-            machine = self.machines[n]
-            local = self._node_runtimes[n]
-            workers = [
-                GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
-                for dev in machine.alive_gpus
-            ]
-            if not workers:
-                raise FaultError(f"node {n} hosts work but has no alive GPUs")
-            view_host = self._as_phi_dtype(
-                cache + self._node_counts[n] - base[n], kcfg
-            )
-            for w in workers:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload, label=label
-                )
-                self._launch_nk(w, kcfg)
-            resident = len(local) == len(workers)
-            dev_chunks = []
-            if resident:
-                dev_chunks = [
-                    upload_chunk(machine, workers[j], local[j])
-                    for j in range(len(workers))
-                ]
-            t_now = machine.synchronize()
-            if reset_clock:
-                machine.reset_clock()
-                t_now = 0.0
-            advance = max(advance, t_now - self._t_prev_node[n])
-            self._t_prev_node[n] = t_now
-            self._node_workers[n] = workers
-            self._node_dev_chunks[n] = dev_chunks
-            self._node_resident[n] = resident
-        return advance
-
-    def _restore_dist(self, state: RunState) -> None:
-        """Reinstall a known-good snapshot ahead of a re-partition:
-        topic assignments, θ, RNG streams, the hosting map, and the
-        buried node set (re-failed on the network and re-declared to
-        the detector so the restored run matches the one that
-        crashed)."""
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError("snapshot does not match the live chunk layout")
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
-        hosting = state.extras.get("dist_worker_node")
-        if hosting is not None and len(hosting) == self.num_workers:
-            self._worker_node = [int(x) for x in np.asarray(hosting)]
-        dead = state.extras.get("dist_dead_nodes")
-        if dead is not None:
-            self._dead_nodes = {int(x) for x in np.asarray(dead)}
-        for n in sorted(self._dead_nodes):
-            if self.network.node_alive(n):
-                self.network.fail_node(n)
-            self.membership.force_dead(n, self._cluster_time)
-
     def _park_plan(self) -> None:
         """Park the chunk-hosting map and per-node φ bases in the
         replicated parameter server, so the plan survives the node that
@@ -950,47 +644,3 @@ class DistributedCuLDA(CuLDA):
         )
         for n in range(self.num_nodes):
             self.server.park(f"node_base_{n}", self._node_base[n])
-
-    def _node_phi_counts(self, node: int) -> np.ndarray:
-        """Node *node*'s exact φ contribution (int64), recounted from
-        its chunks' current topic assignments."""
-        K = self._hyper.num_topics
-        counts = np.zeros((K, self.corpus.num_words), dtype=np.int64)
-        for r in self._node_runtimes[node]:
-            counts += accumulate_phi(r.chunk, r.topics, K)
-        return counts
-
-    @staticmethod
-    def _sum_counts(node_counts: list[np.ndarray]) -> np.ndarray:
-        total = np.zeros_like(node_counts[0])
-        for c in node_counts:
-            total += c
-        return total
-
-    @staticmethod
-    def _as_phi_dtype(phi: np.ndarray, kcfg) -> np.ndarray:
-        if kcfg.compressed:
-            if phi.max(initial=0) >= 2**16:
-                raise OverflowError("φ overflows 16-bit compression")
-            return phi.astype(np.uint16)
-        return phi.astype(np.int32)
-
-    def _resolve_dist_extras(
-        self,
-        state: RunState | None,
-        num_nodes: int,
-        node_counts: list[np.ndarray],
-        global_phi: np.ndarray,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(stale global φ, per-node base) from checkpoint extras when
-        they match this layout, else a fresh sync point (exact for
-        synchronous runs)."""
-        extras = state.extras if state is not None else {}
-        cache = extras.get("dist_phi_cache")
-        bases = [extras.get(f"dist_node_base_{n}") for n in range(num_nodes)]
-        if cache is not None and all(b is not None for b in bases):
-            return (
-                np.asarray(cache).astype(np.int64),
-                [np.asarray(b).astype(np.int64) for b in bases],
-            )
-        return global_phi.copy(), [c.copy() for c in node_counts]

@@ -219,7 +219,7 @@ class LDAState:
     phi: dense ``int32[K, V]`` topic–word counts. For a single-chunk
         state this covers the whole corpus; in the multi-GPU trainer each
         replica alternates between "full" (after broadcast) and "partial"
-        (after the local update) — see :mod:`repro.sched.sync`.
+        (after the local update) — see :mod:`repro.comm.collectives`.
     n_k: ``int64[K]`` topic totals, always ``phi.sum(axis=1)``.
     hyper: the hyperparameters.
     """

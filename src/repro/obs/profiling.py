@@ -63,10 +63,11 @@ def profile_json(
 ) -> dict:
     """The ``--format json`` document for one instrumented training run."""
     from repro.comm import decisions_from_registry
-    from repro.core.culda import BREAKDOWN_KINDS, _busy_fractions
+    from repro.core.culda import BREAKDOWN_KINDS
+    from repro.sched.schedule import busy_fractions
 
     breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-    busy = _busy_fractions(
+    busy = busy_fractions(
         machine.trace.intervals,
         [g.device_id for g in machine.gpus],
         0.0,

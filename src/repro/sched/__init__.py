@@ -8,10 +8,11 @@ Implements §4–5 of the paper:
 - :mod:`repro.sched.schedule` — WorkSchedule1 (M = 1, data resident) and
   WorkSchedule2 (M > 1, per-iteration double-buffered transfers) from
   Algorithm 1.
-- :mod:`repro.sched.sync` — compatibility facade over the collective
-  layer in :mod:`repro.comm` (the φ reduce-tree + broadcast of Fig 4,
-  the ring/CPU-gather alternatives, and the hierarchical composite now
-  live there, behind the ``--sync auto`` planner).
+
+The φ synchronization of §5.2 (the reduce tree + broadcast of Fig 4,
+the ring/CPU-gather alternatives, the hierarchical composite) lives in
+the collective layer, :mod:`repro.comm`, behind the ``--sync auto``
+planner.
 """
 
 from repro.sched.partition import (
@@ -22,13 +23,6 @@ from repro.sched.partition import (
     sync_volume_by_policy,
 )
 from repro.sched.byword import partition_words_by_tokens, train_by_word
-from repro.sched.sync import (
-    broadcast_phi,
-    cpu_gather_sync,
-    hierarchical_allreduce_phi,
-    reduce_phi_tree,
-    ring_allreduce_phi,
-)
 
 __all__ = [
     "PartitionPlan",
@@ -36,11 +30,6 @@ __all__ = [
     "choose_chunking",
     "estimate_chunk_device_bytes",
     "sync_volume_by_policy",
-    "reduce_phi_tree",
-    "broadcast_phi",
-    "cpu_gather_sync",
-    "ring_allreduce_phi",
-    "hierarchical_allreduce_phi",
     "partition_words_by_tokens",
     "train_by_word",
 ]

@@ -38,7 +38,6 @@ from repro.telemetry.exporters import (
     parse_prometheus_text,
     to_prometheus,
 )
-from repro.telemetry.mixin import TelemetryMixin
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -89,7 +88,6 @@ __all__ = [
     "JSONLEmitter",
     "BestPhiCheckpointer",
     "read_jsonl",
-    "TelemetryMixin",
     "to_prometheus",
     "parse_prometheus_text",
     "event_to_json",

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import place_token_lightest
 from repro.comm.topology import Topology
 from repro.engine.recovery import ClusterRecoveryPolicy, TrainingFailure
 from repro.faults.plan import FaultPlan, FaultSpec, cluster_chaos_plan
@@ -219,6 +220,17 @@ class TestParameterServerReplication:
         assert 1 not in server._primary_node
         assert 1 not in server._replica_node
         assert server.bytes_resharded == bytes_moved
+
+
+class TestPlacement:
+    def test_ties_go_to_lower_node_id(self):
+        # Nodes 0 and 2 carry equal load; node 1 is dead. Each orphan
+        # goes to the lightest survivor, the lower id on a tie: worker 1
+        # to node 0, then worker 3 to node 2 (node 0 is heavier now).
+        placed = place_token_lightest(
+            [0, 1, 2, 1], [5, 3, 5, 3], survivors=[2, 0]
+        )
+        assert placed == [0, 0, 2, 2]
 
 
 def small_star(corpus, hyper, **kwargs):

@@ -317,3 +317,76 @@ class TestTopicsExport:
         b = CuLDA(corpus, pascal_platform(2),
                   TrainConfig(**cfg, chunks_per_gpu=1)).train()
         assert np.array_equal(a.topics, b.topics)
+
+
+class TestSimClockPinned:
+    """The simulated clock, pinned bit for bit: the run's total and
+    every iteration's duration, hashed. A refactor of the trainer bodies
+    must leave these digests unchanged — on one machine, across nodes,
+    and under rollback and node-loss recovery."""
+
+    @pytest.fixture(scope="class")
+    def pin_corpus(self):
+        from repro.obs.workloads import make_corpus
+
+        return make_corpus("nytimes", tokens=20_000, seed=0)
+
+    @staticmethod
+    def _digest(result) -> str:
+        import hashlib
+
+        clock = np.array(
+            [result.total_sim_seconds,
+             *(it.sim_seconds for it in result.iterations)],
+            dtype=np.float64,
+        )
+        return hashlib.sha256(clock.tobytes()).hexdigest()[:16]
+
+    CFG = dict(platform="pascal", num_topics=64, iterations=5, seed=0)
+
+    @pytest.mark.parametrize("kwargs,digest", [
+        (dict(gpus=1), "a558acbd31a6fc38"),
+        (dict(gpus=4, chunks_per_gpu=2), "c3ce449c7e6a7826"),
+    ])
+    def test_single_machine(self, pin_corpus, kwargs, digest):
+        from repro.obs.workloads import make_culda
+
+        result = make_culda(pin_corpus, **kwargs, **self.CFG).train()
+        assert self._digest(result) == digest
+
+    @pytest.mark.parametrize("kwargs,digest", [
+        (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
+         "c3ce449c7e6a7826"),
+        (dict(nodes=2, gpus_per_node=2), "854f68194b7ec395"),
+    ])
+    def test_cluster(self, pin_corpus, kwargs, digest):
+        from repro.obs.workloads import make_distributed_culda
+
+        result = make_distributed_culda(
+            pin_corpus, **kwargs, **self.CFG
+        ).train()
+        assert self._digest(result) == digest
+
+    def test_rollback(self, pin_corpus):
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.obs.workloads import make_culda
+
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="kernel_fault", iteration=2, device=1),))
+        result = make_culda(pin_corpus, gpus=4, **self.CFG).train(
+            recovery="retry", fault_plan=plan
+        )
+        assert result.rollbacks == 1
+        assert self._digest(result) == "757dd3b9bab5e2a3"
+
+    def test_node_loss(self, pin_corpus):
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.obs.workloads import make_distributed_culda
+
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="node_failure", iteration=2, node=1),))
+        result = make_distributed_culda(
+            pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
+        ).train(recovery="elastic", fault_plan=plan)
+        assert result.repartitions == 1
+        assert self._digest(result) == "429c640d078693b7"

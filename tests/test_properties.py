@@ -229,7 +229,7 @@ class TestSyncEquivalence:
         from repro.core.kernels import KernelConfig
         from repro.gpusim.memory import DeviceArray
         from repro.gpusim.platform import pascal_platform
-        from repro.sched.sync import (
+        from repro.comm import (
             broadcast_phi,
             cpu_gather_sync,
             reduce_phi_tree,
