@@ -10,8 +10,8 @@
   and the parameter-server message helpers;
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical) behind the
-  :class:`Collective` interface, each with a cost ``estimate``,
-  in an ordered registry;
+  :class:`Collective` interface, whose ``estimate`` replays a
+  collective on an idle shadow machine, in an ordered registry;
 - :mod:`~repro.comm.planner` — the :class:`SyncPlanner` that resolves
   ``--sync auto`` into the cheapest feasible collective per
   (topology, payload, alive-GPU set).

@@ -118,7 +118,7 @@ class ClusterCollective:
 # Shared replay machinery
 # ----------------------------------------------------------------------
 
-_INFEASIBLE = CostEstimate(seconds=float("inf"), bytes_on_wire=0.0, steps=0)
+_NO_PATH = CostEstimate(float("inf"))
 
 
 @dataclass
@@ -221,13 +221,12 @@ class EthRingCollective(ClusterCollective):
     ) -> CostEstimate:
         N = len(nodes)
         if N == 0:
-            return _INFEASIBLE
+            return _NO_PATH
         if N == 1:
-            return CostEstimate(seconds=0.0, bytes_on_wire=0.0, steps=0)
+            return CostEstimate(0.0)
         links = _LinkFrontiers(topo.host)
         seg_bytes = ring_segment_bytes(shape, N, entry_bytes)
         times = [0.0] * N
-        total = 0.0
         for segs in _ring_schedule(N):
             t0 = max(times)
             ends = [t0] * N
@@ -236,14 +235,11 @@ class EthRingCollective(ClusterCollective):
                 nbytes = seg_bytes[segs[i]]
                 end = links.send(nodes[i], nodes[j], nbytes, t0)
                 if not np.isfinite(end):
-                    return _INFEASIBLE
-                total += nbytes
+                    return _NO_PATH
                 ends[i] = max(ends[i], end)
                 ends[j] = max(ends[j], end)
             times = ends
-        return CostEstimate(
-            seconds=max(times), bytes_on_wire=total, steps=2 * (N - 1)
-        )
+        return CostEstimate(max(times))
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +320,9 @@ class ParamServerCollective(ClusterCollective):
     ) -> CostEstimate:
         N = len(nodes)
         if N == 0:
-            return _INFEASIBLE
+            return _NO_PATH
         if N == 1:
-            return CostEstimate(seconds=0.0, bytes_on_wire=0.0, steps=0)
+            return CostEstimate(0.0)
         K, V = shape
         S, counts, primary, replica = self._placement(nodes, V, server)
 
@@ -335,7 +331,6 @@ class ParamServerCollective(ClusterCollective):
             return info is not None and info.up
 
         links = _LinkFrontiers(topo.host)
-        total = 0.0
         # Push phase (same issue order as allreduce: node-ascending, then
         # shard-ascending within each node).
         push_done = []
@@ -349,16 +344,14 @@ class ParamServerCollective(ClusterCollective):
                 if not reachable(dst):
                     # Failover push to the replica as acting primary.
                     if rep == dst or not reachable(rep):
-                        return _INFEASIBLE
+                        return _NO_PATH
                     end = links.send(node, rep, nbytes, 0.0)
                 else:
                     end = links.send(node, dst, nbytes, 0.0)
                     if rep != dst and reachable(rep):
                         end = max(end, links.send(dst, rep, nbytes, end))
-                        total += nbytes
                 if not np.isfinite(end):
-                    return _INFEASIBLE
-                total += nbytes
+                    return _NO_PATH
                 end_n = max(end_n, end)
             push_done.append(end_n)
         barrier = max(push_done)
@@ -374,16 +367,13 @@ class ParamServerCollective(ClusterCollective):
                 if not reachable(src):
                     src = replica[s]
                     if src == primary[s] or not reachable(src):
-                        return _INFEASIBLE
+                        return _NO_PATH
                 end = links.send(src, node, nbytes, barrier)
                 if not np.isfinite(end):
-                    return _INFEASIBLE
-                total += nbytes
+                    return _NO_PATH
                 end_n = max(end_n, end)
             done.append(end_n)
-        return CostEstimate(
-            seconds=max(done), bytes_on_wire=total, steps=2 * S
-        )
+        return CostEstimate(max(done))
 
 
 # ----------------------------------------------------------------------

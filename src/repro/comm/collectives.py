@@ -14,17 +14,16 @@ scheme (intra-socket tree + inter-socket ring between socket leaders)
 halves the bridge traffic, and with dead peer links the rejected
 CPU-gather becomes the only path left.
 
-This module provides each strategy twice:
-
-- as an **executable** primitive (``reduce_phi_tree``, ``broadcast_phi``,
-  ``ring_allreduce_phi``, ``cpu_gather_sync``,
-  ``hierarchical_allreduce_phi``) that works on arbitrary *sublists* of
-  replicas — positions carry their devices, so the hierarchical
-  composition and the elastic G−1 path fall out for free; and
-- as a registered :class:`Collective` with a cost ``estimate`` — the
-  analytic mirror of the simulator's link/kernel charges — that the
-  :class:`~repro.comm.planner.SyncPlanner` ranks per topology and
-  payload.
+Each strategy is an **executable** primitive (``reduce_phi_tree``,
+``broadcast_phi``, ``ring_allreduce_phi``, ``cpu_gather_sync``,
+``hierarchical_allreduce_phi``) that works on arbitrary *sublists* of
+replicas — positions carry their devices, so the hierarchical
+composition and the elastic G−1 path fall out for free — wrapped in a
+registered :class:`Collective`. The collective's ``estimate`` prices it
+by running that same code on an idle shadow machine built from the
+topology snapshot, so the :class:`~repro.comm.planner.SyncPlanner`
+ranks the collectives by what they cost, not by a second description
+of them.
 
 Because φ is summed in exact integer arithmetic, every collective is
 bit-identical: the planner may pick freely on cost alone.
@@ -32,20 +31,24 @@ bit-identical: the planner may pick freely on cost alone.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.topology import Topology
+from repro.comm.topology import LinkInfo, Topology
 from repro.comm.transfer import TransferRetry, resilient_p2p, with_retry
 from repro.core.kernels import KernelConfig, phi_reduce_cost
 from repro.gpusim.costmodel import KernelCost
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.errors import SyncPathError
+from repro.gpusim.interconnect import Link
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Stream
-from repro.telemetry.context import emit_counter, emit_observe
+from repro.telemetry.context import emit_counter, emit_observe, telemetry_session
 
 __all__ = [
     "SyncContext",
@@ -425,14 +428,16 @@ def ring_allreduce_phi(
                 kind="sync",
             ).launch(streams[g])
 
-    for step in range(G - 1):
-        run_phase(step, reduce_phase=True)
-    for step in range(G - 1):
-        run_phase(step, reduce_phase=False)
-    for g in range(G):
-        local_full_copy(g)
-    for buf in send_bufs + recv_bufs:
-        buf.free()
+    try:
+        for step in range(G - 1):
+            run_phase(step, reduce_phase=True)
+        for step in range(G - 1):
+            run_phase(step, reduce_phase=False)
+        for g in range(G):
+            local_full_copy(g)
+    finally:
+        for buf in send_bufs + recv_bufs:
+            buf.free()
 
 
 def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int]]:
@@ -508,209 +513,24 @@ def hierarchical_allreduce_phi(
 
 
 # ----------------------------------------------------------------------
-# Cost estimation (the analytic mirror of the simulator's charges)
+# Collective interface + cost estimation by replay
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Predicted footprint of one collective on one topology.
-
-    ``seconds`` is the predicted simulated completion time (``inf``
-    when the topology offers no usable path), ``bytes_on_wire`` the
-    link bytes as charged (pageable staging counts 2×, matching the
-    simulator), ``steps`` the serial step count.
-    """
+    """Predicted simulated completion time of one collective on one
+    topology (``inf`` when the topology offers no usable path)."""
 
     seconds: float
-    bytes_on_wire: float
-    steps: int
 
     @property
     def feasible(self) -> bool:
         return math.isfinite(self.seconds)
 
 
-_INFEASIBLE = (math.inf, 0.0)
-
-
-def _kernel_seconds(machine: Machine, dev: int, cost: KernelCost) -> float:
-    return machine.cost_model.kernel_seconds(machine.gpus[dev].spec, cost)
-
-
-def _copy_cost(K: int, V: int, phi_b: float) -> KernelCost:
-    n = float(K) * V * phi_b
-    return KernelCost(bytes_read=n, bytes_written=n)
-
-
-def _p2p_path(
-    topo: Topology,
-    retry: TransferRetry | None,
-    src: int,
-    dst: int,
-    nbytes: float,
-) -> tuple[float, float]:
-    """(seconds, wire_bytes) for one peer message, pricing the degraded
-    host re-route when the peer link is permanently down."""
-    info = topo.p2p_info(src, dst)
-    if info.up:
-        return info.transfer_seconds(nbytes), nbytes
-    if retry is None or not retry.host_fallback:
-        return _INFEASIBLE
-    hs, hd = topo.host[src], topo.host[dst]
-    if not (hs.up and hd.up):
-        return _INFEASIBLE
-    # The runtime exhausts the peer-link retry budget (backoff stalls)
-    # before falling back, then stages through pageable host memory,
-    # which charges 2x the payload per hop.
-    seconds = (
-        retry.backoff_total_seconds
-        + hs.transfer_seconds(2.0 * nbytes)
-        + hd.transfer_seconds(2.0 * nbytes)
-    )
-    return seconds, 4.0 * nbytes
-
-
-def _tree_reduce_estimate(
-    machine: Machine,
-    topo: Topology,
-    devs: list[int],
-    nbytes: float,
-    add_cost: KernelCost,
-    retry: TransferRetry | None,
-) -> tuple[float, float, int]:
-    total = wire = 0.0
-    steps = 0
-    G = len(devs)
-    stride = 1
-    while stride < G:
-        step_times = []
-        for i in range(0, G - stride, 2 * stride):
-            s, w = _p2p_path(topo, retry, devs[i + stride], devs[i], nbytes)
-            wire += w
-            step_times.append(s + _kernel_seconds(machine, devs[i], add_cost))
-        total += max(step_times)
-        steps += 1
-        stride *= 2
-    return total, wire, steps
-
-
-def _broadcast_estimate(
-    machine: Machine,
-    topo: Topology,
-    devs: list[int],
-    nbytes: float,
-    copy_cost: KernelCost,
-    retry: TransferRetry | None,
-) -> tuple[float, float, int]:
-    total = _kernel_seconds(machine, devs[0], copy_cost)
-    wire = 0.0
-    steps = 0
-    G = len(devs)
-    have = [0]
-    step = 1
-    while step < G:
-        new_holders = []
-        step_times = []
-        for h in have:
-            peer = h + step
-            if peer < G:
-                s, w = _p2p_path(topo, retry, devs[h], devs[peer], nbytes)
-                wire += w
-                step_times.append(s)
-                new_holders.append(peer)
-        if step_times:
-            total += max(step_times)
-            steps += 1
-        have.extend(new_holders)
-        step *= 2
-    return total, wire, steps
-
-
-def _ring_estimate(
-    machine: Machine,
-    topo: Topology,
-    devs: list[int],
-    K: int,
-    V: int,
-    config: KernelConfig,
-    retry: TransferRetry | None,
-) -> tuple[float, float, int]:
-    phi_b = config.phi_bytes
-    copy_s = _kernel_seconds(machine, devs[0], _copy_cost(K, V, phi_b))
-    G = len(devs)
-    if G == 1:
-        return copy_s, 0.0, 0
-    edges = [K * i // G for i in range(G + 1)]
-    max_rows = max(edges[i + 1] - edges[i] for i in range(G))
-    seg = float(max_rows) * V * phi_b
-    stage_s = _kernel_seconds(
-        machine, devs[0], KernelCost(bytes_read=seg, bytes_written=seg)
-    )
-    reduce_s = _kernel_seconds(
-        machine, devs[0],
-        KernelCost(
-            bytes_read=2 * seg, bytes_written=seg, flops=float(max_rows) * V
-        ),
-    )
-    gather_s = _kernel_seconds(
-        machine, devs[0], KernelCost(bytes_read=seg, bytes_written=seg)
-    )
-    link_times = []
-    step_wire = 0.0
-    for g in range(G):
-        s, w = _p2p_path(topo, retry, devs[g], devs[(g + 1) % G], seg)
-        link_times.append(s)
-        step_wire += w
-    slowest = max(link_times)
-    if not math.isfinite(slowest):
-        return math.inf, 0.0, 0
-    total = (
-        (G - 1) * (stage_s + slowest + reduce_s)
-        + (G - 1) * (stage_s + slowest + gather_s)
-        + copy_s
-    )
-    return total, 2.0 * (G - 1) * step_wire, 2 * (G - 1)
-
-
-def _cpu_gather_estimate(
-    machine: Machine,
-    topo: Topology,
-    devs: list[int],
-    K: int,
-    V: int,
-    config: KernelConfig,
-) -> tuple[float, float, int]:
-    n_el = float(K) * V
-    n = n_el * config.phi_bytes
-    by_link: dict[str, list] = {}
-    for d in devs:
-        info = topo.host[d]
-        if not info.up:
-            return math.inf, 0.0, 0
-        by_link.setdefault(info.name, []).append(info)
-    # Pageable staging charges 2x; devices sharing an uplink serialize.
-    phase_s = max(
-        sum(i.transfer_seconds(2.0 * n) for i in infos)
-        for infos in by_link.values()
-    )
-    host_add = machine.cost_model.kernel_seconds(
-        machine.host_spec,
-        KernelCost(
-            bytes_read=len(devs) * n,
-            bytes_written=n,
-            flops=(len(devs) - 1) * n_el,
-        ),
-    )
-    total = phase_s + host_add + phase_s
-    return total, 4.0 * n * len(devs), 2 * len(devs) + 1
-
-
-# ----------------------------------------------------------------------
-# Collective interface + registry
-# ----------------------------------------------------------------------
-
 class Collective:
-    """One synchronization strategy: executable + cost-estimable."""
+    """One synchronization strategy: an executable :meth:`allreduce`,
+    priced by replaying it (:meth:`estimate`)."""
 
     name: str = ""
 
@@ -727,8 +547,78 @@ class Collective:
         retry: TransferRetry | None = None,
     ) -> CostEstimate:
         """Predicted cost of :meth:`allreduce` on *topo* for a (K, V)
-        payload — the planner's ranking input."""
-        raise NotImplementedError
+        payload — the planner's ranking input.
+
+        Runs :meth:`allreduce` itself on an idle shadow machine with
+        *machine*'s specs and *topo*'s link states, so the prediction
+        is the simulated time the same run takes from idle.
+        """
+        return _replay(
+            self,
+            machine.host_spec,
+            tuple(gpu.spec for gpu in machine.gpus),
+            len(set(machine.pcie)),  # GPUs on one socket share an uplink
+            topo.devices,
+            tuple(topo.host.items()),
+            tuple(topo.p2p.items()),
+            tuple(shape),
+            config,
+            retry,
+        )
+
+
+def _copy_state(link: Link, info: LinkInfo) -> None:
+    link.bandwidth_gbps = info.bandwidth_gbps
+    link.latency_seconds = info.latency_seconds
+    link.up = info.up
+
+
+@functools.lru_cache(maxsize=256)
+def _replay(
+    collective: Collective,
+    host_spec: DeviceSpec,
+    gpu_specs: tuple[DeviceSpec, ...],
+    num_host_links: int,
+    devices: tuple[int, ...],
+    host: tuple[tuple[int, LinkInfo], ...],
+    p2p: tuple[tuple[tuple[int, int], LinkInfo], ...],
+    shape: tuple[int, int],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> CostEstimate:
+    """Run *collective* on a fresh idle machine built from the
+    arguments alone — they are the memo key, so a cached estimate can
+    only be reused for an identical replay."""
+    shadow = Machine(host_spec, list(gpu_specs), num_host_links=num_host_links)
+    for d, info in host:
+        _copy_state(shadow.pcie[d], info)
+    for (a, b), info in p2p:
+        _copy_state(shadow.p2p_link(a, b), info)
+    gpus = [shadow.gpus[d] for d in devices]
+    dtype = np.uint16 if config.compressed else np.int32
+
+    def buffers(label: str) -> list[DeviceArray]:
+        return [DeviceArray(gpu, shape, dtype, label=label) for gpu in gpus]
+
+    ctx = SyncContext(
+        machine=shadow,
+        partials=buffers("phi_partial"),
+        fulls=buffers("phi_full"),
+        scratch=buffers("phi_scratch"),
+        streams=[gpu.create_stream("sync") for gpu in gpus],
+        config=config,
+        retry=retry,
+    )
+    # A throwaway session keeps the replay's transfer and retry
+    # counters out of the caller's registry.
+    with telemetry_session():
+        try:
+            collective.allreduce(ctx)
+        except SyncPathError:
+            return CostEstimate(math.inf)
+    return CostEstimate(
+        max(shadow.host_time, *(s.available_at for s in ctx.streams))
+    )
 
 
 class TreeCollective(Collective):
@@ -746,20 +636,6 @@ class TreeCollective(Collective):
             retry=ctx.retry,
         )
 
-    def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
-        K, V = shape
-        nbytes = float(K) * V * config.phi_bytes
-        devs = list(topo.devices)
-        add_cost = phi_reduce_cost(K, V, config)
-        r_s, r_w, r_steps = _tree_reduce_estimate(
-            machine, topo, devs, nbytes, add_cost, retry
-        )
-        b_s, b_w, b_steps = _broadcast_estimate(
-            machine, topo, devs, nbytes, _copy_cost(K, V, config.phi_bytes),
-            retry,
-        )
-        return CostEstimate(r_s + b_s, r_w + b_w, r_steps + b_steps)
-
 
 class RingCollective(Collective):
     """Two-phase ring all-reduce (reduce-scatter + all-gather)."""
@@ -771,13 +647,6 @@ class RingCollective(Collective):
             ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
             retry=ctx.retry,
         )
-
-    def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
-        K, V = shape
-        s, w, steps = _ring_estimate(
-            machine, topo, list(topo.devices), K, V, config, retry
-        )
-        return CostEstimate(s, w, steps)
 
 
 class CpuGatherCollective(Collective):
@@ -792,13 +661,6 @@ class CpuGatherCollective(Collective):
             retry=ctx.retry,
         )
 
-    def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
-        K, V = shape
-        s, w, steps = _cpu_gather_estimate(
-            machine, topo, list(topo.devices), K, V, config
-        )
-        return CostEstimate(s, w, steps)
-
 
 class HierarchicalCollective(Collective):
     """Intra-socket tree + inter-socket leader ring + intra-socket
@@ -811,48 +673,6 @@ class HierarchicalCollective(Collective):
             ctx.machine, ctx.partials, ctx.fulls, ctx.scratch, ctx.streams,
             ctx.config, retry=ctx.retry,
         )
-
-    def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
-        K, V = shape
-        phi_b = config.phi_bytes
-        nbytes = float(K) * V * phi_b
-        add_cost = phi_reduce_cost(K, V, config)
-        copy_cost = _copy_cost(K, V, phi_b)
-        groups = [list(g) for g in topo.sockets]
-
-        # Phase 1: per-socket tree reductions run in parallel.
-        p1 = 0.0
-        wire = 0.0
-        p1_steps = 0
-        for grp in groups:
-            if len(grp) > 1:
-                s, w, st = _tree_reduce_estimate(
-                    machine, topo, grp, nbytes, add_cost, retry
-                )
-                p1 = max(p1, s)
-                wire += w
-                p1_steps = max(p1_steps, st)
-
-        # Phase 2: leader ring across the sockets.
-        leaders = [grp[0] for grp in groups]
-        p2, w2, p2_steps = _ring_estimate(
-            machine, topo, leaders, K, V, config, retry
-        )
-        wire += w2
-
-        # Phase 3: per-socket broadcasts run in parallel.
-        p3 = 0.0
-        p3_steps = 0
-        for grp in groups:
-            if len(grp) > 1:
-                s, w, st = _broadcast_estimate(
-                    machine, topo, grp, nbytes, copy_cost, retry
-                )
-                p3 = max(p3, s)
-                wire += w
-                p3_steps = max(p3_steps, st)
-
-        return CostEstimate(p1 + p2 + p3, wire, p1_steps + p2_steps + p3_steps)
 
 
 _COLLECTIVES: dict[str, Collective] = {}

@@ -4,7 +4,8 @@
 current :class:`~repro.comm.topology.Topology`, asks every registered
 :class:`~repro.comm.collectives.Collective` for a
 :class:`~repro.comm.collectives.CostEstimate` of this payload on this
-fabric, and executes the cheapest feasible one. Manual ``--sync``
+fabric — each one a replay of the collective itself on an idle shadow
+machine — and executes the cheapest feasible one. Manual ``--sync``
 choices remain available as *forced* plans — the planner still runs, so
 the estimate and decision telemetry are recorded either way, but the
 named collective executes regardless of cost.
@@ -299,21 +300,23 @@ def decisions_from_registry(registry) -> list[dict[str, object]]:
     if counter is None:
         return []
     gauge = registry.get("sync_planner_predicted_seconds")
+    # Read the recorded series, not Gauge.value: a one-node cluster
+    # plan predicts 0.0 s, which value() also returns for a miss.
+    predicted = {
+        (s.labels["algorithm"], s.labels["topology"]): s.value
+        for s in (gauge.samples() if gauge is not None else ())
+    }
     out: list[dict[str, object]] = []
     for sample in counter.samples():
+        key = (sample.labels["algorithm"], sample.labels["topology"])
         entry: dict[str, object] = {
-            "algorithm": sample.labels["algorithm"],
-            "topology": sample.labels["topology"],
+            "algorithm": key[0],
+            "topology": key[1],
             "forced": sample.labels["forced"] == "true",
             "count": int(sample.value),
         }
-        if gauge is not None:
-            predicted = gauge.value(
-                algorithm=sample.labels["algorithm"],
-                topology=sample.labels["topology"],
-            )
-            if predicted:
-                entry["predicted_seconds"] = predicted
+        if key in predicted:
+            entry["predicted_seconds"] = predicted[key]
         out.append(entry)
     out.sort(key=lambda e: -e["count"])
     return out

@@ -63,13 +63,6 @@ class TransferRetry:
         if self.backoff_seconds <= 0:
             raise ValueError("backoff_seconds must be positive")
 
-    @property
-    def backoff_total_seconds(self) -> float:
-        """Worst-case stall charged before the budget is exhausted
-        (``backoff · (2^max_retries − 1)``); the planner prices this
-        into any path that must outlast a permanently down link."""
-        return self.backoff_seconds * (2.0 ** self.max_retries - 1.0)
-
 
 def _path_error(
     exc: LinkDown, op: str, devices: tuple[int, ...]

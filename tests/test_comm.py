@@ -4,12 +4,21 @@ Covers the topology snapshot, the collective registry, the hierarchical
 all-reduce, the cost-model planner's per-topology decisions (including
 replanning around dead links), the structured no-path error every
 collective now raises, and the ``--sync auto`` bit-identity guarantee.
+
+The Hypothesis section drives the planner over randomized intra-node
+fabrics (platforms, GPU counts, failed GPUs, degraded and downed
+links, retry policies, payloads) and checks that every estimate is the
+simulated time of actually running the collective, that infeasible
+means the run raises ``SyncPathError``, and that ``auto`` picks the
+measured-cheapest collective.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import (
     AUTO,
@@ -19,8 +28,10 @@ from repro.comm import (
     collective_names,
     collectives,
     cpu_gather_sync,
+    decisions_from_registry,
     get_collective,
     hierarchical_allreduce_phi,
+    plan_cluster_sync,
     plan_sync,
     reduce_phi_tree,
     ring_allreduce_phi,
@@ -35,6 +46,8 @@ from repro.gpusim.platform import (
     pascal_platform,
     volta_platform,
 )
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.context import telemetry_session
 
 
 def _setup(machine, K=8, V=20, dtype=np.int32, seed=0, devices=None):
@@ -183,9 +196,6 @@ class TestHierarchical:
     def test_bridge_traffic_below_tree(self):
         # The point of the composition: fewer full replicas cross the
         # inter-socket bridge than under the flat tree.
-        from repro.telemetry import MetricsRegistry
-        from repro.telemetry.context import telemetry_session
-
         def bridge_bytes(run):
             m = pascal_platform(4)
             registry = MetricsRegistry()
@@ -294,10 +304,6 @@ class TestPlanner:
                 assert auto.estimate.seconds <= tree.seconds + 1e-12
 
     def test_decisions_recorded_in_registry(self):
-        from repro.comm import decisions_from_registry
-        from repro.telemetry import MetricsRegistry
-        from repro.telemetry.context import telemetry_session
-
         registry = MetricsRegistry()
         with telemetry_session(registry=registry):
             plan_sync(pascal_platform(4), PAYLOAD, KernelConfig())
@@ -310,6 +316,47 @@ class TestPlanner:
         forced = {d["algorithm"]: d["forced"] for d in decisions}
         assert forced == {"hierarchical": False, "ring": True}
         assert all("predicted_seconds" in d for d in decisions)
+
+    def test_zero_prediction_kept_in_decisions(self):
+        # A one-node inter-node plan predicts exactly 0 s; the profile
+        # must still show it rather than drop it as a missing series.
+        from repro.cluster.network import ClusterNetwork
+
+        registry = MetricsRegistry()
+        with telemetry_session(registry=registry):
+            plan = plan_cluster_sync(ClusterNetwork(num_nodes=1), (4, 16))
+        assert plan.estimate.seconds == 0.0
+        [decision] = decisions_from_registry(registry)
+        assert decision["algorithm"] == plan.algorithm
+        assert decision["predicted_seconds"] == 0.0
+
+    def test_replay_leaves_only_planner_series_in_the_registry(self):
+        from repro.comm.collectives import _replay
+
+        cfg, retry = KernelConfig(), TransferRetry()
+
+        def fabric():
+            # p2p[0-1] down: the tree and hierarchical runs retry, then
+            # detour through host memory.
+            m = pascal_platform(4)
+            m.p2p_link(0, 1).set_down()
+            return m
+
+        real = MetricsRegistry()
+        with telemetry_session(registry=real):
+            _run(fabric(), "gpu_tree", PAYLOAD, cfg, retry)
+        assert real.get("transfer_retries_total") is not None
+        assert real.get("degraded_sync_total") is not None
+
+        _replay.cache_clear()  # the replays must run inside this session
+        registry = MetricsRegistry()
+        with telemetry_session(registry=registry):
+            plan_sync(fabric(), PAYLOAD, cfg, retry=retry)
+            for name in collective_names():
+                plan_sync(fabric(), PAYLOAD, cfg, retry=retry, algorithm=name)
+        assert {m.name for m in registry} == {
+            "sync_planner_decisions_total", "sync_planner_predicted_seconds",
+        }
 
 
 # ----------------------------------------------------------------------
@@ -351,12 +398,136 @@ class TestSyncPathError:
         assert err.value.devices == (1,)
         assert err.value.op == "phi_gather"
 
+    def test_ring_frees_staging_buffers_on_failure(self):
+        m = self._dead_machine()
+        p, s, f, st, _ = _setup(m)
+        before = [(g.allocator.bytes_in_use, g.allocator.num_live)
+                  for g in m.gpus]
+        with pytest.raises(SyncPathError):
+            ring_allreduce_phi(m, p, f, st, KernelConfig())
+        assert [(g.allocator.bytes_in_use, g.allocator.num_live)
+                for g in m.gpus] == before
+
     def test_subclasses_linkdown_for_existing_handlers(self):
         assert issubclass(SyncPathError, LinkDown)
         err = SyncPathError("p2p[0-1]", "phi_reduce_copy", devices=(1, 0))
         assert "p2p[0-1]" in str(err)
         assert "1->0" in str(err)
         assert not err.transient
+
+
+# ----------------------------------------------------------------------
+# Estimates are replays: predicted == measured (Hypothesis)
+# ----------------------------------------------------------------------
+def _run(machine, name, shape, config, retry):
+    """Run collective *name* on *machine*'s alive GPUs from idle.
+
+    Returns the simulated completion time (latest sync stream or host
+    clock), or None when the run raises ``SyncPathError``; on success
+    also checks every full replica holds the sum.
+    """
+    devices = [g.device_id for g in machine.alive_gpus]
+    dtype = np.uint16 if config.compressed else np.int32
+    partials, scratch, fulls, streams, expected = _setup(
+        machine, *shape, dtype=dtype, devices=devices
+    )
+    try:
+        get_collective(name).allreduce(SyncContext(
+            machine, partials, fulls, scratch, streams, config, retry
+        ))
+    except SyncPathError:
+        return None
+    for full in fulls:
+        assert np.array_equal(full.data, expected.astype(dtype))
+    return max(machine.host_time, *(s.available_at for s in streams))
+
+
+def _fabric(platform, num_gpus, failed, states):
+    """A fresh idle machine with *failed* GPUs and per-link states
+    (1.0 healthy, a bandwidth scale, or None for down)."""
+    m = make_machine(platform, num_gpus)
+    for d in failed:
+        m.gpus[d].fail()
+    for link in m.iter_links():
+        state = states[link.name]
+        if state is None:
+            link.set_down()
+        else:
+            link.degrade(state)
+    return m
+
+
+@st.composite
+def fabric_cases(draw):
+    """(fabric args, retry, payload shape, compressed). At least one
+    GPU survives; any link may be healthy, degraded or down."""
+    platform = draw(st.sampled_from(["pascal", "volta", "dgx"]))
+    num_gpus = draw(st.integers(min_value=1, max_value=4))
+    failed = draw(st.sets(
+        st.integers(min_value=0, max_value=num_gpus - 1),
+        max_size=num_gpus - 1,
+    ))
+    states = {
+        link.name: draw(st.one_of(
+            st.just(1.0), st.none(),
+            st.floats(min_value=0.25, max_value=1.0),
+        ))
+        for link in make_machine(platform, num_gpus).iter_links()
+    }
+    retry = draw(st.sampled_from([None, TransferRetry()]))
+    shape = (
+        draw(st.integers(min_value=1, max_value=8)),
+        draw(st.integers(min_value=1, max_value=24)),
+    )
+    return (platform, num_gpus, failed, states), retry, shape, draw(st.booleans())
+
+
+#: The benchmark's payload: K×V = 128×1641, 16-bit compressed φ.
+BENCH_PAYLOAD = (128, 1641)
+
+
+class TestPlannerReplayProperties:
+    @given(fabric_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_equal_measured_runs(self, case):
+        fabric, retry, shape, compressed = case
+        cfg = KernelConfig(compressed=compressed)
+        measured = {}
+        for collective in collectives():
+            m = _fabric(*fabric)
+            est = collective.estimate(
+                m, Topology.from_machine(m), shape, cfg, retry=retry
+            )
+            seconds = _run(_fabric(*fabric), collective.name, shape, cfg, retry)
+            assert est.feasible == (seconds is not None), collective.name
+            if seconds is not None:
+                assert est.seconds == pytest.approx(
+                    seconds, rel=1e-9, abs=1e-15
+                ), collective.name
+                measured[collective.name] = seconds
+        if not measured:
+            with pytest.raises(SyncPathError):
+                plan_sync(_fabric(*fabric), shape, cfg, retry=retry)
+            return
+        plan = plan_sync(_fabric(*fabric), shape, cfg, retry=retry)
+        assert measured[plan.algorithm] <= min(measured.values()) * (1 + 1e-9)
+
+    def test_memo_tells_apart_boxes_with_equal_snapshots(self):
+        # Pascal and Volta 4-GPU boxes have the same fabric but not the
+        # same GPUs: each plan must return its own box's measured time.
+        cfg = KernelConfig()
+        assert (Topology.from_machine(make_machine("pascal", 4))
+                == Topology.from_machine(make_machine("volta", 4)))
+        predicted = {}
+        for platform in ("pascal", "volta"):
+            plan = plan_sync(make_machine(platform, 4), BENCH_PAYLOAD, cfg)
+            predicted[platform] = plan.estimate.seconds
+            assert plan.estimate.seconds == pytest.approx(
+                _run(make_machine(platform, 4), plan.algorithm,
+                     BENCH_PAYLOAD, cfg, None),
+                rel=1e-9,
+            )
+        assert predicted["pascal"] != predicted["volta"]
 
 
 # ----------------------------------------------------------------------
