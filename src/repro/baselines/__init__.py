@@ -16,18 +16,15 @@
 """
 
 from repro.baselines.gibbs_reference import ReferenceCGS
-from repro.baselines.ldastar import LDAStar, LDAStarResult
+from repro.baselines.ldastar import LDAStar
 from repro.baselines.saberlda import SaberLDA
-from repro.baselines.scvb0 import SCVB0, SCVB0Result
-from repro.baselines.warplda import WarpLDA, WarpLDAResult
+from repro.baselines.scvb0 import SCVB0
+from repro.baselines.warplda import WarpLDA
 
 __all__ = [
     "ReferenceCGS",
     "WarpLDA",
-    "WarpLDAResult",
     "SaberLDA",
     "SCVB0",
-    "SCVB0Result",
     "LDAStar",
-    "LDAStarResult",
 ]

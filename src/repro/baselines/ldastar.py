@@ -71,10 +71,7 @@ from repro.gpusim.platform import CPU_E5_2690V4
 from repro.sched.partition import partition_by_tokens
 from repro.telemetry.context import emit_counter
 
-__all__ = ["LDAStar", "LDAStarResult"]
-
-#: Historical alias — LDA* now returns the unified engine result.
-LDAStarResult = TrainResult
+__all__ = ["LDAStar"]
 
 
 class _Worker:

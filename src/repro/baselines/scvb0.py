@@ -29,10 +29,7 @@ from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 
-__all__ = ["SCVB0", "SCVB0Result"]
-
-#: Historical alias — SCVB0 now returns the unified engine result.
-SCVB0Result = TrainResult
+__all__ = ["SCVB0"]
 
 
 class SCVB0(Algorithm):

@@ -42,13 +42,10 @@ from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.platform import CPU_E5_2690V4
 
-__all__ = ["WarpLDA", "WarpLDAResult", "warplda_iteration_cost"]
+__all__ = ["WarpLDA", "warplda_iteration_cost"]
 
 #: MH proposal/acceptance rounds per phase per iteration.
 MH_STEPS = 2
-
-#: Historical alias — WarpLDA now returns the unified engine result.
-WarpLDAResult = TrainResult
 
 
 def warplda_iteration_cost(

@@ -30,7 +30,7 @@ Examples
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
     repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_6.json                # CI regression gate
+        --compare BENCH_10.json               # CI regression gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths
@@ -423,6 +423,18 @@ def _check_fault_domains(plan, algo, nodes=1):
     return None
 
 
+def _culda_machines(args: argparse.Namespace) -> list:
+    """One ``--platform`` machine per node for a CuLDA run. Each has
+    ``--gpus-per-node`` GPUs on a cluster and ``--gpus`` on one node;
+    ``DistributedCuLDA`` over one machine is the single-machine trainer."""
+    from repro.gpusim.platform import make_machine
+
+    gpn = args.gpus
+    if args.nodes > 1 and args.gpus_per_node:
+        gpn = args.gpus_per_node
+    return [make_machine(args.platform, gpn) for _ in range(args.nodes)]
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.core import save_model
     from repro.engine import TrainingFailure
@@ -465,7 +477,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     machine = None
     if args.algo in ("culda", "saberlda"):
-        from repro.core import CuLDA, TrainConfig
+        from repro.core import TrainConfig
         from repro.gpusim.platform import make_machine
 
         if args.algo == "saberlda" and args.gpus != 1:
@@ -487,23 +499,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
             from repro.baselines import SaberLDA
 
             trainer = SaberLDA(corpus, machine, config, registry=registry)
-        elif args.nodes > 1:
+        else:
             from repro.core import DistributedCuLDA
 
-            gpn = args.gpus_per_node or args.gpus
-            machines = [
-                make_machine(args.platform, gpn) for _ in range(args.nodes)
-            ]
+            machines = _culda_machines(args)
             machine = machines[0]
             trainer = DistributedCuLDA(
                 corpus, machines, config=config, registry=registry
-            )
-            run_kwargs.update(recovery=args.recovery,
-                              fault_plan=fault_plan)
-        else:
-            machine = make_machine(args.platform, args.gpus)
-            trainer = CuLDA(
-                corpus, machine=machine, config=config, registry=registry
             )
             run_kwargs.update(recovery=args.recovery,
                               fault_plan=fault_plan)
@@ -605,10 +607,9 @@ def _cmd_profile_serve_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core import CuLDA, TrainConfig
+    from repro.core import DistributedCuLDA, TrainConfig
     from repro.core.culda import BREAKDOWN_KINDS
     from repro.engine import TrainingFailure
-    from repro.gpusim.platform import make_machine
     from repro.obs.profiling import (
         ELASTICITY_COUNTERS,
         counter_total,
@@ -640,27 +641,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sync_algorithm=args.sync,
         likelihood_every=args.likelihood_every,
     )
-    if args.nodes > 1:
-        from repro.core import DistributedCuLDA
-
-        gpn = args.gpus_per_node or args.gpus
-        machines = [
-            make_machine(args.platform, gpn) for _ in range(args.nodes)
-        ]
-        machine = machines[0]
-        trainer = DistributedCuLDA(
-            corpus, machines, config=config,
-            callbacks=callbacks, registry=registry,
-        )
-    else:
-        machine = make_machine(args.platform, args.gpus)
-        trainer = CuLDA(
-            corpus,
-            machine=machine,
-            config=config,
-            callbacks=callbacks,
-            registry=registry,
-        )
+    machines = _culda_machines(args)
+    machine = machines[0]
+    trainer = DistributedCuLDA(
+        corpus, machines, config=config,
+        callbacks=callbacks, registry=registry,
+    )
     try:
         result = trainer.train(recovery=args.recovery, fault_plan=fault_plan)
     except TrainingFailure as exc:

@@ -242,9 +242,9 @@ def cpu_gather_sync(
     replica to the host, add on the CPU, push the sum back to every GPU.
 
     All transfers contend on the host links and the adds run at CPU
-    speed; the ablation bench shows the gap versus the GPU tree. It is
-    also the path of last resort when peer links are down — no leg of
-    it touches the P2P fabric.
+    speed; ``tests/test_sync.py`` measures the gap versus the GPU
+    tree. It is also the path of last resort when peer links are
+    down — no leg of it touches the P2P fabric.
     """
     G = len(partials)
     host_copies: list[np.ndarray] = []
@@ -316,7 +316,7 @@ def ring_allreduce_phi(
     the replica per link, with every neighbouring link active in
     parallel. At large G this moves less data per link than the tree
     (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
-    steps — the trade ``bench_ext_ring_allreduce.py`` measures. Works on
+    steps — the trade ``tests/test_sync.py`` measures. Works on
     arbitrary sublists (the hierarchical collective rings the socket
     leaders).
 

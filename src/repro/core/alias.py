@@ -9,7 +9,7 @@ periodic rebuilds are needed when counts move.
 
 This module implements Vose's algorithm exactly, plus a vectorized
 multi-draw, so the tree-vs-alias design choice is measurable
-(``bench_ablation_tree_vs_alias.py``): per *word*, the tree costs
+(``tests/test_alias.py``): per *word*, the tree costs
 O(K) build + O(log₃₂ K) per draw, the alias table O(K) build + O(1)
 per draw — with CuLDA's block sharing both builds amortize, and the
 draw-cost difference is what remains.

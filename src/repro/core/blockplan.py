@@ -14,7 +14,7 @@ share the p₂ index tree). Two load-balancing rules from the paper:
 :func:`plan_blocks` builds the assignment; :func:`simulate_block_schedule`
 replays it against an SM array (greedy in-id-order issue, exactly the
 hardware's behaviour) so the long-tail effect is *measurable* — see
-``tests/test_blockplan.py`` and ``bench_ablation_longtail.py``.
+``tests/test_blockplan.py``.
 """
 
 from __future__ import annotations

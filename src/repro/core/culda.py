@@ -89,7 +89,6 @@ class TrainConfig:
     sparse_sampler: bool = True
     share_p2_tree: bool = True
     reuse_pstar: bool = True
-    tree_fanout: int = 32
     # Scheduling.
     chunks_per_gpu: int | None = None   # None → smallest M that fits (§5.1)
     sync_algorithm: str = "auto"        # planner picks; or any registered collective
@@ -121,7 +120,6 @@ class TrainConfig:
             share_p2_tree=self.share_p2_tree,
             reuse_pstar=self.reuse_pstar,
             compressed=self.compressed,
-            tree_fanout=self.tree_fanout,
         )
 
 

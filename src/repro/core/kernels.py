@@ -13,7 +13,7 @@ Each kernel has two halves:
   heavy words split across blocks).
 
 The :class:`KernelConfig` flags turn the paper's individual
-optimizations on and off, which is what the ablation benchmarks sweep:
+optimizations on and off, which is what the ablation tests flip:
 
 ``sparse_sampler``      Eq 6 S/Q decomposition vs dense O(K) sampling.
 ``share_p2_tree``       per-block shared p₂ tree (word-first sort) vs
@@ -60,7 +60,8 @@ __all__ = [
     "phi_reduce_cost",
 ]
 
-#: Threads per warp — one warp is one sampler (§6.1.1).
+#: Threads per warp — one warp is one sampler (§6.1.1), and the index
+#: trees' fanout: a warp inspects one node's children per SIMD step (§6.1).
 WARP_SIZE = 32
 #: Samplers (warps) per thread block — "the allowed maximal value" (§6.1.2).
 SAMPLERS_PER_BLOCK = 32
@@ -86,7 +87,6 @@ class KernelConfig:
     share_p2_tree: bool = True
     reuse_pstar: bool = True
     compressed: bool = True
-    tree_fanout: int = 32
     #: Max flat (token × K_d) expansion entries held at once by the
     #: functional sampler; bounds host memory, no effect on results.
     token_slab: int = 1 << 22
@@ -273,7 +273,7 @@ def gibbs_sample_chunk(
     p1_draws = 0
     probe_levels = 0
     # Every dense draw searches the word's shared p₂ tree over K leaves.
-    dense_levels = int(tree_search_levels(K, config.tree_fanout)[0])
+    dense_levels = int(tree_search_levels(K, WARP_SIZE)[0])
 
     # Slab over tokens so the (token × K_d) expansion stays bounded.
     row_len_all = t_ip[token_doc + 1] - t_ip[token_doc]
@@ -310,7 +310,7 @@ def gibbs_sample_chunk(
         p1_draws += int(sparse_mask.sum())
         # p₁ trees span each token's K_d leaves; p₂ trees span K.
         probe_levels += int(
-            tree_search_levels(L[sparse_mask], config.tree_fanout).sum()
+            tree_search_levels(L[sparse_mask], WARP_SIZE).sum()
         )
         probe_levels += dense_levels * int((~sparse_mask).sum())
 
@@ -498,7 +498,7 @@ def sampling_cost(
             read += kd * phi_b       # re-read φ for the row's topics
             flops += 2.0 * kd
         # Tree search: log_R levels over shared data; negligible global.
-        flops += T * 2.0 * config.tree_fanout
+        flops += T * 2.0 * WARP_SIZE
     else:
         # Dense O(K) conditional per token.
         read += T * K * (phi_b + cnt_b)
@@ -511,7 +511,7 @@ def sampling_cost(
     flops += T * 16.0                # RNG + branch arithmetic
 
     shared = K * 4                       # staged p* column (float32)
-    shared += (K // config.tree_fanout + 2) * 4   # shared p₂ tree internals
+    shared += (K // WARP_SIZE + 2) * 4   # shared p₂ tree internals
     shared = min(shared, 96 * 1024)      # the kernel tiles K if larger
 
     return KernelCost(

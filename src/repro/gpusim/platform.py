@@ -532,9 +532,9 @@ NVLINK_P2P_GBPS = 130.0
 def ampere_platform(num_gpus: int = 1) -> Machine:
     """A hypothetical future platform: E5-2690 v4 host + up to 8 A100.
 
-    Not in the paper (the A100 shipped two years later); used by
-    ``bench_ext_future_gpu.py`` to evaluate the §7.1 claim that the
-    design keeps scaling with device bandwidth.
+    Not in the paper (the A100 shipped two years later); projections
+    on its GPU test the §7.1 claim that the design keeps scaling with
+    device bandwidth (EXPERIMENTS.md, Extensions).
     """
     if not 1 <= num_gpus <= 8:
         raise ValueError("the Ampere platform has 1-8 GPUs")
@@ -586,7 +586,7 @@ def dgx_platform(num_gpus: int = 8) -> Machine:
     Extension beyond the paper's evaluated platforms: same V100 GPUs as
     the Volta platform, but GPU↔GPU traffic rides NVLink instead of
     PCIe P2P — the regime where the reduce-tree synchronization cost
-    almost vanishes (see ``bench_ext_nvlink.py``).
+    almost vanishes (see EXPERIMENTS.md, Extensions).
     """
     if not 1 <= num_gpus <= 8:
         raise ValueError("the DGX platform has 1-8 GPUs")

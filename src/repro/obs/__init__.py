@@ -11,7 +11,7 @@ versioned artifact:
 - :mod:`repro.obs.compare` — noise-aware snapshot comparison; the
   ``bench --compare`` CI gate.
 - :mod:`repro.obs.workloads` — seeded workload builders shared with
-  ``benchmarks/``.
+  the tests and ``bench/``.
 - :mod:`repro.obs.timing` — repeated-median wall-clock measurement.
 - :mod:`repro.obs.profiling` — the ``repro-lda profile --format json``
   schema.

@@ -5,9 +5,8 @@ hot paths (the vectorized sampling kernel, φ accumulation, alias-table
 construction) are real wall-clock measurements and therefore noisy.
 :func:`repeated_median` runs the payload ``rounds`` times, keeps every
 per-round duration, and reports the **median** with the inter-quartile
-range as the dispersion estimate — the same robust-summary choice
-pytest-benchmark defaults to, reimplemented here so the registry can
-run scenarios outside a pytest session.
+range as the dispersion estimate — a robust summary the registry
+computes without any test runner.
 
 The comparator (:mod:`repro.obs.compare`) derives its wall-clock
 tolerance from the larger of the two snapshots' IQRs, so a noisy

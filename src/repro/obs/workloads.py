@@ -1,11 +1,10 @@
-"""Shared workload builders for benchmarks and the observatory.
+"""Shared workload builders for the observatory, ``bench/`` and tests.
 
-The per-benchmark boilerplate the ``benchmarks/bench_*.py`` files used
-to repeat — synthetic-twin construction, platform/machine creation,
-trainer assembly with a fixed seed — lives here once, imported both by
-``benchmarks/conftest.py`` (for the pytest benches) and by the scenario
-registry (:mod:`repro.obs.scenarios`). Everything is seeded: the same
-arguments always produce the same corpus, machine, and trainer.
+Synthetic-twin construction, platform/machine creation and trainer
+assembly with a fixed seed live here once, imported by the scenario
+registry (:mod:`repro.obs.scenarios`), by ``bench/`` and by the tests.
+Everything is seeded: the same arguments always produce the same
+corpus, machine, and trainer.
 """
 
 from __future__ import annotations

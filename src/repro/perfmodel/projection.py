@@ -57,6 +57,7 @@ __all__ = [
     "ProjectionConfig",
     "project_iteration_seconds",
     "project_series",
+    "average_tokens_per_sec",
     "fig7_series",
     "fig9_scaling",
     "table4_throughput",
@@ -224,6 +225,11 @@ def project_series(
     return out
 
 
+def average_tokens_per_sec(stats: DatasetStats, series: np.ndarray) -> float:
+    """Eq 2 over a whole series: total tokens / total time."""
+    return stats.num_tokens * len(series) / (stats.num_tokens / series).sum()
+
+
 def _warplda_series(stats: DatasetStats, cfg: ProjectionConfig) -> np.ndarray:
     """WarpLDA's flat series on the paper's host CPU (Table 4 row)."""
     from repro.baselines.warplda import warplda_iteration_cost
@@ -265,10 +271,9 @@ def table4_throughput(cfg: ProjectionConfig | None = None) -> dict[str, dict[str
     for ds_name, stats in (("NYTimes", NYTIMES), ("PubMed", PUBMED)):
         row: dict[str, float] = {}
         for name, spec in PLATFORM_GPUS.items():
-            series = project_series(stats, spec, cfg)
-            # Eq 2 over the first 100 iterations: total tokens / total time.
-            total_time = (stats.num_tokens / series).sum()
-            row[name] = stats.num_tokens * len(series) / total_time
+            row[name] = average_tokens_per_sec(
+                stats, project_series(stats, spec, cfg)
+            )
         w = _warplda_series(stats, cfg)
         row["WarpLDA"] = float(w[0])
         out[ds_name] = row
@@ -314,12 +319,11 @@ def fig9_scaling(
     series = {
         g: project_series(PUBMED, spec, cfg, num_gpus=g) for g in gpu_counts
     }
-
-    def avg(s: np.ndarray) -> float:
-        return PUBMED.num_tokens * len(s) / (PUBMED.num_tokens / s).sum()
-
-    base = avg(series[gpu_counts[0]])
+    base = average_tokens_per_sec(PUBMED, series[gpu_counts[0]])
     return {
-        g: {"series": series[g], "speedup": avg(series[g]) / base}
+        g: {
+            "series": series[g],
+            "speedup": average_tokens_per_sec(PUBMED, series[g]) / base,
+        }
         for g in gpu_counts
     }

@@ -17,7 +17,7 @@ asserted:
 
 Statistically this is the same delayed-update CGS — both policies
 converge; only the communication pattern differs. See
-``bench_ablation_partition_policy.py``.
+``tests/test_byword.py``.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from repro.core.inference import (
     infer_documents,
 )
 from repro.core.kernels import (
+    WARP_SIZE,
     KernelConfig,
     SamplingStats,
     WordTables,
@@ -100,8 +101,8 @@ def foldin_batch_cost(
     p1_draws = int(0.8 * T)
     mean_kd = kd_sum // max(T, 1)
     probe = int(
-        p1_draws * tree_search_levels(max(mean_kd, 1), config.tree_fanout)[0]
-        + (T - p1_draws) * tree_search_levels(K, config.tree_fanout)[0]
+        p1_draws * tree_search_levels(max(mean_kd, 1), WARP_SIZE)[0]
+        + (T - p1_draws) * tree_search_levels(K, WARP_SIZE)[0]
     )
     stats = SamplingStats(
         num_tokens=T,

@@ -23,7 +23,7 @@ from repro.analysis.sparsity import (
     measure_kd_curve,
 )
 from repro.corpus.datasets import NYTIMES, PUBMED
-from repro.gpusim.platform import CPU_E5_2690V4, GPU_V100
+from repro.gpusim.platform import CPU_E5_2690V4, GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
 
 
 class TestTable1:
@@ -41,8 +41,8 @@ class TestTable1:
 
     def test_memory_bound_on_all_platforms(self):
         """§3's conclusion: LDA sits far below every ridge point."""
-        assert is_memory_bound(CPU_E5_2690V4)
-        assert is_memory_bound(GPU_V100)
+        for spec in (CPU_E5_2690V4, GPU_TITAN_X, GPU_TITAN_XP, GPU_V100):
+            assert is_memory_bound(spec), spec.name
 
     def test_ridge_comparison_override(self):
         # A hypothetical compute-heavy workload would not be memory bound.

@@ -94,6 +94,19 @@ class TestScheduleSimulation:
             )
             assert t_heavy <= t_naive * 1.001
 
+    def test_heavy_first_never_worse_on_zipf_twin(self):
+        """The rule on a Zipf workload, at the Titan / Pascal / Volta SM
+        counts with 8 resident blocks per SM."""
+        from repro.corpus.synthetic import nytimes_like
+
+        chunk = nytimes_like(num_tokens=200_000, num_topics=8, seed=6).to_chunk()
+        heavy = plan_blocks(chunk.word_indptr, heavy_first=True)
+        naive = plan_blocks(chunk.word_indptr, heavy_first=False)
+        for sms in (24, 28, 80):
+            t_heavy = simulate_block_schedule(heavy, num_sms=sms, blocks_per_sm=8)
+            t_naive = simulate_block_schedule(naive, num_sms=sms, blocks_per_sm=8)
+            assert t_heavy <= t_naive * 1.001, sms
+
     def test_validation(self):
         plan = plan_blocks(_indptr([5]))
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus.datasets import NYTIMES, PUBMED
-from repro.gpusim.platform import GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
+from repro.gpusim.platform import GPU_A100, GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
 from repro.perfmodel.capacity import MemoryPlan, max_topics_resident, plan_memory
 
 
@@ -30,6 +30,11 @@ class TestPlanMemory:
     def test_pubmed_resident_at_four_gpus(self):
         plan = plan_memory(PUBMED, GPU_TITAN_XP, num_topics=1024, num_gpus=4)
         assert plan.resident
+
+    def test_pubmed_resident_on_a100(self):
+        """A post-paper 40 GB GPU holds PubMed on its own, so its
+        projected A100 gain beats the bandwidth ratio (EXPERIMENTS.md)."""
+        assert plan_memory(PUBMED, GPU_A100, num_topics=1024).resident
 
     def test_model_too_big_raises(self):
         with pytest.raises(MemoryError, match="model"):
@@ -104,6 +109,43 @@ class TestEnergyModel:
         assert with_idle - single.energy_joules() == pytest.approx(
             expected_idle, rel=1e-6
         )
+
+
+    def test_volta_most_tokens_per_joule(self):
+        """Tokens per joule of a training run: Volta beats Pascal and
+        Maxwell, and every GPU beats the WarpLDA CPU baseline. The run
+        is a 30k-token twin at K = 64; much smaller runs are dominated
+        by fixed per-launch costs."""
+        from repro.baselines.warplda import warplda_iteration_cost
+        from repro.core import CuLDA, TrainConfig
+        from repro.corpus.synthetic import nytimes_like
+        from repro.gpusim.costmodel import CostModel
+        from repro.gpusim.platform import (
+            CPU_E5_2690V4,
+            maxwell_platform,
+            pascal_platform,
+            volta_platform,
+        )
+
+        corpus = nytimes_like(num_tokens=30_000, num_topics=8, seed=2)
+        cfg = TrainConfig(num_topics=64, iterations=4, seed=0)
+        per_joule = {}
+        for name, factory in (("Maxwell", maxwell_platform),
+                              ("Pascal", pascal_platform),
+                              ("Volta", volta_platform)):
+            machine = factory(1)
+            r = CuLDA(corpus, machine, cfg).train()
+            tokens = corpus.num_tokens * len(r.iterations)
+            per_joule[name] = tokens / machine.energy_joules()
+        cost = warplda_iteration_cost(
+            corpus.num_tokens, cfg.num_topics, corpus.num_words,
+            corpus.num_tokens / corpus.num_docs,
+        )
+        cpu_seconds = CostModel().kernel_seconds(CPU_E5_2690V4, cost)
+        cpu = corpus.num_tokens / (cpu_seconds * CPU_E5_2690V4.tdp_watts)
+        assert per_joule["Volta"] > per_joule["Pascal"] > 0
+        assert per_joule["Volta"] > per_joule["Maxwell"]
+        assert min(per_joule.values()) > cpu
 
 
 class TestChromeTrace:

@@ -588,6 +588,18 @@ class TestAutoBitIdentity:
         chosen = {s.labels["algorithm"] for s in decisions.samples()}
         assert "cpu_gather" in chosen  # replanned onto the host path
 
+    def test_nvlink_box_faster_same_bits(self, corpus):
+        """§3's NVLink fabric, end to end: two V100s over NVLink finish
+        the run sooner than over PCIe, with the same φ."""
+        from repro.core import CuLDA, TrainConfig
+
+        cfg = TrainConfig(num_topics=32, iterations=2, seed=0,
+                          chunks_per_gpu=1)
+        nvlink = CuLDA(corpus, dgx_platform(2), cfg).train()
+        pcie = CuLDA(corpus, volta_platform(2), cfg).train()
+        assert nvlink.total_sim_seconds < pcie.total_sim_seconds
+        assert np.array_equal(nvlink.phi, pcie.phi)
+
     def test_auto_not_slower_than_tree_in_simulated_time(self, corpus):
         for platform in ("pascal", "dgx"):
             auto = self._train(corpus, platform, 4, AUTO)

@@ -46,6 +46,46 @@ class TestDetector:
         assert d.num_observations == 0
 
 
+class TestFig8Ordering:
+    def test_culda_reaches_its_final_likelihood_first(self, medium_corpus):
+        """Fig 8 (log-likelihood per token against simulated time): every
+        system converges upward, and CuLDA_CGS on one V100 reaches its
+        final level before the SaberLDA-like GPU system, WarpLDA on the
+        CPU and the 4-node LDA* cluster do, if they ever do."""
+        from repro.analysis.metrics import time_to_likelihood
+        from repro.baselines import LDAStar, SaberLDA, WarpLDA
+        from repro.core import CuLDA, TrainConfig
+        from repro.core.model import LDAHyperParams
+        from repro.gpusim.platform import pascal_platform, volta_platform
+
+        iters, every = 15, 5
+        cfg = TrainConfig(num_topics=16, iterations=iters, seed=0,
+                          likelihood_every=every)
+        hyper = LDAHyperParams(num_topics=16)
+        runs = {
+            "culda": CuLDA(medium_corpus, volta_platform(1), cfg).train(),
+            "saberlda": SaberLDA(medium_corpus, pascal_platform(1), cfg).train(),
+            "warplda": WarpLDA(medium_corpus, hyper, seed=0).train(
+                iterations=iters, likelihood_every=every),
+            "ldastar": LDAStar(medium_corpus, hyper, num_workers=4, seed=0)
+            .train(iterations=iters, likelihood_every=every),
+        }
+        curves = {}
+        for name, r in runs.items():
+            clock = np.cumsum([it.sim_seconds for it in r.iterations])
+            curves[name] = np.array([
+                (t, it.log_likelihood_per_token)
+                for t, it in zip(clock, r.iterations)
+                if it.log_likelihood_per_token is not None
+            ])
+            assert curves[name][-1, 1] > curves[name][0, 1] + 0.3, name
+        times, lls = curves["culda"].T
+        t_culda = time_to_likelihood(times, lls, lls[-1])
+        for name in ("saberlda", "warplda", "ldastar"):
+            t_other = time_to_likelihood(*curves[name].T, lls[-1])
+            assert t_other is None or t_other > t_culda, name
+
+
 class TestTrainerEarlyStop:
     def test_stops_before_max_iterations(self):
         from repro.core import CuLDA, TrainConfig

@@ -97,11 +97,15 @@ class TestTwins:
     def test_nytimes_like_shape(self):
         c = nytimes_like(num_tokens=30000, seed=0)
         assert abs(c.num_tokens - 30000) / 30000 < 0.15
-        assert abs(c.num_tokens / c.num_docs - NYTIMES.avg_doc_length) < 40
+        assert c.num_tokens / c.num_docs == pytest.approx(
+            NYTIMES.avg_doc_length, rel=0.12
+        )
 
     def test_pubmed_like_shape(self):
         c = pubmed_like(num_tokens=30000, seed=0)
-        assert abs(c.num_tokens / c.num_docs - PUBMED.avg_doc_length) < 15
+        assert c.num_tokens / c.num_docs == pytest.approx(
+            PUBMED.avg_doc_length, rel=0.12
+        )
 
     def test_twins_differ_in_doc_length(self):
         nyt = nytimes_like(num_tokens=20000, seed=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ class TestBasicTraining:
             r.breakdown[k] for k in ("sampling", "update_theta", "update_phi")
         )
 
+    def test_sampling_dominates_measured_kernel_time(self):
+        """Table 5's functional cross-check: on a NYTimes twin the
+        measured trace spends most kernel time sampling."""
+        from repro.corpus.synthetic import nytimes_like
+
+        c = nytimes_like(num_tokens=30_000, num_topics=8, seed=2)
+        r = CuLDA(c, pascal_platform(1),
+                  TrainConfig(num_topics=32, iterations=2, seed=0)).train()
+        kernels = ("sampling", "update_theta", "update_phi")
+        total = sum(r.breakdown[k] for k in kernels)
+        assert r.breakdown["sampling"] / total > 0.6
+
 
 class TestDeterminism:
     def test_same_seed_same_model(self, corpus):
@@ -125,6 +139,12 @@ class TestScheduleSelection:
                   TrainConfig(num_topics=8, iterations=2, seed=0)).train()
         assert r.chunks_per_gpu == 1
         assert r.plan_chunks == 2
+        # Alg 1 prefers WorkSchedule1 because resident data beats
+        # streaming the same data.
+        streaming = CuLDA(corpus, pascal_platform(2),
+                          TrainConfig(num_topics=8, iterations=2, seed=0,
+                                      chunks_per_gpu=4)).train()
+        assert r.total_sim_seconds < streaming.total_sim_seconds
 
     def test_forced_streaming_matches_resident_model(self, corpus):
         """WorkSchedule1 and WorkSchedule2 must be statistically
@@ -141,18 +161,15 @@ class TestScheduleSelection:
     def test_no_overlap_is_slower(self, corpus):
         base = TrainConfig(num_topics=8, iterations=3, seed=0, chunks_per_gpu=3)
         with_overlap = CuLDA(corpus, pascal_platform(1), base).train()
-        from dataclasses import replace
-
         no_overlap = CuLDA(
             corpus, pascal_platform(1), replace(base, overlap_transfers=False)
         ).train()
         assert with_overlap.total_sim_seconds < no_overlap.total_sim_seconds
+        assert np.array_equal(with_overlap.phi, no_overlap.phi)
 
     def test_cpu_gather_sync_same_model(self, corpus):
         a = CuLDA(corpus, pascal_platform(2),
                   TrainConfig(num_topics=8, iterations=3, seed=5)).train()
-        from dataclasses import replace
-
         b = CuLDA(corpus, pascal_platform(2),
                   TrainConfig(num_topics=8, iterations=3, seed=5,
                               sync_algorithm="cpu_gather")).train()
@@ -176,7 +193,8 @@ class TestScalingBehaviour:
         cfg = TrainConfig(num_topics=32, iterations=4, seed=0)
         t1 = CuLDA(c, pascal_platform(1), cfg).train().total_sim_seconds
         t2 = CuLDA(c, pascal_platform(2), cfg).train().total_sim_seconds
-        assert t2 < t1
+        t4 = CuLDA(c, pascal_platform(4), cfg).train().total_sim_seconds
+        assert t4 < t2 < t1
 
     def test_tiny_problem_does_not_scale(self, corpus):
         """With ~6k tokens the K×V synchronization dominates and extra
@@ -195,8 +213,8 @@ class TestScalingBehaviour:
         assert tv < tp
 
     def test_throughput_rises_with_sparsification(self):
-        """Fig 7's ramp on a twin corpus: later iterations at least as
-        fast as the first."""
+        """Fig 7's ramp on a twin corpus: θ sparsifies, and later
+        iterations are at least as fast as the first."""
         from repro.corpus.synthetic import nytimes_like
 
         c = nytimes_like(num_tokens=30_000, num_topics=8, seed=2)
@@ -204,21 +222,20 @@ class TestScalingBehaviour:
                   TrainConfig(num_topics=32, iterations=12, seed=0)).train()
         first = r.iterations[0].tokens_per_sec
         last = r.iterations[-1].tokens_per_sec
-        assert last >= 0.95 * first
-        assert r.iterations[-1].mean_kd <= r.iterations[0].mean_kd
+        assert last >= first
+        assert r.iterations[-1].mean_kd < r.iterations[0].mean_kd
 
 
 class TestCompression:
     def test_compressed_and_wide_agree_statistically(self, corpus):
-        from dataclasses import replace
-
         base = TrainConfig(num_topics=8, iterations=3, seed=9)
         a = CuLDA(corpus, pascal_platform(1), base).train()
         b = CuLDA(corpus, pascal_platform(1),
                   replace(base, compressed=False)).train()
         # Identical draws (same RNG, same math) — compression is lossless
-        # at this scale.
+        # at this scale — in less simulated time.
         assert np.array_equal(a.phi, b.phi)
+        assert a.total_sim_seconds < b.total_sim_seconds
 
     def test_compression_rejects_huge_k(self, corpus):
         with pytest.raises(ValueError, match="16-bit"):
@@ -230,6 +247,21 @@ class TestCompression:
 
         with pytest.raises(ValueError):
             CuLDA(corpus, Machine(CPU_E5_2690V4, []), TrainConfig(num_topics=8))
+
+
+class TestSamplerAblations:
+    @pytest.mark.parametrize("switch", ["sparse_sampler", "share_p2_tree"])
+    def test_switching_off_costs_time_not_bits(self, corpus, switch):
+        """§6.1's sampler optimizations change the kernel's traffic, not
+        its draws: switched off alone, the run is slower and φ is
+        bit-identical. K exceeds the documents' length, the regime
+        where sparsity pays."""
+        base = TrainConfig(num_topics=128, iterations=3, seed=0)
+        on = CuLDA(corpus, pascal_platform(1), base).train()
+        off = CuLDA(corpus, pascal_platform(1),
+                    replace(base, **{switch: False})).train()
+        assert on.total_sim_seconds < off.total_sim_seconds
+        assert np.array_equal(on.phi, off.phi)
 
 
 class TestPeakMemory:

@@ -38,6 +38,10 @@ class TestConstruction:
         # Fanout 2 over 8 leaves: 8 -> 4 -> 2 -> 1 => depth 4.
         t2 = IndexTree(np.ones(8), fanout=2)
         assert t2.depth == 4
+        # Wider fanout, fewer serial SIMD steps: a 64-wide AMD wavefront
+        # (§2.2) is no deeper than the paper's 32-wide warp.
+        depths = [IndexTree(np.ones(4096), fanout=f).depth for f in (64, 32, 2)]
+        assert depths == sorted(depths)
 
     def test_single_leaf(self):
         t = IndexTree(np.array([5.0]))
@@ -48,6 +52,9 @@ class TestConstruction:
         # The paper's point: internal levels are ~K/31 entries at R=32.
         t = IndexTree(np.ones(10_000), fanout=32)
         assert t.internal_nbytes(4) < 10_000 * 4 / 20
+        # A wider fanout keeps a smaller internal section in shared memory.
+        wide = IndexTree(np.ones(4096), fanout=64).internal_nbytes()
+        assert wide < IndexTree(np.ones(4096), fanout=2).internal_nbytes()
 
 
 class TestSearchCorrectness:
@@ -59,7 +66,7 @@ class TestSearchCorrectness:
         t = IndexTree(p, fanout=2)
         assert t.sample(0.15) == 5
 
-    @pytest.mark.parametrize("fanout", [2, 3, 8, 32])
+    @pytest.mark.parametrize("fanout", [2, 3, 8, 32, 64])
     def test_matches_searchsorted(self, fanout, rng):
         p = rng.random(257)
         t = IndexTree(p, fanout=fanout)

@@ -111,6 +111,19 @@ class TestCpuGather:
         t_cpu = m2.synchronize()
         assert t_tree < t_cpu
 
+    def test_trainer_default_beats_cpu_gather_at_scale(self):
+        """The same claim end to end: on 4 GPUs with a φ large enough for
+        the fabric to matter, the default sync finishes the run sooner."""
+        from repro.core import CuLDA, TrainConfig
+        from repro.corpus.synthetic import pubmed_like
+
+        corpus = pubmed_like(num_tokens=12_000, num_topics=8, seed=3)
+        base = dict(num_topics=128, iterations=3, seed=0)
+        auto = CuLDA(corpus, pascal_platform(4), TrainConfig(**base)).train()
+        gather = CuLDA(corpus, pascal_platform(4),
+                       TrainConfig(**base, sync_algorithm="cpu_gather")).train()
+        assert auto.total_sim_seconds < gather.total_sim_seconds
+
 
 class TestRingAllReduce:
     @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4])
@@ -205,5 +218,6 @@ class TestSyncAlgorithmEquivalence:
         m2.reset_clock()
         ring_allreduce_phi(m2, p, f, st, cfg)
         t_ring = m2.synchronize()
-        # The ring should be at least competitive at G=4.
-        assert t_ring < 1.5 * t_tree
+        # The ring should be at least competitive at G=4, and the two
+        # stay within the same order of magnitude.
+        assert 0.2 * t_tree < t_ring < 1.5 * t_tree
