@@ -18,6 +18,11 @@ it only on tiny corpora. Its roles:
 2. distribution oracle: with counts frozen, a single exact-CGS draw and
    the S/Q decomposed draw target the *same* multinomial (tested by
    chi-square in the test suite).
+
+With ``exclude_self=False`` it runs the delayed-update chain the GPU
+kernels implement instead: every token of a sweep draws from the
+sweep-start counts, its own count included, and the counts are rebuilt
+after the sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ class ReferenceCGS:
     seed: RNG seed.
     exclude_self: if True (default) the sampled token's own count is
         removed before computing the conditional — exact CGS. False
-        reproduces the delayed-update approximation the GPU kernels use.
+        runs the delayed-update chain the GPU kernels use: each sweep
+        draws every token from the sweep-start counts (own count
+        included) and rebuilds the counts afterwards.
     """
 
     def __init__(
@@ -56,18 +63,25 @@ class ReferenceCGS:
         self.hyper = hyper
         self.exclude_self = exclude_self
         self.rng = np.random.default_rng(seed)
-        K, V, D = hyper.num_topics, corpus.num_words, corpus.num_docs
-        self.topics = self.rng.integers(0, K, size=corpus.num_tokens)
+        self._docs = corpus.token_doc.astype(np.int64)
+        self._words = corpus.token_word.astype(np.int64)
+        self.topics = self.rng.integers(
+            0, hyper.num_topics, size=corpus.num_tokens
+        )
+        self._recount()
+
+    def _recount(self) -> None:
+        """Rebuild θ, φ and n_k from the current assignments."""
+        K, V, D = (
+            self.hyper.num_topics, self.corpus.num_words,
+            self.corpus.num_docs,
+        )
         self.theta = np.zeros((D, K), dtype=np.int64)
         self.phi = np.zeros((K, V), dtype=np.int64)
         self.n_k = np.zeros(K, dtype=np.int64)
-        docs = corpus.token_doc.astype(np.int64)
-        words = corpus.token_word.astype(np.int64)
-        np.add.at(self.theta, (docs, self.topics), 1)
-        np.add.at(self.phi, (self.topics, words), 1)
+        np.add.at(self.theta, (self._docs, self.topics), 1)
+        np.add.at(self.phi, (self.topics, self._words), 1)
         np.add.at(self.n_k, self.topics, 1)
-        self._docs = docs
-        self._words = words
 
     def iterate(self, num_iterations: int = 1) -> None:
         """Run full Gibbs sweeps over all tokens."""
@@ -77,6 +91,7 @@ class ReferenceCGS:
         betaV = beta * V
         for _ in range(num_iterations):
             us = self.rng.random(self.corpus.num_tokens)
+            drawn = np.empty_like(self.topics)
             for i in range(self.corpus.num_tokens):
                 d, v, z = self._docs[i], self._words[i], self.topics[i]
                 if self.exclude_self:
@@ -93,14 +108,13 @@ class ReferenceCGS:
                     self.theta[d, z_new] += 1
                     self.phi[z_new, v] += 1
                     self.n_k[z_new] += 1
-                elif z_new != z:
-                    self.theta[d, z] -= 1
-                    self.phi[z, v] -= 1
-                    self.n_k[z] -= 1
-                    self.theta[d, z_new] += 1
-                    self.phi[z_new, v] += 1
-                    self.n_k[z_new] += 1
-                self.topics[i] = z_new
+                    self.topics[i] = z_new
+                else:
+                    drawn[i] = z_new
+            if not self.exclude_self:
+                # Delayed update: the sweep read the sweep-start counts.
+                self.topics = drawn
+                self._recount()
 
     def conditional(self, token_index: int) -> np.ndarray:
         """The exact (normalized) conditional of one token, with the

@@ -54,7 +54,6 @@ from repro.core.kernels import (
     gibbs_sample_chunk,
     recount_theta,
     sampling_cost,
-    sampling_launch_plan,
     SamplingStats,
 )
 from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
@@ -183,7 +182,7 @@ class LDAStar(Algorithm):
         ch = worker.chunk
         row_len = np.diff(worker.theta.indptr)
         kd_sum = int(row_len[ch.token_doc].sum())
-        nb, ns = sampling_launch_plan(ch.word_indptr)
+        nb, ns = ch.sampling_plan
         stats = SamplingStats(ch.num_tokens, kd_sum, 0, ns, nb)
         cost = sampling_cost(stats, self.hyper, ch.num_words, self._config)
         # CPUs have no shared-memory constraint; drop the launch geometry.

@@ -30,7 +30,7 @@ Examples
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
     repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_10.json               # CI regression gate
+        --compare BENCH_11.json               # CI regression gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths
@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the snapshot JSON (schema repro-bench/1)")
     b.add_argument("--compare", metavar="BASELINE.json",
                    help="compare against a baseline snapshot; exit 1 "
-                   "on any gated regression")
+                   "on a regression, or on a selected baseline scenario "
+                   "or metric that is missing or whose params changed")
     b.add_argument("--verbose", action="store_true",
                    help="show unchanged metrics in the --compare table")
 
@@ -1005,7 +1006,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load baseline: {exc}", file=sys.stderr)
             return 2
-        deltas = compare_snapshots(baseline, snapshot)
+        deltas = compare_snapshots(
+            baseline, snapshot, selection=(args.tier, args.only)
+        )
         print()
         print(f"comparison against {args.compare} "
               f"(git {baseline.get('git_sha', '?')[:12]}):")

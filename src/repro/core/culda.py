@@ -792,7 +792,7 @@ class CuLDA(Algorithm):
                     0, hyper.num_topics, size=chunk.num_tokens
                 ).astype(dtype)
             else:
-                words = chunk.token_word_expanded().astype(np.int64)
+                words = chunk.token_word.astype(np.int64)
                 u = rng.random(chunk.num_tokens)
                 topics = np.empty(chunk.num_tokens, dtype=np.int64)
                 step = max(1, (1 << 22) // hyper.num_topics)

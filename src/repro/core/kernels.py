@@ -28,8 +28,15 @@ As in the paper, the sampling kernel reads the *iteration-start* model
 (θ replica, broadcast φ) and writes new topics; the update kernels then
 rebuild θ and the chunk-partial φ. This delayed-update CGS is the
 standard GPU formulation (the paper's separate sampling/update kernels);
-the sequential exact-CGS oracle lives in
-:mod:`repro.baselines.gibbs_reference`.
+the sequential exact-CGS oracle and the same delayed-update chain one
+token at a time live in :mod:`repro.baselines.gibbs_reference`.
+
+Because every token reads the iteration-start counts, the tokens of one
+(document, word) run share their conditional exactly: the functional
+sampler builds S, Q and the p₁ prefix sums once per run
+(:attr:`~repro.corpus.corpus.TokenChunk.runs`), and each token draws
+its own uniform, branch and search. Statistics and costs stay per
+token, as the CUDA kernel samples.
 """
 
 from __future__ import annotations
@@ -87,9 +94,12 @@ class KernelConfig:
     share_p2_tree: bool = True
     reuse_pstar: bool = True
     compressed: bool = True
-    #: Max flat (token × K_d) expansion entries held at once by the
+    #: Max flat (run × K_d) expansion entries held at once by the
     #: functional sampler; bounds host memory, no effect on results.
-    token_slab: int = 1 << 22
+    #: At 2¹⁸ a slab's temporaries (~10 MB) are reused from one slab
+    #: and call to the next instead of being mapped afresh: 10–28%
+    #: more `train_1gpu` tokens/s than 2²² on a 2-core x86 host.
+    token_slab: int = 1 << 18
 
     @property
     def index_bytes(self) -> int:
@@ -237,12 +247,17 @@ def gibbs_sample_chunk(
 
     1. p*(k, v) for all words (the shared sub-expression, staged per
        word-block in the real kernel);
-    2. per-token S by gathering the document's θ row against p*'s word
-       column (the "compute S & build p₁ tree" step);
+    2. per (doc, word) run (:attr:`TokenChunk.runs`), S by gathering
+       the document's θ row against p*'s word column (the "compute S &
+       build p₁ tree" step). Every token of a run reads the same
+       iteration-start θ row and p* column, so they share S, Q and the
+       p₁ prefix sums exactly;
     3. one uniform draw per token over mass S + Q;
-    4. sparse-branch tokens search their θ-row prefix sums (p₁ tree),
-       dense-branch tokens search their word's p₂ prefix sums (the
-       shared p₂ tree).
+    4. sparse-branch tokens search their run's θ-row prefix sums (p₁
+       tree), dense-branch tokens search their word's p₂ prefix sums
+       (the shared p₂ tree).
+
+    :class:`SamplingStats` count per token, as the real kernel works.
     """
     config = config or KernelConfig()
     K, V = hyper.num_topics, chunk.num_words
@@ -259,36 +274,34 @@ def gibbs_sample_chunk(
             f"word tables cover {tables.pstar.shape} (topics, words); the "
             f"chunk needs {(K, V)}"
         )
-    q_col = tables.q
     pstar_flat = tables.pstar_vk.ravel()       # index w·K + k
 
-    token_word = chunk.token_word_expanded().astype(np.int64)
-    token_doc = chunk.token_doc.astype(np.int64)
+    runs = chunk.runs
     t_ip, t_idx, t_cnt = theta.indptr, theta.indices, theta.data
+    run_kd = t_ip[runs.doc + 1] - t_ip[runs.doc]        # K_d of each run
+    run_q = tables.q[runs.word]
 
-    new_topics = np.empty(T, dtype=np.int64)
+    new_topics = np.empty(T, dtype=topics.dtype)
     u_all = rng.random(T)
 
-    kd_sum = 0
+    kd_sum = int(run_kd @ np.diff(runs.starts))
     p1_draws = 0
     probe_levels = 0
     # Every dense draw searches the word's shared p₂ tree over K leaves.
     dense_levels = int(tree_search_levels(K, WARP_SIZE)[0])
 
-    # Slab over tokens so the (token × K_d) expansion stays bounded.
-    row_len_all = t_ip[token_doc + 1] - t_ip[token_doc]
-    slab_edges = _slab_edges(row_len_all, config.token_slab)
-    for lo, hi in slab_edges:
-        docs = token_doc[lo:hi]
-        words = token_word[lo:hi]
-        L = row_len_all[lo:hi]
+    # Slab over runs so the (run × K_d) expansion stays bounded.
+    for rlo, rhi in _slab_edges(run_kd, config.token_slab):
+        tlo, thi = int(runs.starts[rlo]), int(runs.starts[rhi])
+        docs = runs.doc[rlo:rhi]
+        words = runs.word[rlo:rhi]
+        L = run_kd[rlo:rhi]
 
-        # Flat expansion of each token's θ row: entry j of token t sits
-        # at θ-CSR position t_ip[doc_t] + j, i.e. flat index minus the
-        # token's row start plus its row's CSR offset.
+        # Flat expansion of each run's θ row: entry j of run r sits at
+        # θ-CSR position t_ip[doc_r] + j, i.e. flat index minus the
+        # run's row start plus its row's CSR offset.
         total = int(L.sum())
-        kd_sum += total
-        row_start = np.concatenate(([0], np.cumsum(L)))  # per-token offsets
+        row_start = np.concatenate(([0], np.cumsum(L)))  # per-run offsets
         flat_pos = np.repeat(t_ip[docs] - row_start[:-1], L)
         flat_pos += np.arange(total, dtype=np.int64)
         k_flat = t_idx[flat_pos]
@@ -298,52 +311,53 @@ def gibbs_sample_chunk(
         vals = pstar_flat.take(gather)
         vals *= t_cnt[flat_pos]
 
-        # Masses and the branch draw. The global cumsum fixes S's bits
-        # and is what the p₁ search below reads.
+        # Masses per run. The running cumsum fixes S's bits and is what
+        # the p₁ search below reads.
         cs = np.cumsum(vals, out=vals)
         seg_end = row_start[1:] - 1
         seg_base = np.concatenate(([0.0], cs[seg_end[:-1]]))
         S = cs[seg_end] - seg_base
-        Q = q_col[words]
-        target = u_all[lo:hi] * (S + Q)
-        sparse_mask = target < S
-        p1_draws += int(sparse_mask.sum())
-        # p₁ trees span each token's K_d leaves; p₂ trees span K.
-        probe_levels += int(
-            tree_search_levels(L[sparse_mask], WARP_SIZE).sum()
-        )
-        probe_levels += dense_levels * int((~sparse_mask).sum())
 
-        # --- p₁ branch: search within the token's θ-row segment -------
+        # The branch draw, per token: its own u against its run's S + Q.
+        run = runs.token_run[tlo:thi] - rlo
+        S_tok = S[run]
+        target = u_all[tlo:thi] * (S_tok + run_q[rlo:rhi][run])
+        sparse_mask = target < S_tok
+        p1_draws += int(sparse_mask.sum())
+
+        # --- p₁ branch: search within the run's θ-row segment ---------
         if sparse_mask.any():
-            t_idx_local = np.nonzero(sparse_mask)[0]
+            t_local = np.flatnonzero(sparse_mask)
+            r = run[t_local]
+            # p₁ trees span each run's K_d leaves.
+            probe_levels += int(tree_search_levels(L, WARP_SIZE)[r].sum())
             # Global-cumsum trick: vals > 0 strictly, so the hit stays
-            # inside the token's own segment.
+            # inside the run's own segment.
             j = np.searchsorted(
-                cs, seg_base[t_idx_local] + target[t_idx_local], side="right"
+                cs, seg_base[r] + target[t_local], side="right"
             )
-            j = np.minimum(j, seg_end[t_idx_local])
-            j = np.maximum(j, row_start[:-1][t_idx_local])
-            new_topics[lo + t_idx_local] = k_flat[j]
+            j = np.minimum(j, seg_end[r])
+            j = np.maximum(j, row_start[r])
+            new_topics[tlo + t_local] = k_flat[j]
 
         # --- p₂ branch: search the word's dense prefix sums -----------
         dense_mask = ~sparse_mask
         if dense_mask.any():
-            d_idx_local = np.nonzero(dense_mask)[0]
-            resid = target[d_idx_local] - S[d_idx_local]
-            new_topics[lo + d_idx_local] = _p2_search(
-                tables.pstar_vk, words[d_idx_local], resid, alpha
+            d_local = np.flatnonzero(dense_mask)
+            probe_levels += dense_levels * d_local.size
+            resid = target[d_local] - S_tok[d_local]
+            new_topics[tlo + d_local] = _p2_search(
+                tables.pstar_vk, words[run[d_local]], resid, alpha
             )
 
-    out = new_topics.astype(topics.dtype)
-    num_blocks, num_segments = sampling_launch_plan(chunk.word_indptr)
+    num_blocks, num_segments = chunk.sampling_plan
     stats = SamplingStats(
         num_tokens=T,
-        kd_sum=int(kd_sum),
-        p1_draws=int(p1_draws),
+        kd_sum=kd_sum,
+        p1_draws=p1_draws,
         num_word_segments=num_segments,
         num_blocks=num_blocks,
-        tree_probe_levels=int(probe_levels),
+        tree_probe_levels=probe_levels,
     )
     emit_counter(
         "sampler_tokens_total", T, help="tokens drawn by the sampling kernel"
@@ -364,7 +378,7 @@ def gibbs_sample_chunk(
         "sampler_tree_probe_levels_total", stats.tree_probe_levels,
         help="index-tree search levels descended across all draws",
     )
-    return out, stats
+    return new_topics, stats
 
 
 def _p2_search(
@@ -392,8 +406,9 @@ def _p2_search(
 
 
 def _slab_edges(row_len: np.ndarray, slab: int) -> list[tuple[int, int]]:
-    """Token ranges whose flat expansions each stay under *slab* entries
-    (a single over-*slab* token still gets its own range)."""
+    """Ranges of rows (the sampler's runs) whose flat expansions each
+    stay under *slab* entries (a single over-*slab* row still gets its
+    own range)."""
     T = row_len.size
     csum = np.cumsum(row_len)
     edges: list[tuple[int, int]] = []
@@ -429,19 +444,21 @@ def accumulate_phi(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Functional body of the φ-update kernel (§6.2): the chunk's
-    *partial* topic–word counts (atomic adds over word-sorted tokens).
+    *partial* topic–word counts (atomic adds over word-sorted tokens),
+    as ``int32[K, V]``.
 
-    Writes into *out* (zeroed first) if given; else allocates.
+    Overwrites every entry of *out* if given; else allocates.
     """
     K, V = num_topics, chunk.num_words
+    if out is not None and out.shape != (K, V):
+        raise ValueError("out has wrong shape")
+    # One histogram over the flat (k, v) index k·V + v.
+    flat = topics.astype(np.int64) * V
+    flat += chunk.token_word
+    counts = np.bincount(flat, minlength=K * V).reshape(K, V)
     if out is None:
-        out = np.zeros((K, V), dtype=np.int32)
-    else:
-        if out.shape != (K, V):
-            raise ValueError("out has wrong shape")
-        out[...] = 0
-    words = chunk.token_word_expanded().astype(np.int64)
-    np.add.at(out, (topics.astype(np.int64), words), 1)
+        return counts.astype(np.int32)
+    out[...] = counts
     return out
 
 

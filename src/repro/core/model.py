@@ -246,7 +246,7 @@ class LDAState:
         dtype = hyper.topic_dtype(compressed)
         topics = rng.integers(0, K, size=chunk.num_tokens, dtype=np.int64).astype(dtype)
         theta = SparseTheta.from_assignments(chunk, topics, K, compressed)
-        words = chunk.token_word_expanded().astype(np.int64)
+        words = chunk.token_word.astype(np.int64)
         phi = np.zeros((K, V), dtype=np.int32)
         np.add.at(phi, (topics.astype(np.int64), words), 1)
         n_k = phi.sum(axis=1, dtype=np.int64)

@@ -17,11 +17,12 @@ Python loop over tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Vocabulary", "Corpus", "TokenChunk"]
+__all__ = ["Vocabulary", "Corpus", "TokenChunk", "DocWordRuns"]
 
 
 class Vocabulary:
@@ -250,6 +251,32 @@ class Corpus:
         )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class DocWordRuns(NamedTuple):
+    """The (document, word) runs of a word-first :class:`TokenChunk`.
+
+    A run is a maximal stretch of adjacent tokens that share document
+    and word. The chunk is sorted by word, stably, so a document's
+    tokens of one word sit next to each other: there is one run per
+    distinct (doc, word) pair, and its length is n_dw. Every token of a
+    run reads the same θ row and the same p* column, so the sampler
+    builds S and the p₁ prefix sums once per run.
+    """
+
+    #: ``int64[R+1]`` — run *r* is tokens ``starts[r]:starts[r+1]``.
+    starts: np.ndarray
+    #: ``int64[R]`` — local document of each run.
+    doc: np.ndarray
+    #: ``int64[R]`` — word of each run.
+    word: np.ndarray
+    #: ``int64[T]`` — run of each token.
+    token_run: np.ndarray
+
+
 @dataclass(frozen=True)
 class TokenChunk:
     """A word-first sorted token chunk — the GPU-resident corpus layout.
@@ -323,12 +350,44 @@ class TokenChunk:
         """``int64[num_docs]`` — tokens per (local) document."""
         return np.diff(self.doc_map_indptr)
 
-    def token_word_expanded(self) -> np.ndarray:
-        """``int32[T]`` — word id of each token (expands ``word_indptr``)."""
+    @cached_property
+    def token_word(self) -> np.ndarray:
+        """``int32[T]`` — word id of each token (expands ``word_indptr``).
+
+        Built once per chunk and read-only: every caller shares it.
+        """
         counts = np.diff(self.word_indptr)
-        return np.repeat(
-            np.arange(self.num_words, dtype=np.int32), counts
+        return _read_only(
+            np.repeat(np.arange(self.num_words, dtype=np.int32), counts)
         )
+
+    @cached_property
+    def runs(self) -> "DocWordRuns":
+        """The chunk's (document, word) runs; see :class:`DocWordRuns`.
+
+        Part of the CPU-side preprocessing, like the document–word map:
+        built once per chunk, on first use, from the immutable layout.
+        """
+        doc, word = self.token_doc, self.token_word
+        first = np.ones(doc.size, dtype=bool)
+        first[1:] = (doc[1:] != doc[:-1]) | (word[1:] != word[:-1])
+        heads = np.flatnonzero(first)
+        return DocWordRuns(
+            starts=_read_only(np.append(heads, doc.size)),
+            doc=_read_only(doc[heads].astype(np.int64)),
+            word=_read_only(word[heads].astype(np.int64)),
+            token_run=_read_only(np.cumsum(first) - 1),
+        )
+
+    @cached_property
+    def sampling_plan(self) -> tuple[int, int]:
+        """``(num_blocks, num_word_segments)`` of the chunk's sampling
+        launch (:func:`repro.core.kernels.sampling_launch_plan`), built
+        once per chunk."""
+        # Imported here: the kernels module imports this one.
+        from repro.core.kernels import sampling_launch_plan
+
+        return sampling_launch_plan(self.word_indptr)
 
     def words_present(self) -> np.ndarray:
         """Ids of words with at least one token in this chunk."""

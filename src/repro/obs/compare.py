@@ -1,7 +1,7 @@
 """Snapshot comparison and the CI regression gate.
 
-:func:`compare_snapshots` walks every scenario/metric pair two
-snapshots share and classifies each into a verdict:
+:func:`compare_snapshots` walks every scenario/metric pair of the
+baseline that the new run selected and classifies each into a verdict:
 
 - ``ok`` — unchanged (exact) or within tolerance (wall).
 - ``regressed`` — worse than the baseline beyond tolerance. **Gates.**
@@ -10,9 +10,13 @@ snapshots share and classifies each into a verdict:
   becomes the baseline.
 - ``drift`` — an ``info``-direction exact metric changed (e.g. a
   likelihood value after a numerics change). Reported, not gated.
-- ``skipped`` — wall metric with mismatched machine fingerprints, or a
-  scenario whose params digest changed (different workload = new
-  baseline, not a comparison).
+- ``skipped`` — wall metric with mismatched machine fingerprints.
+- ``missing`` — a baseline scenario inside the run's selection, or a
+  baseline metric of a compared scenario, is absent from the new
+  snapshot. **Gates**: dropping or renaming one is a deliberate
+  re-baseline, not something to pass unseen.
+- ``changed`` — a scenario's params digest changed: a different
+  workload, so nothing is comparable. **Gates**, for the same reason.
 
 Noise model
 -----------
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.obs.registry import Measurement
+from repro.obs.registry import TIERS, Measurement, in_selection
 
 __all__ = ["Delta", "compare_snapshots", "format_deltas", "gate"]
 
@@ -42,7 +46,10 @@ EXACT_REL_EPS = 1e-9
 WALL_REL_FLOOR = 0.25
 WALL_IQR_MULT = 3.0
 
-VERDICTS = ("ok", "regressed", "improved", "drift", "skipped")
+VERDICTS = ("ok", "regressed", "improved", "drift", "skipped", "missing",
+            "changed")
+#: Verdicts that fail the merge gate.
+FAILING = ("regressed", "missing", "changed")
 
 
 @dataclass(frozen=True)
@@ -137,31 +144,59 @@ def compare_snapshots(
     old: dict,
     new: dict,
     wall_rel_floor: float = WALL_REL_FLOOR,
+    selection: tuple[str, str | None] | None = None,
 ) -> list[Delta]:
-    """Classify every shared scenario/metric pair; see module docs."""
+    """Classify every baseline scenario/metric pair; see module docs.
+
+    *selection* is the ``(tier, only)`` the new snapshot was run with.
+    Baseline scenarios outside it are not compared; ``None`` expects
+    every baseline scenario. A baseline scenario without a recorded
+    tier takes the baseline snapshot's tier.
+    """
     machines_match = (
         old.get("machine", {}).get("fingerprint")
         == new.get("machine", {}).get("fingerprint")
     )
+    old_tier = old.get("tier") if old.get("tier") in TIERS else "full"
     deltas: list[Delta] = []
-    old_scenarios = old["scenarios"]
     new_scenarios = new["scenarios"]
-    for name in sorted(set(old_scenarios) & set(new_scenarios)):
-        o, n = old_scenarios[name], new_scenarios[name]
-        if o.get("digest") != n.get("digest"):
+    for name, o in sorted(old["scenarios"].items()):
+        if selection is not None and not in_selection(
+            name, o.get("tier", old_tier), *selection
+        ):
+            continue
+        n = new_scenarios.get(name)
+        if n is None:
             deltas.append(
                 Delta(
-                    name, "*", float("nan"), float("nan"), "skipped",
-                    "workload params changed — new baseline, not comparable",
+                    name, "*", float("nan"), float("nan"), "missing",
+                    "baseline scenario absent from the new snapshot",
                 )
             )
             continue
-        o_metrics, n_metrics = o["metrics"], n["metrics"]
-        for metric in sorted(set(o_metrics) & set(n_metrics)):
+        if o.get("digest") != n.get("digest"):
+            deltas.append(
+                Delta(
+                    name, "*", float("nan"), float("nan"), "changed",
+                    "workload params changed — not comparable; refresh "
+                    "the baseline deliberately",
+                )
+            )
+            continue
+        n_metrics = n["metrics"]
+        for metric, record in sorted(o["metrics"].items()):
+            before = Measurement.from_dict(record)
+            if metric not in n_metrics:
+                deltas.append(
+                    Delta(
+                        name, metric, before.value, float("nan"), "missing",
+                        "baseline metric absent from the new snapshot",
+                    )
+                )
+                continue
             deltas.append(
                 _compare_metric(
-                    name, metric,
-                    Measurement.from_dict(o_metrics[metric]),
+                    name, metric, before,
                     Measurement.from_dict(n_metrics[metric]),
                     machines_match, wall_rel_floor,
                 )
@@ -170,8 +205,8 @@ def compare_snapshots(
 
 
 def gate(deltas: list[Delta]) -> list[Delta]:
-    """The deltas that fail the merge gate (regressions only)."""
-    return [d for d in deltas if d.verdict == "regressed"]
+    """The deltas that fail the merge gate (see :data:`FAILING`)."""
+    return [d for d in deltas if d.verdict in FAILING]
 
 
 def format_deltas(deltas: list[Delta], verbose: bool = False) -> str:
@@ -206,9 +241,13 @@ def format_deltas(deltas: list[Delta], verbose: bool = False) -> str:
     lines.append("")
     if failures:
         names = ", ".join(sorted({d.scenario for d in failures}))
-        lines.append(
-            f"GATE: {len(failures)} regression(s) in: {names}"
+        counts = {v: sum(d.verdict == v for d in failures) for v in FAILING}
+        what = ", ".join(
+            f"{n} regression(s)" if v == "regressed" else f"{n} {v}"
+            for v, n in counts.items()
+            if n
         )
+        lines.append(f"GATE: {what} in: {names}")
     else:
         lines.append("GATE: clean — no regressions")
     return "\n".join(lines)

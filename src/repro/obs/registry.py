@@ -40,6 +40,7 @@ __all__ = [
     "Scenario",
     "BenchRegistry",
     "REGISTRY",
+    "in_selection",
     "params_digest",
 ]
 
@@ -167,15 +168,22 @@ class BenchRegistry:
         filtered to names containing *only*."""
         if tier not in TIERS:
             raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
-        out = []
-        for name in self.names():
-            s = self._scenarios[name]
-            if tier == "quick" and s.tier != "quick":
-                continue
-            if only and only not in name:
-                continue
-            out.append(s)
-        return out
+        return [
+            self._scenarios[name]
+            for name in self.names()
+            if in_selection(name, self._scenarios[name].tier, tier, only)
+        ]
+
+
+def in_selection(
+    name: str, scenario_tier: str, tier: str, only: str | None = None
+) -> bool:
+    """Whether scenario *name* of *scenario_tier* falls in a run's
+    ``--tier``/``--only`` selection: quick ⊂ full, and *only* is a name
+    substring."""
+    if tier == "quick" and scenario_tier != "quick":
+        return False
+    return not only or only in name
 
 
 #: The process-wide registry; importing :mod:`repro.obs.scenarios`

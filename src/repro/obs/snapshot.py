@@ -13,7 +13,8 @@ root, one per PR) with schema ``repro-bench/1``::
       },
       "scenarios": {
         "<name>": {
-          "group": "…", "description": "…", "digest": "…",
+          "group": "…", "tier": "quick" | "full",
+          "description": "…", "digest": "…",
           "params": {…},          # the exact workload spec
           "metrics": {
             "<metric>": {"value": …, "unit": "…", "kind": "exact"|"wall",
@@ -114,6 +115,7 @@ def run_suite(
         metrics = scenario.run()
         snapshot["scenarios"][scenario.name] = {
             "group": scenario.group,
+            "tier": scenario.tier,
             "description": scenario.description,
             "digest": scenario.digest,
             "params": dict(scenario.params),

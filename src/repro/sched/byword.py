@@ -35,7 +35,6 @@ from repro.core.kernels import (
     gibbs_sample_chunk,
     recount_theta,
     sampling_cost,
-    sampling_launch_plan,
     SamplingStats,
     update_theta_cost,
 )
@@ -190,7 +189,7 @@ def train_by_word(
                 continue
             row_len = np.diff(theta_sparse.indptr)
             kd_sum = int(row_len[ch.token_doc].sum())
-            nb, ns = sampling_launch_plan(ch.word_indptr)
+            nb, ns = ch.sampling_plan
             stats = SamplingStats(ch.num_tokens, kd_sum, 0, ns, nb)
             s_cost = sampling_cost(stats, hyper, V, kcfg)
 

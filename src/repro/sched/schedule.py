@@ -37,7 +37,6 @@ from repro.core.kernels import (
     gibbs_sample_chunk,
     recount_theta,
     sampling_cost,
-    sampling_launch_plan,
     update_phi_cost,
     update_theta_cost,
 )
@@ -253,7 +252,7 @@ def enqueue_chunk_compute(
     # --- sampling: cost is computable before the draw -----------------
     row_len = np.diff(cr.theta.indptr)
     kd_sum = int(row_len[cr.chunk.token_doc].sum())
-    num_blocks, num_segments = sampling_launch_plan(ch.word_indptr)
+    num_blocks, num_segments = ch.sampling_plan
     pre_stats = SamplingStats(
         num_tokens=ch.num_tokens,
         kd_sum=kd_sum,

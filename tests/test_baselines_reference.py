@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,31 @@ class TestReferenceCGS:
         ll0 = ref.log_likelihood_per_token()
         ref.iterate(15)
         assert ref.log_likelihood_per_token() > ll0
+
+    def test_delayed_sweep_draws_from_sweep_start_counts(self, tiny, hyper8):
+        """One delayed sweep: every token's draw is the inverse-CDF draw
+        of Eq 1 on the sweep-start counts, its own count included, with
+        the sweep's u; the counts are rebuilt from the new topics."""
+        ref = ReferenceCGS(tiny, hyper8, seed=0, exclude_self=False)
+        ref.iterate(2)
+        theta, phi, n_k = ref.theta.copy(), ref.phi.copy(), ref.n_k.copy()
+        u = copy.deepcopy(ref.rng).random(tiny.num_tokens)
+        ref.iterate(1)
+        docs = tiny.token_doc.astype(np.int64)
+        words = tiny.token_word.astype(np.int64)
+        alpha, beta = hyper8.alpha, hyper8.beta
+        p = (theta[docs] + alpha) * (phi[:, words].T + beta) / (
+            n_k + beta * tiny.num_words
+        )
+        cdf = np.cumsum(p, axis=1)
+        want = [
+            min(int(np.searchsorted(c, x * c[-1], side="right")), 7)
+            for c, x in zip(cdf, u)
+        ]
+        assert ref.topics.tolist() == want
+        assert np.array_equal(ref.n_k, np.bincount(ref.topics, minlength=8))
+        assert np.array_equal(ref.phi.sum(axis=1), ref.n_k)
+        assert np.array_equal(ref.theta.sum(axis=1), tiny.doc_lengths)
 
     def test_agrees_with_culda_convergence(self, tiny):
         """The oracle and the vectorized trainer must reach similar

@@ -48,7 +48,7 @@ class TestWordRangeChunk:
     def test_chunk_words_within_range(self, medium_corpus):
         lo, hi = partition_words_by_tokens(medium_corpus, 2)[1]
         chunk = _word_range_chunk(medium_corpus, lo, hi)
-        words = chunk.token_word_expanded()
+        words = chunk.token_word
         present = words[np.isin(words, np.arange(lo, hi))]
         assert present.size == words.size
 

@@ -122,7 +122,7 @@ class TestCorpusConstruction:
 class TestTokenChunk:
     def test_word_first_sorting(self, tiny_corpus):
         chunk = tiny_corpus.to_chunk()
-        words = chunk.token_word_expanded()
+        words = chunk.token_word
         assert np.all(np.diff(words) >= 0), "tokens must be word-sorted"
         assert chunk.num_tokens == tiny_corpus.num_tokens
 
@@ -158,7 +158,7 @@ class TestTokenChunk:
 
     def test_chunk_word_multiset_matches(self, small_corpus):
         chunk = TokenChunk.from_corpus_range(small_corpus, 10, 40)
-        words_chunk = np.sort(chunk.token_word_expanded())
+        words_chunk = np.sort(chunk.token_word)
         lo = small_corpus.doc_indptr[10]
         hi = small_corpus.doc_indptr[40]
         words_direct = np.sort(small_corpus.token_word[lo:hi])

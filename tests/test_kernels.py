@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 
 from repro.core.kernels import (
     BLOCK_TOKEN_CAPACITY,
+    WARP_SIZE,
     KernelConfig,
     SamplingStats,
     _p2_search,
@@ -18,12 +19,15 @@ from repro.core.kernels import (
     recount_theta,
     sampling_cost,
     sampling_launch_plan,
+    tree_search_levels,
     update_phi_cost,
     update_theta_cost,
     word_tables,
 )
 from repro.core.model import LDAHyperParams, LDAState, SparseTheta, check_state_invariants
 from repro.core.sampler import compute_pstar, dense_conditional
+from repro.corpus.corpus import Corpus
+from repro.sched.byword import _word_range_chunk
 
 
 def _run_iterations(corpus, hyper, iterations, seed=0, config=None):
@@ -118,7 +122,7 @@ class TestGibbsSampleChunk:
         chunk = corpus.to_chunk()
         state = LDAState.initialize(chunk, hyper8, seed=4)
         # Token 0 in word-sorted order: word = expanded[0], doc known.
-        v = int(chunk.token_word_expanded()[0])
+        v = int(chunk.token_word[0])
         d = int(chunk.token_doc[0])
         ps = compute_pstar(
             state.phi[:, v].astype(np.float64), state.n_k, hyper8.beta, 3
@@ -257,6 +261,156 @@ class TestGibbsSampleChunk:
         assert stats.num_tokens == 0
 
 
+def _eq6_reference(chunk, theta, tables, hyper, u):
+    """Eq 6 one token at a time, in the kernel's order, with no runs and
+    no slabs: S and the p₁ prefix sums over the document's θ row in CSR
+    order, then the p₂ prefix sums over k. Returns the draws and the
+    per-token :class:`SamplingStats`."""
+    K = hyper.num_topics
+    p2_cum = hyper.alpha * np.cumsum(tables.pstar, axis=0)
+    draws = np.empty(chunk.num_tokens, dtype=np.int64)
+    kd_sum = p1_draws = levels = 0
+    for t, (d, w) in enumerate(zip(chunk.token_doc, chunk.token_word)):
+        ks, counts = theta.row(d)
+        ks = ks.astype(np.int64)
+        p1_cum = np.cumsum(counts * tables.pstar[ks, w])
+        S = p1_cum[-1]
+        x = u[t] * (S + tables.q[w])
+        kd_sum += ks.size
+        if x < S:
+            j = np.searchsorted(p1_cum, x, side="right")
+            draws[t] = ks[min(j, ks.size - 1)]
+            p1_draws += 1
+            levels += int(tree_search_levels(ks.size, WARP_SIZE)[0])
+        else:
+            above = np.flatnonzero(p2_cum[:, w] > x - S)
+            draws[t] = above[0] if above.size else K - 1
+            levels += int(tree_search_levels(K, WARP_SIZE)[0])
+    blocks, segments = sampling_launch_plan(chunk.word_indptr)
+    return draws, SamplingStats(
+        chunk.num_tokens, kd_sum, p1_draws, segments, blocks, levels
+    )
+
+
+def _word_range_case():
+    """A by-word chunk (all documents, a word range) against the whole
+    corpus's θ and φ, as `train_by_word` samples it."""
+    corpus = Corpus.from_documents(
+        [[0, 3, 3, 5, 1, 3], [2, 2, 5, 4], [5, 0, 5, 5, 3, 1, 1]],
+        num_words=6,
+    )
+    chunk = _word_range_chunk(corpus, 1, 5)
+    state = LDAState.initialize(corpus.to_chunk(), LDAHyperParams(8), seed=2)
+    topics = np.random.default_rng(0).integers(0, 8, chunk.num_tokens)
+    return chunk, topics.astype(np.uint16), state
+
+
+class TestRunOracle:
+    """`gibbs_sample_chunk` shares S, Q and the p₁ prefix sums across
+    each (doc, word) run; each token must still draw exactly what Eq 6
+    gives it from its own u."""
+
+    CORPORA = {
+        # One run of 50 tokens.
+        "one_word_50_times": ([[4] * 50], 6),
+        # Every (doc, word) pair distinct: runs of one token.
+        "distinct_pairs": ([[0, 1, 2, 3], [1, 2, 4, 5], [5, 0, 3], [2]], 6),
+        "repeats": ([[0, 1, 1, 2, 1], [3, 3, 3, 0], [2, 1, 2, 2, 4, 4]], 5),
+    }
+
+    def _check(self, chunk, topics, theta, phi, n_k, hyper, config=None):
+        tables = word_tables(phi, n_k, hyper)
+        for seed in range(4):
+            got, stats = gibbs_sample_chunk(
+                chunk, topics, theta, phi, n_k, hyper,
+                np.random.default_rng(seed), config,
+            )
+            u = np.random.default_rng(seed).random(chunk.num_tokens)
+            want, want_stats = _eq6_reference(chunk, theta, tables, hyper, u)
+            assert np.array_equal(got, want)
+            assert stats == want_stats
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    @pytest.mark.parametrize("sweeps", [0, 3])
+    def test_matches_per_token_reference(self, name, sweeps, hyper8):
+        docs, V = self.CORPORA[name]
+        corpus = Corpus.from_documents(docs, num_words=V)
+        _, state, _ = _run_iterations(corpus, hyper8, sweeps, seed=1)
+        self._check(corpus.to_chunk(), state.topics, state.theta,
+                    state.phi, state.n_k, hyper8)
+
+    def test_slab_smaller_than_one_run(self, small_corpus, hyper8):
+        """Every run's expansion exceeds the slab, so each run gets a
+        slab of its own and the running sum restarts at every run."""
+        chunk, state, _ = _run_iterations(small_corpus, hyper8, 2, seed=0)
+        assert np.diff(state.theta.indptr).min() > 1
+        self._check(chunk, state.topics, state.theta, state.phi,
+                    state.n_k, hyper8, KernelConfig(token_slab=1))
+        self._check(chunk, state.topics, state.theta, state.phi,
+                    state.n_k, hyper8, KernelConfig(token_slab=40))
+
+    def test_word_range_chunk(self, hyper8):
+        chunk, topics, state = _word_range_case()
+        self._check(chunk, topics, state.theta, state.phi, state.n_k,
+                    hyper8)
+
+    def test_both_branches_are_exercised(self, small_corpus, hyper8):
+        chunk, state, stats = _run_iterations(small_corpus, hyper8, 2)
+        assert 0 < stats.p1_draws < stats.num_tokens
+        self._check(chunk, state.topics, state.theta, state.phi,
+                    state.n_k, hyper8)
+
+
+class TestDocWordRuns:
+    def _check_runs(self, chunk):
+        runs = chunk.runs
+        T = chunk.num_tokens
+        starts = runs.starts
+        # The runs partition [0, T) in order.
+        assert starts[0] == 0 and starts[-1] == T
+        assert np.all(np.diff(starts) > 0)
+        sizes = np.diff(starts)
+        assert np.array_equal(
+            runs.token_run, np.repeat(np.arange(sizes.size), sizes)
+        )
+        # (doc, word) is constant inside each run...
+        docs, words = chunk.token_doc, chunk.token_word
+        assert np.array_equal(docs, runs.doc[runs.token_run])
+        assert np.array_equal(words, runs.word[runs.token_run])
+        # ...and adjacent runs differ, so every run is maximal.
+        same = (runs.doc[1:] == runs.doc[:-1]) & (
+            runs.word[1:] == runs.word[:-1]
+        )
+        assert not same.any()
+
+    def test_invariants(self, small_corpus):
+        self._check_runs(small_corpus.to_chunk())
+        self._check_runs(small_corpus.slice_docs(10, 30).to_chunk())
+
+    def test_word_range_chunk(self):
+        chunk, _, _ = _word_range_case()
+        self._check_runs(chunk)
+        assert chunk.runs.starts.size - 1 < chunk.num_tokens
+
+    def test_one_run_per_distinct_pair(self, small_corpus):
+        chunk = small_corpus.to_chunk()
+        pairs = {(int(d), int(w)) for d, w in zip(chunk.token_doc,
+                                                  chunk.token_word)}
+        assert chunk.runs.doc.size == len(pairs)
+
+    def test_empty_chunk(self):
+        chunk = Corpus.from_documents([[]], num_words=3).to_chunk()
+        assert chunk.runs.starts.tolist() == [0]
+        assert chunk.runs.token_run.size == 0
+
+    def test_built_once_and_read_only(self, small_corpus):
+        chunk = small_corpus.to_chunk()
+        assert chunk.runs is chunk.runs
+        assert chunk.token_word is chunk.token_word
+        with pytest.raises(ValueError):
+            chunk.runs.token_run[0] = 1
+
+
 class TestP2Search:
     def test_matches_a_per_token_scan(self):
         """The dense-branch search equals a scan of each token's own
@@ -290,7 +444,7 @@ class TestUpdateKernels:
         chunk = small_corpus.to_chunk()
         topics = rng.integers(0, 8, chunk.num_tokens).astype(np.uint16)
         phi = accumulate_phi(chunk, topics, 8)
-        words = chunk.token_word_expanded().astype(np.int64)
+        words = chunk.token_word.astype(np.int64)
         brute = np.zeros((8, chunk.num_words), dtype=np.int64)
         np.add.at(brute, (topics.astype(np.int64), words), 1)
         assert np.array_equal(phi, brute)

@@ -215,12 +215,58 @@ class TestCompare:
         (d,) = compare_snapshots(old, new)
         assert d.verdict == "regressed"
 
-    def test_digest_mismatch_skips_the_scenario(self):
+    def test_digest_mismatch_fails_the_gate(self):
         old = snap({"tps": exact(100.0)}, digest="abc")
         new = snap({"tps": exact(50.0)}, digest="xyz")
         (d,) = compare_snapshots(old, new)
-        assert d.verdict == "skipped"
+        assert d.verdict == "changed"
         assert "workload" in d.note
+        assert gate([d]) == [d]
+
+    def test_missing_selected_scenario_fails_the_gate(self):
+        old = snap({"tps": exact(100.0)})
+        old["scenarios"].update(
+            snap({"tps": exact(1.0)}, name="train/y")["scenarios"]
+        )
+        new = snap({"tps": exact(100.0)})
+        deltas = compare_snapshots(old, new, selection=("quick", None))
+        (d,) = gate(deltas)
+        assert (d.scenario, d.verdict) == ("train/y", "missing")
+        assert "GATE: 1 missing in: train/y" in format_deltas(deltas)
+
+    def test_scenarios_outside_the_selection_are_not_compared(self):
+        """``--only X --compare <full baseline>`` stays clean."""
+        old = snap({"tps": exact(100.0)})
+        old["scenarios"].update(
+            snap({"t": wall(0.1)}, name="kernel/z")["scenarios"]
+        )
+        big = snap({"tps": exact(1.0)}, name="train/big")["scenarios"]
+        big["train/big"]["tier"] = "full"
+        old["scenarios"].update(big)
+        new = snap({"tps": exact(100.0)})
+        # kernel/z falls outside --only, train/big outside the quick tier.
+        deltas = compare_snapshots(old, new, selection=("quick", "train/"))
+        assert {d.scenario for d in deltas} == {"train/x"}
+        assert gate(deltas) == []
+        # The full tier selects train/big, which the new run lacks.
+        deltas = compare_snapshots(old, new, selection=("full", "train/"))
+        assert {d.scenario for d in gate(deltas)} == {"train/big"}
+
+    def test_missing_metric_fails_the_gate(self):
+        old = snap({"tps": exact(100.0), "t": wall(0.5)})
+        new = snap({"tps": exact(100.0)})
+        deltas = compare_snapshots(old, new)
+        (d,) = gate(deltas)
+        assert (d.metric, d.verdict) == ("t", "missing")
+        assert [x.verdict for x in deltas if x.metric == "tps"] == ["ok"]
+
+    def test_new_metrics_and_scenarios_do_not_gate(self):
+        old = snap({"tps": exact(100.0)})
+        new = snap({"tps": exact(100.0), "extra": exact(1.0)})
+        new["scenarios"].update(
+            snap({"tps": exact(1.0)}, name="train/new")["scenarios"]
+        )
+        assert gate(compare_snapshots(old, new)) == []
 
     def test_format_names_the_regressed_scenario(self):
         old = snap({"tps": exact(100.0)})
@@ -327,3 +373,27 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert self.EXACT_SCENARIO in out
         assert "regressed" in out
+
+    def test_compare_gates_on_a_missing_selected_scenario(
+        self, exact_snapshot_file, tmp_path, capsys
+    ):
+        """A baseline scenario the run selects but does not produce (a
+        renamed one, say) fails the gate; one outside ``--only`` does
+        not."""
+        doc = load_snapshot(exact_snapshot_file)
+        entry = doc["scenarios"][self.EXACT_SCENARIO]
+        doc["scenarios"]["kernel/elsewhere"] = entry
+        baseline = tmp_path / "BENCH_extra.json"
+        write_snapshot(doc, baseline)
+        assert main([
+            "bench", "--only", self.EXACT_SCENARIO,
+            "--compare", str(baseline),
+        ]) == 0
+        doc["scenarios"][self.EXACT_SCENARIO + "_renamed"] = entry
+        write_snapshot(doc, baseline)
+        assert main([
+            "bench", "--only", self.EXACT_SCENARIO,
+            "--compare", str(baseline),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "1 missing in: " + self.EXACT_SCENARIO + "_renamed" in out

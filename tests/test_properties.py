@@ -56,7 +56,7 @@ class TestCorpusProperties:
         assert chunk.num_tokens == corpus.num_tokens
         # Word multiset preserved.
         assert np.array_equal(
-            np.sort(chunk.token_word_expanded()), np.sort(corpus.token_word)
+            np.sort(chunk.token_word), np.sort(corpus.token_word)
         )
         # Per-document token counts preserved.
         assert np.array_equal(chunk.doc_lengths, corpus.doc_lengths)
@@ -73,7 +73,7 @@ class TestCorpusProperties:
     @settings(max_examples=100, deadline=None)
     def test_chunk_word_first_order(self, corpus):
         chunk = corpus.to_chunk()
-        words = chunk.token_word_expanded()
+        words = chunk.token_word
         assert np.all(np.diff(words) >= 0)
 
     @given(corpus=corpora(), data=st.data())

@@ -136,7 +136,7 @@ class TestScalarSamplers:
         S/Q draw of a specific token follows Eq 1 of the paper."""
         chunk = small_corpus.to_chunk()
         state = LDAState.initialize(chunk, hyper8, seed=2)
-        v = int(chunk.token_word_expanded()[0])
+        v = int(chunk.token_word[0])
         d = int(chunk.token_doc[0])
         ps = compute_pstar(
             state.phi[:, v].astype(np.float64), state.n_k, hyper8.beta,
