@@ -91,6 +91,9 @@ class ShardedParameterServer:
         if not nodes:
             raise ValueError("cannot place shards on an empty cluster")
         nodes = sorted(nodes)
+        #: The nodes the current placement spreads over; ``rehome`` on
+        #: them rebuilds it.
+        self.placed_over = tuple(nodes)
         self._primary_node = [
             nodes[s % len(nodes)] for s in range(self.num_shards)
         ]

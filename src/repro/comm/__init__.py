@@ -12,9 +12,13 @@
   (tree, ring, cpu_gather, hierarchical) behind the
   :class:`Collective` interface, whose ``estimate`` replays a
   collective on an idle shadow machine, in an ordered registry;
-- :mod:`~repro.comm.planner` — the :class:`SyncPlanner` that resolves
-  ``--sync auto`` into the cheapest feasible collective per
-  (topology, payload, alive-GPU set).
+- :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
+  ``param_server``) behind :class:`ClusterCollective`, whose one
+  ``estimate`` replays a backend on an idle shadow cluster;
+- :mod:`~repro.comm.planner` — :func:`plan_sync` and
+  :func:`plan_cluster_sync`, one force-or-cheapest body that resolves
+  ``--sync auto`` / ``--inter-sync auto`` into a :class:`SyncPlan`: the
+  cheapest feasible collective per (topology, payload, participants).
 
 Consumers — the training engine's sync phase, the serving φ
 re-broadcast, the cluster parameter server — go through this package;
@@ -49,10 +53,7 @@ from repro.comm.collectives import (
 )
 from repro.comm.planner import (
     AUTO,
-    ClusterSyncPlan,
-    ClusterSyncPlanner,
     SyncPlan,
-    SyncPlanner,
     cluster_sync_choices,
     decisions_from_registry,
     plan_cluster_sync,
@@ -72,8 +73,6 @@ __all__ = [
     "AUTO",
     "ClusterCollective",
     "ClusterSyncContext",
-    "ClusterSyncPlan",
-    "ClusterSyncPlanner",
     "ClusterSyncResult",
     "Collective",
     "CostEstimate",
@@ -83,7 +82,6 @@ __all__ = [
     "ParamServerCollective",
     "SyncContext",
     "SyncPlan",
-    "SyncPlanner",
     "Topology",
     "TransferRetry",
     "broadcast_phi",

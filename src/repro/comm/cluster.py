@@ -19,30 +19,30 @@ the GPU collectives in :mod:`repro.comm.collectives`:
 
 Both backends are **exact**: φ is combined in integer arithmetic, so
 the result is bit-identical whichever backend (or GPU layout) produced
-it. Their ``estimate`` methods *replay* the exact message schedule
-against the :class:`~repro.comm.topology.Topology` snapshot — the same
-per-link, per-direction frontier arithmetic
-:meth:`~repro.gpusim.interconnect.Link.reserve` uses — so the planner's
-predicted seconds equal the simulator's measured seconds for the same
+it, and both leave the server (when there is one) holding it. Their
+shared ``estimate`` prices a backend by running its own ``allreduce``
+on an idle shadow cluster built from the
+:class:`~repro.comm.topology.Topology` snapshot, so the planner's
+predicted seconds are the simulator's measured seconds for the same
 ready times. ``Topology.from_cluster`` excludes detector-dead nodes, so
 a plan can never route through one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.collectives import CostEstimate
+from repro.cluster.network import ClusterNetwork
+from repro.cluster.paramserver import ShardedParameterServer
+from repro.comm.collectives import CostEstimate, _copy_state
 from repro.comm.topology import LinkInfo, Topology
 from repro.comm.transfer import TransferRetry
-from repro.telemetry.context import emit_counter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.network import ClusterNetwork
-    from repro.cluster.paramserver import ShardedParameterServer
+from repro.gpusim.errors import SyncPathError
+from repro.telemetry.context import emit_counter, telemetry_session
 
 __all__ = [
     "ClusterSyncContext",
@@ -56,6 +56,9 @@ __all__ = [
     "cluster_collectives",
     "ring_segment_bytes",
 ]
+
+#: φ crosses the inter-node wire as dense int32 entries.
+ENTRY_BYTES = 4
 
 
 # ----------------------------------------------------------------------
@@ -73,14 +76,13 @@ class ClusterSyncContext:
     can start communicating (its intra-node work is done then).
     """
 
-    network: "ClusterNetwork"
+    network: ClusterNetwork
     nodes: tuple[int, ...]
     node_counts: list[np.ndarray]
     pending: list[np.ndarray]
     ready: list[float]
-    entry_bytes: int = 4
     retry: TransferRetry | None = None
-    server: "ShardedParameterServer | None" = None
+    server: ShardedParameterServer | None = None
 
 
 @dataclass(frozen=True)
@@ -95,66 +97,97 @@ class ClusterSyncResult:
 
 
 class ClusterCollective:
-    """Interface every inter-node sync backend implements."""
+    """One inter-node sync backend: an executable :meth:`allreduce`,
+    priced by replaying it (:meth:`estimate`)."""
 
     name: str = "?"
 
     def allreduce(self, ctx: ClusterSyncContext) -> ClusterSyncResult:
+        """Combine ``ctx.node_counts`` into the global φ; leave
+        ``ctx.server`` (when given) holding it."""
         raise NotImplementedError
 
     def estimate(
         self,
+        network: ClusterNetwork,
         topo: Topology,
         nodes: tuple[int, ...],
         shape: tuple[int, int],
-        entry_bytes: int = 4,
-        retry: TransferRetry | None = None,
-        server: "ShardedParameterServer | None" = None,
+        server: ShardedParameterServer | None = None,
     ) -> CostEstimate:
-        raise NotImplementedError
+        """Predicted cost of :meth:`allreduce` over *nodes* on *topo*
+        for a (K, V) payload — the planner's ranking input.
+
+        Runs :meth:`allreduce` itself on an idle shadow network with
+        *network*'s node count and *topo*'s link states, through a
+        zero-φ server placed like *server* (canonically over *nodes*
+        when there is none), so the prediction is the simulated time
+        the same run takes from idle.
+        """
+        if not nodes:
+            return CostEstimate(math.inf)
+        if server is None:
+            shards, placed_over = len(nodes), tuple(sorted(nodes))
+        else:
+            shards, placed_over = server.num_shards, server.placed_over
+        return _replay(
+            self,
+            network.num_nodes,
+            tuple(topo.host.items()),
+            tuple(nodes),
+            tuple(shape),
+            shards,
+            placed_over,
+        )
 
 
-# ----------------------------------------------------------------------
-# Shared replay machinery
-# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _replay(
+    collective: ClusterCollective,
+    num_nodes: int,
+    host: tuple[tuple[int, LinkInfo], ...],
+    nodes: tuple[int, ...],
+    shape: tuple[int, int],
+    num_shards: int,
+    placed_over: tuple[int, ...],
+) -> CostEstimate:
+    """Run *collective* on a fresh idle cluster built from the
+    arguments alone — they are the memo key, so a cached estimate can
+    only be reused for an identical replay."""
+    shadow = ClusterNetwork(num_nodes)
+    links = dict(host)
+    for n in range(num_nodes):
+        if n in links:
+            _copy_state(shadow.links[n], links[n])
+        else:
+            shadow.fail_node(n)  # the snapshot leaves dead nodes out
+    zero = np.zeros(shape, dtype=np.int64)
+    server = ShardedParameterServer(zero, num_shards, shadow)
+    server.rehome(list(placed_over))
+    ctx = ClusterSyncContext(
+        network=shadow,
+        nodes=nodes,
+        node_counts=[zero] * len(nodes),
+        pending=[zero] * len(nodes),
+        ready=[0.0] * len(nodes),
+        server=server,
+    )
+    # A throwaway session keeps the replay's byte, failover and repair
+    # counters out of the caller's registry.
+    with telemetry_session():
+        try:
+            result = collective.allreduce(ctx)
+        except SyncPathError:
+            return CostEstimate(math.inf)
+    return CostEstimate(max(result.done))
 
-_NO_PATH = CostEstimate(float("inf"))
 
-
-@dataclass
-class _LinkFrontiers:
-    """Mirror of the cluster links' per-direction busy frontiers, used
-    to replay a message schedule analytically. Direction 0 is egress,
-    1 is ingress — exactly :meth:`ClusterNetwork._send_once`."""
-
-    host: dict[int, LinkInfo]
-    frontier: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def send(self, src: int, dst: int, nbytes: float, earliest: float) -> float:
-        """Replay one ``src → dst`` message; returns its end time, or
-        ``inf`` when either endpoint link is down or absent."""
-        if src == dst:
-            return earliest
-        a, b = self.host.get(src), self.host.get(dst)
-        if a is None or b is None or not a.up or not b.up:
-            return float("inf")
-        s1 = max(earliest, self.frontier.get((src, 0), 0.0))
-        e1 = s1 + a.transfer_seconds(nbytes)
-        self.frontier[(src, 0)] = e1
-        s2 = max(s1, self.frontier.get((dst, 1), 0.0))
-        e2 = s2 + b.transfer_seconds(nbytes)
-        self.frontier[(dst, 1)] = e2
-        return max(e1, e2)
-
-
-def ring_segment_bytes(
-    shape: tuple[int, int], num_nodes: int, entry_bytes: int
-) -> list[float]:
+def ring_segment_bytes(shape: tuple[int, int], num_nodes: int) -> list[float]:
     """Per-step payload of the segmented ring: φ's K rows split into
     ``num_nodes`` near-equal contiguous row blocks."""
     K, V = shape
     rows = [len(block) for block in np.array_split(np.arange(K), num_nodes)]
-    return [float(r) * V * entry_bytes for r in rows]
+    return [float(r) * V * ENTRY_BYTES for r in rows]
 
 
 def _ring_schedule(num_nodes: int) -> list[list[int]]:
@@ -176,10 +209,9 @@ class EthRingCollective(ClusterCollective):
     """Segmented ring all-reduce between node leaders.
 
     Steps are lock-stepped: every step starts once all leaders have
-    finished the previous one (the barrier is what makes the schedule
-    replayable analytically), and in each step leader *i* sends one row
-    segment to leader *i+1 mod N*. 2(N−1) steps move ≈ 2(N−1)/N · |φ|
-    bytes through each NIC — the bandwidth-optimal exchange.
+    finished the previous one, and in each step leader *i* sends one
+    row segment to leader *i+1 mod N*. 2(N−1) steps move ≈ 2(N−1)/N ·
+    |φ| bytes through each NIC — the bandwidth-optimal exchange.
     """
 
     name = "eth_ring"
@@ -190,56 +222,34 @@ class EthRingCollective(ClusterCollective):
         phi = np.zeros_like(ctx.node_counts[0], dtype=np.int64)
         for counts in ctx.node_counts:
             phi += counts
-        if N == 1:
-            return ClusterSyncResult(phi, (ctx.ready[0],), 0.0)
-        seg_bytes = ring_segment_bytes(phi.shape, N, ctx.entry_bytes)
         times = list(ctx.ready)
         total = 0.0
-        for segs in _ring_schedule(N):
-            t0 = max(times)
-            ends = [t0] * N
-            for i in range(N):
-                j = (i + 1) % N
-                nbytes = seg_bytes[segs[i]]
-                _, end = ctx.network.send(
-                    nodes[i], nodes[j], nbytes, t0,
-                    op="internode_ring", retry=ctx.retry,
-                )
-                total += nbytes
-                ends[i] = max(ends[i], end)   # i's egress finishes
-                ends[j] = max(ends[j], end)   # j's ingress finishes
-            times = ends
-        emit_counter(
-            "internode_sync_bytes_total", total,
-            help="inter-node φ-sync payload bytes, per backend",
-            backend=self.name,
-        )
+        if N > 1:
+            seg_bytes = ring_segment_bytes(phi.shape, N)
+            for segs in _ring_schedule(N):
+                t0 = max(times)
+                ends = [t0] * N
+                for i in range(N):
+                    j = (i + 1) % N
+                    nbytes = seg_bytes[segs[i]]
+                    _, end = ctx.network.send(
+                        nodes[i], nodes[j], nbytes, t0,
+                        op="internode_ring", retry=ctx.retry,
+                    )
+                    total += nbytes
+                    ends[i] = max(ends[i], end)   # i's egress finishes
+                    ends[j] = max(ends[j], end)   # j's ingress finishes
+                times = ends
+            emit_counter(
+                "internode_sync_bytes_total", total,
+                help="inter-node φ-sync payload bytes, per backend",
+                backend=self.name,
+            )
+        if ctx.server is not None:
+            # Keep the server in lockstep, so backends can alternate
+            # mid-run without drift.
+            ctx.server.phi = phi
         return ClusterSyncResult(phi, tuple(times), total)
-
-    def estimate(
-        self, topo, nodes, shape, entry_bytes=4, retry=None, server=None
-    ) -> CostEstimate:
-        N = len(nodes)
-        if N == 0:
-            return _NO_PATH
-        if N == 1:
-            return CostEstimate(0.0)
-        links = _LinkFrontiers(topo.host)
-        seg_bytes = ring_segment_bytes(shape, N, entry_bytes)
-        times = [0.0] * N
-        for segs in _ring_schedule(N):
-            t0 = max(times)
-            ends = [t0] * N
-            for i in range(N):
-                j = (i + 1) % N
-                nbytes = seg_bytes[segs[i]]
-                end = links.send(nodes[i], nodes[j], nbytes, t0)
-                if not np.isfinite(end):
-                    return _NO_PATH
-                ends[i] = max(ends[i], end)
-                ends[j] = max(ends[j], end)
-            times = ends
-        return CostEstimate(max(times))
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +285,7 @@ class ParamServerCollective(ClusterCollective):
         push_done = [
             server.push(
                 node, words, ctx.pending[i], ctx.ready[i],
-                entry_bytes=ctx.entry_bytes, retry=ctx.retry,
+                entry_bytes=ENTRY_BYTES, retry=ctx.retry,
             )
             for i, node in enumerate(nodes)
         ]
@@ -284,7 +294,7 @@ class ParamServerCollective(ClusterCollective):
         for node in nodes:
             _, end = server.pull(
                 node, words, barrier,
-                entry_bytes=ctx.entry_bytes, retry=ctx.retry,
+                entry_bytes=ENTRY_BYTES, retry=ctx.retry,
             )
             done.append(end)
         total = server.bytes_pushed + server.bytes_pulled - wire0
@@ -294,86 +304,6 @@ class ParamServerCollective(ClusterCollective):
             backend=self.name,
         )
         return ClusterSyncResult(server.phi.copy(), tuple(done), total)
-
-    # -- estimate: replay the push/pull schedule exactly ----------------
-    def _placement(self, nodes, num_words, server):
-        """(num_shards, per-shard word count, primary, replica): the live
-        server's placement when given, else the canonical placement a
-        fresh server over *nodes* would choose."""
-        if server is not None:
-            S = server.num_shards
-            counts = [len(cols) for cols in server._cols]
-            primary = [server.primary_node_of(s) for s in range(S)]
-            replica = [server.replica_node_of(s) for s in range(S)]
-            return S, counts, primary, replica
-        ordered = sorted(nodes)
-        S = len(ordered)
-        counts = [len(range(s, num_words, S)) for s in range(S)]
-        primary = [ordered[s % S] for s in range(S)]
-        replica = (
-            [ordered[(s + 1) % S] for s in range(S)] if S > 1 else list(primary)
-        )
-        return S, counts, primary, replica
-
-    def estimate(
-        self, topo, nodes, shape, entry_bytes=4, retry=None, server=None
-    ) -> CostEstimate:
-        N = len(nodes)
-        if N == 0:
-            return _NO_PATH
-        if N == 1:
-            return CostEstimate(0.0)
-        K, V = shape
-        S, counts, primary, replica = self._placement(nodes, V, server)
-
-        def reachable(node: int) -> bool:
-            info = topo.host.get(node)
-            return info is not None and info.up
-
-        links = _LinkFrontiers(topo.host)
-        # Push phase (same issue order as allreduce: node-ascending, then
-        # shard-ascending within each node).
-        push_done = []
-        for node in nodes:
-            end_n = 0.0
-            for s in range(S):
-                if not counts[s]:
-                    continue
-                nbytes = float(K) * counts[s] * entry_bytes
-                dst, rep = primary[s], replica[s]
-                if not reachable(dst):
-                    # Failover push to the replica as acting primary.
-                    if rep == dst or not reachable(rep):
-                        return _NO_PATH
-                    end = links.send(node, rep, nbytes, 0.0)
-                else:
-                    end = links.send(node, dst, nbytes, 0.0)
-                    if rep != dst and reachable(rep):
-                        end = max(end, links.send(dst, rep, nbytes, end))
-                if not np.isfinite(end):
-                    return _NO_PATH
-                end_n = max(end_n, end)
-            push_done.append(end_n)
-        barrier = max(push_done)
-        # Pull phase.
-        done = []
-        for node in nodes:
-            end_n = barrier
-            for s in range(S):
-                if not counts[s]:
-                    continue
-                nbytes = float(K) * counts[s] * entry_bytes + K * 8
-                src = primary[s]
-                if not reachable(src):
-                    src = replica[s]
-                    if src == primary[s] or not reachable(src):
-                        return _NO_PATH
-                end = links.send(src, node, nbytes, barrier)
-                if not np.isfinite(end):
-                    return _NO_PATH
-                end_n = max(end_n, end)
-            done.append(end_n)
-        return CostEstimate(max(done))
 
 
 # ----------------------------------------------------------------------

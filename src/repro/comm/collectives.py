@@ -21,9 +21,8 @@ replicas — positions carry their devices, so the hierarchical
 composition and the elastic G−1 path fall out for free — wrapped in a
 registered :class:`Collective`. The collective's ``estimate`` prices it
 by running that same code on an idle shadow machine built from the
-topology snapshot, so the :class:`~repro.comm.planner.SyncPlanner`
-ranks the collectives by what they cost, not by a second description
-of them.
+topology snapshot, so :func:`~repro.comm.planner.plan_sync` ranks the
+collectives by what they cost, not by a second description of them.
 
 Because φ is summed in exact integer arithmetic, every collective is
 bit-identical: the planner may pick freely on cost alone.

@@ -1,4 +1,4 @@
-"""Cost-model-driven selection of the sync collective.
+"""Cost-model-driven selection of the sync collective, for both fabrics.
 
 ``--sync auto`` (the default) resolves here: the planner snapshots the
 current :class:`~repro.comm.topology.Topology`, asks every registered
@@ -8,7 +8,12 @@ fabric — each one a replay of the collective itself on an idle shadow
 machine — and executes the cheapest feasible one. Manual ``--sync``
 choices remain available as *forced* plans — the planner still runs, so
 the estimate and decision telemetry are recorded either way, but the
-named collective executes regardless of cost.
+named collective executes regardless of cost. ``--inter-sync`` resolves
+the same way over the cluster registry
+(:mod:`repro.comm.cluster`), whose estimates replay each backend on an
+idle shadow cluster: :func:`plan_sync` and :func:`plan_cluster_sync`
+differ only in the snapshot and the candidates, and share one
+force-or-cheapest body and one :class:`SyncPlan`.
 
 Because the topology is re-snapshotted every call, the plan adapts
 within a run: a link taken down by a fault plan re-routes the next sync
@@ -26,6 +31,7 @@ by ``repro-lda profile`` via :func:`decisions_from_registry`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.comm.cluster import (
     ClusterCollective,
@@ -50,9 +56,6 @@ from repro.telemetry.context import emit_counter, emit_gauge
 __all__ = [
     "AUTO",
     "SyncPlan",
-    "SyncPlanner",
-    "ClusterSyncPlan",
-    "ClusterSyncPlanner",
     "plan_sync",
     "plan_cluster_sync",
     "sync_choices",
@@ -66,206 +69,85 @@ AUTO = "auto"
 
 @dataclass(frozen=True)
 class SyncPlan:
-    """One resolved sync decision: which collective runs, and why.
+    """One resolved sync decision: which collective runs over which
+    participants (GPUs inside a machine, nodes across a cluster), and
+    why.
 
-    ``forced`` distinguishes a manual ``--sync`` override from a
-    planner pick; ``estimate`` is the cost model's prediction for the
-    chosen collective on ``topology`` (recorded even when forced, so
-    profiles can show what the override cost).
+    ``forced`` distinguishes a manual ``--sync``/``--inter-sync``
+    override from a planner pick; ``estimate`` is the replayed cost of
+    the chosen collective on ``topology`` (recorded even when forced,
+    so profiles can show what the override cost).
     """
 
     algorithm: str
-    collective: Collective
+    collective: Collective | ClusterCollective
     estimate: CostEstimate
     forced: bool
     topology: Topology
+    participants: tuple[int, ...]
 
 
-class SyncPlanner:
-    """Picks the cheapest feasible collective for a (topology, payload).
+def _force_or_cheapest(
+    algorithm: str,
+    get: Callable[[str], Collective | ClusterCollective],
+    candidates: Sequence[Collective | ClusterCollective],
+    price: Callable[[Collective | ClusterCollective], CostEstimate],
+    topo: Topology,
+    participants: tuple[int, ...],
+    fabric: str,
+    op: str,
+) -> SyncPlan:
+    """Resolve *algorithm* into a :class:`SyncPlan` and record it.
 
-    Stateless apart from the registry it reads; one module-level
-    instance behind :func:`plan_sync` serves the whole process.
+    ``AUTO`` picks the minimum *price* over *candidates* (registration
+    order breaks ties); any other name forces ``get(name)``. Raises
+    :class:`~repro.gpusim.errors.SyncPathError` — naming the first
+    down link, else *fabric* — when no candidate is feasible.
     """
-
-    def plan(
-        self,
-        machine: Machine,
-        shape: tuple[int, int],
-        config: KernelConfig,
-        retry: TransferRetry | None = None,
-        algorithm: str = AUTO,
-        devices: list[int] | None = None,
-    ) -> SyncPlan:
-        """Resolve *algorithm* into a :class:`SyncPlan`.
-
-        ``AUTO`` picks the minimum predicted simulated time over the
-        registered collectives (registration order breaks ties); any
-        other name forces that collective. *devices* defaults to the
-        machine's alive-GPU set. Raises
-        :class:`~repro.gpusim.errors.SyncPathError` if no collective
-        has a usable path, and ``ValueError`` for an unknown name.
-        """
-        topo = Topology.from_machine(machine, devices=devices)
-        forced = algorithm != AUTO
-        if forced:
-            chosen = get_collective(algorithm)
-            estimate = chosen.estimate(machine, topo, shape, config, retry=retry)
-        else:
-            chosen = None
-            estimate = None
-            for cand in collectives():
-                est = cand.estimate(machine, topo, shape, config, retry=retry)
-                if est.feasible and (
-                    estimate is None or est.seconds < estimate.seconds
-                ):
-                    chosen, estimate = cand, est
-            if chosen is None:
-                dead = sorted(
-                    info.name
-                    for info in topo.host.values()
-                    if not info.up
-                )
-                raise SyncPathError(
-                    dead[0] if dead else "p2p", "sync_plan",
-                    devices=topo.devices,
-                )
-        plan = SyncPlan(
-            algorithm=chosen.name,
-            collective=chosen,
-            estimate=estimate,
-            forced=forced,
-            topology=topo,
-        )
-        self._emit(plan)
-        return plan
-
-    @staticmethod
-    def _emit(plan: SyncPlan) -> None:
-        emit_counter(
-            "sync_planner_decisions_total", 1,
-            help="sync collectives chosen by the planner (forced=manual --sync)",
-            algorithm=plan.algorithm,
-            topology=plan.topology.describe(),
-            forced=str(plan.forced).lower(),
-        )
-        if plan.estimate is not None and plan.estimate.feasible:
-            emit_gauge(
-                "sync_planner_predicted_seconds", plan.estimate.seconds,
-                help="cost-model prediction for the chosen sync collective",
-                algorithm=plan.algorithm,
-                topology=plan.topology.describe(),
+    forced = algorithm != AUTO
+    if forced:
+        chosen = get(algorithm)
+        estimate = price(chosen)
+    else:
+        chosen = None
+        estimate = None
+        for cand in candidates:
+            est = price(cand)
+            if est.feasible and (
+                estimate is None or est.seconds < estimate.seconds
+            ):
+                chosen, estimate = cand, est
+        if chosen is None:
+            dead = sorted(
+                info.name for info in topo.host.values() if not info.up
             )
-
-
-@dataclass(frozen=True)
-class ClusterSyncPlan:
-    """One resolved inter-node sync decision (multi-node CuLDA's φ
-    exchange leg): which cluster collective runs, over which live
-    nodes, and what the replay-exact cost model predicted."""
-
-    algorithm: str
-    collective: ClusterCollective
-    estimate: CostEstimate
-    forced: bool
-    topology: Topology
-    nodes: tuple[int, ...]
-
-
-class ClusterSyncPlanner:
-    """Picks the cheapest feasible inter-node backend for a payload.
-
-    The cluster analog of :class:`SyncPlanner`: the topology snapshot
-    comes from :meth:`Topology.from_cluster`, which excludes nodes the
-    failure detector has declared dead — so a plan can never route
-    through one — and each candidate's estimate *replays* its exact
-    message schedule on the snapshot, making the prediction equal to
-    the simulator's measurement for the same ready times.
-    """
-
-    def plan(
-        self,
-        network,
-        shape: tuple[int, int],
-        entry_bytes: int = 4,
-        retry: TransferRetry | None = None,
-        algorithm: str = AUTO,
-        nodes: list[int] | None = None,
-        server=None,
-    ) -> ClusterSyncPlan:
-        """Resolve *algorithm* into a :class:`ClusterSyncPlan`.
-
-        *nodes* defaults to every detector-alive node; dead nodes are
-        filtered out of an explicit list too. Raises
-        :class:`~repro.gpusim.errors.SyncPathError` when no backend has
-        a usable path and ``ValueError`` for an unknown name.
-        """
-        topo = Topology.from_cluster(network)
-        live = (
-            topo.devices if nodes is None
-            else tuple(n for n in nodes if n in topo.devices)
-        )
-        forced = algorithm != AUTO
-        if forced:
-            chosen = get_cluster_collective(algorithm)
-            estimate = chosen.estimate(
-                topo, live, shape, entry_bytes, retry=retry, server=server
+            raise SyncPathError(
+                dead[0] if dead else fabric, op, devices=participants,
             )
-        else:
-            chosen = None
-            estimate = None
-            for cand in cluster_collectives():
-                est = cand.estimate(
-                    topo, live, shape, entry_bytes, retry=retry, server=server
-                )
-                if est.feasible and (
-                    estimate is None or est.seconds < estimate.seconds
-                ):
-                    chosen, estimate = cand, est
-            if chosen is None:
-                dead = sorted(
-                    info.name for info in topo.host.values() if not info.up
-                )
-                raise SyncPathError(
-                    dead[0] if dead else "eth", "cluster_sync_plan",
-                    devices=live,
-                )
-        plan = ClusterSyncPlan(
-            algorithm=chosen.name,
-            collective=chosen,
-            estimate=estimate,
-            forced=forced,
-            topology=topo,
-            nodes=live,
-        )
-        SyncPlanner._emit(plan)
-        return plan
-
-
-_PLANNER = SyncPlanner()
-_CLUSTER_PLANNER = ClusterSyncPlanner()
-
-
-def plan_cluster_sync(
-    network,
-    shape: tuple[int, int],
-    entry_bytes: int = 4,
-    retry: TransferRetry | None = None,
-    algorithm: str = AUTO,
-    nodes: list[int] | None = None,
-    server=None,
-) -> ClusterSyncPlan:
-    """Module-level convenience over one shared :class:`ClusterSyncPlanner`."""
-    return _CLUSTER_PLANNER.plan(
-        network, shape, entry_bytes=entry_bytes, retry=retry,
-        algorithm=algorithm, nodes=nodes, server=server,
+    plan = SyncPlan(
+        algorithm=chosen.name,
+        collective=chosen,
+        estimate=estimate,
+        forced=forced,
+        topology=topo,
+        participants=participants,
     )
-
-
-def cluster_sync_choices() -> tuple[str, ...]:
-    """Every valid ``--inter-sync`` value: ``auto`` plus the cluster
-    registry, in registration order."""
-    return (AUTO, *cluster_collective_names())
+    label = topo.describe()
+    emit_counter(
+        "sync_planner_decisions_total", 1,
+        help="sync collectives chosen by the planner (forced=manual --sync)",
+        algorithm=plan.algorithm,
+        topology=label,
+        forced=str(forced).lower(),
+    )
+    if estimate.feasible:
+        emit_gauge(
+            "sync_planner_predicted_seconds", estimate.seconds,
+            help="cost-model prediction for the chosen sync collective",
+            algorithm=plan.algorithm,
+            topology=label,
+        )
+    return plan
 
 
 def plan_sync(
@@ -276,11 +158,53 @@ def plan_sync(
     algorithm: str = AUTO,
     devices: list[int] | None = None,
 ) -> SyncPlan:
-    """Module-level convenience over one shared :class:`SyncPlanner`."""
-    return _PLANNER.plan(
-        machine, shape, config, retry=retry, algorithm=algorithm,
-        devices=devices,
+    """Resolve ``--sync`` *algorithm* for one machine's φ all-reduce.
+
+    *devices* defaults to the machine's alive-GPU set. Raises
+    :class:`~repro.gpusim.errors.SyncPathError` if no collective has a
+    usable path, and ``ValueError`` for an unknown name.
+    """
+    topo = Topology.from_machine(machine, devices=devices)
+    return _force_or_cheapest(
+        algorithm, get_collective, collectives(),
+        lambda c: c.estimate(machine, topo, shape, config, retry=retry),
+        topo, topo.devices, "p2p", "sync_plan",
     )
+
+
+def plan_cluster_sync(
+    network,
+    shape: tuple[int, int],
+    algorithm: str = AUTO,
+    nodes: list[int] | None = None,
+    server=None,
+) -> SyncPlan:
+    """Resolve ``--inter-sync`` *algorithm* for the inter-node φ leg.
+
+    The snapshot comes from :meth:`Topology.from_cluster`, which leaves
+    out nodes the failure detector has declared dead, so a plan can
+    never route through one. *nodes* defaults to every detector-alive
+    node; dead nodes are filtered out of an explicit list too. *server*
+    is the live parameter server, whose shard placement the estimates
+    replay. Raises :class:`~repro.gpusim.errors.SyncPathError` when no
+    backend has a usable path and ``ValueError`` for an unknown name.
+    """
+    topo = Topology.from_cluster(network)
+    live = (
+        topo.devices if nodes is None
+        else tuple(n for n in nodes if n in topo.devices)
+    )
+    return _force_or_cheapest(
+        algorithm, get_cluster_collective, cluster_collectives(),
+        lambda c: c.estimate(network, topo, live, shape, server),
+        topo, live, "eth", "cluster_sync_plan",
+    )
+
+
+def cluster_sync_choices() -> tuple[str, ...]:
+    """Every valid ``--inter-sync`` value: ``auto`` plus the cluster
+    registry, in registration order."""
+    return (AUTO, *cluster_collective_names())
 
 
 def sync_choices() -> tuple[str, ...]:

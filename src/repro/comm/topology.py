@@ -151,11 +151,14 @@ class Topology:
         return any(info.kind == "nvlink" for info in self.p2p.values())
 
     def describe(self) -> str:
-        """Compact label for telemetry: ``"4gpu-2sock-pcie"`` etc."""
+        """Compact label for telemetry: ``"4gpu-2sock-pcie"`` etc., or
+        ``"2node-eth"`` for a cluster snapshot."""
         if not self.devices:
             return "0gpu"
         if self.p2p:
             fabric = "nvlink" if self.has_nvlink else "pcie"
         else:
             fabric = next(iter(self.host.values())).kind if self.host else "?"
+        if fabric == "eth":
+            return f"{len(self.devices)}node-eth"
         return f"{len(self.devices)}gpu-{self.num_sockets}sock-{fabric}"

@@ -13,8 +13,9 @@ substrate with hierarchical synchronization:
    producing a node-summed φ on every local GPU;
 3. an inter-node leg combines the node sums over the Ethernet fabric
    through a cluster collective (``eth_ring`` or ``param_server``,
-   chosen by the replay-exact cost planner behind ``--inter-sync
-   auto``), and the global φ is re-broadcast to every GPU.
+   chosen behind ``--inter-sync auto`` by the planner, which prices
+   each backend by running it on an idle shadow cluster), and the
+   global φ is re-broadcast to every GPU.
 
 This class adds only that cluster layer: the inter-node leg, failure
 detection, the parameter server, the staleness cache, node migration,
@@ -79,9 +80,6 @@ from repro.sched.partition import choose_chunking  # noqa: F401
 from repro.sched.schedule import download_chunk, upload_chunk  # noqa: F401
 
 __all__ = ["DistributedCuLDA"]
-
-#: φ travels the wire as int32 entries on the inter-node leg.
-_ENTRY_BYTES = 4
 
 
 def _check_cluster_args(
@@ -385,33 +383,30 @@ class DistributedCuLDA(CuLDA):
         if sync_round:
             with span("cluster_sync_plan"):
                 plan = plan_cluster_sync(
-                    self.network, shape, entry_bytes=_ENTRY_BYTES,
-                    retry=retry, algorithm=cfg.inter_sync, server=self.server,
-                    nodes=hosts,
+                    self.network, shape, algorithm=cfg.inter_sync,
+                    nodes=hosts, server=self.server,
                 )
-            if len(plan.nodes) != len(hosts):
+            nodes = plan.participants
+            if len(nodes) != len(hosts):
                 # The topology excluded a hosting node (declared dead
                 # between the stall check and the plan): surface it as a
                 # node loss so the elastic hook can migrate its work.
-                missing = sorted(set(hosts) - set(plan.nodes))
+                missing = sorted(set(hosts) - set(nodes))
                 raise NodeLost(missing[0])
             # The collective runs over the surviving hosting nodes only;
             # for eth_ring that *is* the leader re-election — the ring
-            # (and its segment leaders) re-forms over plan.nodes.
+            # (and its segment leaders) re-forms over them. Every
+            # backend leaves the server holding the combined φ.
             result = plan.collective.allreduce(
                 ClusterSyncContext(
-                    network=self.network, nodes=plan.nodes,
-                    node_counts=[node_counts[n] for n in plan.nodes],
-                    pending=[pending[n] for n in plan.nodes],
-                    ready=[ready[n] for n in plan.nodes],
-                    entry_bytes=_ENTRY_BYTES, retry=retry, server=self.server,
+                    network=self.network, nodes=nodes,
+                    node_counts=[node_counts[n] for n in nodes],
+                    pending=[pending[n] for n in nodes],
+                    ready=[ready[n] for n in nodes],
+                    retry=retry, server=self.server,
                 )
             )
-            if plan.algorithm != "param_server" and self.server is not None:
-                # Keep the server replica in lockstep so backends can
-                # alternate mid-run without drift.
-                self.server.phi = result.phi
-            done = {n: result.done[i] for i, n in enumerate(plan.nodes)}
+            done = {n: result.done[i] for i, n in enumerate(nodes)}
             internode_bytes = result.bytes_on_wire
             self._phi_cache = result.phi.astype(np.int64, copy=True)
             self._node_base = [c.copy() for c in node_counts]

@@ -347,8 +347,8 @@ def synchronize_model(
     """Combine the partial φ replicas and refresh every GPU's full φ/n_k.
 
     ``phi_ready[g]`` is the event marking GPU *g*'s update-φ completion.
-    ``algorithm`` is ``"auto"`` (the :class:`~repro.comm.SyncPlanner`
-    picks the cheapest collective for the current topology) or any
+    ``algorithm`` is ``"auto"`` (:func:`~repro.comm.plan_sync` picks
+    the cheapest collective for the current topology) or any
     registered collective name, which forces that plan. ``retry``
     enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).

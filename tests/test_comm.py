@@ -133,6 +133,7 @@ class TestTopology:
         assert t.devices == (0, 1, 2)
         assert t.p2p == {}
         assert all(i.kind == "eth" for i in t.host.values())
+        assert t.describe() == "3node-eth"
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +332,14 @@ class TestPlanner:
         assert decision["predicted_seconds"] == 0.0
 
     def test_replay_leaves_only_planner_series_in_the_registry(self):
+        from repro.cluster.network import ClusterNetwork
+        from repro.cluster.paramserver import ShardedParameterServer
+        from repro.comm import (
+            ClusterSyncContext,
+            cluster_collective_names,
+            get_cluster_collective,
+        )
+        from repro.comm.cluster import _replay as _cluster_replay
         from repro.comm.collectives import _replay
 
         cfg, retry = KernelConfig(), TransferRetry()
@@ -354,6 +363,43 @@ class TestPlanner:
             plan_sync(fabric(), PAYLOAD, cfg, retry=retry)
             for name in collective_names():
                 plan_sync(fabric(), PAYLOAD, cfg, retry=retry, algorithm=name)
+        assert {m.name for m in registry} == {
+            "sync_planner_decisions_total", "sync_planner_predicted_seconds",
+        }
+
+        # The inter-node leg: node 3's NIC is down, so the parameter
+        # server fails node 3's shard over to its replica.
+        shape, nodes = (8, 64), [0, 1, 2]
+
+        def cluster():
+            net = ClusterNetwork(num_nodes=4)
+            net.links[3].set_down(True)
+            zeros = np.zeros(shape, dtype=np.int64)
+            return net, ShardedParameterServer(zeros, 4, net)
+
+        net, server = cluster()
+        counts = [np.ones(shape, dtype=np.int64)] * len(nodes)
+        real = MetricsRegistry()
+        with telemetry_session(registry=real):
+            get_cluster_collective("param_server").allreduce(
+                ClusterSyncContext(
+                    network=net, nodes=tuple(nodes), node_counts=counts,
+                    pending=counts, ready=[0.0] * len(nodes), server=server,
+                )
+            )
+        assert {m.name for m in real} >= {
+            "ps_failover_pushes_total", "ps_failover_reads_total",
+            "cluster_bytes_total", "internode_sync_bytes_total",
+        }
+
+        _cluster_replay.cache_clear()
+        registry = MetricsRegistry()
+        with telemetry_session(registry=registry):
+            for name in (AUTO, *cluster_collective_names()):
+                net, server = cluster()
+                plan_cluster_sync(
+                    net, shape, algorithm=name, nodes=nodes, server=server
+                )
         assert {m.name for m in registry} == {
             "sync_planner_decisions_total", "sync_planner_predicted_seconds",
         }

@@ -20,11 +20,11 @@ checkpoint must resume bit-identically from its extras.
 same plan, same simulated measurements, same checkpoint bytes.
 
 The Hypothesis section drives the cluster sync planner over randomized
-topologies (node counts, dead nodes, degraded links, payload shapes)
-and checks the planner's contract: ``auto`` picks the
-measured-cheapest feasible backend, predictions equal measurements
-(replay-exact cost model), and no plan or message ever touches a
-detector-dead node.
+topologies (node counts, dead nodes, degraded links, participant
+subsets, payload shapes) and checks the planner's contract: ``auto``
+picks the measured-cheapest feasible backend, predictions equal
+measurements (each estimate runs the backend), and no plan or message
+ever touches a detector-dead node.
 """
 
 from __future__ import annotations
@@ -297,12 +297,15 @@ class TestSingleNodeDegeneration:
 
 @st.composite
 def cluster_cases(draw):
-    """(num_nodes, dead nodes, per-node degrade scales, payload shape).
+    """(num_nodes, dead nodes, per-node degrade scales, payload shape,
+    participants).
 
     Dead nodes are killed via ``fail_node`` (detector-visible, so the
     planner must exclude them); degraded links stay up but slow, which
     shifts the cost comparison without making anything infeasible. At
-    least two nodes always survive so an inter-node exchange exists.
+    least two nodes always survive. The participants are a non-empty
+    subset of the survivors: an alive node left out hosts no workers
+    but still holds shards, the state after it loses its GPUs.
     """
     num_nodes = draw(st.integers(min_value=2, max_value=5))
     dead = draw(
@@ -321,7 +324,11 @@ def cluster_cases(draw):
         draw(st.integers(min_value=1, max_value=8)),
         draw(st.integers(min_value=1, max_value=48)),
     )
-    return num_nodes, frozenset(dead), scales, shape
+    alive = [n for n in range(num_nodes) if n not in dead]
+    participants = tuple(sorted(
+        draw(st.sets(st.sampled_from(alive), min_size=1))
+    ))
+    return num_nodes, frozenset(dead), scales, shape, participants
 
 
 def _build_network(num_nodes, dead, scales):
@@ -333,15 +340,17 @@ def _build_network(num_nodes, dead, scales):
     return net
 
 
-def _measure(backend_name, num_nodes, dead, scales, shape, num_shards):
-    """Force-execute one backend on a fresh identical network with all
-    nodes ready at t=0; returns (completion time, network) or (None,
-    network) when the backend has no usable path."""
+def _measure(backend_name, num_nodes, dead, scales, shape, num_shards,
+             participants=None):
+    """Force-execute one backend over *participants* (default: every
+    alive node) on a fresh identical network with all of them ready at
+    t=0; returns (completion time, φ, network) or (None, None, network)
+    when the backend has no usable path."""
     net = _build_network(num_nodes, dead, scales)
     server = ShardedParameterServer(
         np.zeros(shape, dtype=np.int64), num_shards, net
     )
-    live = tuple(net.alive_nodes)
+    live = tuple(net.alive_nodes) if participants is None else participants
     counts = [
         np.full(shape, i + 1, dtype=np.int64) for i in range(len(live))
     ]
@@ -361,18 +370,19 @@ class TestClusterPlannerProperties:
     @given(cluster_cases())
     @settings(max_examples=40, deadline=None)
     def test_auto_matches_measured_cheapest(self, case):
-        num_nodes, dead, scales, shape = case
+        num_nodes, dead, scales, shape, participants = case
         measured = {}
         for name in cluster_collective_names():
             seconds, phi, _ = _measure(
-                name, num_nodes, dead, scales, shape, num_nodes
+                name, num_nodes, dead, scales, shape, num_nodes,
+                participants,
             )
             if seconds is not None:
                 measured[name] = seconds
                 # Exactness holds on every topology, not just healthy ones.
                 expect = sum(
                     np.full(shape, i + 1, dtype=np.int64)
-                    for i in range(num_nodes - len(dead))
+                    for i in range(len(participants))
                 )
                 assert np.array_equal(phi, expect)
         assert measured, "a healthy majority must always have a path"
@@ -381,10 +391,14 @@ class TestClusterPlannerProperties:
         server = ShardedParameterServer(
             np.zeros(shape, dtype=np.int64), num_nodes, net
         )
-        plan = plan_cluster_sync(net, shape, server=server)
+        plan = plan_cluster_sync(
+            net, shape, nodes=list(participants), server=server
+        )
+        assert plan.participants == participants
         best = min(measured.values())
         # auto's pick must be measured-cheapest (ulp tolerance: the
-        # estimate replays the schedule, so ties can only come from
+        # estimate runs the backend on a shadow whose links carry the
+        # snapshot's effective bandwidth, so ties can only come from
         # float associativity, never from model error).
         assert measured[plan.algorithm] <= best * (1 + 1e-9)
         # ... and the replayed prediction equals the measurement.
@@ -395,14 +409,14 @@ class TestClusterPlannerProperties:
     @given(cluster_cases())
     @settings(max_examples=40, deadline=None)
     def test_plans_and_traffic_avoid_dead_nodes(self, case):
-        num_nodes, dead, scales, shape = case
+        num_nodes, dead, scales, shape, _ = case
         net = _build_network(num_nodes, dead, scales)
         server = ShardedParameterServer(
             np.zeros(shape, dtype=np.int64), num_nodes, net
         )
         plan = plan_cluster_sync(net, shape, server=server)
-        assert not set(plan.nodes) & dead
-        assert set(plan.nodes) == set(net.alive_nodes)
+        assert not set(plan.participants) & dead
+        assert set(plan.participants) == set(net.alive_nodes)
 
         for name in cluster_collective_names():
             _, _, used_net = _measure(
@@ -435,6 +449,42 @@ class TestClusterPlannerProperties:
 
     def test_choices_list_registry(self):
         assert cluster_sync_choices() == ("auto", "eth_ring", "param_server")
+
+    def test_memo_tells_apart_server_placements(self):
+        # Same network, payload and shard count, but the second server
+        # is rehomed onto {0, 1, 2}: each plan must return its own
+        # placement's measured time, so placement is part of the key.
+        shape = (8, 64)
+
+        def server(net, rehome):
+            s = ShardedParameterServer(
+                np.zeros(shape, dtype=np.int64), 4, net
+            )
+            if rehome is not None:
+                s.rehome(rehome)
+            return s
+
+        predicted = []
+        for rehome in (None, [0, 1, 2]):
+            net = ClusterNetwork(4)
+            plan = plan_cluster_sync(
+                net, shape, algorithm="param_server",
+                server=server(net, rehome),
+            )
+            run_net = ClusterNetwork(4)
+            counts = [np.full(shape, i + 1, dtype=np.int64) for i in range(4)]
+            result = get_cluster_collective("param_server").allreduce(
+                ClusterSyncContext(
+                    network=run_net, nodes=(0, 1, 2, 3), node_counts=counts,
+                    pending=counts, ready=[0.0] * 4,
+                    server=server(run_net, rehome),
+                )
+            )
+            assert plan.estimate.seconds == pytest.approx(
+                max(result.done), rel=1e-9
+            )
+            predicted.append(plan.estimate.seconds)
+        assert predicted == pytest.approx([1.1597e-3, 1.3615e-3], rel=1e-4)
 
 
 # ----------------------------------------------------------------------
