@@ -22,31 +22,19 @@ worker's assignments/θ/RNG plus the parameter-server φ, the pending
 push deltas and stale φ caches, so bounded-staleness runs resume
 bit-identically mid-window.
 
-Fault domain (docs/ROBUSTNESS.md §8). The cluster is LDA*'s unit of
-failure: a heartbeat :class:`~repro.cluster.membership.MembershipMonitor`
-watches every node, Ethernet transfers retry transient faults under a
-:class:`~repro.engine.recovery.ClusterRecoveryPolicy`, pulls/pushes
-against an unreachable shard primary fail over to its chained replica,
-and a worker blocked on a silent peer stalls until the detector rules —
-raising :class:`~repro.gpusim.errors.NodeLost` on a dead verdict. Under
-``--recovery elastic`` the engine then calls
-:meth:`LDAStar.handle_device_loss`: the dead node's logical workers
-migrate *intact* (chunk, assignments, θ, RNG) to the token-lightest
-survivors, φ is recounted exactly from the assignments, and the server
-re-shards over the survivors — so the recovered run's φ is
-bit-identical to the fault-free run's, not merely statistically close.
+LDA* is a comparator only: it takes no fault plan or recovery policy.
+The cluster fault domain (node loss, Ethernet faults, shard
+corruption) runs on multi-node
+:class:`~repro.core.distributed.DistributedCuLDA`, which shares this
+trainer's network and parameter server (docs/ROBUSTNESS.md §8).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
-from repro.cluster.placement import place_token_lightest
 from repro.corpus.corpus import Corpus, TokenChunk
 from repro.core.kernels import (
     KernelConfig,
@@ -60,15 +48,12 @@ from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.engine.algorithm import Algorithm, IterationOutcome
 from repro.engine.loop import LoopConfig, TrainingLoop
-from repro.engine.recovery import ClusterRecoveryPolicy, RecoveryPolicy
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.errors import NodeLost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.platform import CPU_E5_2690V4
 from repro.sched.partition import partition_by_tokens
-from repro.telemetry.context import emit_counter
 
 __all__ = ["LDAStar"]
 
@@ -155,23 +140,12 @@ class LDAStar(Algorithm):
         for w in self.workers:
             phi0 += w.local_counts
         self.server = ShardedParameterServer(phi0, num_workers, self.network)
-        #: Which cluster node hosts each logical worker. Starts as the
-        #: identity map; elastic recovery re-homes a dead node's workers
-        #: onto survivors without touching their partitions.
-        self._node_of = {i: i for i in range(num_workers)}
-        self.membership = MembershipMonitor(self.network)
         self._config = KernelConfig(compressed=False)
         self._cost_model = CostModel()
         # Per-worker stale φ caches (populated at each sync round).
         self._phi_cache: dict[int, np.ndarray] = {}
         self._pending_delta: dict[int, np.ndarray] = {}
         self._clock = 0.0
-        #: Clock up to which sim_seconds has been reported. Recovery
-        #: stalls (failure-detector leases, re-shard traffic) advance
-        #: _clock inside aborted iterations; the gap is charged to the
-        #: next completed iteration so recovery time shows up in
-        #: sim_seconds instead of silently vanishing.
-        self._charged = 0.0
         #: Network bytes accumulated before this process's ClusterNetwork
         #: existed (carried over a checkpoint/resume boundary).
         self._net_base = 0.0
@@ -206,15 +180,7 @@ class LDAStar(Algorithm):
         checkpoint_path=None,
         resume=None,
         vocabulary=None,
-        recovery: str | RecoveryPolicy | None = None,
-        fault_plan=None,
     ) -> TrainResult:
-        if isinstance(recovery, str):
-            recovery = ClusterRecoveryPolicy(mode=recovery)
-        if isinstance(fault_plan, (str, Path)):
-            from repro.faults.plan import FaultPlan
-
-            fault_plan = FaultPlan.from_json(fault_plan)
         loop = TrainingLoop(
             self,
             LoopConfig(
@@ -223,8 +189,6 @@ class LDAStar(Algorithm):
                 save_every=save_every,
                 checkpoint_path=checkpoint_path,
                 vocabulary=vocabulary,
-                recovery=recovery,
-                fault_plan=fault_plan,
             ),
             callbacks=callbacks,
             resume=resume,
@@ -236,14 +200,6 @@ class LDAStar(Algorithm):
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
         self._clock = 0.0
-        self._charged = 0.0
-        # The loop sets recovery_policy before init_state, so the
-        # failure detector picks up the policy's heartbeat thresholds.
-        policy = getattr(self, "recovery_policy", None)
-        heartbeat: HeartbeatConfig | None = None
-        if policy is not None and hasattr(policy, "heartbeat_config"):
-            heartbeat = policy.heartbeat_config()
-        self.membership = MembershipMonitor(self.network, heartbeat)
         if resume is not None:
             self._restore(resume)
         state = resume if resume is not None else RunState(algo=self.name)
@@ -267,26 +223,6 @@ class LDAStar(Algorithm):
             w.theta = state.thetas[i]
             w.rng = state.rngs[i]
             w.local_counts = accumulate_phi(w.chunk, w.topics, K)
-        hosting = state.extras.get("node_hosting")
-        if hosting is not None:
-            self._node_of = {i: int(n) for i, n in enumerate(hosting)}
-        else:
-            self._node_of = {i: i for i in range(len(self.workers))}
-        dead = state.extras.get("dead_nodes")
-        if dead is not None and len(dead):
-            # Re-bury nodes the checkpointed run had already lost: fail
-            # them on the (possibly fresh) network, tell the detector,
-            # and re-home φ shards over the survivors so placement
-            # matches the run that wrote the checkpoint.
-            for n in dead:
-                n = int(n)
-                if self.network.node_alive(n):
-                    self.network.fail_node(n)
-                self.membership.force_dead(n, self._clock)
-            self.server.rehome([
-                n for n in range(self.network.num_nodes)
-                if self.network.node_up(n)
-            ])
         self.server.phi = state.phi.astype(np.int64).copy()
         self._phi_cache = {}
         self._pending_delta = {}
@@ -304,11 +240,10 @@ class LDAStar(Algorithm):
         return {"machine": f"{len(self.workers)}x {self.cpu_spec.name}"}
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
-        prev = self._charged
+        prev = self._clock
         self._clock, net_time, cmp_time = self._iterate_once(
-            state.iteration, self._clock
+            state.iteration, prev
         )
-        self._charged = self._clock
         dt = self._clock - prev
         tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
         extras = {"network_seconds": net_time, "compute_seconds": cmp_time}
@@ -331,11 +266,6 @@ class LDAStar(Algorithm):
             "network_bytes": np.array(
                 [self._net_base + self.network.total_bytes()]
             ),
-            "node_hosting": np.array(
-                [self._node_of[i] for i in range(len(self.workers))],
-                dtype=np.int64,
-            ),
-            "dead_nodes": np.array(self.membership.dead_nodes, dtype=np.int64),
         }
         for i, delta in self._pending_delta.items():
             extras[f"pending_delta_{i}"] = delta
@@ -365,79 +295,10 @@ class LDAStar(Algorithm):
         return {"network_bytes": result.network_bytes}
 
     # ------------------------------------------------------------------
-    # Recovery surface (driven by the engine loop)
-    # ------------------------------------------------------------------
-    def rollback(self, state: RunState) -> None:
-        """Reinstall a known-good snapshot; the cluster clock stays
-        monotonic (recovery time is real time)."""
-        self._restore(state)
-
-    def _recounted_phi(self) -> np.ndarray:
-        """Exact dense φ from the workers' current assignments minus
-        their pending (unpushed) deltas — the server's logical content,
-        reconstructed from ground truth rather than copied from
-        possibly-lost shards."""
-        K, V = self.hyper.num_topics, self.corpus.num_words
-        dense = np.zeros((K, V), dtype=np.int64)
-        for w in self.workers:
-            dense += w.local_counts.astype(np.int64)
-        for i, delta in self._pending_delta.items():
-            dense[:, self.workers[i].words] -= delta
-        return dense
-
-    def handle_device_loss(self, state: RunState) -> None:
-        """Elastic node-loss recovery: migrate the dead nodes' logical
-        workers intact to the token-lightest survivors and re-shard φ.
-
-        Migrating whole workers (chunk, assignments, θ, RNG) instead of
-        re-chunking keeps every token's RNG stream identical to the
-        fault-free run, so the recovered φ is bit-identical — only the
-        wire placement changes. Placement is token-balanced across
-        survivors with ties broken by node id, so recovery itself is
-        deterministic.
-        """
-        self._restore(state)
-        dead = set(self.membership.dead_nodes)
-        survivors = [
-            n for n in range(self.network.num_nodes)
-            if n not in dead and self.network.node_up(n)
-        ]
-        if not survivors:
-            raise NodeLost(
-                min(dead) if dead else 0,
-                "no surviving nodes to migrate work to",
-            )
-        hosting = [self._node_of[w.worker_id] for w in self.workers]
-        placed = place_token_lightest(
-            hosting, [w.chunk.num_tokens for w in self.workers], survivors
-        )
-        for w, old, target in zip(self.workers, hosting, placed):
-            if target == old:
-                continue
-            self._node_of[w.worker_id] = target
-            emit_counter(
-                "node_migrations_total", 1,
-                help="Logical workers migrated off dead cluster nodes.",
-                worker=w.worker_id, to_node=target,
-            )
-        _, done = self.server.reshard(self._recounted_phi(), self._clock)
-        self._clock = max(self._clock, done)
-        # Refresh the state the engine will snapshot: φ now reflects the
-        # re-shard and extras carry the new hosting map / dead set.
-        self.capture_state(state)
-
-    # ------------------------------------------------------------------
     def _iterate_once(self, it: int, clock: float) -> tuple[float, float, float]:
         """One synchronous parameter-server round; returns the advanced
         cluster clock and the round's (network, compute) critical paths."""
         K, V = self.hyper.num_topics, self.corpus.num_words
-        policy = getattr(self, "recovery_policy", None)
-        retry = (
-            policy.transfer_retry()
-            if policy is not None and policy.active
-            else None
-        )
-        self.membership.observe(clock)
         self.server.verify()
         worker_done = []
         net_time = 0.0
@@ -445,26 +306,12 @@ class LDAStar(Algorithm):
         sync_round = (it % (self.staleness + 1)) == 0
         n_k = self.server.n_k
         for w in self.workers:
-            node = self._node_of[w.worker_id]
-            t0 = clock
-            if not self.network.node_up(node):
-                # The node hosting this worker is silent. The barrier
-                # stalls until the failure detector rules; the stall
-                # stays on the clock even though the iteration is
-                # aborted and re-run after recovery.
-                verdict_at = self.membership.await_verdict(node, t0)
-                self._clock = max(self._clock, verdict_at)
-                if self.membership.is_dead(node):
-                    raise NodeLost(node)
-                t0 = verdict_at  # the NIC came back during the stall
             if w.worker_id not in self._pending_delta:
                 self._pending_delta[w.worker_id] = np.zeros(
                     (K, w.words.size), dtype=np.int64
                 )
             if sync_round or w.worker_id not in self._phi_cache:
-                phi_slice, t_pull = self.server.pull(
-                    node, w.words, t0, retry=retry
-                )
+                phi_slice, t_pull = self.server.pull(w.worker_id, w.words, clock)
                 # Worker-local φ view (zeros for absent words — its
                 # tokens never touch those columns). The pull happens
                 # before this round's push, so the view excludes the
@@ -476,7 +323,7 @@ class LDAStar(Algorithm):
                 self._phi_cache[w.worker_id] = phi_local
             else:
                 phi_local = self._phi_cache[w.worker_id]
-                t_pull = t0
+                t_pull = clock
             new_topics, _ = gibbs_sample_chunk(
                 w.chunk, w.topics, w.theta, phi_local, n_k,
                 self.hyper, w.rng, self._config,
@@ -494,16 +341,15 @@ class LDAStar(Algorithm):
             t_cmp = self._compute_seconds(w)
             if sync_round:
                 t_push = self.server.push(
-                    node, w.words,
+                    w.worker_id, w.words,
                     self._pending_delta[w.worker_id],
                     t_pull + t_cmp,
-                    retry=retry,
                 )
                 self._pending_delta[w.worker_id][...] = 0
             else:
                 t_push = t_pull + t_cmp
             worker_done.append(t_push)
-            net_time = max(net_time, (t_pull - t0) + (t_push - t_pull - t_cmp))
+            net_time = max(net_time, (t_pull - clock) + (t_push - t_pull - t_cmp))
             cmp_time = max(cmp_time, t_cmp)
         return max(worker_done), net_time, cmp_time
 

@@ -30,7 +30,7 @@ Examples
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
     repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_11.json               # CI regression gate
+        --compare BENCH_12.json               # CI regression gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--gpus", type=_positive_int, default=1)
     _add_internode_args(t)
     t.add_argument("--workers", type=_positive_int, default=4,
-                   help="cluster size (ldastar)")
+                   help="LDA* comparator cluster size (ldastar; takes no "
+                   "--faults/--recovery)")
     t.add_argument("--likelihood-every", type=_nonneg_int, default=0)
     t.add_argument("--no-compression", action="store_true",
                    help="disable 16-bit compression (§6.1.3)")
@@ -196,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print N top word-ids per topic")
     t.add_argument("--faults", metavar="PLAN.json",
                    help="inject the faults described in a JSON fault plan "
-                   "(GPU kinds with --algo culda, cluster kinds with "
-                   "--algo ldastar; see docs/ROBUSTNESS.md)")
+                   "(--algo culda; cluster kinds need --nodes > 1; see "
+                   "docs/ROBUSTNESS.md)")
     t.add_argument("--recovery", choices=RECOVERY_MODES, default=None,
                    help="fault-recovery policy: retry transient transfers "
                    "and roll back corrupted state ('retry'), additionally "
                    "re-partition over surviving GPUs/nodes on device or "
                    "node loss ('elastic'), or fail fast ('none', the "
-                   "default; culda and ldastar)")
+                   "default; --algo culda)")
 
     i = sub.add_parser("infer", help="fold documents into a saved model")
     add_corpus_args(i)
@@ -405,22 +406,16 @@ def _print_training_failure(exc) -> None:
                   file=sys.stderr)
 
 
-def _check_fault_domains(plan, algo, nodes=1):
-    """Every fault kind needs a matching substrate in the run: cluster
-    kinds need a cluster (``--algo ldastar`` or ``--nodes > 1``), GPU
-    kinds a simulated machine (``--algo culda``/``saberlda``). Returns
+def _check_fault_domains(plan, nodes):
+    """Cluster fault kinds need a cluster (``--nodes > 1``). Fault plans
+    run only on CuLDA, so GPU kinds always have their machine. Returns
     an error naming the offending plan entry, or None."""
-    if plan is None or plan is _BAD_PLAN:
+    if plan is None or nodes > 1:
         return None
-    has_cluster = algo == "ldastar" or (algo == "culda" and nodes > 1)
     for i, spec in enumerate(plan):
-        if spec.domain == "cluster" and not has_cluster:
+        if spec.domain == "cluster":
             return (f"fault #{i} ({spec.kind}): cluster fault kinds need a "
-                    f"cluster substrate — use --algo ldastar or --algo "
-                    f"culda with --nodes > 1, not {algo!r} on one node")
-        if spec.domain == "gpu" and algo not in ("culda", "saberlda"):
-            return (f"fault #{i} ({spec.kind}): GPU fault kinds require "
-                    f"--algo culda, not {algo!r}")
+                    "cluster substrate — use --nodes > 1")
     return None
 
 
@@ -444,12 +439,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.save_every and not args.save:
         print("error: --save-every requires --save FILE", file=sys.stderr)
         return 2
-    if (args.faults or args.recovery) and args.algo not in (
-        "culda", "ldastar"
-    ):
-        print("error: --faults/--recovery require --algo culda or "
-              "ldastar (fault injection targets the simulated multi-GPU "
-              "machine or the simulated cluster)", file=sys.stderr)
+    if (args.faults or args.recovery) and args.algo != "culda":
+        print("error: --faults/--recovery require --algo culda (fault "
+              "injection targets the simulated GPUs and, with --nodes > 1, "
+              "the simulated cluster)", file=sys.stderr)
         return 2
     if args.nodes > 1 and args.algo != "culda":
         print("error: --nodes > 1 requires --algo culda (multi-node "
@@ -464,7 +457,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     fault_plan = _load_fault_plan(args.faults)
     if fault_plan is _BAD_PLAN:
         return 2
-    domain_error = _check_fault_domains(fault_plan, args.algo, args.nodes)
+    domain_error = _check_fault_domains(fault_plan, args.nodes)
     if domain_error:
         print(f"error: {domain_error}", file=sys.stderr)
         return 2
@@ -533,8 +526,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
             trainer = LDAStar(corpus, hyper, num_workers=args.workers,
                               seed=args.seed, registry=registry)
-            run_kwargs.update(recovery=args.recovery,
-                              fault_plan=fault_plan)
         try:
             result = trainer.train(
                 iterations=args.iterations,
@@ -628,7 +619,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     fault_plan = _load_fault_plan(args.faults)
     if fault_plan is _BAD_PLAN:
         return 2
-    domain_error = _check_fault_domains(fault_plan, "culda", args.nodes)
+    domain_error = _check_fault_domains(fault_plan, args.nodes)
     if domain_error:
         print(f"error: {domain_error}", file=sys.stderr)
         return 2

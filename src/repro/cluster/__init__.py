@@ -1,8 +1,9 @@
-"""Distributed-cluster substrate for the LDA* baseline.
+"""Distributed-cluster substrate for the LDA* baseline and multi-node CuLDA.
 
 The paper's distributed comparator (LDA*, Yu et al. VLDB 2017) runs on
 commodity nodes linked by 10 Gb/s Ethernet with a sharded parameter
-server. This subpackage simulates that substrate:
+server. This subpackage simulates that substrate; multi-node CuLDA
+runs on it too and owns its fault domain:
 
 - :mod:`repro.cluster.network` — a star network of Ethernet links with
   per-node contention; also the cluster fault domain (node death, NIC

@@ -1,4 +1,4 @@
-"""Sharded parameter server for the LDA* baseline.
+"""Sharded parameter server for the LDA* baseline and multi-node CuLDA.
 
 LDA* keeps the topic–word matrix φ in a parameter server sharded across
 the worker nodes themselves (so aggregate server bandwidth scales with

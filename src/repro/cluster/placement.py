@@ -1,10 +1,11 @@
 """Work placement after node loss: token-lightest migration.
 
-Both cluster trainers (LDA* and multi-node CuLDA) survive a dead node by
-moving its logical workers intact onto surviving nodes. The placement
-rule is shared so the two recover the same way: each orphaned worker,
-in worker order, goes to the survivor currently hosting the fewest
-tokens, ties to the lower node id — deterministic given the same plan.
+Multi-node CuLDA survives a dead node by moving its logical workers
+intact onto surviving nodes
+(:meth:`~repro.core.distributed.DistributedCuLDA.handle_device_loss`).
+Each orphaned worker, in worker order, goes to the survivor currently
+hosting the fewest tokens, ties to the lower node id — deterministic
+given the same plan.
 """
 
 from __future__ import annotations

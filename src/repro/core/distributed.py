@@ -35,21 +35,24 @@ samples against the last global φ *plus its own pending updates*
 (read-your-writes, so token counts are conserved). ``s = 0`` is the
 synchronous mode and degenerates bit-identically.
 
-Elasticity (docs/DISTRIBUTED.md §5, docs/ROBUSTNESS.md §8): under a
-:class:`~repro.engine.recovery.ClusterRecoveryPolicy` the trainer
-survives node death, NIC outages, and parameter-server shard
-corruption. A heartbeat :class:`~repro.cluster.membership.MembershipMonitor`
-turns silence into a verdict at lease expiry; the dead node's logical
-workers then migrate intact (chunk, z, θ, RNG) to the token-lightest
-survivors, the replicated :class:`ShardedParameterServer` — which
-parks the chunk-hosting plan and per-node φ bases as control-plane
-metadata — re-shards over the surviving placement from an exact φ
-recount, and training resumes. Because chunk RNG streams are keyed by
-global chunk id and migration never re-chunks, the recovered
-synchronous model is **bit-identical** to the fault-free run; the
-async mode conserves tokens with the dead node's staleness window
-drained deterministically at a fresh sync point. Recovery stalls stay
-on the simulated clock (``node_recovery_stall_seconds_total``).
+Elasticity (docs/DISTRIBUTED.md §5, docs/ROBUSTNESS.md §8): this is
+the repository's one cluster node-loss path. Under a
+:class:`~repro.engine.recovery.RecoveryPolicy` the trainer survives
+node death, NIC outages, and parameter-server shard corruption. A
+heartbeat :class:`~repro.cluster.membership.MembershipMonitor` turns
+silence into a verdict when the default
+:class:`~repro.cluster.membership.HeartbeatConfig` lease expires; the
+dead node's logical workers then migrate intact (chunk, z, θ, RNG) to
+the token-lightest survivors, the replicated
+:class:`ShardedParameterServer` — which parks the chunk-hosting plan
+and per-node φ bases as control-plane metadata — re-shards over the
+surviving placement from an exact φ recount, and training resumes.
+Because chunk RNG streams are keyed by global chunk id and migration
+never re-chunks, the recovered synchronous model is **bit-identical**
+to the fault-free run; the async mode conserves tokens with the dead
+node's staleness window drained deterministically at a fresh sync
+point. Recovery stalls stay on the simulated clock
+(``node_recovery_stall_seconds_total``).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 
 from repro.comm import AUTO, ClusterSyncContext, get_cluster_collective, plan_cluster_sync
 from repro.core.culda import CuLDA, TrainConfig
-from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
+from repro.cluster.membership import MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.cluster.placement import place_token_lightest
@@ -172,51 +175,14 @@ class DistributedCuLDA(CuLDA):
         self._num_shards = num_shards or self.num_nodes
         #: Built in init_state (needs φ); exposed for fault wiring.
         self.server: ShardedParameterServer | None = None
-        #: Heartbeat failure detector; built in init_state so it picks
-        #: up the active recovery policy's thresholds.
+        #: Heartbeat failure detector; built afresh in init_state.
         self.membership: MembershipMonitor | None = None
-
-    def train(
-        self,
-        callbacks=None,
-        *,
-        save_every: int = 0,
-        checkpoint_path=None,
-        resume=None,
-        vocabulary=None,
-        recovery=None,
-        fault_plan=None,
-    ) -> TrainResult:
-        """Same contract as :meth:`CuLDA.train`, except a ``recovery``
-        mode string becomes a
-        :class:`~repro.engine.recovery.ClusterRecoveryPolicy`, so the
-        heartbeat failure detector gets its lease thresholds."""
-        if isinstance(recovery, str):
-            from repro.engine.recovery import ClusterRecoveryPolicy
-
-            recovery = ClusterRecoveryPolicy(mode=recovery)
-        return super().train(
-            callbacks,
-            save_every=save_every,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            vocabulary=vocabulary,
-            recovery=recovery,
-            fault_plan=fault_plan,
-        )
 
     # ------------------------------------------------------------------
     # Algorithm strategy surface
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
-        # Failure detector over the fabric; lease thresholds come from
-        # the ClusterRecoveryPolicy when one is active (the loop sets
-        # recovery_policy before init_state).
-        policy = getattr(self, "recovery_policy", None)
-        heartbeat: HeartbeatConfig | None = None
-        if policy is not None and hasattr(policy, "heartbeat_config"):
-            heartbeat = policy.heartbeat_config()
-        self.membership = MembershipMonitor(self.network, heartbeat)
+        self.membership = MembershipMonitor(self.network)
         self._cluster_time = 0.0
         self._charged = 0.0
         extras = resume.extras if resume is not None else {}

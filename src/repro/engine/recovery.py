@@ -20,6 +20,13 @@ iteration, selected by :attr:`RecoveryPolicy.mode`:
   state and the run continues (CuLDA implements
   :meth:`~repro.engine.algorithm.Algorithm.handle_device_loss`).
 
+One policy type serves one machine and a cluster alike. On a
+multi-node :class:`~repro.core.distributed.DistributedCuLDA` run the
+transfer-retry budget also covers Ethernet sends, a dead node is a
+:class:`~repro.gpusim.errors.NodeLost` (a ``DeviceLost``), and the
+heartbeat thresholds that turn node silence into that verdict are
+:class:`~repro.cluster.membership.HeartbeatConfig`'s defaults.
+
 The invariants checked by :func:`validate_state` are the cheap global
 ones LDA gives us for free: φ counts are non-negative and finite, and
 Σφ over all topics and words equals the corpus token count — every
@@ -37,7 +44,6 @@ from repro.engine.state import RunState, freeze_rng_state, thaw_rng_state
 
 __all__ = [
     "RecoveryPolicy",
-    "ClusterRecoveryPolicy",
     "TrainingFailure",
     "validate_state",
     "snapshot_run_state",
@@ -132,53 +138,6 @@ class RecoveryPolicy:
             max_retries=self.max_transfer_retries,
             backoff_seconds=self.backoff_seconds,
             host_fallback=self.host_fallback,
-        )
-
-
-@dataclass(frozen=True)
-class ClusterRecoveryPolicy(RecoveryPolicy):
-    """A :class:`RecoveryPolicy` for distributed runs (LDA* workers or
-    multi-node :class:`~repro.core.distributed.DistributedCuLDA`).
-
-    Adds the heartbeat failure-detector thresholds (simulated seconds)
-    that turn node silence into a membership verdict — see
-    :class:`~repro.cluster.membership.MembershipMonitor`. The GPU knobs
-    are inherited unchanged: the transfer-retry budget doubles as the
-    Ethernet retry budget, and rollback/validation work identically.
-
-    For the hierarchical two-leg CuLDA sync (intra-node §5.2 reduce
-    tree, then inter-node collective) the same thresholds govern node
-    death detected at either leg: ``elastic`` mode migrates the dead
-    node's logical workers to the token-lightest survivors, re-plans
-    the inter-node collective over the shrunken membership (implicit
-    eth_ring leader re-election), and re-shards the parameter server
-    over surviving nodes — sync-mode runs stay bit-identical to the
-    fault-free run, async (``staleness > 0``) runs conserve tokens
-    while the dead node's staleness window drains deterministically.
-    """
-
-    #: Heartbeat period for the membership monitor.
-    heartbeat_interval: float = 0.05
-    #: Silence before a node becomes ``suspect``.
-    suspect_after: float = 0.5
-    #: Silence before a node is declared ``dead`` (permanent).
-    dead_after: float = 2.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # Delegate range checks to HeartbeatConfig so the two can't
-        # drift apart; surfaced here so bad CLI values fail early.
-        self.heartbeat_config()
-
-    def heartbeat_config(self):
-        """The :class:`~repro.cluster.membership.HeartbeatConfig` these
-        thresholds describe."""
-        from repro.cluster.membership import HeartbeatConfig
-
-        return HeartbeatConfig(
-            interval=self.heartbeat_interval,
-            suspect_after=self.suspect_after,
-            dead_after=self.dead_after,
         )
 
 

@@ -31,7 +31,8 @@ Supported kinds (see ``docs/ROBUSTNESS.md`` for the full fault model):
   written (1-based) is truncated to half its size after the write,
   simulating a crash mid-``fsync``.
 
-Cluster-level kinds (the LDA* fault domain, docs/ROBUSTNESS.md §8):
+Cluster-level kinds (multi-node CuLDA's fault domain,
+docs/ROBUSTNESS.md §8):
 
 - ``node_failure`` — cluster ``node`` dies permanently at
   ``iteration`` (machine gone, NIC with it); detected by the heartbeat
@@ -70,7 +71,7 @@ GPU_FAULT_KINDS = (
     "kernel_fault",
 )
 
-#: Kinds that target the simulated cluster (LDA*'s fault domain).
+#: Kinds that target the simulated cluster (multi-node CuLDA).
 CLUSTER_FAULT_KINDS = (
     "node_failure",
     "eth_link_down",
@@ -266,16 +267,18 @@ class FaultPlan:
 def cluster_chaos_plan(num_nodes: int = 4) -> FaultPlan:
     """The default cluster chaos plan (docs/ROBUSTNESS.md §8).
 
-    One node death plus one Ethernet flap on a *num_nodes*-node LDA*
-    run: node ``num_nodes − 2`` dies permanently at iteration 2, and
-    node 0's NIC drops its next three transfer attempts at iteration 4.
-    Under ``--recovery elastic`` the run must complete with a final φ
+    One node death plus one Ethernet flap on a *num_nodes*-node
+    multi-node CuLDA run: node ``num_nodes − 2`` dies permanently at
+    iteration 2, and node 0's NIC drops its next three transfer
+    attempts at iteration 4. Node 0 must survive the death for the
+    flap to land, so the plan needs at least 3 nodes. Under
+    ``--recovery elastic`` the run must complete with a final φ
     bit-identical to the fault-free run; under ``--recovery none`` it
     must fail with a structured :class:`TrainingFailure` naming the
     dead node and the membership timeline.
     """
-    if num_nodes < 2:
-        raise ValueError("the cluster chaos plan needs at least 2 nodes")
+    if num_nodes < 3:
+        raise ValueError("the cluster chaos plan needs at least 3 nodes")
     return FaultPlan(faults=(
         FaultSpec(kind="node_failure", iteration=2, node=num_nodes - 2),
         FaultSpec(kind="eth_link_flaky", iteration=4, link="eth[0]", count=3),

@@ -419,47 +419,6 @@ def _ldastar() -> dict:
 
 
 @REGISTRY.scenario(
-    "train/ldastar_node_loss_recovery", "train",
-    "LDA* elastic node-loss recovery: default cluster chaos plan on "
-    "4 workers; recovery overhead vs the fault-free run",
-    corpus="nytimes", tokens=20_000, topics=32, iterations=6, workers=4,
-)
-def _ldastar_node_loss() -> dict:
-    from repro.faults.plan import cluster_chaos_plan
-
-    corpus = make_corpus("nytimes", tokens=20_000, seed=0)
-    clean = make_baseline(
-        corpus, "ldastar", num_topics=32, seed=0, num_workers=4
-    ).train(iterations=6)
-    star = make_baseline(
-        corpus, "ldastar", num_topics=32, seed=0, num_workers=4
-    )
-    faulted = star.train(
-        iterations=6, recovery="elastic", fault_plan=cluster_chaos_plan(4)
-    )
-    if not np.array_equal(faulted.phi, clean.phi):
-        raise AssertionError(
-            "recovered phi diverged from the fault-free run"
-        )
-    return {
-        "recovery_overhead_seconds": _exact(
-            faulted.total_sim_seconds - clean.total_sim_seconds, "s",
-            "lower",
-        ),
-        "reshard_bytes": _exact(
-            star.server.bytes_resharded, "bytes", "lower"
-        ),
-        "repartitions": _exact(faulted.repartitions, "count", "info"),
-        "failover_reads": _exact(
-            sum(1 for e in star.server.events
-                if e["kind"] == "failover_read"),
-            "count", "info",
-        ),
-        "sim_seconds": _exact(faulted.total_sim_seconds, "s", "lower"),
-    }
-
-
-@REGISTRY.scenario(
     "train/scvb0_convergence", "train",
     "SCVB0 baseline (untimed clock): final likelihood + wall train time",
     corpus="nytimes", tokens=10_000, topics=32, iterations=3,

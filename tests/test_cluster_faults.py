@@ -1,9 +1,10 @@
-"""Chaos suite for the cluster fault domain (docs/ROBUSTNESS.md §8).
+"""Chaos suite for the cluster fault substrate (docs/ROBUSTNESS.md §8).
 
 Covers the heartbeat membership FSM, fault-aware Ethernet sends,
-parameter-server replication/failover/repair, elastic node-loss
-recovery on the LDA* trainer (bit-identical to the fault-free run),
-and the structured failures produced when recovery is off.
+parameter-server replication/failover/repair, token-lightest placement,
+the canonical 4-node chaos plan on multi-node CuLDA (one GPU per node),
+fault-plan validation and the CLI's fault-domain checks. The per-kind
+trainer cases live in the chaos section of ``tests/test_distributed.py``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.cluster.placement import place_token_lightest
 from repro.comm.topology import Topology
-from repro.engine.recovery import ClusterRecoveryPolicy, TrainingFailure
+from repro.core import DistributedCuLDA, TrainConfig
+from repro.engine.recovery import RecoveryPolicy, TrainingFailure
 from repro.faults.plan import FaultPlan, FaultSpec, cluster_chaos_plan
 from repro.gpusim.errors import DeviceLost, NodeLost, SyncPathError
-from repro.baselines.ldastar import LDAStar
+from repro.gpusim.platform import make_machine
 
 
 def make_server(num_nodes=4, K=6, V=40, seed=0):
@@ -134,14 +136,14 @@ class TestClusterNetworkFaults:
     def test_retry_absorbs_flaky_link(self):
         net = ClusterNetwork(2)
         net.links[1].fail_next(2)
-        retry = ClusterRecoveryPolicy(mode="retry").transfer_retry()
+        retry = RecoveryPolicy(mode="retry").transfer_retry()
         start, end = net.send(0, 1, 1000.0, 0.0, retry=retry)
         assert end > start >= 0.0
 
     def test_retry_exhaustion_surfaces_transient_error(self):
         net = ClusterNetwork(2)
         net.links[1].fail_next(10)
-        retry = ClusterRecoveryPolicy(
+        retry = RecoveryPolicy(
             mode="retry", max_transfer_retries=2
         ).transfer_retry()
         with pytest.raises(SyncPathError) as err:
@@ -233,47 +235,26 @@ class TestPlacement:
         assert placed == [0, 0, 2, 2]
 
 
-def small_star(corpus, hyper, **kwargs):
-    kwargs.setdefault("num_workers", 4)
-    kwargs.setdefault("seed", 0)
-    return LDAStar(corpus, hyper, **kwargs)
+def small_cluster(corpus, hyper, nodes=4, **config_kwargs):
+    """Multi-node CuLDA, one Pascal GPU per node, 6 iterations."""
+    cfg = TrainConfig(
+        **{"num_topics": hyper.num_topics, "iterations": 6, "seed": 0,
+           **config_kwargs}
+    )
+    return DistributedCuLDA(
+        corpus, [make_machine("pascal", 1) for _ in range(nodes)],
+        config=cfg,
+    )
 
 
 class TestElasticNodeLoss:
-    def test_chaos_run_matches_fault_free_bit_exactly(
-        self, small_corpus, hyper8
-    ):
-        clean = small_star(small_corpus, hyper8).train(iterations=6)
-        star = small_star(small_corpus, hyper8)
-        res = star.train(
-            iterations=6, recovery="elastic",
-            fault_plan=cluster_chaos_plan(4),
-        )
-        assert np.array_equal(res.phi, clean.phi)
-        assert res.phi.sum() == small_corpus.num_tokens
-        assert res.repartitions == 1
-        assert star.membership.dead_nodes == [2]
-        kinds = {e["kind"] for e in star.server.events}
-        # Workers ahead of the dead one in the round exercised failover
-        # before the detector verdict aborted the iteration.
-        assert {"failover_read", "reshard"} <= kinds
-
-    def test_faulted_runs_are_deterministic(self, small_corpus, hyper8):
-        runs = []
-        for _ in range(2):
-            star = small_star(small_corpus, hyper8)
-            res = star.train(
-                iterations=6, recovery="elastic",
-                fault_plan=cluster_chaos_plan(4),
-            )
-            runs.append((res.phi, list(star.membership.timeline)))
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1] == runs[1][1]
+    """``cluster_chaos_plan(4)`` (node 2 dies at iteration 2, node 0's
+    NIC flaps at iteration 4) on a 4-node run."""
 
     def test_recovery_none_fails_with_timeline(self, small_corpus, hyper8):
         with pytest.raises(TrainingFailure) as err:
-            small_star(small_corpus, hyper8).train(
-                iterations=6, fault_plan=cluster_chaos_plan(4),
+            small_cluster(small_corpus, hyper8).train(
+                fault_plan=cluster_chaos_plan(4),
             )
         exc = err.value
         assert "node 2" in str(exc)
@@ -283,52 +264,30 @@ class TestElasticNodeLoss:
         ]
         assert any(e["kind"] == "node_failure" for e in exc.fault_events)
 
-    def test_retry_mode_cannot_replace_a_node(self, small_corpus, hyper8):
-        with pytest.raises(TrainingFailure, match="node 2 was lost"):
-            small_star(small_corpus, hyper8).train(
-                iterations=6, recovery="retry",
-                fault_plan=cluster_chaos_plan(4),
-            )
-
-    def test_eth_retry_exhaustion_is_structured(self, small_corpus, hyper8):
-        # More consecutive transient failures than the retry budget can
-        # absorb, with rollback disabled: the transient error surfaces
-        # as a TrainingFailure carrying the membership timeline.
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="eth_link_flaky", iteration=2, link="eth[1]",
-                      count=64),
-        ))
-        policy = ClusterRecoveryPolicy(
-            mode="retry", max_transfer_retries=1, max_rollbacks=0
-        )
-        with pytest.raises(TrainingFailure) as err:
-            small_star(small_corpus, hyper8).train(
-                iterations=6, recovery=policy, fault_plan=plan,
-            )
-        exc = err.value
-        assert isinstance(exc.cause, SyncPathError)
-        assert exc.cause.transient
-        assert len(exc.membership_events) == 4  # the four join entries
-
     def test_shard_corruption_heals_in_flight(self, small_corpus, hyper8):
-        clean = small_star(small_corpus, hyper8).train(iterations=5)
+        # The parameter-server backend reads φ through the corrupted
+        # shard itself, not only through the sync leg's replicas.
+        clean = small_cluster(
+            small_corpus, hyper8, inter_sync="param_server"
+        ).train()
         plan = FaultPlan(faults=(
             FaultSpec(kind="ps_shard_corruption", iteration=2, node=1),
         ))
-        star = small_star(small_corpus, hyper8)
-        res = star.train(iterations=5, recovery="retry", fault_plan=plan)
+        algo = small_cluster(small_corpus, hyper8, inter_sync="param_server")
+        res = algo.train(recovery="retry", fault_plan=plan)
         assert np.array_equal(res.phi, clean.phi)
+        assert res.phi.sum() == small_corpus.num_tokens
         assert res.rollbacks == 0   # repaired by checksums, not rollback
         assert any(
-            e["kind"] == "shard_repair" for e in star.server.events
+            e["kind"] == "shard_repair" for e in algo.server.events
         )
 
     def test_elastic_run_charges_recovery_time(self, small_corpus, hyper8):
-        clean = small_star(small_corpus, hyper8).train(iterations=6)
-        faulted = small_star(small_corpus, hyper8).train(
-            iterations=6, recovery="elastic",
-            fault_plan=cluster_chaos_plan(4),
+        clean = small_cluster(small_corpus, hyper8).train()
+        faulted = small_cluster(small_corpus, hyper8).train(
+            recovery="elastic", fault_plan=cluster_chaos_plan(4),
         )
+        assert np.array_equal(faulted.phi, clean.phi)
         # The failure-detector lease (dead_after = 2 simulated seconds)
         # dominates; a recovered run must be visibly slower.
         assert faulted.total_sim_seconds > clean.total_sim_seconds + 1.0
@@ -340,6 +299,11 @@ class TestClusterPlanValidation:
         again = FaultPlan.from_dict(plan.to_dict())
         assert again == plan
         assert plan.needs_cluster and not plan.needs_machine
+
+    def test_chaos_plan_needs_three_nodes(self):
+        # Below 3 nodes the plan would kill node 0, whose NIC it flaps.
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            cluster_chaos_plan(2)
 
     def test_missing_node_names_the_entry(self):
         with pytest.raises(ValueError, match=r"fault #0 \(node_failure\)"):
@@ -376,23 +340,22 @@ class TestClusterChaosCLI:
         path.write_text(json.dumps(cluster_chaos_plan(4).to_dict()))
         return str(path)
 
+    CLUSTER = [
+        "train", "--algo", "culda", "--synthetic", "nytimes",
+        "--tokens", "3000", "--topics", "8", "--iterations", "6",
+        "--platform", "pascal", "--nodes", "4", "--gpus-per-node", "1",
+    ]
+
     def test_elastic_run_completes(self, capsys, tmp_path):
-        rc = main([
-            "train", "--algo", "ldastar", "--synthetic", "nytimes",
-            "--tokens", "3000", "--topics", "8", "--iterations", "6",
-            "--workers", "4", "--faults", self._write_plan(tmp_path),
-            "--recovery", "elastic",
+        rc = main(self.CLUSTER + [
+            "--faults", self._write_plan(tmp_path), "--recovery", "elastic",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "1 repartition(s)" in out
 
     def test_none_mode_names_the_dead_node(self, capsys, tmp_path):
-        rc = main([
-            "train", "--algo", "ldastar", "--synthetic", "nytimes",
-            "--tokens", "3000", "--topics", "8", "--iterations", "6",
-            "--workers", "4", "--faults", self._write_plan(tmp_path),
-        ])
+        rc = main(self.CLUSTER + ["--faults", self._write_plan(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "node 2" in err
@@ -409,7 +372,7 @@ class TestClusterChaosCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "fault #0 (node_failure)" in err
-        assert "--algo ldastar" in err
+        assert "--nodes > 1" in err
 
     def test_gpu_kinds_rejected_for_ldastar(self, capsys, tmp_path):
         path = tmp_path / "gpu.json"
