@@ -7,8 +7,9 @@ the cluster). Every iteration each worker
 - **pulls** the φ rows for the words its partition contains, and
 - **pushes** its count deltas for those words,
 
-each message timed on the sender's/receiver's Ethernet links via the
-shared fan helpers in :mod:`repro.comm.transfer`. The functional
+each message timed on the sender's/receiver's Ethernet links by
+:meth:`ClusterNetwork.send <repro.cluster.network.ClusterNetwork.send>`,
+one message per shard. The functional
 content (the actual counts) is exact; staleness appears only through
 the iteration-granular sync, the same delayed-update semantics as the
 GPU trainer.

@@ -6,22 +6,23 @@
   (:class:`Topology`, :class:`LinkInfo`) derived from a simulated
   machine or cluster network;
 - :mod:`~repro.comm.transfer` — the retry/host-fallback policy
-  (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`)
-  and the parameter-server message helpers;
+  (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical) behind the
   :class:`Collective` interface, whose ``estimate`` replays a
   collective on an idle shadow machine, in an ordered registry;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
-  ``param_server``) behind :class:`ClusterCollective`, whose one
-  ``estimate`` replays a backend on an idle shadow cluster;
+  an allgather of sparse 16-bit Δφ, and ``param_server``) behind
+  :class:`ClusterCollective`, whose one ``estimate`` replays a backend
+  on an idle shadow cluster;
 - :mod:`~repro.comm.planner` — :func:`plan_sync` and
   :func:`plan_cluster_sync`, one force-or-cheapest body that resolves
   ``--sync auto`` / ``--inter-sync auto`` into a :class:`SyncPlan`: the
   cheapest feasible collective per (topology, payload, participants).
 
 Consumers — the training engine's sync phase, the serving φ
-re-broadcast, the cluster parameter server — go through this package;
+re-broadcast, the multi-node trainer's inter-node leg — go through
+this package;
 none of them dispatches on algorithm names themselves. See
 ``docs/SYNC.md`` for the planner design and decision tables.
 """
@@ -32,6 +33,7 @@ from repro.comm.cluster import (
     ClusterSyncResult,
     EthRingCollective,
     ParamServerCollective,
+    WireDelta,
     cluster_collective_names,
     cluster_collectives,
     get_cluster_collective,
@@ -63,8 +65,6 @@ from repro.comm.planner import (
 from repro.comm.topology import NVLINK_CLASS_GBPS, LinkInfo, Topology
 from repro.comm.transfer import (
     TransferRetry,
-    fanin_messages,
-    fanout_messages,
     resilient_p2p,
     with_retry,
 )
@@ -84,6 +84,7 @@ __all__ = [
     "SyncPlan",
     "Topology",
     "TransferRetry",
+    "WireDelta",
     "broadcast_phi",
     "cluster_collective_names",
     "cluster_collectives",
@@ -92,8 +93,6 @@ __all__ = [
     "collectives",
     "cpu_gather_sync",
     "decisions_from_registry",
-    "fanin_messages",
-    "fanout_messages",
     "get_cluster_collective",
     "get_collective",
     "hierarchical_allreduce_phi",

@@ -1,15 +1,18 @@
 """Cluster collectives: the inter-node φ-sync leg of multi-node CuLDA.
 
 Multi-node training runs the paper's intra-node reduce tree (§5.2) on
-each machine, then combines the per-node partial counts across the
-Ethernet fabric. This module provides the two interchangeable backends
-for that inter-node leg, behind the same registry/planner pattern as
-the GPU collectives in :mod:`repro.comm.collectives`:
+each machine, then combines what each node changed since the last
+global sync (its Δφ) across the Ethernet fabric. This module provides
+the two interchangeable backends for that inter-node leg, behind the
+same registry/planner pattern as the GPU collectives in
+:mod:`repro.comm.collectives`:
 
-- ``eth_ring`` — a leader ring over :class:`ClusterNetwork`: each
-  node's leader GPU contributes its node-summed φ, and the leaders run
-  a segmented ring all-reduce (2(N−1) lock-stepped steps over row
-  segments) directly over the node NICs.
+- ``eth_ring`` — a leader ring over :class:`ClusterNetwork` that
+  allgathers every node's Δφ in N−1 lock-stepped steps, each message
+  one node's Δ as a :class:`WireDelta` (the paper's §6.1 16-bit φ,
+  carried onto the fabric: sparse index/value pairs or dense 16-bit,
+  whichever is smaller); every node then adds the N deltas to the last
+  synced φ.
 - ``param_server`` — push/pull through the replicated
   :class:`~repro.cluster.paramserver.ShardedParameterServer` (the LDA*
   substrate): every node pushes its Δφ since the last global sync, a
@@ -20,12 +23,14 @@ the GPU collectives in :mod:`repro.comm.collectives`:
 Both backends are **exact**: φ is combined in integer arithmetic, so
 the result is bit-identical whichever backend (or GPU layout) produced
 it, and both leave the server (when there is one) holding it. Their
-shared ``estimate`` prices a backend by running its own ``allreduce``
-on an idle shadow cluster built from the
-:class:`~repro.comm.topology.Topology` snapshot, so the planner's
-predicted seconds are the simulator's measured seconds for the same
-ready times. ``Topology.from_cluster`` excludes detector-dead nodes, so
-a plan can never route through one.
+shared ``estimate`` prices a backend by rehearsing its traffic on an
+idle shadow cluster built from the
+:class:`~repro.comm.topology.Topology` snapshot — ``eth_ring`` from
+the per-node wire sizes alone, ``param_server`` by running its
+``allreduce`` through a zero-φ server — so the planner's predicted
+seconds are the simulator's measured seconds for the same ready times.
+``Topology.from_cluster`` excludes detector-dead nodes, so a plan can
+never route through one.
 """
 
 from __future__ import annotations
@@ -54,11 +59,74 @@ __all__ = [
     "get_cluster_collective",
     "cluster_collective_names",
     "cluster_collectives",
-    "ring_segment_bytes",
+    "WireDelta",
 ]
 
-#: φ crosses the inter-node wire as dense int32 entries.
+#: ``param_server`` moves φ columns as dense int32 entries.
 ENTRY_BYTES = 4
+
+#: ``eth_ring``'s sparse form addresses an entry by its int32 flat
+#: index into K×V; an index at or past this limit cannot be sent.
+_INDEX_LIMIT = 2**31
+
+
+@dataclass(frozen=True, eq=False)
+class WireDelta:
+    """One node's Δφ as it crosses the inter-node wire.
+
+    Values are int16, or int32 when some |Δ| ≥ 2¹⁵. The sparse form
+    sends (int32 flat index, value) pairs for the non-zero entries; the
+    dense form (``index`` is None) sends all K×V values. :meth:`encode`
+    picks whichever is smaller, so below 1/3 density the pairs win at
+    16 bits (1/2 at 32), and an empty Δ takes 0 bytes.
+    """
+
+    shape: tuple[int, int]
+    values: np.ndarray
+    index: np.ndarray | None = None
+
+    @classmethod
+    def encode(cls, delta: np.ndarray) -> WireDelta:
+        """Encode an integer Δφ. Raises ``OverflowError`` when a value
+        or a sparse flat index does not fit in 32 bits, instead of
+        wrapping it."""
+        flat = delta.ravel()
+        index = np.flatnonzero(flat != 0)
+        values = flat[index]
+        peak = max(int(values.max()), -int(values.min())) if index.size else 0
+        if peak >= 2**31:
+            raise OverflowError(
+                f"a Δφ entry of ±{peak} does not fit in 32 bits"
+            )
+        width = 2 if peak < 2**15 else 4
+        dtype = np.int16 if width == 2 else np.int32
+        if flat.size * width < index.size * (4 + width):
+            return cls(delta.shape, flat.astype(dtype))
+        if index.size and index[-1] >= _INDEX_LIMIT:
+            raise OverflowError(
+                f"flat index {index[-1]} of a {delta.shape} Δφ does not "
+                f"fit in int32"
+            )
+        return cls(delta.shape, values.astype(dtype), index.astype(np.int32))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes on the wire."""
+        extra = 0 if self.index is None else self.index.nbytes
+        return self.values.nbytes + extra
+
+
+def _add_deltas(base: np.ndarray, deltas: list[WireDelta]) -> np.ndarray:
+    """``base + Σ deltas`` as a fresh int64 array, in exact integer
+    arithmetic: what every node computes once it holds all deltas."""
+    phi = base.astype(np.int64, order="C")
+    flat = phi.reshape(-1)  # a view: phi is a fresh C-order array
+    for delta in deltas:
+        if delta.index is None:
+            flat += delta.values
+        else:
+            flat[delta.index] += delta.values  # indices are distinct
+    return phi
 
 
 # ----------------------------------------------------------------------
@@ -69,17 +137,18 @@ ENTRY_BYTES = 4
 class ClusterSyncContext:
     """Everything one inter-node φ combine needs.
 
-    ``node_counts[i]`` is node ``nodes[i]``'s absolute φ counts (the
-    node-local intra-reduce result, int64 ``K×V``); ``pending[i]`` is
-    its delta since the last global sync (what a parameter-server push
-    carries). ``ready[i]`` is the earliest global-clock time node ``i``
-    can start communicating (its intra-node work is done then).
+    ``base`` is the last globally synced φ (int64 ``K×V``), which every
+    node holds; ``pending[i]`` is node ``nodes[i]``'s Δφ since then
+    (its node-local intra-reduce result minus its contribution at that
+    sync), encoded for the wire. ``ready[i]`` is the earliest
+    global-clock time node ``i`` can start communicating (its
+    intra-node work is done then).
     """
 
     network: ClusterNetwork
     nodes: tuple[int, ...]
-    node_counts: list[np.ndarray]
-    pending: list[np.ndarray]
+    base: np.ndarray
+    pending: list[WireDelta]
     ready: list[float]
     retry: TransferRetry | None = None
     server: ShardedParameterServer | None = None
@@ -98,13 +167,32 @@ class ClusterSyncResult:
 
 class ClusterCollective:
     """One inter-node sync backend: an executable :meth:`allreduce`,
-    priced by replaying it (:meth:`estimate`)."""
+    priced by rehearsing its traffic (:meth:`estimate`)."""
 
     name: str = "?"
 
     def allreduce(self, ctx: ClusterSyncContext) -> ClusterSyncResult:
-        """Combine ``ctx.node_counts`` into the global φ; leave
-        ``ctx.server`` (when given) holding it."""
+        """Add ``ctx.pending`` to ``ctx.base`` into the new global φ;
+        leave ``ctx.server`` (when given) holding it."""
+        raise NotImplementedError
+
+    def replay_key(
+        self,
+        nodes: tuple[int, ...],
+        pending: list[WireDelta],
+        server: ShardedParameterServer | None,
+    ) -> tuple:
+        """Everything :meth:`allreduce`'s traffic over *nodes* depends
+        on besides the fabric: the payload part of the memo key, and
+        all :meth:`rehearse` is given."""
+        raise NotImplementedError
+
+    def rehearse(
+        self, network: ClusterNetwork, nodes: tuple[int, ...], key: tuple
+    ) -> tuple[float, ...]:
+        """Put :meth:`allreduce`'s traffic for *key* on the idle
+        *network*, every node ready at t = 0; return each node's
+        completion time."""
         raise NotImplementedError
 
     def estimate(
@@ -112,32 +200,26 @@ class ClusterCollective:
         network: ClusterNetwork,
         topo: Topology,
         nodes: tuple[int, ...],
-        shape: tuple[int, int],
+        pending: list[WireDelta],
         server: ShardedParameterServer | None = None,
     ) -> CostEstimate:
         """Predicted cost of :meth:`allreduce` over *nodes* on *topo*
-        for a (K, V) payload — the planner's ranking input.
+        for the payload *pending* (``pending[i]`` is ``nodes[i]``'s Δφ)
+        — the planner's ranking input.
 
-        Runs :meth:`allreduce` itself on an idle shadow network with
-        *network*'s node count and *topo*'s link states, through a
-        zero-φ server placed like *server* (canonically over *nodes*
-        when there is none), so the prediction is the simulated time
-        the same run takes from idle.
+        Rehearses the backend on an idle shadow network with
+        *network*'s node count and *topo*'s link states, from what its
+        :meth:`replay_key` keeps of *pending* and *server*, so the
+        prediction is the simulated time the same run takes from idle.
         """
         if not nodes:
             return CostEstimate(math.inf)
-        if server is None:
-            shards, placed_over = len(nodes), tuple(sorted(nodes))
-        else:
-            shards, placed_over = server.num_shards, server.placed_over
         return _replay(
             self,
             network.num_nodes,
             tuple(topo.host.items()),
             tuple(nodes),
-            tuple(shape),
-            shards,
-            placed_over,
+            self.replay_key(tuple(nodes), pending, server),
         )
 
 
@@ -147,11 +229,9 @@ def _replay(
     num_nodes: int,
     host: tuple[tuple[int, LinkInfo], ...],
     nodes: tuple[int, ...],
-    shape: tuple[int, int],
-    num_shards: int,
-    placed_over: tuple[int, ...],
+    key: tuple,
 ) -> CostEstimate:
-    """Run *collective* on a fresh idle cluster built from the
+    """Rehearse *collective* on a fresh idle cluster built from the
     arguments alone — they are the memo key, so a cached estimate can
     only be reused for an identical replay."""
     shadow = ClusterNetwork(num_nodes)
@@ -161,44 +241,14 @@ def _replay(
             _copy_state(shadow.links[n], links[n])
         else:
             shadow.fail_node(n)  # the snapshot leaves dead nodes out
-    zero = np.zeros(shape, dtype=np.int64)
-    server = ShardedParameterServer(zero, num_shards, shadow)
-    server.rehome(list(placed_over))
-    ctx = ClusterSyncContext(
-        network=shadow,
-        nodes=nodes,
-        node_counts=[zero] * len(nodes),
-        pending=[zero] * len(nodes),
-        ready=[0.0] * len(nodes),
-        server=server,
-    )
     # A throwaway session keeps the replay's byte, failover and repair
     # counters out of the caller's registry.
     with telemetry_session():
         try:
-            result = collective.allreduce(ctx)
+            done = collective.rehearse(shadow, nodes, key)
         except SyncPathError:
             return CostEstimate(math.inf)
-    return CostEstimate(max(result.done))
-
-
-def ring_segment_bytes(shape: tuple[int, int], num_nodes: int) -> list[float]:
-    """Per-step payload of the segmented ring: φ's K rows split into
-    ``num_nodes`` near-equal contiguous row blocks."""
-    K, V = shape
-    rows = [len(block) for block in np.array_split(np.arange(K), num_nodes)]
-    return [float(r) * V * ENTRY_BYTES for r in rows]
-
-
-def _ring_schedule(num_nodes: int) -> list[list[int]]:
-    """Segment index sent by each node position at each of the
-    2(N−1) ring steps (reduce-scatter then all-gather)."""
-    steps = []
-    for t in range(num_nodes - 1):           # reduce-scatter
-        steps.append([(i - t) % num_nodes for i in range(num_nodes)])
-    for t in range(num_nodes - 1):           # all-gather
-        steps.append([(i + 1 - t) % num_nodes for i in range(num_nodes)])
-    return steps
+    return CostEstimate(max(done))
 
 
 # ----------------------------------------------------------------------
@@ -206,50 +256,71 @@ def _ring_schedule(num_nodes: int) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 class EthRingCollective(ClusterCollective):
-    """Segmented ring all-reduce between node leaders.
+    """Ring allgather of every node's Δφ between node leaders.
 
     Steps are lock-stepped: every step starts once all leaders have
-    finished the previous one, and in each step leader *i* sends one
-    row segment to leader *i+1 mod N*. 2(N−1) steps move ≈ 2(N−1)/N ·
-    |φ| bytes through each NIC — the bandwidth-optimal exchange.
+    finished the previous one, and in step *t* leader *i* forwards the
+    Δ that originated at leader *i − t* to leader *i + 1 mod N*. After
+    N − 1 steps every leader holds all N deltas and adds them to the
+    last synced φ. A message is one :class:`WireDelta`, so the replay
+    needs only their sizes.
     """
 
     name = "eth_ring"
 
     def allreduce(self, ctx: ClusterSyncContext) -> ClusterSyncResult:
-        nodes = ctx.nodes
+        done, total = self._allgather(
+            ctx.network, ctx.nodes, [d.nbytes for d in ctx.pending],
+            ctx.ready, ctx.retry,
+        )
+        phi = _add_deltas(ctx.base, ctx.pending)
+        if ctx.server is not None:
+            # Keep the server in lockstep, so backends can alternate
+            # mid-run without drift.
+            ctx.server.phi = phi
+        return ClusterSyncResult(phi, done, total)
+
+    def replay_key(self, nodes, pending, server) -> tuple:
+        return tuple(d.nbytes for d in pending)
+
+    def rehearse(self, network, nodes, key) -> tuple[float, ...]:
+        ready = [0.0] * len(nodes)
+        return self._allgather(network, nodes, key, ready, None)[0]
+
+    def _allgather(
+        self,
+        network: ClusterNetwork,
+        nodes: tuple[int, ...],
+        sizes: list[int],
+        ready: list[float],
+        retry: TransferRetry | None,
+    ) -> tuple[tuple[float, ...], float]:
+        """Time the N − 1 steps; return each node's completion time and
+        the bytes put on the wire."""
         N = len(nodes)
-        phi = np.zeros_like(ctx.node_counts[0], dtype=np.int64)
-        for counts in ctx.node_counts:
-            phi += counts
-        times = list(ctx.ready)
+        times = list(ready)
         total = 0.0
+        for t in range(N - 1):
+            t0 = max(times)
+            ends = [t0] * N
+            for i in range(N):
+                j = (i + 1) % N
+                nbytes = sizes[(i - t) % N]
+                _, end = network.send(
+                    nodes[i], nodes[j], nbytes, t0,
+                    op="internode_ring", retry=retry,
+                )
+                total += nbytes
+                ends[i] = max(ends[i], end)   # i's egress finishes
+                ends[j] = max(ends[j], end)   # j's ingress finishes
+            times = ends
         if N > 1:
-            seg_bytes = ring_segment_bytes(phi.shape, N)
-            for segs in _ring_schedule(N):
-                t0 = max(times)
-                ends = [t0] * N
-                for i in range(N):
-                    j = (i + 1) % N
-                    nbytes = seg_bytes[segs[i]]
-                    _, end = ctx.network.send(
-                        nodes[i], nodes[j], nbytes, t0,
-                        op="internode_ring", retry=ctx.retry,
-                    )
-                    total += nbytes
-                    ends[i] = max(ends[i], end)   # i's egress finishes
-                    ends[j] = max(ends[j], end)   # j's ingress finishes
-                times = ends
             emit_counter(
                 "internode_sync_bytes_total", total,
                 help="inter-node φ-sync payload bytes, per backend",
                 backend=self.name,
             )
-        if ctx.server is not None:
-            # Keep the server in lockstep, so backends can alternate
-            # mid-run without drift.
-            ctx.server.phi = phi
-        return ClusterSyncResult(phi, tuple(times), total)
+        return tuple(times), total
 
 
 # ----------------------------------------------------------------------
@@ -277,15 +348,16 @@ class ParamServerCollective(ClusterCollective):
             )
         nodes = ctx.nodes
         if len(nodes) == 1:
-            phi = ctx.node_counts[0].astype(np.int64, copy=True)
+            phi = _add_deltas(ctx.base, ctx.pending)
             server.phi = phi
             return ClusterSyncResult(phi, (ctx.ready[0],), 0.0)
         words = np.arange(server.num_words)
         wire0 = server.bytes_pushed + server.bytes_pulled
+        zero = np.zeros(ctx.base.shape, dtype=np.int64)
         push_done = [
             server.push(
-                node, words, ctx.pending[i], ctx.ready[i],
-                entry_bytes=ENTRY_BYTES, retry=ctx.retry,
+                node, words, _add_deltas(zero, [ctx.pending[i]]),
+                ctx.ready[i], entry_bytes=ENTRY_BYTES, retry=ctx.retry,
             )
             for i, node in enumerate(nodes)
         ]
@@ -304,6 +376,26 @@ class ParamServerCollective(ClusterCollective):
             backend=self.name,
         )
         return ClusterSyncResult(server.phi.copy(), tuple(done), total)
+
+    def replay_key(self, nodes, pending, server) -> tuple:
+        # The wire carries whole φ columns, so the counts never change
+        # the timing.
+        if server is None:
+            return pending[0].shape, len(nodes), tuple(sorted(nodes))
+        return pending[0].shape, server.num_shards, server.placed_over
+
+    def rehearse(self, network, nodes, key) -> tuple[float, ...]:
+        shape, shards, placed_over = key
+        zero = np.zeros(shape, dtype=np.int64)
+        server = ShardedParameterServer(zero, shards, network)
+        server.rehome(list(placed_over))
+        return self.allreduce(
+            ClusterSyncContext(
+                network=network, nodes=nodes, base=zero,
+                pending=[WireDelta.encode(zero)] * len(nodes),
+                ready=[0.0] * len(nodes), server=server,
+            )
+        ).done
 
 
 # ----------------------------------------------------------------------

@@ -31,10 +31,11 @@ by ``repro-lda profile`` via :func:`decisions_from_registry`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.comm.cluster import (
     ClusterCollective,
+    WireDelta,
     cluster_collective_names,
     cluster_collectives,
     get_cluster_collective,
@@ -174,7 +175,7 @@ def plan_sync(
 
 def plan_cluster_sync(
     network,
-    shape: tuple[int, int],
+    payload: Mapping[int, WireDelta] | Sequence[WireDelta],
     algorithm: str = AUTO,
     nodes: list[int] | None = None,
     server=None,
@@ -184,7 +185,9 @@ def plan_cluster_sync(
     The snapshot comes from :meth:`Topology.from_cluster`, which leaves
     out nodes the failure detector has declared dead, so a plan can
     never route through one. *nodes* defaults to every detector-alive
-    node; dead nodes are filtered out of an explicit list too. *server*
+    node; dead nodes are filtered out of an explicit list too.
+    *payload* holds each node's Δφ since the last sync, indexed by
+    node id; the estimates read the participants' entries. *server*
     is the live parameter server, whose shard placement the estimates
     replay. Raises :class:`~repro.gpusim.errors.SyncPathError` when no
     backend has a usable path and ``ValueError`` for an unknown name.
@@ -194,9 +197,10 @@ def plan_cluster_sync(
         topo.devices if nodes is None
         else tuple(n for n in nodes if n in topo.devices)
     )
+    pending = [payload[n] for n in live]
     return _force_or_cheapest(
         algorithm, get_cluster_collective, cluster_collectives(),
-        lambda c: c.estimate(network, topo, live, shape, server),
+        lambda c: c.estimate(network, topo, live, pending, server),
         topo, live, "eth", "cluster_sync_plan",
     )
 

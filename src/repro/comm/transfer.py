@@ -9,18 +9,15 @@ operations through here, which is what lets them surface one uniform,
 structured :class:`~repro.gpusim.errors.SyncPathError` naming the dead
 link and the endpoint devices when a topology has no usable path,
 instead of a bare mid-transfer ``LinkDown`` whose shape depends on the
-algorithm.
-
-The cluster helpers at the bottom (:func:`fanin_messages`,
-:func:`fanout_messages`) time the sharded parameter-server exchange of
-the LDA* baseline over Ethernet links, deduplicating the per-site
-send loops that used to live in :mod:`repro.cluster.paramserver`.
+algorithm. Ethernet messages retry inside
+:meth:`~repro.cluster.network.ClusterNetwork.send`, which takes the
+same :class:`TransferRetry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 from repro.gpusim.errors import LinkDown, SyncPathError
 from repro.gpusim.memory import DeviceArray
@@ -32,8 +29,6 @@ __all__ = [
     "TransferRetry",
     "with_retry",
     "resilient_p2p",
-    "fanin_messages",
-    "fanout_messages",
 ]
 
 _T = TypeVar("_T")
@@ -159,59 +154,3 @@ def resilient_p2p(
             devices=(dst.device.device_id,),
         )
 
-
-# ----------------------------------------------------------------------
-# Cluster (parameter-server) message helpers
-# ----------------------------------------------------------------------
-
-def fanin_messages(
-    network,
-    dst: int,
-    per_src_bytes: Iterable[tuple[int, float]],
-    earliest: float,
-    op: str,
-) -> tuple[float, float]:
-    """Time one message from each ``(src, nbytes)`` to node *dst*.
-
-    Returns ``(total_bytes, completion_time)``; completion is when the
-    last message lands. Used for the parameter-server *pull* (every
-    shard node sends its φ rows to one worker).
-    """
-    total = 0.0
-    done = earliest
-    for src, nbytes in per_src_bytes:
-        total += nbytes
-        _, end = network.send(src, dst, nbytes, earliest)
-        done = max(done, end)
-        emit_counter(
-            "cluster_bytes_total", nbytes,
-            help="parameter-server bytes moved per operation",
-            op=op,
-        )
-    return total, done
-
-
-def fanout_messages(
-    network,
-    src: int,
-    per_dst_bytes: Iterable[tuple[int, float]],
-    earliest: float,
-    op: str,
-) -> tuple[float, float]:
-    """Time one message from node *src* to each ``(dst, nbytes)``.
-
-    Returns ``(total_bytes, completion_time)``. Used for the
-    parameter-server *push* (one worker sends its Δφ to every shard).
-    """
-    total = 0.0
-    done = earliest
-    for dst, nbytes in per_dst_bytes:
-        total += nbytes
-        _, end = network.send(src, dst, nbytes, earliest)
-        done = max(done, end)
-        emit_counter(
-            "cluster_bytes_total", nbytes,
-            help="parameter-server bytes moved per operation",
-            op=op,
-        )
-    return total, done

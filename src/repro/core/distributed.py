@@ -11,11 +11,14 @@ substrate with hierarchical synchronization:
    per-node body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2
    plus the §5.2 reduce tree, ``--sync`` planned per machine),
    producing a node-summed φ on every local GPU;
-3. an inter-node leg combines the node sums over the Ethernet fabric
-   through a cluster collective (``eth_ring`` or ``param_server``,
-   chosen behind ``--inter-sync auto`` by the planner, which prices
-   each backend by running it on an idle shadow cluster), and the
-   global φ is re-broadcast to every GPU.
+3. an inter-node leg combines each node's Δφ since the last sync
+   over the Ethernet fabric through a cluster collective (``eth_ring``
+   allgathers the deltas in a sparse 16-bit wire format;
+   ``param_server`` pushes them to the sharded server), chosen behind
+   ``--inter-sync auto`` by the planner, which prices each backend by
+   rehearsing it on an idle shadow cluster for this iteration's
+   payload; the new global φ (the last synced φ plus the deltas) is
+   re-broadcast to every GPU.
 
 This class adds only that cluster layer: the inter-node leg, failure
 detection, the parameter server, the staleness cache, node migration,
@@ -61,7 +64,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.comm import AUTO, ClusterSyncContext, get_cluster_collective, plan_cluster_sync
+from repro.comm import (
+    AUTO,
+    ClusterSyncContext,
+    WireDelta,
+    get_cluster_collective,
+    plan_cluster_sync,
+)
 from repro.core.culda import CuLDA, TrainConfig
 from repro.cluster.membership import MembershipMonitor
 from repro.cluster.network import ClusterNetwork
@@ -343,13 +352,15 @@ class DistributedCuLDA(CuLDA):
         self._node_counts = node_counts
         self._global_phi = self._sum_counts(node_counts)
 
-        # --- inter-node leg --------------------------------------------
-        shape = node_counts[0].shape
+        # --- inter-node leg: each hosting node's Δφ since the last
+        # sync, encoded once, is the payload the planner prices and the
+        # collective combines ------------------------------------------
         internode_bytes = 0.0
         if sync_round:
+            wire = {n: WireDelta.encode(pending[n]) for n in hosts}
             with span("cluster_sync_plan"):
                 plan = plan_cluster_sync(
-                    self.network, shape, algorithm=cfg.inter_sync,
+                    self.network, wire, algorithm=cfg.inter_sync,
                     nodes=hosts, server=self.server,
                 )
             nodes = plan.participants
@@ -361,13 +372,12 @@ class DistributedCuLDA(CuLDA):
                 raise NodeLost(missing[0])
             # The collective runs over the surviving hosting nodes only;
             # for eth_ring that *is* the leader re-election — the ring
-            # (and its segment leaders) re-forms over them. Every
-            # backend leaves the server holding the combined φ.
+            # re-forms over them. Every backend adds the Δs to the last
+            # synced φ and leaves the server holding the result.
             result = plan.collective.allreduce(
                 ClusterSyncContext(
-                    network=self.network, nodes=nodes,
-                    node_counts=[node_counts[n] for n in nodes],
-                    pending=[pending[n] for n in nodes],
+                    network=self.network, nodes=nodes, base=self._phi_cache,
+                    pending=[wire[n] for n in nodes],
                     ready=[ready[n] for n in nodes],
                     retry=retry, server=self.server,
                 )

@@ -25,6 +25,7 @@ from repro.comm import (
     SyncContext,
     Topology,
     TransferRetry,
+    WireDelta,
     collective_names,
     collectives,
     cpu_gather_sync,
@@ -325,7 +326,10 @@ class TestPlanner:
 
         registry = MetricsRegistry()
         with telemetry_session(registry=registry):
-            plan = plan_cluster_sync(ClusterNetwork(num_nodes=1), (4, 16))
+            plan = plan_cluster_sync(
+                ClusterNetwork(num_nodes=1),
+                [WireDelta.encode(np.zeros((4, 16), dtype=np.int64))],
+            )
         assert plan.estimate.seconds == 0.0
         [decision] = decisions_from_registry(registry)
         assert decision["algorithm"] == plan.algorithm
@@ -378,13 +382,15 @@ class TestPlanner:
             return net, ShardedParameterServer(zeros, 4, net)
 
         net, server = cluster()
-        counts = [np.ones(shape, dtype=np.int64)] * len(nodes)
+        payload = [WireDelta.encode(np.ones(shape, dtype=np.int64))] * 4
         real = MetricsRegistry()
         with telemetry_session(registry=real):
             get_cluster_collective("param_server").allreduce(
                 ClusterSyncContext(
-                    network=net, nodes=tuple(nodes), node_counts=counts,
-                    pending=counts, ready=[0.0] * len(nodes), server=server,
+                    network=net, nodes=tuple(nodes),
+                    base=np.zeros(shape, dtype=np.int64),
+                    pending=payload[:3], ready=[0.0] * len(nodes),
+                    server=server,
                 )
             )
         assert {m.name for m in real} >= {
@@ -398,7 +404,7 @@ class TestPlanner:
             for name in (AUTO, *cluster_collective_names()):
                 net, server = cluster()
                 plan_cluster_sync(
-                    net, shape, algorithm=name, nodes=nodes, server=server
+                    net, payload, algorithm=name, nodes=nodes, server=server
                 )
         assert {m.name for m in registry} == {
             "sync_planner_decisions_total", "sync_planner_predicted_seconds",

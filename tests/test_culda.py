@@ -355,7 +355,8 @@ class TestSimClockPinned:
     """The simulated clock, pinned bit for bit: the run's total and
     every iteration's duration, hashed. A refactor of the trainer bodies
     must leave these digests unchanged — on one machine, across nodes,
-    and under rollback and node-loss recovery."""
+    and under rollback and node-loss recovery. The two multi-node
+    digests price ``eth_ring`` as an allgather of sparse 16-bit Δφ."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -389,7 +390,7 @@ class TestSimClockPinned:
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
          "c3ce449c7e6a7826"),
-        (dict(nodes=2, gpus_per_node=2), "854f68194b7ec395"),
+        (dict(nodes=2, gpus_per_node=2), "c6bce49112b77975"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_distributed_culda
@@ -421,4 +422,4 @@ class TestSimClockPinned:
             pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
-        assert self._digest(result) == "429c640d078693b7"
+        assert self._digest(result) == "b904010c0e20a54c"

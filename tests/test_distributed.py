@@ -21,7 +21,8 @@ same plan, same simulated measurements, same checkpoint bytes.
 
 The Hypothesis section drives the cluster sync planner over randomized
 topologies (node counts, dead nodes, degraded links, participant
-subsets, payload shapes) and checks the planner's contract: ``auto``
+subsets, payload shapes) and per-node Δφ payloads (empty, sparse,
+dense, 32-bit) and checks the planner's contract: ``auto``
 picks the measured-cheapest feasible backend, predictions equal
 measurements (each estimate runs the backend), and no plan or message
 ever touches a detector-dead node.
@@ -41,6 +42,7 @@ from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.comm import (
     ClusterSyncContext,
+    WireDelta,
     cluster_collective_names,
     cluster_sync_choices,
     get_cluster_collective,
@@ -298,17 +300,35 @@ class TestSingleNodeDegeneration:
 # Hypothesis: the cluster sync planner over randomized topologies
 # ----------------------------------------------------------------------
 
+def _delta(kind, shape, rng):
+    """One node's Δφ of *kind*: ``empty``; ``sparse`` (below 1/3
+    density, where index/value pairs beat dense 16-bit); ``dense``
+    (every entry changed); ``wide`` (one |Δ| ≥ 2¹⁵, so values go
+    32-bit)."""
+    size = shape[0] * shape[1]
+    delta = np.zeros(size, dtype=np.int64)
+    if kind != "empty":
+        nnz = size if kind == "dense" else max(1, (size - 1) // 3)
+        at = rng.choice(size, nnz, replace=False)
+        signs = rng.choice([-1, 1], nnz)
+        delta[at] = signs * rng.integers(1, 2**15, nnz)
+        if kind == "wide":
+            delta[at[0]] = signs[0] * rng.integers(2**15, 2**20)
+    return delta.reshape(shape)
+
+
 @st.composite
 def cluster_cases(draw):
     """(num_nodes, dead nodes, per-node degrade scales, payload shape,
-    participants).
+    participants, payload).
 
     Dead nodes are killed via ``fail_node`` (detector-visible, so the
     planner must exclude them); degraded links stay up but slow, which
     shifts the cost comparison without making anything infeasible. At
     least two nodes always survive. The participants are a non-empty
     subset of the survivors: an alive node left out hosts no workers
-    but still holds shards, the state after it loses its GPUs.
+    but still holds shards, the state after it loses its GPUs. The
+    payload holds one Δφ per node (see :func:`_delta`).
     """
     num_nodes = draw(st.integers(min_value=2, max_value=5))
     dead = draw(
@@ -331,7 +351,24 @@ def cluster_cases(draw):
     participants = tuple(sorted(
         draw(st.sets(st.sampled_from(alive), min_size=1))
     ))
-    return num_nodes, frozenset(dead), scales, shape, participants
+    kinds = draw(
+        st.lists(
+            st.sampled_from(("empty", "sparse", "dense", "wide")),
+            min_size=num_nodes, max_size=num_nodes,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    payload = [_delta(kind, shape, rng) for kind in kinds]
+    return num_nodes, frozenset(dead), scales, shape, participants, payload
+
+
+def _base(shape):
+    """The last synced φ the payload's deltas are added to."""
+    return np.arange(shape[0] * shape[1], dtype=np.int64).reshape(shape)
+
+
+def _wire(deltas):
+    return [WireDelta.encode(d) for d in deltas]
 
 
 def _build_network(num_nodes, dead, scales):
@@ -343,23 +380,20 @@ def _build_network(num_nodes, dead, scales):
     return net
 
 
-def _measure(backend_name, num_nodes, dead, scales, shape, num_shards,
+def _measure(backend_name, num_nodes, dead, scales, payload, num_shards,
              participants=None):
     """Force-execute one backend over *participants* (default: every
     alive node) on a fresh identical network with all of them ready at
-    t=0; returns (completion time, φ, network) or (None, None, network)
-    when the backend has no usable path."""
+    t=0, each sending its *payload* entry; returns (completion time, φ,
+    network) or (None, None, network) when the backend has no usable
+    path."""
     net = _build_network(num_nodes, dead, scales)
-    server = ShardedParameterServer(
-        np.zeros(shape, dtype=np.int64), num_shards, net
-    )
+    base = _base(payload[0].shape)
+    server = ShardedParameterServer(base, num_shards, net)
     live = tuple(net.alive_nodes) if participants is None else participants
-    counts = [
-        np.full(shape, i + 1, dtype=np.int64) for i in range(len(live))
-    ]
     ctx = ClusterSyncContext(
-        network=net, nodes=live, node_counts=counts,
-        pending=[c.copy() for c in counts], ready=[0.0] * len(live),
+        network=net, nodes=live, base=base,
+        pending=_wire(payload[n] for n in live), ready=[0.0] * len(live),
         server=server,
     )
     try:
@@ -373,29 +407,24 @@ class TestClusterPlannerProperties:
     @given(cluster_cases())
     @settings(max_examples=40, deadline=None)
     def test_auto_matches_measured_cheapest(self, case):
-        num_nodes, dead, scales, shape, participants = case
+        num_nodes, dead, scales, shape, participants, payload = case
         measured = {}
         for name in cluster_collective_names():
             seconds, phi, _ = _measure(
-                name, num_nodes, dead, scales, shape, num_nodes,
+                name, num_nodes, dead, scales, payload, num_nodes,
                 participants,
             )
             if seconds is not None:
                 measured[name] = seconds
                 # Exactness holds on every topology, not just healthy ones.
-                expect = sum(
-                    np.full(shape, i + 1, dtype=np.int64)
-                    for i in range(len(participants))
-                )
+                expect = _base(shape) + sum(payload[n] for n in participants)
                 assert np.array_equal(phi, expect)
         assert measured, "a healthy majority must always have a path"
 
         net = _build_network(num_nodes, dead, scales)
-        server = ShardedParameterServer(
-            np.zeros(shape, dtype=np.int64), num_nodes, net
-        )
+        server = ShardedParameterServer(_base(shape), num_nodes, net)
         plan = plan_cluster_sync(
-            net, shape, nodes=list(participants), server=server
+            net, _wire(payload), nodes=list(participants), server=server
         )
         assert plan.participants == participants
         best = min(measured.values())
@@ -412,18 +441,16 @@ class TestClusterPlannerProperties:
     @given(cluster_cases())
     @settings(max_examples=40, deadline=None)
     def test_plans_and_traffic_avoid_dead_nodes(self, case):
-        num_nodes, dead, scales, shape, _ = case
+        num_nodes, dead, scales, shape, _, payload = case
         net = _build_network(num_nodes, dead, scales)
-        server = ShardedParameterServer(
-            np.zeros(shape, dtype=np.int64), num_nodes, net
-        )
-        plan = plan_cluster_sync(net, shape, server=server)
+        server = ShardedParameterServer(_base(shape), num_nodes, net)
+        plan = plan_cluster_sync(net, _wire(payload), server=server)
         assert not set(plan.participants) & dead
         assert set(plan.participants) == set(net.alive_nodes)
 
         for name in cluster_collective_names():
             _, _, used_net = _measure(
-                name, num_nodes, dead, scales, shape, num_nodes
+                name, num_nodes, dead, scales, payload, num_nodes
             )
             for op, src, dst, *_ in used_net.messages:
                 assert src not in dead, f"{name}/{op} sent from dead {src}"
@@ -440,14 +467,16 @@ class TestClusterPlannerProperties:
         which %= num_nodes
         net = ClusterNetwork(num_nodes)
         net.links[which].set_down(True)
+        payload = _wire([np.zeros((4, 16), dtype=np.int64)]) * num_nodes
         with pytest.raises(SyncPathError):
-            plan_cluster_sync(net, (4, 16))
+            plan_cluster_sync(net, payload)
 
     def test_forced_backend_is_forced(self):
         net = ClusterNetwork(3)
-        plan = plan_cluster_sync(net, (4, 16), algorithm="param_server")
+        payload = _wire([np.zeros((4, 16), dtype=np.int64)]) * 3
+        plan = plan_cluster_sync(net, payload, algorithm="param_server")
         assert plan.forced and plan.algorithm == "param_server"
-        auto = plan_cluster_sync(net, (4, 16))
+        auto = plan_cluster_sync(net, payload)
         assert not auto.forced
 
     def test_choices_list_registry(self):
@@ -468,17 +497,18 @@ class TestClusterPlannerProperties:
             return s
 
         predicted = []
+        counts = _wire(np.full(shape, i + 1, dtype=np.int64) for i in range(4))
         for rehome in (None, [0, 1, 2]):
             net = ClusterNetwork(4)
             plan = plan_cluster_sync(
-                net, shape, algorithm="param_server",
+                net, counts, algorithm="param_server",
                 server=server(net, rehome),
             )
             run_net = ClusterNetwork(4)
-            counts = [np.full(shape, i + 1, dtype=np.int64) for i in range(4)]
             result = get_cluster_collective("param_server").allreduce(
                 ClusterSyncContext(
-                    network=run_net, nodes=(0, 1, 2, 3), node_counts=counts,
+                    network=run_net, nodes=(0, 1, 2, 3),
+                    base=np.zeros(shape, dtype=np.int64),
                     pending=counts, ready=[0.0] * 4,
                     server=server(run_net, rehome),
                 )
@@ -488,6 +518,85 @@ class TestClusterPlannerProperties:
             )
             predicted.append(plan.estimate.seconds)
         assert predicted == pytest.approx([1.1597e-3, 1.3615e-3], rel=1e-4)
+
+    def test_memo_tells_apart_eth_ring_payloads(self):
+        # Same network and participants, but 16 vs 1024 changed entries
+        # per node: each plan must return its own payload's measured
+        # time, so the wire sizes are part of the key.
+        shape = (16, 256)
+        predicted = []
+        for nnz in (16, 1024):
+            payload = []
+            for n in range(4):
+                delta = np.zeros(shape[0] * shape[1], dtype=np.int64)
+                delta[n:n + 3 * nnz:3] = n + 1
+                payload.append(WireDelta.encode(delta.reshape(shape)))
+            plan = plan_cluster_sync(
+                ClusterNetwork(4), payload, algorithm="eth_ring"
+            )
+            result = get_cluster_collective("eth_ring").allreduce(
+                ClusterSyncContext(
+                    network=ClusterNetwork(4), nodes=(0, 1, 2, 3),
+                    base=np.zeros(shape, dtype=np.int64),
+                    pending=payload, ready=[0.0] * 4,
+                )
+            )
+            assert plan.estimate.seconds == pytest.approx(
+                max(result.done), rel=1e-9
+            )
+            predicted.append(plan.estimate.seconds)
+        assert predicted[0] < predicted[1]
+
+
+class TestEthRingWire:
+    """``eth_ring`` allgathers each node's Δφ: N(N−1) messages, each one
+    node's Δ as int32-index/int16-value pairs, or dense 16-bit when
+    that is smaller, and 32-bit values once some |Δ| ≥ 2¹⁵."""
+
+    SHAPE = (4, 8)  # 32 entries: dense is 64 B at 16 bits, 128 B at 32
+
+    def _payload(self):
+        deltas = [np.zeros(32, dtype=np.int64) for _ in range(4)]
+        # node 0: nothing changed, 0 B
+        # node 1: 3 pairs x 6 B = 18 B (2**15 - 1 still fits 16 bits)
+        deltas[1][[3, 17, 30]] = [1, -2, 2**15 - 1]
+        # node 2: 16 pairs would be 96 B, so dense: 64 B
+        deltas[2][::2] = 5
+        # node 3: |-2**15| widens to 32 bits, 2 pairs x 8 B = 16 B
+        deltas[3][[0, 31]] = [7, -2**15]
+        return [d.reshape(self.SHAPE) for d in deltas]
+
+    def test_allgather_sends_each_delta_by_the_rule(self):
+        payload = self._payload()
+        sizes = [0, 18, 64, 16]
+        base = np.arange(32, dtype=np.int64).reshape(self.SHAPE) * 100
+        net = ClusterNetwork(4)
+        result = get_cluster_collective("eth_ring").allreduce(
+            ClusterSyncContext(
+                network=net, nodes=(0, 1, 2, 3), base=base,
+                pending=_wire(payload), ready=[0.0] * 4,
+            )
+        )
+        # Step t: node i forwards the Δ that started at node i - t.
+        expect = [
+            (i, (i + 1) % 4, sizes[(i - t) % 4])
+            for t in range(3) for i in range(4)
+        ]
+        sent = [(src, dst, nbytes) for _, src, dst, nbytes, *_ in net.messages]
+        assert sent == expect
+        assert result.bytes_on_wire == 3 * sum(sizes)
+        assert np.array_equal(result.phi, base + sum(payload))
+
+    def test_flat_index_past_int32_raises(self, monkeypatch):
+        import repro.comm.cluster as cluster
+
+        monkeypatch.setattr(cluster, "_INDEX_LIMIT", 16)
+        delta = np.zeros(self.SHAPE, dtype=np.int64)
+        delta.flat[15] = 1
+        assert WireDelta.encode(delta).nbytes == 6
+        delta.flat[16] = 1
+        with pytest.raises(OverflowError, match="int32"):
+            WireDelta.encode(delta)
 
 
 # ----------------------------------------------------------------------
