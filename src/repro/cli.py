@@ -600,14 +600,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.core import DistributedCuLDA, TrainConfig
-    from repro.core.culda import BREAKDOWN_KINDS
     from repro.engine import TrainingFailure
-    from repro.obs.profiling import (
-        ELASTICITY_COUNTERS,
-        counter_total,
-        profile_json,
-    )
-    from repro.sched.schedule import busy_fractions
+    from repro.obs.profiling import format_profile, profile_json
     from repro.telemetry import JSONLEmitter, MetricsRegistry
     from repro.telemetry.exporters import merged_chrome_json, to_prometheus
 
@@ -634,7 +628,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         likelihood_every=args.likelihood_every,
     )
     machines = _culda_machines(args)
-    machine = machines[0]
     trainer = DistributedCuLDA(
         corpus, machines, config=config,
         callbacks=callbacks, registry=registry,
@@ -645,102 +638,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _print_training_failure(exc)
         return 1
 
-    if args.format == "json":
-        report = profile_json(
-            result, machine, registry, corpus.name, args.topics,
-            top=args.top,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        if args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write(merged_chrome_json(machine.trace,
-                                            trainer.host_trace))
-        if args.metrics:
-            with open(args.metrics, "w") as fh:
-                fh.write(to_prometheus(registry))
-        return 0
-
-    print(f"profile: {corpus.name} on {machine.name}, "
-          f"K={args.topics}, {len(result.iterations)} iteration(s)")
-    print(f"simulated time {result.total_sim_seconds * 1e3:.3f} ms, "
-          f"throughput {result.avg_tokens_per_sec / 1e6:.1f} M tokens/s, "
-          f"wall {result.wall_seconds:.2f} s")
-    print()
-
-    print("time breakdown (simulated clock):")
-    breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-    for kind in BREAKDOWN_KINDS:
-        share = breakdown.get(kind, 0.0)
-        if share > 0:
-            print(f"  {kind:<14s} {share * 100:5.1f}%")
-    print()
-
-    t1 = machine.trace.makespan()
-    busy = busy_fractions(
-        machine.trace.intervals,
-        [g.device_id for g in machine.gpus],
-        0.0,
-        t1,
+    report = profile_json(
+        result, machines, registry, corpus.name, args.topics, top=args.top
     )
-    print("device busy fractions:")
-    for dev in sorted(busy):
-        print(f"  gpu{dev}  {busy[dev]:.1%}")
-    print()
-
-    print(f"top counters (of {len(registry)} metric families):")
-    for s in registry.top_counters(args.top):
-        label_s = ",".join(f"{k}={v}" for k, v in sorted(s.labels.items()))
-        name = f"{s.name}{{{label_s}}}" if label_s else s.name
-        print(f"  {name:<56s} {s.value:>14,.0f}")
-    print()
-
-    from repro.comm import decisions_from_registry
-
-    decisions = decisions_from_registry(registry)
-    if decisions:
-        print("sync planner decisions:")
-        for d in decisions:
-            mode = "forced" if d["forced"] else "auto"
-            line = (f"  {d['algorithm']:<14s} on {d['topology']:<18s} "
-                    f"x{d['count']:<4d} ({mode}")
-            if "predicted_seconds" in d:
-                line += f", predicted {d['predicted_seconds'] * 1e6:.1f} us"
-            print(line + ")")
-        print()
-
-    if result.fault_events:
-        print(f"fault events ({len(result.fault_events)} injected, "
-              f"{result.rollbacks} rollback(s), "
-              f"{result.repartitions} repartition(s)):")
-        for event in result.fault_events:
-            detail = " ".join(
-                f"{k}={v}" for k, v in event.items() if k != "kind"
-            )
-            print(f"  {event['kind']:<24s} {detail}")
-        print()
-
-    elasticity = {
-        name: counter_total(registry, name) for name in ELASTICITY_COUNTERS
-    }
-    if any(elasticity.values()):
-        print("node recovery:")
-        for name in ELASTICITY_COUNTERS:
-            print(f"  {name:<40s} {elasticity[name]:>14,.3f}")
-        print()
-
-    print("timeline (text Gantt):")
-    print(machine.trace.gantt_text(width=80))
-
+    # The Chrome trace is node 0's timeline plus the host spans.
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(merged_chrome_json(machine.trace, trainer.host_trace))
-        print(f"chrome trace written to {args.trace}")
+            fh.write(merged_chrome_json(machines[0].trace, trainer.host_trace))
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(to_prometheus(registry))
-        print(f"prometheus metrics written to {args.metrics}")
-    if args.events:
-        print(f"event stream written to {args.events}")
+    if args.format == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0
+    print(format_profile(
+        report, [m.trace.gantt_text(width=80) for m in machines],
+        len(registry),
+    ))
+    for path, what in ((args.trace, "chrome trace"),
+                       (args.metrics, "prometheus metrics"),
+                       (args.events, "event stream")):
+        if path:
+            print(f"{what} written to {path}")
     return 0
 
 

@@ -202,8 +202,8 @@ class ShardedParameterServer:
     # Parked control-plane metadata
     # ------------------------------------------------------------------
     def park(self, key: str, value: np.ndarray) -> None:
-        """Park a small control-plane array (chunk hosting map, per-node
-        φ bases, …) under *key*, replicated with the shards.
+        """Park a small control-plane array (e.g. the chunk hosting map)
+        under *key*, replicated with the shards.
 
         Parked state is how an elastic trainer survives losing the node
         that owned an assignment: the plan lives with the (replicated)

@@ -45,9 +45,7 @@ from repro.engine.algorithm import Algorithm, IterationOutcome
 from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import BREAKDOWN_KINDS, IterationStats, TrainResult
 from repro.engine.state import RunState
-from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.errors import FaultError
-from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.platform import Machine, volta_platform
 from repro.sched.partition import PartitionPlan, choose_chunking
 from repro.sched.schedule import (
@@ -55,6 +53,7 @@ from repro.sched.schedule import (
     GpuWorker,
     download_chunk,
     iteration_trace_stats,
+    launch_nk_rowsum,
     run_iteration_resident,
     run_iteration_streaming,
     upload_chunk,
@@ -344,33 +343,7 @@ class CuLDA(Algorithm):
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
         legs = self._run_nodes(self._transfer_retry())
         dt = max(self._t_prev_node[n] - start for n, (_, start) in legs.items())
-        tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
-        sync_seconds, p2p_bytes, busy = self._trace_stats(legs)
-        sampler = self._sampler_stats()
-        self._emit_iteration(dt, tps, busy)
-        runtimes = self._runtimes
-        return IterationOutcome(
-            sim_seconds=dt,
-            tokens_per_sec=tps,
-            stats=sampler,
-            sync_event={
-                "sync_seconds": sync_seconds,
-                "p2p_bytes": p2p_bytes,
-            },
-            event={
-                **sampler,
-                "p1_draws": sum(r.last_stats.p1_draws for r in runtimes),
-                "p2_draws": sum(
-                    r.last_stats.num_tokens - r.last_stats.p1_draws
-                    for r in runtimes
-                ),
-                "tree_probe_levels": sum(
-                    r.last_stats.tree_probe_levels for r in runtimes
-                ),
-                "device_busy_fraction": busy,
-                "phi": lambda phi=self._phi(): phi.astype(np.int32),
-            },
-        )
+        return self._outcome(legs, dt)
 
     def log_likelihood(self, state: RunState) -> float:
         """Joint log-likelihood per token from the host mirrors.
@@ -579,7 +552,7 @@ class CuLDA(Algorithm):
             machine.memcpy_h2d(
                 w.phi_full, view_host, stream=w.upload, label=label
             )
-            self._launch_nk(w, self._kcfg)
+            launch_nk_rowsum(w, self._kcfg, w.upload)
 
     def _release(self) -> None:
         """Free every node's device buffers (host-side bookkeeping only;
@@ -648,6 +621,47 @@ class CuLDA(Algorithm):
             for d, f in b.items():
                 busy[self._device_key(n, d)] = f
         return sync_seconds, p2p_bytes, busy
+
+    def _outcome(
+        self,
+        legs,
+        dt: float,
+        network_seconds: float = 0.0,
+        stats: dict | None = None,
+        event: dict | None = None,
+    ) -> IterationOutcome:
+        """One iteration's outcome, the same shape for one and N nodes:
+        *dt* simulated seconds over the nodes' *legs*. The cluster adds
+        its inter-node *network_seconds* to the sync time, and its own
+        *stats* and *event* keys."""
+        tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
+        sync_seconds, p2p_bytes, busy = self._trace_stats(legs)
+        sampler = self._sampler_stats()
+        self._emit_iteration(dt, tps, busy)
+        runtimes = self._runtimes
+        return IterationOutcome(
+            sim_seconds=dt,
+            tokens_per_sec=tps,
+            stats={**sampler, **(stats or {})},
+            sync_event={
+                "sync_seconds": sync_seconds + network_seconds,
+                "p2p_bytes": p2p_bytes,
+            },
+            event={
+                **sampler,
+                "p1_draws": sum(r.last_stats.p1_draws for r in runtimes),
+                "p2_draws": sum(
+                    r.last_stats.num_tokens - r.last_stats.p1_draws
+                    for r in runtimes
+                ),
+                "tree_probe_levels": sum(
+                    r.last_stats.tree_probe_levels for r in runtimes
+                ),
+                **(event or {}),
+                "device_busy_fraction": busy,
+                "phi": lambda phi=self._phi(): phi.astype(np.int32),
+            },
+        )
 
     def _sampler_stats(self) -> dict:
         """Token-weighted mean K_d and p1 share of the last sweep."""
@@ -806,23 +820,6 @@ class CuLDA(Algorithm):
             )
             runtimes.append(ChunkRuntime(cid, chunk, topics, theta, rng))
         return runtimes
-
-    def _launch_nk(self, worker: GpuWorker, kcfg: KernelConfig) -> None:
-        K, V = worker.phi_full.shape
-
-        def body() -> None:
-            worker.n_k.data[...] = worker.phi_full.data.astype(np.int64).sum(axis=1)
-
-        KernelLaunch(
-            body,
-            KernelCost(
-                bytes_read=float(K) * V * kcfg.phi_bytes,
-                bytes_written=K * 8.0,
-                flops=float(K) * V,
-            ),
-            "n_k_rowsum",
-            "sync",
-        ).launch(worker.upload)
 
     def _merge_topics(self, runtimes: list[ChunkRuntime]) -> np.ndarray:
         """Scatter each chunk's (word-sorted) topics back to the original

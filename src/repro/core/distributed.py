@@ -48,8 +48,8 @@ silence into a verdict when the default
 dead node's logical workers then migrate intact (chunk, z, θ, RNG) to
 the token-lightest survivors, the replicated
 :class:`ShardedParameterServer` — which parks the chunk-hosting plan
-and per-node φ bases as control-plane metadata — re-shards over the
-surviving placement from an exact φ recount, and training resumes.
+as control-plane metadata — re-shards over the surviving placement
+from an exact φ recount, and training resumes.
 Because chunk RNG streams are keyed by global chunk id and migration
 never re-chunks, the recovered synchronous model is **bit-identical**
 to the fault-free run; the async mode conserves tokens with the dead
@@ -255,8 +255,8 @@ class DistributedCuLDA(CuLDA):
         A node samples against the synced φ plus its own pending
         updates."""
         N = self.num_nodes
-        self._node_counts = [self._node_phi_counts(n) for n in range(N)]
-        self._global_phi = self._sum_counts(self._node_counts)
+        node_counts = [self._node_phi_counts(n) for n in range(N)]
+        self._global_phi = self._sum_counts(node_counts)
         extras = state.extras if state is not None else {}
         cache = extras.get("dist_phi_cache")
         bases = [extras.get(f"dist_node_base_{n}") for n in range(N)]
@@ -265,10 +265,10 @@ class DistributedCuLDA(CuLDA):
             self._node_base = [np.asarray(b).astype(np.int64) for b in bases]
         else:
             self._phi_cache = self._global_phi.copy()
-            self._node_base = [c.copy() for c in self._node_counts]
+            self._node_base = [c.copy() for c in node_counts]
         return {
             n: self._as_phi_dtype(
-                self._phi_cache + self._node_counts[n] - self._node_base[n],
+                self._phi_cache + node_counts[n] - self._node_base[n],
                 self._kcfg,
             )
             for n in self._host_nodes
@@ -349,7 +349,6 @@ class DistributedCuLDA(CuLDA):
             for n in range(N)
         ]
         pending = [node_counts[n] - self._node_base[n] for n in range(N)]
-        self._node_counts = node_counts
         self._global_phi = self._sum_counts(node_counts)
 
         # --- inter-node leg: each hosting node's Δφ since the last
@@ -421,28 +420,15 @@ class DistributedCuLDA(CuLDA):
             max(done.values()) - max(ready.values()) if sync_round else 0.0
         )
 
-        tps = self.corpus.num_tokens / dt_iter if dt_iter > 0 else 0.0
-        sync_seconds, p2p_bytes, busy = self._trace_stats(legs)
-        sampler = self._sampler_stats()
-        self._emit_iteration(dt_iter, tps, busy)
-        return IterationOutcome(
-            sim_seconds=dt_iter,
-            tokens_per_sec=tps,
+        return self._outcome(
+            legs, dt_iter, network_seconds=net_seconds,
             stats={
-                **sampler,
                 "network_seconds": net_seconds,
                 "compute_seconds": max(dt_intra.values()),
             },
-            sync_event={
-                "sync_seconds": sync_seconds + net_seconds,
-                "p2p_bytes": p2p_bytes,
-            },
             event={
-                **sampler,
                 "sync_round": sync_round,
                 "internode_bytes": internode_bytes,
-                "device_busy_fraction": busy,
-                "phi": lambda g=self._global_phi: g.astype(np.int32),
             },
         )
 
@@ -605,13 +591,11 @@ class DistributedCuLDA(CuLDA):
     # Internals
     # ------------------------------------------------------------------
     def _park_plan(self) -> None:
-        """Park the chunk-hosting map and per-node φ bases in the
-        replicated parameter server, so the plan survives the node that
-        owned any given assignment (docs/ROBUSTNESS.md §8)."""
+        """Park the chunk-hosting map in the replicated parameter server,
+        so the plan survives the node that owned any given assignment
+        (docs/ROBUSTNESS.md §8)."""
         if self.server is None:
             return
         self.server.park(
             "chunk_hosting", np.array(self._worker_node, dtype=np.int64)
         )
-        for n in range(self.num_nodes):
-            self.server.park(f"node_base_{n}", self._node_base[n])

@@ -10,9 +10,8 @@ registry), :meth:`_fire` dispatch to every registered callback, and
 registry.
 
 Imports from :mod:`repro.telemetry` are deferred into the methods: this
-module sits below both the telemetry package (whose ``mixin`` shim
-re-exports it) and the trainers, so it must be importable before either
-finishes initializing.
+module sits below both the telemetry package and the trainers, so it
+must be importable before either finishes initializing.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["Interval", "TraceRecorder", "to_chrome_json"]
+__all__ = ["Interval", "TraceRecorder", "to_chrome_json", "union_length"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,23 @@ class Interval:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def union_length(spans: Iterable[tuple[float, float]]) -> float:
+    """Length of the union of ``(start, end)`` *spans*: merged in sorted
+    order, so overlapping spans count once."""
+    busy = 0.0
+    cur_s = cur_e = None
+    for s, e in sorted(spans):
+        if cur_e is None or s > cur_e:
+            if cur_e is not None:
+                busy += cur_e - cur_s
+            cur_s, cur_e = s, e
+        else:
+            cur_e = max(cur_e, e)
+    if cur_e is not None:
+        busy += cur_e - cur_s
+    return busy
 
 
 class TraceRecorder:
@@ -87,23 +104,11 @@ class TraceRecorder:
 
     def device_busy_time(self, device_id: int) -> float:
         """Union length of the device's busy intervals (overlap-merged)."""
-        spans = sorted(
+        return union_length(
             (iv.start, iv.end)
             for iv in self.intervals
             if iv.device_id == device_id
         )
-        busy = 0.0
-        cur_s = cur_e = None
-        for s, e in spans:
-            if cur_e is None or s > cur_e:
-                if cur_e is not None:
-                    busy += cur_e - cur_s
-                cur_s, cur_e = s, e
-            else:
-                cur_e = max(cur_e, e)
-        if cur_e is not None:
-            busy += cur_e - cur_s
-        return busy
 
     def makespan(self) -> float:
         """End time of the last interval (0.0 if empty)."""

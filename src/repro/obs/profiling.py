@@ -1,6 +1,8 @@
-"""Machine-readable profile reports (``repro-lda profile --format json``).
+"""Profile reports (``repro-lda profile``).
 
-One profile run emits one JSON document with schema ``repro-profile/1``::
+One profile run is one JSON document with schema ``repro-profile/1``.
+``--format json`` prints it; the text view (:func:`format_profile`)
+renders the same document::
 
     {
       "schema": "repro-profile/1",
@@ -19,6 +21,12 @@ One profile run emits one JSON document with schema ``repro-profile/1``::
                         "count": n, "predicted_seconds": …}, …]
     }
 
+``machine`` and ``breakdown`` are the run's own
+:class:`~repro.engine.results.TrainResult` values, so a multi-node run
+reports the cluster (``"2x …"``) and a breakdown over every node's
+trace. ``device_busy`` covers every node's GPUs: ``gpu{d}`` on one
+machine, ``gpu{n}.{d}`` (node *n*, device *d*) on a cluster.
+
 The schema is append-only: new keys may appear in later versions, but
 existing keys keep their meaning, so downstream tooling can pin on
 ``schema == "repro-profile/1"`` and read what it knows.
@@ -30,6 +38,7 @@ __all__ = [
     "ELASTICITY_COUNTERS",
     "PROFILE_SCHEMA",
     "counter_total",
+    "format_profile",
     "profile_json",
 ]
 
@@ -55,37 +64,42 @@ def counter_total(registry, name: str) -> float:
 
 def profile_json(
     result,
-    machine,
+    machines,
     registry,
     corpus_name: str,
     num_topics: int,
     top: int = 12,
 ) -> dict:
-    """The ``--format json`` document for one instrumented training run."""
+    """The profile document of one instrumented training run on
+    *machines* (one per node)."""
     from repro.comm import decisions_from_registry
     from repro.core.culda import BREAKDOWN_KINDS
     from repro.sched.schedule import busy_fractions
 
-    breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-    busy = busy_fractions(
-        machine.trace.intervals,
-        [g.device_id for g in machine.gpus],
-        0.0,
-        machine.trace.makespan(),
-    )
+    device_busy = {}
+    for n, machine in enumerate(machines):
+        busy = busy_fractions(
+            machine.trace.intervals,
+            [g.device_id for g in machine.gpus],
+            0.0,
+            machine.trace.makespan(),
+        )
+        prefix = f"gpu{n}." if len(machines) > 1 else "gpu"
+        for dev in sorted(busy):
+            device_busy[f"{prefix}{dev}"] = busy[dev]
     return {
         "schema": PROFILE_SCHEMA,
         "corpus": corpus_name,
-        "machine": machine.name,
+        "machine": result.machine_name,
         "num_topics": num_topics,
         "iterations": len(result.iterations),
         "simulated_seconds": result.total_sim_seconds,
         "wall_seconds": result.wall_seconds,
         "tokens_per_sec": result.avg_tokens_per_sec,
         "breakdown": {
-            kind: breakdown.get(kind, 0.0) for kind in BREAKDOWN_KINDS
+            kind: result.breakdown.get(kind, 0.0) for kind in BREAKDOWN_KINDS
         },
-        "device_busy": {f"gpu{dev}": busy[dev] for dev in sorted(busy)},
+        "device_busy": device_busy,
         "counters": [
             {"name": s.name, "labels": dict(s.labels), "value": s.value}
             for s in registry.top_counters(top)
@@ -101,3 +115,73 @@ def profile_json(
         },
         "sync_planner": decisions_from_registry(registry),
     }
+
+
+def format_profile(report: dict, gantts: list[str], families: int) -> str:
+    """The text view of a :func:`profile_json` *report*. Only the
+    per-node text Gantts (*gantts*) and the registry's metric-family
+    count (*families*) are not in the document."""
+    lines = [
+        f"profile: {report['corpus']} on {report['machine']}, "
+        f"K={report['num_topics']}, {report['iterations']} iteration(s)",
+        f"simulated time {report['simulated_seconds'] * 1e3:.3f} ms, "
+        f"throughput {report['tokens_per_sec'] / 1e6:.1f} M tokens/s, "
+        f"wall {report['wall_seconds']:.2f} s",
+        "",
+        "time breakdown (simulated clock):",
+    ]
+    lines += [
+        f"  {kind:<14s} {share * 100:5.1f}%"
+        for kind, share in report["breakdown"].items() if share > 0
+    ]
+    lines += ["", "device busy fractions:"]
+    lines += [
+        f"  {dev}  {frac:.1%}" for dev, frac in report["device_busy"].items()
+    ]
+    lines += ["", f"top counters (of {families} metric families):"]
+    for c in report["counters"]:
+        label_s = ",".join(f"{k}={v}" for k, v in sorted(c["labels"].items()))
+        name = f"{c['name']}{{{label_s}}}" if label_s else c["name"]
+        lines.append(f"  {name:<56s} {c['value']:>14,.0f}")
+    lines.append("")
+
+    if report["sync_planner"]:
+        lines.append("sync planner decisions:")
+        for d in report["sync_planner"]:
+            mode = "forced" if d["forced"] else "auto"
+            line = (f"  {d['algorithm']:<14s} on {d['topology']:<18s} "
+                    f"x{d['count']:<4d} ({mode}")
+            if "predicted_seconds" in d:
+                line += f", predicted {d['predicted_seconds'] * 1e6:.1f} us"
+            lines.append(line + ")")
+        lines.append("")
+
+    faults = report["faults"]
+    if faults["events"]:
+        lines.append(
+            f"fault events ({len(faults['events'])} injected, "
+            f"{faults['rollbacks']} rollback(s), "
+            f"{faults['repartitions']} repartition(s)):"
+        )
+        for event in faults["events"]:
+            detail = " ".join(
+                f"{k}={v}" for k, v in event.items() if k != "kind"
+            )
+            lines.append(f"  {event['kind']:<24s} {detail}")
+        lines.append("")
+
+    elasticity = report["elasticity"]
+    if any(elasticity.values()):
+        lines.append("node recovery:")
+        lines += [
+            f"  {name:<40s} {value:>14,.3f}"
+            for name, value in elasticity.items()
+        ]
+        lines.append("")
+
+    lines.append("timeline (text Gantt):")
+    for n, gantt in enumerate(gantts):
+        if len(gantts) > 1:
+            lines.append(f"node {n}:")
+        lines.append(gantt)
+    return "\n".join(lines)

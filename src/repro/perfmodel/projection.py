@@ -52,6 +52,7 @@ from repro.gpusim.platform import (
     GPU_V100,
     PCIE3_EFFECTIVE_GBPS,
 )
+from repro.perfmodel.capacity import plan_memory
 
 __all__ = [
     "ProjectionConfig",
@@ -107,18 +108,6 @@ def _chunk_stream_bytes(stats: DatasetStats, kd_doc: float, cfg: ProjectionConfi
     theta_per_token = (idx_b + 4) * kd_doc / max(stats.avg_doc_length, 1.0)
     d2h = idx_b + theta_per_token
     return h2d + theta_per_token + d2h
-
-
-def _resident_fits(stats: DatasetStats, spec: DeviceSpec, cfg: ProjectionConfig,
-                   num_gpus: int) -> bool:
-    """Does one GPU's share of the corpus + the model fit (M = 1)?"""
-    idx_b = cfg.kernel.index_bytes
-    T_g = stats.num_tokens / num_gpus
-    D_g = stats.num_docs / num_gpus
-    chunk = T_g * (4 + 8 + idx_b) + D_g * 16 + stats.num_words * 8
-    theta_cap = min(stats.avg_doc_length, cfg.num_topics) * D_g * (idx_b + 4)
-    model = 3 * cfg.num_topics * stats.num_words * cfg.kernel.phi_bytes
-    return chunk + theta_cap + model <= 0.9 * spec.mem_capacity_bytes
 
 
 def _estimate_segments(stats: DatasetStats, tokens_in_chunk: float) -> int:
@@ -179,7 +168,12 @@ def project_iteration_seconds(
 
     # Streaming (WorkSchedule2) when the chunk does not fit resident.
     t_transfer = 0.0
-    streaming = not _resident_fits(stats, spec, cfg, G)
+    try:
+        streaming = not plan_memory(
+            stats, spec, cfg.num_topics, G, cfg.kernel
+        ).resident
+    except MemoryError:
+        streaming = True
     if streaming:
         kd_doc = kd_token  # same estimate as nnz above
         t_transfer = (

@@ -47,6 +47,7 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Event, Stream
+from repro.gpusim.trace import union_length
 from repro.comm import AUTO, SyncContext, TransferRetry, plan_sync
 from repro.telemetry.context import emit_counter, emit_gauge_max
 from repro.telemetry.spans import span
@@ -60,6 +61,7 @@ __all__ = [
     "enqueue_chunk_compute",
     "run_iteration_resident",
     "run_iteration_streaming",
+    "launch_nk_rowsum",
     "synchronize_model",
     "busy_fractions",
     "iteration_trace_stats",
@@ -335,6 +337,28 @@ def enqueue_chunk_compute(
 # Model synchronization wrapper
 # ----------------------------------------------------------------------
 
+def launch_nk_rowsum(
+    worker: GpuWorker, config: KernelConfig, stream: Stream
+) -> None:
+    """n_k = Σ_v φ_kv on *worker*: the cheap row-sum kernel that follows
+    every refresh of its full φ, on *stream*."""
+    K, V = worker.phi_full.shape
+
+    def body() -> None:
+        worker.n_k.data[...] = worker.phi_full.data.astype(np.int64).sum(axis=1)
+
+    KernelLaunch(
+        body,
+        KernelCost(
+            bytes_read=float(K) * V * config.phi_bytes,
+            bytes_written=K * 8.0,
+            flops=float(K) * V,
+        ),
+        "n_k_rowsum",
+        "sync",
+    ).launch(stream)
+
+
 def synchronize_model(
     machine: Machine,
     workers: list[GpuWorker],
@@ -353,7 +377,6 @@ def synchronize_model(
     enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).
     """
-    G = len(workers)
     sync_streams = [w.sync for w in workers]
     for g, w in enumerate(workers):
         w.sync.wait_event(phi_ready[g])
@@ -378,23 +401,8 @@ def synchronize_model(
         )
     )
 
-    # n_k = Σ_v φ_kv on every GPU (cheap row-sum kernel).
-    K, V = fulls[0].shape
-    for g, w in enumerate(workers):
-
-        def nk_body(w: GpuWorker = w) -> None:
-            w.n_k.data[...] = w.phi_full.data.astype(np.int64).sum(axis=1)
-
-        KernelLaunch(
-            nk_body,
-            KernelCost(
-                bytes_read=float(K) * V * config.phi_bytes,
-                bytes_written=K * 8.0,
-                flops=float(K) * V,
-            ),
-            "n_k_rowsum",
-            "sync",
-        ).launch(w.sync)
+    for w in workers:
+        launch_nk_rowsum(w, config, w.sync)
 
     # The next iteration's sampling must see the fresh φ.
     for w in workers:
@@ -494,19 +502,7 @@ def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, flo
             if e > s:
                 by_dev[iv.device_id].append((s, e))
     for d, spans in by_dev.items():
-        spans.sort()
-        busy = 0.0
-        cur_s = cur_e = None
-        for s, e in spans:
-            if cur_e is None or s > cur_e:
-                if cur_e is not None:
-                    busy += cur_e - cur_s
-                cur_s, cur_e = s, e
-            else:
-                cur_e = max(cur_e, e)
-        if cur_e is not None:
-            busy += cur_e - cur_s
-        out[d] = busy / dt
+        out[d] = union_length(spans) / dt
     return out
 
 

@@ -14,9 +14,12 @@ with one plain-dict event payload:
   ``sim_seconds`` and ``tokens_per_sec``; CuLDA adds ``mean_kd``,
   ``p1_fraction``,
   ``p1_draws``/``p2_draws`` (this iteration's branch counts),
+  ``tree_probe_levels`` (index-tree search levels, summed over tokens),
   ``device_busy_fraction`` (device id → busy share of the iteration),
   ``log_likelihood_per_token`` (when evaluated) and a zero-argument
-  ``phi`` callable returning the current model snapshot.
+  ``phi`` callable returning the current model snapshot. Multi-node
+  CuLDA sends the same keys and adds ``sync_round`` and
+  ``internode_bytes``.
 - ``on_train_end(event)`` — once. Keys: ``total_sim_seconds``,
   ``wall_seconds``, ``avg_tokens_per_sec``, and ``result`` (the
   trainer's result object; dropped by JSON emission).

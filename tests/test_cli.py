@@ -233,6 +233,92 @@ class TestProfile:
         for kind, share in printed.items():
             assert frac[kind] == pytest.approx(share, abs=6e-4), kind
 
+    @staticmethod
+    def _section(out: str, heading: str) -> list[str]:
+        """The rows under the line that starts with *heading*, up to the
+        blank line."""
+        rows = out.split("\n" + heading, 1)[1].split("\n", 1)[1]
+        return rows.split("\n\n", 1)[0].splitlines()
+
+    @pytest.mark.parametrize("layout", [
+        ["--gpus", "2"],
+        ["--nodes", "2", "--gpus-per-node", "2"],
+    ])
+    def test_text_renders_the_json_document(self, capsys, layout):
+        """Both formats of one run: every share, busy fraction and
+        counter row the text prints is the JSON value at the printed
+        precision."""
+        import json
+        import re
+
+        args = [
+            "profile", "--synthetic", "pubmed", "--tokens", "8000",
+            "--topics", "8", "--iterations", "3", "--platform", "pascal",
+            *layout,
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert main([*args, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        assert out.startswith(
+            f"profile: {doc['corpus']} on {doc['machine']}, K=8, "
+            "3 iteration(s)\n"
+        )
+        shares = dict(
+            re.fullmatch(r"  (\w+)\s+(\d+\.\d)%", row).groups()
+            for row in self._section(out, "time breakdown (simulated clock):")
+        )
+        assert shares == {
+            kind: f"{share * 100:.1f}"
+            for kind, share in doc["breakdown"].items() if share > 0
+        }
+        busy = dict(
+            re.fullmatch(r"  (gpu[\d.]+)  (\d+\.\d%)", row).groups()
+            for row in self._section(out, "device busy fractions:")
+        )
+        assert busy == {
+            dev: f"{frac:.1%}" for dev, frac in doc["device_busy"].items()
+        }
+        counters = [
+            tuple(row.split()) for row in self._section(out, "top counters (of ")
+        ]
+        expected = []
+        for c in doc["counters"]:
+            labels = ",".join(f"{k}={v}" for k, v in sorted(c["labels"].items()))
+            name = f"{c['name']}{{{labels}}}" if labels else c["name"]
+            expected.append((name, f"{c['value']:,.0f}"))
+        assert counters == expected
+
+    def test_multinode_reports_every_node(self, capsys, monkeypatch):
+        """A 2x2 profile names the cluster, has one busy fraction per
+        node GPU, and its breakdown is the run's own all-node one."""
+        import json
+
+        from repro.core import CuLDA
+
+        results = []
+        train = CuLDA.train
+
+        def keep(self, *a, **kw):
+            results.append(train(self, *a, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(CuLDA, "train", keep)
+        assert main([
+            "profile", "--synthetic", "pubmed", "--tokens", "8000",
+            "--topics", "8", "--iterations", "3", "--platform", "pascal",
+            "--nodes", "2", "--gpus-per-node", "2", "--format", "json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (result,) = results
+        assert doc["machine"].startswith("2x")
+        assert doc["machine"] == result.machine_name
+        assert list(doc["device_busy"]) == [
+            "gpu0.0", "gpu0.1", "gpu1.0", "gpu1.1"
+        ]
+        assert doc["breakdown"] == result.breakdown
+
 
 class TestTrainAlgoSelection:
     def test_train_warplda(self, capsys):

@@ -110,6 +110,29 @@ class TestLayoutEquivalence:
             result = _trainer(corpus, 2, 2, inter_sync=backend).train()
             assert result.phi.sum() == corpus.num_tokens
 
+    def test_same_iteration_events_across_layouts(self, corpus):
+        """One and N nodes send one iteration-event shape: a 2x2 and a
+        1x4 run report the same per-iteration sampler draws."""
+        class Draws:
+            def __init__(self):
+                self.rows = []
+
+            def on_iteration_end(self, event):
+                self.rows.append(tuple(
+                    event[k] for k in ("p1_draws", "p2_draws",
+                                       "tree_probe_levels")
+                ))
+
+        one, two = Draws(), Draws()
+        CuLDA(
+            corpus, make_machine("pascal", 4),
+            TrainConfig(num_topics=16, iterations=4, seed=0,
+                        chunks_per_gpu=2),
+        ).train(callbacks=[one])
+        _trainer(corpus, 2, 2, chunks_per_gpu=2).train(callbacks=[two])
+        assert len(one.rows) == 4
+        assert one.rows == two.rows
+
     def test_result_shape_metadata(self, corpus):
         result = _trainer(corpus, 2, 2).train()
         assert result.num_gpus == 4

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpusim.trace import Interval, TraceRecorder
+from repro.gpusim.trace import Interval, TraceRecorder, union_length
 
 
 def _mk(rec, kind, start, end, dev=0, stream="0.s"):
@@ -76,6 +76,29 @@ class TestBusyTime:
         assert r.device_busy_time(0) == 10
         assert r.device_busy_time(1) == 4
         assert r.device_busy_time(7) == 0
+
+    def test_one_union_for_busy_time_and_fractions(self):
+        """Unordered, nested, touching, disjoint and zero-length spans:
+        the recorder's busy time and the scheduler's windowed busy
+        fractions both come out of :func:`union_length`, exactly."""
+        from repro.sched.schedule import busy_fractions
+
+        r = TraceRecorder()
+        for dev, start, end in [
+            (0, 4.0, 6.0), (0, 0.0, 4.0), (0, 1.0, 2.0), (0, 7.5, 9.0),
+            (0, 8.0, 8.5), (0, 10.0, 10.0), (1, 2.5, 5.0), (1, 2.0, 3.0),
+        ]:
+            _mk(r, "sampling", start, end, dev=dev)
+        assert union_length([]) == 0.0
+        assert union_length([(3.0, 4.0), (0.0, 1.0), (0.5, 2.0)]) == 3.0
+        assert [r.device_busy_time(d) for d in (0, 1, 2)] == [7.5, 3.0, 0.0]
+        assert busy_fractions(r.intervals, [0, 1, 2], 1.0, 9.0) == {
+            0: 0.8125, 1: 0.375, 2: 0.0,
+        }
+        assert busy_fractions(r.intervals, [0, 1, 2], 0.0, r.makespan()) == {
+            0: 0.75, 1: 0.3, 2: 0.0,
+        }
+        assert busy_fractions(r.intervals, [0], 3.0, 3.0) == {0: 0.0}
 
 
 class TestOverlap:
