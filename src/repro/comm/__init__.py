@@ -9,8 +9,10 @@
   (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical) behind the
-  :class:`Collective` interface, whose ``estimate`` replays a
-  collective on an idle shadow machine, in an ordered registry;
+  :class:`Collective` interface — a reduce half and a gather half,
+  run as ``allreduce`` on one machine and as ``reduce_to_host`` on a
+  cluster node — whose ``estimate`` replays the op that runs on an
+  idle shadow machine, in an ordered registry;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend
@@ -42,6 +44,7 @@ from repro.comm.cluster import (
 from repro.comm.collectives import (
     Collective,
     CostEstimate,
+    Reduced,
     SyncContext,
     broadcast_phi,
     collective_names,
@@ -80,6 +83,7 @@ __all__ = [
     "LinkInfo",
     "NVLINK_CLASS_GBPS",
     "ParamServerCollective",
+    "Reduced",
     "SyncContext",
     "SyncPlan",
     "Topology",

@@ -115,6 +115,26 @@ class WireDelta:
         extra = 0 if self.index is None else self.index.nbytes
         return self.values.nbytes + extra
 
+    def pack(self) -> np.ndarray:
+        """The delta as one ``uint8`` buffer of :attr:`nbytes` bytes, so
+        a single copy carries it: the int32 indices (sparse form), then
+        the values."""
+        parts = [self.values] if self.index is None else [self.index, self.values]
+        return np.concatenate([part.view(np.uint8) for part in parts])
+
+    def unpack(self, payload: np.ndarray) -> WireDelta:
+        """The delta a :meth:`pack` layout *payload* carries, read with
+        this delta's shape, form and value width: what a kernel given
+        those as launch arguments decodes from the bytes delivered."""
+        if self.index is None:
+            return WireDelta(self.shape, payload.view(self.values.dtype))
+        cut = self.index.nbytes
+        return WireDelta(
+            self.shape,
+            payload[cut:].view(self.values.dtype),
+            payload[:cut].view(np.int32),
+        )
+
 
 def _add_deltas(base: np.ndarray, deltas: list[WireDelta]) -> np.ndarray:
     """``base + Σ deltas`` as a fresh int64 array, in exact integer

@@ -19,10 +19,16 @@ Each strategy is an **executable** primitive (``reduce_phi_tree``,
 ``hierarchical_allreduce_phi``) that works on arbitrary *sublists* of
 replicas — positions carry their devices, so the hierarchical
 composition and the elastic G−1 path fall out for free — wrapped in a
-registered :class:`Collective`. The collective's ``estimate`` prices it
-by running that same code on an idle shadow machine built from the
-topology snapshot, so :func:`~repro.comm.planner.plan_sync` ranks the
-collectives by what they cost, not by a second description of them.
+registered :class:`Collective` as a **reduce half** and a **gather
+half**. One machine runs both (:meth:`Collective.allreduce`). A
+cluster node runs only the reduce half, then each position copies the
+rows of the sum it owns to the host (:meth:`Collective.reduce_to_host`),
+because the node's sum leaves for the NIC and the GPUs later receive
+only what changed. The collective's ``estimate`` prices the op that
+runs by running that same code on an idle shadow machine built from
+the topology snapshot, so :func:`~repro.comm.planner.plan_sync` ranks
+the collectives by what they cost, not by a second description of
+them.
 
 Because φ is summed in exact integer arithmetic, every collective is
 bit-identical: the planner may pick freely on cost alone.
@@ -53,6 +59,7 @@ __all__ = [
     "SyncContext",
     "CostEstimate",
     "Collective",
+    "Reduced",
     "register",
     "get_collective",
     "collective_names",
@@ -94,6 +101,20 @@ class SyncContext:
     @property
     def devices(self) -> tuple[int, ...]:
         return tuple(p.device.device_id for p in self.partials)
+
+
+@dataclass(frozen=True)
+class Reduced:
+    """Where a collective's reduce half left Σ_g φ_g.
+
+    Each ``(position, lo, hi)`` in ``owners`` says rows ``lo:hi`` of
+    the sum are in ``partials[position]``; together they cover every
+    row once. A collective that reduces on the host (``cpu_gather``)
+    leaves the whole sum in ``host`` instead.
+    """
+
+    owners: tuple[tuple[int, int, int], ...] = ()
+    host: np.ndarray | None = None
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +266,19 @@ def cpu_gather_sync(
     tree. It is also the path of last resort when peer links are
     down — no leg of it touches the P2P fabric.
     """
+    total = _cpu_gather_reduce(machine, partials, streams, config, retry)
+    _cpu_scatter(machine, total, destinations, streams, retry)
+
+
+def _cpu_gather_reduce(
+    machine: Machine,
+    partials: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> np.ndarray:
+    """``cpu_gather``'s reduce half: gather every replica and add them
+    on the host. Returns the sum, built from the gathered arrays."""
     G = len(partials)
     host_copies: list[np.ndarray] = []
     for g in range(G):
@@ -275,7 +309,7 @@ def cpu_gather_sync(
             total += arr
         return total.astype(partials[0].dtype)
 
-    total = machine.host_compute(
+    return machine.host_compute(
         host_add,
         KernelCost(
             bytes_read=G * n * config.phi_bytes,
@@ -284,7 +318,17 @@ def cpu_gather_sync(
         ),
         label="phi_host_add",
     )
-    for g in range(G):
+
+
+def _cpu_scatter(
+    machine: Machine,
+    total: np.ndarray,
+    destinations: list[DeviceArray],
+    streams: list[Stream],
+    retry: TransferRetry | None,
+) -> None:
+    """``cpu_gather``'s gather half: push the host sum to every GPU."""
+    for g in range(len(destinations)):
         dev = destinations[g].device.device_id
         with_retry(
             lambda g=g: machine.memcpy_h2d(
@@ -322,32 +366,36 @@ def ring_allreduce_phi(
     On completion every position's ``fulls[g]`` (and its ``partials[g]``)
     holds Σ_g φ_g.
     """
-    G = len(partials)
-    if not (len(fulls) == len(streams) == G):
+    if not (len(fulls) == len(streams) == len(partials)):
         raise ValueError("partials, fulls, and streams must align")
+    _ring_reduce_scatter(machine, partials, streams, config, retry)
+    _ring_allgather(machine, partials, fulls, streams, config, retry)
+
+
+def _ring_edges(K: int, G: int) -> list[int]:
+    """Row-segment boundaries: segment c is rows ``edges[c]:edges[c+1]``."""
+    return [K * i // G for i in range(G + 1)]
+
+
+def _ring_pass(
+    machine: Machine,
+    partials: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+    reduce_phase: bool,
+) -> None:
+    """The G−1 steps of one ring phase, each stage → transfer →
+    combine on every GPU: the reduce phase adds the received segment
+    into ``partials``, the gather phase overwrites it."""
+    G = len(partials)
+    if G == 1:
+        return
     K, V = partials[0].shape
     phi_b = config.phi_bytes
-
-    def local_full_copy(g: int) -> None:
-        def body(g: int = g) -> None:
-            fulls[g].data[...] = partials[g].data
-
-        n = float(K) * V * phi_b
-        KernelLaunch(
-            body,
-            KernelCost(bytes_read=n, bytes_written=n),
-            "phi_local_copy",
-            kind="sync",
-        ).launch(streams[g])
-
-    if G == 1:
-        local_full_copy(0)
-        return
-
-    # Row-segment boundaries.
-    edges = [K * i // G for i in range(G + 1)]
-    seg_rows = [edges[i + 1] - edges[i] for i in range(G)]
-    max_rows = max(seg_rows)
+    edges = _ring_edges(K, G)
+    max_rows = max(edges[i + 1] - edges[i] for i in range(G))
+    seg_bytes = float(max_rows) * V * phi_b
 
     send_bufs = [
         DeviceArray(partials[g].device, (max_rows, V), partials[g].dtype,
@@ -360,9 +408,7 @@ def ring_allreduce_phi(
         for g in range(G)
     ]
 
-    def run_phase(step: int, reduce_phase: bool) -> None:
-        """One ring step: stage → transfer → combine, all GPUs."""
-        seg_bytes = float(max_rows) * V * phi_b
+    def run_step(step: int) -> None:
         stage_events = []
         send_chunk = [0] * G
         recv_chunk = [0] * G
@@ -429,14 +475,52 @@ def ring_allreduce_phi(
 
     try:
         for step in range(G - 1):
-            run_phase(step, reduce_phase=True)
-        for step in range(G - 1):
-            run_phase(step, reduce_phase=False)
-        for g in range(G):
-            local_full_copy(g)
+            run_step(step)
     finally:
         for buf in send_bufs + recv_bufs:
             buf.free()
+
+
+def _ring_reduce_scatter(
+    machine: Machine,
+    partials: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> Reduced:
+    """The ring's reduce half: after G−1 reduce-scatter steps position
+    g holds the sum of row segment (g+1) mod G."""
+    G = len(partials)
+    _ring_pass(machine, partials, streams, config, retry, reduce_phase=True)
+    edges = _ring_edges(partials[0].shape[0], G)
+    return Reduced(owners=tuple(
+        (g, edges[(g + 1) % G], edges[(g + 1) % G + 1]) for g in range(G)
+    ))
+
+
+def _ring_allgather(
+    machine: Machine,
+    partials: list[DeviceArray],
+    fulls: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> None:
+    """The ring's gather half: G−1 all-gather steps complete every
+    ``partials[g]``, then a device-local copy fills ``fulls[g]``."""
+    _ring_pass(machine, partials, streams, config, retry, reduce_phase=False)
+    K, V = partials[0].shape
+    n = float(K) * V * config.phi_bytes
+    for g in range(len(partials)):
+        def body(g: int = g) -> None:
+            fulls[g].data[...] = partials[g].data
+
+        KernelLaunch(
+            body,
+            KernelCost(bytes_read=n, bytes_written=n),
+            "phi_local_copy",
+            kind="sync",
+        ).launch(streams[g])
 
 
 def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int]]:
@@ -472,12 +556,23 @@ def hierarchical_allreduce_phi(
     per socket ⇒ a pure ring. Bit-identical to every other collective
     (integer adds commute).
     """
-    G = len(partials)
-    if not (len(fulls) == len(scratch) == len(streams) == G):
+    if not (len(fulls) == len(scratch) == len(streams) == len(partials)):
         raise ValueError("partials, fulls, scratch, and streams must align")
-    groups = _socket_groups(machine, partials)
+    _hierarchical_reduce(machine, partials, scratch, streams, config, retry)
+    _hierarchical_gather(machine, partials, fulls, streams, config, retry)
 
-    # Phase 1: intra-socket tree reduce into each group's leader.
+
+def _hierarchical_reduce(
+    machine: Machine,
+    partials: list[DeviceArray],
+    scratch: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> Reduced:
+    """The reduce half: each socket tree-reduces into its leader, then
+    the leaders reduce-scatter; each leader owns one ring segment."""
+    groups = _socket_groups(machine, partials)
     for grp in groups:
         if len(grp) > 1:
             reduce_phi_tree(
@@ -487,19 +582,38 @@ def hierarchical_allreduce_phi(
                 [streams[p] for p in grp],
                 config, retry=retry,
             )
-
-    # Phase 2: inter-socket ring all-reduce among the socket leaders
-    # (a single leader degenerates to the local full-copy).
     leaders = [grp[0] for grp in groups]
-    ring_allreduce_phi(
+    ring = _ring_reduce_scatter(
+        machine,
+        [partials[p] for p in leaders],
+        [streams[p] for p in leaders],
+        config, retry,
+    )
+    return Reduced(owners=tuple(
+        (leaders[i], lo, hi) for i, lo, hi in ring.owners
+    ))
+
+
+def _hierarchical_gather(
+    machine: Machine,
+    partials: list[DeviceArray],
+    fulls: list[DeviceArray],
+    streams: list[Stream],
+    config: KernelConfig,
+    retry: TransferRetry | None,
+) -> None:
+    """The gather half: the leaders all-gather their segments (a single
+    leader only copies locally), then each leader tree-broadcasts the
+    full model down its socket."""
+    groups = _socket_groups(machine, partials)
+    leaders = [grp[0] for grp in groups]
+    _ring_allgather(
         machine,
         [partials[p] for p in leaders],
         [fulls[p] for p in leaders],
         [streams[p] for p in leaders],
-        config, retry=retry,
+        config, retry,
     )
-
-    # Phase 3: intra-socket broadcast of the full model from each leader.
     for grp in groups:
         if len(grp) > 1:
             broadcast_phi(
@@ -528,14 +642,57 @@ class CostEstimate:
 
 
 class Collective:
-    """One synchronization strategy: an executable :meth:`allreduce`,
-    priced by replaying it (:meth:`estimate`)."""
+    """One synchronization strategy: a reduce half and a gather half,
+    run together by :meth:`allreduce` on one machine and as
+    :meth:`reduce_to_host` on a cluster node, and priced by replaying
+    the op that runs (:meth:`estimate`).
+
+    Each registered subclass binds ``allreduce`` as its own attribute,
+    because ``bench/layertrace.py`` wraps it class by class."""
 
     name: str = ""
 
+    def reduce(self, ctx: SyncContext) -> Reduced:
+        """The reduce half: sum ``ctx.partials`` where the returned
+        :class:`Reduced` says. Other partial rows are left holding
+        partial sums."""
+        raise NotImplementedError
+
+    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
+        """The gather half: copy the sum *reduced* left into every
+        ``ctx.fulls``."""
+        raise NotImplementedError
+
     def allreduce(self, ctx: SyncContext) -> None:
         """Sum every ``ctx.partials`` into every ``ctx.fulls``."""
-        raise NotImplementedError
+        self.gather(ctx, self.reduce(ctx))
+
+    def reduce_to_host(self, ctx: SyncContext) -> np.ndarray:
+        """Sum every ``ctx.partials`` onto the host: the reduce half,
+        then each owner copies its rows of the sum to the host on its
+        stream, after the reduce. Returns the sum assembled from the
+        arrays those copies delivered, so a corrupted copy shows in the
+        result; ``ctx.fulls`` are not touched."""
+        reduced = self.reduce(ctx)
+        if reduced.host is not None:
+            return reduced.host
+        total = np.empty(ctx.shape, dtype=ctx.partials[0].dtype)
+        for pos, lo, hi in reduced.owners:
+            src, stream = ctx.partials[pos], ctx.streams[pos]
+            dev = src.device.device_id
+            _, _, rows = with_retry(
+                lambda: ctx.machine.memcpy_d2h(
+                    src, stream=stream, label="d2h:node_phi", rows=(lo, hi)
+                ),
+                stream, "d2h:node_phi", ctx.retry, devices=(dev,),
+            )
+            emit_counter(
+                "sync_bytes_total", rows.nbytes,
+                help="bytes moved per link during model synchronization",
+                link=f"{dev}->host", phase="to_host",
+            )
+            total[lo:hi] = rows
+        return total
 
     def estimate(
         self,
@@ -544,16 +701,19 @@ class Collective:
         shape: tuple[int, int],
         config: KernelConfig,
         retry: TransferRetry | None = None,
+        to_host: bool = False,
     ) -> CostEstimate:
-        """Predicted cost of :meth:`allreduce` on *topo* for a (K, V)
-        payload — the planner's ranking input.
+        """Predicted cost of :meth:`allreduce` (:meth:`reduce_to_host`
+        when *to_host*) on *topo* for a (K, V) payload — the planner's
+        ranking input.
 
-        Runs :meth:`allreduce` itself on an idle shadow machine with
-        *machine*'s specs and *topo*'s link states, so the prediction
-        is the simulated time the same run takes from idle.
+        Runs that op itself on an idle shadow machine with *machine*'s
+        specs and *topo*'s link states, so the prediction is the
+        simulated time the same run takes from idle.
         """
         return _replay(
             self,
+            to_host,
             machine.host_spec,
             tuple(gpu.spec for gpu in machine.gpus),
             len(set(machine.pcie)),  # GPUs on one socket share an uplink
@@ -575,6 +735,7 @@ def _copy_state(link: Link, info: LinkInfo) -> None:
 @functools.lru_cache(maxsize=256)
 def _replay(
     collective: Collective,
+    to_host: bool,
     host_spec: DeviceSpec,
     gpu_specs: tuple[DeviceSpec, ...],
     num_host_links: int,
@@ -612,7 +773,10 @@ def _replay(
     # counters out of the caller's registry.
     with telemetry_session():
         try:
-            collective.allreduce(ctx)
+            if to_host:
+                collective.reduce_to_host(ctx)
+            else:
+                collective.allreduce(ctx)
         except SyncPathError:
             return CostEstimate(math.inf)
     return CostEstimate(
@@ -625,13 +789,18 @@ class TreeCollective(Collective):
 
     name = "gpu_tree"
 
-    def allreduce(self, ctx: SyncContext) -> None:
-        root = reduce_phi_tree(
+    allreduce = Collective.allreduce  # own attribute: see Collective
+
+    def reduce(self, ctx: SyncContext) -> Reduced:
+        reduce_phi_tree(
             ctx.machine, ctx.partials, ctx.scratch, ctx.streams, ctx.config,
             retry=ctx.retry,
         )
+        return Reduced(owners=((0, 0, ctx.shape[0]),))
+
+    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
         broadcast_phi(
-            ctx.machine, root, ctx.fulls, ctx.streams, ctx.config,
+            ctx.machine, ctx.partials[0], ctx.fulls, ctx.streams, ctx.config,
             retry=ctx.retry,
         )
 
@@ -641,10 +810,17 @@ class RingCollective(Collective):
 
     name = "ring"
 
-    def allreduce(self, ctx: SyncContext) -> None:
-        ring_allreduce_phi(
+    allreduce = Collective.allreduce  # own attribute: see Collective
+
+    def reduce(self, ctx: SyncContext) -> Reduced:
+        return _ring_reduce_scatter(
+            ctx.machine, ctx.partials, ctx.streams, ctx.config, ctx.retry
+        )
+
+    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
+        _ring_allgather(
             ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
-            retry=ctx.retry,
+            ctx.retry,
         )
 
 
@@ -654,10 +830,16 @@ class CpuGatherCollective(Collective):
 
     name = "cpu_gather"
 
-    def allreduce(self, ctx: SyncContext) -> None:
-        cpu_gather_sync(
-            ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
-            retry=ctx.retry,
+    allreduce = Collective.allreduce  # own attribute: see Collective
+
+    def reduce(self, ctx: SyncContext) -> Reduced:
+        return Reduced(host=_cpu_gather_reduce(
+            ctx.machine, ctx.partials, ctx.streams, ctx.config, ctx.retry
+        ))
+
+    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
+        _cpu_scatter(
+            ctx.machine, reduced.host, ctx.fulls, ctx.streams, ctx.retry
         )
 
 
@@ -667,10 +849,18 @@ class HierarchicalCollective(Collective):
 
     name = "hierarchical"
 
-    def allreduce(self, ctx: SyncContext) -> None:
-        hierarchical_allreduce_phi(
-            ctx.machine, ctx.partials, ctx.fulls, ctx.scratch, ctx.streams,
-            ctx.config, retry=ctx.retry,
+    allreduce = Collective.allreduce  # own attribute: see Collective
+
+    def reduce(self, ctx: SyncContext) -> Reduced:
+        return _hierarchical_reduce(
+            ctx.machine, ctx.partials, ctx.scratch, ctx.streams, ctx.config,
+            ctx.retry,
+        )
+
+    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
+        _hierarchical_gather(
+            ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
+            ctx.retry,
         )
 
 

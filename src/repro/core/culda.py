@@ -341,7 +341,7 @@ class CuLDA(Algorithm):
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
-        legs = self._run_nodes(self._transfer_retry())
+        legs, _ = self._run_nodes(self._transfer_retry())
         dt = max(self._t_prev_node[n] - start for n, (_, start) in legs.items())
         return self._outcome(legs, dt)
 
@@ -564,15 +564,17 @@ class CuLDA(Algorithm):
                 w.free_all()
 
     def _run_nodes(
-        self, retry, extract_phi: bool = False
-    ) -> dict[int, tuple[int, float]]:
+        self, retry, to_host: bool = False
+    ) -> tuple[dict[int, tuple[int, float]], dict[int, np.ndarray]]:
         """Alg 1's iteration on every hosting node: WorkSchedule1/2 plus
-        the node's reduce tree. With *extract_phi* the node-summed φ then
-        leaves GPU 0 for the NIC. Returns, per node, its trace mark and
-        the clock the iteration started at; the node's clock
-        (``_t_prev_node``) ends it."""
+        the node's planned φ sync. With *to_host* (a cluster) that sync
+        is the collective's reduce half, and the node-summed φ it leaves
+        is copied to the host for the NIC. Returns, per node, its trace
+        mark and the clock the iteration started at (the node's clock,
+        ``_t_prev_node``, ends it), and the host node sums when
+        *to_host*."""
         cfg = self.config
-        legs = {}
+        legs, sums = {}, {}
         for n in self._host_nodes:
             machine = self.machines[n]
             workers = self._node_workers[n]
@@ -580,29 +582,25 @@ class CuLDA(Algorithm):
             mark = len(machine.trace.intervals)
             with span("iteration"):
                 if self._node_resident[n]:
-                    run_iteration_resident(
+                    sums[n] = run_iteration_resident(
                         machine, workers, local, self._node_dev_chunks[n],
                         self._hyper, self._kcfg, cfg.sync_algorithm,
-                        retry=retry,
+                        retry=retry, to_host=to_host,
                     )
                 else:
                     cpg = self._plan.chunks_per_gpu
                     if len(local) != cpg * len(workers):
                         cpg = None  # uneven round-robin after a migration
-                    run_iteration_streaming(
+                    sums[n] = run_iteration_streaming(
                         machine, workers, local, self._hyper, self._kcfg,
                         cpg, cfg.sync_algorithm,
                         overlap=cfg.overlap_transfers, retry=retry,
-                    )
-                if extract_phi:
-                    machine.memcpy_d2h(
-                        workers[0].phi_full, stream=workers[0].download,
-                        label="d2h:node_phi",
+                        to_host=to_host,
                     )
                 t_now = machine.synchronize()
             legs[n] = (mark, self._t_prev_node[n])
             self._t_prev_node[n] = t_now
-        return legs
+        return legs, sums
 
     def _trace_stats(self, legs) -> tuple[float, float, dict]:
         """``(sync_seconds, p2p_bytes, busy share by device)`` over each

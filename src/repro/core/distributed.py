@@ -7,18 +7,21 @@ substrate with hierarchical synchronization:
    same planner the single-machine trainer uses — one *global* plan
    over all ``W = N × G`` workers, so chunk boundaries and per-chunk
    RNG streams are identical for every (N, G) layout with the same W;
-2. each node runs the paper's intra-node iteration unchanged — the
-   per-node body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2
-   plus the §5.2 reduce tree, ``--sync`` planned per machine),
-   producing a node-summed φ on every local GPU;
+2. each node runs the paper's intra-node iteration — the per-node
+   body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2 plus the
+   §5.2 sync, ``--sync`` planned per machine) — but its sync runs only
+   the collective's reduce half, and each GPU copies the rows of the
+   node-summed φ it owns to the host;
 3. an inter-node leg combines each node's Δφ since the last sync
    over the Ethernet fabric through a cluster collective (``eth_ring``
    allgathers the deltas in a sparse 16-bit wire format;
    ``param_server`` pushes them to the sharded server), chosen behind
    ``--inter-sync auto`` by the planner, which prices each backend by
    rehearsing it on an idle shadow cluster for this iteration's
-   payload; the new global φ (the last synced φ plus the deltas) is
-   re-broadcast to every GPU.
+   payload; once it has delivered to a node, each of the node's GPUs
+   receives the new view (the last synced φ plus the deltas) as its
+   change from the view the host last sent the node, in one h2d that
+   one kernel adds in (docs/DISTRIBUTED.md §2).
 
 This class adds only that cluster layer: the inter-node leg, failure
 detection, the parameter server, the staleness cache, node migration,
@@ -81,7 +84,9 @@ from repro.engine.algorithm import IterationOutcome
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.errors import NodeLost
+from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
+from repro.sched.schedule import launch_phi_delta
 from repro.telemetry.context import emit_counter, emit_gauge
 from repro.telemetry.spans import span
 
@@ -192,6 +197,9 @@ class DistributedCuLDA(CuLDA):
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
         self.membership = MembershipMonitor(self.network)
+        #: Per node, the φ view its GPUs hold: the host's reference
+        #: for the next Δφ and for check_invariants.
+        self._held: dict[int, np.ndarray] = {}
         self._cluster_time = 0.0
         self._charged = 0.0
         extras = resume.extras if resume is not None else {}
@@ -277,6 +285,38 @@ class DistributedCuLDA(CuLDA):
     def _phi(self) -> np.ndarray:
         return self._global_phi
 
+    def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
+        """The dense upload (init, rollback, migration); the host keeps
+        *view_host* as the view node *node* holds."""
+        super()._upload_phi(node, view_host, label)
+        self._held[node] = view_host
+
+    def _send_delta(
+        self, node: int, delta: WireDelta, payload: np.ndarray
+    ) -> None:
+        """Send every GPU of *node* the packed Δφ *payload* in one h2d,
+        into a buffer of the payload's size, and apply it there."""
+        machine = self.machines[node]
+        for w in self._node_workers[node]:
+            buf = DeviceArray(
+                w.device, payload.shape, payload.dtype, label="phi_delta"
+            )
+            machine.memcpy_h2d(buf, payload, stream=w.upload, label="h2d:phi_delta")
+            launch_phi_delta(w, buf, delta, self._kcfg, w.upload)
+            buf.free()
+
+    def check_invariants(self, state: RunState) -> list[str]:
+        """Every GPU must hold the φ view the host last sent its node —
+        silent corruption of any replica breaks this, on a one-GPU node
+        too."""
+        return [
+            f"phi replica on node {n} GPU {w.device.device_id} diverges "
+            f"from the view the host sent node {n}"
+            for n in self._host_nodes
+            for w in self._node_workers[n]
+            if not np.array_equal(w.phi_full.data, self._held[n])
+        ]
+
     def _device_key(self, node: int, device: int):
         return f"{node}.{device}"
 
@@ -297,7 +337,6 @@ class DistributedCuLDA(CuLDA):
     def run_iteration(self, state: RunState) -> IterationOutcome:
         cfg = self.config
         N = self.num_nodes
-        kcfg = self._kcfg
         it = self._iter_index
         self._iter_index += 1
         sync_round = cfg.staleness == 0 or it % (cfg.staleness + 1) == 0
@@ -331,20 +370,20 @@ class DistributedCuLDA(CuLDA):
                 raise NodeLost(n)
             # The NIC came back during the stall; training proceeds.
 
-        # --- intra-node leg: the paper's iteration, per machine; the
-        # leader extraction sends each node-summed φ to the NIC --------
-        legs = self._run_nodes(retry, extract_phi=sync_round)
+        # --- intra-node leg: the paper's iteration, per machine, whose
+        # sync reduces each node's φ to its host for the NIC -----------
+        legs, sums = self._run_nodes(retry, to_host=True)
         dt_intra = {
             n: self._t_prev_node[n] - start for n, (_, start) in legs.items()
         }
         ready = {n: self._cluster_time + dt_intra[n] for n in hosts}
 
-        # After the intra all-reduce every GPU on node n holds the sum
-        # of node n's chunk counts — the node's contribution. Nodes
-        # hosting nothing (dead, their work migrated) contribute zeros.
+        # Node n's host now holds the sum of its chunk counts — the
+        # node's contribution. Nodes hosting nothing (dead, their work
+        # migrated) contribute zeros.
         node_counts = [
-            self._node_workers[n][0].phi_full.data.astype(np.int64, copy=True)
-            if self._node_runtimes[n]
+            sums[n].astype(np.int64)
+            if n in sums
             else np.zeros_like(self._node_base[n])
             for n in range(N)
         ]
@@ -391,18 +430,25 @@ class DistributedCuLDA(CuLDA):
             done = dict(ready)
             views = {n: self._phi_cache + pending[n] for n in hosts}
 
-        # --- redistribution: every GPU gets its node's φ view ----------
-        redist = {}
+        # --- redistribution: each GPU receives only what changed since
+        # the view the host last sent its node. Nodes holding the same
+        # pair of views (all of them at s = 0) share one encoding. -----
+        held = dict(self._held)  # alive for the loop, so ids stay unique
+        deltas: dict[tuple[int, int], tuple[WireDelta, np.ndarray]] = {}
+        finish = {}
         for n in hosts:
-            t_a = self._t_prev_node[n]
-            self._upload_phi(
-                n, self._as_phi_dtype(views[n], kcfg), "h2d:phi_global"
-            )
-            t_b = self.machines[n].synchronize()
-            redist[n] = t_b - t_a
-            self._t_prev_node[n] = t_b
-
-        finish = {n: done[n] + redist[n] for n in hosts}
+            machine, start = self.machines[n], legs[n][1]
+            # The node's host sends once the leg has delivered to it:
+            # done[n] on the cluster clock, mapped onto the node's.
+            machine.advance_host(start + done[n] - self._cluster_time)
+            key = (id(views[n]), id(held[n]))
+            if key not in deltas:
+                delta = WireDelta.encode(views[n] - held[n])
+                deltas[key] = (delta, delta.pack())
+            self._send_delta(n, *deltas[key])
+            self._held[n] = views[n]
+            self._t_prev_node[n] = machine.synchronize()
+            finish[n] = self._cluster_time + self._t_prev_node[n] - start
         t_next = max(finish.values())
         for n in hosts:
             emit_counter(

@@ -65,6 +65,7 @@ __all__ = [
     "update_theta_cost",
     "update_phi_cost",
     "phi_reduce_cost",
+    "phi_delta_cost",
 ]
 
 #: Threads per warp — one warp is one sampler (§6.1.1), and the index
@@ -132,13 +133,6 @@ class SamplingStats:
     @property
     def p1_fraction(self) -> float:
         return self.p1_draws / self.num_tokens if self.num_tokens else 0.0
-
-    @property
-    def mean_probe_levels(self) -> float:
-        """Mean index-tree search depth per token (Fig 5 probe cost)."""
-        return (
-            self.tree_probe_levels / self.num_tokens if self.num_tokens else 0.0
-        )
 
 
 # ----------------------------------------------------------------------
@@ -615,4 +609,38 @@ def phi_reduce_cost(num_topics: int, num_words: int, config: KernelConfig) -> Ke
         bytes_written=n * phi_b,
         flops=n,
         num_blocks=max(1, int(n) // (BLOCK_TOKEN_CAPACITY * 32) + 1),
+    )
+
+
+def phi_delta_cost(
+    entries: int,
+    payload_bytes: int,
+    num_topics: int,
+    num_words: int,
+    dense: bool,
+    config: KernelConfig,
+) -> KernelCost:
+    """Traffic of adding a redistributed Δφ into a GPU's φ and n_k
+    (a cluster node's redistribution).
+
+    The kernel reads the payload. A dense Δ read-modify-writes all of
+    φ and row-sums it. A sparse one read-modify-writes each of its
+    *entries* at sector granularity and adds it into n_k with one
+    atomic; the entries come index-sorted, so a row's atomics are
+    adjacent.
+    """
+    K, V = num_topics, num_words
+    if dense:
+        n = float(K) * V * config.phi_bytes
+        read, written, atomics = payload_bytes + n, n + K * 8.0, 0
+    else:
+        sector = entries * (CACHELINE_BYTES / 4)
+        read, written, atomics = payload_bytes + sector, sector, entries
+    return KernelCost(
+        bytes_read=read,
+        bytes_written=written,
+        flops=float(entries),
+        atomic_ops=atomics,
+        atomic_locality=0.95,
+        num_blocks=max(1, entries // BLOCK_TOKEN_CAPACITY + 1),
     )

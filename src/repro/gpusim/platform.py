@@ -373,23 +373,32 @@ class Machine:
         stream: Stream | None = None,
         label: str = "d2h",
         pinned: bool = True,
+        rows: tuple[int, int] | None = None,
     ) -> tuple[float, float, np.ndarray]:
         """Copy device buffer *src* back to the host (timed).
 
         ``pinned=False`` models a copy into pageable host memory (half
-        the pinned DMA rate).
+        the pinned DMA rate). ``rows=(lo, hi)`` copies only
+        ``src[lo:hi]``: leading-axis rows of a C-order buffer are one
+        contiguous range, so one DMA moves them with no staging kernel.
         """
         stream = stream or src.device.default_stream
         if stream.device is not src.device:
             raise ValueError("stream and source buffer on different devices")
+        nbytes = src.nbytes
+        if rows is not None:
+            lo, hi = rows
+            if not 0 <= lo <= hi <= src.shape[0]:
+                raise ValueError(f"rows {rows} outside {src.shape[0]} rows")
+            nbytes = src.data[lo:hi].nbytes
         link = self.pcie[src.device.device_id]
-        charged = src.nbytes if pinned else 2 * src.nbytes
+        charged = nbytes if pinned else 2 * nbytes
         earliest = max(stream.available_at, stream._pending_after, self.host_time)
         l_start, l_end = link.reserve(charged, earliest, direction=1)
         corrupt = link.take_corruption()
 
         def fetch() -> np.ndarray:
-            arr = src.copy_to_host()
+            arr = src.copy_to_host() if rows is None else src.data[lo:hi].copy()
             if corrupt:
                 _corrupt_payload(arr)
             return arr
@@ -400,7 +409,7 @@ class Machine:
             label=label,
             fn=fetch,
             not_before=l_start,
-            bytes_moved=src.nbytes,
+            bytes_moved=nbytes,
         )
         return start, end, result
 

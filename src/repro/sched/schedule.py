@@ -35,6 +35,7 @@ from repro.core.kernels import (
     SamplingStats,
     accumulate_phi,
     gibbs_sample_chunk,
+    phi_delta_cost,
     recount_theta,
     sampling_cost,
     update_phi_cost,
@@ -43,12 +44,13 @@ from repro.core.kernels import (
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.device import Device
+from repro.gpusim.errors import KernelFault
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Event, Stream
 from repro.gpusim.trace import union_length
-from repro.comm import AUTO, SyncContext, TransferRetry, plan_sync
+from repro.comm import AUTO, SyncContext, TransferRetry, WireDelta, plan_sync
 from repro.telemetry.context import emit_counter, emit_gauge_max
 from repro.telemetry.spans import span
 
@@ -62,6 +64,7 @@ __all__ = [
     "run_iteration_resident",
     "run_iteration_streaming",
     "launch_nk_rowsum",
+    "launch_phi_delta",
     "synchronize_model",
     "busy_fractions",
     "iteration_trace_stats",
@@ -359,6 +362,62 @@ def launch_nk_rowsum(
     ).launch(stream)
 
 
+def launch_phi_delta(
+    worker: GpuWorker,
+    payload: DeviceArray,
+    delta: WireDelta,
+    config: KernelConfig,
+    stream: Stream,
+) -> None:
+    """φ += Δ and n_k += Δ's row sums on *worker*, on *stream*: the one
+    kernel that applies a redistributed Δφ on a cluster node.
+
+    It decodes *payload*, the bytes the h2d delivered, with *delta*'s
+    shape, form and value width as its launch arguments, so a payload
+    the link corrupted is applied as delivered. An index outside K×V,
+    or a count driven outside the φ dtype's range (which a true view
+    never is: every φ entry is at most its word's corpus frequency),
+    raises :class:`~repro.gpusim.errors.KernelFault`.
+    """
+    K, V = worker.phi_full.shape
+    dense = delta.index is None
+    entries = K * V if dense else delta.values.size
+    dev = worker.device.device_id
+
+    def body() -> None:
+        got = delta.unpack(payload.data)
+        flat = worker.phi_full.data.reshape(-1)
+        values = got.values.astype(np.int64)
+        index = slice(None) if dense else got.index
+        if not dense and index.size and not (
+            0 <= index.min() and index.max() < flat.size
+        ):
+            raise KernelFault(
+                dev, "phi_delta_apply",
+                f"Δφ payload on device {dev} indexes outside the {K}x{V} φ",
+            )
+        new = flat[index].astype(np.int64) + values
+        if new.size and not (
+            0 <= new.min() and new.max() <= np.iinfo(flat.dtype).max
+        ):
+            raise KernelFault(
+                dev, "phi_delta_apply",
+                f"Δφ payload on device {dev} drives a φ count out of range",
+            )
+        flat[index] = new
+        if dense:
+            worker.n_k.data += values.reshape(K, V).sum(axis=1)
+        else:
+            np.add.at(worker.n_k.data, index // V, values)
+
+    KernelLaunch(
+        body,
+        phi_delta_cost(entries, payload.nbytes, K, V, dense, config),
+        "phi_delta_apply",
+        "sync",
+    ).launch(stream)
+
+
 def synchronize_model(
     machine: Machine,
     workers: list[GpuWorker],
@@ -367,7 +426,8 @@ def synchronize_model(
     phi_ready: list,
     algorithm: str = AUTO,
     retry: TransferRetry | None = None,
-) -> None:
+    to_host: bool = False,
+) -> np.ndarray | None:
     """Combine the partial φ replicas and refresh every GPU's full φ/n_k.
 
     ``phi_ready[g]`` is the event marking GPU *g*'s update-φ completion.
@@ -376,30 +436,36 @@ def synchronize_model(
     registered collective name, which forces that plan. ``retry``
     enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).
+
+    With *to_host* (a cluster node) only the collective's reduce half
+    runs, and the owners copy the node sum to the host: that sum is
+    returned, and every full φ and n_k stays as it was until the
+    node's Δφ arrives (:func:`launch_phi_delta`).
     """
     sync_streams = [w.sync for w in workers]
     for g, w in enumerate(workers):
         w.sync.wait_event(phi_ready[g])
 
     partials = [w.phi_partial for w in workers]
-    fulls = [w.phi_full for w in workers]
     with span("sync_plan"):
         plan = plan_sync(
             machine, partials[0].shape, config,
             retry=retry, algorithm=algorithm,
             devices=[w.device.device_id for w in workers],
+            to_host=to_host,
         )
-    plan.collective.allreduce(
-        SyncContext(
-            machine=machine,
-            partials=partials,
-            fulls=fulls,
-            scratch=[w.phi_scratch for w in workers],
-            streams=sync_streams,
-            config=config,
-            retry=retry,
-        )
+    ctx = SyncContext(
+        machine=machine,
+        partials=partials,
+        fulls=[w.phi_full for w in workers],
+        scratch=[w.phi_scratch for w in workers],
+        streams=sync_streams,
+        config=config,
+        retry=retry,
     )
+    if to_host:
+        return plan.collective.reduce_to_host(ctx)
+    plan.collective.allreduce(ctx)
 
     for w in workers:
         launch_nk_rowsum(w, config, w.sync)
@@ -408,6 +474,7 @@ def synchronize_model(
     for w in workers:
         done = w.sync.record(label="sync_done")
         w.compute.wait_event(done)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -423,8 +490,10 @@ def run_iteration_resident(
     config: KernelConfig,
     sync_algorithm: str = AUTO,
     retry: TransferRetry | None = None,
-) -> None:
-    """One WorkSchedule1 iteration (M = 1): chunk g is resident on GPU g."""
+    to_host: bool = False,
+) -> np.ndarray | None:
+    """One WorkSchedule1 iteration (M = 1): chunk g is resident on GPU g.
+    Returns what :func:`synchronize_model` returns for *to_host*."""
     G = len(workers)
     if not (len(runtimes) == len(dev_chunks) == G):
         raise ValueError("WorkSchedule1 requires exactly one chunk per GPU")
@@ -434,8 +503,9 @@ def run_iteration_resident(
         )
         for g in range(G)
     ]
-    synchronize_model(
-        machine, workers, hyper, config, phi_ready, sync_algorithm, retry=retry
+    return synchronize_model(
+        machine, workers, hyper, config, phi_ready, sync_algorithm,
+        retry=retry, to_host=to_host,
     )
 
 
@@ -449,7 +519,8 @@ def run_iteration_streaming(
     sync_algorithm: str = AUTO,
     overlap: bool = True,
     retry: TransferRetry | None = None,
-) -> None:
+    to_host: bool = False,
+) -> np.ndarray | None:
     """One WorkSchedule2 iteration (M > 1): per-iteration chunk streaming.
 
     With ``overlap=True`` uploads run on a dedicated stream so chunk m+1
@@ -460,7 +531,8 @@ def run_iteration_streaming(
     ``chunks_per_gpu=None`` accepts an uneven round-robin (elastic
     layouts after a migration can leave GPUs with different chunk
     counts); every GPU still needs at least one chunk so its φ replica
-    participates in the reduce.
+    participates in the reduce. Returns what
+    :func:`synchronize_model` returns for *to_host*.
     """
     G = len(workers)
     if chunks_per_gpu is None and len(runtimes) < G:
@@ -484,8 +556,9 @@ def run_iteration_streaming(
             down_stream.wait_event(done)
             download_chunk(machine, worker, cr, dc, stream=down_stream)
         phi_ready.append(last_phi_ready)
-    synchronize_model(
-        machine, workers, hyper, config, phi_ready, sync_algorithm, retry=retry
+    return synchronize_model(
+        machine, workers, hyper, config, phi_ready, sync_algorithm,
+        retry=retry, to_host=to_host,
     )
 
 

@@ -582,6 +582,83 @@ class TestPlannerReplayProperties:
         assert predicted["pascal"] != predicted["volta"]
 
 
+def _run_to_host(machine, name, shape, config, retry):
+    """:func:`_run` for ``reduce_to_host``: checks the returned host sum
+    and that no full replica was written."""
+    devices = [g.device_id for g in machine.alive_gpus]
+    dtype = np.uint16 if config.compressed else np.int32
+    partials, scratch, fulls, streams, expected = _setup(
+        machine, *shape, dtype=dtype, devices=devices
+    )
+    try:
+        total = get_collective(name).reduce_to_host(SyncContext(
+            machine, partials, fulls, scratch, streams, config, retry
+        ))
+    except SyncPathError:
+        return None
+    assert np.array_equal(total, expected.astype(dtype))
+    assert not any(full.data.any() for full in fulls)
+    return max(machine.host_time, *(s.available_at for s in streams))
+
+
+class TestReduceToHost:
+    """A cluster node runs only a collective's reduce half, then copies
+    the rows each position owns to the host."""
+
+    @given(fabric_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_estimates_equal_measured_runs(self, case):
+        fabric, retry, shape, compressed = case
+        cfg = KernelConfig(compressed=compressed)
+        for collective in collectives():
+            m = _fabric(*fabric)
+            est = collective.estimate(
+                m, Topology.from_machine(m), shape, cfg, retry=retry,
+                to_host=True,
+            )
+            seconds = _run_to_host(
+                _fabric(*fabric), collective.name, shape, cfg, retry
+            )
+            assert est.feasible == (seconds is not None), collective.name
+            if seconds is not None:
+                assert est.seconds == pytest.approx(
+                    seconds, rel=1e-9, abs=1e-15
+                ), collective.name
+
+    @pytest.mark.parametrize("name", collective_names())
+    def test_owners_cover_every_row_once(self, name):
+        m = pascal_platform(4)
+        partials, scratch, fulls, streams, expected = _setup(m, K=9)
+        reduced = get_collective(name).reduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
+        if reduced.host is not None:
+            assert np.array_equal(reduced.host, expected)
+            return
+        rows = sorted((lo, hi) for _, lo, hi in reduced.owners)
+        assert [lo for lo, _ in rows] == [0, *(hi for _, hi in rows[:-1])]
+        assert rows[-1][1] == 9
+        for pos, lo, hi in reduced.owners:
+            assert np.array_equal(partials[pos].data[lo:hi], expected[lo:hi])
+
+    def test_planner_prices_the_op_that_runs(self):
+        """On the benchmark's 2-GPU Pascal node the ring's reduce half
+        plus two parallel owned-row copies beat every other collective,
+        and the op is part of the memo key."""
+        cfg = KernelConfig()
+        m = make_machine("pascal", 2)
+        plan = plan_sync(m, BENCH_PAYLOAD, cfg, to_host=True)
+        assert plan.algorithm == "ring"
+        assert plan.estimate.seconds == pytest.approx(
+            _run_to_host(make_machine("pascal", 2), "ring", BENCH_PAYLOAD,
+                         cfg, None),
+            rel=1e-9,
+        )
+        assert plan.estimate.seconds < plan_sync(
+            m, BENCH_PAYLOAD, cfg
+        ).estimate.seconds
+
+
 # ----------------------------------------------------------------------
 # Bit-identity of --sync auto (the planner's core invariant)
 # ----------------------------------------------------------------------

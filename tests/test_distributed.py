@@ -54,7 +54,7 @@ from repro.engine.recovery import RecoveryPolicy, TrainingFailure
 from repro.faults.plan import FaultPlan, FaultSpec, cluster_chaos_plan
 from repro.gpusim.errors import NodeLost, SyncPathError
 from repro.gpusim.platform import make_machine
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, TrainerCallback
 
 pytestmark = pytest.mark.distributed
 
@@ -610,6 +610,19 @@ class TestEthRingWire:
         assert result.bytes_on_wire == 3 * sum(sizes)
         assert np.array_equal(result.phi, base + sum(payload))
 
+    def test_pack_is_one_buffer_of_the_wire_bytes(self):
+        for delta in map(WireDelta.encode, self._payload()):
+            payload = delta.pack()
+            assert payload.dtype == np.uint8
+            assert payload.nbytes == delta.nbytes
+            got = delta.unpack(payload)
+            assert got.values.dtype == delta.values.dtype
+            assert np.array_equal(got.values, delta.values)
+            if delta.index is None:
+                assert got.index is None
+            else:
+                assert np.array_equal(got.index, delta.index)
+
     def test_flat_index_past_int32_raises(self, monkeypatch):
         import repro.comm.cluster as cluster
 
@@ -852,6 +865,188 @@ class TestMigrationProperties:
         hosting = algo.server.parked("chunk_hosting")
         assert hosting is not None
         assert not set(hosting.tolist()) & set(dead_nodes)
+
+
+# ----------------------------------------------------------------------
+# A node reduces φ to its host; each GPU receives only what changed
+# ----------------------------------------------------------------------
+
+class _Boundaries(TrainerCallback):
+    """Per iteration boundary of a cluster run: each machine's trace
+    length and clock, and the network's message count."""
+
+    def __init__(self, trainer):
+        self.trainer = trainer
+        self.marks = []
+
+    def _mark(self, event) -> None:
+        t = self.trainer
+        self.marks.append((
+            [len(m.trace.intervals) for m in t.machines],
+            [m.host_time for m in t.machines],
+            len(t.network.messages),
+        ))
+
+    on_train_start = on_iteration_end = _mark
+
+
+class TestNodeSyncToHost:
+    """Each node runs only its collective's reduce half and copies the
+    rows it owns to the host; the host sends each GPU the Δ between the
+    new view and the one it last sent, which one kernel applies."""
+
+    @pytest.mark.parametrize("staleness,sync", [
+        (0, "auto"), (1, "auto"), (0, "ring"),
+    ])
+    def test_copies_wait_for_their_data(self, corpus, staleness, sync):
+        """No φ d2h starts before the φ work before it on its GPU (the
+        update or the reduce) ends, and no φ upload starts before the
+        inter-node leg has delivered to its node, on that node's own
+        clock."""
+        trainer = _trainer(
+            corpus, 2, 2, staleness=staleness, sync_algorithm=sync
+        )
+        marks = _Boundaries(trainer)
+        result = trainer.train(callbacks=[marks])
+        starts = np.cumsum([0.0] + [it.sim_seconds for it in result.iterations])
+        checked = {"d2h": 0, "h2d": 0}
+        for i in range(len(result.iterations)):
+            (cuts, clocks, sent), (ends, _, sent_end) = marks.marks[i:i + 2]
+            messages = trainer.network.messages[sent:sent_end]
+            for n, machine in enumerate(trainer.machines):
+                ivs = machine.trace.intervals[cuts[n]:ends[n]]
+                for k, iv in enumerate(ivs):
+                    if iv.kind == "d2h" and "phi" in iv.label:
+                        before = [
+                            p.end for p in ivs[:k]
+                            if p.kind in ("update_phi", "sync")
+                            and p.device_id == iv.device_id
+                        ]
+                        assert before and iv.start >= max(before), iv
+                        checked["d2h"] += 1
+                delivered = [m[5] for m in messages if n in (m[1], m[2])]
+                if not delivered:
+                    continue  # no leg this round (inside a staleness window)
+                arrives = clocks[n] + max(delivered) - starts[i]
+                for iv in ivs:
+                    if iv.kind == "h2d" and iv.label.startswith("h2d:phi"):
+                        assert iv.start >= arrives - 1e-12, (i, n, iv)
+                        checked["h2d"] += 1
+        assert checked["d2h"] and checked["h2d"]
+
+    @pytest.mark.parametrize("sync", ["gpu_tree", "ring", "cpu_gather",
+                                      "hierarchical"])
+    def test_cluster_never_runs_the_intra_allreduce(
+        self, corpus, sync, monkeypatch
+    ):
+        from repro.comm.collectives import collectives
+
+        def refuse(self, ctx):
+            raise AssertionError(f"{self.name}.allreduce ran on a cluster")
+
+        for collective in collectives():
+            monkeypatch.setattr(type(collective), "allreduce", refuse)
+        result = _trainer(corpus, 2, 2, sync_algorithm=sync).train()
+        monkeypatch.undo()
+        _assert_same_model(result, _reference(corpus).train())
+
+    def test_upload_carries_only_what_changed(self, corpus):
+        """At s = 0 every GPU's one φ upload per iteration is the wire
+        encoding of that iteration's change to the global φ."""
+        phis = []
+
+        class Phi(TrainerCallback):
+            def on_iteration_end(self, event):
+                phis.append(event["phi"]().astype(np.int64))
+
+        trainer = _trainer(corpus, 2, 2)
+        trainer.train(callbacks=[Phi()])
+        for machine in trainer.machines:
+            uploads = [
+                iv.bytes_moved for iv in machine.trace.intervals
+                if iv.kind == "h2d" and iv.label.startswith("h2d:phi")
+            ]
+            assert len(uploads) == 2 * len(phis)  # 2 GPUs, one each
+            expected = [
+                WireDelta.encode(new - old).nbytes
+                for old, new in zip(phis, phis[1:])
+            ]
+            assert uploads[2::2] == uploads[3::2] == expected
+
+    def test_host_link_corruption_is_detected(self):
+        """A corrupted copy on a one-GPU node's host link (here the
+        owned-row copy to the host) rolls the iteration back, and the
+        rerun is bit-identical to a clean run."""
+        corpus = pubmed_like(8_000, 8, seed=3)
+
+        def run(**kwargs):
+            return _trainer(
+                corpus, 4, 1, chunks_per_gpu=1, iterations=5
+            ).train(**kwargs)
+
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="transfer_corruption", iteration=2, link="pcie[0]"),
+        ))
+        faulted = run(recovery="retry", fault_plan=plan)
+        assert faulted.rollbacks == 1
+        _assert_same_model(faulted, run())
+
+    def test_invariants_name_a_diverged_one_gpu_node(self, corpus):
+        trainer = _trainer(corpus, 4, 1, chunks_per_gpu=1)
+        state = trainer.init_state()
+        trainer.run_iteration(state)
+        assert trainer.check_invariants(state) == []
+        phi = trainer._node_workers[2][0].phi_full.data
+        phi.reshape(-1)[5] += 1
+        [violation] = trainer.check_invariants(state)
+        assert "node 2" in violation
+
+    def test_apply_rejects_an_out_of_range_index(self):
+        from repro.core.kernels import KernelConfig
+        from repro.gpusim.errors import FaultError
+        from repro.gpusim.memory import DeviceArray
+        from repro.sched.schedule import GpuWorker, launch_phi_delta
+
+        K, V = 4, 6
+        worker = GpuWorker(make_machine("pascal", 1).gpus[0], K, V,
+                           KernelConfig())
+        delta = WireDelta.encode(np.eye(K, V, dtype=np.int64))
+        bad = WireDelta(delta.shape, delta.values, delta.index + K * V)
+        payload = bad.pack()
+        buf = DeviceArray(worker.device, payload.shape, payload.dtype,
+                          fill=payload)
+        with pytest.raises(FaultError, match="outside the 4x6"):
+            launch_phi_delta(worker, buf, delta, KernelConfig(),
+                             worker.upload)
+        assert not worker.phi_full.data.any()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_apply_adds_into_phi_and_n_k(self, dense):
+        from repro.core.kernels import KernelConfig
+        from repro.gpusim.memory import DeviceArray
+        from repro.sched.schedule import GpuWorker, launch_phi_delta
+
+        K, V = 4, 6
+        rng = np.random.default_rng(0)
+        old = rng.integers(0, 9, size=(K, V))
+        new = old.copy()
+        new[1, 2] += 7
+        new[3, 0] -= old[3, 0]
+        if dense:
+            new = rng.integers(0, 9, size=(K, V))
+        worker = GpuWorker(make_machine("pascal", 1).gpus[0], K, V,
+                           KernelConfig())
+        worker.phi_full.data[...] = old
+        worker.n_k.data[...] = old.sum(axis=1)
+        delta = WireDelta.encode(new - old)
+        assert (delta.index is None) == dense
+        payload = delta.pack()
+        assert payload.nbytes == delta.nbytes
+        buf = DeviceArray(worker.device, payload.shape, payload.dtype,
+                          fill=payload)
+        launch_phi_delta(worker, buf, delta, KernelConfig(), worker.upload)
+        assert np.array_equal(worker.phi_full.data, new)
+        assert np.array_equal(worker.n_k.data, new.sum(axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,19 @@ class TestTransfers:
         host[0] = 9
         assert buf.data[0] == 3
 
+    def test_d2h_row_range_moves_only_those_rows(self, pascal1):
+        gpu = pascal1.gpus[0]
+        buf = DeviceArray(gpu, (6, 50), np.uint16,
+                          fill=np.arange(300).reshape(6, 50))
+        start, end, host = pascal1.memcpy_d2h(buf, rows=(2, 5))
+        assert np.array_equal(host, buf.data[2:5])
+        expected = 3 * 50 * 2 / 13.0e9 + pascal1.pcie[0].latency_seconds
+        assert end - start == pytest.approx(expected)
+        [iv] = pascal1.trace.intervals
+        assert iv.bytes_moved == 3 * 50 * 2
+        with pytest.raises(ValueError, match="outside 6 rows"):
+            pascal1.memcpy_d2h(buf, rows=(4, 7))
+
     def test_p2p_between_gpus(self, pascal4):
         g0, g1 = pascal4.gpus[0], pascal4.gpus[1]
         a = DeviceArray(g0, (100,), np.int32, fill=5)
