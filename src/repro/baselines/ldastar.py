@@ -47,7 +47,6 @@ from repro.core.kernels import (
 from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.engine.algorithm import Algorithm, IterationOutcome
-from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import CostModel
@@ -101,6 +100,7 @@ class LDAStar(Algorithm):
     """
 
     name = "ldastar"
+    default_iterations = 50
 
     def __init__(
         self,
@@ -169,31 +169,6 @@ class LDAStar(Algorithm):
             num_blocks=1,
         )
         return self._cost_model.kernel_seconds(self.cpu_spec, cost)
-
-    def train(
-        self,
-        iterations: int = 50,
-        likelihood_every: int = 0,
-        callbacks=None,
-        *,
-        save_every: int = 0,
-        checkpoint_path=None,
-        resume=None,
-        vocabulary=None,
-    ) -> TrainResult:
-        loop = TrainingLoop(
-            self,
-            LoopConfig(
-                iterations=iterations,
-                likelihood_every=likelihood_every,
-                save_every=save_every,
-                checkpoint_path=checkpoint_path,
-                vocabulary=vocabulary,
-            ),
-            callbacks=callbacks,
-            resume=resume,
-        )
-        return loop.run()
 
     # ------------------------------------------------------------------
     # Algorithm strategy surface

@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.model import LDAHyperParams
 from repro.corpus.corpus import Corpus
 from repro.engine.algorithm import Algorithm, IterationOutcome
-from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 
@@ -47,6 +46,7 @@ class SCVB0(Algorithm):
     """
 
     name = "scvb0"
+    default_iterations = 20
 
     def __init__(
         self,
@@ -142,31 +142,6 @@ class SCVB0(Algorithm):
             p = np.einsum("ik,ki->i", theta_hat[d], phi_hat[:, w])
             total += float(np.log(np.maximum(p, 1e-300)).sum())
         return total / self.corpus.num_tokens
-
-    def train(
-        self,
-        iterations: int = 20,
-        likelihood_every: int = 0,
-        callbacks=None,
-        *,
-        save_every: int = 0,
-        checkpoint_path=None,
-        resume=None,
-        vocabulary=None,
-    ) -> TrainResult:
-        loop = TrainingLoop(
-            self,
-            LoopConfig(
-                iterations=iterations,
-                likelihood_every=likelihood_every,
-                save_every=save_every,
-                checkpoint_path=checkpoint_path,
-                vocabulary=vocabulary,
-            ),
-            callbacks=callbacks,
-            resume=resume,
-        )
-        return loop.run()
 
     # ------------------------------------------------------------------
     # Algorithm strategy surface

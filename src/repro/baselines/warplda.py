@@ -35,7 +35,6 @@ from repro.corpus.corpus import Corpus
 from repro.core.likelihood import log_likelihood_per_token
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.engine.algorithm import Algorithm, IterationOutcome
-from repro.engine.loop import LoopConfig, TrainingLoop
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import KernelCost
@@ -87,6 +86,7 @@ class WarpLDA(Algorithm):
     """
 
     name = "warplda"
+    default_iterations = 100
 
     def __init__(
         self,
@@ -173,33 +173,6 @@ class WarpLDA(Algorithm):
             den = self.theta[self._docs, z] + alpha
             accept = self.rng.random(T) * den < num
             self.topics = np.where(accept, proposal, z)
-
-    # ------------------------------------------------------------------
-    def train(
-        self,
-        iterations: int = 100,
-        likelihood_every: int = 0,
-        callbacks=None,
-        *,
-        save_every: int = 0,
-        checkpoint_path=None,
-        resume=None,
-        vocabulary=None,
-    ) -> TrainResult:
-        """Run MCEM iterations; returns simulated-CPU-timed results."""
-        loop = TrainingLoop(
-            self,
-            LoopConfig(
-                iterations=iterations,
-                likelihood_every=likelihood_every,
-                save_every=save_every,
-                checkpoint_path=checkpoint_path,
-                vocabulary=vocabulary,
-            ),
-            callbacks=callbacks,
-            resume=resume,
-        )
-        return loop.run()
 
     # ------------------------------------------------------------------
     # Algorithm strategy surface

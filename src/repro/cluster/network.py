@@ -146,9 +146,6 @@ class ClusterNetwork:
         s2, e2 = self.links[dst].reserve(nbytes, s1, direction=1)
         return s1, max(e1, e2)
 
-    def node_busy_until(self, node: int) -> float:
-        return max(self.links[node].busy_until(0), self.links[node].busy_until(1))
-
     def total_bytes(self) -> float:
         """Total bytes injected into the network (each message counted
         once per traversed link)."""

@@ -120,15 +120,6 @@ class ShardedParameterServer:
         self._place_shards(nodes)
         self._dense_cache = None
 
-    def shard_of(self, word: int) -> int:
-        return word % self.num_shards
-
-    def primary_node_of(self, shard: int) -> int:
-        return self._primary_node[shard]
-
-    def replica_node_of(self, shard: int) -> int:
-        return self._replica_node[shard]
-
     def _authoritative(self, shard: int) -> np.ndarray:
         """The copy reads are served from: the primary while its node is
         reachable, the chained replica otherwise."""

@@ -8,11 +8,12 @@
 - :mod:`~repro.comm.transfer` — the retry/host-fallback policy
   (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
-  (tree, ring, cpu_gather, hierarchical) behind the
-  :class:`Collective` interface — a reduce half and a gather half,
-  run as ``allreduce`` on one machine and as ``reduce_to_host`` on a
-  cluster node — whose ``estimate`` replays the op that runs on an
-  idle shadow machine, in an ordered registry;
+  (tree, ring, cpu_gather, hierarchical), each reached only as a
+  registered :class:`Collective`
+  (``get_collective(name).allreduce(SyncContext(...))``) — a reduce
+  half and a gather half, run as ``allreduce`` on one machine and as
+  ``reduce_to_host`` on a cluster node — whose ``estimate`` replays
+  the op that runs on an idle shadow machine, in an ordered registry;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend
@@ -49,12 +50,9 @@ from repro.comm.collectives import (
     broadcast_phi,
     collective_names,
     collectives,
-    cpu_gather_sync,
     get_collective,
-    hierarchical_allreduce_phi,
     reduce_phi_tree,
     register,
-    ring_allreduce_phi,
 )
 from repro.comm.planner import (
     AUTO,
@@ -95,18 +93,15 @@ __all__ = [
     "cluster_sync_choices",
     "collective_names",
     "collectives",
-    "cpu_gather_sync",
     "decisions_from_registry",
     "get_cluster_collective",
     "get_collective",
-    "hierarchical_allreduce_phi",
     "plan_cluster_sync",
     "plan_sync",
     "reduce_phi_tree",
     "register",
     "register_cluster_collective",
     "resilient_p2p",
-    "ring_allreduce_phi",
     "sync_choices",
     "with_retry",
 ]

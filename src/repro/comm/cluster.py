@@ -176,9 +176,9 @@ class ClusterSyncContext:
 
 @dataclass(frozen=True)
 class ClusterSyncResult:
-    """Outcome of one inter-node combine: the new global φ (int64),
-    each participating node's completion time on the global clock, and
-    the payload bytes put on the wire."""
+    """Outcome of one inter-node combine: the new global φ (a fresh
+    int64 array the caller owns), each participating node's completion
+    time on the global clock, and the payload bytes put on the wire."""
 
     phi: np.ndarray
     done: tuple[float, ...]

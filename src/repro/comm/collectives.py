@@ -14,17 +14,19 @@ scheme (intra-socket tree + inter-socket ring between socket leaders)
 halves the bridge traffic, and with dead peer links the rejected
 CPU-gather becomes the only path left.
 
-Each strategy is an **executable** primitive (``reduce_phi_tree``,
-``broadcast_phi``, ``ring_allreduce_phi``, ``cpu_gather_sync``,
-``hierarchical_allreduce_phi``) that works on arbitrary *sublists* of
-replicas — positions carry their devices, so the hierarchical
-composition and the elastic G−1 path fall out for free — wrapped in a
-registered :class:`Collective` as a **reduce half** and a **gather
-half**. One machine runs both (:meth:`Collective.allreduce`). A
-cluster node runs only the reduce half, then each position copies the
-rows of the sum it owns to the host (:meth:`Collective.reduce_to_host`),
-because the node's sum leaves for the NIC and the GPUs later receive
-only what changed. The collective's ``estimate`` prices the op that
+Each strategy is a registered :class:`Collective`, reached by name
+through :func:`get_collective`: a **reduce half** and a **gather
+half** built from executable steps (the tree's ``reduce_phi_tree`` and
+``broadcast_phi``, the ring's reduce-scatter and all-gather, the host
+gather and scatter) that work on arbitrary *sublists* of replicas —
+positions carry their devices, so the hierarchical composition and
+the elastic G−1 path fall out for free. :class:`SyncContext` checks
+that its per-position lists align, for every collective. One machine
+runs both halves (:meth:`Collective.allreduce`). A cluster node runs
+only the reduce half, then each position copies the rows of the sum
+it owns to the host (:meth:`Collective.reduce_to_host`), because the
+node's sum leaves for the NIC and the GPUs later receive only what
+changed. The collective's ``estimate`` prices the op that
 runs by running that same code on an idle shadow machine built from
 the topology snapshot, so :func:`~repro.comm.planner.plan_sync` ranks
 the collectives by what they cost, not by a second description of
@@ -66,9 +68,6 @@ __all__ = [
     "collectives",
     "reduce_phi_tree",
     "broadcast_phi",
-    "cpu_gather_sync",
-    "ring_allreduce_phi",
-    "hierarchical_allreduce_phi",
 ]
 
 
@@ -93,6 +92,13 @@ class SyncContext:
     streams: list
     config: KernelConfig
     retry: TransferRetry | None = None
+
+    def __post_init__(self) -> None:
+        if not (
+            len(self.partials) == len(self.fulls) == len(self.scratch)
+            == len(self.streams)
+        ):
+            raise ValueError("partials, fulls, scratch, and streams must align")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -250,26 +256,6 @@ def broadcast_phi(
         step *= 2
 
 
-def cpu_gather_sync(
-    machine: Machine,
-    partials: list[DeviceArray],
-    destinations: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None = None,
-) -> None:
-    """The intuitive baseline the paper rejects (§5.2): pull every
-    replica to the host, add on the CPU, push the sum back to every GPU.
-
-    All transfers contend on the host links and the adds run at CPU
-    speed; ``tests/test_sync.py`` measures the gap versus the GPU
-    tree. It is also the path of last resort when peer links are
-    down — no leg of it touches the P2P fabric.
-    """
-    total = _cpu_gather_reduce(machine, partials, streams, config, retry)
-    _cpu_scatter(machine, total, destinations, streams, retry)
-
-
 def _cpu_gather_reduce(
     machine: Machine,
     partials: list[DeviceArray],
@@ -342,34 +328,6 @@ def _cpu_scatter(
             help="bytes moved per link during model synchronization",
             link=f"host->{dev}", phase="scatter",
         )
-
-
-def ring_allreduce_phi(
-    machine: Machine,
-    partials: list[DeviceArray],
-    fulls: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None = None,
-) -> None:
-    """Ring all-reduce — the alternative the tree is benchmarked against.
-
-    Standard two-phase ring (reduce-scatter then all-gather) over φ
-    split into G row segments: 2·(G−1) steps, each moving only 1/G of
-    the replica per link, with every neighbouring link active in
-    parallel. At large G this moves less data per link than the tree
-    (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
-    steps — the trade ``tests/test_sync.py`` measures. Works on
-    arbitrary sublists (the hierarchical collective rings the socket
-    leaders).
-
-    On completion every position's ``fulls[g]`` (and its ``partials[g]``)
-    holds Σ_g φ_g.
-    """
-    if not (len(fulls) == len(streams) == len(partials)):
-        raise ValueError("partials, fulls, and streams must align")
-    _ring_reduce_scatter(machine, partials, streams, config, retry)
-    _ring_allgather(machine, partials, fulls, streams, config, retry)
 
 
 def _ring_edges(K: int, G: int) -> list[int]:
@@ -532,34 +490,6 @@ def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int
             machine.socket_of(arr.device.device_id), []
         ).append(pos)
     return [by_socket[s] for s in sorted(by_socket)]
-
-
-def hierarchical_allreduce_phi(
-    machine: Machine,
-    partials: list[DeviceArray],
-    fulls: list[DeviceArray],
-    scratch: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None = None,
-) -> None:
-    """Topology-aware all-reduce: intra-socket tree, inter-socket ring.
-
-    The EZLDA-style composition for dual-socket PCIe boxes: GPUs under
-    one PCIe switch first tree-reduce at switch speed into a per-socket
-    *leader*; the leaders then ring-all-reduce across the (slow)
-    inter-socket bridge, moving each byte over the bridge only once per
-    direction instead of the tree's repeated full-replica hops; finally
-    each leader tree-broadcasts the full model back down its switch.
-
-    Degenerates gracefully: one socket ⇒ tree + broadcast only; one GPU
-    per socket ⇒ a pure ring. Bit-identical to every other collective
-    (integer adds commute).
-    """
-    if not (len(fulls) == len(scratch) == len(streams) == len(partials)):
-        raise ValueError("partials, fulls, scratch, and streams must align")
-    _hierarchical_reduce(machine, partials, scratch, streams, config, retry)
-    _hierarchical_gather(machine, partials, fulls, streams, config, retry)
 
 
 def _hierarchical_reduce(
@@ -806,7 +736,16 @@ class TreeCollective(Collective):
 
 
 class RingCollective(Collective):
-    """Two-phase ring all-reduce (reduce-scatter + all-gather)."""
+    """Two-phase ring all-reduce (reduce-scatter + all-gather) — the
+    alternative the tree is benchmarked against.
+
+    φ is split into G row segments: 2·(G−1) steps, each moving only 1/G
+    of the replica per link, with every neighbouring link active in
+    parallel. At large G this moves less data per link than the tree
+    (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
+    steps — the trade ``tests/test_sync.py`` measures. The helpers work
+    on arbitrary sublists (the hierarchical collective rings the socket
+    leaders)."""
 
     name = "ring"
 
@@ -825,8 +764,13 @@ class RingCollective(Collective):
 
 
 class CpuGatherCollective(Collective):
-    """Gather to the host, add on the CPU, scatter back (§5.2's rejected
-    baseline — and the only all-host path when peer links are down)."""
+    """Gather to the host, add on the CPU, scatter back: the intuitive
+    baseline the paper rejects (§5.2).
+
+    All transfers contend on the host links and the adds run at CPU
+    speed; ``tests/test_sync.py`` measures the gap versus the GPU tree.
+    It is also the path of last resort when peer links are down — no
+    leg of it touches the P2P fabric."""
 
     name = "cpu_gather"
 
@@ -845,7 +789,15 @@ class CpuGatherCollective(Collective):
 
 class HierarchicalCollective(Collective):
     """Intra-socket tree + inter-socket leader ring + intra-socket
-    broadcast — the dual-socket PCIe specialist."""
+    broadcast — the dual-socket PCIe specialist.
+
+    The EZLDA-style composition: GPUs under one PCIe switch first
+    tree-reduce at switch speed into a per-socket *leader*; the leaders
+    then ring-all-reduce across the (slow) inter-socket bridge, moving
+    each byte over the bridge only once per direction instead of the
+    tree's repeated full-replica hops; finally each leader
+    tree-broadcasts the full model back down its switch. One socket ⇒
+    tree + broadcast only; one GPU per socket ⇒ a pure ring."""
 
     name = "hierarchical"
 

@@ -103,7 +103,6 @@ def _check_cluster_args(
     config: TrainConfig,
     num_nodes: int,
     network: ClusterNetwork | None,
-    num_shards: int | None,
 ) -> None:
     if config.staleness < 0:
         raise ValueError("staleness must be >= 0")
@@ -114,8 +113,6 @@ def _check_cluster_args(
             f"network has {network.num_nodes} node(s), trainer has "
             f"{num_nodes}"
         )
-    if num_shards is not None and not 1 <= num_shards <= num_nodes:
-        raise ValueError("num_shards must be in [1, num_nodes]")
 
 
 class DistributedCuLDA(CuLDA):
@@ -129,8 +126,8 @@ class DistributedCuLDA(CuLDA):
         :class:`~repro.core.culda.CuLDA` itself.
     network: the Ethernet fabric; defaults to a fresh
         :class:`~repro.cluster.network.ClusterNetwork` over the nodes.
-    num_shards: parameter-server shards for the ``param_server``
-        backend (default: one per node).
+
+    The ``param_server`` backend shards φ once per node.
 
     The checkpoint format and ``name`` are shared with the
     single-machine trainer, so run-state files resume across any
@@ -146,14 +143,13 @@ class DistributedCuLDA(CuLDA):
         warm_start_phi: np.ndarray | None = None,
         callbacks=None,
         registry=None,
-        num_shards: int | None = None,
     ):
         """A one-node cluster has no cluster layer — no inter-node leg,
         no cluster clock, no ``dist_*`` extras — so after the same
         argument checks it is the single-machine trainer itself."""
         if len(machines) != 1:
             return super().__new__(cls)
-        _check_cluster_args(config or TrainConfig(), 1, network, num_shards)
+        _check_cluster_args(config or TrainConfig(), 1, network)
         return CuLDA(
             corpus, machines[0], config, warm_start_phi=warm_start_phi,
             callbacks=callbacks, registry=registry,
@@ -168,7 +164,6 @@ class DistributedCuLDA(CuLDA):
         warm_start_phi: np.ndarray | None = None,
         callbacks=None,
         registry=None,
-        num_shards: int | None = None,
     ):
         machines = list(machines)
         if not machines:
@@ -184,9 +179,8 @@ class DistributedCuLDA(CuLDA):
             registry=registry,
         )
         self.machines = machines
-        _check_cluster_args(self.config, self.num_nodes, network, num_shards)
+        _check_cluster_args(self.config, self.num_nodes, network)
         self.network = network or ClusterNetwork(self.num_nodes)
-        self._num_shards = num_shards or self.num_nodes
         #: Built in init_state (needs φ); exposed for fault wiring.
         self.server: ShardedParameterServer | None = None
         #: Heartbeat failure detector; built afresh in init_state.
@@ -206,12 +200,11 @@ class DistributedCuLDA(CuLDA):
         self._net_base = 0.0
         if "dist_net_base" in extras:
             self._net_base = float(np.asarray(extras["dist_net_base"])[0])
-        self._iter_index = resume.iteration if resume is not None else 0
 
         state = super().init_state(resume)
 
         self.server = ShardedParameterServer(
-            self._phi_cache.copy(), self._num_shards, self.network
+            self._phi_cache.copy(), self.num_nodes, self.network
         )
         if self._dead_nodes:
             self.server.rehome([
@@ -337,8 +330,7 @@ class DistributedCuLDA(CuLDA):
     def run_iteration(self, state: RunState) -> IterationOutcome:
         cfg = self.config
         N = self.num_nodes
-        it = self._iter_index
-        self._iter_index += 1
+        it = state.iteration
         sync_round = cfg.staleness == 0 or it % (cfg.staleness + 1) == 0
         retry = self._transfer_retry()
         hosts = list(self._host_nodes)
@@ -422,8 +414,8 @@ class DistributedCuLDA(CuLDA):
             )
             done = {n: result.done[i] for i, n in enumerate(nodes)}
             internode_bytes = result.bytes_on_wire
-            self._phi_cache = result.phi.astype(np.int64, copy=True)
-            self._node_base = [c.copy() for c in node_counts]
+            self._phi_cache = result.phi
+            self._node_base = node_counts
             views = {n: self._phi_cache for n in hosts}
             self._park_plan()
         else:
@@ -533,7 +525,6 @@ class DistributedCuLDA(CuLDA):
         super().rollback(state)
         if self.server is not None:
             self.server.phi = self._phi_cache.copy()
-        self._iter_index = state.iteration
 
     def handle_device_loss(self, state: RunState) -> None:
         """Elastic recovery for the hierarchical trainer.
@@ -628,7 +619,6 @@ class DistributedCuLDA(CuLDA):
             "cluster_nodes_hosting", float(len(self._host_nodes)),
             help="cluster nodes currently hosting CuLDA workers",
         )
-        self._iter_index = state.iteration
         # Refresh the state the engine will snapshot: φ reflects the
         # recount and extras carry the new hosting map / dead set.
         self.capture_state(state)

@@ -59,10 +59,43 @@ class Algorithm(TelemetryMixin):
     #: Strategy id; also the ``algo`` recorded in checkpoints/results.
     name: str = "algorithm"
 
+    #: Iterations :meth:`train` runs when the caller names none.
+    default_iterations: int = 1
+
     #: Set by the TrainingLoop before ``init_state`` when a recovery
     #: policy is active; algorithms that support fault tolerance read
     #: their transfer-retry settings from it.
     recovery_policy = None
+
+    def train(
+        self,
+        iterations: int | None = None,
+        likelihood_every: int = 0,
+        callbacks=None,
+        *,
+        save_every: int = 0,
+        checkpoint_path=None,
+        resume=None,
+        vocabulary=None,
+    ) -> TrainResult:
+        """Run the engine's :class:`~repro.engine.loop.TrainingLoop` over
+        this algorithm (``default_iterations`` passes unless told)."""
+        from repro.engine.loop import LoopConfig, TrainingLoop
+
+        return TrainingLoop(
+            self,
+            LoopConfig(
+                iterations=(
+                    self.default_iterations if iterations is None else iterations
+                ),
+                likelihood_every=likelihood_every,
+                save_every=save_every,
+                checkpoint_path=checkpoint_path,
+                vocabulary=vocabulary,
+            ),
+            callbacks=callbacks,
+            resume=resume,
+        ).run()
 
     # -- strategy surface ----------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:

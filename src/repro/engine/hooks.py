@@ -45,9 +45,6 @@ class TelemetryMixin:
         #: Host-side span trace of the last train() run (wall clock).
         self.host_trace = None
 
-    def add_callback(self, cb: "TrainerCallback") -> None:
-        self.callbacks.append(cb)
-
     def _resolve_registry(self) -> "MetricsRegistry":
         from repro.telemetry.context import active_registry
         from repro.telemetry.registry import MetricsRegistry

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 from repro.core.kernels import KernelConfig
 from repro.corpus.datasets import DatasetStats
 from repro.gpusim.device import DeviceSpec
+from repro.sched.partition import (
+    chunk_device_bytes,
+    chunk_slots,
+    model_device_bytes,
+    smallest_chunks_per_gpu,
+)
 
 __all__ = ["MemoryPlan", "plan_memory", "max_topics_resident"]
 
@@ -30,15 +36,19 @@ class MemoryPlan:
     num_topics: int
     num_gpus: int
     chunks_per_gpu: int          # M
-    resident: bool               # True -> WorkSchedule1
     model_bytes: int             # φ buffers + n_k
     chunk_bytes: int             # one chunk's corpus + θ footprint
     budget_bytes: int            # usable device memory
 
     @property
+    def resident(self) -> bool:
+        """True -> WorkSchedule1 (M = 1)."""
+        return self.chunks_per_gpu == 1
+
+    @property
     def slots(self) -> int:
         """Chunk slots held simultaneously (1 resident, 2 streaming)."""
-        return 1 if self.resident else 2
+        return chunk_slots(self.chunks_per_gpu)
 
     @property
     def used_bytes(self) -> int:
@@ -61,20 +71,6 @@ class MemoryPlan:
         )
 
 
-def _chunk_bytes(
-    stats: DatasetStats, tokens: float, docs: float, num_topics: int,
-    config: KernelConfig,
-) -> int:
-    idx_b = config.index_bytes
-    theta_cap = min(stats.avg_doc_length, num_topics) * docs * (idx_b + 4)
-    return int(
-        tokens * (4 + 8 + idx_b)
-        + docs * 16
-        + stats.num_words * 8
-        + theta_cap
-    )
-
-
 def plan_memory(
     stats: DatasetStats,
     spec: DeviceSpec,
@@ -83,43 +79,40 @@ def plan_memory(
     config: KernelConfig | None = None,
     headroom: float = 0.9,
 ) -> MemoryPlan:
-    """Compute the §5.1 memory plan for a full-scale dataset.
+    """Compute the §5.1 memory plan for a full-scale dataset: the
+    trainer's rule (:func:`~repro.sched.partition.smallest_chunks_per_gpu`)
+    with each GPU's share of the corpus cut into M chunks of average
+    documents.
 
-    Raises ``MemoryError`` if even per-document-scale chunks cannot fit
-    (the model alone exceeds the device).
+    Raises ``MemoryError`` if no chunking fits (the model alone exceeds
+    the device, or even per-document chunks do not fit beside it).
     """
     config = config or KernelConfig()
     budget = int(spec.mem_capacity_bytes * headroom)
-    model = int(
-        3 * num_topics * stats.num_words * config.phi_bytes + num_topics * 8
-    )
-    if model > budget:
-        raise MemoryError(
-            f"model buffers ({model / 2**30:.2f} GiB) exceed {spec.name}'s "
-            f"budget ({budget / 2**30:.2f} GiB)"
-        )
+    model = model_device_bytes(num_topics, stats.num_words, config)
     T_g = stats.num_tokens / num_gpus
     D_g = stats.num_docs / num_gpus
+    theta_g = min(stats.avg_doc_length, num_topics) * D_g
 
-    m = 1
-    while True:
-        chunk = _chunk_bytes(stats, T_g / m, D_g / m, num_topics, config)
-        slots = 1 if m == 1 else 2
-        if model + slots * chunk <= budget:
-            return MemoryPlan(
-                dataset=stats.name,
-                device=spec.name,
-                num_topics=num_topics,
-                num_gpus=num_gpus,
-                chunks_per_gpu=m,
-                resident=(m == 1),
-                model_bytes=model,
-                chunk_bytes=chunk,
-                budget_bytes=budget,
-            )
-        m = m + 1 if m > 1 else 2
-        if m > stats.num_docs:
-            raise MemoryError("no chunking fits the device")
+    def chunk(m: int) -> int:
+        return chunk_device_bytes(
+            T_g / m, D_g / m, theta_g / m, stats.num_words, config
+        )
+
+    m = smallest_chunks_per_gpu(
+        model, chunk, budget, range(1, stats.num_docs // num_gpus + 1),
+        spec.name,
+    )
+    return MemoryPlan(
+        dataset=stats.name,
+        device=spec.name,
+        num_topics=num_topics,
+        num_gpus=num_gpus,
+        chunks_per_gpu=m,
+        model_bytes=model,
+        chunk_bytes=chunk(m),
+        budget_bytes=budget,
+    )
 
 
 def max_topics_resident(

@@ -12,12 +12,17 @@ cuts the cumulative token curve at C even levels.
 The chunk count is ``C = M × G`` (§5.1). :func:`choose_chunking` picks
 the smallest M whose memory plan fits the device: M = 1 needs one
 resident chunk + the model; M > 1 needs **two** chunk slots (double
-buffering for the transfer/compute overlap of WorkSchedule2).
+buffering for the transfer/compute overlap of WorkSchedule2). The rule
+is written once — :func:`model_device_bytes`, :func:`chunk_device_bytes`
+and :func:`smallest_chunks_per_gpu` — and the paper-scale projection
+(:func:`~repro.perfmodel.capacity.plan_memory`) runs it on dataset
+averages where the trainer feeds exact chunk counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +34,11 @@ from repro.gpusim.device import DeviceSpec
 __all__ = [
     "PartitionPlan",
     "partition_by_tokens",
+    "chunk_device_bytes",
     "estimate_chunk_device_bytes",
     "model_device_bytes",
+    "chunk_slots",
+    "smallest_chunks_per_gpu",
     "choose_chunking",
     "sync_volume_by_policy",
 ]
@@ -79,6 +87,33 @@ def partition_by_tokens(corpus: Corpus, num_chunks: int) -> list[tuple[int, int]
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(num_chunks)]
 
 
+def chunk_device_bytes(
+    tokens: float,
+    docs: float,
+    theta_entries: float,
+    num_words: int,
+    config: KernelConfig,
+) -> int:
+    """Device bytes of one chunk's buffers, field by field as
+    :func:`~repro.sched.schedule.upload_chunk` allocates them.
+
+    *theta_entries* is the θ capacity Σ_d min(DocLen_d, K). Exact
+    counts give one chunk's bytes (:func:`choose_chunking`); dataset
+    averages give the paper-scale estimate
+    (:func:`~repro.perfmodel.capacity.plan_memory`).
+    """
+    idx_b = config.index_bytes
+    return int(
+        tokens * 4                  # token_doc
+        + (num_words + 1) * 8       # word_indptr
+        + (docs + 1) * 8            # doc_map_indptr
+        + tokens * 8                # doc_map_indices
+        + tokens * idx_b            # topics
+        + (docs + 1) * 8            # theta indptr
+        + theta_entries * (idx_b + 4)  # theta indices + counts
+    )
+
+
 def estimate_chunk_device_bytes(
     corpus: Corpus,
     doc_range: tuple[int, int],
@@ -92,30 +127,49 @@ def estimate_chunk_device_bytes(
     """
     lo, hi = doc_range
     lengths = np.diff(corpus.doc_indptr[lo : hi + 1])
-    T_c = int(lengths.sum())
-    D_c = hi - lo
-    V = corpus.num_words
-    K = hyper.num_topics
-    idx_b = config.index_bytes
-    theta_cap = int(np.minimum(lengths, K).sum())
-    return int(
-        T_c * 4                 # token_doc
-        + (V + 1) * 8           # word_indptr
-        + (D_c + 1) * 8         # doc_map_indptr
-        + T_c * 8               # doc_map_indices
-        + T_c * idx_b           # topics
-        + (D_c + 1) * 8         # theta indptr
-        + theta_cap * (idx_b + 4)  # theta indices + counts
+    return chunk_device_bytes(
+        int(lengths.sum()),
+        hi - lo,
+        int(np.minimum(lengths, hyper.num_topics).sum()),
+        corpus.num_words,
+        config,
     )
 
 
 def model_device_bytes(
     num_topics: int, num_words: int, config: KernelConfig
 ) -> int:
-    """Bytes for the per-GPU φ buffers (full + partial + reduce scratch)
-    and n_k."""
+    """Bytes one :class:`~repro.sched.schedule.GpuWorker` allocates: the
+    φ full, partial and reduce-scratch buffers and n_k."""
     phi = num_topics * num_words * config.phi_bytes
     return int(3 * phi + num_topics * 8)
+
+
+def chunk_slots(chunks_per_gpu: int) -> int:
+    """Chunk buffers a GPU holds at once: one resident chunk at M = 1,
+    two (double buffering) when WorkSchedule2 streams."""
+    return 1 if chunks_per_gpu == 1 else 2
+
+
+def smallest_chunks_per_gpu(
+    model_bytes: int,
+    chunk_bytes: Callable[[int], int],
+    budget: float,
+    candidates: range,
+    device: str,
+) -> int:
+    """§5.1's rule: the first M in *candidates* for which the model
+    plus :func:`chunk_slots` (M) chunks of ``chunk_bytes(M)`` bytes fit
+    in *budget*."""
+    if model_bytes > budget:
+        raise MemoryError(
+            f"model alone ({model_bytes / 2**20:.0f} MiB) exceeds {device}'s "
+            f"budget ({budget / 2**20:.0f} MiB); reduce K or V"
+        )
+    for m in candidates:
+        if model_bytes + chunk_slots(m) * chunk_bytes(m) <= budget:
+            return m
+    raise MemoryError(f"no chunks_per_gpu in {candidates} fits on {device}")
 
 
 def choose_chunking(
@@ -127,55 +181,37 @@ def choose_chunking(
     chunks_per_gpu: int | None = None,
     headroom: float = 0.9,
 ) -> PartitionPlan:
-    """Pick M (and thus C = M × G) per §5.1's memory rule.
-
-    - M = 1 if the GPU holds its whole resident chunk plus the model;
-    - otherwise the smallest M for which *two* chunk slots (double
-      buffering) plus the model fit;
-    - an explicit ``chunks_per_gpu`` skips the search but is still
-      validated against capacity.
+    """Pick M (and thus C = M × G) per §5.1's memory rule
+    (:func:`smallest_chunks_per_gpu`), charging each M its largest
+    token-balanced chunk. An explicit ``chunks_per_gpu`` skips the
+    search but is still validated against capacity.
     """
     if num_gpus < 1:
         raise ValueError("num_gpus must be >= 1")
-    budget = device_spec.mem_capacity_bytes * headroom
-    fixed = model_device_bytes(hyper.num_topics, corpus.num_words, config)
-    if fixed > budget:
-        raise MemoryError(
-            f"model alone ({fixed / 2**20:.0f} MiB) exceeds device budget "
-            f"({budget / 2**20:.0f} MiB); reduce K or V"
+    if chunks_per_gpu is not None and chunks_per_gpu < 1:
+        raise ValueError("chunks_per_gpu must be >= 1")
+    max_m = corpus.num_docs // num_gpus  # every chunk needs a document
+    if chunks_per_gpu is None:
+        candidates = range(1, max_m + 1)
+    else:
+        candidates = range(chunks_per_gpu, min(chunks_per_gpu, max_m) + 1)
+    ranges: dict[int, list[tuple[int, int]]] = {}
+
+    def worst_chunk_bytes(m: int) -> int:
+        ranges[m] = partition_by_tokens(corpus, m * num_gpus)
+        return max(
+            estimate_chunk_device_bytes(corpus, r, hyper, config)
+            for r in ranges[m]
         )
 
-    def plan_fits(m: int) -> tuple[bool, list[tuple[int, int]]]:
-        c = m * num_gpus
-        if c > corpus.num_docs:
-            return False, []
-        ranges = partition_by_tokens(corpus, c)
-        worst = max(
-            estimate_chunk_device_bytes(corpus, r, hyper, config) for r in ranges
-        )
-        slots = 1 if m == 1 else 2
-        return fixed + slots * worst <= budget, ranges
-
-    if chunks_per_gpu is not None:
-        if chunks_per_gpu < 1:
-            raise ValueError("chunks_per_gpu must be >= 1")
-        ok, ranges = plan_fits(chunks_per_gpu)
-        if not ok:
-            raise MemoryError(
-                f"M={chunks_per_gpu} does not fit on {device_spec.name}"
-            )
-        return PartitionPlan(tuple(ranges), chunks_per_gpu, num_gpus)
-
-    m = 1
-    while True:
-        ok, ranges = plan_fits(m)
-        if ok:
-            return PartitionPlan(tuple(ranges), m, num_gpus)
-        m = m + 1 if m > 1 else 2
-        if m * num_gpus > corpus.num_docs:
-            raise MemoryError(
-                "no chunking fits: even per-document chunks exceed device memory"
-            )
+    m = smallest_chunks_per_gpu(
+        model_device_bytes(hyper.num_topics, corpus.num_words, config),
+        worst_chunk_bytes,
+        device_spec.mem_capacity_bytes * headroom,
+        candidates,
+        device_spec.name,
+    )
+    return PartitionPlan(tuple(ranges[m]), m, num_gpus)
 
 
 def sync_volume_by_policy(

@@ -201,10 +201,9 @@ def download_chunk(
     cr: ChunkRuntime,
     dc: DeviceChunk,
     stream: Stream | None = None,
-    free: bool = True,
 ) -> None:
     """Copy the mutable chunk state (topics, θ) back to the host (timed)
-    and optionally free the device buffers.
+    and free the device buffers.
 
     The host mirrors are already current (kernel bodies update them);
     the transfers are charged for timing fidelity.
@@ -223,8 +222,7 @@ def download_chunk(
             help="host-link bytes moved per direction and device",
             direction="d2h", device=str(worker.device.device_id),
         )
-    if free:
-        dc.free_all()
+    dc.free_all()
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +419,6 @@ def launch_phi_delta(
 def synchronize_model(
     machine: Machine,
     workers: list[GpuWorker],
-    hyper: LDAHyperParams,
     config: KernelConfig,
     phi_ready: list,
     algorithm: str = AUTO,
@@ -504,7 +501,7 @@ def run_iteration_resident(
         for g in range(G)
     ]
     return synchronize_model(
-        machine, workers, hyper, config, phi_ready, sync_algorithm,
+        machine, workers, config, phi_ready, sync_algorithm,
         retry=retry, to_host=to_host,
     )
 
@@ -557,7 +554,7 @@ def run_iteration_streaming(
             download_chunk(machine, worker, cr, dc, stream=down_stream)
         phi_ready.append(last_phi_ready)
     return synchronize_model(
-        machine, workers, hyper, config, phi_ready, sync_algorithm,
+        machine, workers, config, phi_ready, sync_algorithm,
         retry=retry, to_host=to_host,
     )
 

@@ -95,9 +95,6 @@ class MicroBatcher:
         """True when *model_key*'s queue holds a full batch."""
         return self.depth(model_key) >= self.policy.max_batch_size
 
-    def pending_models(self) -> list[str]:
-        return [m for m, q in self._pending.items() if q]
-
     # ------------------------------------------------------------------
     def due_time(self, model_key: str) -> float:
         """When *model_key*'s oldest pending request must dispatch."""
@@ -131,14 +128,6 @@ class MicroBatcher:
         if not q:
             del self._pending[model_key]
         return batch
-
-    def drain(self) -> list[list[InferenceRequest]]:
-        """Pop every pending queue into batches (end-of-trace flush)."""
-        batches: list[list[InferenceRequest]] = []
-        while self._pending:
-            model = next(iter(self._pending))
-            batches.append(self.pop_batch(model))
-        return batches
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -119,11 +119,6 @@ class ModelCache:
     def __contains__(self, digest: str) -> bool:
         return digest in self._entries
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def resident_digests(self) -> list[str]:
         """Digests currently cached, LRU-first."""
         return list(self._entries)

@@ -63,19 +63,20 @@ class ReplicaScheduler:
     machine: the simulated host+GPUs.
     num_replicas: active replicas (defaults to every GPU); the
         remaining GPUs are warm spares, activated when a replica dies.
-    health: optional :class:`~repro.serve.resilience.HealthMonitor`
+    health: the :class:`~repro.serve.resilience.HealthMonitor`
         consulted for routing and notified of dispatch outcomes.
-    upload_retry: optional :class:`~repro.comm.TransferRetry`
-        applied to φ broadcasts (respawn re-broadcast and ordinary
-        residency misses alike).
+    upload_retry: the :class:`~repro.comm.TransferRetry` applied to φ
+        broadcasts (respawn re-broadcast and ordinary residency misses
+        alike).
     """
 
     def __init__(
         self,
         machine: Machine,
         num_replicas: int | None = None,
-        health=None,
-        upload_retry=None,
+        *,
+        health,
+        upload_retry,
     ):
         if not machine.gpus:
             raise ValueError("machine has no GPUs to host replicas")
@@ -94,9 +95,8 @@ class ReplicaScheduler:
         #: breaker exhaustion). Permanent for the scheduler's lifetime.
         self.dead_replicas: set[int] = set()
         self.respawns = 0
-        if health is not None:
-            for replica in self.replicas:
-                health.register(replica.replica_id)
+        for replica in self.replicas:
+            health.register(replica.replica_id)
 
     # ------------------------------------------------------------------
     @property
@@ -112,10 +112,10 @@ class ReplicaScheduler:
 
     def routable_replicas(self, now: float = 0.0) -> list[PhiReplica]:
         """Alive replicas whose breaker admits traffic at *now*."""
-        alive = self.alive_replicas
-        if self.health is None:
-            return alive
-        return [r for r in alive if self.health.routable(r.replica_id, now)]
+        return [
+            r for r in self.alive_replicas
+            if self.health.routable(r.replica_id, now)
+        ]
 
     def candidates(
         self,
@@ -146,8 +146,6 @@ class ReplicaScheduler:
     def _ensure_model(self, replica: PhiReplica, digest: str,
                       phi: np.ndarray) -> bool:
         """φ residency with the PR 3 transfer-retry path on the uplink."""
-        if self.upload_retry is None:
-            return replica.ensure_model(digest, phi)
         from repro.comm import with_retry
 
         return with_retry(
@@ -163,17 +161,14 @@ class ReplicaScheduler:
             # with it — and never route here again.
             replica.forget_models()
             self.dead_replicas.add(replica.replica_id)
-            if self.health is not None:
-                self.health.mark_dead(replica.replica_id, now)
+            self.health.mark_dead(replica.replica_id, now)
             return
-        if self.health is not None:
-            state = self.health.on_fault(replica.replica_id, exc, now)
-            if state == "dead":
-                self.dead_replicas.add(replica.replica_id)
+        state = self.health.on_fault(replica.replica_id, exc, now)
+        if state == "dead":
+            self.dead_replicas.add(replica.replica_id)
 
     def _note_success(self, replica: PhiReplica, now: float) -> None:
-        if self.health is not None:
-            self.health.on_success(replica.replica_id, now)
+        self.health.on_success(replica.replica_id, now)
 
     def reap(self, now: float) -> None:
         """Notice replicas whose device died *outside* a dispatch.
@@ -188,8 +183,7 @@ class ReplicaScheduler:
                 continue
             replica.forget_models()
             self.dead_replicas.add(replica.replica_id)
-            if self.health is not None:
-                self.health.mark_dead(replica.replica_id, now)
+            self.health.mark_dead(replica.replica_id, now)
             self.activate_spare(now)
 
     def activate_spare(self, now: float) -> PhiReplica | None:
@@ -201,8 +195,7 @@ class ReplicaScheduler:
             replica = PhiReplica(device)
             self.replicas.append(replica)
             self.respawns += 1
-            if self.health is not None:
-                self.health.mark_respawning(replica.replica_id, now)
+            self.health.mark_respawning(replica.replica_id, now)
             emit_counter(
                 "serve_respawns_total", 1,
                 help="Warm spares activated after a replica death.",

@@ -112,8 +112,7 @@ class ServiceConfig:
     cache_capacity: resident models in the LRU cache.
     iterations: default fold-in sweeps for requests that don't choose.
     deadline_seconds: default per-request deadline (None = no default).
-    breaker: circuit-breaker policy for replica health (None disables
-        health tracking — the PR 4 per-request failover behaviour).
+    breaker: circuit-breaker policy for replica health.
     hedge: hedged-request policy (None disables hedging).
     degradation: graceful-degradation policy (None = reject-only
         overload behaviour).
@@ -127,7 +126,7 @@ class ServiceConfig:
     cache_capacity: int = 2
     iterations: int = 5
     deadline_seconds: float | None = None
-    breaker: BreakerPolicy | None = BreakerPolicy()
+    breaker: BreakerPolicy = BreakerPolicy()
     hedge: HedgePolicy | None = None
     degradation: DegradationPolicy | None = None
     warm_spares: int = 0
@@ -154,7 +153,7 @@ class ServiceReport:
     registry: MetricsRegistry
     machine: Machine
     fault_events: list[dict] = field(default_factory=list)
-    #: Final per-replica health states (empty when health is disabled).
+    #: Final per-replica health states.
     health_states: dict[int, str] = field(default_factory=dict)
     #: Final rollout summary (None when no rollout was active).
     rollout: dict | None = None
@@ -342,18 +341,12 @@ class InferenceService:
                 f"least one active replica on a {len(machine.gpus)}-GPU "
                 "machine"
             )
-        self.health = (
-            HealthMonitor(self.config.breaker)
-            if self.config.breaker is not None else None
-        )
+        self.health = HealthMonitor(self.config.breaker)
         self.scheduler = ReplicaScheduler(
             machine,
             num_replicas=len(machine.gpus) - self.config.warm_spares,
             health=self.health,
-            upload_retry=(
-                self.config.breaker.transfer_retry()
-                if self.config.breaker is not None else None
-            ),
+            upload_retry=self.config.breaker.transfer_retry(),
         )
         self.kernel_config = KernelConfig(compressed=False)
         self.rollout: RolloutManager | None = None
@@ -555,7 +548,7 @@ class InferenceService:
             registry=self.registry,
             machine=self.machine,
             fault_events=list(self.injector.events) if self.injector else [],
-            health_states=self.health.states() if self.health else {},
+            health_states=self.health.states(),
             rollout=(
                 {
                     "state": self.rollout.state,

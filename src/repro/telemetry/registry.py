@@ -128,9 +128,6 @@ class Gauge(Metric):
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
-    def dec(self, value: float = 1.0, **labels: object) -> None:
-        self.inc(-value, **labels)
-
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
 
@@ -276,13 +273,6 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator[Metric]:
         return iter(sorted(self._metrics.values(), key=lambda m: m.name))
 
-    def collect(self) -> list[Sample]:
-        """Every family's samples, name-sorted."""
-        out: list[Sample] = []
-        for m in self:
-            out.extend(m.samples())
-        return out
-
     def top_counters(self, n: int = 10) -> list[Sample]:
         """The *n* largest counter samples (for the profile CLI)."""
         samples = [
@@ -290,29 +280,3 @@ class MetricsRegistry:
         ]
         samples.sort(key=lambda s: -s.value)
         return samples[:n]
-
-    def snapshot(self) -> dict[str, dict[str, object]]:
-        """Plain-dict dump (JSON-ready) of every family."""
-        out: dict[str, dict[str, object]] = {}
-        for m in self:
-            entry: dict[str, object] = {"kind": m.kind, "help": m.help}
-            if isinstance(m, Histogram):
-                entry["series"] = {
-                    _fmt_key(m._label_dict(k)): {
-                        "count": len(obs),
-                        "sum": float(np.sum(obs)),
-                    }
-                    for k, obs in sorted(m._obs.items())
-                }
-            else:
-                entry["series"] = {
-                    _fmt_key(s.labels): s.value for s in m.samples()
-                }
-            out[m.name] = entry
-        return out
-
-
-def _fmt_key(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))

@@ -150,16 +150,6 @@ class TraceCollector:
         self.spans.append(span)
         return span
 
-    def trace_ids(self) -> list[str]:
-        """Trace ids in order of first appearance."""
-        seen: list[str] = []
-        have: set[str] = set()
-        for span in self.spans:
-            if span.trace_id not in have:
-                have.add(span.trace_id)
-                seen.append(span.trace_id)
-        return seen
-
     def by_trace(self) -> dict[str, list[TraceSpan]]:
         out: dict[str, list[TraceSpan]] = {}
         for span in self.spans:

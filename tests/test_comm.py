@@ -28,14 +28,11 @@ from repro.comm import (
     WireDelta,
     collective_names,
     collectives,
-    cpu_gather_sync,
     decisions_from_registry,
     get_collective,
-    hierarchical_allreduce_phi,
     plan_cluster_sync,
     plan_sync,
     reduce_phi_tree,
-    ring_allreduce_phi,
     sync_choices,
 )
 from repro.core.kernels import KernelConfig
@@ -175,9 +172,9 @@ class TestHierarchical:
     def test_allreduce_sums_all_replicas(self, num_gpus):
         m = pascal_platform(num_gpus)
         partials, scratch, fulls, streams, expected = _setup(m)
-        hierarchical_allreduce_phi(
+        get_collective("hierarchical").allreduce(SyncContext(
             m, partials, fulls, scratch, streams, KernelConfig()
-        )
+        ))
         m.synchronize()
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
@@ -188,9 +185,9 @@ class TestHierarchical:
         partials, scratch, fulls, streams, expected = _setup(
             m, devices=[0, 2, 3]
         )
-        hierarchical_allreduce_phi(
+        get_collective("hierarchical").allreduce(SyncContext(
             m, partials, fulls, scratch, streams, KernelConfig()
-        )
+        ))
         m.synchronize()
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
@@ -223,7 +220,9 @@ class TestHierarchical:
 
         def hier(m):
             p, s, f, st, _ = _setup(m, K=64, V=500)
-            hierarchical_allreduce_phi(m, p, f, s, st, cfg)
+            get_collective("hierarchical").allreduce(
+                SyncContext(m, p, f, s, st, cfg)
+            )
 
         assert bridge_bytes(hier) < bridge_bytes(tree)
 
@@ -412,6 +411,25 @@ class TestPlanner:
 
 
 # ----------------------------------------------------------------------
+# SyncContext: one alignment check for every collective
+# ----------------------------------------------------------------------
+class TestSyncContext:
+    @pytest.mark.parametrize("short", ["partials", "fulls", "scratch", "streams"])
+    @pytest.mark.parametrize("name", collective_names())
+    def test_mismatched_lists_rejected(self, name, short):
+        m = pascal_platform(2)
+        partials, scratch, fulls, streams, _ = _setup(m)
+        lists = dict(
+            partials=partials, fulls=fulls, scratch=scratch, streams=streams
+        )
+        lists[short] = lists[short][:1]
+        with pytest.raises(ValueError, match="must align"):
+            get_collective(name).allreduce(
+                SyncContext(m, config=KernelConfig(), **lists)
+            )
+
+
+# ----------------------------------------------------------------------
 # Structured no-path errors (satellite: same error from every collective)
 # ----------------------------------------------------------------------
 class TestSyncPathError:
@@ -435,7 +453,9 @@ class TestSyncPathError:
         m = self._dead_machine()
         p, s, f, st, _ = _setup(m)
         with pytest.raises(SyncPathError) as err:
-            ring_allreduce_phi(m, p, f, st, KernelConfig())
+            get_collective("ring").allreduce(
+                SyncContext(m, p, f, s, st, KernelConfig())
+            )
         assert err.value.link_name == m.p2p_link(0, 1).name
         assert len(err.value.devices) == 2
         assert err.value.op == "ring_transfer"
@@ -445,7 +465,9 @@ class TestSyncPathError:
         m.pcie[1].set_down()
         p, s, f, st, _ = _setup(m)
         with pytest.raises(SyncPathError) as err:
-            cpu_gather_sync(m, p, f, st, KernelConfig())
+            get_collective("cpu_gather").allreduce(
+                SyncContext(m, p, f, s, st, KernelConfig())
+            )
         assert err.value.link_name == m.pcie[1].name
         assert err.value.devices == (1,)
         assert err.value.op == "phi_gather"
@@ -456,7 +478,9 @@ class TestSyncPathError:
         before = [(g.allocator.bytes_in_use, g.allocator.num_live)
                   for g in m.gpus]
         with pytest.raises(SyncPathError):
-            ring_allreduce_phi(m, p, f, st, KernelConfig())
+            get_collective("ring").allreduce(
+                SyncContext(m, p, f, s, st, KernelConfig())
+            )
         assert [(g.allocator.bytes_in_use, g.allocator.num_live)
                 for g in m.gpus] == before
 

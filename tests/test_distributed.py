@@ -204,6 +204,7 @@ class TestStaleness:
         state = algo.init_state()
         for _ in range(4):
             algo.run_iteration(state)
+            state.iteration += 1  # as the TrainingLoop does
             algo.capture_state(state)
             # Read-your-writes: the global count (Σ per-node counts)
             # always accounts for every token, sync round or not.

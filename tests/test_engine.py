@@ -315,6 +315,9 @@ class TestUnifiedResult:
         import repro.core.culda as culda
 
         for mod in (culda, warplda, scvb0, ldastar):
-            src = inspect.getsource(mod)
-            assert "_train_impl" not in src
-            assert "TrainingLoop" in src
+            assert "_train_impl" not in inspect.getsource(mod)
+        assert "TrainingLoop" in inspect.getsource(culda)
+        # The baselines share the one engine-driven train().
+        assert "TrainingLoop" in inspect.getsource(Algorithm.train)
+        for cls in (warplda.WarpLDA, scvb0.SCVB0, ldastar.LDAStar):
+            assert cls.train is Algorithm.train

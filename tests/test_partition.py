@@ -9,7 +9,10 @@ from repro.core.kernels import KernelConfig
 from repro.core.model import LDAHyperParams
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
-from repro.gpusim.platform import GPU_TITAN_XP
+from repro.corpus.datasets import DatasetStats
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.platform import GPU_TITAN_XP, pascal_platform
+from repro.perfmodel.capacity import plan_memory
 from repro.sched.partition import (
     choose_chunking,
     estimate_chunk_device_bytes,
@@ -17,6 +20,7 @@ from repro.sched.partition import (
     partition_by_tokens,
     sync_volume_by_policy,
 )
+from repro.sched.schedule import GpuWorker
 
 
 class TestPartitionByTokens:
@@ -94,6 +98,48 @@ class TestMemoryEstimates:
         comp = model_device_bytes(1024, 10_000, KernelConfig(compressed=True))
         wide = model_device_bytes(1024, 10_000, KernelConfig(compressed=False))
         assert wide == pytest.approx(2 * comp, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "compressed, expected", [(True, 1_261_312), (False, 2_521_600)]
+    )
+    def test_model_bytes_are_what_a_worker_allocates(self, compressed, expected):
+        """§5.1's model charge is one GpuWorker's allocation, and the
+        trainer's planner and the paper-scale projection both charge
+        exactly that."""
+        K, V = 128, 1641
+        cfg = KernelConfig(compressed=compressed)
+        gpu = pascal_platform(1).gpus[0]
+        before = gpu.allocator.bytes_in_use
+        GpuWorker(gpu, K, V, cfg)
+        assert gpu.allocator.bytes_in_use - before == expected
+        assert model_device_bytes(K, V, cfg) == expected
+
+        def device(capacity):
+            return DeviceSpec(
+                name="exact", arch="t", num_sms=1, peak_bandwidth_gbps=1,
+                peak_gflops=1, mem_capacity_bytes=capacity,
+            )
+
+        hyper = LDAHyperParams(num_topics=K)
+        corpus = Corpus.from_documents(
+            [[v % V for v in range(d, d + 40)] for d in range(6)], num_words=V
+        )
+        chunk = estimate_chunk_device_bytes(corpus, (0, 6), hyper, cfg)
+        with pytest.raises(MemoryError, match="model alone"):
+            choose_chunking(corpus, 1, hyper, cfg, device(expected - 1),
+                            headroom=1.0)
+        fits = choose_chunking(corpus, 1, hyper, cfg, device(expected + chunk),
+                               headroom=1.0)
+        assert fits.chunks_per_gpu == 1
+        with pytest.raises(MemoryError, match="no chunks_per_gpu"):
+            choose_chunking(corpus, 1, hyper, cfg, device(expected + chunk - 1),
+                            chunks_per_gpu=1, headroom=1.0)
+
+        stats = DatasetStats("twin", num_tokens=240, num_docs=6, num_words=V)
+        assert plan_memory(stats, device(expected + chunk), K, 1, cfg,
+                           headroom=1.0).model_bytes == expected
+        with pytest.raises(MemoryError, match="model alone"):
+            plan_memory(stats, device(expected - 1), K, 1, cfg, headroom=1.0)
 
 
 class TestChooseChunking:

@@ -230,10 +230,10 @@ class TestSyncEquivalence:
         from repro.gpusim.memory import DeviceArray
         from repro.gpusim.platform import pascal_platform
         from repro.comm import (
+            SyncContext,
             broadcast_phi,
-            cpu_gather_sync,
+            get_collective,
             reduce_phi_tree,
-            ring_allreduce_phi,
         )
 
         rng = np.random.default_rng(seed)
@@ -267,11 +267,13 @@ class TestSyncEquivalence:
         tree_out = [x.data.copy() for x in f]
 
         m, p, s, f, st_ = setup()
-        ring_allreduce_phi(m, p, f, st_, cfg)
+        get_collective("ring").allreduce(SyncContext(m, p, f, s, st_, cfg))
         ring_out = [x.data.copy() for x in f]
 
         m, p, s, f, st_ = setup()
-        cpu_gather_sync(m, p, f, st_, cfg)
+        get_collective("cpu_gather").allreduce(
+            SyncContext(m, p, f, s, st_, cfg)
+        )
         cpu_out = [x.data.copy() for x in f]
 
         for g in range(num_gpus):

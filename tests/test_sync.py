@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import broadcast_phi, cpu_gather_sync, reduce_phi_tree
+from repro.comm import SyncContext, broadcast_phi, get_collective, reduce_phi_tree
 from repro.core.kernels import KernelConfig
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import pascal_platform
@@ -90,7 +90,9 @@ class TestCpuGather:
     def test_same_result_as_tree(self, num_gpus):
         m = pascal_platform(num_gpus)
         partials, scratch, fulls, streams, expected = _setup(m)
-        cpu_gather_sync(m, partials, fulls, streams, KernelConfig())
+        get_collective("cpu_gather").allreduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
         m.synchronize()
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
@@ -107,7 +109,7 @@ class TestCpuGather:
 
         m2 = pascal_platform(4)
         p, s, f, st, _ = _setup(m2, K=256, V=100_000)
-        cpu_gather_sync(m2, p, f, st, cfg)
+        get_collective("cpu_gather").allreduce(SyncContext(m2, p, f, s, st, cfg))
         t_cpu = m2.synchronize()
         assert t_tree < t_cpu
 
@@ -128,11 +130,11 @@ class TestCpuGather:
 class TestRingAllReduce:
     @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4])
     def test_all_gpus_hold_full_sum(self, num_gpus):
-        from repro.comm import ring_allreduce_phi
-
         m = pascal_platform(num_gpus)
         partials, scratch, fulls, streams, expected = _setup(m)
-        ring_allreduce_phi(m, partials, fulls, streams, KernelConfig())
+        get_collective("ring").allreduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
         m.synchronize()
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
@@ -140,23 +142,23 @@ class TestRingAllReduce:
             assert np.array_equal(p.data, expected.astype(p.dtype))
 
     def test_frees_staging_buffers(self):
-        from repro.comm import ring_allreduce_phi
-
         m = pascal_platform(4)
         partials, scratch, fulls, streams, _ = _setup(m)
         before = [g.allocator.bytes_in_use for g in m.gpus]
-        ring_allreduce_phi(m, partials, fulls, streams, KernelConfig())
+        get_collective("ring").allreduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
         m.synchronize()
         after = [g.allocator.bytes_in_use for g in m.gpus]
         assert before == after
 
     def test_mismatched_lengths_rejected(self):
-        from repro.comm import ring_allreduce_phi
-
         m = pascal_platform(2)
         partials, scratch, fulls, streams, _ = _setup(m)
         with pytest.raises(ValueError):
-            ring_allreduce_phi(m, partials, fulls[:1], streams, KernelConfig())
+            get_collective("ring").allreduce(SyncContext(
+                m, partials, fulls[:1], scratch, streams, KernelConfig()
+            ))
 
     def test_trainer_ring_same_model_as_tree(self):
         from repro.core import CuLDA, TrainConfig
@@ -203,8 +205,6 @@ class TestSyncAlgorithmEquivalence:
         """At G=4 with a large φ, the ring's per-link volume
         (2·3/4 replicas) undercuts the tree's (log2(4)+log2(4) = 4 × a
         full replica through the busiest link is worse)."""
-        from repro.comm import ring_allreduce_phi
-
         cfg = KernelConfig()
         m1 = pascal_platform(4)
         p, s, f, st = _setup(m1, K=256, V=100_000)[:4]
@@ -216,7 +216,7 @@ class TestSyncAlgorithmEquivalence:
         m2 = pascal_platform(4)
         p, s, f, st = _setup(m2, K=256, V=100_000)[:4]
         m2.reset_clock()
-        ring_allreduce_phi(m2, p, f, st, cfg)
+        get_collective("ring").allreduce(SyncContext(m2, p, f, s, st, cfg))
         t_ring = m2.synchronize()
         # The ring should be at least competitive at G=4, and the two
         # stay within the same order of magnitude.
