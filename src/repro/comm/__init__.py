@@ -11,9 +11,9 @@
   (tree, ring, cpu_gather, hierarchical), each reached only as a
   registered :class:`Collective`
   (``get_collective(name).allreduce(SyncContext(...))``) — a reduce
-  half and a gather half, run as ``allreduce`` on one machine and as
-  ``reduce_to_host`` on a cluster node — whose ``estimate`` replays
-  the op that runs on an idle shadow machine, in an ordered registry;
+  half and a gather half, run together as one machine's ``allreduce``
+  (a cluster node runs none) — whose ``estimate`` replays it on an
+  idle shadow machine, in an ordered registry;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend

@@ -91,8 +91,25 @@ class WireDelta:
         or a sparse flat index does not fit in 32 bits, instead of
         wrapping it."""
         flat = delta.ravel()
-        index = np.flatnonzero(flat != 0)
-        values = flat[index]
+        index = np.flatnonzero(flat)
+        return cls._from_entries(delta.shape, index, flat[index], lambda: flat)
+
+    @classmethod
+    def between(cls, new: np.ndarray, old: np.ndarray) -> WireDelta:
+        """``encode(new − old)`` for two count arrays of one shape,
+        computed from the entries that differ: no full-size difference
+        is formed unless the dense form wins."""
+        a, b = new.reshape(-1), old.reshape(-1)
+        index = np.flatnonzero(a != b)
+        return cls._from_entries(
+            new.shape, index, a[index].astype(np.int64) - b[index],
+            lambda: a.astype(np.int64) - b,
+        )
+
+    @classmethod
+    def _from_entries(cls, shape, index, values, dense) -> WireDelta:
+        """The smaller form of the Δ whose non-zero entries are
+        *values* at flat *index*; ``dense()`` gives all its values."""
         peak = max(int(values.max()), -int(values.min())) if index.size else 0
         if peak >= 2**31:
             raise OverflowError(
@@ -100,14 +117,14 @@ class WireDelta:
             )
         width = 2 if peak < 2**15 else 4
         dtype = np.int16 if width == 2 else np.int32
-        if flat.size * width < index.size * (4 + width):
-            return cls(delta.shape, flat.astype(dtype))
+        if math.prod(shape) * width < index.size * (4 + width):
+            return cls(shape, dense().astype(dtype))
         if index.size and index[-1] >= _INDEX_LIMIT:
             raise OverflowError(
-                f"flat index {index[-1]} of a {delta.shape} Δφ does not "
+                f"flat index {index[-1]} of a {shape} Δφ does not "
                 f"fit in int32"
             )
-        return cls(delta.shape, values.astype(dtype), index.astype(np.int32))
+        return cls(shape, values.astype(dtype), index.astype(np.int32))
 
     @property
     def nbytes(self) -> int:
@@ -122,18 +139,50 @@ class WireDelta:
         parts = [self.values] if self.index is None else [self.index, self.values]
         return np.concatenate([part.view(np.uint8) for part in parts])
 
+    def layout(self) -> np.ndarray:
+        """What a receiver needs to read :meth:`pack`'s bytes besides
+        the shape: ``int64 [index entries, value entries, value bytes]``
+        (the dense form has no index entries)."""
+        n_index = 0 if self.index is None else self.index.size
+        return np.array(
+            [n_index, self.values.size, self.values.itemsize], dtype=np.int64
+        )
+
     def unpack(self, payload: np.ndarray) -> WireDelta:
         """The delta a :meth:`pack` layout *payload* carries, read with
         this delta's shape, form and value width: what a kernel given
         those as launch arguments decodes from the bytes delivered."""
-        if self.index is None:
-            return WireDelta(self.shape, payload.view(self.values.dtype))
-        cut = self.index.nbytes
-        return WireDelta(
-            self.shape,
-            payload[cut:].view(self.values.dtype),
-            payload[:cut].view(np.int32),
-        )
+        return WireDelta.read(self.shape, self.layout(), payload)
+
+    @classmethod
+    def read(
+        cls, shape: tuple[int, int], layout: np.ndarray, payload: np.ndarray
+    ) -> WireDelta:
+        """The delta a :meth:`pack` layout *payload* carries, read as
+        *layout* (:meth:`layout`) says. Raises ``ValueError`` when the
+        layout is not one :meth:`encode` makes for *shape*, the payload
+        is not its size, or an index lies outside *shape*."""
+        n_index, n_values, width = (int(x) for x in layout)
+        size = math.prod(shape)
+        dense = n_index == 0 and n_values > 0
+        if (
+            width not in (2, 4)
+            or n_values != (size if dense else n_index)
+            or payload.nbytes != 4 * n_index + width * n_values
+        ):
+            raise ValueError(
+                f"a {payload.nbytes}-byte payload does not match the "
+                f"layout {[n_index, n_values, width]} of a {shape} Δφ"
+            )
+        dtype = np.int16 if width == 2 else np.int32
+        if dense:
+            return cls(shape, payload.view(dtype))
+        index = payload[:4 * n_index].view(np.int32)
+        if n_index and not (0 <= index.min() and index.max() < size):
+            raise ValueError(
+                f"the payload indexes outside the {shape[0]}x{shape[1]} Δφ"
+            )
+        return cls(shape, payload[4 * n_index:].view(dtype), index)
 
 
 def _add_deltas(base: np.ndarray, deltas: list[WireDelta]) -> np.ndarray:

@@ -23,14 +23,12 @@ positions carry their devices, so the hierarchical composition and
 the elastic G−1 path fall out for free. :class:`SyncContext` checks
 that its per-position lists align, for every collective. One machine
 runs both halves (:meth:`Collective.allreduce`). A cluster node runs
-only the reduce half, then each position copies the rows of the sum
-it owns to the host (:meth:`Collective.reduce_to_host`), because the
-node's sum leaves for the NIC and the GPUs later receive only what
-changed. The collective's ``estimate`` prices the op that
-runs by running that same code on an idle shadow machine built from
-the topology snapshot, so :func:`~repro.comm.planner.plan_sync` ranks
-the collectives by what they cost, not by a second description of
-them.
+no collective: each of its GPUs sends its host only its own sparse Δφ
+(:func:`~repro.sched.schedule.send_phi_deltas`). The collective's
+``estimate`` prices ``allreduce`` by running that same code on an idle
+shadow machine built from the topology snapshot, so
+:func:`~repro.comm.planner.plan_sync` ranks the collectives by what
+they cost, not by a second description of them.
 
 Because φ is summed in exact integer arithmetic, every collective is
 bit-identical: the planner may pick freely on cost alone.
@@ -366,6 +364,10 @@ def _ring_pass(
         for g in range(G)
     ]
 
+    # sent[g] marks, on GPU g+1's stream, the end of the last copy out
+    # of send_bufs[g]; the next stage into that buffer waits for it.
+    sent: list = [None] * G
+
     def run_step(step: int) -> None:
         stage_events = []
         send_chunk = [0] * G
@@ -385,6 +387,8 @@ def _ring_pass(
             def stage(g: int = g, lo: int = lo, hi: int = hi) -> None:
                 send_bufs[g].data[: hi - lo] = partials[g].data[lo:hi]
 
+            if sent[g] is not None:
+                streams[g].wait_event(sent[g])
             KernelLaunch(
                 stage,
                 KernelCost(bytes_read=seg_bytes, bytes_written=seg_bytes),
@@ -400,6 +404,7 @@ def _ring_pass(
                 machine, recv_bufs[dst], send_bufs[g], streams[dst],
                 streams[g], "ring_transfer", retry,
             )
+            sent[g] = streams[dst].record(label=f"ring_sent[{g}]")
             emit_counter(
                 "sync_bytes_total", send_bufs[g].nbytes,
                 help="bytes moved per link during model synchronization",
@@ -573,9 +578,8 @@ class CostEstimate:
 
 class Collective:
     """One synchronization strategy: a reduce half and a gather half,
-    run together by :meth:`allreduce` on one machine and as
-    :meth:`reduce_to_host` on a cluster node, and priced by replaying
-    the op that runs (:meth:`estimate`).
+    run together by :meth:`allreduce` and priced by replaying it
+    (:meth:`estimate`).
 
     Each registered subclass binds ``allreduce`` as its own attribute,
     because ``bench/layertrace.py`` wraps it class by class."""
@@ -597,33 +601,6 @@ class Collective:
         """Sum every ``ctx.partials`` into every ``ctx.fulls``."""
         self.gather(ctx, self.reduce(ctx))
 
-    def reduce_to_host(self, ctx: SyncContext) -> np.ndarray:
-        """Sum every ``ctx.partials`` onto the host: the reduce half,
-        then each owner copies its rows of the sum to the host on its
-        stream, after the reduce. Returns the sum assembled from the
-        arrays those copies delivered, so a corrupted copy shows in the
-        result; ``ctx.fulls`` are not touched."""
-        reduced = self.reduce(ctx)
-        if reduced.host is not None:
-            return reduced.host
-        total = np.empty(ctx.shape, dtype=ctx.partials[0].dtype)
-        for pos, lo, hi in reduced.owners:
-            src, stream = ctx.partials[pos], ctx.streams[pos]
-            dev = src.device.device_id
-            _, _, rows = with_retry(
-                lambda: ctx.machine.memcpy_d2h(
-                    src, stream=stream, label="d2h:node_phi", rows=(lo, hi)
-                ),
-                stream, "d2h:node_phi", ctx.retry, devices=(dev,),
-            )
-            emit_counter(
-                "sync_bytes_total", rows.nbytes,
-                help="bytes moved per link during model synchronization",
-                link=f"{dev}->host", phase="to_host",
-            )
-            total[lo:hi] = rows
-        return total
-
     def estimate(
         self,
         machine: Machine,
@@ -631,19 +608,16 @@ class Collective:
         shape: tuple[int, int],
         config: KernelConfig,
         retry: TransferRetry | None = None,
-        to_host: bool = False,
     ) -> CostEstimate:
-        """Predicted cost of :meth:`allreduce` (:meth:`reduce_to_host`
-        when *to_host*) on *topo* for a (K, V) payload — the planner's
-        ranking input.
+        """Predicted cost of :meth:`allreduce` on *topo* for a (K, V)
+        payload — the planner's ranking input.
 
-        Runs that op itself on an idle shadow machine with *machine*'s
-        specs and *topo*'s link states, so the prediction is the
-        simulated time the same run takes from idle.
+        Runs :meth:`allreduce` itself on an idle shadow machine with
+        *machine*'s specs and *topo*'s link states, so the prediction is
+        the simulated time the same run takes from idle.
         """
         return _replay(
             self,
-            to_host,
             machine.host_spec,
             tuple(gpu.spec for gpu in machine.gpus),
             len(set(machine.pcie)),  # GPUs on one socket share an uplink
@@ -665,7 +639,6 @@ def _copy_state(link: Link, info: LinkInfo) -> None:
 @functools.lru_cache(maxsize=256)
 def _replay(
     collective: Collective,
-    to_host: bool,
     host_spec: DeviceSpec,
     gpu_specs: tuple[DeviceSpec, ...],
     num_host_links: int,
@@ -703,10 +676,7 @@ def _replay(
     # counters out of the caller's registry.
     with telemetry_session():
         try:
-            if to_host:
-                collective.reduce_to_host(ctx)
-            else:
-                collective.allreduce(ctx)
+            collective.allreduce(ctx)
         except SyncPathError:
             return CostEstimate(math.inf)
     return CostEstimate(

@@ -158,23 +158,17 @@ def plan_sync(
     retry: TransferRetry | None = None,
     algorithm: str = AUTO,
     devices: list[int] | None = None,
-    to_host: bool = False,
 ) -> SyncPlan:
-    """Resolve ``--sync`` *algorithm* for one machine's φ sync.
-
-    Each collective is priced for the op that will run: its
-    ``allreduce`` on one machine, its ``reduce_to_host`` when *to_host*
-    (a cluster node, whose sum leaves for the NIC). *devices* defaults
-    to the machine's alive-GPU set. Raises
-    :class:`~repro.gpusim.errors.SyncPathError` if no collective has a
-    usable path, and ``ValueError`` for an unknown name.
+    """Resolve ``--sync`` *algorithm* for one machine's φ all-reduce
+    (a cluster node runs none). *devices* defaults to the machine's
+    alive-GPU set. Raises :class:`~repro.gpusim.errors.SyncPathError`
+    if no collective has a usable path, and ``ValueError`` for an
+    unknown name.
     """
     topo = Topology.from_machine(machine, devices=devices)
     return _force_or_cheapest(
         algorithm, get_collective, collectives(),
-        lambda c: c.estimate(
-            machine, topo, shape, config, retry=retry, to_host=to_host
-        ),
+        lambda c: c.estimate(machine, topo, shape, config, retry=retry),
         topo, topo.devices, "p2p", "sync_plan",
     )
 

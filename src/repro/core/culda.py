@@ -56,6 +56,7 @@ from repro.sched.schedule import (
     launch_nk_rowsum,
     run_iteration_resident,
     run_iteration_streaming,
+    synchronize_model,
     upload_chunk,
 )
 from repro.telemetry.context import emit_gauge, emit_observe
@@ -341,7 +342,7 @@ class CuLDA(Algorithm):
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
-        legs, _ = self._run_nodes(self._transfer_retry())
+        legs = self._run_nodes(self._transfer_retry())
         dt = max(self._t_prev_node[n] - start for n, (_, start) in legs.items())
         return self._outcome(legs, dt)
 
@@ -563,44 +564,48 @@ class CuLDA(Algorithm):
             for w in self._node_workers[n]:
                 w.free_all()
 
-    def _run_nodes(
-        self, retry, to_host: bool = False
-    ) -> tuple[dict[int, tuple[int, float]], dict[int, np.ndarray]]:
-        """Alg 1's iteration on every hosting node: WorkSchedule1/2 plus
-        the node's planned φ sync. With *to_host* (a cluster) that sync
-        is the collective's reduce half, and the node-summed φ it leaves
-        is copied to the host for the NIC. Returns, per node, its trace
-        mark and the clock the iteration started at (the node's clock,
-        ``_t_prev_node``, ends it), and the host node sums when
-        *to_host*."""
+    def _run_nodes(self, retry) -> dict[int, tuple[int, float]]:
+        """Alg 1's iteration on every hosting node: WorkSchedule1/2, then
+        the node's φ sync (:meth:`_sync_node`). Returns, per node, its
+        trace mark and the clock the iteration started at (the node's
+        clock, ``_t_prev_node``, ends it)."""
         cfg = self.config
-        legs, sums = {}, {}
+        legs = {}
         for n in self._host_nodes:
             machine = self.machines[n]
             workers = self._node_workers[n]
             local = self._node_runtimes[n]
             mark = len(machine.trace.intervals)
+
+            def sync(phi_ready, n=n) -> None:
+                self._sync_node(n, phi_ready, retry)
+
             with span("iteration"):
                 if self._node_resident[n]:
-                    sums[n] = run_iteration_resident(
+                    run_iteration_resident(
                         machine, workers, local, self._node_dev_chunks[n],
-                        self._hyper, self._kcfg, cfg.sync_algorithm,
-                        retry=retry, to_host=to_host,
+                        self._hyper, self._kcfg, sync=sync,
                     )
                 else:
                     cpg = self._plan.chunks_per_gpu
                     if len(local) != cpg * len(workers):
                         cpg = None  # uneven round-robin after a migration
-                    sums[n] = run_iteration_streaming(
+                    run_iteration_streaming(
                         machine, workers, local, self._hyper, self._kcfg,
-                        cpg, cfg.sync_algorithm,
-                        overlap=cfg.overlap_transfers, retry=retry,
-                        to_host=to_host,
+                        cpg, overlap=cfg.overlap_transfers, sync=sync,
                     )
                 t_now = machine.synchronize()
             legs[n] = (mark, self._t_prev_node[n])
             self._t_prev_node[n] = t_now
-        return legs, sums
+        return legs
+
+    def _sync_node(self, node: int, phi_ready: list, retry) -> None:
+        """Node *node*'s φ sync, once ``phi_ready`` has passed on each of
+        its GPUs: the §5.2 collective ``--sync`` plans for the machine."""
+        synchronize_model(
+            self.machines[node], self._node_workers[node], self._kcfg,
+            phi_ready, self.config.sync_algorithm, retry=retry,
+        )
 
     def _trace_stats(self, legs) -> tuple[float, float, dict]:
         """``(sync_seconds, p2p_bytes, busy share by device)`` over each

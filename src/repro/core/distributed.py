@@ -8,10 +8,10 @@ substrate with hierarchical synchronization:
    over all ``W = N × G`` workers, so chunk boundaries and per-chunk
    RNG streams are identical for every (N, G) layout with the same W;
 2. each node runs the paper's intra-node iteration — the per-node
-   body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2 plus the
-   §5.2 sync, ``--sync`` planned per machine) — but its sync runs only
-   the collective's reduce half, and each GPU copies the rows of the
-   node-summed φ it owns to the host;
+   body of :class:`~repro.core.culda.CuLDA` (WorkSchedule1/2) — but no
+   §5.2 collective: each GPU sends its host only what its partial φ
+   changed since its last send, and the host adds that into the node's
+   contribution (``send_phi_deltas``);
 3. an inter-node leg combines each node's Δφ since the last sync
    over the Ethernet fabric through a cluster collective (``eth_ring``
    allgathers the deltas in a sparse 16-bit wire format;
@@ -86,7 +86,11 @@ from repro.engine.state import RunState
 from repro.gpusim.errors import NodeLost
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
-from repro.sched.schedule import launch_phi_delta
+from repro.sched.schedule import (
+    launch_phi_base_reset,
+    launch_phi_delta,
+    send_phi_deltas,
+)
 from repro.telemetry.context import emit_counter, emit_gauge
 from repro.telemetry.spans import span
 
@@ -194,6 +198,11 @@ class DistributedCuLDA(CuLDA):
         #: Per node, the φ view its GPUs hold: the host's reference
         #: for the next Δφ and for check_invariants.
         self._held: dict[int, np.ndarray] = {}
+        #: Per node, the sum of what its GPUs sent since their Δ bases
+        #: were reset: the node's contribution once each GPU has sent.
+        self._contrib: dict[int, np.ndarray] = {}
+        #: Nodes whose Δ bases were reset since their last send.
+        self._fresh: set[int] = set()
         self._cluster_time = 0.0
         self._charged = 0.0
         extras = resume.extras if resume is not None else {}
@@ -280,9 +289,35 @@ class DistributedCuLDA(CuLDA):
 
     def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
         """The dense upload (init, rollback, migration); the host keeps
-        *view_host* as the view node *node* holds."""
+        *view_host* as the view node *node* holds. Every GPU's Δ base
+        and the node's contribution restart at zero, so each GPU's next
+        Δ is its whole partial."""
         super()._upload_phi(node, view_host, label)
         self._held[node] = view_host
+        for w in self._node_workers[node]:
+            launch_phi_base_reset(w, self._kcfg, w.upload)
+        self._contrib[node] = np.zeros(view_host.shape, dtype=np.int64)
+        self._fresh.add(node)
+
+    def _sync_node(self, node: int, phi_ready: list, retry) -> None:
+        """A cluster node runs no §5.2 collective: each GPU sends its
+        host only its partial's change, which the host checks and adds
+        into the node's contribution (``send_phi_deltas``). Right after
+        a reset each Δ is the GPU's whole partial, whose columns sum to
+        its chunks' word counts."""
+        workers = self._node_workers[node]
+        columns = None
+        if node in self._fresh:
+            local, G = self._node_runtimes[node], len(workers)
+            columns = [
+                sum(np.diff(r.chunk.word_indptr) for r in local[g::G])
+                for g in range(G)
+            ]
+            self._fresh.discard(node)
+        send_phi_deltas(
+            self.machines[node], workers, self._kcfg, phi_ready,
+            self._contrib[node], columns, retry,
+        )
 
     def _send_delta(
         self, node: int, delta: WireDelta, payload: np.ndarray
@@ -363,8 +398,8 @@ class DistributedCuLDA(CuLDA):
             # The NIC came back during the stall; training proceeds.
 
         # --- intra-node leg: the paper's iteration, per machine, whose
-        # sync reduces each node's φ to its host for the NIC -----------
-        legs, sums = self._run_nodes(retry, to_host=True)
+        # sync sends each GPU's Δφ to its node's host ------------------
+        legs = self._run_nodes(retry)
         dt_intra = {
             n: self._t_prev_node[n] - start for n, (_, start) in legs.items()
         }
@@ -374,12 +409,9 @@ class DistributedCuLDA(CuLDA):
         # node's contribution. Nodes hosting nothing (dead, their work
         # migrated) contribute zeros.
         node_counts = [
-            sums[n].astype(np.int64)
-            if n in sums
-            else np.zeros_like(self._node_base[n])
+            self._contrib[n] if n in legs else np.zeros_like(self._node_base[n])
             for n in range(N)
         ]
-        pending = [node_counts[n] - self._node_base[n] for n in range(N)]
         self._global_phi = self._sum_counts(node_counts)
 
         # --- inter-node leg: each hosting node's Δφ since the last
@@ -387,7 +419,10 @@ class DistributedCuLDA(CuLDA):
         # collective combines ------------------------------------------
         internode_bytes = 0.0
         if sync_round:
-            wire = {n: WireDelta.encode(pending[n]) for n in hosts}
+            wire = {
+                n: WireDelta.between(node_counts[n], self._node_base[n])
+                for n in hosts
+            }
             with span("cluster_sync_plan"):
                 plan = plan_cluster_sync(
                     self.network, wire, algorithm=cfg.inter_sync,
@@ -415,12 +450,16 @@ class DistributedCuLDA(CuLDA):
             done = {n: result.done[i] for i, n in enumerate(nodes)}
             internode_bytes = result.bytes_on_wire
             self._phi_cache = result.phi
-            self._node_base = node_counts
+            # The contributions keep accumulating; the bases are copies.
+            self._node_base = [c.copy() for c in node_counts]
             views = {n: self._phi_cache for n in hosts}
             self._park_plan()
         else:
             done = dict(ready)
-            views = {n: self._phi_cache + pending[n] for n in hosts}
+            views = {
+                n: self._phi_cache + node_counts[n] - self._node_base[n]
+                for n in hosts
+            }
 
         # --- redistribution: each GPU receives only what changed since
         # the view the host last sent its node. Nodes holding the same
@@ -435,7 +474,7 @@ class DistributedCuLDA(CuLDA):
             machine.advance_host(start + done[n] - self._cluster_time)
             key = (id(views[n]), id(held[n]))
             if key not in deltas:
-                delta = WireDelta.encode(views[n] - held[n])
+                delta = WireDelta.between(views[n], held[n])
                 deltas[key] = (delta, delta.pack())
             self._send_delta(n, *deltas[key])
             self._held[n] = views[n]

@@ -66,6 +66,7 @@ __all__ = [
     "update_phi_cost",
     "phi_reduce_cost",
     "phi_delta_cost",
+    "phi_compact_cost",
 ]
 
 #: Threads per warp — one warp is one sampler (§6.1.1), and the index
@@ -643,4 +644,20 @@ def phi_delta_cost(
         atomic_ops=atomics,
         atomic_locality=0.95,
         num_blocks=max(1, entries // BLOCK_TOKEN_CAPACITY + 1),
+    )
+
+
+def phi_compact_cost(
+    num_topics: int, num_words: int, payload_bytes: int, config: KernelConfig
+) -> KernelCost:
+    """Traffic of packing one GPU's φ change for its host (a cluster
+    node's sync): read the partial and the base it last sent, compare
+    them entry by entry, and write the changed entries as a payload of
+    *payload_bytes*."""
+    n = float(num_topics) * num_words
+    return KernelCost(
+        bytes_read=2 * n * config.phi_bytes,
+        bytes_written=float(payload_bytes),
+        flops=n,
+        num_blocks=max(1, int(n) // (BLOCK_TOKEN_CAPACITY * 32) + 1),
     )

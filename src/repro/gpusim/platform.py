@@ -373,24 +373,16 @@ class Machine:
         stream: Stream | None = None,
         label: str = "d2h",
         pinned: bool = True,
-        rows: tuple[int, int] | None = None,
     ) -> tuple[float, float, np.ndarray]:
         """Copy device buffer *src* back to the host (timed).
 
         ``pinned=False`` models a copy into pageable host memory (half
-        the pinned DMA rate). ``rows=(lo, hi)`` copies only
-        ``src[lo:hi]``: leading-axis rows of a C-order buffer are one
-        contiguous range, so one DMA moves them with no staging kernel.
+        the pinned DMA rate).
         """
         stream = stream or src.device.default_stream
         if stream.device is not src.device:
             raise ValueError("stream and source buffer on different devices")
         nbytes = src.nbytes
-        if rows is not None:
-            lo, hi = rows
-            if not 0 <= lo <= hi <= src.shape[0]:
-                raise ValueError(f"rows {rows} outside {src.shape[0]} rows")
-            nbytes = src.data[lo:hi].nbytes
         link = self.pcie[src.device.device_id]
         charged = nbytes if pinned else 2 * nbytes
         earliest = max(stream.available_at, stream._pending_after, self.host_time)
@@ -398,7 +390,7 @@ class Machine:
         corrupt = link.take_corruption()
 
         def fetch() -> np.ndarray:
-            arr = src.copy_to_host() if rows is None else src.data[lo:hi].copy()
+            arr = src.copy_to_host()
             if corrupt:
                 _corrupt_payload(arr)
             return arr

@@ -17,6 +17,13 @@ Two schedules, selected by the chunk multiplier M chosen in
   of §5.1. The per-GPU partial φ accumulates across its M chunks before
   the sync.
 
+Every GPU of a machine samples against the same synchronized φ, so the
+sampler's word tables are built once per machine and iteration and
+shared by every GPU whose φ and n_k equal the first GPU's byte for
+byte. On one machine the sync is the planned §5.2 collective
+(:func:`synchronize_model`). A cluster node runs none: each GPU sends
+its host only what its partial changed (:func:`send_phi_deltas`).
+
 The functional model state is mirrored on the host eagerly (kernel
 bodies update both the device buffer and the host mirror), so the
 trainer can evaluate likelihood at any iteration without un-simulated
@@ -26,6 +33,7 @@ transfers — matching how the paper evaluates from checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,13 +41,16 @@ from repro.corpus.corpus import TokenChunk
 from repro.core.kernels import (
     KernelConfig,
     SamplingStats,
+    WordTables,
     accumulate_phi,
     gibbs_sample_chunk,
+    phi_compact_cost,
     phi_delta_cost,
     recount_theta,
     sampling_cost,
     update_phi_cost,
     update_theta_cost,
+    word_tables,
 )
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.gpusim.costmodel import KernelCost
@@ -50,7 +61,14 @@ from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Event, Stream
 from repro.gpusim.trace import union_length
-from repro.comm import AUTO, SyncContext, TransferRetry, WireDelta, plan_sync
+from repro.comm import (
+    AUTO,
+    SyncContext,
+    TransferRetry,
+    WireDelta,
+    plan_sync,
+    with_retry,
+)
 from repro.telemetry.context import emit_counter, emit_gauge_max
 from repro.telemetry.spans import span
 
@@ -65,7 +83,10 @@ __all__ = [
     "run_iteration_streaming",
     "launch_nk_rowsum",
     "launch_phi_delta",
+    "launch_phi_base_reset",
+    "launch_phi_compact",
     "synchronize_model",
+    "send_phi_deltas",
     "busy_fractions",
     "iteration_trace_stats",
 ]
@@ -237,6 +258,7 @@ def enqueue_chunk_compute(
     hyper: LDAHyperParams,
     config: KernelConfig,
     accumulate: bool = False,
+    tables: WordTables | None = None,
 ) -> "Event":
     """Enqueue sampling → update-φ → update-θ for one chunk on the
     worker's compute stream (paper order: φ before θ so the θ update can
@@ -244,6 +266,8 @@ def enqueue_chunk_compute(
 
     ``accumulate=True`` adds the chunk's counts into the existing partial
     φ (WorkSchedule2's multi-chunk accumulation) instead of overwriting.
+    *tables* are the :func:`~repro.core.kernels.word_tables` of the
+    worker's φ and n_k; the sampler builds its own when not given.
 
     Returns the event marking φ-partial readiness — recorded *between*
     the update-φ and update-θ launches, so the synchronization can start
@@ -275,6 +299,7 @@ def enqueue_chunk_compute(
             hyper,
             cr.rng,
             config,
+            tables,
         )
         dc.topics.data[...] = new_topics
         cr.topics = new_topics.copy()
@@ -383,17 +408,15 @@ def launch_phi_delta(
     dev = worker.device.device_id
 
     def body() -> None:
-        got = delta.unpack(payload.data)
+        try:
+            got = delta.unpack(payload.data)
+        except ValueError as exc:
+            raise KernelFault(
+                dev, "phi_delta_apply", f"Δφ payload on device {dev}: {exc}"
+            ) from None
         flat = worker.phi_full.data.reshape(-1)
         values = got.values.astype(np.int64)
         index = slice(None) if dense else got.index
-        if not dense and index.size and not (
-            0 <= index.min() and index.max() < flat.size
-        ):
-            raise KernelFault(
-                dev, "phi_delta_apply",
-                f"Δφ payload on device {dev} indexes outside the {K}x{V} φ",
-            )
         new = flat[index].astype(np.int64) + values
         if new.size and not (
             0 <= new.min() and new.max() <= np.iinfo(flat.dtype).max
@@ -416,6 +439,190 @@ def launch_phi_delta(
     ).launch(stream)
 
 
+def launch_phi_base_reset(
+    worker: GpuWorker, config: KernelConfig, stream: Stream
+) -> None:
+    """Zero the Δ base on *worker* (its ``phi_scratch``), on *stream*:
+    after a rebuild or a rollback a cluster node's host contribution
+    restarts at zero, so each GPU's next Δ is its whole partial."""
+    K, V = worker.phi_scratch.shape
+
+    def body() -> None:
+        worker.phi_scratch.data[...] = 0
+
+    KernelLaunch(
+        body,
+        KernelCost(bytes_written=float(K) * V * config.phi_bytes),
+        "phi_base_reset",
+        "sync",
+    ).launch(stream)
+
+
+def launch_phi_compact(
+    worker: GpuWorker, config: KernelConfig, stream: Stream
+) -> tuple[DeviceArray, DeviceArray]:
+    """Pack Δ = φ partial − base on *worker*, on *stream*: the one
+    kernel a cluster node's GPU runs for its φ sync.
+
+    The base is the partial at the GPU's last send. It lives in
+    ``phi_scratch``, which no collective uses on a cluster. The kernel
+    reads both buffers, writes the changed entries as a
+    :class:`~repro.comm.WireDelta` payload (its :meth:`pack` bytes) and
+    that payload's 24-byte layout, and keeps the partial as the next
+    base by swapping the two buffers. Returns the ``(layout, payload)``
+    device buffers; the caller frees them.
+    """
+    delta = WireDelta.between(worker.phi_partial.data, worker.phi_scratch.data)
+    layout, packed = delta.layout(), delta.pack()
+    out: list[DeviceArray] = []
+
+    def body() -> None:
+        out.append(DeviceArray(
+            worker.device, layout.shape, layout.dtype, fill=layout,
+            label="phi_delta_layout",
+        ))
+        out.append(DeviceArray(
+            worker.device, packed.shape, np.uint8, fill=packed,
+            label="phi_delta",
+        ))
+        worker.phi_partial, worker.phi_scratch = (
+            worker.phi_scratch, worker.phi_partial
+        )
+
+    K, V = delta.shape
+    KernelLaunch(
+        body,
+        phi_compact_cost(K, V, packed.nbytes + layout.nbytes, config),
+        "phi_delta_compact",
+        "sync",
+    ).launch(stream)
+    return out[0], out[1]
+
+
+def _fetch(
+    machine: Machine,
+    buf: DeviceArray,
+    stream: Stream,
+    label: str,
+    retry: TransferRetry | None,
+) -> tuple[float, float, np.ndarray]:
+    """d2h *buf* on *stream*, retried as every sync transfer is."""
+    dev = buf.device.device_id
+    return with_retry(
+        lambda: machine.memcpy_d2h(buf, stream=stream, label=label),
+        stream, label, retry, devices=(dev,),
+    )
+
+
+def _add_checked(
+    contribution: np.ndarray,
+    layout: np.ndarray,
+    payload: np.ndarray,
+    columns: np.ndarray,
+    dev: int,
+) -> None:
+    """Add one GPU's Δφ, read from the bytes its copies delivered, into
+    *contribution* — after :meth:`WireDelta.read` accepts them (layout,
+    size, indices in K×V) and checking that the Δ's column sums are
+    *columns*. Raises :class:`~repro.gpusim.errors.KernelFault`
+    otherwise."""
+    K, V = contribution.shape
+    try:
+        delta = WireDelta.read((K, V), layout, payload)
+    except ValueError as exc:
+        raise KernelFault(
+            dev, "phi_delta_host_add", f"Δφ from device {dev}: {exc}"
+        ) from None
+    flat, index, values = contribution.reshape(-1), delta.index, delta.values
+    if index is None:
+        sums = values.reshape(K, V).sum(axis=0, dtype=np.int64)
+    else:
+        sums = np.bincount(index % V, weights=values, minlength=V)
+    if not np.array_equal(sums, columns):
+        raise KernelFault(
+            dev, "phi_delta_host_add",
+            f"Δφ from device {dev} moves tokens between words",
+        )
+    if index is None:
+        flat += values
+    else:
+        np.add.at(flat, index, values)  # adds every entry, as a host loop would
+
+
+def send_phi_deltas(
+    machine: Machine,
+    workers: list[GpuWorker],
+    config: KernelConfig,
+    phi_ready: list,
+    contribution: np.ndarray,
+    columns: list[np.ndarray] | None = None,
+    retry: TransferRetry | None = None,
+) -> None:
+    """A cluster node's φ sync: each GPU sends its host only what its
+    partial changed since its last send, and the host adds that into
+    *contribution* (int64 K×V: the sum of the node's partials, once
+    every GPU's Δ is in).
+
+    Once ``phi_ready[g]`` has passed, GPU *g*'s sync stream runs
+    :func:`launch_phi_compact`, then copies the payload's layout to the
+    host, so the host learns the payload's size. When a layout lands,
+    the host issues that payload's copy. Every GPU's kernel and layout
+    copy are issued before the host clock advances.
+
+    As each payload lands, the host checks it and adds it on its own
+    clock (:meth:`~repro.gpusim.platform.Machine.host_compute`). A
+    payload must match its layout and index only K×V. Each of its
+    columns must sum to zero, because sampling moves a token between
+    topics, never between words — or to ``columns[g]`` when given: a
+    GPU whose base was just reset sends its whole partial, whose column
+    sums are its chunks' word counts. A payload that fails raises
+    :class:`~repro.gpusim.errors.KernelFault`, so the iteration is
+    rolled back.
+    """
+    K, V = contribution.shape
+    staged: list[DeviceArray] = []
+    layouts, payloads = [], []
+    try:
+        for g, w in enumerate(workers):
+            w.sync.wait_event(phi_ready[g])
+            layout, payload = launch_phi_compact(w, config, w.sync)
+            staged += [layout, payload]
+            _, end, got = _fetch(
+                machine, layout, w.sync, "d2h:phi_delta_layout", retry
+            )
+            layouts.append((end, g, got, payload))
+        for end, g, got, payload in sorted(layouts, key=lambda item: item[0]):
+            machine.advance_host(end)
+            _, p_end, data = _fetch(
+                machine, payload, workers[g].sync, "d2h:phi_delta", retry
+            )
+            emit_counter(
+                "sync_bytes_total", data.nbytes,
+                help="bytes moved per link during model synchronization",
+                link=f"{workers[g].device.device_id}->host",
+                phase="delta_to_host",
+            )
+            payloads.append((p_end, g, got, data))
+    finally:
+        for buf in staged:
+            buf.free()
+    for end, g, got, data in sorted(payloads, key=lambda item: item[0]):
+        machine.advance_host(end)
+        want = columns[g] if columns is not None else np.zeros(V, np.int64)
+        entries = int(np.clip(got[1], 0, K * V))  # value entries it adds
+        machine.host_compute(
+            lambda: _add_checked(
+                contribution, got, data, want, workers[g].device.device_id
+            ),
+            KernelCost(
+                bytes_read=float(data.nbytes) + 8.0 * entries,
+                bytes_written=8.0 * (entries + V),
+                flops=2.0 * entries,
+            ),
+            label="phi_delta_host_add",
+        )
+
+
 def synchronize_model(
     machine: Machine,
     workers: list[GpuWorker],
@@ -423,8 +630,7 @@ def synchronize_model(
     phi_ready: list,
     algorithm: str = AUTO,
     retry: TransferRetry | None = None,
-    to_host: bool = False,
-) -> np.ndarray | None:
+) -> None:
     """Combine the partial φ replicas and refresh every GPU's full φ/n_k.
 
     ``phi_ready[g]`` is the event marking GPU *g*'s update-φ completion.
@@ -433,11 +639,6 @@ def synchronize_model(
     registered collective name, which forces that plan. ``retry``
     enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).
-
-    With *to_host* (a cluster node) only the collective's reduce half
-    runs, and the owners copy the node sum to the host: that sum is
-    returned, and every full φ and n_k stays as it was until the
-    node's Δφ arrives (:func:`launch_phi_delta`).
     """
     sync_streams = [w.sync for w in workers]
     for g, w in enumerate(workers):
@@ -449,9 +650,8 @@ def synchronize_model(
             machine, partials[0].shape, config,
             retry=retry, algorithm=algorithm,
             devices=[w.device.device_id for w in workers],
-            to_host=to_host,
         )
-    ctx = SyncContext(
+    plan.collective.allreduce(SyncContext(
         machine=machine,
         partials=partials,
         fulls=[w.phi_full for w in workers],
@@ -459,10 +659,7 @@ def synchronize_model(
         streams=sync_streams,
         config=config,
         retry=retry,
-    )
-    if to_host:
-        return plan.collective.reduce_to_host(ctx)
-    plan.collective.allreduce(ctx)
+    ))
 
     for w in workers:
         launch_nk_rowsum(w, config, w.sync)
@@ -471,12 +668,30 @@ def synchronize_model(
     for w in workers:
         done = w.sync.record(label="sync_done")
         w.compute.wait_event(done)
-    return None
 
 
 # ----------------------------------------------------------------------
 # Iterations
 # ----------------------------------------------------------------------
+
+def _sampler_tables(
+    workers: list[GpuWorker], hyper: LDAHyperParams
+) -> list[WordTables | None]:
+    """The sampler's word tables, built once for the first GPU's φ and
+    n_k and shared by every GPU whose copies equal them byte for byte.
+    Any other GPU (a replica a fault corrupted) gets None: the sampler
+    builds its own from that GPU's φ, as without sharing."""
+    ref = workers[0]
+    tables = word_tables(ref.phi_full.data, ref.n_k.data, hyper)
+    return [
+        tables
+        if w is ref
+        or np.array_equal(w.phi_full.data, ref.phi_full.data)
+        and np.array_equal(w.n_k.data, ref.n_k.data)
+        else None
+        for w in workers
+    ]
+
 
 def run_iteration_resident(
     machine: Machine,
@@ -485,25 +700,26 @@ def run_iteration_resident(
     dev_chunks: list[DeviceChunk],
     hyper: LDAHyperParams,
     config: KernelConfig,
-    sync_algorithm: str = AUTO,
-    retry: TransferRetry | None = None,
-    to_host: bool = False,
-) -> np.ndarray | None:
+    sync: Callable[[list], None] | None = None,
+) -> None:
     """One WorkSchedule1 iteration (M = 1): chunk g is resident on GPU g.
-    Returns what :func:`synchronize_model` returns for *to_host*."""
+    ``sync(phi_ready)`` is the iteration's φ sync; by default the
+    planned collective (:func:`synchronize_model`)."""
     G = len(workers)
     if not (len(runtimes) == len(dev_chunks) == G):
         raise ValueError("WorkSchedule1 requires exactly one chunk per GPU")
+    tables = _sampler_tables(workers, hyper)
     phi_ready = [
         enqueue_chunk_compute(
-            machine, workers[g], runtimes[g], dev_chunks[g], hyper, config
+            machine, workers[g], runtimes[g], dev_chunks[g], hyper, config,
+            tables=tables[g],
         )
         for g in range(G)
     ]
-    return synchronize_model(
-        machine, workers, config, phi_ready, sync_algorithm,
-        retry=retry, to_host=to_host,
-    )
+    if sync is None:
+        synchronize_model(machine, workers, config, phi_ready)
+    else:
+        sync(phi_ready)
 
 
 def run_iteration_streaming(
@@ -513,11 +729,9 @@ def run_iteration_streaming(
     hyper: LDAHyperParams,
     config: KernelConfig,
     chunks_per_gpu: int | None,
-    sync_algorithm: str = AUTO,
     overlap: bool = True,
-    retry: TransferRetry | None = None,
-    to_host: bool = False,
-) -> np.ndarray | None:
+    sync: Callable[[list], None] | None = None,
+) -> None:
     """One WorkSchedule2 iteration (M > 1): per-iteration chunk streaming.
 
     With ``overlap=True`` uploads run on a dedicated stream so chunk m+1
@@ -528,12 +742,13 @@ def run_iteration_streaming(
     ``chunks_per_gpu=None`` accepts an uneven round-robin (elastic
     layouts after a migration can leave GPUs with different chunk
     counts); every GPU still needs at least one chunk so its φ replica
-    participates in the reduce. Returns what
-    :func:`synchronize_model` returns for *to_host*.
+    participates in the sync. ``sync(phi_ready)`` is the iteration's φ
+    sync; by default the planned collective (:func:`synchronize_model`).
     """
     G = len(workers)
     if chunks_per_gpu is None and len(runtimes) < G:
         raise ValueError("streaming schedule needs at least one chunk per GPU")
+    tables = _sampler_tables(workers, hyper)
     phi_ready = []
     for g, worker in enumerate(workers):
         my = [runtimes[c] for c in range(g, len(runtimes), G)]
@@ -547,16 +762,17 @@ def run_iteration_streaming(
             staged = up_stream.record(label=f"staged:chunk{cr.chunk_id}")
             worker.compute.wait_event(staged)
             last_phi_ready = enqueue_chunk_compute(
-                machine, worker, cr, dc, hyper, config, accumulate=(m > 0)
+                machine, worker, cr, dc, hyper, config, accumulate=(m > 0),
+                tables=tables[g],
             )
             done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
             down_stream.wait_event(done)
             download_chunk(machine, worker, cr, dc, stream=down_stream)
         phi_ready.append(last_phi_ready)
-    return synchronize_model(
-        machine, workers, config, phi_ready, sync_algorithm,
-        retry=retry, to_host=to_host,
-    )
+    if sync is None:
+        synchronize_model(machine, workers, config, phi_ready)
+    else:
+        sync(phi_ready)
 
 
 def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, float]:

@@ -606,48 +606,9 @@ class TestPlannerReplayProperties:
         assert predicted["pascal"] != predicted["volta"]
 
 
-def _run_to_host(machine, name, shape, config, retry):
-    """:func:`_run` for ``reduce_to_host``: checks the returned host sum
-    and that no full replica was written."""
-    devices = [g.device_id for g in machine.alive_gpus]
-    dtype = np.uint16 if config.compressed else np.int32
-    partials, scratch, fulls, streams, expected = _setup(
-        machine, *shape, dtype=dtype, devices=devices
-    )
-    try:
-        total = get_collective(name).reduce_to_host(SyncContext(
-            machine, partials, fulls, scratch, streams, config, retry
-        ))
-    except SyncPathError:
-        return None
-    assert np.array_equal(total, expected.astype(dtype))
-    assert not any(full.data.any() for full in fulls)
-    return max(machine.host_time, *(s.available_at for s in streams))
-
-
 class TestReduceToHost:
-    """A cluster node runs only a collective's reduce half, then copies
-    the rows each position owns to the host."""
-
-    @given(fabric_cases())
-    @settings(max_examples=30, deadline=None)
-    def test_estimates_equal_measured_runs(self, case):
-        fabric, retry, shape, compressed = case
-        cfg = KernelConfig(compressed=compressed)
-        for collective in collectives():
-            m = _fabric(*fabric)
-            est = collective.estimate(
-                m, Topology.from_machine(m), shape, cfg, retry=retry,
-                to_host=True,
-            )
-            seconds = _run_to_host(
-                _fabric(*fabric), collective.name, shape, cfg, retry
-            )
-            assert est.feasible == (seconds is not None), collective.name
-            if seconds is not None:
-                assert est.seconds == pytest.approx(
-                    seconds, rel=1e-9, abs=1e-15
-                ), collective.name
+    """Where a collective's reduce half leaves the sum: on rows its
+    owners hold, or on the host (``cpu_gather``)."""
 
     @pytest.mark.parametrize("name", collective_names())
     def test_owners_cover_every_row_once(self, name):
@@ -665,22 +626,41 @@ class TestReduceToHost:
         for pos, lo, hi in reduced.owners:
             assert np.array_equal(partials[pos].data[lo:hi], expected[lo:hi])
 
-    def test_planner_prices_the_op_that_runs(self):
-        """On the benchmark's 2-GPU Pascal node the ring's reduce half
-        plus two parallel owned-row copies beat every other collective,
-        and the op is part of the memo key."""
-        cfg = KernelConfig()
-        m = make_machine("pascal", 2)
-        plan = plan_sync(m, BENCH_PAYLOAD, cfg, to_host=True)
-        assert plan.algorithm == "ring"
-        assert plan.estimate.seconds == pytest.approx(
-            _run_to_host(make_machine("pascal", 2), "ring", BENCH_PAYLOAD,
-                         cfg, None),
-            rel=1e-9,
+
+class TestRingOrder:
+    """Each ring step stages a segment into GPU g's send buffer; GPU
+    g+1 then copies it out. The next stage into that buffer must wait
+    for the copy, on the clock as on hardware."""
+
+    @pytest.mark.parametrize("gpus", [3, 4])
+    def test_stage_waits_for_the_copy_out_of_its_buffer(self, gpus):
+        m = pascal_platform(gpus)
+        partials, scratch, fulls, streams, expected = _setup(
+            m, *BENCH_PAYLOAD, dtype=np.uint16
         )
-        assert plan.estimate.seconds < plan_sync(
-            m, BENCH_PAYLOAD, cfg
-        ).estimate.seconds
+        get_collective("ring").allreduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
+        assert all(np.array_equal(f.data, expected) for f in fulls)
+        ivs = [
+            iv for iv in m.trace.intervals
+            if iv.label in ("ring_stage", "ring_transfer")
+        ]
+        # Per phase, G−1 steps; each step is G stages (GPU g) then G
+        # copies out of send_bufs[g], timed on GPU g+1's stream.
+        steps = [ivs[i:i + 2 * gpus] for i in range(0, len(ivs), 2 * gpus)]
+        assert len(steps) == 2 * (gpus - 1)
+        checked = 0
+        for phase in (steps[:gpus - 1], steps[gpus - 1:]):
+            for prev, step in zip(phase, phase[1:]):
+                for g in range(gpus):
+                    stage, copy = step[g], prev[gpus + g]
+                    assert (stage.label, stage.device_id) == ("ring_stage", g)
+                    assert copy.label == "ring_transfer"
+                    assert copy.device_id == (g + 1) % gpus
+                    assert stage.start >= copy.end, (g, stage, copy)
+                    checked += 1
+        assert checked == 2 * (gpus - 2) * gpus
 
 
 # ----------------------------------------------------------------------

@@ -356,8 +356,9 @@ class TestSimClockPinned:
     every iteration's duration, hashed. A refactor of the trainer bodies
     must leave these digests unchanged — on one machine, across nodes,
     and under rollback and node-loss recovery. The two multi-node
-    digests price ``eth_ring`` as an allgather of sparse 16-bit Δφ, a
-    node's φ reduced to its host, and each GPU receiving only Δφ."""
+    digests price ``eth_ring`` as an allgather of sparse 16-bit Δφ,
+    each GPU sending its host only its own Δφ (no intra-node
+    collective), and each GPU receiving only Δφ."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -391,7 +392,7 @@ class TestSimClockPinned:
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
          "c3ce449c7e6a7826"),
-        (dict(nodes=2, gpus_per_node=2), "95c3a75b22683b53"),
+        (dict(nodes=2, gpus_per_node=2), "1464f31bdab1a4a4"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_distributed_culda
@@ -423,4 +424,4 @@ class TestSimClockPinned:
             pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
-        assert self._digest(result) == "96facf3a85c8a1bb"
+        assert self._digest(result) == "0ec74d3b871bea35"

@@ -869,7 +869,8 @@ class TestMigrationProperties:
 
 
 # ----------------------------------------------------------------------
-# A node reduces φ to its host; each GPU receives only what changed
+# Each GPU sends its host only its own Δφ; each GPU receives only what
+# changed
 # ----------------------------------------------------------------------
 
 class _Boundaries(TrainerCallback):
@@ -892,9 +893,10 @@ class _Boundaries(TrainerCallback):
 
 
 class TestNodeSyncToHost:
-    """Each node runs only its collective's reduce half and copies the
-    rows it owns to the host; the host sends each GPU the Δ between the
-    new view and the one it last sent, which one kernel applies."""
+    """A node runs no intra-node collective: each GPU sends its host the
+    change of its partial since its last send, which the host checks
+    and adds up. The host sends each GPU the Δ between the new view and
+    the one it last sent, which one kernel applies."""
 
     @pytest.mark.parametrize("staleness,sync", [
         (0, "auto"), (1, "auto"), (0, "ring"),
@@ -943,10 +945,11 @@ class TestNodeSyncToHost:
         from repro.comm.collectives import collectives
 
         def refuse(self, ctx):
-            raise AssertionError(f"{self.name}.allreduce ran on a cluster")
+            raise AssertionError(f"{self.name} ran on a cluster")
 
         for collective in collectives():
             monkeypatch.setattr(type(collective), "allreduce", refuse)
+            monkeypatch.setattr(type(collective), "reduce", refuse)
         result = _trainer(corpus, 2, 2, sync_algorithm=sync).train()
         monkeypatch.undo()
         _assert_same_model(result, _reference(corpus).train())
@@ -974,10 +977,80 @@ class TestNodeSyncToHost:
             ]
             assert uploads[2::2] == uploads[3::2] == expected
 
+    def test_each_gpu_sends_only_its_change(self, corpus):
+        """At s = 0 every GPU makes one Δφ copy to its host per
+        iteration, carrying exactly the wire encoding of its partial's
+        change since its last send (its whole partial after the reset
+        at init), preceded by the payload's 24-byte layout."""
+        from repro.core.kernels import accumulate_phi
+
+        trainer = _trainer(corpus, 2, 2)
+        marks = _Boundaries(trainer)
+        partials = []
+
+        class Partials(TrainerCallback):
+            def on_iteration_end(self, event):
+                K = trainer.config.num_topics
+                partials.append({
+                    (n, w.device.device_id): sum(
+                        accumulate_phi(r.chunk, r.topics, K)
+                        for r in trainer._node_runtimes[n][g::len(workers)]
+                    )
+                    for n, workers in enumerate(trainer._node_workers)
+                    for g, w in enumerate(workers)
+                })
+
+        trainer.train(callbacks=[marks, Partials()])
+        before = {key: 0 for key in partials[0]}
+        for i, now in enumerate(partials):
+            (cuts, _, _), (ends, _, _) = marks.marks[i:i + 2]
+            for n, machine in enumerate(trainer.machines):
+                copies = [
+                    iv for iv in machine.trace.intervals[cuts[n]:ends[n]]
+                    if iv.kind == "d2h"
+                ]
+                for d in (0, 1):
+                    mine = [iv for iv in copies if iv.device_id == d]
+                    assert [iv.label for iv in mine] == [
+                        "d2h:phi_delta_layout", "d2h:phi_delta"
+                    ]
+                    expected = WireDelta.encode(now[n, d] - before[n, d])
+                    assert mine[0].bytes_moved == 24
+                    assert mine[1].bytes_moved == expected.nbytes > 0
+            before = now
+
+    def test_corrupted_delta_copy_rolls_back(self, corpus, monkeypatch):
+        """A Δ payload the host link corrupts (its first flat index
+        shifted, which keeps Σφ) fails the host's column check on a
+        2-GPU node: the iteration rolls back, and the rerun is
+        bit-identical to a clean run."""
+        from repro.gpusim.platform import Machine
+
+        memcpy_d2h, armed = Machine.memcpy_d2h, []
+
+        def d2h(self, src, stream=None, label="d2h", pinned=True):
+            if label == "d2h:phi_delta" and armed:
+                armed.pop()
+                self.pcie[src.device.device_id].corrupt_next()
+            return memcpy_d2h(self, src, stream, label, pinned)
+
+        class Arm(TrainerCallback):
+            def on_iteration_end(self, event):
+                if event["iteration"] == 1:
+                    armed.append(True)
+
+        monkeypatch.setattr(Machine, "memcpy_d2h", d2h)
+        faulted = _trainer(corpus, 2, 2).train(
+            callbacks=[Arm()], recovery="retry"
+        )
+        assert not armed
+        assert faulted.rollbacks == 1
+        _assert_same_model(faulted, _trainer(corpus, 2, 2).train())
+
     def test_host_link_corruption_is_detected(self):
         """A corrupted copy on a one-GPU node's host link (here the
-        owned-row copy to the host) rolls the iteration back, and the
-        rerun is bit-identical to a clean run."""
+        copy of its Δφ payload's layout to the host) rolls the iteration
+        back, and the rerun is bit-identical to a clean run."""
         corpus = pubmed_like(8_000, 8, seed=3)
 
         def run(**kwargs):

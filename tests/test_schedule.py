@@ -214,3 +214,93 @@ class TestIterations:
         run_iteration_resident(m2, w2, rts2, dcs, hyper, cfg)
         t2 = m2.synchronize()
         assert t2 < t1
+
+
+class TestSamplerTables:
+    """The sampler's word tables are built once per machine and
+    iteration, and shared only with a GPU whose φ and n_k equal the
+    first GPU's byte for byte."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[np.ndarray]:
+        import repro.core.kernels as kernels
+        import repro.sched.schedule as schedule
+
+        built, build = [], kernels.word_tables
+
+        def counting(phi, n_k, hyper):
+            built.append(phi.copy())
+            return build(phi, n_k, hyper)
+
+        monkeypatch.setattr(kernels, "word_tables", counting)
+        monkeypatch.setattr(schedule, "word_tables", counting)
+        return built
+
+    def test_built_once_per_node_and_iteration(self, monkeypatch):
+        from repro.core import CuLDA, DistributedCuLDA, TrainConfig
+        from repro.corpus.synthetic import pubmed_like
+
+        corpus = pubmed_like(12_000, 8, seed=3)
+        cfg = TrainConfig(num_topics=16, iterations=3, seed=0)
+        built = self._count_builds(monkeypatch)
+        DistributedCuLDA(
+            corpus, [pascal_platform(2), pascal_platform(2)], config=cfg
+        ).train()
+        assert len(built) == 2 * 3
+        built.clear()
+        streaming = CuLDA(
+            corpus, pascal_platform(4),
+            TrainConfig(num_topics=16, iterations=3, seed=0, chunks_per_gpu=2),
+        ).train()
+        assert streaming.chunks_per_gpu == 2
+        assert len(built) == 3
+
+    def test_a_diverged_replica_builds_its_own(
+        self, medium_corpus, pascal4, monkeypatch
+    ):
+        hyper, cfg, runtimes, workers = _setup(pascal4, medium_corpus)
+        dev_chunks = [
+            upload_chunk(pascal4, workers[g], runtimes[g]) for g in range(4)
+        ]
+        workers[2].phi_full.data[0, 0] += 1
+        diverged = workers[2].phi_full.data.copy()
+        built = self._count_builds(monkeypatch)
+        run_iteration_resident(
+            pascal4, workers, runtimes, dev_chunks, hyper, cfg
+        )
+        assert len(built) == 2
+        assert not np.array_equal(built[0], diverged)
+        assert np.array_equal(built[1], diverged)
+
+    def test_unrecovered_fault_run_keeps_its_bits(self, monkeypatch):
+        """A corrupted replica nothing rolls back is sampled against in
+        the next iteration: the run trains the same model as one whose
+        every chunk builds its own tables."""
+        import repro.sched.schedule as schedule
+        from repro.core import CuLDA, TrainConfig
+        from repro.corpus.synthetic import pubmed_like
+        from repro.faults import FaultPlan, FaultSpec
+
+        corpus = pubmed_like(12_000, 8, seed=3)
+        # The tree's reduce copy and then its broadcast copy over
+        # p2p[0-1]: the replicas of GPUs 1 and 3 diverge from GPU 0's.
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="transfer_corruption", iteration=1,
+                      link="p2p[0-1]", count=2),))
+
+        def run():
+            return CuLDA(
+                corpus, pascal_platform(4),
+                TrainConfig(num_topics=16, iterations=4, seed=0,
+                            sync_algorithm="gpu_tree"),
+            ).train(fault_plan=plan)
+
+        built = self._count_builds(monkeypatch)
+        shared = run()
+        assert len(built) == 4 + 2  # the diverged replicas built their own
+        monkeypatch.setattr(
+            schedule, "_sampler_tables", lambda workers, hyper: [None] * 4
+        )
+        per_chunk = run()
+        assert np.array_equal(shared.phi, per_chunk.phi)
+        assert np.array_equal(shared.topics, per_chunk.topics)
