@@ -206,9 +206,9 @@ def broadcast_phi(
     step — again ⌈log₂ G⌉ serial steps.
 
     ``destinations[g]`` is position *g*'s full-φ buffer;
-    ``destinations[0]`` lives on the same device as *source* and
-    receives a device-local copy (charged as a kernel, not a link
-    transfer).
+    ``destinations[0]`` lives on the same device as *source* and, unless
+    it *is* the source, receives a device-local copy (charged as a
+    kernel, not a link transfer).
     """
     G = len(destinations)
     if len(streams) != G:
@@ -216,17 +216,18 @@ def broadcast_phi(
     if destinations[0].device is not source.device:
         raise ValueError("destinations[0] must live on the source device")
 
-    def local_copy() -> None:
-        destinations[0].data[...] = source.data
+    if destinations[0] is not source:
+        def local_copy() -> None:
+            destinations[0].data[...] = source.data
 
-    K, V = source.shape
-    n = float(K) * V * config.phi_bytes
-    KernelLaunch(
-        fn=local_copy,
-        cost=KernelCost(bytes_read=n, bytes_written=n),
-        label="phi_local_copy",
-        kind="sync",
-    ).launch(streams[0])
+        K, V = source.shape
+        n = float(K) * V * config.phi_bytes
+        KernelLaunch(
+            fn=local_copy,
+            cost=KernelCost(bytes_read=n, bytes_written=n),
+            label="phi_local_copy",
+            kind="sync",
+        ).launch(streams[0])
 
     # Doubling pattern: holders {0} -> {0,1} -> {0,1,2,3} -> ...
     have = [0]
@@ -537,9 +538,9 @@ def _hierarchical_gather(
     config: KernelConfig,
     retry: TransferRetry | None,
 ) -> None:
-    """The gather half: the leaders all-gather their segments (a single
-    leader only copies locally), then each leader tree-broadcasts the
-    full model down its socket."""
+    """The gather half: the leaders all-gather their segments into their
+    full φ (a single leader only copies locally), then each leader
+    tree-broadcasts that full φ down its socket."""
     groups = _socket_groups(machine, partials)
     leaders = [grp[0] for grp in groups]
     _ring_allgather(

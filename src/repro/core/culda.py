@@ -54,8 +54,7 @@ from repro.sched.schedule import (
     download_chunk,
     iteration_trace_stats,
     launch_nk_rowsum,
-    run_iteration_resident,
-    run_iteration_streaming,
+    run_iteration,
     synchronize_model,
     upload_chunk,
 )
@@ -289,8 +288,8 @@ class CuLDA(Algorithm):
 
         self._t_prev_node = [0.0] * N
         self._node_workers: list[list[GpuWorker]] = [[] for _ in range(N)]
+        #: Per node, the chunk each GPU holds (see ``run_iteration``).
         self._node_dev_chunks: list[list] = [[] for _ in range(N)]
-        self._node_resident: list[bool] = [False] * N
         self._restore_hosting(resume)
         # Initial distribution (Alg 1 lines 7-9), then measure iterations
         # from t=0, as Fig 7 does.
@@ -405,7 +404,8 @@ class CuLDA(Algorithm):
         The chunk layout is unchanged: per-chunk z/θ/RNG come straight
         from the snapshot, φ is recounted from the restored assignments
         (a pure function of z, so the rebuild is exact) and re-uploaded
-        to every worker. With the snapshot's RNG stream positions the
+        to every worker, and each GPU stages its first chunk afresh.
+        With the snapshot's RNG stream positions the
         rerun of the poisoned iteration is bit-identical to a run that
         never faulted.
         """
@@ -415,16 +415,7 @@ class CuLDA(Algorithm):
         for n in self._host_nodes:
             machine = self.machines[n]
             self._upload_phi(n, views[n], "h2d:phi_rollback")
-            if self._node_resident[n]:
-                for w, rt, dc in zip(
-                    self._node_workers[n], self._node_runtimes[n],
-                    self._node_dev_chunks[n],
-                ):
-                    machine.memcpy_h2d(
-                        dc.topics, rt.topics, stream=w.upload,
-                        label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
-                    )
-                    dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+            self._stage_chunks(n)
             t_now = machine.synchronize()
             advance = max(advance, t_now - self._t_prev_node[n])
             self._t_prev_node[n] = t_now
@@ -501,9 +492,9 @@ class CuLDA(Algorithm):
         """Rebuild every node's device state under the current hosting
         map: free the old buffers, recount φ (see :meth:`_recount`), then
         create GPU workers on each hosting node's alive GPUs, upload the
-        node's φ view (and resident chunks), and leave every machine
-        synchronized. Returns the largest per-node clock advance (zero
-        when resetting clocks at init)."""
+        node's φ view, stage each GPU's first chunk, and leave every
+        machine synchronized. Returns the largest per-node clock advance
+        (zero when resetting clocks at init)."""
         self._release()
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [
@@ -517,10 +508,8 @@ class CuLDA(Algorithm):
             if n not in hosting:
                 self._node_workers[n] = []
                 self._node_dev_chunks[n] = []
-                self._node_resident[n] = False
                 continue
             machine = self.machines[n]
-            local = self._node_runtimes[n]
             workers = [
                 GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
                 for dev in machine.alive_gpus
@@ -529,22 +518,25 @@ class CuLDA(Algorithm):
                 raise FaultError(f"node {n} hosts work but has no alive GPUs")
             self._node_workers[n] = workers
             self._upload_phi(n, views[n], label)
-            resident = len(local) == len(workers)
-            dev_chunks = []
-            if resident:
-                dev_chunks = [
-                    upload_chunk(machine, workers[j], local[j])
-                    for j in range(len(workers))
-                ]
+            self._stage_chunks(n)
             t_now = machine.synchronize()
             if reset_clock:
                 machine.reset_clock()
                 t_now = 0.0
             advance = max(advance, t_now - self._t_prev_node[n])
             self._t_prev_node[n] = t_now
-            self._node_dev_chunks[n] = dev_chunks
-            self._node_resident[n] = resident
         return advance
+
+    def _stage_chunks(self, node: int) -> None:
+        """Stage each GPU of *node*'s first chunk on it, freeing any chunk
+        it held: the one it samples first next iteration."""
+        machine, local = self.machines[node], self._node_runtimes[node]
+        for dc in self._node_dev_chunks[node]:
+            dc.free_all()
+        self._node_dev_chunks[node] = [
+            upload_chunk(machine, w, local[g])
+            for g, w in enumerate(self._node_workers[node])
+        ]
 
     def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
         """Copy a φ view to every GPU of *node* and recount n_k there."""
@@ -569,31 +561,20 @@ class CuLDA(Algorithm):
         the node's φ sync (:meth:`_sync_node`). Returns, per node, its
         trace mark and the clock the iteration started at (the node's
         clock, ``_t_prev_node``, ends it)."""
-        cfg = self.config
         legs = {}
         for n in self._host_nodes:
             machine = self.machines[n]
-            workers = self._node_workers[n]
-            local = self._node_runtimes[n]
             mark = len(machine.trace.intervals)
 
             def sync(phi_ready, n=n) -> None:
                 self._sync_node(n, phi_ready, retry)
 
             with span("iteration"):
-                if self._node_resident[n]:
-                    run_iteration_resident(
-                        machine, workers, local, self._node_dev_chunks[n],
-                        self._hyper, self._kcfg, sync=sync,
-                    )
-                else:
-                    cpg = self._plan.chunks_per_gpu
-                    if len(local) != cpg * len(workers):
-                        cpg = None  # uneven round-robin after a migration
-                    run_iteration_streaming(
-                        machine, workers, local, self._hyper, self._kcfg,
-                        cpg, overlap=cfg.overlap_transfers, sync=sync,
-                    )
+                run_iteration(
+                    machine, self._node_workers[n], self._node_runtimes[n],
+                    self._node_dev_chunks[n], self._hyper, self._kcfg,
+                    overlap=self.config.overlap_transfers, sync=sync,
+                )
                 t_now = machine.synchronize()
             legs[n] = (mark, self._t_prev_node[n])
             self._t_prev_node[n] = t_now
@@ -705,11 +686,8 @@ class CuLDA(Algorithm):
             machine.memcpy_d2h(
                 workers[0].phi_full, stream=workers[0].download, label="d2h:phi"
             )
-            if self._node_resident[n]:
-                for w, rt, dc in zip(
-                    workers, self._node_runtimes[n], self._node_dev_chunks[n]
-                ):
-                    download_chunk(machine, w, rt, dc)
+            for w, dc in zip(workers, self._node_dev_chunks[n]):
+                download_chunk(machine, w, dc)
             tail = max(tail, machine.synchronize() - self._t_prev_node[n])
         return tail
 

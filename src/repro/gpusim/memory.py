@@ -22,7 +22,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpusim.device import Device
 
-__all__ = ["DeviceOutOfMemoryError", "DeviceAllocator", "DeviceArray"]
+__all__ = ["DeviceOutOfMemoryError", "DeviceAllocator", "DeviceArray", "DeviceView"]
 
 
 class DeviceOutOfMemoryError(MemoryError):
@@ -165,8 +165,51 @@ class DeviceArray:
         return self.data.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "freed" if self._freed else f"{self.nbytes}B"
+        state = "freed" if self.freed else f"{self.nbytes}B"
         return (
             f"DeviceArray({self.label!r}, shape={self.shape}, "
             f"dtype={self.dtype.name}, {state}, dev={self.device.device_id})"
         )
+
+
+class DeviceView(DeviceArray):
+    """A typed window onto bytes ``offset:offset + nbytes`` of a 1-D
+    ``uint8`` :class:`DeviceArray`: one field of a buffer laid out by
+    hand, as a pointer into one ``cudaMalloc``. It allocates nothing;
+    kernels and copies use it like any buffer, and it is freed with its
+    base."""
+
+    def __init__(
+        self,
+        base: DeviceArray,
+        offset: int,
+        shape: tuple[int, ...] | int,
+        dtype: np.dtype | type,
+        label: str = "view",
+    ):
+        self.device = base.device
+        self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self.label = label
+        self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        if base.dtype != np.uint8 or len(base.shape) != 1:
+            raise ValueError("a view's base must be a 1-D uint8 buffer")
+        if offset < 0 or offset + self.nbytes > base.nbytes:
+            raise ValueError(
+                f"view {label!r} [{offset}, {offset + self.nbytes}) lies "
+                f"outside its base's {base.nbytes} bytes"
+            )
+        self._base = base
+        self._offset = offset
+
+    @property
+    def data(self) -> np.ndarray:
+        raw = self._base.data[self._offset : self._offset + self.nbytes]
+        return raw.view(self.dtype).reshape(self.shape)
+
+    @property
+    def freed(self) -> bool:
+        return self._base.freed
+
+    def free(self) -> None:
+        raise RuntimeError(f"view {self.label!r} is freed with its base")

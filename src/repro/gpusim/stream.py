@@ -8,8 +8,11 @@ Timing semantics mirror CUDA's:
   what makes the paper's WorkSchedule2 transfer/compute overlap (§5.1)
   observable in the simulated timeline.
 - :class:`Event` captures a point on a stream's timeline
-  (:meth:`Stream.record`); :meth:`Stream.wait_event` makes a stream's
-  next operation start no earlier than the event.
+  (:meth:`Stream.record`); :meth:`Stream.wait_event` makes every later
+  operation on the stream start no earlier than the event, and an event
+  recorded after the wait no earlier than it either, as
+  ``cudaEventRecord`` after ``cudaStreamWaitEvent`` completes only once
+  the waited-on event has.
 
 An operation is *executed functionally at enqueue time* (its NumPy work
 happens immediately) but is *charged* on the simulated timeline. That is
@@ -74,10 +77,12 @@ class Stream:
         self._pending_after = max(self._pending_after, event.time)
 
     def record(self, event: Event | None = None, label: str = "event") -> Event:
-        """Record an event at the stream's current frontier."""
+        """Record an event at the stream's current frontier: after its
+        last operation and after every event it has been told to wait
+        for."""
         if event is None:
             event = Event(label)
-        event._record(self.available_at)
+        event._record(max(self.available_at, self._pending_after))
         return event
 
     # ------------------------------------------------------------------

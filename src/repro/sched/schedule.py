@@ -1,7 +1,12 @@
 """Workload scheduling: Algorithm 1 of the paper.
 
 Two schedules, selected by the chunk multiplier M chosen in
-:mod:`repro.sched.partition`:
+:mod:`repro.sched.partition`, run by one iteration body
+(:func:`run_iteration`). Every GPU always holds one of its chunks: the
+trainer stages each GPU's first chunk before iteration 0, and a GPU
+keeps the chunk it samples last in an iteration and samples it first in
+the next. A chunk lives in one device allocation, so it moves up in one
+h2d and its topics and θ come back in one d2h.
 
 - **WorkSchedule1** (M = 1): every GPU holds its chunk for the whole
   training run; data moves host→device once before iteration 0 and
@@ -11,11 +16,16 @@ Two schedules, selected by the chunk multiplier M chosen in
   update overlaps the synchronization (§6.2's ordering argument).
 
 - **WorkSchedule2** (M > 1): each GPU cycles through its M chunks per
-  iteration (round-robin ``chunk i → GPU i % G``), uploading chunk m+1
-  on an upload stream while chunk m computes, and downloading finished
-  chunks on a download stream — the stream-pipelined double buffering
-  of §5.1. The per-GPU partial φ accumulates across its M chunks before
-  the sync.
+  iteration (round-robin ``chunk i → GPU i % G``): it samples the chunk
+  it kept, and streams the other M − 1 through a second slot, uploading
+  the next chunk on an upload stream while one computes and downloading
+  finished chunks on a download stream — the stream-pipelined double
+  buffering of §5.1. An upload waits for the download that frees its
+  slot, so a GPU holds at most two chunks, as
+  :func:`~repro.sched.partition.chunk_slots` budgets. The per-GPU
+  partial φ accumulates across its M chunks before the sync; chunk
+  order within a GPU changes no bit, because every chunk samples the
+  iteration-start φ with its own RNG and θ.
 
 Every GPU of a machine samples against the same synchronized φ, so the
 sampler's word tables are built once per machine and iteration and
@@ -57,7 +67,7 @@ from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.device import Device
 from repro.gpusim.errors import KernelFault
 from repro.gpusim.kernel import KernelLaunch
-from repro.gpusim.memory import DeviceArray
+from repro.gpusim.memory import DeviceArray, DeviceView
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Event, Stream
 from repro.gpusim.trace import union_length
@@ -79,8 +89,7 @@ __all__ = [
     "upload_chunk",
     "download_chunk",
     "enqueue_chunk_compute",
-    "run_iteration_resident",
-    "run_iteration_streaming",
+    "run_iteration",
     "launch_nk_rowsum",
     "launch_phi_delta",
     "launch_phi_base_reset",
@@ -104,49 +113,91 @@ class ChunkRuntime:
     last_stats: SamplingStats | None = None
 
 
-@dataclass
-class DeviceChunk:
-    """Device-resident buffers of one chunk (while loaded on a GPU)."""
+def _fields(cr: ChunkRuntime) -> list[tuple[str, np.ndarray]]:
+    """A chunk's fields in device order: the corpus layout, which never
+    changes, then (from index 4) the state each iteration rewrites."""
+    ch, th = cr.chunk, cr.theta
+    return [
+        ("token_doc", ch.token_doc),
+        ("word_indptr", ch.word_indptr),
+        ("doc_map_indptr", ch.doc_map_indptr),
+        ("doc_map_indices", ch.doc_map_indices),
+        ("topics", cr.topics),
+        ("theta_indptr", th.indptr),
+        ("theta_indices", th.indices),
+        ("theta_data", th.data),
+    ]
 
-    token_doc: DeviceArray
-    word_indptr: DeviceArray
-    doc_map_indptr: DeviceArray
-    doc_map_indices: DeviceArray
-    topics: DeviceArray
-    theta_indptr: DeviceArray
-    theta_indices: DeviceArray
-    theta_data: DeviceArray
+
+class DeviceChunk:
+    """One chunk on a GPU, in one device allocation: its fields back to
+    back, the corpus layout first and the state (topics, θ) last, so the
+    chunk goes up in one h2d and its state comes back in one d2h, each
+    carrying exactly its fields' bytes. θ has room for its capacity
+    Σ_d min(DocLen_d, K) entries, as
+    :func:`~repro.sched.partition.chunk_device_bytes` budgets, so the θ
+    update rewrites it in place. Each field is a typed
+    :class:`~repro.gpusim.memory.DeviceView` of the allocation."""
+
+    token_doc: DeviceView
+    word_indptr: DeviceView
+    doc_map_indptr: DeviceView
+    doc_map_indices: DeviceView
+    topics: DeviceView
+    theta_indptr: DeviceView
+    theta_indices: DeviceView
+    theta_data: DeviceView
+
+    def __init__(self, device: Device, cr: ChunkRuntime, num_topics: int):
+        fields = _fields(cr)
+        self.chunk_id = cr.chunk_id
+        self._corpus_bytes = sum(a.nbytes for _, a in fields[:4])
+        th = cr.theta
+        capacity = int(np.minimum(cr.chunk.doc_lengths, num_topics).sum())
+        self.buf = DeviceArray(
+            device,
+            self._corpus_bytes + cr.topics.nbytes + th.indptr.nbytes
+            + capacity * (th.indices.itemsize + th.data.itemsize),
+            np.uint8,
+            label=f"chunk{cr.chunk_id}",
+        )
+        self._place(fields, 0)
+
+    def _place(self, fields, offset: int) -> None:
+        """Lay *fields* out back to back from byte *offset*."""
+        for name, arr in fields:
+            setattr(self, name, DeviceView(
+                self.buf, offset, arr.shape, arr.dtype,
+                label=f"{self.buf.label}.{name}",
+            ))
+            offset += arr.nbytes
+        self._end = offset
+
+    def whole(self) -> DeviceView:
+        """Every field's bytes: what an upload moves."""
+        return DeviceView(self.buf, 0, self._end, np.uint8, "chunk")
+
+    def state(self) -> DeviceView:
+        """The topics' and θ's bytes: what a download moves."""
+        return DeviceView(
+            self.buf, self._corpus_bytes, self._end - self._corpus_bytes,
+            np.uint8, "chunk_state",
+        )
+
+    def write_theta(self, theta: SparseTheta) -> None:
+        """Rewrite θ in place after an update (its entry count changes)."""
+        fields = [
+            ("theta_indptr", theta.indptr),
+            ("theta_indices", theta.indices),
+            ("theta_data", theta.data),
+        ]
+        self._place(fields, self._corpus_bytes + self.topics.nbytes)
+        for name, arr in fields:
+            getattr(self, name).data[...] = arr
 
     def free_all(self) -> None:
-        for buf in (
-            self.token_doc,
-            self.word_indptr,
-            self.doc_map_indptr,
-            self.doc_map_indices,
-            self.topics,
-            self.theta_indptr,
-            self.theta_indices,
-            self.theta_data,
-        ):
-            if not buf.freed:
-                buf.free()
-
-    def replace_theta(self, device: Device, theta: SparseTheta, label: str) -> None:
-        """Reinstall the θ CSR buffers after an update (sizes change)."""
-        for buf in (self.theta_indptr, self.theta_indices, self.theta_data):
-            buf.free()
-        self.theta_indptr = DeviceArray(
-            device, theta.indptr.shape, theta.indptr.dtype, theta.indptr,
-            label=f"{label}.theta_indptr",
-        )
-        self.theta_indices = DeviceArray(
-            device, theta.indices.shape, theta.indices.dtype, theta.indices,
-            label=f"{label}.theta_indices",
-        )
-        self.theta_data = DeviceArray(
-            device, theta.data.shape, theta.data.dtype, theta.data,
-            label=f"{label}.theta_data",
-        )
+        if not self.buf.freed:
+            self.buf.free()
 
 
 class GpuWorker:
@@ -182,67 +233,57 @@ class GpuWorker:
 # Chunk movement
 # ----------------------------------------------------------------------
 
+def _emit_transfer(nbytes: int, direction: str, worker: GpuWorker) -> None:
+    emit_counter(
+        "transfer_bytes_total", nbytes,
+        help="host-link bytes moved per direction and device",
+        direction=direction, device=str(worker.device.device_id),
+    )
+
+
 def upload_chunk(
     machine: Machine,
     worker: GpuWorker,
     cr: ChunkRuntime,
     stream: Stream | None = None,
 ) -> DeviceChunk:
-    """Allocate device buffers for *cr* and copy its data up (timed)."""
-    dev = worker.device
-    stream = stream or worker.upload
-    label = f"chunk{cr.chunk_id}"
-    ch, th = cr.chunk, cr.theta
-
-    def up(arr: np.ndarray, name: str) -> DeviceArray:
-        buf = DeviceArray(dev, arr.shape, arr.dtype, label=f"{label}.{name}")
-        machine.memcpy_h2d(buf, arr, stream=stream, label=f"h2d:{label}.{name}")
-        emit_counter(
-            "transfer_bytes_total", buf.nbytes,
-            help="host-link bytes moved per direction and device",
-            direction="h2d", device=str(dev.device_id),
+    """Allocate *cr*'s device buffer and copy the chunk up in one h2d
+    (timed) from its pinned host image, its fields back to back."""
+    dc = DeviceChunk(worker.device, cr, worker.phi_full.shape[0])
+    dst = dc.whole()
+    image = np.concatenate([
+        np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+        for _, a in _fields(cr)
+    ])
+    try:
+        machine.memcpy_h2d(
+            dst, image, stream=stream or worker.upload,
+            label=f"h2d:chunk{cr.chunk_id}",
         )
-        return buf
-
-    return DeviceChunk(
-        token_doc=up(ch.token_doc, "token_doc"),
-        word_indptr=up(ch.word_indptr, "word_indptr"),
-        doc_map_indptr=up(ch.doc_map_indptr, "doc_map_indptr"),
-        doc_map_indices=up(ch.doc_map_indices, "doc_map_indices"),
-        topics=up(cr.topics, "topics"),
-        theta_indptr=up(th.indptr, "theta_indptr"),
-        theta_indices=up(th.indices, "theta_indices"),
-        theta_data=up(th.data, "theta_data"),
-    )
+    except BaseException:
+        dc.free_all()  # a faulted copy returns no chunk to free later
+        raise
+    _emit_transfer(dst.nbytes, "h2d", worker)
+    return dc
 
 
 def download_chunk(
     machine: Machine,
     worker: GpuWorker,
-    cr: ChunkRuntime,
     dc: DeviceChunk,
     stream: Stream | None = None,
 ) -> None:
-    """Copy the mutable chunk state (topics, θ) back to the host (timed)
-    and free the device buffers.
+    """Copy the chunk's mutable state (topics, θ) back to the host in
+    one d2h (timed) and free its device buffer.
 
     The host mirrors are already current (kernel bodies update them);
-    the transfers are charged for timing fidelity.
+    the transfer is charged for timing fidelity.
     """
-    stream = stream or worker.download
-    label = f"chunk{cr.chunk_id}"
-    for buf, name in (
-        (dc.topics, "topics"),
-        (dc.theta_indptr, "theta_indptr"),
-        (dc.theta_indices, "theta_indices"),
-        (dc.theta_data, "theta_data"),
-    ):
-        machine.memcpy_d2h(buf, stream=stream, label=f"d2h:{label}.{name}")
-        emit_counter(
-            "transfer_bytes_total", buf.nbytes,
-            help="host-link bytes moved per direction and device",
-            direction="d2h", device=str(worker.device.device_id),
-        )
+    src = dc.state()
+    machine.memcpy_d2h(
+        src, stream=stream or worker.download, label=f"d2h:chunk{dc.chunk_id}"
+    )
+    _emit_transfer(src.nbytes, "d2h", worker)
     dc.free_all()
 
 
@@ -351,7 +392,7 @@ def enqueue_chunk_compute(
 
     def update_theta_body() -> None:
         cr.theta = new_theta
-        dc.replace_theta(worker.device, new_theta, f"chunk{cr.chunk_id}")
+        dc.write_theta(new_theta)
 
     KernelLaunch(
         update_theta_body, t_cost, f"update_theta:chunk{cr.chunk_id}", "update_theta"
@@ -693,82 +734,68 @@ def _sampler_tables(
     ]
 
 
-def run_iteration_resident(
+def run_iteration(
     machine: Machine,
     workers: list[GpuWorker],
     runtimes: list[ChunkRuntime],
-    dev_chunks: list[DeviceChunk],
+    held: list[DeviceChunk],
     hyper: LDAHyperParams,
     config: KernelConfig,
-    sync: Callable[[list], None] | None = None,
-) -> None:
-    """One WorkSchedule1 iteration (M = 1): chunk g is resident on GPU g.
-    ``sync(phi_ready)`` is the iteration's φ sync; by default the
-    planned collective (:func:`synchronize_model`)."""
-    G = len(workers)
-    if not (len(runtimes) == len(dev_chunks) == G):
-        raise ValueError("WorkSchedule1 requires exactly one chunk per GPU")
-    tables = _sampler_tables(workers, hyper)
-    phi_ready = [
-        enqueue_chunk_compute(
-            machine, workers[g], runtimes[g], dev_chunks[g], hyper, config,
-            tables=tables[g],
-        )
-        for g in range(G)
-    ]
-    if sync is None:
-        synchronize_model(machine, workers, config, phi_ready)
-    else:
-        sync(phi_ready)
-
-
-def run_iteration_streaming(
-    machine: Machine,
-    workers: list[GpuWorker],
-    runtimes: list[ChunkRuntime],
-    hyper: LDAHyperParams,
-    config: KernelConfig,
-    chunks_per_gpu: int | None,
     overlap: bool = True,
     sync: Callable[[list], None] | None = None,
 ) -> None:
-    """One WorkSchedule2 iteration (M > 1): per-iteration chunk streaming.
+    """One iteration of Alg 1 on one machine, WorkSchedule1 and 2 alike.
 
-    With ``overlap=True`` uploads run on a dedicated stream so chunk m+1
-    stages while chunk m computes (the paper's pipelining); with False
-    all copies are funneled through the compute stream (the ablation's
-    serial variant).
+    GPU g's chunks are ``runtimes[g::G]`` (an elastic layout after a
+    migration may leave GPUs with different counts). ``held[g]`` is the
+    one on GPU g: the GPU samples it first, then streams its other
+    chunks through a second slot, and keeps the last one it samples in
+    ``held[g]`` for the next iteration. So at M = 1 no chunk moves
+    (WorkSchedule1); at M > 1 (WorkSchedule2) each GPU moves M − 1
+    chunks each way, and its first sampling launch waits on no upload.
 
-    ``chunks_per_gpu=None`` accepts an uneven round-robin (elastic
-    layouts after a migration can leave GPUs with different chunk
-    counts); every GPU still needs at least one chunk so its φ replica
-    participates in the sync. ``sync(phi_ready)`` is the iteration's φ
-    sync; by default the planned collective (:func:`synchronize_model`).
+    With ``overlap=True`` copies run on the upload and download streams,
+    so a chunk stages while the one before it computes (§5.1's
+    pipelining); with False they go through the compute stream (the
+    ablation's serial variant). An upload waits for the download that
+    frees its slot, so a GPU never holds more than two of its chunks.
+    ``sync(phi_ready)`` is the iteration's φ sync; by default the
+    planned collective (:func:`synchronize_model`).
     """
     G = len(workers)
-    if chunks_per_gpu is None and len(runtimes) < G:
-        raise ValueError("streaming schedule needs at least one chunk per GPU")
+    if len(held) != G or len(runtimes) < G:
+        raise ValueError("every GPU needs a chunk, and holds one of them")
     tables = _sampler_tables(workers, hyper)
     phi_ready = []
     for g, worker in enumerate(workers):
-        my = [runtimes[c] for c in range(g, len(runtimes), G)]
-        if chunks_per_gpu is not None and len(my) != chunks_per_gpu:
-            raise ValueError("chunk count does not match M x G round-robin")
-        up_stream = worker.upload if overlap else worker.compute
-        down_stream = worker.download if overlap else worker.compute
-        last_phi_ready = None
-        for m, cr in enumerate(my):
-            dc = upload_chunk(machine, worker, cr, stream=up_stream)
-            staged = up_stream.record(label=f"staged:chunk{cr.chunk_id}")
-            worker.compute.wait_event(staged)
-            last_phi_ready = enqueue_chunk_compute(
-                machine, worker, cr, dc, hyper, config, accumulate=(m > 0),
-                tables=tables[g],
+        mine = runtimes[g::G]
+        first = [cr for cr in mine if cr.chunk_id == held[g].chunk_id]
+        if not first:
+            raise ValueError(
+                f"GPU {worker.device.device_id} holds chunk "
+                f"{held[g].chunk_id}, which is not one of its chunks"
             )
-            done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
-            down_stream.wait_event(done)
-            download_chunk(machine, worker, cr, dc, stream=down_stream)
-        phi_ready.append(last_phi_ready)
+        order = first + [cr for cr in mine if cr is not first[0]]
+        up = worker.upload if overlap else worker.compute
+        down = worker.download if overlap else worker.compute
+        freed: list[Event] = []  # freed[i]: order[i]'s slot is free
+        for m, cr in enumerate(order):
+            if m:
+                if m >= 2:
+                    up.wait_event(freed[m - 2])
+                held[g] = upload_chunk(machine, worker, cr, stream=up)
+                staged = up.record(label=f"staged:chunk{cr.chunk_id}")
+                worker.compute.wait_event(staged)
+            ready = enqueue_chunk_compute(
+                machine, worker, cr, held[g], hyper, config,
+                accumulate=m > 0, tables=tables[g],
+            )
+            if m < len(order) - 1:
+                done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
+                down.wait_event(done)
+                download_chunk(machine, worker, held[g], stream=down)
+                freed.append(down.record(label=f"freed:chunk{cr.chunk_id}"))
+        phi_ready.append(ready)
     if sync is None:
         synchronize_model(machine, workers, config, phi_ready)
     else:

@@ -192,6 +192,29 @@ class TestHierarchical:
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
 
+    def test_each_leader_copies_locally_once(self):
+        """A leader's all-gather fills its full φ, and its socket
+        broadcast sends that buffer on: no φ is copied onto itself."""
+        m = pascal_platform(4)
+        partials, scratch, fulls, streams, expected = _setup(
+            m, *BENCH_PAYLOAD, dtype=np.uint16
+        )
+        collective = get_collective("hierarchical")
+        collective.allreduce(SyncContext(
+            m, partials, fulls, scratch, streams, KernelConfig()
+        ))
+        assert all(np.array_equal(f.data, expected) for f in fulls)
+        copies = [
+            iv.device_id for iv in m.trace.intervals
+            if iv.label == "phi_local_copy"
+        ]
+        assert sorted(copies) == [0, 2]
+        fresh = pascal_platform(4)
+        estimate = collective.estimate(
+            fresh, Topology.from_machine(fresh), BENCH_PAYLOAD, KernelConfig()
+        )
+        assert estimate.seconds * 1e6 == pytest.approx(205.05, abs=0.005)
+
     def test_bridge_traffic_below_tree(self):
         # The point of the composition: fewer full replicas cross the
         # inter-socket bridge than under the flat tree.
@@ -661,6 +684,48 @@ class TestRingOrder:
                     assert stage.start >= copy.end, (g, stage, copy)
                     checked += 1
         assert checked == 2 * (gpus - 2) * gpus
+
+
+class TestReduceOrder:
+    """A reduce copy carries its sender's partial, so it starts only
+    after the sender's update φ ends, however late that GPU's chunks
+    finish: on 4 Pascal GPUs at M = 2, GPUs 1 and 3 share their host
+    uplinks with GPUs 0 and 2."""
+
+    @pytest.mark.parametrize("sync", ["gpu_tree", "hierarchical"])
+    def test_copy_waits_for_its_senders_update_phi(self, sync, monkeypatch):
+        from repro.core import CuLDA, TrainConfig
+        from repro.corpus.synthetic import pubmed_like
+        from repro.gpusim.platform import Machine
+
+        machine = pascal_platform(4)
+        copies = []  # (trace index, sender device) of each reduce copy
+        memcpy_p2p = Machine.memcpy_p2p
+
+        def recording(self, dst, src, stream=None, label="p2p"):
+            out = memcpy_p2p(self, dst, src, stream, label)
+            if self is machine and label == "phi_reduce_copy":
+                copies.append(
+                    (len(self.trace.intervals) - 1, src.device.device_id)
+                )
+            return out
+
+        monkeypatch.setattr(Machine, "memcpy_p2p", recording)
+        CuLDA(
+            pubmed_like(12_000, 8, seed=3), machine,
+            TrainConfig(num_topics=16, iterations=3, seed=0,
+                        chunks_per_gpu=2, sync_algorithm=sync),
+        ).train()
+        ivs = machine.trace.intervals
+        assert len(copies) == 3 * (3 if sync == "gpu_tree" else 2)
+        for index, sender in copies:
+            # The sender's last update φ issued before the copy is its
+            # last chunk's, this iteration.
+            phi = max(
+                iv.end for iv in ivs[:index]
+                if iv.kind == "update_phi" and iv.device_id == sender
+            )
+            assert ivs[index].start >= phi, (sender, ivs[index])
 
 
 # ----------------------------------------------------------------------

@@ -358,7 +358,10 @@ class TestSimClockPinned:
     and under rollback and node-loss recovery. The two multi-node
     digests price ``eth_ring`` as an allgather of sparse 16-bit Δφ,
     each GPU sending its host only its own Δφ (no intra-node
-    collective), and each GPU receiving only Δφ."""
+    collective), and each GPU receiving only Δφ. Every GPU keeps the
+    chunk it sampled last and moves a chunk in one copy each way; a
+    rollback stages each GPU's first chunk afresh, and a hierarchical
+    sync copies no leader's φ onto itself."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -381,7 +384,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(gpus=1), "a558acbd31a6fc38"),
-        (dict(gpus=4, chunks_per_gpu=2), "c3ce449c7e6a7826"),
+        (dict(gpus=4, chunks_per_gpu=2), "3fa2318ccc787f95"),
     ])
     def test_single_machine(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_culda
@@ -391,8 +394,8 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
-         "c3ce449c7e6a7826"),
-        (dict(nodes=2, gpus_per_node=2), "1464f31bdab1a4a4"),
+         "3fa2318ccc787f95"),
+        (dict(nodes=2, gpus_per_node=2), "cb5756dc6083717f"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_distributed_culda
@@ -412,7 +415,7 @@ class TestSimClockPinned:
             recovery="retry", fault_plan=plan
         )
         assert result.rollbacks == 1
-        assert self._digest(result) == "757dd3b9bab5e2a3"
+        assert self._digest(result) == "400cc7a0939d8d82"
 
     def test_node_loss(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec
@@ -424,4 +427,4 @@ class TestSimClockPinned:
             pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
-        assert self._digest(result) == "0ec74d3b871bea35"
+        assert self._digest(result) == "93e7b5fa2cf9cd2c"

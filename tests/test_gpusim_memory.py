@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim.memory import DeviceAllocator, DeviceArray, DeviceOutOfMemoryError
+from repro.gpusim.memory import (
+    DeviceAllocator,
+    DeviceArray,
+    DeviceOutOfMemoryError,
+    DeviceView,
+)
 from repro.gpusim.platform import volta_platform
 
 
@@ -131,3 +136,29 @@ class TestDeviceArray:
         # V100 has 16 GB; a 20 GB buffer must fail.
         with pytest.raises(DeviceOutOfMemoryError):
             DeviceArray(device, (20 * 2**30,), np.uint8)
+
+
+class TestDeviceView:
+    def test_a_typed_window_onto_its_base(self, device):
+        base = DeviceArray(device, 20, np.uint8)
+        in_use = device.allocator.bytes_in_use
+        view = DeviceView(base, 4, (2,), np.int64, label="field")
+        assert device.allocator.bytes_in_use == in_use  # allocates nothing
+        view.data[...] = [1, 2]
+        assert base.data[4:20].view(np.int64).tolist() == [1, 2]
+        assert view.nbytes == 16
+
+    def test_must_fit_in_its_base(self, device):
+        base = DeviceArray(device, 20, np.uint8)
+        with pytest.raises(ValueError, match="outside"):
+            DeviceView(base, 8, (2,), np.int64)
+
+    def test_freed_with_its_base(self, device):
+        base = DeviceArray(device, 8, np.uint8)
+        view = DeviceView(base, 0, (1,), np.int64)
+        with pytest.raises(RuntimeError):
+            view.free()
+        base.free()
+        assert view.freed
+        with pytest.raises(RuntimeError):
+            _ = view.data

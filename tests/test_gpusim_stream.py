@@ -75,6 +75,21 @@ class TestEvents:
         b0, _, _ = _kernel().launch(s2)
         assert b0 >= end
 
+    def test_record_after_wait_is_no_earlier_than_the_wait(self, pascal1):
+        """An event recorded right after a wait, with no operation in
+        between, occurs no earlier than the waited-on event (as
+        ``cudaEventRecord`` after ``cudaStreamWaitEvent``), so a stream
+        that waits on it is ordered after the first stream's kernel."""
+        gpu = pascal1.gpus[0]
+        s1, s2, s3 = (gpu.create_stream(x) for x in "abc")
+        _, end, _ = _kernel(1e9).launch(s1)
+        s2.wait_event(s1.record())
+        relay = s2.record()
+        assert relay.time == end
+        s3.wait_event(relay)
+        start, _, _ = _kernel().launch(s3)
+        assert start >= end
+
     def test_wait_consumed_after_one_op(self, pascal1):
         """The pending dependency applies to the next op only (as an
         in-order stream's wait does)."""

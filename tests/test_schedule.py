@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from repro.sched.schedule import (
     GpuWorker,
     download_chunk,
     enqueue_chunk_compute,
-    run_iteration_resident,
-    run_iteration_streaming,
+    run_iteration,
     upload_chunk,
 )
+from repro.telemetry import TrainerCallback
 
 
 def _make_runtime(corpus, chunk_id, lo, hi, K, seed=0):
@@ -35,6 +37,11 @@ def _init_phi(runtimes, K, V):
     for r in runtimes:
         phi += accumulate_phi(r.chunk, r.topics, K)
     return phi
+
+
+def _stage(machine, workers, runtimes):
+    """Each GPU's first chunk, staged on it as the trainer stages it."""
+    return [upload_chunk(machine, w, runtimes[g]) for g, w in enumerate(workers)]
 
 
 def _setup(machine, corpus, K=8, num_chunks=None):
@@ -62,7 +69,7 @@ class TestChunkMovement:
         dc = upload_chunk(pascal1, workers[0], runtimes[0])
         assert np.array_equal(dc.token_doc.data, runtimes[0].chunk.token_doc)
         assert np.array_equal(dc.topics.data, runtimes[0].topics)
-        download_chunk(pascal1, workers[0], runtimes[0], dc)
+        download_chunk(pascal1, workers[0], dc)
         assert dc.topics.freed
 
     def test_upload_charges_memory(self, medium_corpus, pascal1):
@@ -132,12 +139,8 @@ class TestChunkCompute:
 class TestIterations:
     def test_resident_iteration_preserves_totals(self, medium_corpus, pascal4):
         hyper, cfg, runtimes, workers = _setup(pascal4, medium_corpus)
-        dev_chunks = [
-            upload_chunk(pascal4, workers[g], runtimes[g]) for g in range(4)
-        ]
-        run_iteration_resident(
-            pascal4, workers, runtimes, dev_chunks, hyper, cfg
-        )
+        dev_chunks = _stage(pascal4, workers, runtimes)
+        run_iteration(pascal4, workers, runtimes, dev_chunks, hyper, cfg)
         pascal4.synchronize()
         # Every GPU's full φ equals the global recount.
         expected = _init_phi(runtimes, hyper.num_topics, medium_corpus.num_words)
@@ -148,13 +151,12 @@ class TestIterations:
     def test_resident_requires_one_chunk_per_gpu(self, medium_corpus, pascal4):
         hyper, cfg, runtimes, workers = _setup(pascal4, medium_corpus, num_chunks=2)
         with pytest.raises(ValueError):
-            run_iteration_resident(pascal4, workers, runtimes, [], hyper, cfg)
+            run_iteration(pascal4, workers, runtimes, [], hyper, cfg)
 
     def test_streaming_iteration_preserves_totals(self, medium_corpus, pascal1):
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus, num_chunks=3)
-        run_iteration_streaming(
-            pascal1, workers, runtimes, hyper, cfg, chunks_per_gpu=3
-        )
+        held = _stage(pascal1, workers, runtimes)
+        run_iteration(pascal1, workers, runtimes, held, hyper, cfg)
         pascal1.synchronize()
         expected = _init_phi(runtimes, hyper.num_topics, medium_corpus.num_words)
         assert np.array_equal(
@@ -162,13 +164,19 @@ class TestIterations:
         )
 
     def test_streaming_frees_chunks(self, medium_corpus, pascal1):
+        """The GPU keeps exactly the chunk it sampled last, until the
+        collection downloads it."""
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus, num_chunks=3)
-        before = pascal1.gpus[0].allocator.bytes_in_use
-        run_iteration_streaming(
-            pascal1, workers, runtimes, hyper, cfg, chunks_per_gpu=3
-        )
+        allocator = pascal1.gpus[0].allocator
+        before = allocator.bytes_in_use
+        held = _stage(pascal1, workers, runtimes)
+        assert held[0].chunk_id == 0
+        run_iteration(pascal1, workers, runtimes, held, hyper, cfg)
         pascal1.synchronize()
-        assert pascal1.gpus[0].allocator.bytes_in_use == before
+        assert held[0].chunk_id == 2
+        assert allocator.bytes_in_use == before + held[0].buf.nbytes
+        download_chunk(pascal1, workers[0], held[0])
+        assert allocator.bytes_in_use == before
 
     def test_streaming_overlap_hides_transfers(self, medium_corpus):
         """WorkSchedule2's point: with overlap on, h2d transfers and
@@ -176,44 +184,251 @@ class TestIterations:
         iteration takes at least as long."""
         m_overlap = pascal_platform(1)
         hyper, cfg, runtimes, workers = _setup(m_overlap, medium_corpus, num_chunks=4)
-        run_iteration_streaming(
-            m_overlap, workers, runtimes, hyper, cfg, chunks_per_gpu=4,
-            overlap=True,
+        held = _stage(m_overlap, workers, runtimes)
+        m_overlap.reset_clock()
+        run_iteration(
+            m_overlap, workers, runtimes, held, hyper, cfg, overlap=True,
         )
         t_overlap = m_overlap.synchronize()
         overlap_secs = m_overlap.trace.overlap_seconds("h2d", "sampling")
 
         m_serial = pascal_platform(1)
         hyper, cfg, runtimes, workers = _setup(m_serial, medium_corpus, num_chunks=4)
-        run_iteration_streaming(
-            m_serial, workers, runtimes, hyper, cfg, chunks_per_gpu=4,
-            overlap=False,
+        held = _stage(m_serial, workers, runtimes)
+        m_serial.reset_clock()
+        run_iteration(
+            m_serial, workers, runtimes, held, hyper, cfg, overlap=False,
         )
         t_serial = m_serial.synchronize()
         assert overlap_secs > 0, "pipelined transfers must overlap compute"
         assert t_overlap < t_serial
 
-    def test_streaming_wrong_m_rejected(self, medium_corpus, pascal1):
-        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus, num_chunks=3)
-        with pytest.raises(ValueError):
-            run_iteration_streaming(
-                pascal1, workers, runtimes, hyper, cfg, chunks_per_gpu=2
-            )
+    def test_held_chunk_must_be_its_own(self, medium_corpus):
+        machine = pascal_platform(2)
+        hyper, cfg, runtimes, workers = _setup(machine, medium_corpus, num_chunks=4)
+        held = _stage(machine, workers, runtimes)
+        held.reverse()
+        with pytest.raises(ValueError, match="not one of its chunks"):
+            run_iteration(machine, workers, runtimes, held, hyper, cfg)
 
     def test_multi_gpu_iteration_faster(self, medium_corpus):
         """2 GPUs must beat 1 GPU on the same resident workload."""
         m1 = pascal_platform(1)
         hyper, cfg, rts1, w1 = _setup(m1, medium_corpus, num_chunks=2)
-        run_iteration_streaming(m1, w1, rts1, hyper, cfg, chunks_per_gpu=2)
+        held = _stage(m1, w1, rts1)
+        m1.reset_clock()
+        run_iteration(m1, w1, rts1, held, hyper, cfg)
         t1 = m1.synchronize()
 
         m2 = pascal_platform(2)
         hyper, cfg, rts2, w2 = _setup(m2, medium_corpus, num_chunks=2)
-        dcs = [upload_chunk(m2, w2[g], rts2[g]) for g in range(2)]
+        dcs = _stage(m2, w2, rts2)
         m2.reset_clock()
-        run_iteration_resident(m2, w2, rts2, dcs, hyper, cfg)
+        run_iteration(m2, w2, rts2, dcs, hyper, cfg)
         t2 = m2.synchronize()
         assert t2 < t1
+
+
+def _fields(cr):
+    """A chunk's eight arrays, in the device order of its buffer."""
+    ch, th = cr.chunk, cr.theta
+    return (ch.token_doc, ch.word_indptr, ch.doc_map_indptr,
+            ch.doc_map_indices, cr.topics, th.indptr, th.indices, th.data)
+
+
+def _max_chunks_held(intervals, device) -> int:
+    """The most of its chunks *device* held at once: a chunk is on it
+    from its upload's first byte (or from the start, if it was staged
+    before the clock started) to its download's last."""
+    visits: dict[int, list[list[float]]] = {}
+    copies = sorted(
+        (iv for iv in intervals
+         if iv.device_id == device and iv.kind in ("h2d", "d2h")
+         and iv.label[4:].startswith("chunk")),
+        key=lambda iv: iv.start,
+    )
+    for iv in copies:
+        chunk = int(re.match(r"chunk(\d+)", iv.label[4:]).group(1))
+        spans = visits.setdefault(chunk, [])
+        if iv.kind == "h2d":
+            if not spans or spans[-1][1] is not None:
+                spans.append([iv.start, None])
+        else:
+            if not spans:
+                spans.append([0.0, None])
+            spans[-1][1] = max(spans[-1][1] or 0.0, iv.end)
+    edges = sorted(
+        (t if t is not None else float("inf"), step)
+        for spans in visits.values() for span in spans
+        for t, step in zip(span, (1, -1))
+    )
+    held = most = 0
+    for _, step in edges:  # at a tie the slot frees before it refills
+        held += step
+        most = max(most, held)
+    return most
+
+
+class _Cuts(TrainerCallback):
+    """Trace lengths at the start of training and after each iteration."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.at: list[int] = []
+
+    def on_train_start(self, event):
+        self.at.append(len(self.machine.trace.intervals))
+
+    def on_iteration_end(self, event):
+        self.at.append(len(self.machine.trace.intervals))
+
+
+class TestChunkResidency:
+    """Each GPU keeps the chunk it samples last and samples it first in
+    the next iteration; a chunk moves up in one h2d and its state comes
+    back in one d2h; and a GPU holds at most two of its chunks."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.corpus.synthetic import pubmed_like
+
+        return pubmed_like(12_000, 8, seed=3)
+
+    @staticmethod
+    def _train(corpus, machine, recovery=None, fault_plan=None, **config):
+        from repro.core import CuLDA, TrainConfig
+
+        cuts = _Cuts(machine)
+        config = {"num_topics": 16, "iterations": 4, "seed": 0, **config}
+        result = CuLDA(corpus, machine, TrainConfig(**config)).train(
+            callbacks=[cuts], recovery=recovery, fault_plan=fault_plan
+        )
+        return result, cuts.at
+
+    def test_allocation_is_the_planned_chunk_bytes(self, medium_corpus, pascal1):
+        from repro.sched.partition import estimate_chunk_device_bytes
+
+        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
+        cr = runtimes[0]
+        dc = upload_chunk(pascal1, workers[0], cr)
+        doc_range = (cr.chunk.doc_offset, cr.chunk.doc_offset + cr.chunk.num_docs)
+        assert dc.buf.nbytes == estimate_chunk_device_bytes(
+            medium_corpus, doc_range, hyper, cfg
+        )
+        for view, arr in zip(
+            (dc.token_doc, dc.word_indptr, dc.doc_map_indptr,
+             dc.doc_map_indices, dc.topics, dc.theta_indptr,
+             dc.theta_indices, dc.theta_data),
+            _fields(cr),
+        ):
+            assert np.array_equal(view.data, arr)
+
+    def test_each_copy_carries_the_bytes_it_replaces(self, medium_corpus):
+        """GPU g holds chunk g and streams chunk g + 2: the upload carries
+        all eight of its arrays, the download chunk g's topics and θ."""
+        machine = pascal_platform(2)
+        hyper, cfg, runtimes, workers = _setup(machine, medium_corpus, num_chunks=4)
+        held = _stage(machine, workers, runtimes)
+        machine.reset_clock()
+        up = {
+            f"h2d:chunk{cr.chunk_id}": sum(a.nbytes for a in _fields(cr))
+            for cr in runtimes[2:]
+        }
+        run_iteration(machine, workers, runtimes, held, hyper, cfg)
+        down = {
+            f"d2h:chunk{cr.chunk_id}": sum(a.nbytes for a in _fields(cr)[4:])
+            for cr in runtimes[:2]
+        }
+        moved = {
+            iv.label: iv.bytes_moved for iv in machine.trace.intervals
+            if iv.label[4:].startswith("chunk")
+        }
+        assert moved == {**up, **down}
+        assert [dc.chunk_id for dc in held] == [2, 3]
+
+    def test_one_chunk_each_way_per_gpu_and_iteration(self, corpus):
+        machine = pascal_platform(4)
+        result, cuts = self._train(corpus, machine, chunks_per_gpu=2)
+        assert result.chunks_per_gpu == 2
+        ivs = machine.trace.intervals
+        for lo, hi in zip(cuts, cuts[1:]):
+            for d in range(4):
+                labels = [
+                    iv.kind for iv in ivs[lo:hi]
+                    if iv.device_id == d and iv.label[4:].startswith("chunk")
+                ]
+                assert sorted(labels) == ["d2h", "h2d"]
+
+    def test_resident_chunks_never_move(self, corpus):
+        machine = pascal_platform(4)
+        _, cuts = self._train(corpus, machine, chunks_per_gpu=1)
+        ivs = machine.trace.intervals
+        moved = [
+            iv for iv in ivs[cuts[0]:cuts[-1]]
+            if iv.label[4:].startswith("chunk")
+        ]
+        assert moved == []
+        collected = [
+            (iv.device_id, iv.kind) for iv in ivs[cuts[-1]:]
+            if iv.label[4:].startswith("chunk")
+        ]
+        assert sorted(collected) == [(d, "d2h") for d in range(4)]
+
+    @pytest.mark.parametrize("chunks_per_gpu", [3, 4])
+    def test_at_most_two_chunks_per_gpu(self, corpus, chunks_per_gpu):
+        """At K = 128 a chunk computes for longer than the next one takes
+        to upload, so back-to-back uploads would bring in a third."""
+        machine = pascal_platform(2)
+        self._train(
+            corpus, machine, num_topics=128, chunks_per_gpu=chunks_per_gpu
+        )
+        for d in range(2):
+            assert _max_chunks_held(machine.trace.intervals, d) == 2
+
+    def test_kernel_fault_rolls_back_bit_identically(self, corpus):
+        from repro.faults import FaultPlan, FaultSpec
+
+        clean, _ = self._train(corpus, pascal_platform(4), chunks_per_gpu=2)
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="kernel_fault", iteration=2, device=1),))
+        faulted, _ = self._train(
+            corpus, pascal_platform(4), recovery="retry", fault_plan=plan,
+            chunks_per_gpu=2,
+        )
+        assert faulted.rollbacks == 1
+        assert np.array_equal(faulted.phi, clean.phi)
+        assert np.array_equal(faulted.topics, clean.topics)
+        assert faulted.theta == clean.theta
+
+    def test_faulted_upload_frees_its_chunk(self, corpus):
+        from repro.faults import FaultPlan, FaultSpec
+
+        clean, _ = self._train(corpus, pascal_platform(4), chunks_per_gpu=2)
+        machine = pascal_platform(4)
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="kernel_fault", iteration=2, device=1, op="h2d"),))
+        faulted, _ = self._train(
+            corpus, machine, recovery="retry", fault_plan=plan,
+            chunks_per_gpu=2,
+        )
+        assert faulted.rollbacks == 1
+        assert np.array_equal(faulted.phi, clean.phi)
+        assert [gpu.allocator.bytes_in_use for gpu in machine.gpus] == [0] * 4
+
+    def test_gpu_loss_stays_bit_identical(self, corpus):
+        from repro.faults import FaultPlan, FaultSpec
+
+        clean, _ = self._train(corpus, pascal_platform(4), chunks_per_gpu=2)
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="device_failure", iteration=2, device=1),))
+        survived, _ = self._train(
+            corpus, pascal_platform(4), recovery="elastic", fault_plan=plan,
+            chunks_per_gpu=2,
+        )
+        assert survived.repartitions == 1
+        assert np.array_equal(survived.phi, clean.phi)
+        assert np.array_equal(survived.topics, clean.topics)
+        assert survived.theta == clean.theta
 
 
 class TestSamplerTables:
@@ -259,15 +474,11 @@ class TestSamplerTables:
         self, medium_corpus, pascal4, monkeypatch
     ):
         hyper, cfg, runtimes, workers = _setup(pascal4, medium_corpus)
-        dev_chunks = [
-            upload_chunk(pascal4, workers[g], runtimes[g]) for g in range(4)
-        ]
+        dev_chunks = _stage(pascal4, workers, runtimes)
         workers[2].phi_full.data[0, 0] += 1
         diverged = workers[2].phi_full.data.copy()
         built = self._count_builds(monkeypatch)
-        run_iteration_resident(
-            pascal4, workers, runtimes, dev_chunks, hyper, cfg
-        )
+        run_iteration(pascal4, workers, runtimes, dev_chunks, hyper, cfg)
         assert len(built) == 2
         assert not np.array_equal(built[0], diverged)
         assert np.array_equal(built[1], diverged)
