@@ -30,7 +30,7 @@ Examples
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
     repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_16.json               # CI regression gate
+        --compare BENCH_17.json               # CI regression gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths

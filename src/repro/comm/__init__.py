@@ -9,11 +9,11 @@
   (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical), each reached only as a
-  registered :class:`Collective`
-  (``get_collective(name).allreduce(SyncContext(...))``) — a reduce
-  half and a gather half, run together as one machine's ``allreduce``
-  (a cluster node runs none) — whose ``estimate`` replays it on an
-  idle shadow machine, in an ordered registry;
+  registered :class:`Collective` through its one ``allreduce``
+  (``get_collective(name).allreduce(SyncContext(...))``; a cluster
+  node runs none), whose ``estimate`` replays it on an idle shadow
+  machine, in an ordered registry. The ring moves φ rows in place,
+  straight from one GPU's φ into the next one's;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend
@@ -45,7 +45,6 @@ from repro.comm.cluster import (
 from repro.comm.collectives import (
     Collective,
     CostEstimate,
-    Reduced,
     SyncContext,
     broadcast_phi,
     collective_names,
@@ -81,7 +80,6 @@ __all__ = [
     "LinkInfo",
     "NVLINK_CLASS_GBPS",
     "ParamServerCollective",
-    "Reduced",
     "SyncContext",
     "SyncPlan",
     "Topology",

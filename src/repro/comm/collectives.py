@@ -7,23 +7,25 @@ redistributed. The paper rejects the intuitive gather-to-CPU approach
 bottleneck) in favour of a **binary reduce tree over peer-to-peer
 copies** — ⌈log₂ G⌉ steps whose transfers use disjoint GPU pairs and
 therefore disjoint links (Fig 4) — followed by a broadcast of the
-root's result. Which strategy wins, though, depends on the fabric: on
-NVLink the tree's few fat hops are unbeatable, on a dual-socket PCIe
-box the inter-socket bridge is the bottleneck and a **hierarchical**
-scheme (intra-socket tree + inter-socket ring between socket leaders)
-halves the bridge traffic, and with dead peer links the rejected
-CPU-gather becomes the only path left.
+root's result. Which strategy wins, though, depends on the fabric and
+the payload: a **ring** moves 1/G of φ per hop, a **hierarchical**
+scheme (intra-socket tree + ring between socket leaders) crosses the
+inter-socket bridge only between leaders; at tiny payloads link
+latency dominates and the rejected CPU-gather wins, and with dead peer
+links it is the only path left.
 
 Each strategy is a registered :class:`Collective`, reached by name
-through :func:`get_collective`: a **reduce half** and a **gather
-half** built from executable steps (the tree's ``reduce_phi_tree`` and
-``broadcast_phi``, the ring's reduce-scatter and all-gather, the host
-gather and scatter) that work on arbitrary *sublists* of replicas —
-positions carry their devices, so the hierarchical composition and
-the elastic G−1 path fall out for free. :class:`SyncContext` checks
-that its per-position lists align, for every collective. One machine
-runs both halves (:meth:`Collective.allreduce`). A cluster node runs
-no collective: each of its GPUs sends its host only its own sparse Δφ
+through :func:`get_collective`, whose one ``allreduce`` is built from
+executable steps (the tree's ``reduce_phi_tree`` and
+``broadcast_phi``, the ring, the host gather and scatter) that work on
+arbitrary *sublists* of replicas — positions carry their devices, so
+the hierarchical composition and the elastic G−1 path fall out for
+free. The ring moves φ rows in place: each step copies a row segment
+straight out of the sender's φ (a :class:`~repro.gpusim.memory.DeviceView`
+of its rows) into the receiver's, with no staging copy on either side.
+:class:`SyncContext` checks that its per-position lists align, for
+every collective. A cluster node runs no collective: each of its GPUs
+sends its host only its own sparse Δφ
 (:func:`~repro.sched.schedule.send_phi_deltas`). The collective's
 ``estimate`` prices ``allreduce`` by running that same code on an idle
 shadow machine built from the topology snapshot, so
@@ -50,7 +52,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.errors import SyncPathError
 from repro.gpusim.interconnect import Link
 from repro.gpusim.kernel import KernelLaunch
-from repro.gpusim.memory import DeviceArray
+from repro.gpusim.memory import DeviceArray, DeviceView
 from repro.gpusim.platform import Machine
 from repro.gpusim.stream import Stream
 from repro.telemetry.context import emit_counter, emit_observe, telemetry_session
@@ -59,7 +61,6 @@ __all__ = [
     "SyncContext",
     "CostEstimate",
     "Collective",
-    "Reduced",
     "register",
     "get_collective",
     "collective_names",
@@ -107,20 +108,6 @@ class SyncContext:
         return tuple(p.device.device_id for p in self.partials)
 
 
-@dataclass(frozen=True)
-class Reduced:
-    """Where a collective's reduce half left Σ_g φ_g.
-
-    Each ``(position, lo, hi)`` in ``owners`` says rows ``lo:hi`` of
-    the sum are in ``partials[position]``; together they cover every
-    row once. A collective that reduces on the host (``cpu_gather``)
-    leaves the whole sum in ``host`` instead.
-    """
-
-    owners: tuple[tuple[int, int, int], ...] = ()
-    host: np.ndarray | None = None
-
-
 # ----------------------------------------------------------------------
 # Executable primitives
 # ----------------------------------------------------------------------
@@ -138,6 +125,24 @@ def _add_kernel(dst: DeviceArray, src: DeviceArray, config: KernelConfig) -> Ker
         label="phi_add",
         kind="sync",
     )
+
+
+def _local_copy(
+    dst: DeviceArray, src: DeviceArray, stream: Stream, config: KernelConfig
+) -> None:
+    """dst = src on one GPU, charged as a kernel, not a link transfer."""
+
+    def body() -> None:
+        dst.data[...] = src.data
+
+    K, V = src.shape
+    n = float(K) * V * config.phi_bytes
+    KernelLaunch(
+        fn=body,
+        cost=KernelCost(bytes_read=n, bytes_written=n),
+        label="phi_local_copy",
+        kind="sync",
+    ).launch(stream)
 
 
 def reduce_phi_tree(
@@ -217,17 +222,7 @@ def broadcast_phi(
         raise ValueError("destinations[0] must live on the source device")
 
     if destinations[0] is not source:
-        def local_copy() -> None:
-            destinations[0].data[...] = source.data
-
-        K, V = source.shape
-        n = float(K) * V * config.phi_bytes
-        KernelLaunch(
-            fn=local_copy,
-            cost=KernelCost(bytes_read=n, bytes_written=n),
-            label="phi_local_copy",
-            kind="sync",
-        ).launch(streams[0])
+        _local_copy(destinations[0], source, streams[0], config)
 
     # Doubling pattern: holders {0} -> {0,1} -> {0,1,2,3} -> ...
     have = [0]
@@ -255,15 +250,16 @@ def broadcast_phi(
         step *= 2
 
 
-def _cpu_gather_reduce(
+def _cpu_gather(
     machine: Machine,
     partials: list[DeviceArray],
+    fulls: list[DeviceArray],
     streams: list[Stream],
     config: KernelConfig,
     retry: TransferRetry | None,
-) -> np.ndarray:
-    """``cpu_gather``'s reduce half: gather every replica and add them
-    on the host. Returns the sum, built from the gathered arrays."""
+) -> None:
+    """Gather every replica to the host, add them there, and push the
+    sum back to every GPU."""
     G = len(partials)
     host_copies: list[np.ndarray] = []
     for g in range(G):
@@ -294,7 +290,7 @@ def _cpu_gather_reduce(
             total += arr
         return total.astype(partials[0].dtype)
 
-    return machine.host_compute(
+    total = machine.host_compute(
         host_add,
         KernelCost(
             bytes_read=G * n * config.phi_bytes,
@@ -303,188 +299,132 @@ def _cpu_gather_reduce(
         ),
         label="phi_host_add",
     )
-
-
-def _cpu_scatter(
-    machine: Machine,
-    total: np.ndarray,
-    destinations: list[DeviceArray],
-    streams: list[Stream],
-    retry: TransferRetry | None,
-) -> None:
-    """``cpu_gather``'s gather half: push the host sum to every GPU."""
-    for g in range(len(destinations)):
-        dev = destinations[g].device.device_id
+    for g in range(G):
+        dev = fulls[g].device.device_id
         with_retry(
             lambda g=g: machine.memcpy_h2d(
-                destinations[g], total, stream=streams[g], label="phi_scatter",
+                fulls[g], total, stream=streams[g], label="phi_scatter",
                 pinned=False,
             ),
             streams[g], "phi_scatter", retry, devices=(dev,),
         )
         emit_counter(
-            "sync_bytes_total", destinations[g].nbytes,
+            "sync_bytes_total", fulls[g].nbytes,
             help="bytes moved per link during model synchronization",
             link=f"host->{dev}", phase="scatter",
         )
 
 
-def _ring_edges(K: int, G: int) -> list[int]:
-    """Row-segment boundaries: segment c is rows ``edges[c]:edges[c+1]``."""
-    return [K * i // G for i in range(G + 1)]
+def _rows(buf: DeviceArray, lo: int, hi: int) -> DeviceView:
+    """Rows ``lo:hi`` of a K×V buffer, as a copy or kernel endpoint."""
+    K, V = buf.shape
+    return DeviceView(
+        buf, lo * (buf.nbytes // K), (hi - lo, V), buf.dtype,
+        label=f"{buf.label}[{lo}:{hi}]",
+    )
 
 
-def _ring_pass(
-    machine: Machine,
-    partials: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None,
-    reduce_phase: bool,
-) -> None:
-    """The G−1 steps of one ring phase, each stage → transfer →
-    combine on every GPU: the reduce phase adds the received segment
-    into ``partials``, the gather phase overwrites it."""
-    G = len(partials)
-    if G == 1:
-        return
-    K, V = partials[0].shape
-    phi_b = config.phi_bytes
-    edges = _ring_edges(K, G)
-    max_rows = max(edges[i + 1] - edges[i] for i in range(G))
-    seg_bytes = float(max_rows) * V * phi_b
-
-    send_bufs = [
-        DeviceArray(partials[g].device, (max_rows, V), partials[g].dtype,
-                    label=f"ring_send{g}")
-        for g in range(G)
-    ]
-    recv_bufs = [
-        DeviceArray(partials[g].device, (max_rows, V), partials[g].dtype,
-                    label=f"ring_recv{g}")
-        for g in range(G)
-    ]
-
-    # sent[g] marks, on GPU g+1's stream, the end of the last copy out
-    # of send_bufs[g]; the next stage into that buffer waits for it.
-    sent: list = [None] * G
-
-    def run_step(step: int) -> None:
-        stage_events = []
-        send_chunk = [0] * G
-        recv_chunk = [0] * G
-        for g in range(G):
-            if reduce_phase:
-                send_chunk[g] = (g - step) % G
-                recv_chunk[g] = (g - step - 1) % G
-            else:
-                send_chunk[g] = (g + 1 - step) % G
-                recv_chunk[g] = (g - step) % G
-
-        for g in range(G):
-            c = send_chunk[g]
-            lo, hi = edges[c], edges[c + 1]
-
-            def stage(g: int = g, lo: int = lo, hi: int = hi) -> None:
-                send_bufs[g].data[: hi - lo] = partials[g].data[lo:hi]
-
-            if sent[g] is not None:
-                streams[g].wait_event(sent[g])
-            KernelLaunch(
-                stage,
-                KernelCost(bytes_read=seg_bytes, bytes_written=seg_bytes),
-                "ring_stage",
-                kind="sync",
-            ).launch(streams[g])
-            stage_events.append(streams[g].record(label=f"ring_staged[{g}]"))
-
-        for g in range(G):
-            dst = (g + 1) % G
-            streams[dst].wait_event(stage_events[g])
-            resilient_p2p(
-                machine, recv_bufs[dst], send_bufs[g], streams[dst],
-                streams[g], "ring_transfer", retry,
-            )
-            sent[g] = streams[dst].record(label=f"ring_sent[{g}]")
-            emit_counter(
-                "sync_bytes_total", send_bufs[g].nbytes,
-                help="bytes moved per link during model synchronization",
-                link=(
-                    f"{send_bufs[g].device.device_id}"
-                    f"->{recv_bufs[dst].device.device_id}"
-                ),
-                phase="ring_reduce" if reduce_phase else "ring_gather",
-            )
-
-        for g in range(G):
-            c = recv_chunk[g]
-            lo, hi = edges[c], edges[c + 1]
-
-            def combine(g: int = g, lo: int = lo, hi: int = hi) -> None:
-                if reduce_phase:
-                    partials[g].data[lo:hi] += recv_bufs[g].data[: hi - lo]
-                else:
-                    partials[g].data[lo:hi] = recv_bufs[g].data[: hi - lo]
-
-            KernelLaunch(
-                combine,
-                KernelCost(
-                    bytes_read=2 * seg_bytes if reduce_phase else seg_bytes,
-                    bytes_written=seg_bytes,
-                    flops=float(max_rows) * V if reduce_phase else 0.0,
-                ),
-                "ring_combine",
-                kind="sync",
-            ).launch(streams[g])
-
-    try:
-        for step in range(G - 1):
-            run_step(step)
-    finally:
-        for buf in send_bufs + recv_bufs:
-            buf.free()
-
-
-def _ring_reduce_scatter(
-    machine: Machine,
-    partials: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None,
-) -> Reduced:
-    """The ring's reduce half: after G−1 reduce-scatter steps position
-    g holds the sum of row segment (g+1) mod G."""
-    G = len(partials)
-    _ring_pass(machine, partials, streams, config, retry, reduce_phase=True)
-    edges = _ring_edges(partials[0].shape[0], G)
-    return Reduced(owners=tuple(
-        (g, edges[(g + 1) % G], edges[(g + 1) % G + 1]) for g in range(G)
-    ))
-
-
-def _ring_allgather(
+def _ring_allreduce(
     machine: Machine,
     partials: list[DeviceArray],
     fulls: list[DeviceArray],
+    scratch: list[DeviceArray],
     streams: list[Stream],
     config: KernelConfig,
     retry: TransferRetry | None,
 ) -> None:
-    """The ring's gather half: G−1 all-gather steps complete every
-    ``partials[g]``, then a device-local copy fills ``fulls[g]``."""
-    _ring_pass(machine, partials, streams, config, retry, reduce_phase=False)
-    K, V = partials[0].shape
-    n = float(K) * V * config.phi_bytes
-    for g in range(len(partials)):
-        def body(g: int = g) -> None:
-            fulls[g].data[...] = partials[g].data
+    """Sum ``partials`` into every ``fulls`` around a ring of positions,
+    moving φ rows in place.
 
-        KernelLaunch(
-            body,
-            KernelCost(bytes_read=n, bytes_written=n),
-            "phi_local_copy",
-            kind="sync",
-        ).launch(streams[g])
+    φ is cut into G row segments. At reduce step s = 0 … G−2, position
+    g copies segment g−s straight out of its partial into position
+    g+1's receive buffer (the top rows of its ``scratch``), and g+1 adds
+    that into the same segment of its own partial. The last reduce
+    step's add writes the sum of g's *owned* segment g+1 into
+    ``fulls[g]`` instead. At gather step s, position g copies segment
+    g+1−s from its full φ into the same rows of g+1's. One position
+    only copies its partial locally."""
+    G = len(partials)
+    if G == 1:
+        _local_copy(fulls[0], partials[0], streams[0], config)
+        return
+    K = partials[0].shape[0]
+    edges = [K * i // G for i in range(G + 1)]
+
+    def segment(buf: DeviceArray, c: int) -> DeviceView:
+        return _rows(buf, edges[c % G], edges[c % G + 1])
+
+    # Only read-after-write waits are needed. At reduce step s position
+    # g sends segment g−s and adds into segment g−s−1, so each segment
+    # is added into once and sent one step later, and the owned segment
+    # g+1 is never sent during the reduce: no add rewrites rows that a
+    # copy still reads. In the gather each segment is received before it
+    # is forwarded and is never rewritten. A receive buffer is written
+    # and read on its owner's stream, which orders its reuse. So each
+    # copy waits only for an event recorded on the sender's stream after
+    # its last write to the rows it sends (before step 0, the write that
+    # made its partial ready).
+    def send(pairs: list[tuple[DeviceView, DeviceView]], phase: str) -> None:
+        ready = [streams[g].record(label=f"ring_ready[{g}]") for g in range(G)]
+        for g, (src, dst) in enumerate(pairs):
+            nxt = (g + 1) % G
+            streams[nxt].wait_event(ready[g])
+            resilient_p2p(
+                machine, dst, src, streams[nxt], streams[g],
+                "ring_transfer", retry,
+            )
+            emit_counter(
+                "sync_bytes_total", src.nbytes,
+                help="bytes moved per link during model synchronization",
+                link=f"{src.device.device_id}->{dst.device.device_id}",
+                phase=phase,
+            )
+
+    def received(g: int, c: int) -> DeviceView:
+        return _rows(scratch[g], 0, edges[c % G + 1] - edges[c % G])
+
+    for s in range(G - 1):
+        send([
+            (segment(partials[g], g - s), received((g + 1) % G, g - s))
+            for g in range(G)
+        ], "ring_reduce")
+        for g in range(G):
+            out = fulls[g] if s == G - 2 else partials[g]
+            _add_rows(
+                segment(out, g - s - 1), segment(partials[g], g - s - 1),
+                received(g, g - s - 1), config, streams[g],
+            )
+    for s in range(G - 1):
+        send([
+            (segment(fulls[g], g + 1 - s), segment(fulls[(g + 1) % G], g + 1 - s))
+            for g in range(G)
+        ], "ring_gather")
+
+
+def _add_rows(
+    out: DeviceArray,
+    a: DeviceArray,
+    b: DeviceArray,
+    config: KernelConfig,
+    stream: Stream,
+) -> None:
+    """out = a + b on one GPU: a ring step's add."""
+    rows, V = out.shape
+    n = float(rows) * V
+
+    def body() -> None:
+        out.data[...] = a.data + b.data
+
+    KernelLaunch(
+        body,
+        KernelCost(
+            bytes_read=2 * n * config.phi_bytes,
+            bytes_written=n * config.phi_bytes,
+            flops=n,
+        ),
+        "ring_combine",
+        kind="sync",
+    ).launch(stream)
 
 
 def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int]]:
@@ -496,69 +436,6 @@ def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int
             machine.socket_of(arr.device.device_id), []
         ).append(pos)
     return [by_socket[s] for s in sorted(by_socket)]
-
-
-def _hierarchical_reduce(
-    machine: Machine,
-    partials: list[DeviceArray],
-    scratch: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None,
-) -> Reduced:
-    """The reduce half: each socket tree-reduces into its leader, then
-    the leaders reduce-scatter; each leader owns one ring segment."""
-    groups = _socket_groups(machine, partials)
-    for grp in groups:
-        if len(grp) > 1:
-            reduce_phi_tree(
-                machine,
-                [partials[p] for p in grp],
-                [scratch[p] for p in grp],
-                [streams[p] for p in grp],
-                config, retry=retry,
-            )
-    leaders = [grp[0] for grp in groups]
-    ring = _ring_reduce_scatter(
-        machine,
-        [partials[p] for p in leaders],
-        [streams[p] for p in leaders],
-        config, retry,
-    )
-    return Reduced(owners=tuple(
-        (leaders[i], lo, hi) for i, lo, hi in ring.owners
-    ))
-
-
-def _hierarchical_gather(
-    machine: Machine,
-    partials: list[DeviceArray],
-    fulls: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None,
-) -> None:
-    """The gather half: the leaders all-gather their segments into their
-    full φ (a single leader only copies locally), then each leader
-    tree-broadcasts that full φ down its socket."""
-    groups = _socket_groups(machine, partials)
-    leaders = [grp[0] for grp in groups]
-    _ring_allgather(
-        machine,
-        [partials[p] for p in leaders],
-        [fulls[p] for p in leaders],
-        [streams[p] for p in leaders],
-        config, retry,
-    )
-    for grp in groups:
-        if len(grp) > 1:
-            broadcast_phi(
-                machine,
-                fulls[grp[0]],
-                [fulls[p] for p in grp],
-                [streams[p] for p in grp],
-                config, retry=retry,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -578,29 +455,18 @@ class CostEstimate:
 
 
 class Collective:
-    """One synchronization strategy: a reduce half and a gather half,
-    run together by :meth:`allreduce` and priced by replaying it
-    (:meth:`estimate`).
+    """One synchronization strategy: :meth:`allreduce` sums every
+    replica into every full φ, and :meth:`estimate` prices it by
+    replaying it.
 
-    Each registered subclass binds ``allreduce`` as its own attribute,
-    because ``bench/layertrace.py`` wraps it class by class."""
+    Each registered subclass defines ``allreduce`` itself, because
+    ``bench/layertrace.py`` wraps it class by class."""
 
     name: str = ""
 
-    def reduce(self, ctx: SyncContext) -> Reduced:
-        """The reduce half: sum ``ctx.partials`` where the returned
-        :class:`Reduced` says. Other partial rows are left holding
-        partial sums."""
-        raise NotImplementedError
-
-    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
-        """The gather half: copy the sum *reduced* left into every
-        ``ctx.fulls``."""
-        raise NotImplementedError
-
     def allreduce(self, ctx: SyncContext) -> None:
         """Sum every ``ctx.partials`` into every ``ctx.fulls``."""
-        self.gather(ctx, self.reduce(ctx))
+        raise NotImplementedError
 
     def estimate(
         self,
@@ -690,18 +556,13 @@ class TreeCollective(Collective):
 
     name = "gpu_tree"
 
-    allreduce = Collective.allreduce  # own attribute: see Collective
-
-    def reduce(self, ctx: SyncContext) -> Reduced:
-        reduce_phi_tree(
+    def allreduce(self, ctx: SyncContext) -> None:
+        root = reduce_phi_tree(
             ctx.machine, ctx.partials, ctx.scratch, ctx.streams, ctx.config,
             retry=ctx.retry,
         )
-        return Reduced(owners=((0, 0, ctx.shape[0]),))
-
-    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
         broadcast_phi(
-            ctx.machine, ctx.partials[0], ctx.fulls, ctx.streams, ctx.config,
+            ctx.machine, root, ctx.fulls, ctx.streams, ctx.config,
             retry=ctx.retry,
         )
 
@@ -714,23 +575,16 @@ class RingCollective(Collective):
     of the replica per link, with every neighbouring link active in
     parallel. At large G this moves less data per link than the tree
     (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
-    steps — the trade ``tests/test_sync.py`` measures. The helpers work
+    steps — the trade ``tests/test_sync.py`` measures. The ring works
     on arbitrary sublists (the hierarchical collective rings the socket
     leaders)."""
 
     name = "ring"
 
-    allreduce = Collective.allreduce  # own attribute: see Collective
-
-    def reduce(self, ctx: SyncContext) -> Reduced:
-        return _ring_reduce_scatter(
-            ctx.machine, ctx.partials, ctx.streams, ctx.config, ctx.retry
-        )
-
-    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
-        _ring_allgather(
-            ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
-            ctx.retry,
+    def allreduce(self, ctx: SyncContext) -> None:
+        _ring_allreduce(
+            ctx.machine, ctx.partials, ctx.fulls, ctx.scratch, ctx.streams,
+            ctx.config, ctx.retry,
         )
 
 
@@ -745,16 +599,10 @@ class CpuGatherCollective(Collective):
 
     name = "cpu_gather"
 
-    allreduce = Collective.allreduce  # own attribute: see Collective
-
-    def reduce(self, ctx: SyncContext) -> Reduced:
-        return Reduced(host=_cpu_gather_reduce(
-            ctx.machine, ctx.partials, ctx.streams, ctx.config, ctx.retry
-        ))
-
-    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
-        _cpu_scatter(
-            ctx.machine, reduced.host, ctx.fulls, ctx.streams, ctx.retry
+    def allreduce(self, ctx: SyncContext) -> None:
+        _cpu_gather(
+            ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
+            ctx.retry,
         )
 
 
@@ -767,24 +615,36 @@ class HierarchicalCollective(Collective):
     then ring-all-reduce across the (slow) inter-socket bridge, moving
     each byte over the bridge only once per direction instead of the
     tree's repeated full-replica hops; finally each leader
-    tree-broadcasts the full model back down its switch. One socket ⇒
+    tree-broadcasts its full φ back down its switch. One socket ⇒
     tree + broadcast only; one GPU per socket ⇒ a pure ring."""
 
     name = "hierarchical"
 
-    allreduce = Collective.allreduce  # own attribute: see Collective
+    def allreduce(self, ctx: SyncContext) -> None:
+        machine, config, retry = ctx.machine, ctx.config, ctx.retry
+        groups = _socket_groups(machine, ctx.partials)
 
-    def reduce(self, ctx: SyncContext) -> Reduced:
-        return _hierarchical_reduce(
-            ctx.machine, ctx.partials, ctx.scratch, ctx.streams, ctx.config,
-            ctx.retry,
-        )
+        def pick(arrays: list, positions: list[int]) -> list:
+            return [arrays[p] for p in positions]
 
-    def gather(self, ctx: SyncContext, reduced: Reduced) -> None:
-        _hierarchical_gather(
-            ctx.machine, ctx.partials, ctx.fulls, ctx.streams, ctx.config,
-            ctx.retry,
+        for grp in groups:
+            if len(grp) > 1:
+                reduce_phi_tree(
+                    machine, pick(ctx.partials, grp), pick(ctx.scratch, grp),
+                    pick(ctx.streams, grp), config, retry=retry,
+                )
+        leaders = [grp[0] for grp in groups]
+        _ring_allreduce(
+            machine, pick(ctx.partials, leaders), pick(ctx.fulls, leaders),
+            pick(ctx.scratch, leaders), pick(ctx.streams, leaders),
+            config, retry,
         )
+        for grp in groups:
+            if len(grp) > 1:
+                broadcast_phi(
+                    machine, ctx.fulls[grp[0]], pick(ctx.fulls, grp),
+                    pick(ctx.streams, grp), config, retry=retry,
+                )
 
 
 _COLLECTIVES: dict[str, Collective] = {}

@@ -329,9 +329,13 @@ class DistributedCuLDA(CuLDA):
             buf = DeviceArray(
                 w.device, payload.shape, payload.dtype, label="phi_delta"
             )
-            machine.memcpy_h2d(buf, payload, stream=w.upload, label="h2d:phi_delta")
-            launch_phi_delta(w, buf, delta, self._kcfg, w.upload)
-            buf.free()
+            try:
+                machine.memcpy_h2d(
+                    buf, payload, stream=w.upload, label="h2d:phi_delta"
+                )
+                launch_phi_delta(w, buf, delta, self._kcfg, w.upload)
+            finally:
+                buf.free()
 
     def check_invariants(self, state: RunState) -> list[str]:
         """Every GPU must hold the φ view the host last sent its node —

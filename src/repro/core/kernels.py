@@ -576,17 +576,20 @@ def update_phi_cost(
     num_words: int,
     hyper: LDAHyperParams,
     config: KernelConfig,
+    accumulate: bool = False,
 ) -> KernelCost:
     """Traffic of the φ-update kernel (§6.2).
 
-    Zero the partial replica, then one global atomic add per token.
-    Tokens are word-sorted, so the atomics hit consecutive φ entries —
-    the high-locality case the paper measures as fast.
+    Zero the partial replica, then one global atomic add per token; a
+    later chunk of the same GPU (``accumulate``) adds into the replica
+    as it is, so only its zeroing pass goes. Tokens are word-sorted, so
+    the atomics hit consecutive φ entries — the high-locality case the
+    paper measures as fast.
     """
     T = num_tokens
     K, V = hyper.num_topics, num_words
     phi_b = config.phi_bytes
-    written = float(K) * V * phi_b       # zero the replica
+    written = 0.0 if accumulate else float(K) * V * phi_b  # zero the replica
     read = T * (config.index_bytes + 4)  # topic + word stream
     # Atomic adds write transaction-granular lines; word-sorting keeps
     # them mostly within a line but each (k, v) hit still costs one.

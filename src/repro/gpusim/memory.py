@@ -173,11 +173,11 @@ class DeviceArray:
 
 
 class DeviceView(DeviceArray):
-    """A typed window onto bytes ``offset:offset + nbytes`` of a 1-D
-    ``uint8`` :class:`DeviceArray`: one field of a buffer laid out by
-    hand, as a pointer into one ``cudaMalloc``. It allocates nothing;
-    kernels and copies use it like any buffer, and it is freed with its
-    base."""
+    """A typed window onto bytes ``offset:offset + nbytes`` of another
+    :class:`DeviceArray`, as a pointer offset into one ``cudaMalloc``:
+    one field of a buffer laid out by hand, or rows ``lo:hi`` of a K×V
+    φ as a copy endpoint. It allocates nothing; kernels and copies use
+    it like any buffer, and it is freed with its base."""
 
     def __init__(
         self,
@@ -192,8 +192,6 @@ class DeviceView(DeviceArray):
         self.dtype = np.dtype(dtype)
         self.label = label
         self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
-        if base.dtype != np.uint8 or len(base.shape) != 1:
-            raise ValueError("a view's base must be a 1-D uint8 buffer")
         if offset < 0 or offset + self.nbytes > base.nbytes:
             raise ValueError(
                 f"view {label!r} [{offset}, {offset + self.nbytes}) lies "
@@ -204,7 +202,8 @@ class DeviceView(DeviceArray):
 
     @property
     def data(self) -> np.ndarray:
-        raw = self._base.data[self._offset : self._offset + self.nbytes]
+        raw = self._base.data.reshape(-1).view(np.uint8)
+        raw = raw[self._offset : self._offset + self.nbytes]
         return raw.view(self.dtype).reshape(self.shape)
 
     @property

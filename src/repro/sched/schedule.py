@@ -351,18 +351,9 @@ def enqueue_chunk_compute(
     )
 
     # --- update φ (partial replica) ------------------------------------
-    phi_cost = update_phi_cost(ch.num_tokens, ch.num_words, hyper, config)
-    if accumulate:
-        # No zeroing pass when accumulating into an existing partial.
-        phi_cost = KernelCost(
-            bytes_read=phi_cost.bytes_read
-            + float(K) * ch.num_words * config.phi_bytes,
-            bytes_written=float(cr.chunk.num_tokens) * config.phi_bytes,
-            flops=phi_cost.flops,
-            atomic_ops=phi_cost.atomic_ops,
-            atomic_locality=phi_cost.atomic_locality,
-            num_blocks=phi_cost.num_blocks,
-        )
+    phi_cost = update_phi_cost(
+        ch.num_tokens, ch.num_words, hyper, config, accumulate=accumulate
+    )
 
     def update_phi_body() -> None:
         counts = accumulate_phi(ch, dc.topics.data, K)

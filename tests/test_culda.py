@@ -359,9 +359,10 @@ class TestSimClockPinned:
     digests price ``eth_ring`` as an allgather of sparse 16-bit Δφ,
     each GPU sending its host only its own Δφ (no intra-node
     collective), and each GPU receiving only Δφ. Every GPU keeps the
-    chunk it sampled last and moves a chunk in one copy each way; a
-    rollback stages each GPU's first chunk afresh, and a hierarchical
-    sync copies no leader's φ onto itself."""
+    chunk it sampled last and moves a chunk in one copy each way, and
+    prices an accumulating update φ as the same atomics without the
+    zeroing pass; a rollback stages each GPU's first chunk afresh; and
+    the ring moves φ rows in place, straight between GPUs."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -384,7 +385,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(gpus=1), "a558acbd31a6fc38"),
-        (dict(gpus=4, chunks_per_gpu=2), "3fa2318ccc787f95"),
+        (dict(gpus=4, chunks_per_gpu=2), "0f30e79fcdad198a"),
     ])
     def test_single_machine(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_culda
@@ -394,7 +395,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
-         "3fa2318ccc787f95"),
+         "0f30e79fcdad198a"),
         (dict(nodes=2, gpus_per_node=2), "cb5756dc6083717f"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
@@ -415,7 +416,7 @@ class TestSimClockPinned:
             recovery="retry", fault_plan=plan
         )
         assert result.rollbacks == 1
-        assert self._digest(result) == "400cc7a0939d8d82"
+        assert self._digest(result) == "43c3a180c3afe356"
 
     def test_node_loss(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec
@@ -427,4 +428,4 @@ class TestSimClockPinned:
             pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
-        assert self._digest(result) == "93e7b5fa2cf9cd2c"
+        assert self._digest(result) == "ef5f377d53689ec8"

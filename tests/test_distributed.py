@@ -949,10 +949,23 @@ class TestNodeSyncToHost:
 
         for collective in collectives():
             monkeypatch.setattr(type(collective), "allreduce", refuse)
-            monkeypatch.setattr(type(collective), "reduce", refuse)
         result = _trainer(corpus, 2, 2, sync_algorithm=sync).train()
         monkeypatch.undo()
         _assert_same_model(result, _reference(corpus).train())
+
+    def test_faulted_delta_upload_frees_its_buffer(self, corpus):
+        """A Δφ upload that faults still frees its device buffer: after
+        the rolled-back run every allocator reads 0."""
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="kernel_fault", iteration=2, device=1, op="h2d"),))
+        trainer = _trainer(corpus, 2, 2)
+        result = trainer.train(fault_plan=plan, recovery="retry")
+        assert result.rollbacks == 1
+        _assert_same_model(result, _trainer(corpus, 2, 2).train())
+        assert [
+            gpu.allocator.bytes_in_use
+            for machine in trainer.machines for gpu in machine.gpus
+        ] == [0] * 4
 
     def test_upload_carries_only_what_changed(self, corpus):
         """At s = 0 every GPU's one φ upload per iteration is the wire

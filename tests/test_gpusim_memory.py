@@ -148,6 +148,14 @@ class TestDeviceView:
         assert base.data[4:20].view(np.int64).tolist() == [1, 2]
         assert view.nbytes == 16
 
+    def test_rows_of_a_2d_buffer(self, device):
+        """Rows 1:3 of a 4×5 int32 φ, as a pointer offset into it."""
+        base = DeviceArray(device, (4, 5), np.int32)
+        view = DeviceView(base, 1 * 5 * 4, (2, 5), np.int32, label="rows")
+        view.data[...] = 7
+        assert base.data[1:3].tolist() == [[7] * 5] * 2
+        assert not base.data[[0, 3]].any()
+
     def test_must_fit_in_its_base(self, device):
         base = DeviceArray(device, 20, np.uint8)
         with pytest.raises(ValueError, match="outside"):

@@ -305,6 +305,23 @@ class TestChunkResidency:
         )
         return result, cuts.at
 
+    def test_update_phi_time_ignores_chunk_order(self, corpus):
+        """The kept chunk goes first, so a GPU's two chunks swap order
+        every iteration. Either order makes the same atomics and one
+        zeroing pass, so the GPU's summed update-φ time stays put; only
+        the wave charge on the zeroing pass differs, when the two chunks
+        launch different block counts (a 1e-5 share here)."""
+        machine = pascal_platform(4)
+        self._train(corpus, machine, chunks_per_gpu=2)
+        for gpu in range(4):
+            phi = [
+                iv for iv in machine.trace.intervals
+                if iv.kind == "update_phi" and iv.device_id == gpu
+            ]
+            assert [iv.label for iv in phi[:2]] == [iv.label for iv in phi[3:1:-1]]
+            sums = [a.duration + b.duration for a, b in zip(phi[::2], phi[1::2])]
+            assert max(sums) == pytest.approx(min(sums), rel=1e-4), gpu
+
     def test_allocation_is_the_planned_chunk_bytes(self, medium_corpus, pascal1):
         from repro.sched.partition import estimate_chunk_device_bytes
 

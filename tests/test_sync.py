@@ -5,10 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import SyncContext, broadcast_phi, get_collective, reduce_phi_tree
+from repro.comm import (
+    SyncContext,
+    Topology,
+    broadcast_phi,
+    collective_names,
+    get_collective,
+    reduce_phi_tree,
+)
 from repro.core.kernels import KernelConfig
 from repro.gpusim.memory import DeviceArray
-from repro.gpusim.platform import pascal_platform
+from repro.gpusim.platform import make_machine, pascal_platform
 
 
 def _setup(machine, K=8, V=20, dtype=np.int32, seed=0):
@@ -138,8 +145,31 @@ class TestRingAllReduce:
         m.synchronize()
         for f in fulls:
             assert np.array_equal(f.data, expected.astype(f.dtype))
-        for p in partials:
-            assert np.array_equal(p.data, expected.astype(p.dtype))
+
+    @pytest.mark.parametrize("platform", ["pascal", "volta", "dgx"])
+    def test_rows_move_in_place(self, platform):
+        """From two GPUs on, a ring copies each row segment straight out
+        of the sender's φ into the receiver's: no stage, no local copy
+        of φ and no add-free combine, flat or between socket leaders."""
+        for gpus in (2, 3, 4):
+            for name in ("ring", "hierarchical"):
+                m = make_machine(platform, gpus)
+                members = (
+                    gpus if name == "ring"
+                    else len(Topology.from_machine(m).sockets)
+                )
+                if members < 2:
+                    continue  # one socket: hierarchical is the tree
+                partials, scratch, fulls, streams, expected = _setup(m)
+                get_collective(name).allreduce(SyncContext(
+                    m, partials, fulls, scratch, streams, KernelConfig()
+                ))
+                assert all(np.array_equal(f.data, expected) for f in fulls)
+                labels = [iv.label for iv in m.trace.intervals]
+                assert "ring_stage" not in labels
+                assert "phi_local_copy" not in labels
+                assert labels.count("ring_transfer") == 2 * (members - 1) * members
+                assert labels.count("ring_combine") == (members - 1) * members
 
     def test_frees_staging_buffers(self):
         m = pascal_platform(4)
@@ -185,21 +215,37 @@ class TestSyncAlgorithmEquivalence:
 
         return pubmed_like(num_tokens=12_000, num_topics=8, seed=3)
 
-    def _phi(self, corpus, gpus, sync):
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {}
+
+    def _phi(self, corpus, gpus, sync, compressed, chunks_per_gpu):
         from repro.core import CuLDA, TrainConfig
 
         return CuLDA(
             corpus, pascal_platform(gpus),
             TrainConfig(num_topics=16, iterations=3, seed=0,
-                        sync_algorithm=sync),
+                        sync_algorithm=sync, compressed=compressed,
+                        chunks_per_gpu=chunks_per_gpu),
         ).train().phi
 
     @pytest.mark.parametrize("num_gpus", [2, 3, 4])
-    @pytest.mark.parametrize("sync", ["ring", "cpu_gather"])
-    def test_bit_identical_to_tree(self, corpus, sync, num_gpus):
-        tree = self._phi(corpus, num_gpus, "gpu_tree")
-        other = self._phi(corpus, num_gpus, sync)
-        assert np.array_equal(tree, other)
+    @pytest.mark.parametrize(
+        "sync", [n for n in collective_names() if n != "gpu_tree"]
+    )
+    def test_bit_identical_to_tree(self, corpus, trees, sync, num_gpus):
+        """From three GPUs on, also with 32-bit φ (whose ring segments
+        are 4-byte row views) and with two chunks per GPU."""
+        layouts = (
+            [(True, 1)] if num_gpus == 2
+            else [(c, m) for c in (True, False) for m in (1, 2)]
+        )
+        for layout in layouts:
+            key = (num_gpus, *layout)
+            if key not in trees:
+                trees[key] = self._phi(corpus, num_gpus, "gpu_tree", *layout)
+            other = self._phi(corpus, num_gpus, sync, *layout)
+            assert np.array_equal(trees[key], other), (sync, key)
 
     def test_ring_moves_less_data_per_link_at_scale(self):
         """At G=4 with a large φ, the ring's per-link volume
