@@ -603,7 +603,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine import TrainingFailure
     from repro.obs.profiling import format_profile, profile_json
     from repro.telemetry import JSONLEmitter, MetricsRegistry
-    from repro.telemetry.exporters import merged_chrome_json, to_prometheus
+    from repro.gpusim.trace import to_chrome_json
+    from repro.telemetry.exporters import to_prometheus
 
     if args.serve_trace:
         return _cmd_profile_serve_trace(args)
@@ -644,7 +645,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # The Chrome trace is node 0's timeline plus the host spans.
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(merged_chrome_json(machines[0].trace, trainer.host_trace))
+            fh.write(to_chrome_json(machines[0].trace, extra=trainer.host_trace))
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(to_prometheus(registry))

@@ -10,9 +10,8 @@ same registry/planner pattern as the GPU collectives in
 - ``eth_ring`` — a leader ring over :class:`ClusterNetwork` that
   allgathers every node's Δφ in N−1 lock-stepped steps, each message
   one node's Δ as a :class:`WireDelta` (the paper's §6.1 16-bit φ,
-  carried onto the fabric: sparse index/value pairs or dense 16-bit,
-  whichever is smaller); every node then adds the N deltas to the last
-  synced φ.
+  carried onto the fabric as index/value pairs of its changed
+  entries); every node then adds the N deltas to the last synced φ.
 - ``param_server`` — push/pull through the replicated
   :class:`~repro.cluster.paramserver.ShardedParameterServer` (the LDA*
   substrate): every node pushes its Δφ since the last global sync, a
@@ -65,93 +64,86 @@ __all__ = [
 #: ``param_server`` moves φ columns as dense int32 entries.
 ENTRY_BYTES = 4
 
-#: ``eth_ring``'s sparse form addresses an entry by its int32 flat
-#: index into K×V; an index at or past this limit cannot be sent.
+#: A :class:`WireDelta` addresses an entry by its int32 flat index
+#: into K×V; an index at or past this limit cannot be sent.
 _INDEX_LIMIT = 2**31
 
 
 @dataclass(frozen=True, eq=False)
 class WireDelta:
-    """One node's Δφ as it crosses the inter-node wire.
+    """One node's Δφ as it crosses the inter-node wire: an (int32 flat
+    index, value) pair for each non-zero entry.
 
-    Values are int16, or int32 when some |Δ| ≥ 2¹⁵. The sparse form
-    sends (int32 flat index, value) pairs for the non-zero entries; the
-    dense form (``index`` is None) sends all K×V values. :meth:`encode`
-    picks whichever is smaller, so below 1/3 density the pairs win at
-    16 bits (1/2 at 32), and an empty Δ takes 0 bytes.
+    Values are int16, or int32 when some |Δ| ≥ 2¹⁵, so a pair takes 6
+    or 8 bytes and an empty Δ takes 0 bytes.
     """
 
     shape: tuple[int, int]
     values: np.ndarray
-    index: np.ndarray | None = None
+    index: np.ndarray
 
     @classmethod
     def encode(cls, delta: np.ndarray) -> WireDelta:
         """Encode an integer Δφ. Raises ``OverflowError`` when a value
-        or a sparse flat index does not fit in 32 bits, instead of
-        wrapping it."""
+        or a flat index does not fit in 32 bits, instead of wrapping
+        it."""
         flat = delta.ravel()
         index = np.flatnonzero(flat)
-        return cls._from_entries(delta.shape, index, flat[index], lambda: flat)
+        return cls._from_entries(delta.shape, index, flat[index])
 
     @classmethod
     def between(cls, new: np.ndarray, old: np.ndarray) -> WireDelta:
         """``encode(new − old)`` for two count arrays of one shape,
         computed from the entries that differ: no full-size difference
-        is formed unless the dense form wins."""
+        is formed."""
         a, b = new.reshape(-1), old.reshape(-1)
         index = np.flatnonzero(a != b)
         return cls._from_entries(
-            new.shape, index, a[index].astype(np.int64) - b[index],
-            lambda: a.astype(np.int64) - b,
+            new.shape, index, a[index].astype(np.int64) - b[index]
         )
 
     @classmethod
-    def _from_entries(cls, shape, index, values, dense) -> WireDelta:
-        """The smaller form of the Δ whose non-zero entries are
-        *values* at flat *index*; ``dense()`` gives all its values."""
+    def _from_entries(cls, shape, index, values) -> WireDelta:
+        """The Δ whose non-zero entries are *values* at flat *index*."""
         peak = max(int(values.max()), -int(values.min())) if index.size else 0
         if peak >= 2**31:
             raise OverflowError(
                 f"a Δφ entry of ±{peak} does not fit in 32 bits"
             )
-        width = 2 if peak < 2**15 else 4
-        dtype = np.int16 if width == 2 else np.int32
-        if math.prod(shape) * width < index.size * (4 + width):
-            return cls(shape, dense().astype(dtype))
         if index.size and index[-1] >= _INDEX_LIMIT:
             raise OverflowError(
                 f"flat index {index[-1]} of a {shape} Δφ does not "
                 f"fit in int32"
             )
+        dtype = np.int16 if peak < 2**15 else np.int32
         return cls(shape, values.astype(dtype), index.astype(np.int32))
 
     @property
     def nbytes(self) -> int:
         """Bytes on the wire."""
-        extra = 0 if self.index is None else self.index.nbytes
-        return self.values.nbytes + extra
+        return self.index.nbytes + self.values.nbytes
 
     def pack(self) -> np.ndarray:
         """The delta as one ``uint8`` buffer of :attr:`nbytes` bytes, so
-        a single copy carries it: the int32 indices (sparse form), then
-        the values."""
-        parts = [self.values] if self.index is None else [self.index, self.values]
-        return np.concatenate([part.view(np.uint8) for part in parts])
+        a single copy carries it: the int32 indices, then the values."""
+        return np.concatenate(
+            [self.index.view(np.uint8), self.values.view(np.uint8)]
+        )
 
     def layout(self) -> np.ndarray:
         """What a receiver needs to read :meth:`pack`'s bytes besides
-        the shape: ``int64 [index entries, value entries, value bytes]``
-        (the dense form has no index entries)."""
-        n_index = 0 if self.index is None else self.index.size
+        the shape: ``int64 [index entries, value entries, value
+        bytes]``."""
         return np.array(
-            [n_index, self.values.size, self.values.itemsize], dtype=np.int64
+            [self.index.size, self.values.size, self.values.itemsize],
+            dtype=np.int64,
         )
 
     def unpack(self, payload: np.ndarray) -> WireDelta:
         """The delta a :meth:`pack` layout *payload* carries, read with
-        this delta's shape, form and value width: what a kernel given
-        those as launch arguments decodes from the bytes delivered."""
+        this delta's shape, entry count and value width: what a kernel
+        given those as launch arguments decodes from the bytes
+        delivered."""
         return WireDelta.read(self.shape, self.layout(), payload)
 
     @classmethod
@@ -160,28 +152,26 @@ class WireDelta:
     ) -> WireDelta:
         """The delta a :meth:`pack` layout *payload* carries, read as
         *layout* (:meth:`layout`) says. Raises ``ValueError`` when the
-        layout is not one :meth:`encode` makes for *shape*, the payload
-        is not its size, or an index lies outside *shape*."""
+        layout is not one :meth:`encode` makes, the payload is not its
+        size, or an index lies outside *shape*."""
         n_index, n_values, width = (int(x) for x in layout)
-        size = math.prod(shape)
-        dense = n_index == 0 and n_values > 0
         if (
             width not in (2, 4)
-            or n_values != (size if dense else n_index)
-            or payload.nbytes != 4 * n_index + width * n_values
+            or n_values != n_index
+            or payload.nbytes != (4 + width) * n_index
         ):
             raise ValueError(
                 f"a {payload.nbytes}-byte payload does not match the "
                 f"layout {[n_index, n_values, width]} of a {shape} Δφ"
             )
-        dtype = np.int16 if width == 2 else np.int32
-        if dense:
-            return cls(shape, payload.view(dtype))
         index = payload[:4 * n_index].view(np.int32)
-        if n_index and not (0 <= index.min() and index.max() < size):
+        if n_index and not (
+            0 <= index.min() and index.max() < math.prod(shape)
+        ):
             raise ValueError(
                 f"the payload indexes outside the {shape[0]}x{shape[1]} Δφ"
             )
+        dtype = np.int16 if width == 2 else np.int32
         return cls(shape, payload[4 * n_index:].view(dtype), index)
 
 
@@ -191,10 +181,7 @@ def _add_deltas(base: np.ndarray, deltas: list[WireDelta]) -> np.ndarray:
     phi = base.astype(np.int64, order="C")
     flat = phi.reshape(-1)  # a view: phi is a fresh C-order array
     for delta in deltas:
-        if delta.index is None:
-            flat += delta.values
-        else:
-            flat[delta.index] += delta.values  # indices are distinct
+        flat[delta.index] += delta.values  # indices are distinct
     return phi
 
 

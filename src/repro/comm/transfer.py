@@ -42,15 +42,14 @@ class TransferRetry:
     retried up to ``max_retries`` times; each retry charges an
     exponentially growing backoff stall (``backoff_seconds`` doubling per
     attempt) on the issuing stream. If a *peer* link stays down past the
-    retry budget and ``host_fallback`` is set, the copy is re-routed
-    through host memory (d2h on the sender + h2d on the receiver — the
-    degraded CPU-gather path of §5.2), itself retried. ``None`` anywhere
-    a ``retry`` parameter is accepted means fail fast (seed behaviour).
+    retry budget, the copy is re-routed through host memory (d2h on the
+    sender + h2d on the receiver — the degraded CPU-gather path of
+    §5.2), itself retried. ``None`` anywhere a ``retry`` parameter is
+    accepted means fail fast (seed behaviour).
     """
 
     max_retries: int = 3
     backoff_seconds: float = 1e-4
-    host_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -81,21 +80,14 @@ def with_retry(
     :class:`~repro.gpusim.errors.SyncPathError` naming the link, the
     operation *label*, and the endpoint *devices*.
     """
-    if retry is None:
+    budget = retry.max_retries if retry is not None else 0
+    for attempt in range(budget + 1):
         try:
             return op()
         except SyncPathError:
             raise
         except LinkDown as exc:
-            raise _path_error(exc, label, devices) from exc
-    backoff = retry.backoff_seconds
-    for attempt in range(retry.max_retries + 1):
-        try:
-            return op()
-        except SyncPathError:
-            raise
-        except LinkDown as exc:
-            if attempt == retry.max_retries:
+            if attempt == budget:
                 raise _path_error(exc, label, devices) from exc
             emit_counter(
                 "transfer_retries_total", 1,
@@ -103,9 +95,9 @@ def with_retry(
                 link=exc.link_name, op=label,
             )
             stream.enqueue(
-                duration=backoff, kind="stall", label=f"retry_backoff:{label}"
+                duration=retry.backoff_seconds * 2.0**attempt,
+                kind="stall", label=f"retry_backoff:{label}",
             )
-            backoff *= 2.0
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -128,7 +120,7 @@ def resilient_p2p(
             dst_stream, label, retry, devices=devices,
         )
     except LinkDown as exc:
-        if retry is None or not retry.host_fallback:
+        if retry is None:
             raise
         emit_counter(
             "degraded_sync_total", 1,

@@ -333,7 +333,7 @@ class DistributedCuLDA(CuLDA):
                 machine.memcpy_h2d(
                     buf, payload, stream=w.upload, label="h2d:phi_delta"
                 )
-                launch_phi_delta(w, buf, delta, self._kcfg, w.upload)
+                launch_phi_delta(w, buf, delta, w.upload)
             finally:
                 buf.free()
 
@@ -376,11 +376,10 @@ class DistributedCuLDA(CuLDA):
 
         # --- failure detection: the barrier stalls on silent nodes -----
         self.membership.observe(self._cluster_time)
-        if self.server is not None:
-            # Checksum-verify the φ shards before any backend overwrites
-            # them in lockstep, so silent corruption is repaired (and
-            # counted) rather than papered over.
-            self.server.verify()
+        # Checksum-verify the φ shards before any backend overwrites
+        # them in lockstep, so silent corruption is repaired (and
+        # counted) rather than papered over.
+        self.server.verify()
         for n in hosts:
             if self.network.node_up(n):
                 continue
@@ -566,8 +565,7 @@ class DistributedCuLDA(CuLDA):
     # ------------------------------------------------------------------
     def rollback(self, state: RunState) -> None:
         super().rollback(state)
-        if self.server is not None:
-            self.server.phi = self._phi_cache.copy()
+        self.server.phi = self._phi_cache.copy()
 
     def handle_device_loss(self, state: RunState) -> None:
         """Elastic recovery for the hierarchical trainer.
@@ -612,12 +610,9 @@ class DistributedCuLDA(CuLDA):
 
         # The hosting plan parked in the replicated server survives the
         # node that owned any given assignment; the snapshot extras are
-        # the fallback when no server is wired yet.
+        # the fallback when nothing is parked.
         hosting = self._worker_node
-        parked = (
-            self.server.parked("chunk_hosting")
-            if self.server is not None else None
-        )
+        parked = self.server.parked("chunk_hosting")
         if parked is not None and parked.size == W:
             parked_map = [int(x) for x in parked]
             if all(0 <= n < N for n in parked_map):
@@ -645,10 +640,9 @@ class DistributedCuLDA(CuLDA):
         # including the dead node's — is drained exactly once.
         super().handle_device_loss(state)
 
-        if self.server is not None:
-            _, done = self.server.reshard(self._phi_cache, self._cluster_time)
-            self._cluster_time = max(self._cluster_time, done)
-            self._park_plan()
+        _, done = self.server.reshard(self._phi_cache, self._cluster_time)
+        self._cluster_time = max(self._cluster_time, done)
+        self._park_plan()
 
         stall = self._cluster_time - t_start
         if stall > 0:
@@ -673,8 +667,6 @@ class DistributedCuLDA(CuLDA):
         """Park the chunk-hosting map in the replicated parameter server,
         so the plan survives the node that owned any given assignment
         (docs/ROBUSTNESS.md §8)."""
-        if self.server is None:
-            return
         self.server.park(
             "chunk_hosting", np.array(self._worker_node, dtype=np.int64)
         )

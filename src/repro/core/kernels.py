@@ -616,35 +616,21 @@ def phi_reduce_cost(num_topics: int, num_words: int, config: KernelConfig) -> Ke
     )
 
 
-def phi_delta_cost(
-    entries: int,
-    payload_bytes: int,
-    num_topics: int,
-    num_words: int,
-    dense: bool,
-    config: KernelConfig,
-) -> KernelCost:
+def phi_delta_cost(entries: int, payload_bytes: int) -> KernelCost:
     """Traffic of adding a redistributed Δφ into a GPU's φ and n_k
     (a cluster node's redistribution).
 
-    The kernel reads the payload. A dense Δ read-modify-writes all of
-    φ and row-sums it. A sparse one read-modify-writes each of its
+    The kernel reads the payload, read-modify-writes each of its
     *entries* at sector granularity and adds it into n_k with one
     atomic; the entries come index-sorted, so a row's atomics are
     adjacent.
     """
-    K, V = num_topics, num_words
-    if dense:
-        n = float(K) * V * config.phi_bytes
-        read, written, atomics = payload_bytes + n, n + K * 8.0, 0
-    else:
-        sector = entries * (CACHELINE_BYTES / 4)
-        read, written, atomics = payload_bytes + sector, sector, entries
+    sector = entries * (CACHELINE_BYTES / 4)
     return KernelCost(
-        bytes_read=read,
-        bytes_written=written,
+        bytes_read=payload_bytes + sector,
+        bytes_written=sector,
         flops=float(entries),
-        atomic_ops=atomics,
+        atomic_ops=entries,
         atomic_locality=0.95,
         num_blocks=max(1, entries // BLOCK_TOKEN_CAPACITY + 1),
     )

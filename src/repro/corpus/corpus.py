@@ -396,35 +396,51 @@ class TokenChunk:
 
     @classmethod
     def from_corpus_range(cls, corpus: Corpus, start_doc: int, stop_doc: int) -> "TokenChunk":
-        """Build the word-first layout for documents ``[start_doc, stop_doc)``.
+        """Build the word-first layout for documents ``[start_doc, stop_doc)``."""
+        if not (0 <= start_doc <= stop_doc <= corpus.num_docs):
+            raise IndexError("invalid document range")
+        lo = corpus.doc_indptr[start_doc]
+        hi = corpus.doc_indptr[stop_doc]
+        return cls.word_first(
+            corpus.token_word[lo:hi],
+            corpus.token_doc[lo:hi] - start_doc,
+            stop_doc - start_doc,
+            corpus.num_words,
+            doc_offset=start_doc,
+        )
+
+    @classmethod
+    def word_first(
+        cls,
+        words: np.ndarray,
+        docs: np.ndarray,
+        num_docs: int,
+        num_words: int,
+        doc_offset: int = 0,
+    ) -> "TokenChunk":
+        """Build the word-first layout of the tokens *words*/*docs*
+        (local doc ids in ``[0, num_docs)``).
 
         This is the CPU-side preprocessing stage of the paper (§4, §6.2):
         sort tokens by word (stable, so same-word tokens keep document
         order), build the per-word index, and build the document–word map
         that lets the θ-update kernel walk a document's tokens inside the
-        word-sorted store.
+        word-sorted store. ``source_pos`` is each sorted token's index
+        into the inputs.
         """
-        if not (0 <= start_doc <= stop_doc <= corpus.num_docs):
-            raise IndexError("invalid document range")
-        lo = corpus.doc_indptr[start_doc]
-        hi = corpus.doc_indptr[stop_doc]
-        words = corpus.token_word[lo:hi]
-        docs = corpus.token_doc[lo:hi] - start_doc
-        n_local_docs = stop_doc - start_doc
-
         order = np.argsort(words, kind="stable")
         sorted_words = words[order]
         token_doc = docs[order].astype(np.int32)
 
-        word_counts = np.bincount(sorted_words, minlength=corpus.num_words)
-        word_indptr = np.zeros(corpus.num_words + 1, dtype=np.int64)
+        word_counts = np.bincount(sorted_words, minlength=num_words)
+        word_indptr = np.zeros(num_words + 1, dtype=np.int64)
         np.cumsum(word_counts, out=word_indptr[1:])
 
         # Document–word map: positions of each doc's tokens in the sorted
         # order. argsort of token_doc (stable) groups positions by doc.
         doc_order = np.argsort(token_doc, kind="stable").astype(np.int64)
-        doc_counts = np.bincount(token_doc, minlength=n_local_docs)
-        doc_map_indptr = np.zeros(n_local_docs + 1, dtype=np.int64)
+        doc_counts = np.bincount(token_doc, minlength=num_docs)
+        doc_map_indptr = np.zeros(num_docs + 1, dtype=np.int64)
         np.cumsum(doc_counts, out=doc_map_indptr[1:])
 
         return cls(
@@ -432,9 +448,9 @@ class TokenChunk:
             word_indptr=word_indptr,
             doc_map_indptr=doc_map_indptr,
             doc_map_indices=doc_order,
-            source_pos=order.astype(np.int64),
-            doc_offset=start_doc,
-            num_words=corpus.num_words,
+            source_pos=order,
+            doc_offset=doc_offset,
+            num_words=num_words,
         )
 
     def nbytes(self, compressed: bool = True) -> int:

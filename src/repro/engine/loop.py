@@ -219,6 +219,11 @@ class TrainingLoop:
                 rollbacks += 1
                 recover(exc, it)
                 return
+            except FaultError as exc:
+                fail(
+                    f"rollback itself failed: {exc}",
+                    iteration=it, phase="recovery", cause=exc,
+                )
             rollbacks += 1
             emit_counter(
                 "rollbacks_total", 1,

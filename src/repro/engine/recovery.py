@@ -100,9 +100,6 @@ class RecoveryPolicy:
     max_transfer_retries: int = 3
     #: Initial backoff charged before the first retry; doubles each time.
     backoff_seconds: float = 1e-4
-    #: Re-route P2P copies through host memory when a peer link stays
-    #: down past the retry budget (degraded CPU-gather path).
-    host_fallback: bool = True
     #: Rollback-and-rerun budget for the whole run.
     max_rollbacks: int = 3
     #: Validate invariants every N iterations (0 disables validation).
@@ -137,7 +134,6 @@ class RecoveryPolicy:
         return TransferRetry(
             max_retries=self.max_transfer_retries,
             backoff_seconds=self.backoff_seconds,
-            host_fallback=self.host_fallback,
         )
 
 

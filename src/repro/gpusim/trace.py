@@ -56,8 +56,7 @@ def union_length(spans: Iterable[tuple[float, float]]) -> float:
 class TraceRecorder:
     """Accumulates :class:`Interval` records for one machine."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.intervals: list[Interval] = []
 
     def add(
@@ -71,8 +70,6 @@ class TraceRecorder:
         bytes_moved: float = 0.0,
         flops: float = 0.0,
     ) -> None:
-        if not self.enabled:
-            return
         if end < start:
             raise ValueError("interval end precedes start")
         self.intervals.append(
@@ -180,8 +177,11 @@ def to_chrome_json(trace: TraceRecorder, extra: TraceRecorder | None = None) -> 
     metadata events carrying the stream names (appended after the slice
     events, so consumers indexing ``traceEvents[0]`` still see a slice).
 
-    *extra* optionally merges a second recorder (e.g. the telemetry
-    session's host-span trace) into the same document.
+    *extra* optionally merges a second recorder into the same document,
+    e.g. the telemetry session's host-span trace: host spans land under
+    pid -1. Both clocks start at zero, so the host rows read as
+    wall-clock phases beside the simulated timeline, not as aligned
+    absolutes.
 
     Load the returned string from a ``.json`` file to inspect kernel
     overlap visually.

@@ -12,8 +12,10 @@ asserted:
 - every GPU holds the FULL θ (all documents) plus only its own words'
   φ columns;
 - each iteration samples each GPU's word range against the broadcast θ,
-  then tree-reduces and broadcasts the θ replicas (the expensive sync);
-  φ needs no synchronization at all (each GPU owns its columns).
+  then runs the §5.2 reduce tree and broadcast
+  (:func:`~repro.comm.reduce_phi_tree`, :func:`~repro.comm.broadcast_phi`)
+  over the dense D × K θ replicas (the expensive sync); φ needs no
+  synchronization at all (each GPU owns its columns).
 
 Statistically this is the same delayed-update CGS — both policies
 converge; only the communication pattern differs. See
@@ -22,7 +24,7 @@ converge; only the communication pattern differs. See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - avoid a core<->sched import cycle
     from repro.core.culda import TrainConfig
 
+from repro.comm import broadcast_phi, reduce_phi_tree
 from repro.core.kernels import (
     accumulate_phi,
     gibbs_sample_chunk,
@@ -75,27 +78,9 @@ def _word_range_chunk(corpus: Corpus, w_lo: int, w_hi: int) -> TokenChunk:
     """A TokenChunk of all tokens whose word falls in ``[w_lo, w_hi)``,
     spanning ALL documents (local doc ids = global doc ids)."""
     mask = (corpus.token_word >= w_lo) & (corpus.token_word < w_hi)
-    words = corpus.token_word[mask]
-    docs = corpus.token_doc[mask].astype(np.int64)
-    order = np.argsort(words, kind="stable")
-    sorted_words = words[order]
-    token_doc = docs[order].astype(np.int32)
-    word_counts = np.bincount(sorted_words, minlength=corpus.num_words)
-    word_indptr = np.zeros(corpus.num_words + 1, dtype=np.int64)
-    np.cumsum(word_counts, out=word_indptr[1:])
-    doc_order = np.argsort(token_doc, kind="stable").astype(np.int64)
-    doc_counts = np.bincount(token_doc, minlength=corpus.num_docs)
-    doc_map_indptr = np.zeros(corpus.num_docs + 1, dtype=np.int64)
-    np.cumsum(doc_counts, out=doc_map_indptr[1:])
-    source = np.nonzero(mask)[0][order]
-    return TokenChunk(
-        token_doc=token_doc,
-        word_indptr=word_indptr,
-        doc_map_indptr=doc_map_indptr,
-        doc_map_indices=doc_order,
-        source_pos=source,
-        doc_offset=0,
-        num_words=corpus.num_words,
+    return TokenChunk.word_first(
+        corpus.token_word[mask], corpus.token_doc[mask], corpus.num_docs,
+        corpus.num_words,
     )
 
 
@@ -127,11 +112,15 @@ def train_by_word(
 
     Per iteration, per GPU *g*: sample its word range against the full
     (previous-iteration) θ; recount its φ columns (no sync needed);
-    recount its θ *contribution*. Then tree-reduce + broadcast the θ
-    contributions — a dense D × K exchange, the policy's cost.
+    recount its θ *contribution*. Then reduce and broadcast the θ
+    contributions over the §5.2 tree — a dense D × K exchange, the
+    policy's cost: 2(G − 1) copies of D × K int32 per iteration, plus
+    the tree's adds.
     """
     hyper = config.hyper()
     kcfg = config.kernel_config()
+    # The θ replicas are int32, so the tree's adds price 4-byte entries.
+    theta_cfg = replace(kcfg, compressed=False)
     G = len(machine.gpus)
     K, V, D = hyper.num_topics, corpus.num_words, corpus.num_docs
 
@@ -153,19 +142,16 @@ def train_by_word(
         theta_dense += contrib.to_dense()
     n_k = phi.sum(axis=1)
 
-    # Device buffers: full θ replica + θ scratch per GPU (the D×K cost),
-    # plus each GPU's φ columns.
-    theta_bytes_each = D * K * 4
-    bufs = []
-    for g in range(G):
-        dev = machine.gpus[g]
-        bufs.append(
-            dict(
-                theta=DeviceArray(dev, (D, K), np.int32, label="theta_full"),
-                scratch=DeviceArray(dev, (D, K), np.int32, label="theta_scratch"),
-            )
-        )
-    streams = [machine.gpus[g].create_stream("byword") for g in range(G)]
+    # Device buffers: full θ replica + θ scratch per GPU (the D×K cost).
+    thetas = [
+        DeviceArray(dev, (D, K), np.int32, label="theta_full")
+        for dev in machine.gpus
+    ]
+    scratch = [
+        DeviceArray(dev, (D, K), np.int32, label="theta_scratch")
+        for dev in machine.gpus
+    ]
+    streams = [dev.create_stream("byword") for dev in machine.gpus]
 
     def theta_csr() -> SparseTheta:
         rows, cols = np.nonzero(theta_dense)
@@ -177,7 +163,6 @@ def train_by_word(
 
     machine.synchronize()
     machine.reset_clock()
-    sync_bytes = 0.0
 
     contribs = [None] * G
     for it in range(config.iterations):
@@ -211,39 +196,13 @@ def train_by_word(
 
             KernelLaunch(
                 upd,
-                update_theta_cost(ch.num_tokens, D, int(kd_sum / max(1, 1)),
-                                  hyper, kcfg),
+                update_theta_cost(ch.num_tokens, D, kd_sum, hyper, kcfg),
                 f"update_theta:w{g}", "update_theta",
             ).launch(streams[g])
 
-        # θ synchronization: tree-reduce the contributions, broadcast.
-        # Charged as p2p transfers of the dense D×K replica (the §4 cost).
-        stride = 1
-        while stride < G:
-            for i in range(0, G - stride, 2 * stride):
-                sender = i + stride
-                ready = streams[sender].record()
-                streams[i].wait_event(ready)
-                machine.memcpy_p2p(
-                    bufs[i]["scratch"], bufs[sender]["theta"],
-                    stream=streams[i], label="theta_reduce",
-                )
-                sync_bytes += theta_bytes_each
-            stride *= 2
-        have, step = [0], 1
-        while step < G:
-            for h in list(have):
-                peer = h + step
-                if peer < G:
-                    ready = streams[h].record()
-                    streams[peer].wait_event(ready)
-                    machine.memcpy_p2p(
-                        bufs[peer]["theta"], bufs[h]["theta"],
-                        stream=streams[peer], label="theta_broadcast",
-                    )
-                    sync_bytes += theta_bytes_each
-                    have.append(peer)
-            step *= 2
+        # θ synchronization: the §5.2 tree over the θ replicas.
+        root = reduce_phi_tree(machine, thetas, scratch, streams, theta_cfg)
+        broadcast_phi(machine, root, thetas, streams, theta_cfg)
 
         # Functional θ/φ refresh (the union of contributions).
         theta_dense = np.sum(contribs, axis=0) if G > 1 else contribs[0]
@@ -257,9 +216,11 @@ def train_by_word(
     ll = log_likelihood_per_token(
         theta_csr(), phi, n_k, corpus.doc_lengths, hyper
     )
-    for b in bufs:
-        b["theta"].free()
-        b["scratch"].free()
+    sync_bytes = sum(
+        iv.bytes_moved for iv in machine.trace.intervals if iv.kind == "p2p"
+    )
+    for buf in thetas + scratch:
+        buf.free()
     result = ByWordResult(
         total_sim_seconds=total,
         sync_bytes_per_iteration=sync_bytes / max(1, config.iterations),

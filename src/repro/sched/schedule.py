@@ -421,22 +421,19 @@ def launch_phi_delta(
     worker: GpuWorker,
     payload: DeviceArray,
     delta: WireDelta,
-    config: KernelConfig,
     stream: Stream,
 ) -> None:
     """φ += Δ and n_k += Δ's row sums on *worker*, on *stream*: the one
     kernel that applies a redistributed Δφ on a cluster node.
 
     It decodes *payload*, the bytes the h2d delivered, with *delta*'s
-    shape, form and value width as its launch arguments, so a payload
-    the link corrupted is applied as delivered. An index outside K×V,
-    or a count driven outside the φ dtype's range (which a true view
-    never is: every φ entry is at most its word's corpus frequency),
-    raises :class:`~repro.gpusim.errors.KernelFault`.
+    shape, entry count and value width as its launch arguments, so a
+    payload the link corrupted is applied as delivered. An index outside
+    K×V, or a count driven outside the φ dtype's range (which a true
+    view never is: every φ entry is at most its word's corpus
+    frequency), raises :class:`~repro.gpusim.errors.KernelFault`.
     """
-    K, V = worker.phi_full.shape
-    dense = delta.index is None
-    entries = K * V if dense else delta.values.size
+    V = worker.phi_full.shape[1]
     dev = worker.device.device_id
 
     def body() -> None:
@@ -448,8 +445,7 @@ def launch_phi_delta(
             ) from None
         flat = worker.phi_full.data.reshape(-1)
         values = got.values.astype(np.int64)
-        index = slice(None) if dense else got.index
-        new = flat[index].astype(np.int64) + values
+        new = flat[got.index].astype(np.int64) + values
         if new.size and not (
             0 <= new.min() and new.max() <= np.iinfo(flat.dtype).max
         ):
@@ -457,15 +453,12 @@ def launch_phi_delta(
                 dev, "phi_delta_apply",
                 f"Δφ payload on device {dev} drives a φ count out of range",
             )
-        flat[index] = new
-        if dense:
-            worker.n_k.data += values.reshape(K, V).sum(axis=1)
-        else:
-            np.add.at(worker.n_k.data, index // V, values)
+        flat[got.index] = new
+        np.add.at(worker.n_k.data, got.index // V, values)
 
     KernelLaunch(
         body,
-        phi_delta_cost(entries, payload.nbytes, K, V, dense, config),
+        phi_delta_cost(delta.values.size, payload.nbytes),
         "phi_delta_apply",
         "sync",
     ).launch(stream)
@@ -531,21 +524,6 @@ def launch_phi_compact(
     return out[0], out[1]
 
 
-def _fetch(
-    machine: Machine,
-    buf: DeviceArray,
-    stream: Stream,
-    label: str,
-    retry: TransferRetry | None,
-) -> tuple[float, float, np.ndarray]:
-    """d2h *buf* on *stream*, retried as every sync transfer is."""
-    dev = buf.device.device_id
-    return with_retry(
-        lambda: machine.memcpy_d2h(buf, stream=stream, label=label),
-        stream, label, retry, devices=(dev,),
-    )
-
-
 def _add_checked(
     contribution: np.ndarray,
     layout: np.ndarray,
@@ -565,20 +543,14 @@ def _add_checked(
         raise KernelFault(
             dev, "phi_delta_host_add", f"Δφ from device {dev}: {exc}"
         ) from None
-    flat, index, values = contribution.reshape(-1), delta.index, delta.values
-    if index is None:
-        sums = values.reshape(K, V).sum(axis=0, dtype=np.int64)
-    else:
-        sums = np.bincount(index % V, weights=values, minlength=V)
+    sums = np.bincount(delta.index % V, weights=delta.values, minlength=V)
     if not np.array_equal(sums, columns):
         raise KernelFault(
             dev, "phi_delta_host_add",
             f"Δφ from device {dev} moves tokens between words",
         )
-    if index is None:
-        flat += values
-    else:
-        np.add.at(flat, index, values)  # adds every entry, as a host loop would
+    # Adds every entry, as a host loop would.
+    np.add.at(contribution.reshape(-1), delta.index, delta.values)
 
 
 def send_phi_deltas(
@@ -619,19 +591,27 @@ def send_phi_deltas(
             w.sync.wait_event(phi_ready[g])
             layout, payload = launch_phi_compact(w, config, w.sync)
             staged += [layout, payload]
-            _, end, got = _fetch(
-                machine, layout, w.sync, "d2h:phi_delta_layout", retry
+            _, end, got = with_retry(
+                lambda: machine.memcpy_d2h(
+                    layout, stream=w.sync, label="d2h:phi_delta_layout"
+                ),
+                w.sync, "d2h:phi_delta_layout", retry,
+                devices=(w.device.device_id,),
             )
             layouts.append((end, g, got, payload))
         for end, g, got, payload in sorted(layouts, key=lambda item: item[0]):
             machine.advance_host(end)
-            _, p_end, data = _fetch(
-                machine, payload, workers[g].sync, "d2h:phi_delta", retry
+            w = workers[g]
+            _, p_end, data = with_retry(
+                lambda: machine.memcpy_d2h(
+                    payload, stream=w.sync, label="d2h:phi_delta"
+                ),
+                w.sync, "d2h:phi_delta", retry, devices=(w.device.device_id,),
             )
             emit_counter(
                 "sync_bytes_total", data.nbytes,
                 help="bytes moved per link during model synchronization",
-                link=f"{workers[g].device.device_id}->host",
+                link=f"{w.device.device_id}->host",
                 phase="delta_to_host",
             )
             payloads.append((p_end, g, got, data))

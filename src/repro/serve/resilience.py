@@ -115,7 +115,6 @@ class BreakerPolicy:
         return TransferRetry(
             max_retries=self.upload_retries,
             backoff_seconds=self.upload_backoff_seconds,
-            host_fallback=False,  # uploads already ride the host path
         )
 
 

@@ -33,7 +33,6 @@ from repro.telemetry.context import (
 from repro.telemetry.exporters import (
     event_to_json,
     jsonable,
-    merged_chrome_json,
     metrics_markdown,
     parse_prometheus_text,
     to_prometheus,
@@ -93,5 +92,4 @@ __all__ = [
     "event_to_json",
     "jsonable",
     "metrics_markdown",
-    "merged_chrome_json",
 ]

@@ -1,5 +1,4 @@
-"""Exporters: Prometheus text format, JSONL events, markdown snapshot,
-and the merged Chrome trace.
+"""Exporters: Prometheus text format, JSONL events, markdown snapshot.
 
 - :func:`to_prometheus` / :func:`parse_prometheus_text` — the standard
   text exposition format (``# HELP`` / ``# TYPE`` headers, histogram
@@ -8,8 +7,8 @@ and the merged Chrome trace.
 - :func:`event_to_json` / :func:`jsonable` — one training event as one
   JSON line (numpy scalars coerced, non-serializable values dropped).
 - :func:`metrics_markdown` — the snapshot table ``repro.report`` embeds.
-- :func:`merged_chrome_json` — simulated-clock intervals and host-side
-  wall-clock spans in one Chrome/Perfetto document.
+
+The Chrome/Perfetto trace is :func:`repro.gpusim.trace.to_chrome_json`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import re
 
 import numpy as np
 
-from repro.gpusim.trace import TraceRecorder, to_chrome_json
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "event_to_json",
     "jsonable",
     "metrics_markdown",
-    "merged_chrome_json",
 ]
 
 
@@ -191,21 +188,3 @@ def metrics_markdown(registry: MetricsRegistry, top: int = 40) -> str:
             lines.append(f"| … | | | ({len(registry)} families total) |")
             break
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Merged Chrome trace
-# ----------------------------------------------------------------------
-
-def merged_chrome_json(
-    sim_trace: TraceRecorder, host_trace: TraceRecorder | None = None
-) -> str:
-    """One Chrome/Perfetto document with both clocks.
-
-    Simulated intervals keep their device pids; host spans land under
-    pid -1 (process-named ``host``). Both clocks start at zero, so the
-    host rows read as wall-clock phases alongside the simulated
-    timeline rather than as aligned absolutes — which is exactly how
-    the paper's own figures juxtapose kernel time and end-to-end time.
-    """
-    return to_chrome_json(sim_trace, extra=host_trace)

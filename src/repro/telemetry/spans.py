@@ -6,7 +6,7 @@ it as an :class:`~repro.gpusim.trace.Interval` — the same record type
 the simulator emits — into the active session's host trace. Exporters
 can therefore merge simulated-clock kernel intervals and wall-clock
 host phases into one Chrome/Perfetto trace
-(:func:`repro.telemetry.exporters.merged_chrome_json`).
+(:func:`repro.gpusim.trace.to_chrome_json`).
 
 Every span also lands in the active registry as an observation of the
 ``span_seconds`` histogram (labelled by span name), which is what

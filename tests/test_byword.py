@@ -66,6 +66,24 @@ class TestTrainByWord:
         )
         assert r.final_log_likelihood > base.final_log_likelihood
 
+    def test_theta_sync_is_the_reduce_tree(self, medium_corpus):
+        """The θ exchange is the §5.2 tree: G − 1 reduce copies, each
+        added in, then G − 1 broadcast copies, each moving a whole
+        D × K int32 replica."""
+        G, K, iterations = 3, 8, 2
+        m = pascal_platform(G)
+        r = train_by_word(
+            medium_corpus, m,
+            TrainConfig(num_topics=K, iterations=iterations, seed=0),
+        )
+        labels = [iv.label for iv in m.trace.intervals]
+        steps = (G - 1) * iterations
+        assert labels.count("phi_reduce_copy") == steps
+        assert labels.count("phi_add") == steps
+        assert labels.count("phi_broadcast_copy") == steps
+        D = medium_corpus.num_docs
+        assert r.sync_bytes_per_iteration == 2 * (G - 1) * D * K * 4
+
     def test_sync_volume_matches_policy_analysis(self, medium_corpus):
         """§4's inequality, measured end-to-end: the by-word policy's
         per-iteration sync bytes exceed the by-document policy's when

@@ -302,23 +302,25 @@ class TestPlanner:
         assert plan.algorithm == "ring" and plan.forced
 
     def test_dead_p2p_link_replans_to_host_path(self):
-        m = pascal_platform(4)
-        baseline = plan_sync(m, PAYLOAD, KernelConfig(),
-                             retry=TransferRetry())
-        assert baseline.algorithm != "cpu_gather"
-        for (a, b) in ((0, 1), (0, 2), (2, 3)):
-            m.p2p_link(a, b).set_down()
-        replanned = plan_sync(m, PAYLOAD, KernelConfig(),
-                              retry=TransferRetry())
-        assert replanned.algorithm == "cpu_gather"
+        # The host fallback would carry a collective over a dead peer
+        # link, but its retries and detour cost more than the gather.
+        for gpus, dead in ((4, ((0, 1), (0, 2), (2, 3))), (2, ((0, 1),))):
+            m = pascal_platform(gpus)
+            baseline = plan_sync(m, PAYLOAD, KernelConfig(),
+                                 retry=TransferRetry())
+            assert baseline.algorithm != "cpu_gather"
+            for (a, b) in dead:
+                m.p2p_link(a, b).set_down()
+            replanned = plan_sync(m, PAYLOAD, KernelConfig(),
+                                  retry=TransferRetry())
+            assert replanned.algorithm == "cpu_gather"
 
     def test_dead_p2p_without_fallback_still_replans(self):
+        # With no retry policy nothing re-routes a copy through the host,
+        # so the dead peer link leaves only the gather.
         m = pascal_platform(2)
         m.p2p_link(0, 1).set_down()
-        plan = plan_sync(
-            m, PAYLOAD, KernelConfig(),
-            retry=TransferRetry(host_fallback=False),
-        )
+        plan = plan_sync(m, PAYLOAD, KernelConfig(), retry=None)
         assert plan.algorithm == "cpu_gather"
 
     def test_no_path_at_all_raises_structured_error(self):

@@ -22,7 +22,7 @@ same plan, same simulated measurements, same checkpoint bytes.
 The Hypothesis section drives the cluster sync planner over randomized
 topologies (node counts, dead nodes, degraded links, participant
 subsets, payload shapes) and per-node Δφ payloads (empty, sparse,
-dense, 32-bit) and checks the planner's contract: ``auto``
+full, 32-bit) and checks the planner's contract: ``auto``
 picks the measured-cheapest feasible backend, predictions equal
 measurements (each estimate runs the backend), and no plan or message
 ever touches a detector-dead node.
@@ -325,14 +325,13 @@ class TestSingleNodeDegeneration:
 # ----------------------------------------------------------------------
 
 def _delta(kind, shape, rng):
-    """One node's Δφ of *kind*: ``empty``; ``sparse`` (below 1/3
-    density, where index/value pairs beat dense 16-bit); ``dense``
-    (every entry changed); ``wide`` (one |Δ| ≥ 2¹⁵, so values go
-    32-bit)."""
+    """One node's Δφ of *kind*: ``empty``; ``sparse`` (a third of the
+    entries changed); ``full`` (every entry changed); ``wide`` (one
+    |Δ| ≥ 2¹⁵, so values go 32-bit)."""
     size = shape[0] * shape[1]
     delta = np.zeros(size, dtype=np.int64)
     if kind != "empty":
-        nnz = size if kind == "dense" else max(1, (size - 1) // 3)
+        nnz = size if kind == "full" else max(1, (size - 1) // 3)
         at = rng.choice(size, nnz, replace=False)
         signs = rng.choice([-1, 1], nnz)
         delta[at] = signs * rng.integers(1, 2**15, nnz)
@@ -377,7 +376,7 @@ def cluster_cases(draw):
     ))
     kinds = draw(
         st.lists(
-            st.sampled_from(("empty", "sparse", "dense", "wide")),
+            st.sampled_from(("empty", "sparse", "full", "wide")),
             min_size=num_nodes, max_size=num_nodes,
         )
     )
@@ -574,17 +573,17 @@ class TestClusterPlannerProperties:
 
 class TestEthRingWire:
     """``eth_ring`` allgathers each node's Δφ: N(N−1) messages, each one
-    node's Δ as int32-index/int16-value pairs, or dense 16-bit when
-    that is smaller, and 32-bit values once some |Δ| ≥ 2¹⁵."""
+    node's Δ as int32-index/int16-value pairs, with 32-bit values once
+    some |Δ| ≥ 2¹⁵."""
 
-    SHAPE = (4, 8)  # 32 entries: dense is 64 B at 16 bits, 128 B at 32
+    SHAPE = (4, 8)
 
     def _payload(self):
         deltas = [np.zeros(32, dtype=np.int64) for _ in range(4)]
         # node 0: nothing changed, 0 B
         # node 1: 3 pairs x 6 B = 18 B (2**15 - 1 still fits 16 bits)
         deltas[1][[3, 17, 30]] = [1, -2, 2**15 - 1]
-        # node 2: 16 pairs would be 96 B, so dense: 64 B
+        # node 2: half the entries changed, 16 pairs x 6 B = 96 B
         deltas[2][::2] = 5
         # node 3: |-2**15| widens to 32 bits, 2 pairs x 8 B = 16 B
         deltas[3][[0, 31]] = [7, -2**15]
@@ -592,7 +591,7 @@ class TestEthRingWire:
 
     def test_allgather_sends_each_delta_by_the_rule(self):
         payload = self._payload()
-        sizes = [0, 18, 64, 16]
+        sizes = [0, 18, 96, 16]
         base = np.arange(32, dtype=np.int64).reshape(self.SHAPE) * 100
         net = ClusterNetwork(4)
         result = get_cluster_collective("eth_ring").allreduce(
@@ -619,10 +618,26 @@ class TestEthRingWire:
             got = delta.unpack(payload)
             assert got.values.dtype == delta.values.dtype
             assert np.array_equal(got.values, delta.values)
-            if delta.index is None:
-                assert got.index is None
-            else:
-                assert np.array_equal(got.index, delta.index)
+            assert np.array_equal(got.index, delta.index)
+
+    def test_full_delta_travels_as_pairs(self):
+        # Every entry changed: 32 pairs x 6 B = 192 B, three times the
+        # 64 B all 32 values would take at 16 bits.
+        full = np.arange(1, 33, dtype=np.int64).reshape(self.SHAPE)
+        delta = WireDelta.encode(full)
+        assert delta.nbytes == 192
+        got = WireDelta.read(self.SHAPE, delta.layout(), delta.pack())
+        assert np.array_equal(got.index, np.arange(32))
+        assert np.array_equal(got.values, full.reshape(-1))
+        base = np.arange(32, dtype=np.int64).reshape(self.SHAPE) * 100
+        result = get_cluster_collective("eth_ring").allreduce(
+            ClusterSyncContext(
+                network=ClusterNetwork(2), nodes=(0, 1), base=base,
+                pending=_wire([full, -2 * full]), ready=[0.0] * 2,
+            )
+        )
+        assert result.bytes_on_wire == 2 * 192
+        assert np.array_equal(result.phi, base - full)
 
     def test_flat_index_past_int32_raises(self, monkeypatch):
         import repro.comm.cluster as cluster
@@ -1103,12 +1118,11 @@ class TestNodeSyncToHost:
         buf = DeviceArray(worker.device, payload.shape, payload.dtype,
                           fill=payload)
         with pytest.raises(FaultError, match="outside the 4x6"):
-            launch_phi_delta(worker, buf, delta, KernelConfig(),
-                             worker.upload)
+            launch_phi_delta(worker, buf, delta, worker.upload)
         assert not worker.phi_full.data.any()
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_apply_adds_into_phi_and_n_k(self, dense):
+    @pytest.mark.parametrize("full", [False, True])
+    def test_apply_adds_into_phi_and_n_k(self, full):
         from repro.core.kernels import KernelConfig
         from repro.gpusim.memory import DeviceArray
         from repro.sched.schedule import GpuWorker, launch_phi_delta
@@ -1119,19 +1133,19 @@ class TestNodeSyncToHost:
         new = old.copy()
         new[1, 2] += 7
         new[3, 0] -= old[3, 0]
-        if dense:
-            new = rng.integers(0, 9, size=(K, V))
+        if full:
+            new = old + rng.integers(1, 9, size=(K, V))
         worker = GpuWorker(make_machine("pascal", 1).gpus[0], K, V,
                            KernelConfig())
         worker.phi_full.data[...] = old
         worker.n_k.data[...] = old.sum(axis=1)
         delta = WireDelta.encode(new - old)
-        assert (delta.index is None) == dense
+        assert delta.index.size == (K * V if full else 2)
         payload = delta.pack()
         assert payload.nbytes == delta.nbytes
         buf = DeviceArray(worker.device, payload.shape, payload.dtype,
                           fill=payload)
-        launch_phi_delta(worker, buf, delta, KernelConfig(), worker.upload)
+        launch_phi_delta(worker, buf, delta, worker.upload)
         assert np.array_equal(worker.phi_full.data, new)
         assert np.array_equal(worker.n_k.data, new.sum(axis=1))
 

@@ -18,6 +18,7 @@ from repro.engine import RecoveryPolicy, TrainingFailure, validate_state
 from repro.engine.loop import LoopConfig
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.gpusim import DeviceLost, KernelFault, LinkDown
+from repro.gpusim.errors import SyncPathError
 from repro.gpusim.platform import pascal_platform
 from repro.telemetry import MetricsRegistry
 
@@ -289,9 +290,9 @@ class TestRecoveryPolicy:
     def test_transfer_retry_none_when_inactive(self):
         assert RecoveryPolicy().transfer_retry() is None
         retry = RecoveryPolicy(mode="retry", max_transfer_retries=5,
-                               host_fallback=False).transfer_retry()
+                               backoff_seconds=2e-4).transfer_retry()
         assert retry.max_retries == 5
-        assert not retry.host_fallback
+        assert retry.backoff_seconds == 2e-4
 
     @pytest.mark.parametrize("kwargs", [
         dict(mode="retry", max_transfer_retries=-1),
@@ -419,9 +420,9 @@ class TestTransientLinkFaults:
                         link="p2p[0-1]", op="phi_reduce_copy") == 2
 
     def test_retry_budget_exhaustion_falls_back_to_host(self, corpus):
-        # A permanently-down link outlives any retry budget; with
-        # host_fallback the copy re-routes through CPU memory and the
-        # model is still bit-identical to the failure-free run.
+        # A permanently-down link outlives any retry budget; the copy
+        # then re-routes through CPU memory and the model is still
+        # bit-identical to the failure-free run.
         plan = FaultPlan(faults=(
             FaultSpec(kind="link_down", iteration=2, link="p2p[0-1]"),))
         registry = MetricsRegistry()
@@ -479,24 +480,47 @@ class TestRollbackRecovery:
         assert "budget" in str(err.value)
 
     def test_retry_exhaustion_carries_cause_and_fault_events(self, corpus):
-        # A permanently-down link with host fallback disabled escapes
-        # every transfer retry; each iteration's failure burns one
-        # rollback until the budget runs out. The resulting failure
-        # must carry the final underlying fault and the injector's
-        # event log — a bare "training failed" helps nobody triage.
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="link_down", iteration=1, link="p2p[0-1]"),))
-        policy = RecoveryPolicy(mode="retry", host_fallback=False,
-                                max_transfer_retries=1, max_rollbacks=2)
+        # GPU 1's host link drops two transfers in a row at each of
+        # iterations 1-3, outlasting a one-retry budget; each failure
+        # burns one rollback until the budget runs out. The resulting
+        # failure must carry the final underlying fault and the
+        # injector's event log — a bare "training failed" helps nobody
+        # triage.
+        plan = FaultPlan(faults=tuple(
+            FaultSpec(kind="link_flaky", iteration=it, link="pcie[1]",
+                      count=2)
+            for it in (1, 2, 3)
+        ))
+        policy = RecoveryPolicy(mode="retry", max_transfer_retries=1,
+                                max_rollbacks=2)
         with pytest.raises(TrainingFailure) as err:
-            _train(corpus, gpus=2, plan=plan, recovery=policy)
+            _train(corpus, gpus=2, plan=plan, recovery=policy,
+                   sync="cpu_gather")
+        failure = err.value
+        assert failure.phase == "recovery"
+        assert isinstance(failure.cause, SyncPathError)
+        assert failure.cause is failure.__cause__
+        assert failure.fault_events
+        assert {e["kind"] for e in failure.fault_events} == {"link_flaky"}
+        assert "budget" in str(failure)
+
+    def test_fault_during_rollback_fails_structured(self, corpus):
+        # The sync finds no path (the peer link and GPU 0's host link
+        # are down), and the rollback's φ upload over the dead host
+        # link faults too: the run must still end in a structured
+        # failure carrying that fault and the event log.
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="link_down", iteration=1, link="p2p[0-1]"),
+            FaultSpec(kind="link_down", iteration=1, link="pcie[0]"),
+        ))
+        with pytest.raises(TrainingFailure) as err:
+            _train(corpus, gpus=2, plan=plan, recovery="retry")
         failure = err.value
         assert failure.phase == "recovery"
         assert isinstance(failure.cause, LinkDown)
         assert failure.cause is failure.__cause__
-        assert failure.fault_events
-        assert any(e["kind"] == "link_down" for e in failure.fault_events)
-        assert "budget" in str(failure) or "rollback" in str(failure)
+        assert {e["kind"] for e in failure.fault_events} == {"link_down"}
+        assert "rollback" in str(failure)
 
 
 class TestCheckpointTruncationScenario:

@@ -48,11 +48,6 @@ class TestRecorder:
         with pytest.raises(ValueError):
             _mk(r, "a", 5, 3)
 
-    def test_disabled_recorder_drops(self):
-        r = TraceRecorder(enabled=False)
-        _mk(r, "a", 0, 1)
-        assert len(r) == 0
-
     def test_makespan(self):
         r = TraceRecorder()
         assert r.makespan() == 0.0

@@ -20,7 +20,6 @@ from repro.telemetry import (
     TrainerCallback,
     emit_counter,
     event_to_json,
-    merged_chrome_json,
     metrics_markdown,
     parse_prometheus_text,
     read_jsonl,
@@ -268,14 +267,14 @@ class TestSpans:
         assert inner.registry.counter("n_total").value() == 10
 
     def test_merged_chrome_json_hosts_under_pid_minus_one(self):
-        from repro.gpusim.trace import TraceRecorder
+        from repro.gpusim.trace import TraceRecorder, to_chrome_json
 
         sim = TraceRecorder()
         sim.add(0, "0.compute", "sampling", "k", 0.0, 1.0)
         with telemetry_session() as s:
             with span("prep"):
                 pass
-        doc = json.loads(merged_chrome_json(sim, s.trace))
+        doc = json.loads(to_chrome_json(sim, extra=s.trace))
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert {e["pid"] for e in slices} == {0, -1}
         assert doc["traceEvents"][0]["ph"] == "X"
