@@ -13,7 +13,8 @@
   (``get_collective(name).allreduce(SyncContext(...))``; a cluster
   node runs none), whose ``estimate`` replays it on an idle shadow
   machine, in an ordered registry. The ring moves φ rows in place,
-  straight from one GPU's φ into the next one's;
+  straight from one GPU's φ into the next one's, and ``hierarchical``
+  runs it as a 2-D ring over the socket grid;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend

@@ -9,20 +9,22 @@ copies** — ⌈log₂ G⌉ steps whose transfers use disjoint GPU pairs and
 therefore disjoint links (Fig 4) — followed by a broadcast of the
 root's result. Which strategy wins, though, depends on the fabric and
 the payload: a **ring** moves 1/G of φ per hop, a **hierarchical**
-scheme (intra-socket tree + ring between socket leaders) crosses the
-inter-socket bridge only between leaders; at tiny payloads link
-latency dominates and the rejected CPU-gather wins, and with dead peer
-links it is the only path left.
+2-D ring rings each socket and then the GPUs at the same place in
+every socket, so fewer of its latency-bound steps wait on the slow
+inter-socket bridge; at tiny payloads link latency dominates and the
+rejected CPU-gather wins, and with dead peer links it is the only path
+left.
 
 Each strategy is a registered :class:`Collective`, reached by name
 through :func:`get_collective`, whose one ``allreduce`` is built from
 executable steps (the tree's ``reduce_phi_tree`` and
-``broadcast_phi``, the ring, the host gather and scatter) that work on
-arbitrary *sublists* of replicas — positions carry their devices, so
-the hierarchical composition and the elastic G−1 path fall out for
-free. The ring moves φ rows in place: each step copies a row segment
-straight out of the sender's φ (a :class:`~repro.gpusim.memory.DeviceView`
-of its rows) into the receiver's, with no staging copy on either side.
+``broadcast_phi``, the ring's reduce-scatter and all-gather over a row
+window, the host gather and scatter) that work on arbitrary *sublists*
+of replicas — positions carry their devices, so the 2-D ring's socket
+rows and columns and the elastic G−1 path fall out for free. The rings
+move φ rows in place: each step copies a row segment straight out of
+the sender's φ (a :class:`~repro.gpusim.memory.DeviceView` of its
+rows) into the receiver's, with no staging copy on either side.
 :class:`SyncContext` checks that its per-position lists align, for
 every collective. A cluster node runs no collective: each of its GPUs
 sends its host only its own sparse Δφ
@@ -159,8 +161,8 @@ def reduce_phi_tree(
     partial to position ``i``'s scratch buffer, and position ``i`` adds
     it in. Transfers within one step use disjoint device pairs, so they
     proceed in parallel — the reduction completes in ⌈log₂ G⌉ serial
-    steps. Positions need not be device ids: the hierarchical collective
-    runs this on per-socket sublists.
+    steps. Positions need not be device ids: an elastic run's
+    survivors keep theirs.
 
     Returns ``partials[0]``, which afterwards holds Σ_g φ_g.
     """
@@ -189,7 +191,7 @@ def reduce_phi_tree(
             )
             emit_observe(
                 "sync_reduce_step_seconds", a_end - c_start,
-                help="simulated copy+add time of one reduce-tree step",
+                help="simulated copy+add time of one reduce step",
                 stride=str(stride),
             )
         stride *= 2
@@ -324,79 +326,108 @@ def _rows(buf: DeviceArray, lo: int, hi: int) -> DeviceView:
     )
 
 
-def _ring_allreduce(
-    machine: Machine,
-    partials: list[DeviceArray],
-    fulls: list[DeviceArray],
-    scratch: list[DeviceArray],
-    streams: list[Stream],
-    config: KernelConfig,
-    retry: TransferRetry | None,
+def _edges(lo: int, hi: int, n: int) -> list[int]:
+    """Rows ``lo:hi`` cut into *n* segments: segment c is rows
+    ``edges[c]:edges[c+1]``."""
+    return [lo + (hi - lo) * i // n for i in range(n + 1)]
+
+
+def _segment(buf: DeviceArray, edges: list[int], c: int) -> DeviceView:
+    n = len(edges) - 1
+    return _rows(buf, edges[c % n], edges[c % n + 1])
+
+
+# Only read-after-write waits are needed, in both halves of the ring and
+# across the 2-D ring's phases. In the reduce-scatter, at step s
+# position g sends segment g−s and adds into segment g−s−1, so each
+# segment is added into once and sent one step later, and the owned
+# segment g+1 is never sent: no add rewrites rows that a copy still
+# reads. The next phase reads and writes only that owned segment of the
+# partial (or the fulls). In the all-gather each segment is received
+# before it is forwarded and is never rewritten. A receive buffer is
+# written and read on its owner's stream, which orders its reuse. So
+# each copy waits only for an event recorded on the sender's stream
+# after its last write to the rows it sends (before the first step, the
+# write that made its partial ready).
+def _ring_step(
+    ctx: SyncContext,
+    ring: list[int],
+    pairs: list[tuple[DeviceView, DeviceView]],
+    phase: str,
+) -> list[float]:
+    """Ring position g (context position ``ring[g]``) copies
+    ``pairs[g]`` = (its rows, position g+1's rows) on g+1's stream.
+    Returns each copy's start, by receiving position."""
+    G = len(ring)
+    streams = [ctx.streams[p] for p in ring]
+    ready = [streams[g].record(label=f"ring_ready[{g}]") for g in range(G)]
+    starts = [0.0] * G
+    for g, (src, dst) in enumerate(pairs):
+        nxt = (g + 1) % G
+        streams[nxt].wait_event(ready[g])
+        starts[nxt], _ = resilient_p2p(
+            ctx.machine, dst, src, streams[nxt], streams[g], "ring_transfer",
+            ctx.retry,
+        )
+        emit_counter(
+            "sync_bytes_total", src.nbytes,
+            help="bytes moved per link during model synchronization",
+            link=f"{src.device.device_id}->{dst.device.device_id}",
+            phase=phase,
+        )
+    return starts
+
+
+def _ring_reduce_scatter(
+    ctx: SyncContext, ring: list[int], outs: list[DeviceArray], lo: int, hi: int
 ) -> None:
-    """Sum ``partials`` into every ``fulls`` around a ring of positions,
-    moving φ rows in place.
+    """Sum rows ``lo:hi`` of the partials around *ring* (context
+    positions), in place.
 
-    φ is cut into G row segments. At reduce step s = 0 … G−2, position
-    g copies segment g−s straight out of its partial into position
-    g+1's receive buffer (the top rows of its ``scratch``), and g+1 adds
-    that into the same segment of its own partial. The last reduce
-    step's add writes the sum of g's *owned* segment g+1 into
-    ``fulls[g]`` instead. At gather step s, position g copies segment
-    g+1−s from its full φ into the same rows of g+1's. One position
-    only copies its partial locally."""
-    G = len(partials)
-    if G == 1:
-        _local_copy(fulls[0], partials[0], streams[0], config)
-        return
-    K = partials[0].shape[0]
-    edges = [K * i // G for i in range(G + 1)]
-
-    def segment(buf: DeviceArray, c: int) -> DeviceView:
-        return _rows(buf, edges[c % G], edges[c % G + 1])
-
-    # Only read-after-write waits are needed. At reduce step s position
-    # g sends segment g−s and adds into segment g−s−1, so each segment
-    # is added into once and sent one step later, and the owned segment
-    # g+1 is never sent during the reduce: no add rewrites rows that a
-    # copy still reads. In the gather each segment is received before it
-    # is forwarded and is never rewritten. A receive buffer is written
-    # and read on its owner's stream, which orders its reuse. So each
-    # copy waits only for an event recorded on the sender's stream after
-    # its last write to the rows it sends (before step 0, the write that
-    # made its partial ready).
-    def send(pairs: list[tuple[DeviceView, DeviceView]], phase: str) -> None:
-        ready = [streams[g].record(label=f"ring_ready[{g}]") for g in range(G)]
-        for g, (src, dst) in enumerate(pairs):
-            nxt = (g + 1) % G
-            streams[nxt].wait_event(ready[g])
-            resilient_p2p(
-                machine, dst, src, streams[nxt], streams[g],
-                "ring_transfer", retry,
-            )
-            emit_counter(
-                "sync_bytes_total", src.nbytes,
-                help="bytes moved per link during model synchronization",
-                link=f"{src.device.device_id}->{dst.device.device_id}",
-                phase=phase,
-            )
+    The rows are cut into G segments. At step s = 0 … G−2 position g
+    copies segment g−s straight out of its partial into position g+1's
+    receive buffer (the top rows of its ``scratch``), and g+1 adds that
+    into the same segment of its own partial. The last step's add writes
+    the sum of g's *owned* segment g+1 into its ``outs`` buffer
+    instead."""
+    G = len(ring)
+    edges = _edges(lo, hi, G)
+    partials = [ctx.partials[p] for p in ring]
 
     def received(g: int, c: int) -> DeviceView:
-        return _rows(scratch[g], 0, edges[c % G + 1] - edges[c % G])
+        return _rows(ctx.scratch[ring[g]], 0, edges[c % G + 1] - edges[c % G])
 
     for s in range(G - 1):
-        send([
-            (segment(partials[g], g - s), received((g + 1) % G, g - s))
+        starts = _ring_step(ctx, ring, [
+            (_segment(partials[g], edges, g - s), received((g + 1) % G, g - s))
             for g in range(G)
         ], "ring_reduce")
-        for g in range(G):
-            out = fulls[g] if s == G - 2 else partials[g]
-            _add_rows(
-                segment(out, g - s - 1), segment(partials[g], g - s - 1),
-                received(g, g - s - 1), config, streams[g],
+        for g, p in enumerate(ring):
+            out = outs[p] if s == G - 2 else partials[g]
+            c = g - s - 1
+            _, a_end, _ = _add_rows(
+                _segment(out, edges, c), _segment(partials[g], edges, c),
+                received(g, c), ctx.config, ctx.streams[p],
             )
+            emit_observe(
+                "sync_reduce_step_seconds", a_end - starts[g],
+                help="simulated copy+add time of one reduce step",
+                stride="ring",
+            )
+
+
+def _ring_all_gather(ctx: SyncContext, ring: list[int], lo: int, hi: int) -> None:
+    """Spread rows ``lo:hi`` of the fulls around *ring*, each position
+    holding its owned segment g+1 (as the reduce-scatter leaves it): at
+    step s position g copies segment g+1−s from its full φ into the same
+    rows of g+1's."""
+    G = len(ring)
+    edges = _edges(lo, hi, G)
+    fulls = [ctx.fulls[p] for p in ring]
     for s in range(G - 1):
-        send([
-            (segment(fulls[g], g + 1 - s), segment(fulls[(g + 1) % G], g + 1 - s))
+        _ring_step(ctx, ring, [
+            (_segment(fulls[g], edges, g + 1 - s),
+             _segment(fulls[(g + 1) % G], edges, g + 1 - s))
             for g in range(G)
         ], "ring_gather")
 
@@ -407,35 +438,64 @@ def _add_rows(
     b: DeviceArray,
     config: KernelConfig,
     stream: Stream,
-) -> None:
+) -> tuple[float, float, object]:
     """out = a + b on one GPU: a ring step's add."""
     rows, V = out.shape
-    n = float(rows) * V
 
     def body() -> None:
         out.data[...] = a.data + b.data
 
-    KernelLaunch(
-        body,
-        KernelCost(
-            bytes_read=2 * n * config.phi_bytes,
-            bytes_written=n * config.phi_bytes,
-            flops=n,
-        ),
-        "ring_combine",
-        kind="sync",
+    return KernelLaunch(
+        body, phi_reduce_cost(rows, V, config), "ring_combine", kind="sync",
     ).launch(stream)
 
 
-def _socket_groups(machine: Machine, arrays: list[DeviceArray]) -> list[list[int]]:
-    """Positions in *arrays* grouped by their device's socket
-    (ascending socket id, original order within a group)."""
+def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
+    """Sum ``ctx.partials`` into every ``ctx.fulls`` with a 2-D ring over
+    *grid*: S rows of g positions each, moving φ rows in place.
+
+    1. Each row ring-reduce-scatters all K rows: position r of a row
+       owns the row's sum of segment r+1 of g.
+    2. The positions at the same place r of every row (a column)
+       ring-all-reduce that segment: their reduce-scatter's last add
+       writes it into ``fulls``, and their all-gather spreads it.
+    3. Each row ring-all-gathers all K rows of ``fulls``.
+
+    One row is the flat ring (phase 2 is empty), and so is one column
+    (phases 1 and 3 are). Either way each position sends 2(G−1)/G of φ;
+    the grid takes 2(g−1) + 2(S−1) steps instead of 2(G−1), and only a
+    column's copies, 1/G of φ each, cross between rows. One position
+    only copies its partial locally."""
+    if len(ctx.partials) == 1:
+        _local_copy(ctx.fulls[0], ctx.partials[0], ctx.streams[0], ctx.config)
+        return
+    K = ctx.shape[0]
+    S, g = len(grid), len(grid[0])
+    # One row's reduce-scatter is the whole reduce: it writes the fulls.
+    outs = ctx.fulls if S == 1 else ctx.partials
+    for row in grid:
+        _ring_reduce_scatter(ctx, row, outs, 0, K)
+    edges = _edges(0, K, g)
+    for r in range(g):
+        column = [row[r] for row in grid]
+        lo, hi = edges[(r + 1) % g], edges[(r + 1) % g + 1]
+        _ring_reduce_scatter(ctx, column, ctx.fulls, lo, hi)
+        _ring_all_gather(ctx, column, lo, hi)
+    for row in grid:
+        _ring_all_gather(ctx, row, 0, K)
+
+
+def _socket_grid(ctx: SyncContext) -> list[list[int]]:
+    """Positions grouped by their device's socket (ascending socket id,
+    original order within a group) — or, when the groups differ in
+    size, one group of every position."""
     by_socket: dict[int, list[int]] = {}
-    for pos, arr in enumerate(arrays):
-        by_socket.setdefault(
-            machine.socket_of(arr.device.device_id), []
-        ).append(pos)
-    return [by_socket[s] for s in sorted(by_socket)]
+    for pos, dev in enumerate(ctx.devices):
+        by_socket.setdefault(ctx.machine.socket_of(dev), []).append(pos)
+    groups = [by_socket[s] for s in sorted(by_socket)]
+    if len({len(grp) for grp in groups}) > 1:
+        return [list(range(len(ctx.devices)))]
+    return groups
 
 
 # ----------------------------------------------------------------------
@@ -575,17 +635,13 @@ class RingCollective(Collective):
     of the replica per link, with every neighbouring link active in
     parallel. At large G this moves less data per link than the tree
     (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
-    steps — the trade ``tests/test_sync.py`` measures. The ring works
-    on arbitrary sublists (the hierarchical collective rings the socket
-    leaders)."""
+    steps — the trade ``tests/test_sync.py`` measures. It is the 2-D
+    ring's one-row grid."""
 
     name = "ring"
 
     def allreduce(self, ctx: SyncContext) -> None:
-        _ring_allreduce(
-            ctx.machine, ctx.partials, ctx.fulls, ctx.scratch, ctx.streams,
-            ctx.config, ctx.retry,
-        )
+        _ring_allreduce(ctx, [list(range(len(ctx.partials)))])
 
 
 class CpuGatherCollective(Collective):
@@ -607,44 +663,24 @@ class CpuGatherCollective(Collective):
 
 
 class HierarchicalCollective(Collective):
-    """Intra-socket tree + inter-socket leader ring + intra-socket
-    broadcast — the dual-socket PCIe specialist.
+    """A 2-D ring over the socket grid — the socket-aware collective,
+    on PCIe and NVLink boxes alike.
 
-    The EZLDA-style composition: GPUs under one PCIe switch first
-    tree-reduce at switch speed into a per-socket *leader*; the leaders
-    then ring-all-reduce across the (slow) inter-socket bridge, moving
-    each byte over the bridge only once per direction instead of the
-    tree's repeated full-replica hops; finally each leader
-    tree-broadcasts its full φ back down its switch. One socket ⇒
-    tree + broadcast only; one GPU per socket ⇒ a pure ring."""
+    The EZLDA-style composition: S sockets of g GPUs each. Every socket
+    first ring-reduce-scatters φ at switch speed, so each GPU owns its
+    socket's sum of 1/g of the rows; the GPUs with the same place in
+    their socket then ring-all-reduce that slice across the (slow)
+    inter-socket bridge, each carrying 1/G of φ; finally every socket
+    ring-all-gathers the full φ. Each GPU still moves 2·(G−1)/G of φ,
+    as in the flat ring, but in 2(g−1) + 2(S−1) steps, and every GPU
+    crosses the bridge with its own slice. When the sockets hold
+    different numbers of GPUs (an elastic survivor set), or one GPU
+    each, it is the flat ring."""
 
     name = "hierarchical"
 
     def allreduce(self, ctx: SyncContext) -> None:
-        machine, config, retry = ctx.machine, ctx.config, ctx.retry
-        groups = _socket_groups(machine, ctx.partials)
-
-        def pick(arrays: list, positions: list[int]) -> list:
-            return [arrays[p] for p in positions]
-
-        for grp in groups:
-            if len(grp) > 1:
-                reduce_phi_tree(
-                    machine, pick(ctx.partials, grp), pick(ctx.scratch, grp),
-                    pick(ctx.streams, grp), config, retry=retry,
-                )
-        leaders = [grp[0] for grp in groups]
-        _ring_allreduce(
-            machine, pick(ctx.partials, leaders), pick(ctx.fulls, leaders),
-            pick(ctx.scratch, leaders), pick(ctx.streams, leaders),
-            config, retry,
-        )
-        for grp in groups:
-            if len(grp) > 1:
-                broadcast_phi(
-                    machine, ctx.fulls[grp[0]], pick(ctx.fulls, grp),
-                    pick(ctx.streams, grp), config, retry=retry,
-                )
+        _ring_allreduce(ctx, _socket_grid(ctx))
 
 
 _COLLECTIVES: dict[str, Collective] = {}

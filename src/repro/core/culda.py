@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.corpus.corpus import Corpus, TokenChunk
+from repro.comm import with_retry
 from repro.core.kernels import KernelConfig, accumulate_phi
 from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
@@ -531,19 +532,28 @@ class CuLDA(Algorithm):
         """Stage each GPU of *node*'s first chunk on it, freeing any chunk
         it held: the one it samples first next iteration."""
         machine, local = self.machines[node], self._node_runtimes[node]
+        retry = self._transfer_retry()
         for dc in self._node_dev_chunks[node]:
             dc.free_all()
         self._node_dev_chunks[node] = [
-            upload_chunk(machine, w, local[g])
+            with_retry(
+                lambda g=g, w=w: upload_chunk(machine, w, local[g]),
+                w.upload, f"h2d:chunk{local[g].chunk_id}", retry,
+                devices=(w.device.device_id,),
+            )
             for g, w in enumerate(self._node_workers[node])
         ]
 
     def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
         """Copy a φ view to every GPU of *node* and recount n_k there."""
         machine = self.machines[node]
+        retry = self._transfer_retry()
         for w in self._node_workers[node]:
-            machine.memcpy_h2d(
-                w.phi_full, view_host, stream=w.upload, label=label
+            with_retry(
+                lambda w=w: machine.memcpy_h2d(
+                    w.phi_full, view_host, stream=w.upload, label=label
+                ),
+                w.upload, label, retry, devices=(w.device.device_id,),
             )
             launch_nk_rowsum(w, self._kcfg, w.upload)
 

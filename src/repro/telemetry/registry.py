@@ -10,8 +10,8 @@ named families, optionally split by label values, collected into a
 - :class:`Gauge` — point-in-time values (current tokens/sec, per-GPU
   busy fraction) plus ``set_max`` for high-water marks (the φ 16-bit
   saturation headroom).
-- :class:`Histogram` — distributions (span durations, reduce-tree step
-  times). Raw observations are retained, so quantiles are exact and
+- :class:`Histogram` — distributions (span durations, φ-sync reduce
+  step times). Raw observations are retained, so quantiles are exact and
   Prometheus bucket counts are derived at export time.
 
 Exporters live in :mod:`repro.telemetry.exporters`; the emit-if-active

@@ -180,39 +180,101 @@ class TestHierarchical:
             assert np.array_equal(f.data, expected.astype(f.dtype))
 
     def test_elastic_subset_skipping_a_socket_member(self):
-        # Surviving set {0, 2, 3}: socket 0 degenerates to one GPU.
-        m = pascal_platform(4)
-        partials, scratch, fulls, streams, expected = _setup(
-            m, devices=[0, 2, 3]
-        )
-        get_collective("hierarchical").allreduce(SyncContext(
-            m, partials, fulls, scratch, streams, KernelConfig()
-        ))
-        m.synchronize()
-        for f in fulls:
-            assert np.array_equal(f.data, expected.astype(f.dtype))
+        """Surviving set {0, 2, 3}: the sockets hold one GPU and two, so
+        the grid is one row and the run is the flat ring's, interval for
+        interval."""
+        runs = {}
+        for name in ("hierarchical", "ring"):
+            m = pascal_platform(4)
+            partials, scratch, fulls, streams, expected = _setup(
+                m, devices=[0, 2, 3]
+            )
+            get_collective(name).allreduce(SyncContext(
+                m, partials, fulls, scratch, streams, KernelConfig()
+            ))
+            m.synchronize()
+            for f in fulls:
+                assert np.array_equal(f.data, expected.astype(f.dtype))
+            runs[name] = [
+                (iv.label, iv.device_id, iv.start, iv.end)
+                for iv in m.trace.intervals
+            ]
+        assert runs["hierarchical"] == runs["ring"]
+        assert [iv[0] for iv in runs["ring"]].count("ring_transfer") == 12
 
-    def test_each_leader_copies_locally_once(self):
-        """The leaders' ring writes each leader's full φ in place, and
-        its socket broadcast sends that buffer on: no leader copies φ
-        locally at all."""
-        m = pascal_platform(4)
-        partials, scratch, fulls, streams, expected = _setup(
-            m, *BENCH_PAYLOAD, dtype=np.uint16
-        )
-        collective = get_collective("hierarchical")
-        collective.allreduce(SyncContext(
-            m, partials, fulls, scratch, streams, KernelConfig()
-        ))
-        assert all(np.array_equal(f.data, expected) for f in fulls)
-        assert not [
-            iv for iv in m.trace.intervals if iv.label == "phi_local_copy"
-        ]
+    def test_every_gpu_crosses_the_bridge_with_its_slice(self, monkeypatch):
+        """The benchmark's payload on 4 Pascal GPUs, a 2×2 socket grid:
+        each GPU sends its socket peer two copies of K/2 rows and its
+        cross-socket peer two of K/4, so the bridge carries 2/3 of the
+        flat ring's bytes in 4 steps instead of 6."""
+        from repro.gpusim.platform import Machine
+
+        memcpy_p2p = Machine.memcpy_p2p
+        K, V = BENCH_PAYLOAD
+        sent = {}  # collective -> [(src device, dst device, rows)]
+
+        def recording(self, dst, src, stream=None, label="p2p"):
+            sent[name].append(
+                (src.device.device_id, dst.device.device_id, src.shape[0])
+            )
+            return memcpy_p2p(self, dst, src, stream, label)
+
+        monkeypatch.setattr(Machine, "memcpy_p2p", recording)
+        labels = set()
+        for name in ("ring", "hierarchical"):
+            sent[name] = []
+            m = pascal_platform(4)
+            partials, scratch, fulls, streams, expected = _setup(
+                m, *BENCH_PAYLOAD, dtype=np.uint16
+            )
+            get_collective(name).allreduce(SyncContext(
+                m, partials, fulls, scratch, streams, KernelConfig()
+            ))
+            assert all(np.array_equal(f.data, expected) for f in fulls)
+            labels = {iv.label for iv in m.trace.intervals}
+        monkeypatch.undo()
+
+        # No tree copy, broadcast copy or local copy of φ.
+        assert labels == {"ring_transfer", "ring_combine"}
+        for d, (peer, cross) in enumerate(((1, 2), (0, 3), (3, 0), (2, 1))):
+            assert sorted(
+                (dst, rows) for src, dst, rows in sent["hierarchical"]
+                if src == d
+            ) == sorted([(peer, K // 2)] * 2 + [(cross, K // 4)] * 2)
+
+        def bridge_bytes(name, src_socket):
+            return sum(
+                rows * V * 2 for src, dst, rows in sent[name]
+                if src // 2 == src_socket and dst // 2 != src_socket
+            )
+
+        for socket in (0, 1):
+            assert bridge_bytes("hierarchical", socket) == 420_096
+            assert bridge_bytes("ring", socket) == 630_144
+
         fresh = pascal_platform(4)
-        estimate = collective.estimate(
+        estimate = get_collective("hierarchical").estimate(
             fresh, Topology.from_machine(fresh), BENCH_PAYLOAD, KernelConfig()
         )
-        assert estimate.seconds * 1e6 == pytest.approx(174.27, abs=0.005)
+        assert estimate.seconds * 1e6 == pytest.approx(102.15, abs=0.005)
+
+    def test_eight_gpus_ring_a_two_by_four_grid(self):
+        """Two sockets of four GPUs: 2·(3 + 1) steps of 8 copies, where
+        the flat ring takes 2·7; both sum exactly at a K that no grid
+        divides."""
+        copies = {}
+        for name in ("hierarchical", "ring"):
+            m = make_machine("pascal", 8)
+            partials, scratch, fulls, streams, expected = _setup(m, K=37)
+            get_collective(name).allreduce(SyncContext(
+                m, partials, fulls, scratch, streams, KernelConfig()
+            ))
+            for f in fulls:
+                assert np.array_equal(f.data, expected.astype(f.dtype))
+            copies[name] = [
+                iv.label for iv in m.trace.intervals
+            ].count("ring_transfer")
+        assert copies == {"hierarchical": 64, "ring": 112}
 
     def test_bridge_traffic_below_tree(self):
         # The point of the composition: fewer full replicas cross the
@@ -257,18 +319,23 @@ PAYLOAD = (64, 2048)
 
 class TestPlanner:
     def test_picks_ring_on_dual_socket_pcie(self):
-        plan = plan_sync(pascal_platform(4), PAYLOAD, KernelConfig())
-        assert plan.algorithm == "ring"
-        assert not plan.forced
-        assert plan.estimate.feasible
+        """Two sockets of two GPUs make a 2×2 grid, so the 2-D ring
+        wins; three GPUs split 2 + 1, where the grid is the flat ring
+        and the tie goes to ``ring``."""
+        for gpus, pick in ((4, "hierarchical"), (3, "ring")):
+            plan = plan_sync(pascal_platform(gpus), PAYLOAD, KernelConfig())
+            assert plan.algorithm == pick
+            assert not plan.forced
+            assert plan.estimate.feasible
 
     def test_picks_hierarchical_on_nvlink(self):
         plan = plan_sync(dgx_platform(4), PAYLOAD, KernelConfig())
         assert plan.algorithm == "hierarchical"
 
     def test_replays_on_four_pascal_gpus(self):
-        """The benchmark's payload on 4 Pascal GPUs: the in-place ring
-        makes 6 copies of 32 rows per GPU and 3 adds, and wins."""
+        """The benchmark's payload on 4 Pascal GPUs: the 2-D ring makes
+        4 copies per GPU in 4 steps and 2 adds, where the flat ring
+        makes 6 copies in 6 steps and 3 adds, and wins."""
         m = pascal_platform(4)
         topo, cfg = Topology.from_machine(m), KernelConfig()
         replays = {
@@ -276,19 +343,22 @@ class TestPlanner:
             for c in collectives()
         }
         assert replays == {
-            "gpu_tree": 256.75, "ring": 154.88,
-            "cpu_gather": 323.65, "hierarchical": 174.27,
+            "gpu_tree": 256.75, "ring": 154.86,
+            "cpu_gather": 323.65, "hierarchical": 102.15,
         }
-        assert plan_sync(m, BENCH_PAYLOAD, cfg).algorithm == "ring"
+        assert plan_sync(m, BENCH_PAYLOAD, cfg).algorithm == "hierarchical"
 
     def test_distinct_choices_across_topologies(self):
         chosen = {
-            platform: plan_sync(
-                make_machine(platform, 4), PAYLOAD, KernelConfig()
+            (platform, gpus): plan_sync(
+                make_machine(platform, gpus), PAYLOAD, KernelConfig()
             ).algorithm
-            for platform in ("pascal", "volta", "dgx")
+            for platform, gpus in (("pascal", 1), ("pascal", 3), ("dgx", 4))
         }
-        assert len(set(chosen.values())) >= 2, chosen
+        assert chosen == {
+            ("pascal", 1): "gpu_tree", ("pascal", 3): "ring",
+            ("dgx", 4): "hierarchical",
+        }
 
     def test_single_gpu_keeps_seed_default(self):
         assert plan_sync(
@@ -350,9 +420,11 @@ class TestPlanner:
             plan_sync(dgx_platform(4), PAYLOAD, KernelConfig(),
                       algorithm="gpu_tree")
         decisions = decisions_from_registry(registry)
-        assert {d["algorithm"] for d in decisions} == {"ring", "gpu_tree"}
+        assert {d["algorithm"] for d in decisions} == {
+            "hierarchical", "gpu_tree",
+        }
         forced = {d["algorithm"]: d["forced"] for d in decisions}
-        assert forced == {"ring": False, "gpu_tree": True}
+        assert forced == {"hierarchical": False, "gpu_tree": True}
         assert all("predicted_seconds" in d for d in decisions)
 
     def test_zero_prediction_kept_in_decisions(self):
@@ -675,6 +747,17 @@ class _RowClock:
             self.seen[i] = buf.data.copy()
 
 
+def _reduce_steps(name, machine):
+    """g + S − 2, the reduce steps of *name*'s 2-D ring over all of
+    *machine*'s GPUs: S sockets of g GPUs for ``hierarchical`` on equal
+    sockets, else one row of G (the flat ring, G − 1 steps). Each GPU
+    makes two copies per reduce step and one add."""
+    sockets = Topology.from_machine(machine).sockets
+    if name == "hierarchical" and len({len(s) for s in sockets}) == 1:
+        return len(sockets[0]) + len(sockets) - 2
+    return len(machine.gpus) - 1
+
+
 class TestRingOrder:
     """A ring copy reads rows straight out of its sender's φ, so it may
     start only after the sender's last write to those rows ends, however
@@ -729,8 +812,7 @@ class TestRingOrder:
             monkeypatch.undo()
             assert all(np.array_equal(f.data, expected) for f in fulls)
             ring = [c for c in copies if c[0] == "ring_transfer"]
-            members = gpus if sync == "ring" else 2  # one leader per socket
-            assert len(ring) == 2 * (members - 1) * members
+            assert len(ring) == 2 * gpus * _reduce_steps(sync, m)
             for label, start, ready in copies:
                 assert 0.0 < ready <= start, (sync, label, start, ready)
             assert not clock.early_writes, (sync, clock.early_writes)
@@ -740,7 +822,9 @@ class TestReduceOrder:
     """A reduce copy carries its sender's partial, so it starts only
     after the sender's update φ ends, however late that GPU's chunks
     finish: on 4 Pascal GPUs at M = 2, GPUs 1 and 3 share their host
-    uplinks with GPUs 0 and 2."""
+    uplinks with GPUs 0 and 2. The tree's reduce copies carry partials;
+    so do the 2-D ring's reduce-scatter copies, within each socket and
+    then across the bridge."""
 
     @pytest.mark.parametrize("sync", ["gpu_tree", "hierarchical"])
     def test_copy_waits_for_its_senders_update_phi(self, sync, monkeypatch):
@@ -754,7 +838,10 @@ class TestReduceOrder:
 
         def recording(self, dst, src, stream=None, label="p2p"):
             out = memcpy_p2p(self, dst, src, stream, label)
-            if self is machine and label == "phi_reduce_copy":
+            if self is machine and (
+                label == "phi_reduce_copy"
+                or src.label.startswith("phi_partial[")
+            ):
                 copies.append(
                     (len(self.trace.intervals) - 1, src.device.device_id)
                 )
@@ -767,7 +854,9 @@ class TestReduceOrder:
                         chunks_per_gpu=2, sync_algorithm=sync),
         ).train()
         ivs = machine.trace.intervals
-        assert len(copies) == 3 * (3 if sync == "gpu_tree" else 2)
+        # Per iteration: the tree's 3 reduce copies, or each GPU's
+        # copy to its socket peer and one to its cross-socket peer.
+        assert len(copies) == 3 * (3 if sync == "gpu_tree" else 8)
         for index, sender in copies:
             # The sender's last update φ issued before the copy is its
             # last chunk's, this iteration.

@@ -361,8 +361,9 @@ class TestSimClockPinned:
     collective), and each GPU receiving only Δφ. Every GPU keeps the
     chunk it sampled last and moves a chunk in one copy each way, and
     prices an accumulating update φ as the same atomics without the
-    zeroing pass; a rollback stages each GPU's first chunk afresh; and
-    the ring moves φ rows in place, straight between GPUs."""
+    zeroing pass; a rollback stages each GPU's first chunk afresh; the
+    ring moves φ rows in place, straight between GPUs; and 4 GPUs on two
+    sockets sync with the 2-D ring over the socket grid."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -385,7 +386,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(gpus=1), "a558acbd31a6fc38"),
-        (dict(gpus=4, chunks_per_gpu=2), "0f30e79fcdad198a"),
+        (dict(gpus=4, chunks_per_gpu=2), "81bdd719adfb1641"),
     ])
     def test_single_machine(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_culda
@@ -395,7 +396,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
-         "0f30e79fcdad198a"),
+         "81bdd719adfb1641"),
         (dict(nodes=2, gpus_per_node=2), "cb5756dc6083717f"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
@@ -416,7 +417,7 @@ class TestSimClockPinned:
             recovery="retry", fault_plan=plan
         )
         assert result.rollbacks == 1
-        assert self._digest(result) == "43c3a180c3afe356"
+        assert self._digest(result) == "b6f3e25a4a6eb833"
 
     def test_node_loss(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec

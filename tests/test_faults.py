@@ -523,6 +523,39 @@ class TestRollbackRecovery:
         assert "rollback" in str(failure)
 
 
+    @staticmethod
+    def _flaky_host_link(count):
+        # GPU 1's host link drops *count* transfers from iteration 1 on.
+        # The gather's d2h spends two of them (one try and one retry)
+        # and fails the sync; the rollback's uploads meet the rest.
+        return FaultPlan(faults=(
+            FaultSpec(kind="link_flaky", iteration=1, link="pcie[1]",
+                      count=count),))
+
+    def test_rollback_upload_retries_a_dropped_transfer(self, corpus):
+        result = _train(
+            corpus, gpus=2, plan=self._flaky_host_link(3), sync="cpu_gather",
+            recovery=RecoveryPolicy(mode="retry", max_transfer_retries=1),
+        )
+        clean = _train(corpus, gpus=2, sync="cpu_gather")
+        assert result.rollbacks == 1
+        assert np.array_equal(result.phi, clean.phi)
+
+    def test_rollback_upload_past_its_retries_fails_structured(self, corpus):
+        with pytest.raises(TrainingFailure) as err:
+            _train(
+                corpus, gpus=2, plan=self._flaky_host_link(4),
+                sync="cpu_gather",
+                recovery=RecoveryPolicy(mode="retry", max_transfer_retries=1),
+            )
+        failure = err.value
+        assert failure.phase == "recovery"
+        assert isinstance(failure.cause, SyncPathError)
+        assert failure.cause.op == "h2d:phi_rollback"
+        assert failure.cause.link_name == "pcie[1]"
+        assert "rollback" in str(failure)
+
+
 class TestCheckpointTruncationScenario:
     def test_truncated_checkpoint_rejected_on_load(self, corpus, tmp_path):
         from repro.core.serialization import load_run_state

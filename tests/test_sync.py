@@ -150,16 +150,19 @@ class TestRingAllReduce:
     def test_rows_move_in_place(self, platform):
         """From two GPUs on, a ring copies each row segment straight out
         of the sender's φ into the receiver's: no stage, no local copy
-        of φ and no add-free combine, flat or between socket leaders."""
+        of φ and no add-free combine, flat or over the socket grid. On
+        S equal sockets of g GPUs the 2-D ring takes g + S − 2 reduce
+        steps; on uneven sockets it is the flat ring (G − 1)."""
         for gpus in (2, 3, 4):
             for name in ("ring", "hierarchical"):
                 m = make_machine(platform, gpus)
-                members = (
-                    gpus if name == "ring"
-                    else len(Topology.from_machine(m).sockets)
+                sockets = Topology.from_machine(m).sockets
+                steps = (
+                    len(sockets[0]) + len(sockets) - 2
+                    if name == "hierarchical"
+                    and len({len(s) for s in sockets}) == 1
+                    else gpus - 1
                 )
-                if members < 2:
-                    continue  # one socket: hierarchical is the tree
                 partials, scratch, fulls, streams, expected = _setup(m)
                 get_collective(name).allreduce(SyncContext(
                     m, partials, fulls, scratch, streams, KernelConfig()
@@ -168,8 +171,8 @@ class TestRingAllReduce:
                 labels = [iv.label for iv in m.trace.intervals]
                 assert "ring_stage" not in labels
                 assert "phi_local_copy" not in labels
-                assert labels.count("ring_transfer") == 2 * (members - 1) * members
-                assert labels.count("ring_combine") == (members - 1) * members
+                assert labels.count("ring_transfer") == gpus * 2 * steps
+                assert labels.count("ring_combine") == gpus * steps
 
     def test_frees_staging_buffers(self):
         m = pascal_platform(4)
