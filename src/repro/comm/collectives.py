@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,7 +83,15 @@ class SyncContext:
     ``partials[g]`` / ``fulls[g]`` / ``scratch[g]`` / ``streams[g]``
     belong to the same (arbitrary) device — positions are logical ranks,
     devices come from the arrays, so an elastic run over surviving GPUs
-    {0, 2, 3} needs no renumbering.
+    {0, 2, 3} needs no renumbering. Position g's partial is ready on
+    ``streams[g]``, and work issued there after the collective sees its
+    full φ.
+
+    ``lane_streams`` holds one more list of streams, one per position,
+    for every lane after the first. A ring-family collective splits φ's
+    rows into :attr:`lanes` windows and runs lane l on its own streams,
+    so one lane's steps overlap another's on links they do not share.
+    The default is one lane; only the planner's replay picks more.
     """
 
     machine: Machine
@@ -93,13 +101,18 @@ class SyncContext:
     streams: list
     config: KernelConfig
     retry: TransferRetry | None = None
+    lane_streams: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not (
             len(self.partials) == len(self.fulls) == len(self.scratch)
             == len(self.streams)
-        ):
+        ) or any(len(lane) != len(self.streams) for lane in self.lane_streams):
             raise ValueError("partials, fulls, scratch, and streams must align")
+
+    @property
+    def lanes(self) -> int:
+        return 1 + len(self.lane_streams)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -386,16 +399,18 @@ def _ring_reduce_scatter(
 
     The rows are cut into G segments. At step s = 0 … G−2 position g
     copies segment g−s straight out of its partial into position g+1's
-    receive buffer (the top rows of its ``scratch``), and g+1 adds that
-    into the same segment of its own partial. The last step's add writes
-    the sum of g's *owned* segment g+1 into its ``outs`` buffer
-    instead."""
+    receive buffer (rows from ``lo`` down of its ``scratch``, so lanes
+    over disjoint windows never share one), and g+1 adds that into the
+    same segment of its own partial. The last step's add writes the sum
+    of g's *owned* segment g+1 into its ``outs`` buffer instead."""
     G = len(ring)
     edges = _edges(lo, hi, G)
     partials = [ctx.partials[p] for p in ring]
 
     def received(g: int, c: int) -> DeviceView:
-        return _rows(ctx.scratch[ring[g]], 0, edges[c % G + 1] - edges[c % G])
+        return _rows(
+            ctx.scratch[ring[g]], lo, lo + edges[c % G + 1] - edges[c % G]
+        )
 
     for s in range(G - 1):
         starts = _ring_step(ctx, ring, [
@@ -465,7 +480,15 @@ def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
     (phases 1 and 3 are). Either way each position sends 2(G−1)/G of φ;
     the grid takes 2(g−1) + 2(S−1) steps instead of 2(G−1), and only a
     column's copies, 1/G of φ each, cross between rows. One position
-    only copies its partial locally."""
+    only copies its partial locally.
+
+    With L = ``ctx.lanes``, the K rows are cut into L windows and lane l
+    runs all three phases on window l, on its own streams. The lanes are
+    issued phase by phase (phase 2's reduce-scatter and all-gather
+    apart), and a link serves copies in issue order, so while lane l
+    crosses between rows, lane l+1 reduces within them. Each lane's
+    streams start where ``ctx.streams`` stand, and ``ctx.streams`` wait
+    for every lane to end."""
     if len(ctx.partials) == 1:
         _local_copy(ctx.fulls[0], ctx.partials[0], ctx.streams[0], ctx.config)
         return
@@ -473,16 +496,48 @@ def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
     S, g = len(grid), len(grid[0])
     # One row's reduce-scatter is the whole reduce: it writes the fulls.
     outs = ctx.fulls if S == 1 else ctx.partials
-    for row in grid:
-        _ring_reduce_scatter(ctx, row, outs, 0, K)
-    edges = _edges(0, K, g)
-    for r in range(g):
-        column = [row[r] for row in grid]
-        lo, hi = edges[(r + 1) % g], edges[(r + 1) % g + 1]
-        _ring_reduce_scatter(ctx, column, ctx.fulls, lo, hi)
-        _ring_all_gather(ctx, column, lo, hi)
-    for row in grid:
-        _ring_all_gather(ctx, row, 0, K)
+    windows = _edges(0, K, ctx.lanes)
+    lanes = [ctx, *(
+        replace(ctx, streams=streams, lane_streams=[])
+        for streams in ctx.lane_streams
+    )]
+    for lane in lanes[1:]:
+        _wait_for(lane.streams, ctx.streams, "lane_fork")
+
+    def reduce_rows(lane: SyncContext, lo: int, hi: int) -> None:
+        for row in grid:
+            _ring_reduce_scatter(lane, row, outs, lo, hi)
+
+    def columns(lo: int, hi: int):
+        """Each column, with the rows of window lo:hi it owns."""
+        edges = _edges(lo, hi, g)
+        for r in range(g):
+            c = (r + 1) % g
+            yield [row[r] for row in grid], edges[c], edges[c + 1]
+
+    def reduce_columns(lane: SyncContext, lo: int, hi: int) -> None:
+        for column, a, b in columns(lo, hi):
+            _ring_reduce_scatter(lane, column, lane.fulls, a, b)
+
+    def gather_columns(lane: SyncContext, lo: int, hi: int) -> None:
+        for column, a, b in columns(lo, hi):
+            _ring_all_gather(lane, column, a, b)
+
+    def gather_rows(lane: SyncContext, lo: int, hi: int) -> None:
+        for row in grid:
+            _ring_all_gather(lane, row, lo, hi)
+
+    for phase in (reduce_rows, reduce_columns, gather_columns, gather_rows):
+        for lane, lo, hi in zip(lanes, windows, windows[1:]):
+            phase(lane, lo, hi)
+    for lane in lanes[1:]:
+        _wait_for(ctx.streams, lane.streams, "lane_join")
+
+
+def _wait_for(waiting: list[Stream], streams: list[Stream], label: str) -> None:
+    """Make each ``waiting[g]`` wait for where ``streams[g]`` stands."""
+    for g, (stream, other) in enumerate(zip(waiting, streams)):
+        stream.wait_event(other.record(label=f"{label}[{g}]"))
 
 
 def _socket_grid(ctx: SyncContext) -> list[list[int]]:
@@ -520,9 +575,11 @@ class Collective:
     replaying it.
 
     Each registered subclass defines ``allreduce`` itself, because
-    ``bench/layertrace.py`` wraps it class by class."""
+    ``bench/layertrace.py`` wraps it class by class. ``lane_counts``
+    are the :attr:`SyncContext.lanes` the planner replays it at."""
 
     name: str = ""
+    lane_counts: tuple[int, ...] = (1,)
 
     def allreduce(self, ctx: SyncContext) -> None:
         """Sum every ``ctx.partials`` into every ``ctx.fulls``."""
@@ -535,9 +592,10 @@ class Collective:
         shape: tuple[int, int],
         config: KernelConfig,
         retry: TransferRetry | None = None,
+        lanes: int = 1,
     ) -> CostEstimate:
-        """Predicted cost of :meth:`allreduce` on *topo* for a (K, V)
-        payload — the planner's ranking input.
+        """Predicted cost of :meth:`allreduce` over *lanes* lanes on
+        *topo* for a (K, V) payload — the planner's ranking input.
 
         Runs :meth:`allreduce` itself on an idle shadow machine with
         *machine*'s specs and *topo*'s link states, so the prediction is
@@ -554,6 +612,7 @@ class Collective:
             tuple(shape),
             config,
             retry,
+            lanes,
         )
 
 
@@ -575,10 +634,13 @@ def _replay(
     shape: tuple[int, int],
     config: KernelConfig,
     retry: TransferRetry | None,
+    lanes: int,
 ) -> CostEstimate:
-    """Run *collective* on a fresh idle machine built from the
-    arguments alone — they are the memo key, so a cached estimate can
-    only be reused for an identical replay."""
+    """Run *collective* over *lanes* lanes on a fresh idle machine built
+    from the arguments alone — they are the memo key, so a cached
+    estimate can only be reused for an identical replay. The cost is
+    the latest operation on any stream of the shadow's GPUs, or the
+    host clock if later."""
     shadow = Machine(host_spec, list(gpu_specs), num_host_links=num_host_links)
     for d, info in host:
         _copy_state(shadow.pcie[d], info)
@@ -598,6 +660,10 @@ def _replay(
         streams=[gpu.create_stream("sync") for gpu in gpus],
         config=config,
         retry=retry,
+        lane_streams=[
+            [gpu.create_stream(f"sync{lane}") for gpu in gpus]
+            for lane in range(1, lanes)
+        ],
     )
     # A throwaway session keeps the replay's transfer and retry
     # counters out of the caller's registry.
@@ -606,9 +672,7 @@ def _replay(
             collective.allreduce(ctx)
         except SyncPathError:
             return CostEstimate(math.inf)
-    return CostEstimate(
-        max(shadow.host_time, *(s.available_at for s in ctx.streams))
-    )
+    return CostEstimate(shadow.synchronize())
 
 
 class TreeCollective(Collective):
@@ -639,6 +703,7 @@ class RingCollective(Collective):
     ring's one-row grid."""
 
     name = "ring"
+    lane_counts = (1, 2)
 
     def allreduce(self, ctx: SyncContext) -> None:
         _ring_allreduce(ctx, [list(range(len(ctx.partials)))])
@@ -678,6 +743,7 @@ class HierarchicalCollective(Collective):
     each, it is the flat ring."""
 
     name = "hierarchical"
+    lane_counts = (1, 2)
 
     def allreduce(self, ctx: SyncContext) -> None:
         _ring_allreduce(ctx, _socket_grid(ctx))

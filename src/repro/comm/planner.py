@@ -77,7 +77,10 @@ class SyncPlan:
     ``forced`` distinguishes a manual ``--sync``/``--inter-sync``
     override from a planner pick; ``estimate`` is the replayed cost of
     the chosen collective on ``topology`` (recorded even when forced,
-    so profiles can show what the override cost).
+    so profiles can show what the override cost). ``lanes`` is the
+    :attr:`~repro.comm.collectives.SyncContext.lanes` count it runs at:
+    the cheapest of the collective's ``lane_counts``, forced or not
+    (always 1 across a cluster).
     """
 
     algorithm: str
@@ -86,45 +89,43 @@ class SyncPlan:
     forced: bool
     topology: Topology
     participants: tuple[int, ...]
+    lanes: int = 1
 
 
 def _force_or_cheapest(
-    algorithm: str,
-    get: Callable[[str], Collective | ClusterCollective],
-    candidates: Sequence[Collective | ClusterCollective],
-    price: Callable[[Collective | ClusterCollective], CostEstimate],
+    forced: bool,
+    candidates: Sequence[tuple[Collective | ClusterCollective, int]],
+    price: Callable[[Collective | ClusterCollective, int], CostEstimate],
     topo: Topology,
     participants: tuple[int, ...],
     fabric: str,
     op: str,
 ) -> SyncPlan:
-    """Resolve *algorithm* into a :class:`SyncPlan` and record it.
+    """Resolve the cheapest feasible (collective, lanes) of *candidates*
+    into a :class:`SyncPlan` and record it.
 
-    ``AUTO`` picks the minimum *price* over *candidates* (registration
-    order breaks ties); any other name forces ``get(name)``. Raises
-    :class:`~repro.gpusim.errors.SyncPathError` — naming the first
-    down link, else *fabric* — when no candidate is feasible.
+    A forced plan's candidates are one collective's; it keeps its
+    cheapest lane count, or its first candidate when none is feasible.
+    Candidate order breaks ties: registration order, then fewer lanes.
+    Otherwise raises :class:`~repro.gpusim.errors.SyncPathError` —
+    naming the first down link, else *fabric* — when no candidate is
+    feasible.
     """
-    forced = algorithm != AUTO
-    if forced:
-        chosen = get(algorithm)
-        estimate = price(chosen)
-    else:
-        chosen = None
-        estimate = None
-        for cand in candidates:
-            est = price(cand)
-            if est.feasible and (
-                estimate is None or est.seconds < estimate.seconds
-            ):
-                chosen, estimate = cand, est
-        if chosen is None:
+    chosen, lanes, estimate = None, 1, None
+    for cand, n in candidates:
+        est = price(cand, n)
+        if est.feasible and (estimate is None or est.seconds < estimate.seconds):
+            chosen, lanes, estimate = cand, n, est
+    if chosen is None:
+        if not forced:
             dead = sorted(
                 info.name for info in topo.host.values() if not info.up
             )
             raise SyncPathError(
                 dead[0] if dead else fabric, op, devices=participants,
             )
+        chosen, lanes = candidates[0]
+        estimate = price(chosen, lanes)
     plan = SyncPlan(
         algorithm=chosen.name,
         collective=chosen,
@@ -132,6 +133,7 @@ def _force_or_cheapest(
         forced=forced,
         topology=topo,
         participants=participants,
+        lanes=lanes,
     )
     label = topo.describe()
     emit_counter(
@@ -140,6 +142,7 @@ def _force_or_cheapest(
         algorithm=plan.algorithm,
         topology=label,
         forced=str(forced).lower(),
+        lanes=str(lanes),
     )
     if estimate.feasible:
         emit_gauge(
@@ -147,6 +150,7 @@ def _force_or_cheapest(
             help="cost-model prediction for the chosen sync collective",
             algorithm=plan.algorithm,
             topology=label,
+            lanes=str(lanes),
         )
     return plan
 
@@ -166,9 +170,12 @@ def plan_sync(
     unknown name.
     """
     topo = Topology.from_machine(machine, devices=devices)
+    pool = collectives() if algorithm == AUTO else (get_collective(algorithm),)
     return _force_or_cheapest(
-        algorithm, get_collective, collectives(),
-        lambda c: c.estimate(machine, topo, shape, config, retry=retry),
+        algorithm != AUTO, [(c, n) for c in pool for n in c.lane_counts],
+        lambda c, lanes: c.estimate(
+            machine, topo, shape, config, retry=retry, lanes=lanes
+        ),
         topo, topo.devices, "p2p", "sync_plan",
     )
 
@@ -198,9 +205,13 @@ def plan_cluster_sync(
         else tuple(n for n in nodes if n in topo.devices)
     )
     pending = [payload[n] for n in live]
+    pool = (
+        cluster_collectives() if algorithm == AUTO
+        else (get_cluster_collective(algorithm),)
+    )
     return _force_or_cheapest(
-        algorithm, get_cluster_collective, cluster_collectives(),
-        lambda c: c.estimate(network, topo, live, pending, server),
+        algorithm != AUTO, [(c, 1) for c in pool],
+        lambda c, _: c.estimate(network, topo, live, pending, server),
         topo, live, "eth", "cluster_sync_plan",
     )
 
@@ -220,31 +231,36 @@ def sync_choices() -> tuple[str, ...]:
 def decisions_from_registry(registry) -> list[dict[str, object]]:
     """Planner decisions recorded in *registry*, for profile output.
 
-    Returns one dict per (algorithm, topology, forced) series of the
-    ``sync_planner_decisions_total`` counter, with the matching
+    Returns one dict per (algorithm, topology, forced, lanes) series of
+    the ``sync_planner_decisions_total`` counter, with the matching
     predicted-seconds gauge folded in when present.
     """
     counter = registry.get("sync_planner_decisions_total")
     if counter is None:
         return []
     gauge = registry.get("sync_planner_predicted_seconds")
+
+    def key(labels) -> tuple[str, str, str]:
+        return labels["algorithm"], labels["topology"], labels["lanes"]
+
     # Read the recorded series, not Gauge.value: a one-node cluster
     # plan predicts 0.0 s, which value() also returns for a miss.
     predicted = {
-        (s.labels["algorithm"], s.labels["topology"]): s.value
+        key(s.labels): s.value
         for s in (gauge.samples() if gauge is not None else ())
     }
     out: list[dict[str, object]] = []
     for sample in counter.samples():
-        key = (sample.labels["algorithm"], sample.labels["topology"])
+        k = key(sample.labels)
         entry: dict[str, object] = {
-            "algorithm": key[0],
-            "topology": key[1],
+            "algorithm": k[0],
+            "topology": k[1],
             "forced": sample.labels["forced"] == "true",
             "count": int(sample.value),
+            "lanes": int(k[2]),
         }
-        if key in predicted:
-            entry["predicted_seconds"] = predicted[key]
+        if k in predicted:
+            entry["predicted_seconds"] = predicted[k]
         out.append(entry)
     out.sort(key=lambda e: -e["count"])
     return out

@@ -96,7 +96,9 @@ class SyncPathError(LinkDown):
     :class:`LinkDown` whose context depends on the algorithm.
 
     Subclasses :class:`LinkDown` so existing handlers (recovery
-    policies, fault tests) keep working unchanged.
+    policies, fault tests) keep working unchanged. With
+    ``transient=True`` the link is up but failed every attempt the
+    retry budget allowed, and the message says so.
     """
 
     def __init__(
@@ -117,13 +119,14 @@ class SyncPathError(LinkDown):
             where = f" on device {self.devices[0]}"
         else:
             where = ""
+        state = (
+            "kept failing (transient faults, simulated)" if transient
+            else "is down (simulated)"
+        )
         super().__init__(
             link_name,
             message
-            or (
-                f"no usable path for {self.op}{where}: "
-                f"link {link_name} is down (simulated)"
-            ),
+            or f"no usable path for {self.op}{where}: link {link_name} {state}",
             transient=transient,
         )
 

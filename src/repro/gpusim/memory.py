@@ -15,6 +15,7 @@ discipline.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -119,7 +120,7 @@ class DeviceArray:
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         self.label = label
-        self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        self.nbytes = int(math.prod(self.shape)) * self.dtype.itemsize
         self._ticket = device.allocator.allocate(self.nbytes)
         self._freed = False
         if isinstance(fill, np.ndarray):
@@ -191,7 +192,7 @@ class DeviceView(DeviceArray):
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         self.label = label
-        self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        self.nbytes = int(math.prod(self.shape)) * self.dtype.itemsize
         if offset < 0 or offset + self.nbytes > base.nbytes:
             raise ValueError(
                 f"view {label!r} [{offset}, {offset + self.nbytes}) lies "

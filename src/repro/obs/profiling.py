@@ -18,7 +18,8 @@ renders the same document::
                      "workers_migrated_total": n,
                      "shards_adopted_total": n},
       "sync_planner": [{"algorithm": …, "topology": …, "forced": bool,
-                        "count": n, "predicted_seconds": …}, …]
+                        "count": n, "lanes": L,
+                        "predicted_seconds": …}, …]
     }
 
 ``machine`` and ``breakdown`` are the run's own
@@ -150,7 +151,7 @@ def format_profile(report: dict, gantts: list[str], families: int) -> str:
         for d in report["sync_planner"]:
             mode = "forced" if d["forced"] else "auto"
             line = (f"  {d['algorithm']:<14s} on {d['topology']:<18s} "
-                    f"x{d['count']:<4d} ({mode}")
+                    f"x{d['count']:<4d} ({mode}, lanes={d['lanes']}")
             if "predicted_seconds" in d:
                 line += f", predicted {d['predicted_seconds'] * 1e6:.1f} us"
             lines.append(line + ")")

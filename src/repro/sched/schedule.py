@@ -25,7 +25,11 @@ h2d and its topics and θ come back in one d2h.
   :func:`~repro.sched.partition.chunk_slots` budgets. The per-GPU
   partial φ accumulates across its M chunks before the sync; chunk
   order within a GPU changes no bit, because every chunk samples the
-  iteration-start φ with its own RNG and θ.
+  iteration-start φ with its own RNG and θ. The penultimate chunk's
+  update θ is deferred behind the last chunk's update φ, so only update
+  φ gates the sync and both θ updates overlap it; that chunk goes down
+  after the sync's copies are issued, so its download never queues
+  ahead of a sync copy on a shared host link.
 
 Every GPU of a machine samples against the same synchronized φ, so the
 sampler's word tables are built once per machine and iteration and
@@ -201,7 +205,8 @@ class DeviceChunk:
 
 
 class GpuWorker:
-    """Per-GPU streams and model buffers."""
+    """Per-GPU streams and model buffers. ``sync`` and ``sync_lane`` are
+    the φ sync's two lanes (:attr:`~repro.comm.SyncContext.lanes`)."""
 
     def __init__(
         self,
@@ -216,6 +221,7 @@ class GpuWorker:
         self.sync = device.create_stream("sync")
         self.upload = device.create_stream("upload")
         self.download = device.create_stream("download")
+        self.sync_lane = device.create_stream("sync1")
         phi_dtype = np.uint16 if config.compressed else np.int32
         shape = (num_topics, num_words)
         self.phi_full = DeviceArray(device, shape, phi_dtype, label="phi_full")
@@ -314,6 +320,24 @@ def enqueue_chunk_compute(
     the update-φ and update-θ launches, so the synchronization can start
     while θ is still updating (the paper's overlap, §6.2).
     """
+    phi_ready = _enqueue_sample_and_phi(
+        worker, cr, dc, hyper, config, accumulate=accumulate, tables=tables
+    )
+    _enqueue_update_theta(worker, cr, dc, hyper, config)
+    return phi_ready
+
+
+def _enqueue_sample_and_phi(
+    worker: GpuWorker,
+    cr: ChunkRuntime,
+    dc: DeviceChunk,
+    hyper: LDAHyperParams,
+    config: KernelConfig,
+    accumulate: bool,
+    tables: WordTables | None,
+) -> Event:
+    """Sampling → update φ for one chunk on the compute stream; returns
+    the event marking φ-partial readiness."""
     K = hyper.num_topics
     ch = cr.chunk
 
@@ -375,10 +399,20 @@ def enqueue_chunk_compute(
     KernelLaunch(
         update_phi_body, phi_cost, f"update_phi:chunk{cr.chunk_id}", "update_phi"
     ).launch(worker.compute)
-    phi_ready = worker.compute.record(label=f"phi_partial_ready:chunk{cr.chunk_id}")
+    return worker.compute.record(label=f"phi_partial_ready:chunk{cr.chunk_id}")
 
-    # --- update θ (recount eagerly so the cost uses the true nnz) -----
-    new_theta = recount_theta(ch, cr.topics, K, config.compressed)
+
+def _enqueue_update_theta(
+    worker: GpuWorker,
+    cr: ChunkRuntime,
+    dc: DeviceChunk,
+    hyper: LDAHyperParams,
+    config: KernelConfig,
+) -> None:
+    """Update θ for one chunk on the compute stream (recounted eagerly,
+    so the cost uses the true nnz)."""
+    ch = cr.chunk
+    new_theta = recount_theta(ch, cr.topics, hyper.num_topics, config.compressed)
     t_cost = update_theta_cost(ch.num_tokens, ch.num_docs, new_theta.nnz, hyper, config)
 
     def update_theta_body() -> None:
@@ -388,7 +422,6 @@ def enqueue_chunk_compute(
     KernelLaunch(
         update_theta_body, t_cost, f"update_theta:chunk{cr.chunk_id}", "update_theta"
     ).launch(worker.compute)
-    return phi_ready
 
 
 # ----------------------------------------------------------------------
@@ -648,8 +681,10 @@ def synchronize_model(
     ``phi_ready[g]`` is the event marking GPU *g*'s update-φ completion.
     ``algorithm`` is ``"auto"`` (:func:`~repro.comm.plan_sync` picks
     the cheapest collective for the current topology) or any
-    registered collective name, which forces that plan. ``retry``
-    enables fault-tolerant transfers (see
+    registered collective name, which forces that plan. Either way the
+    plan's lane count picks how many of each GPU's sync streams the
+    collective runs on; it joins them back on ``sync`` before
+    ``n_k_rowsum``. ``retry`` enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).
     """
     sync_streams = [w.sync for w in workers]
@@ -671,6 +706,7 @@ def synchronize_model(
         streams=sync_streams,
         config=config,
         retry=retry,
+        lane_streams=[[w.sync_lane for w in workers]] if plan.lanes == 2 else [],
     ))
 
     for w in workers:
@@ -725,6 +761,13 @@ def run_iteration(
     (WorkSchedule1); at M > 1 (WorkSchedule2) each GPU moves M − 1
     chunks each way, and its first sampling launch waits on no upload.
 
+    At M > 1 the penultimate chunk's update θ runs after the last
+    chunk's update φ, so only update φ stands between the GPU's chunks
+    and its sync, and the θ update overlaps the sync (§6.2). That chunk
+    goes down once the sync's copies are issued, so its download never
+    delays a sync copy on a shared host link. No upload waits for it:
+    the next upload into its slot comes in the next iteration.
+
     With ``overlap=True`` copies run on the upload and download streams,
     so a chunk stages while the one before it computes (§5.1's
     pipelining); with False they go through the compute stream (the
@@ -738,39 +781,61 @@ def run_iteration(
         raise ValueError("every GPU needs a chunk, and holds one of them")
     tables = _sampler_tables(workers, hyper)
     phi_ready = []
-    for g, worker in enumerate(workers):
-        mine = runtimes[g::G]
-        first = [cr for cr in mine if cr.chunk_id == held[g].chunk_id]
-        if not first:
-            raise ValueError(
-                f"GPU {worker.device.device_id} holds chunk "
-                f"{held[g].chunk_id}, which is not one of its chunks"
-            )
-        order = first + [cr for cr in mine if cr is not first[0]]
-        up = worker.upload if overlap else worker.compute
-        down = worker.download if overlap else worker.compute
-        freed: list[Event] = []  # freed[i]: order[i]'s slot is free
-        for m, cr in enumerate(order):
-            if m:
-                if m >= 2:
-                    up.wait_event(freed[m - 2])
-                held[g] = upload_chunk(machine, worker, cr, stream=up)
-                staged = up.record(label=f"staged:chunk{cr.chunk_id}")
-                worker.compute.wait_event(staged)
-            ready = enqueue_chunk_compute(
-                machine, worker, cr, held[g], hyper, config,
-                accumulate=m > 0, tables=tables[g],
-            )
-            if m < len(order) - 1:
-                done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
-                down.wait_event(done)
-                download_chunk(machine, worker, held[g], stream=down)
-                freed.append(down.record(label=f"freed:chunk{cr.chunk_id}"))
-        phi_ready.append(ready)
-    if sync is None:
-        synchronize_model(machine, workers, config, phi_ready)
-    else:
-        sync(phi_ready)
+    # Each GPU's penultimate chunk: (worker, download stream, runtime,
+    # device chunk, the event its update θ records).
+    deferred = []
+    try:
+        for g, worker in enumerate(workers):
+            mine = runtimes[g::G]
+            first = [cr for cr in mine if cr.chunk_id == held[g].chunk_id]
+            if not first:
+                raise ValueError(
+                    f"GPU {worker.device.device_id} holds chunk "
+                    f"{held[g].chunk_id}, which is not one of its chunks"
+                )
+            order = first + [cr for cr in mine if cr is not first[0]]
+            last = len(order) - 1
+            up = worker.upload if overlap else worker.compute
+            down = worker.download if overlap else worker.compute
+            freed: list[Event] = []  # freed[i]: order[i]'s slot is free
+            for m, cr in enumerate(order):
+                if m:
+                    if m >= 2:
+                        up.wait_event(freed[m - 2])
+                    held[g] = upload_chunk(machine, worker, cr, stream=up)
+                    staged = up.record(label=f"staged:chunk{cr.chunk_id}")
+                    worker.compute.wait_event(staged)
+                dc = held[g]
+                ready = _enqueue_sample_and_phi(
+                    worker, cr, dc, hyper, config,
+                    accumulate=m > 0, tables=tables[g],
+                )
+                if m == last - 1:
+                    done = Event(f"done:chunk{cr.chunk_id}")
+                    deferred.append((worker, down, cr, dc, done))
+                    continue
+                if m == last and last:
+                    _, _, pen_cr, pen_dc, pen_done = deferred[-1]
+                    _enqueue_update_theta(worker, pen_cr, pen_dc, hyper, config)
+                    worker.compute.record(pen_done)
+                _enqueue_update_theta(worker, cr, dc, hyper, config)
+                if m < last:
+                    done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
+                    down.wait_event(done)
+                    download_chunk(machine, worker, dc, stream=down)
+                    freed.append(down.record(label=f"freed:chunk{cr.chunk_id}"))
+            phi_ready.append(ready)
+        if sync is None:
+            synchronize_model(machine, workers, config, phi_ready)
+        else:
+            sync(phi_ready)
+        for worker, down, _, dc, done in deferred:
+            down.wait_event(done)
+            download_chunk(machine, worker, dc, stream=down)
+    finally:
+        # A fault may leave a penultimate chunk neither held nor freed.
+        for *_, dc, _ in deferred:
+            dc.free_all()
 
 
 def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, float]:

@@ -616,3 +616,5 @@ class TestRequestTracing:
         assert set(doc["breakdown"]) >= {"h2d", "d2h", "p2p"}
         assert doc["device_busy"]
         assert doc["counters"]
+        [decision] = doc["sync_planner"]
+        assert (decision["algorithm"], decision["lanes"]) == ("gpu_tree", 1)

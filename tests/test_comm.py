@@ -204,77 +204,93 @@ class TestHierarchical:
 
     def test_every_gpu_crosses_the_bridge_with_its_slice(self, monkeypatch):
         """The benchmark's payload on 4 Pascal GPUs, a 2×2 socket grid:
-        each GPU sends its socket peer two copies of K/2 rows and its
-        cross-socket peer two of K/4, so the bridge carries 2/3 of the
-        flat ring's bytes in 4 steps instead of 6."""
+        in each of L lanes each GPU sends its socket peer two copies of
+        K/2L rows and its cross-socket peer two of K/4L, so the bridge
+        carries 2/3 of the flat ring's bytes in 4 steps per lane instead
+        of 6. Two lanes cost no byte more, and one lane's socket steps
+        overlap the other's bridge steps."""
         from repro.gpusim.platform import Machine
 
         memcpy_p2p = Machine.memcpy_p2p
         K, V = BENCH_PAYLOAD
-        sent = {}  # collective -> [(src device, dst device, rows)]
+        sent = {}  # (collective, lanes) -> [(src device, dst device, rows)]
 
         def recording(self, dst, src, stream=None, label="p2p"):
-            sent[name].append(
+            sent[run].append(
                 (src.device.device_id, dst.device.device_id, src.shape[0])
             )
             return memcpy_p2p(self, dst, src, stream, label)
 
         monkeypatch.setattr(Machine, "memcpy_p2p", recording)
-        labels = set()
-        for name in ("ring", "hierarchical"):
-            sent[name] = []
+        for run in (("ring", 1), ("hierarchical", 1), ("hierarchical", 2)):
+            sent[run] = []
             m = pascal_platform(4)
             partials, scratch, fulls, streams, expected = _setup(
                 m, *BENCH_PAYLOAD, dtype=np.uint16
             )
-            get_collective(name).allreduce(SyncContext(
-                m, partials, fulls, scratch, streams, KernelConfig()
+            get_collective(run[0]).allreduce(SyncContext(
+                m, partials, fulls, scratch, streams, KernelConfig(),
+                lane_streams=_lane_streams(m, run[1]),
             ))
             assert all(np.array_equal(f.data, expected) for f in fulls)
+            # No tree copy, broadcast copy or local copy of φ.
             labels = {iv.label for iv in m.trace.intervals}
+            assert labels == {"ring_transfer", "ring_combine"}
         monkeypatch.undo()
 
-        # No tree copy, broadcast copy or local copy of φ.
-        assert labels == {"ring_transfer", "ring_combine"}
-        for d, (peer, cross) in enumerate(((1, 2), (0, 3), (3, 0), (2, 1))):
-            assert sorted(
-                (dst, rows) for src, dst, rows in sent["hierarchical"]
-                if src == d
-            ) == sorted([(peer, K // 2)] * 2 + [(cross, K // 4)] * 2)
+        for lanes in (1, 2):
+            for d, (peer, cross) in enumerate(((1, 2), (0, 3), (3, 0), (2, 1))):
+                assert sorted(
+                    (dst, rows) for src, dst, rows in sent["hierarchical", lanes]
+                    if src == d
+                ) == sorted(
+                    [(peer, K // (2 * lanes))] * 2 * lanes
+                    + [(cross, K // (4 * lanes))] * 2 * lanes
+                )
 
-        def bridge_bytes(name, src_socket):
+        def bridge_bytes(run, src_socket):
             return sum(
-                rows * V * 2 for src, dst, rows in sent[name]
+                rows * V * 2 for src, dst, rows in sent[run]
                 if src // 2 == src_socket and dst // 2 != src_socket
             )
 
         for socket in (0, 1):
-            assert bridge_bytes("hierarchical", socket) == 420_096
-            assert bridge_bytes("ring", socket) == 630_144
+            assert bridge_bytes(("hierarchical", 1), socket) == 420_096
+            assert bridge_bytes(("hierarchical", 2), socket) == 420_096
+            assert bridge_bytes(("ring", 1), socket) == 630_144
 
         fresh = pascal_platform(4)
-        estimate = get_collective("hierarchical").estimate(
-            fresh, Topology.from_machine(fresh), BENCH_PAYLOAD, KernelConfig()
-        )
-        assert estimate.seconds * 1e6 == pytest.approx(102.15, abs=0.005)
+        topo = Topology.from_machine(fresh)
+        estimates = [
+            get_collective("hierarchical").estimate(
+                fresh, topo, BENCH_PAYLOAD, KernelConfig(), lanes=lanes
+            ).seconds * 1e6
+            for lanes in (1, 2)
+        ]
+        assert estimates == pytest.approx([102.15, 87.78], abs=0.005)
 
     def test_eight_gpus_ring_a_two_by_four_grid(self):
         """Two sockets of four GPUs: 2·(3 + 1) steps of 8 copies, where
-        the flat ring takes 2·7; both sum exactly at a K that no grid
-        divides."""
+        the flat ring takes 2·7, and twice as many copies in two lanes;
+        both sum exactly at a K that no grid divides."""
         copies = {}
         for name in ("hierarchical", "ring"):
-            m = make_machine("pascal", 8)
-            partials, scratch, fulls, streams, expected = _setup(m, K=37)
-            get_collective(name).allreduce(SyncContext(
-                m, partials, fulls, scratch, streams, KernelConfig()
-            ))
-            for f in fulls:
-                assert np.array_equal(f.data, expected.astype(f.dtype))
-            copies[name] = [
-                iv.label for iv in m.trace.intervals
-            ].count("ring_transfer")
-        assert copies == {"hierarchical": 64, "ring": 112}
+            for lanes in (1, 2):
+                m = make_machine("pascal", 8)
+                partials, scratch, fulls, streams, expected = _setup(m, K=37)
+                get_collective(name).allreduce(SyncContext(
+                    m, partials, fulls, scratch, streams, KernelConfig(),
+                    lane_streams=_lane_streams(m, lanes),
+                ))
+                for f in fulls:
+                    assert np.array_equal(f.data, expected.astype(f.dtype))
+                copies[name, lanes] = [
+                    iv.label for iv in m.trace.intervals
+                ].count("ring_transfer")
+        assert copies == {
+            ("hierarchical", 1): 64, ("ring", 1): 112,
+            ("hierarchical", 2): 128, ("ring", 2): 224,
+        }
 
     def test_bridge_traffic_below_tree(self):
         # The point of the composition: fewer full replicas cross the
@@ -335,18 +351,61 @@ class TestPlanner:
     def test_replays_on_four_pascal_gpus(self):
         """The benchmark's payload on 4 Pascal GPUs: the 2-D ring makes
         4 copies per GPU in 4 steps and 2 adds, where the flat ring
-        makes 6 copies in 6 steps and 3 adds, and wins."""
+        makes 6 copies in 6 steps and 3 adds, and wins. In two lanes
+        one lane's socket steps overlap the other's bridge steps, so
+        the 2-D ring gains; the flat ring's lanes share every link, and
+        it loses."""
         m = pascal_platform(4)
         topo, cfg = Topology.from_machine(m), KernelConfig()
         replays = {
-            c.name: round(c.estimate(m, topo, BENCH_PAYLOAD, cfg).seconds * 1e6, 2)
-            for c in collectives()
+            (c.name, lanes): round(
+                c.estimate(m, topo, BENCH_PAYLOAD, cfg, lanes=lanes).seconds
+                * 1e6, 2,
+            )
+            for c in collectives() for lanes in c.lane_counts
         }
         assert replays == {
-            "gpu_tree": 256.75, "ring": 154.86,
-            "cpu_gather": 323.65, "hierarchical": 102.15,
+            ("gpu_tree", 1): 256.75, ("ring", 1): 154.86, ("ring", 2): 188.26,
+            ("cpu_gather", 1): 323.65,
+            ("hierarchical", 1): 102.15, ("hierarchical", 2): 87.78,
         }
-        assert plan_sync(m, BENCH_PAYLOAD, cfg).algorithm == "hierarchical"
+        plan = plan_sync(m, BENCH_PAYLOAD, cfg)
+        assert (plan.algorithm, plan.lanes) == ("hierarchical", 2)
+
+    def test_lanes_gain_only_where_phases_use_different_links(self):
+        """Two lanes pay off only when one lane's steps can use links the
+        other's leave idle. A flat ring's lanes share every link (2
+        Pascal GPUs: 88.23 against 90.02 µs), and on NVLink the bridge
+        is no slower than a socket link (4 DGX GPUs: 36.43 against
+        39.57 µs), so both keep one lane."""
+        cfg = KernelConfig()
+        for machine, pick, one, two in (
+            (pascal_platform(2), "ring", 88.23, 90.02),
+            (dgx_platform(4), "hierarchical", 36.43, 39.57),
+        ):
+            topo = Topology.from_machine(machine)
+            assert [
+                round(get_collective(pick).estimate(
+                    machine, topo, BENCH_PAYLOAD, cfg, lanes=lanes
+                ).seconds * 1e6, 2)
+                for lanes in (1, 2)
+            ] == [one, two]
+            plan = plan_sync(machine, BENCH_PAYLOAD, cfg)
+            assert (plan.algorithm, plan.lanes) == (pick, 1)
+
+    def test_forced_plan_keeps_its_cheapest_lanes(self):
+        """``--sync`` names the collective; the lane count is still the
+        replay's pick, so a forced ``hierarchical`` runs as auto does."""
+        m = pascal_platform(4)
+        auto = plan_sync(m, BENCH_PAYLOAD, KernelConfig())
+        forced = plan_sync(
+            m, BENCH_PAYLOAD, KernelConfig(), algorithm="hierarchical"
+        )
+        assert forced.forced and not auto.forced
+        assert (forced.lanes, forced.estimate) == (auto.lanes, auto.estimate)
+        assert plan_sync(
+            m, BENCH_PAYLOAD, KernelConfig(), algorithm="gpu_tree"
+        ).lanes == 1
 
     def test_distinct_choices_across_topologies(self):
         chosen = {
@@ -425,7 +484,11 @@ class TestPlanner:
         }
         forced = {d["algorithm"]: d["forced"] for d in decisions}
         assert forced == {"hierarchical": False, "gpu_tree": True}
+        lanes = {d["algorithm"]: d["lanes"] for d in decisions}
+        assert lanes == {"hierarchical": 2, "gpu_tree": 1}
         assert all("predicted_seconds" in d for d in decisions)
+        gauge = registry.get("sync_planner_predicted_seconds")
+        assert {s.labels["lanes"] for s in gauge.samples()} == {"1", "2"}
 
     def test_zero_prediction_kept_in_decisions(self):
         # A one-node inter-node plan predicts exactly 0 s; the profile
@@ -598,18 +661,41 @@ class TestSyncPathError:
         err = SyncPathError("p2p[0-1]", "phi_reduce_copy", devices=(1, 0))
         assert "p2p[0-1]" in str(err)
         assert "1->0" in str(err)
+        assert "is down" in str(err)
         assert not err.transient
+
+    def test_transient_cause_named(self):
+        err = SyncPathError(
+            "pcie[1]", "h2d:phi_rollback", devices=(1,), transient=True
+        )
+        assert err.transient
+        assert str(err) == (
+            "no usable path for h2d:phi_rollback on device 1: link pcie[1] "
+            "kept failing (transient faults, simulated)"
+        )
 
 
 # ----------------------------------------------------------------------
 # Estimates are replays: predicted == measured (Hypothesis)
 # ----------------------------------------------------------------------
-def _run(machine, name, shape, config, retry):
-    """Run collective *name* on *machine*'s alive GPUs from idle.
+def _lane_streams(machine, lanes, devices=None):
+    """One more sync stream per GPU (default all) for each lane after
+    the first, as :class:`SyncContext` takes them."""
+    gpus = machine.gpus if devices is None else [machine.gpus[d] for d in devices]
+    return [
+        [gpu.create_stream(f"sync{lane}") for gpu in gpus]
+        for lane in range(1, lanes)
+    ]
 
-    Returns the simulated completion time (latest sync stream or host
-    clock), or None when the run raises ``SyncPathError``; on success
-    also checks every full replica holds the sum.
+
+def _run(machine, name, shape, config, retry, lanes=1):
+    """Run collective *name* over *lanes* lanes on *machine*'s alive GPUs
+    from idle.
+
+    Returns the simulated completion time (the latest operation on any
+    stream, or the host clock), or None when the run raises
+    ``SyncPathError``; on success also checks every full replica holds
+    the sum.
     """
     devices = [g.device_id for g in machine.alive_gpus]
     dtype = np.uint16 if config.compressed else np.int32
@@ -618,13 +704,14 @@ def _run(machine, name, shape, config, retry):
     )
     try:
         get_collective(name).allreduce(SyncContext(
-            machine, partials, fulls, scratch, streams, config, retry
+            machine, partials, fulls, scratch, streams, config, retry,
+            lane_streams=_lane_streams(machine, lanes, devices),
         ))
     except SyncPathError:
         return None
     for full in fulls:
         assert np.array_equal(full.data, expected.astype(dtype))
-    return max(machine.host_time, *(s.available_at for s in streams))
+    return machine.synchronize()
 
 
 def _fabric(platform, num_gpus, failed, states):
@@ -679,23 +766,29 @@ class TestPlannerReplayProperties:
         cfg = KernelConfig(compressed=compressed)
         measured = {}
         for collective in collectives():
-            m = _fabric(*fabric)
-            est = collective.estimate(
-                m, Topology.from_machine(m), shape, cfg, retry=retry
-            )
-            seconds = _run(_fabric(*fabric), collective.name, shape, cfg, retry)
-            assert est.feasible == (seconds is not None), collective.name
-            if seconds is not None:
-                assert est.seconds == pytest.approx(
-                    seconds, rel=1e-9, abs=1e-15
-                ), collective.name
-                measured[collective.name] = seconds
+            for lanes in collective.lane_counts:
+                key = (collective.name, lanes)
+                m = _fabric(*fabric)
+                est = collective.estimate(
+                    m, Topology.from_machine(m), shape, cfg, retry=retry,
+                    lanes=lanes,
+                )
+                seconds = _run(
+                    _fabric(*fabric), collective.name, shape, cfg, retry, lanes
+                )
+                assert est.feasible == (seconds is not None), key
+                if seconds is not None:
+                    assert est.seconds == pytest.approx(
+                        seconds, rel=1e-9, abs=1e-15
+                    ), key
+                    measured[key] = seconds
         if not measured:
             with pytest.raises(SyncPathError):
                 plan_sync(_fabric(*fabric), shape, cfg, retry=retry)
             return
         plan = plan_sync(_fabric(*fabric), shape, cfg, retry=retry)
-        assert measured[plan.algorithm] <= min(measured.values()) * (1 + 1e-9)
+        fastest = measured[plan.algorithm, plan.lanes]
+        assert fastest <= min(measured.values()) * (1 + 1e-9)
 
     def test_memo_tells_apart_boxes_with_equal_snapshots(self):
         # Pascal and Volta 4-GPU boxes have the same fabric but not the
@@ -709,7 +802,7 @@ class TestPlannerReplayProperties:
             predicted[platform] = plan.estimate.seconds
             assert plan.estimate.seconds == pytest.approx(
                 _run(make_machine(platform, 4), plan.algorithm,
-                     BENCH_PAYLOAD, cfg, None),
+                     BENCH_PAYLOAD, cfg, None, plan.lanes),
                 rel=1e-9,
             )
         assert predicted["pascal"] != predicted["volta"]
@@ -718,7 +811,8 @@ class TestPlannerReplayProperties:
 class _RowClock:
     """When each row of some φ buffers was last written and read during
     one collective. Writes are found by content: the rows an operation
-    changed are the rows it wrote. A peer copy reads its source's rows."""
+    changed are the rows it wrote. A peer copy reads its source's rows,
+    and a ring add its two inputs' rows."""
 
     def __init__(self, buffers):
         self.buffers = buffers
@@ -761,22 +855,33 @@ def _reduce_steps(name, machine):
 class TestRingOrder:
     """A ring copy reads rows straight out of its sender's φ, so it may
     start only after the sender's last write to those rows ends, however
-    late each GPU's φ becomes ready. No wait orders a write after a copy
-    that reads the same rows, so none may need one."""
+    late each GPU's φ becomes ready; so may a ring add, which reads its
+    own φ rows and the rows it received. No wait orders a write after a
+    copy or an add that reads the same rows, so none may need one. Both
+    hold across lanes too: at 2 lanes each lane's streams start where
+    the caller's stand, and the lanes' windows and receive rows are
+    disjoint."""
 
     @pytest.mark.parametrize("gpus", [3, 4])
     def test_copy_waits_for_the_last_write_to_its_rows(self, gpus, monkeypatch):
+        import sys
+
         from repro.gpusim.platform import Machine
         from repro.gpusim.stream import Stream
 
+        # The module, not the registry function repro.comm re-exports.
+        collectives = sys.modules["repro.comm.collectives"]
         enqueue, memcpy_p2p = Stream.enqueue, Machine.memcpy_p2p
-        for sync in ("ring", "hierarchical"):
+        add_rows = collectives._add_rows
+        for sync, lanes in (
+            ("ring", 1), ("hierarchical", 1), ("ring", 2), ("hierarchical", 2),
+        ):
             m = pascal_platform(gpus)
             partials, scratch, fulls, streams, expected = _setup(
                 m, K=12, V=40, dtype=np.uint16
             )
-            clock = _RowClock(partials + fulls)
-            copies = []  # (label, start, end of the last write to its rows)
+            clock = _RowClock(partials + fulls + scratch)
+            reads = []  # (label, start, end of the last write to its rows)
 
             def tracking_enqueue(self, *args, **kwargs):
                 start, end, result = enqueue(self, *args, **kwargs)
@@ -789,8 +894,17 @@ class TestRingOrder:
                 start, end = memcpy_p2p(self, dst, src, stream, label)
                 for k in rows:
                     clock.read[k] = max(clock.read.get(k, 0.0), end)
-                copies.append((label, start, ready))
+                reads.append((label, start, ready))
                 return start, end
+
+            def checked_add(out, a, b, config, stream):
+                rows = [*clock.rows(a), *clock.rows(b)]
+                ready = max(clock.written.get(k, 0.0) for k in rows)
+                start, end, result = add_rows(out, a, b, config, stream)
+                for k in rows:
+                    clock.read[k] = max(clock.read.get(k, 0.0), end)
+                reads.append(("ring_combine", start, ready))
+                return start, end, result
 
             # Staggered φ-ready times: each GPU's update φ writes its
             # whole partial, GPU 0's last.
@@ -806,16 +920,18 @@ class TestRingOrder:
                     kind="update_phi", label="update_phi", fn=update_phi,
                 )
             monkeypatch.setattr(Machine, "memcpy_p2p", checked_p2p)
+            monkeypatch.setattr(collectives, "_add_rows", checked_add)
             get_collective(sync).allreduce(SyncContext(
-                m, partials, fulls, scratch, streams, KernelConfig()
+                m, partials, fulls, scratch, streams, KernelConfig(),
+                lane_streams=_lane_streams(m, lanes),
             ))
             monkeypatch.undo()
             assert all(np.array_equal(f.data, expected) for f in fulls)
-            ring = [c for c in copies if c[0] == "ring_transfer"]
-            assert len(ring) == 2 * gpus * _reduce_steps(sync, m)
-            for label, start, ready in copies:
-                assert 0.0 < ready <= start, (sync, label, start, ready)
-            assert not clock.early_writes, (sync, clock.early_writes)
+            ring = [c for c in reads if c[0] == "ring_transfer"]
+            assert len(ring) == 2 * gpus * _reduce_steps(sync, m) * lanes
+            for label, start, ready in reads:
+                assert 0.0 < ready <= start, (sync, lanes, label, start, ready)
+            assert not clock.early_writes, (sync, lanes, clock.early_writes)
 
 
 class TestReduceOrder:
@@ -823,48 +939,59 @@ class TestReduceOrder:
     after the sender's update φ ends, however late that GPU's chunks
     finish: on 4 Pascal GPUs at M = 2, GPUs 1 and 3 share their host
     uplinks with GPUs 0 and 2. The tree's reduce copies carry partials;
-    so do the 2-D ring's reduce-scatter copies, within each socket and
-    then across the bridge."""
+    so do the rings' reduce-scatter copies (the 2-D ring's within each
+    socket and then across the bridge), in every lane."""
 
-    @pytest.mark.parametrize("sync", ["gpu_tree", "hierarchical"])
+    @pytest.mark.parametrize("sync", ["gpu_tree", "hierarchical", "ring"])
     def test_copy_waits_for_its_senders_update_phi(self, sync, monkeypatch):
+        from dataclasses import replace
+
+        import repro.sched.schedule as schedule
         from repro.core import CuLDA, TrainConfig
         from repro.corpus.synthetic import pubmed_like
         from repro.gpusim.platform import Machine
 
-        machine = pascal_platform(4)
-        copies = []  # (trace index, sender device) of each reduce copy
-        memcpy_p2p = Machine.memcpy_p2p
+        memcpy_p2p, plan = Machine.memcpy_p2p, schedule.plan_sync
+        # Reduce copies per lane and iteration: the tree's 3; each GPU's
+        # copy to its socket peer and one to its cross-socket peer; or
+        # each GPU's 3 around the flat ring.
+        per_lane = {"gpu_tree": 3, "hierarchical": 8, "ring": 12}[sync]
+        for lanes in get_collective(sync).lane_counts:
+            machine = pascal_platform(4)
+            copies = []  # (trace index, sender device) of each reduce copy
 
-        def recording(self, dst, src, stream=None, label="p2p"):
-            out = memcpy_p2p(self, dst, src, stream, label)
-            if self is machine and (
-                label == "phi_reduce_copy"
-                or src.label.startswith("phi_partial[")
-            ):
-                copies.append(
-                    (len(self.trace.intervals) - 1, src.device.device_id)
-                )
-            return out
+            def recording(self, dst, src, stream=None, label="p2p"):
+                out = memcpy_p2p(self, dst, src, stream, label)
+                if self is machine and (
+                    label == "phi_reduce_copy"
+                    or src.label.startswith("phi_partial[")
+                ):
+                    copies.append(
+                        (len(self.trace.intervals) - 1, src.device.device_id)
+                    )
+                return out
 
-        monkeypatch.setattr(Machine, "memcpy_p2p", recording)
-        CuLDA(
-            pubmed_like(12_000, 8, seed=3), machine,
-            TrainConfig(num_topics=16, iterations=3, seed=0,
-                        chunks_per_gpu=2, sync_algorithm=sync),
-        ).train()
-        ivs = machine.trace.intervals
-        # Per iteration: the tree's 3 reduce copies, or each GPU's
-        # copy to its socket peer and one to its cross-socket peer.
-        assert len(copies) == 3 * (3 if sync == "gpu_tree" else 8)
-        for index, sender in copies:
-            # The sender's last update φ issued before the copy is its
-            # last chunk's, this iteration.
-            phi = max(
-                iv.end for iv in ivs[:index]
-                if iv.kind == "update_phi" and iv.device_id == sender
+            monkeypatch.setattr(Machine, "memcpy_p2p", recording)
+            monkeypatch.setattr(
+                schedule, "plan_sync",
+                lambda *a, **k: replace(plan(*a, **k), lanes=lanes),
             )
-            assert ivs[index].start >= phi, (sender, ivs[index])
+            CuLDA(
+                pubmed_like(12_000, 8, seed=3), machine,
+                TrainConfig(num_topics=16, iterations=3, seed=0,
+                            chunks_per_gpu=2, sync_algorithm=sync),
+            ).train()
+            monkeypatch.undo()
+            ivs = machine.trace.intervals
+            assert len(copies) == 3 * per_lane * lanes
+            for index, sender in copies:
+                # The sender's last update φ issued before the copy is
+                # its last chunk's, this iteration.
+                phi = max(
+                    iv.end for iv in ivs[:index]
+                    if iv.kind == "update_phi" and iv.device_id == sender
+                )
+                assert ivs[index].start >= phi, (lanes, sender, ivs[index])
 
 
 # ----------------------------------------------------------------------

@@ -362,8 +362,11 @@ class TestSimClockPinned:
     chunk it sampled last and moves a chunk in one copy each way, and
     prices an accumulating update φ as the same atomics without the
     zeroing pass; a rollback stages each GPU's first chunk afresh; the
-    ring moves φ rows in place, straight between GPUs; and 4 GPUs on two
-    sockets sync with the 2-D ring over the socket grid."""
+    ring moves φ rows in place, straight between GPUs; 4 GPUs on two
+    sockets sync with the 2-D ring over the socket grid, in the lane
+    count the planner replays cheapest; and at M = 2 each GPU updates
+    its penultimate chunk's θ after its last update φ and downloads
+    that chunk after the sync's copies."""
 
     @pytest.fixture(scope="class")
     def pin_corpus(self):
@@ -386,7 +389,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(gpus=1), "a558acbd31a6fc38"),
-        (dict(gpus=4, chunks_per_gpu=2), "81bdd719adfb1641"),
+        (dict(gpus=4, chunks_per_gpu=2), "79a9513fc41859ec"),
     ])
     def test_single_machine(self, pin_corpus, kwargs, digest):
         from repro.obs.workloads import make_culda
@@ -396,7 +399,7 @@ class TestSimClockPinned:
 
     @pytest.mark.parametrize("kwargs,digest", [
         (dict(nodes=1, gpus_per_node=4, chunks_per_gpu=2),
-         "81bdd719adfb1641"),
+         "79a9513fc41859ec"),
         (dict(nodes=2, gpus_per_node=2), "cb5756dc6083717f"),
     ])
     def test_cluster(self, pin_corpus, kwargs, digest):
@@ -417,7 +420,7 @@ class TestSimClockPinned:
             recovery="retry", fault_plan=plan
         )
         assert result.rollbacks == 1
-        assert self._digest(result) == "b6f3e25a4a6eb833"
+        assert self._digest(result) == "7d6ccfc790e7ad5e"
 
     def test_node_loss(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec
@@ -429,4 +432,4 @@ class TestSimClockPinned:
             pin_corpus, nodes=2, gpus_per_node=2, **self.CFG
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
-        assert self._digest(result) == "ef5f377d53689ec8"
+        assert self._digest(result) == "23101d3abadf967a"

@@ -554,6 +554,11 @@ class TestRollbackRecovery:
         assert failure.cause.op == "h2d:phi_rollback"
         assert failure.cause.link_name == "pcie[1]"
         assert "rollback" in str(failure)
+        # The link is up and only dropped transfers: the error must not
+        # read as a dead link.
+        assert failure.cause.transient
+        assert "pcie[1] kept failing" in str(failure.cause)
+        assert "is down" not in str(failure.cause)
 
 
 class TestCheckpointTruncationScenario:

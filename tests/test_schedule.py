@@ -448,6 +448,79 @@ class TestChunkResidency:
         assert survived.theta == clean.theta
 
 
+class _MachineCuts(TrainerCallback):
+    """Each machine's trace length at the start of training and after
+    each iteration."""
+
+    def __init__(self, machines):
+        self.machines = machines
+        self.at: list[list[int]] = []
+
+    def on_train_start(self, event):
+        self.at.append([len(m.trace.intervals) for m in self.machines])
+
+    def on_iteration_end(self, event):
+        self.at.append([len(m.trace.intervals) for m in self.machines])
+
+
+class TestThetaBehindPhiReady:
+    """At M = 2 only update φ gates the sync. Each GPU's penultimate
+    update θ runs after its last update φ, and that chunk's download is
+    issued only after the sync's copies, so it never queues ahead of
+    one on a host link: on a single machine the collective's peer
+    copies, on a cluster node each GPU's Δφ copies to its host. The
+    sync joins its lanes before ``n_k_rowsum``."""
+
+    @pytest.mark.parametrize("layout", [
+        dict(gpus=4), dict(nodes=2, gpus_per_node=2),
+    ], ids=["4gpu", "2x2"])
+    def test_penultimate_theta_and_download_wait(self, layout):
+        from repro.corpus.synthetic import pubmed_like
+        from repro.obs.workloads import make_culda, make_distributed_culda
+
+        # At K = 128 the 4-GPU plan runs its 2-D ring in two lanes.
+        corpus = pubmed_like(12_000, 8, seed=3)
+        config = dict(num_topics=128, iterations=3, seed=0, chunks_per_gpu=2)
+        if "nodes" in layout:
+            trainer = make_distributed_culda(corpus, **layout, **config)
+        else:
+            trainer = make_culda(corpus, **layout, **config)
+        cuts = _MachineCuts(trainer.machines)
+        trainer.train(callbacks=[cuts])
+        for n, machine in enumerate(trainer.machines):
+            for lo, hi in zip(cuts.at, cuts.at[1:]):
+                window = machine.trace.intervals[lo[n]:hi[n]]
+                copies = [
+                    i for i, iv in enumerate(window)
+                    if iv.kind == "p2p" or iv.label.startswith("d2h:phi_delta")
+                ]
+                assert copies
+                for gpu in machine.gpus:
+                    mine = [iv for iv in window if iv.device_id == gpu.device_id]
+                    phi = [iv for iv in mine if iv.kind == "update_phi"]
+                    assert len(phi) == 2
+                    kept = phi[0].label.split(":")[1]  # sampled first
+                    [theta] = [
+                        iv for iv in mine if iv.label == f"update_theta:{kept}"
+                    ]
+                    assert theta.start >= phi[1].end
+                    [down] = [
+                        i for i, iv in enumerate(window)
+                        if iv.label == f"d2h:{kept}"
+                    ]
+                    assert down > max(copies)
+                    sync_ops = [
+                        iv for iv in mine
+                        if iv.kind == "p2p" or iv.label == "ring_combine"
+                    ]
+                    for rowsum in (
+                        iv for iv in mine if iv.label == "n_k_rowsum"
+                    ):
+                        assert rowsum.start >= max(
+                            (iv.end for iv in sync_ops), default=0.0
+                        )
+
+
 class TestSamplerTables:
     """The sampler's word tables are built once per machine and
     iteration, and shared only with a GPU whose φ and n_k equal the
