@@ -83,9 +83,10 @@ class SyncContext:
     ``partials[g]`` / ``fulls[g]`` / ``scratch[g]`` / ``streams[g]``
     belong to the same (arbitrary) device — positions are logical ranks,
     devices come from the arrays, so an elastic run over surviving GPUs
-    {0, 2, 3} needs no renumbering. Position g's partial is ready on
-    ``streams[g]``, and work issued there after the collective sees its
-    full φ.
+    {0, 2, 3} needs no renumbering. Every copy and add names the rows it
+    reads and writes, so each step waits for the last write to its
+    inputs (the first, for the update φ that wrote the partial), and
+    whatever reads a full φ afterwards waits for the collective.
 
     ``lane_streams`` holds one more list of streams, one per position,
     for every lane after the first. A ring-family collective splits φ's
@@ -139,6 +140,8 @@ def _add_kernel(dst: DeviceArray, src: DeviceArray, config: KernelConfig) -> Ker
         cost=phi_reduce_cost(K, V, config),
         label="phi_add",
         kind="sync",
+        reads=(src,),
+        writes=(dst,),
     )
 
 
@@ -157,6 +160,8 @@ def _local_copy(
         cost=KernelCost(bytes_read=n, bytes_written=n),
         label="phi_local_copy",
         kind="sync",
+        reads=(src,),
+        writes=(dst,),
     ).launch(stream)
 
 
@@ -188,8 +193,6 @@ def reduce_phi_tree(
             sender = i + stride
             src_dev = partials[sender].device.device_id
             dst_dev = partials[i].device.device_id
-            ready = streams[sender].record(label=f"phi_ready[{src_dev}]")
-            streams[i].wait_event(ready)
             c_start, _ = resilient_p2p(
                 machine, scratch[i], partials[sender], streams[i],
                 streams[sender], "phi_reduce_copy", retry,
@@ -249,8 +252,6 @@ def broadcast_phi(
             if peer < G:
                 src_dev = destinations[h].device.device_id
                 dst_dev = destinations[peer].device.device_id
-                ready = streams[h].record(label=f"phi_have[{src_dev}]")
-                streams[peer].wait_event(ready)
                 resilient_p2p(
                     machine, destinations[peer], destinations[h],
                     streams[peer], streams[h], "phi_broadcast_copy", retry,
@@ -350,18 +351,6 @@ def _segment(buf: DeviceArray, edges: list[int], c: int) -> DeviceView:
     return _rows(buf, edges[c % n], edges[c % n + 1])
 
 
-# Only read-after-write waits are needed, in both halves of the ring and
-# across the 2-D ring's phases. In the reduce-scatter, at step s
-# position g sends segment g−s and adds into segment g−s−1, so each
-# segment is added into once and sent one step later, and the owned
-# segment g+1 is never sent: no add rewrites rows that a copy still
-# reads. The next phase reads and writes only that owned segment of the
-# partial (or the fulls). In the all-gather each segment is received
-# before it is forwarded and is never rewritten. A receive buffer is
-# written and read on its owner's stream, which orders its reuse. So
-# each copy waits only for an event recorded on the sender's stream
-# after its last write to the rows it sends (before the first step, the
-# write that made its partial ready).
 def _ring_step(
     ctx: SyncContext,
     ring: list[int],
@@ -373,11 +362,9 @@ def _ring_step(
     Returns each copy's start, by receiving position."""
     G = len(ring)
     streams = [ctx.streams[p] for p in ring]
-    ready = [streams[g].record(label=f"ring_ready[{g}]") for g in range(G)]
     starts = [0.0] * G
     for g, (src, dst) in enumerate(pairs):
         nxt = (g + 1) % G
-        streams[nxt].wait_event(ready[g])
         starts[nxt], _ = resilient_p2p(
             ctx.machine, dst, src, streams[nxt], streams[g], "ring_transfer",
             ctx.retry,
@@ -462,6 +449,7 @@ def _add_rows(
 
     return KernelLaunch(
         body, phi_reduce_cost(rows, V, config), "ring_combine", kind="sync",
+        reads=(a, b), writes=(out,),
     ).launch(stream)
 
 
@@ -486,9 +474,7 @@ def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
     runs all three phases on window l, on its own streams. The lanes are
     issued phase by phase (phase 2's reduce-scatter and all-gather
     apart), and a link serves copies in issue order, so while lane l
-    crosses between rows, lane l+1 reduces within them. Each lane's
-    streams start where ``ctx.streams`` stand, and ``ctx.streams`` wait
-    for every lane to end."""
+    crosses between rows, lane l+1 reduces within them."""
     if len(ctx.partials) == 1:
         _local_copy(ctx.fulls[0], ctx.partials[0], ctx.streams[0], ctx.config)
         return
@@ -501,8 +487,6 @@ def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
         replace(ctx, streams=streams, lane_streams=[])
         for streams in ctx.lane_streams
     )]
-    for lane in lanes[1:]:
-        _wait_for(lane.streams, ctx.streams, "lane_fork")
 
     def reduce_rows(lane: SyncContext, lo: int, hi: int) -> None:
         for row in grid:
@@ -530,14 +514,6 @@ def _ring_allreduce(ctx: SyncContext, grid: list[list[int]]) -> None:
     for phase in (reduce_rows, reduce_columns, gather_columns, gather_rows):
         for lane, lo, hi in zip(lanes, windows, windows[1:]):
             phase(lane, lo, hi)
-    for lane in lanes[1:]:
-        _wait_for(ctx.streams, lane.streams, "lane_join")
-
-
-def _wait_for(waiting: list[Stream], streams: list[Stream], label: str) -> None:
-    """Make each ``waiting[g]`` wait for where ``streams[g]`` stands."""
-    for g, (stream, other) in enumerate(zip(waiting, streams)):
-        stream.wait_event(other.record(label=f"{label}[{g}]"))
 
 
 def _socket_grid(ctx: SyncContext) -> list[list[int]]:

@@ -48,14 +48,6 @@ class LinkInfo:
     latency_seconds: float
     up: bool
 
-    @property
-    def bandwidth_bytes(self) -> float:
-        return self.bandwidth_gbps * 1e9
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        """Uncontended time for one *nbytes* message over this link."""
-        return self.latency_seconds + nbytes / self.bandwidth_bytes
-
 
 def _info(link: Link, kind: str) -> LinkInfo:
     return LinkInfo(

@@ -576,26 +576,24 @@ class CuLDA(Algorithm):
             machine = self.machines[n]
             mark = len(machine.trace.intervals)
 
-            def sync(phi_ready, n=n) -> None:
-                self._sync_node(n, phi_ready, retry)
-
             with span("iteration"):
                 run_iteration(
                     machine, self._node_workers[n], self._node_runtimes[n],
                     self._node_dev_chunks[n], self._hyper, self._kcfg,
-                    overlap=self.config.overlap_transfers, sync=sync,
+                    overlap=self.config.overlap_transfers,
+                    sync=lambda n=n: self._sync_node(n, retry),
                 )
                 t_now = machine.synchronize()
             legs[n] = (mark, self._t_prev_node[n])
             self._t_prev_node[n] = t_now
         return legs
 
-    def _sync_node(self, node: int, phi_ready: list, retry) -> None:
-        """Node *node*'s φ sync, once ``phi_ready`` has passed on each of
-        its GPUs: the §5.2 collective ``--sync`` plans for the machine."""
+    def _sync_node(self, node: int, retry) -> None:
+        """Node *node*'s φ sync: the §5.2 collective ``--sync`` plans for
+        the machine."""
         synchronize_model(
             self.machines[node], self._node_workers[node], self._kcfg,
-            phi_ready, self.config.sync_algorithm, retry=retry,
+            self.config.sync_algorithm, retry=retry,
         )
 
     def _trace_stats(self, legs) -> tuple[float, float, dict]:

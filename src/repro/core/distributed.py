@@ -299,7 +299,7 @@ class DistributedCuLDA(CuLDA):
         self._contrib[node] = np.zeros(view_host.shape, dtype=np.int64)
         self._fresh.add(node)
 
-    def _sync_node(self, node: int, phi_ready: list, retry) -> None:
+    def _sync_node(self, node: int, retry) -> None:
         """A cluster node runs no §5.2 collective: each GPU sends its
         host only its partial's change, which the host checks and adds
         into the node's contribution (``send_phi_deltas``). Right after
@@ -315,8 +315,8 @@ class DistributedCuLDA(CuLDA):
             ]
             self._fresh.discard(node)
         send_phi_deltas(
-            self.machines[node], workers, self._kcfg, phi_ready,
-            self._contrib[node], columns, retry,
+            self.machines[node], workers, self._kcfg, self._contrib[node],
+            columns, retry,
         )
 
     def _send_delta(

@@ -6,17 +6,20 @@ DESIGN.md §2). It models a single host with one or more GPUs:
 - :mod:`repro.gpusim.device` — device specifications (SM count, peak
   bandwidth/FLOPS, memory capacity, shared memory) and runtime devices.
 - :mod:`repro.gpusim.memory` — device memory allocation with capacity
-  enforcement; :class:`DeviceArray` buffers that hold real NumPy data.
+  enforcement; :class:`DeviceArray` buffers that hold real NumPy data
+  and stamp when each byte range was last written and read.
 - :mod:`repro.gpusim.stream` — CUDA-style streams and events over a
   simulated clock; operations on one stream serialize, operations on
-  different streams (or devices) overlap.
+  different streams (or devices) overlap, and an operation waits for
+  the buffers it reads and writes.
 - :mod:`repro.gpusim.kernel` — the kernel-launch abstraction: a kernel
   executes its real numerics immediately and is charged simulated time
   from its reported :class:`KernelCost`.
 - :mod:`repro.gpusim.costmodel` — the roofline timing model (paper §3):
   kernel time = max(bytes / effective bandwidth, flops / effective
-  FLOPS) + launch overheads; link time = latency + bytes / bandwidth.
-- :mod:`repro.gpusim.interconnect` — PCIe / NVLink links with contention.
+  FLOPS) + launch overheads.
+- :mod:`repro.gpusim.interconnect` — PCIe / NVLink links with contention;
+  a copy's time is latency + bytes / bandwidth (:meth:`Link.reserve`).
 - :mod:`repro.gpusim.platform` — the paper's Table 2 platforms (Maxwell /
   Pascal / Volta) plus the host CPU spec used for the characterization.
 - :mod:`repro.gpusim.trace` — a timeline recorder for breakdowns
@@ -28,7 +31,7 @@ which is precisely the fidelity the paper's own roofline analysis (§3)
 argues is the determining one for LDA.
 """
 
-from repro.gpusim.costmodel import CostModel, KernelCost, TransferCost
+from repro.gpusim.costmodel import CostModel, KernelCost
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.errors import DeviceLost, FaultError, KernelFault, LinkDown
 from repro.gpusim.interconnect import Link
@@ -53,7 +56,6 @@ from repro.gpusim.trace import Interval, TraceRecorder, to_chrome_json
 __all__ = [
     "CostModel",
     "KernelCost",
-    "TransferCost",
     "Device",
     "DeviceLost",
     "DeviceSpec",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["KernelCost", "TransferCost", "CostModel"]
+__all__ = ["KernelCost", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,6 @@ class KernelCost:
 
 
 @dataclass(frozen=True)
-class TransferCost:
-    """Footprint of one host↔device or peer-to-peer copy."""
-
-    nbytes: float
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Timing rules shared by all devices (pure functions of a spec)."""
 
@@ -172,7 +161,3 @@ class CostModel:
         tail = (waves * concurrent - cost.num_blocks) / (waves * concurrent)
         body *= 1.0 + spec.tail_penalty * tail
         return body + spec.kernel_launch_seconds
-
-    def transfer_seconds(self, link: "Link", cost: TransferCost) -> float:  # noqa: F821
-        """Simulated duration of a copy over *link*."""
-        return link.latency_seconds + cost.nbytes / link.bandwidth_bytes

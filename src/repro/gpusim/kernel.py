@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.gpusim.costmodel import KernelCost
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.gpusim.memory import DeviceArray
     from repro.gpusim.stream import Stream
 
 __all__ = ["KernelLaunch"]
@@ -37,12 +38,18 @@ class KernelLaunch:
     cost: resource footprint used by the cost model.
     label: trace label (e.g. ``"sampling"``, ``"update_theta"``).
     kind: trace kind used for breakdowns; defaults to the label.
+    reads / writes: the device buffers the kernel reads and writes,
+        which order it after the operations that touch them
+        (:meth:`~repro.gpusim.stream.Stream.enqueue`). A buffer both
+        read and written need only be listed as written.
     """
 
     fn: Callable[[], object]
     cost: KernelCost
     label: str
     kind: str | None = None
+    reads: tuple["DeviceArray", ...] = ()
+    writes: tuple["DeviceArray", ...] = ()
 
     def launch(self, stream: "Stream", not_before: float = 0.0) -> tuple[float, float, object]:
         """Execute on *stream*; returns ``(start, end, result)``."""
@@ -56,4 +63,6 @@ class KernelLaunch:
             not_before=not_before,
             bytes_moved=self.cost.total_bytes,
             flops=self.cost.flops,
+            reads=self.reads,
+            writes=self.writes,
         )

@@ -10,7 +10,10 @@ A :class:`DeviceArray` owns a NumPy array (the *functional* content) and
 an allocation ticket (the *capacity* content). Data access from "host"
 code goes through :meth:`DeviceArray.data`; kernels receive DeviceArrays
 and operate on ``.data`` in place, mirroring CUDA's device-pointer
-discipline.
+discipline. An allocation also keeps the *temporal* content of its
+bytes: per byte range, when the last operation that wrote it and the
+last that read it end (its stamps), which
+:meth:`~repro.gpusim.stream.Stream.enqueue` orders every operation by.
 """
 
 from __future__ import annotations
@@ -123,6 +126,11 @@ class DeviceArray:
         self.nbytes = int(math.prod(self.shape)) * self.dtype.itemsize
         self._ticket = device.allocator.allocate(self.nbytes)
         self._freed = False
+        # Bytes _lo:_hi of the allocation _root; (lo, hi, end, is_write)
+        # stamps, valid in clock epoch _epoch.
+        self._root, self._lo, self._hi = self, 0, self.nbytes
+        self._stamps: list[tuple[int, int, float, bool]] = []
+        self._epoch = 0
         if isinstance(fill, np.ndarray):
             if fill.shape != self.shape:
                 device.allocator.free(self._ticket)
@@ -160,6 +168,32 @@ class DeviceArray:
         self._freed = True
         self._data = np.empty(0, dtype=self.dtype)
 
+    def ready_at(self, writing: bool, epoch: int) -> float:
+        """When an operation may touch these bytes: once the last write to
+        any of them ends and, if it is *writing*, the last read too.
+        Stamps from before clock *epoch* no longer count."""
+        root = self._root
+        if root._epoch != epoch:
+            root._epoch, root._stamps = epoch, []
+        return max(
+            (end for lo, hi, end, wrote in root._stamps
+             if (wrote or writing) and lo < self._hi and self._lo < hi),
+            default=0.0,
+        )
+
+    def stamp(self, end: float, writing: bool, now: float) -> None:
+        """Record an operation that reads (or writes) these bytes until
+        *end*. Stamps that end by *now*, the host clock, can delay no
+        later operation, nor can those of the same kind that this one
+        covers and outlasts; both are dropped."""
+        root, lo, hi = self._root, self._lo, self._hi
+        root._stamps = [
+            s for s in root._stamps
+            if s[2] > now
+            and not (s[3] == writing and lo <= s[0] and s[1] <= hi and s[2] <= end)
+        ]
+        root._stamps.append((lo, hi, end, writing))
+
     def copy_to_host(self) -> np.ndarray:
         """A host-side copy of the buffer's contents (no time charged —
         use :meth:`Machine.memcpy_d2h` for timed transfers)."""
@@ -178,7 +212,8 @@ class DeviceView(DeviceArray):
     :class:`DeviceArray`, as a pointer offset into one ``cudaMalloc``:
     one field of a buffer laid out by hand, or rows ``lo:hi`` of a K×V
     φ as a copy endpoint. It allocates nothing; kernels and copies use
-    it like any buffer, and it is freed with its base."""
+    it like any buffer, it is freed with its base, and its stamps are
+    its allocation's, over its bytes."""
 
     def __init__(
         self,
@@ -198,18 +233,18 @@ class DeviceView(DeviceArray):
                 f"view {label!r} [{offset}, {offset + self.nbytes}) lies "
                 f"outside its base's {base.nbytes} bytes"
             )
-        self._base = base
-        self._offset = offset
+        self._root = base._root
+        self._lo = base._lo + offset
+        self._hi = self._lo + self.nbytes
 
     @property
     def data(self) -> np.ndarray:
-        raw = self._base.data.reshape(-1).view(np.uint8)
-        raw = raw[self._offset : self._offset + self.nbytes]
+        raw = self._root.data.reshape(-1).view(np.uint8)[self._lo : self._hi]
         return raw.view(self.dtype).reshape(self.shape)
 
     @property
     def freed(self) -> bool:
-        return self._base.freed
+        return self._root.freed
 
     def free(self) -> None:
         raise RuntimeError(f"view {self.label!r} is freed with its base")

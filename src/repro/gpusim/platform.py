@@ -178,6 +178,13 @@ PCIE3_EFFECTIVE_GBPS = 13.0
 PCIE_P2P_GBPS = 6.0
 
 
+def _deliver(dst: DeviceArray, data: np.ndarray, corrupt: bool) -> None:
+    """Land a copy's payload in *dst*, corrupted if the link says so."""
+    dst.data[...] = data.astype(dst.dtype, copy=False)
+    if corrupt:
+        _corrupt_payload(dst.data)
+
+
 def _corrupt_payload(arr: np.ndarray) -> None:
     """Deterministically flip one element of a delivered payload.
 
@@ -224,6 +231,9 @@ class Machine:
         self.cost_model = CostModel()
         self.trace = TraceRecorder()
         self.host_time = 0.0
+        #: Bumped by :meth:`reset_clock`: buffer stamps from an earlier
+        #: epoch no longer delay anything.
+        self.clock_epoch = 0
         self.gpus: list[Device] = [
             Device(i, spec, self) for i, spec in enumerate(gpu_specs)
         ]
@@ -268,11 +278,13 @@ class Machine:
         return self.host_time
 
     def reset_clock(self) -> None:
-        """Zero all clocks and clear the trace (memory state is kept).
+        """Zero all clocks, drop every buffer's stamps and clear the
+        trace (memory contents are kept).
 
         Used between a warm-up and a measured run, like resetting a
         profiler."""
         self.host_time = 0.0
+        self.clock_epoch += 1
         for gpu in self.gpus:
             for s in gpu.streams:
                 s.available_at = 0.0
@@ -326,6 +338,27 @@ class Machine:
     # ------------------------------------------------------------------
     # Timed transfers
     # ------------------------------------------------------------------
+    def _copy(
+        self, stream: Stream, link: Link, direction: int, buf: DeviceArray,
+        pinned: bool, kind: str, label: str, fn: Callable[[bool], object],
+        reads: tuple[DeviceArray, ...] = (), writes: tuple[DeviceArray, ...] = (),
+    ) -> tuple[float, float, object]:
+        """Move *buf*'s bytes over *link* as one op on *stream*: the link
+        is reserved from when the stream and the buffers the copy *reads*
+        and *writes* allow, at twice the bytes from pageable memory
+        (``pinned=False``, the staging copy), and ``fn(corrupt)`` does
+        the copy, *corrupt* saying whether the link flips the payload."""
+        l_start, l_end = link.reserve(
+            buf.nbytes if pinned else 2 * buf.nbytes,
+            stream.earliest(reads, writes), direction=direction,
+        )
+        corrupt = link.take_corruption()
+        return stream.enqueue(
+            duration=l_end - l_start, kind=kind, label=label,
+            fn=lambda: fn(corrupt), not_before=l_start,
+            bytes_moved=buf.nbytes, reads=reads, writes=writes,
+        )
+
     def memcpy_h2d(
         self,
         dst: DeviceArray,
@@ -344,26 +377,9 @@ class Machine:
         stream = stream or dst.device.default_stream
         if stream.device is not dst.device:
             raise ValueError("stream and destination buffer on different devices")
-        link = self.pcie[dst.device.device_id]
-        nbytes = dst.nbytes
-        charged = nbytes if pinned else 2 * nbytes
-        # Reserve the link starting at the stream frontier / host clock.
-        earliest = max(stream.available_at, stream._pending_after, self.host_time)
-        l_start, l_end = link.reserve(charged, earliest, direction=0)
-        corrupt = link.take_corruption()
-
-        def do_copy() -> None:
-            dst.data[...] = src.astype(dst.dtype, copy=False)
-            if corrupt:
-                _corrupt_payload(dst.data)
-
-        start, end, _ = stream.enqueue(
-            duration=l_end - l_start,
-            kind="h2d",
-            label=label,
-            fn=do_copy,
-            not_before=l_start,
-            bytes_moved=nbytes,
+        start, end, _ = self._copy(
+            stream, self.pcie[dst.device.device_id], 0, dst, pinned, "h2d",
+            label, lambda corrupt: _deliver(dst, src, corrupt), writes=(dst,),
         )
         return start, end
 
@@ -382,28 +398,17 @@ class Machine:
         stream = stream or src.device.default_stream
         if stream.device is not src.device:
             raise ValueError("stream and source buffer on different devices")
-        nbytes = src.nbytes
-        link = self.pcie[src.device.device_id]
-        charged = nbytes if pinned else 2 * nbytes
-        earliest = max(stream.available_at, stream._pending_after, self.host_time)
-        l_start, l_end = link.reserve(charged, earliest, direction=1)
-        corrupt = link.take_corruption()
 
-        def fetch() -> np.ndarray:
+        def fetch(corrupt: bool) -> np.ndarray:
             arr = src.copy_to_host()
             if corrupt:
                 _corrupt_payload(arr)
             return arr
 
-        start, end, result = stream.enqueue(
-            duration=l_end - l_start,
-            kind="d2h",
-            label=label,
-            fn=fetch,
-            not_before=l_start,
-            bytes_moved=nbytes,
+        return self._copy(
+            stream, self.pcie[src.device.device_id], 1, src, pinned, "d2h",
+            label, fetch, reads=(src,),
         )
-        return start, end, result
 
     def memcpy_p2p(
         self,
@@ -419,27 +424,14 @@ class Machine:
         if dst.device is src.device:
             raise ValueError("p2p endpoints must be distinct devices")
         stream = stream or dst.device.default_stream
-        link = self.p2p_link(src.device.device_id, dst.device.device_id)
-        direction = 0 if src.device.device_id < dst.device.device_id else 1
-        # Source readiness is the caller's responsibility (record an event
-        # on the producer stream and wait_event on *stream*), as in CUDA.
-        earliest = max(stream.available_at, stream._pending_after, self.host_time)
-        l_start, l_end = link.reserve(src.nbytes, earliest, direction=direction)
-        corrupt = link.take_corruption()
         src_data = src.data  # bind before enqueue; src must stay live
-
-        def do_copy() -> None:
-            dst.data[...] = src_data.astype(dst.dtype, copy=False)
-            if corrupt:
-                _corrupt_payload(dst.data)
-
-        start, end, _ = stream.enqueue(
-            duration=l_end - l_start,
-            kind="p2p",
-            label=label,
-            fn=do_copy,
-            not_before=l_start,
-            bytes_moved=src.nbytes,
+        start, end, _ = self._copy(
+            stream,
+            self.p2p_link(src.device.device_id, dst.device.device_id),
+            0 if src.device.device_id < dst.device.device_id else 1,
+            src, True, "p2p", label,
+            lambda corrupt: _deliver(dst, src_data, corrupt),
+            reads=(src,), writes=(dst,),
         )
         return start, end
 

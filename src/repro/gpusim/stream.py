@@ -7,29 +7,36 @@ Timing semantics mirror CUDA's:
 - Operations on different streams (or devices) may overlap — this is
   what makes the paper's WorkSchedule2 transfer/compute overlap (§5.1)
   observable in the simulated timeline.
+- An operation names the device buffers it reads and writes. It starts
+  no earlier than the last write to any byte it reads or writes ends,
+  and no earlier than the last read of any byte it writes ends (each
+  buffer's stamps, :meth:`~repro.gpusim.memory.DeviceArray.ready_at`),
+  whichever streams those ran on. So a copy waits for its source to be
+  written and a kernel for its inputs, with no event placed by hand.
 - :class:`Event` captures a point on a stream's timeline
   (:meth:`Stream.record`); :meth:`Stream.wait_event` makes every later
   operation on the stream start no earlier than the event, and an event
   recorded after the wait no earlier than it either, as
   ``cudaEventRecord`` after ``cudaStreamWaitEvent`` completes only once
-  the waited-on event has.
+  the waited-on event has. Events remain for orders that are not about
+  a device buffer: memory reuse, and data relayed through host memory.
 
 An operation is *executed functionally at enqueue time* (its NumPy work
 happens immediately) but is *charged* on the simulated timeline. That is
 sound because the harness only enqueues an operation after everything it
-depends on has been enqueued, matching the stream/event dependencies it
-declares — the schedulers in :mod:`repro.sched` are written in that
-(standard CUDA) style.
+depends on has been enqueued — the schedulers in :mod:`repro.sched` are
+written in that (standard CUDA) style.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.gpusim.errors import DeviceLost, KernelFault
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpusim.device import Device
+    from repro.gpusim.memory import DeviceArray
 
 __all__ = ["Event", "Stream"]
 
@@ -76,18 +83,33 @@ class Stream:
         """Delay subsequent operations until *event* has occurred."""
         self._pending_after = max(self._pending_after, event.time)
 
-    def record(self, event: Event | None = None, label: str = "event") -> Event:
+    def record(self, label: str = "event") -> Event:
         """Record an event at the stream's current frontier: after its
         last operation and after every event it has been told to wait
         for."""
-        if event is None:
-            event = Event(label)
+        event = Event(label)
         event._record(max(self.available_at, self._pending_after))
         return event
 
     # ------------------------------------------------------------------
     # Enqueueing
     # ------------------------------------------------------------------
+    def earliest(
+        self, reads: Sequence[DeviceArray] = (), writes: Sequence[DeviceArray] = ()
+    ) -> float:
+        """When an operation issued now may start: after the stream's
+        last operation, every event it waits for and the host clock, and
+        once its *reads* and *writes* are ready to touch."""
+        machine = self.device.machine
+        epoch = machine.clock_epoch
+        return max(
+            self.available_at,
+            self._pending_after,
+            machine.host_time,
+            *(buf.ready_at(False, epoch) for buf in reads),
+            *(buf.ready_at(True, epoch) for buf in writes),
+        )
+
     def enqueue(
         self,
         duration: float,
@@ -97,12 +119,15 @@ class Stream:
         not_before: float = 0.0,
         bytes_moved: float = 0.0,
         flops: float = 0.0,
+        reads: Sequence[DeviceArray] = (),
+        writes: Sequence[DeviceArray] = (),
     ) -> tuple[float, float, object]:
         """Run *fn* now; charge ``duration`` seconds on this stream.
 
-        Returns ``(start, end, result)`` in simulated time. ``not_before``
-        lets callers add extra dependencies (e.g. a link grant or the
-        host clock for host-issued work).
+        Returns ``(start, end, result)`` in simulated time. The operation
+        starts at :meth:`earliest` for the device buffers it *reads* and
+        *writes*, and stamps them until its end. ``not_before`` lets
+        callers add a dependency that is not a buffer (a link grant).
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -110,15 +135,15 @@ class Stream:
             raise DeviceLost(self.device.device_id)
         if self.device.take_kernel_fault(kind):
             raise KernelFault(self.device.device_id, label)
-        start = max(
-            self.available_at,
-            self._pending_after,
-            not_before,
-            self.device.machine.host_time,
-        )
+        start = max(self.earliest(reads, writes), not_before)
         end = start + duration
         self.available_at = end
         self._pending_after = 0.0
+        now = self.device.machine.host_time
+        for buf in reads:
+            buf.stamp(end, False, now)
+        for buf in writes:
+            buf.stamp(end, True, now)
         result = fn() if fn is not None else None
         self.device.machine.trace.add(
             device_id=self.device.device_id,

@@ -185,9 +185,9 @@ def train_by_word(
                 )
                 topics[g] = new_topics
 
-            KernelLaunch(body, s_cost, f"sampling:w{g}", "sampling").launch(
-                streams[g]
-            )
+            KernelLaunch(
+                body, s_cost, f"sampling:w{g}", "sampling", reads=(thetas[g],),
+            ).launch(streams[g])
 
             def upd(g: int = g, ch: TokenChunk = ch) -> None:
                 contribs[g] = recount_theta(
@@ -197,7 +197,7 @@ def train_by_word(
             KernelLaunch(
                 upd,
                 update_theta_cost(ch.num_tokens, D, kd_sum, hyper, kcfg),
-                f"update_theta:w{g}", "update_theta",
+                f"update_theta:w{g}", "update_theta", writes=(thetas[g],),
             ).launch(streams[g])
 
         # θ synchronization: the §5.2 tree over the θ replicas.

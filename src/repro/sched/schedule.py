@@ -92,7 +92,6 @@ __all__ = [
     "GpuWorker",
     "upload_chunk",
     "download_chunk",
-    "enqueue_chunk_compute",
     "run_iteration",
     "launch_nk_rowsum",
     "launch_phi_delta",
@@ -187,6 +186,11 @@ class DeviceChunk:
             self.buf, self._corpus_bytes, self._end - self._corpus_bytes,
             np.uint8, "chunk_state",
         )
+
+    def theta_room(self) -> DeviceView:
+        """θ's bytes at its capacity: what an update θ may rewrite."""
+        lo = self._corpus_bytes + self.topics.nbytes
+        return DeviceView(self.buf, lo, self.buf.nbytes - lo, np.uint8, "chunk_theta")
 
     def write_theta(self, theta: SparseTheta) -> None:
         """Rewrite θ in place after an update (its entry count changes)."""
@@ -297,36 +301,6 @@ def download_chunk(
 # Per-chunk compute (sampling + updates)
 # ----------------------------------------------------------------------
 
-def enqueue_chunk_compute(
-    machine: Machine,
-    worker: GpuWorker,
-    cr: ChunkRuntime,
-    dc: DeviceChunk,
-    hyper: LDAHyperParams,
-    config: KernelConfig,
-    accumulate: bool = False,
-    tables: WordTables | None = None,
-) -> "Event":
-    """Enqueue sampling → update-φ → update-θ for one chunk on the
-    worker's compute stream (paper order: φ before θ so the θ update can
-    overlap the φ synchronization).
-
-    ``accumulate=True`` adds the chunk's counts into the existing partial
-    φ (WorkSchedule2's multi-chunk accumulation) instead of overwriting.
-    *tables* are the :func:`~repro.core.kernels.word_tables` of the
-    worker's φ and n_k; the sampler builds its own when not given.
-
-    Returns the event marking φ-partial readiness — recorded *between*
-    the update-φ and update-θ launches, so the synchronization can start
-    while θ is still updating (the paper's overlap, §6.2).
-    """
-    phi_ready = _enqueue_sample_and_phi(
-        worker, cr, dc, hyper, config, accumulate=accumulate, tables=tables
-    )
-    _enqueue_update_theta(worker, cr, dc, hyper, config)
-    return phi_ready
-
-
 def _enqueue_sample_and_phi(
     worker: GpuWorker,
     cr: ChunkRuntime,
@@ -335,9 +309,13 @@ def _enqueue_sample_and_phi(
     config: KernelConfig,
     accumulate: bool,
     tables: WordTables | None,
-) -> Event:
-    """Sampling → update φ for one chunk on the compute stream; returns
-    the event marking φ-partial readiness."""
+) -> None:
+    """Sampling → update φ for one chunk on the compute stream (paper
+    order: φ before θ, so the sync can overlap the θ update, §6.2).
+    ``accumulate=True`` adds the chunk's counts into the partial φ
+    (WorkSchedule2's multi-chunk accumulation) instead of overwriting
+    it. *tables* are the :func:`~repro.core.kernels.word_tables` of the
+    worker's φ and n_k; the sampler builds its own when not given."""
     K = hyper.num_topics
     ch = cr.chunk
 
@@ -370,9 +348,10 @@ def _enqueue_sample_and_phi(
         cr.topics = new_topics.copy()
         cr.last_stats = stats
 
-    KernelLaunch(sampling_body, s_cost, f"sampling:chunk{cr.chunk_id}", "sampling").launch(
-        worker.compute
-    )
+    KernelLaunch(
+        sampling_body, s_cost, f"sampling:chunk{cr.chunk_id}", "sampling",
+        reads=(dc.whole(), worker.phi_full, worker.n_k), writes=(dc.topics,),
+    ).launch(worker.compute)
 
     # --- update φ (partial replica) ------------------------------------
     phi_cost = update_phi_cost(
@@ -397,9 +376,9 @@ def _enqueue_sample_and_phi(
         worker.phi_partial.data[...] = total.astype(worker.phi_partial.dtype)
 
     KernelLaunch(
-        update_phi_body, phi_cost, f"update_phi:chunk{cr.chunk_id}", "update_phi"
+        update_phi_body, phi_cost, f"update_phi:chunk{cr.chunk_id}", "update_phi",
+        reads=(dc.word_indptr, dc.topics), writes=(worker.phi_partial,),
     ).launch(worker.compute)
-    return worker.compute.record(label=f"phi_partial_ready:chunk{cr.chunk_id}")
 
 
 def _enqueue_update_theta(
@@ -420,7 +399,9 @@ def _enqueue_update_theta(
         dc.write_theta(new_theta)
 
     KernelLaunch(
-        update_theta_body, t_cost, f"update_theta:chunk{cr.chunk_id}", "update_theta"
+        update_theta_body, t_cost, f"update_theta:chunk{cr.chunk_id}",
+        "update_theta", reads=(dc.token_doc, dc.topics),
+        writes=(dc.theta_room(),),
     ).launch(worker.compute)
 
 
@@ -447,6 +428,8 @@ def launch_nk_rowsum(
         ),
         "n_k_rowsum",
         "sync",
+        reads=(worker.phi_full,),
+        writes=(worker.n_k,),
     ).launch(stream)
 
 
@@ -494,6 +477,8 @@ def launch_phi_delta(
         phi_delta_cost(delta.values.size, payload.nbytes),
         "phi_delta_apply",
         "sync",
+        reads=(payload,),
+        writes=(worker.phi_full, worker.n_k),
     ).launch(stream)
 
 
@@ -513,6 +498,7 @@ def launch_phi_base_reset(
         KernelCost(bytes_written=float(K) * V * config.phi_bytes),
         "phi_base_reset",
         "sync",
+        writes=(worker.phi_scratch,),
     ).launch(stream)
 
 
@@ -553,6 +539,7 @@ def launch_phi_compact(
         phi_compact_cost(K, V, packed.nbytes + layout.nbytes, config),
         "phi_delta_compact",
         "sync",
+        reads=(worker.phi_partial, worker.phi_scratch),
     ).launch(stream)
     return out[0], out[1]
 
@@ -590,7 +577,6 @@ def send_phi_deltas(
     machine: Machine,
     workers: list[GpuWorker],
     config: KernelConfig,
-    phi_ready: list,
     contribution: np.ndarray,
     columns: list[np.ndarray] | None = None,
     retry: TransferRetry | None = None,
@@ -600,11 +586,11 @@ def send_phi_deltas(
     *contribution* (int64 K×V: the sum of the node's partials, once
     every GPU's Δ is in).
 
-    Once ``phi_ready[g]`` has passed, GPU *g*'s sync stream runs
-    :func:`launch_phi_compact`, then copies the payload's layout to the
-    host, so the host learns the payload's size. When a layout lands,
-    the host issues that payload's copy. Every GPU's kernel and layout
-    copy are issued before the host clock advances.
+    GPU *g*'s sync stream runs :func:`launch_phi_compact`, which reads
+    its partial once update φ has written it, then copies the payload's
+    layout to the host, so the host learns the payload's size. When a
+    layout lands, the host issues that payload's copy. Every GPU's
+    kernel and layout copy are issued before the host clock advances.
 
     As each payload lands, the host checks it and adds it on its own
     clock (:meth:`~repro.gpusim.platform.Machine.host_compute`). A
@@ -621,7 +607,6 @@ def send_phi_deltas(
     layouts, payloads = [], []
     try:
         for g, w in enumerate(workers):
-            w.sync.wait_event(phi_ready[g])
             layout, payload = launch_phi_compact(w, config, w.sync)
             staged += [layout, payload]
             _, end, got = with_retry(
@@ -672,25 +657,21 @@ def synchronize_model(
     machine: Machine,
     workers: list[GpuWorker],
     config: KernelConfig,
-    phi_ready: list,
     algorithm: str = AUTO,
     retry: TransferRetry | None = None,
 ) -> None:
     """Combine the partial φ replicas and refresh every GPU's full φ/n_k.
 
-    ``phi_ready[g]`` is the event marking GPU *g*'s update-φ completion.
+    Each GPU's part of the sync starts once update φ has written its
+    partial, which the collective's copies and adds read; the next
+    sampling reads the full φ and n_k, so it waits for the sync.
     ``algorithm`` is ``"auto"`` (:func:`~repro.comm.plan_sync` picks
     the cheapest collective for the current topology) or any
     registered collective name, which forces that plan. Either way the
     plan's lane count picks how many of each GPU's sync streams the
-    collective runs on; it joins them back on ``sync`` before
-    ``n_k_rowsum``. ``retry`` enables fault-tolerant transfers (see
+    collective runs on. ``retry`` enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).
     """
-    sync_streams = [w.sync for w in workers]
-    for g, w in enumerate(workers):
-        w.sync.wait_event(phi_ready[g])
-
     partials = [w.phi_partial for w in workers]
     with span("sync_plan"):
         plan = plan_sync(
@@ -703,7 +684,7 @@ def synchronize_model(
         partials=partials,
         fulls=[w.phi_full for w in workers],
         scratch=[w.phi_scratch for w in workers],
-        streams=sync_streams,
+        streams=[w.sync for w in workers],
         config=config,
         retry=retry,
         lane_streams=[[w.sync_lane for w in workers]] if plan.lanes == 2 else [],
@@ -711,11 +692,6 @@ def synchronize_model(
 
     for w in workers:
         launch_nk_rowsum(w, config, w.sync)
-
-    # The next iteration's sampling must see the fresh φ.
-    for w in workers:
-        done = w.sync.record(label="sync_done")
-        w.compute.wait_event(done)
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +725,7 @@ def run_iteration(
     hyper: LDAHyperParams,
     config: KernelConfig,
     overlap: bool = True,
-    sync: Callable[[list], None] | None = None,
+    sync: Callable[[], None] | None = None,
 ) -> None:
     """One iteration of Alg 1 on one machine, WorkSchedule1 and 2 alike.
 
@@ -773,16 +749,18 @@ def run_iteration(
     pipelining); with False they go through the compute stream (the
     ablation's serial variant). An upload waits for the download that
     frees its slot, so a GPU never holds more than two of its chunks.
-    ``sync(phi_ready)`` is the iteration's φ sync; by default the
-    planned collective (:func:`synchronize_model`).
+    ``sync()`` is the iteration's φ sync; by default the planned
+    collective (:func:`synchronize_model`). No event orders data: each
+    kernel and copy names the buffers it reads and writes, so sampling
+    waits for its chunk's upload, a download for its chunk's update θ
+    and the sync for update φ.
     """
     G = len(workers)
     if len(held) != G or len(runtimes) < G:
         raise ValueError("every GPU needs a chunk, and holds one of them")
     tables = _sampler_tables(workers, hyper)
-    phi_ready = []
     # Each GPU's penultimate chunk: (worker, download stream, runtime,
-    # device chunk, the event its update θ records).
+    # device chunk).
     deferred = []
     try:
         for g, worker in enumerate(workers):
@@ -803,38 +781,30 @@ def run_iteration(
                     if m >= 2:
                         up.wait_event(freed[m - 2])
                     held[g] = upload_chunk(machine, worker, cr, stream=up)
-                    staged = up.record(label=f"staged:chunk{cr.chunk_id}")
-                    worker.compute.wait_event(staged)
                 dc = held[g]
-                ready = _enqueue_sample_and_phi(
+                _enqueue_sample_and_phi(
                     worker, cr, dc, hyper, config,
                     accumulate=m > 0, tables=tables[g],
                 )
                 if m == last - 1:
-                    done = Event(f"done:chunk{cr.chunk_id}")
-                    deferred.append((worker, down, cr, dc, done))
+                    deferred.append((worker, down, cr, dc))
                     continue
                 if m == last and last:
-                    _, _, pen_cr, pen_dc, pen_done = deferred[-1]
+                    _, _, pen_cr, pen_dc = deferred[-1]
                     _enqueue_update_theta(worker, pen_cr, pen_dc, hyper, config)
-                    worker.compute.record(pen_done)
                 _enqueue_update_theta(worker, cr, dc, hyper, config)
                 if m < last:
-                    done = worker.compute.record(label=f"done:chunk{cr.chunk_id}")
-                    down.wait_event(done)
                     download_chunk(machine, worker, dc, stream=down)
                     freed.append(down.record(label=f"freed:chunk{cr.chunk_id}"))
-            phi_ready.append(ready)
         if sync is None:
-            synchronize_model(machine, workers, config, phi_ready)
+            synchronize_model(machine, workers, config)
         else:
-            sync(phi_ready)
-        for worker, down, _, dc, done in deferred:
-            down.wait_event(done)
+            sync()
+        for worker, down, _, dc in deferred:
             download_chunk(machine, worker, dc, stream=down)
     finally:
         # A fault may leave a penultimate chunk neither held nor freed.
-        for *_, dc, _ in deferred:
+        for *_, dc in deferred:
             dc.free_all()
 
 

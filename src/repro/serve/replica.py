@@ -302,7 +302,8 @@ class PhiReplica:
                 cost=cost,
                 label=f"serve_batch[{batch_id}]",
                 kind="serve",
-            ).launch(self.stream, not_before=max(not_before, h2d_end))
+                reads=(token_buf,),
+            ).launch(self.stream, not_before=not_before)
 
             doc_topic = np.concatenate([r.doc_topic for r in results], axis=0)
             out_buf = DeviceArray(

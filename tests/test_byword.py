@@ -84,6 +84,34 @@ class TestTrainByWord:
         D = medium_corpus.num_docs
         assert r.sync_bytes_per_iteration == 2 * (G - 1) * D * K * 4
 
+    def test_reduce_copy_waits_for_its_senders_update_theta(
+        self, medium_corpus
+    ):
+        """A θ reduce copy carries its sender's replica, so it starts
+        only once that GPU's update θ has written it, however late: GPU
+        1 here is a slower Maxwell board, so it finishes after GPU 0,
+        which receives its replica."""
+        from repro.gpusim.platform import (
+            CPU_E5_2650V3, GPU_TITAN_X, GPU_TITAN_XP, Machine,
+        )
+
+        m = Machine(CPU_E5_2650V3, [GPU_TITAN_XP, GPU_TITAN_X])
+        train_by_word(
+            medium_corpus, m, TrainConfig(num_topics=8, iterations=2, seed=0)
+        )
+        updates = {
+            d: [iv for iv in m.trace.intervals
+                if iv.kind == "update_theta" and iv.device_id == d]
+            for d in (0, 1)
+        }
+        copies = [
+            iv for iv in m.trace.intervals if iv.label == "phi_reduce_copy"
+        ]
+        assert len(copies) == 2
+        for it, copy in enumerate(copies):
+            assert updates[1][it].end > updates[0][it].end
+            assert copy.start >= updates[1][it].end
+
     def test_sync_volume_matches_policy_analysis(self, medium_corpus):
         """§4's inequality, measured end-to-end: the by-word policy's
         per-iteration sync bytes exceed the by-document policy's when

@@ -856,11 +856,9 @@ class TestRingOrder:
     """A ring copy reads rows straight out of its sender's φ, so it may
     start only after the sender's last write to those rows ends, however
     late each GPU's φ becomes ready; so may a ring add, which reads its
-    own φ rows and the rows it received. No wait orders a write after a
-    copy or an add that reads the same rows, so none may need one. Both
-    hold across lanes too: at 2 lanes each lane's streams start where
-    the caller's stand, and the lanes' windows and receive rows are
-    disjoint."""
+    own φ rows and the rows it received. No write to rows may start
+    before a copy or an add that reads them ends. Both hold across lanes
+    too, at 2 lanes."""
 
     @pytest.mark.parametrize("gpus", [3, 4])
     def test_copy_waits_for_the_last_write_to_its_rows(self, gpus, monkeypatch):
@@ -918,6 +916,7 @@ class TestRingOrder:
                 streams[g].enqueue(
                     duration=(40e-6, 10e-6, 30e-6, 20e-6)[g],
                     kind="update_phi", label="update_phi", fn=update_phi,
+                    writes=(p,),
                 )
             monkeypatch.setattr(Machine, "memcpy_p2p", checked_p2p)
             monkeypatch.setattr(collectives, "_add_rows", checked_add)

@@ -410,17 +410,44 @@ class TestSimClockPinned:
         ).train()
         assert self._digest(result) == digest
 
-    def test_rollback(self, pin_corpus):
+    def _rollback_run(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec
         from repro.obs.workloads import make_culda
 
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="kernel_fault", iteration=2, device=1),))
-        result = make_culda(pin_corpus, gpus=4, **self.CFG).train(
-            recovery="retry", fault_plan=plan
+        algo = make_culda(pin_corpus, gpus=4, **self.CFG)
+        result = algo.train(
+            recovery="retry", fault_plan=FaultPlan(faults=(FaultSpec(
+                kind="kernel_fault", iteration=2, device=1),)),
         )
         assert result.rollbacks == 1
-        assert self._digest(result) == "7d6ccfc790e7ad5e"
+        return algo, result
+
+    def test_rollback(self, pin_corpus):
+        """The rollback's φ upload into GPU 0's ``phi_full`` waits for
+        the aborted ``sampling:chunk0``, which reads it until
+        200.533 µs; it used to start at 181.058 µs, so the run took
+        514.57 µs, not 534.04."""
+        _, result = self._rollback_run(pin_corpus)
+        assert self._digest(result) == "a715d35e36bf02de"
+
+    def test_rollback_upload_waits_for_the_aborted_reads(self, pin_corpus):
+        """A fault cuts iteration 2 short on GPU 1 while the other GPUs'
+        sampling, which reads ``phi_full``, still runs; no GPU's
+        ``h2d:phi_rollback`` rewrites its φ before that sampling ends."""
+        algo, _ = self._rollback_run(pin_corpus)
+        intervals = algo.machine.trace.intervals
+        uploads = [
+            i for i, iv in enumerate(intervals)
+            if iv.label == "h2d:phi_rollback"
+        ]
+        assert len(uploads) == 4
+        for i in uploads:
+            upload = intervals[i]
+            reads = [
+                iv.end for iv in intervals[:i]
+                if iv.device_id == upload.device_id and iv.kind == "sampling"
+            ]
+            assert upload.start >= max(reads), upload.device_id
 
     def test_node_loss(self, pin_corpus):
         from repro.faults import FaultPlan, FaultSpec
@@ -433,3 +460,116 @@ class TestSimClockPinned:
         ).train(recovery="elastic", fault_plan=plan)
         assert result.repartitions == 1
         assert self._digest(result) == "23101d3abadf967a"
+
+
+class TestDeclaredBuffers:
+    """Every operation names the device buffers it reads and writes, and
+    its stream orders it by their stamps, so a kernel body that touches
+    a buffer its launch did not declare runs off the clock's
+    dependencies. Inside every operation's body this test patches the
+    buffers' ``data`` to record any touch of bytes outside the
+    operation's declared reads and writes, and hands out bytes declared
+    only as read read-only, so writing them raises. Five runs cover
+    every trainer kernel: 1 GPU, 4 GPUs at M = 2, 2×2, 2×2 losing a
+    node, and 4 GPUs rolling back a kernel fault."""
+
+    @pytest.fixture(scope="class")
+    def audit_corpus(self):
+        from repro.obs.workloads import make_corpus
+
+        return make_corpus("nytimes", tokens=20_000, seed=0)
+
+    @staticmethod
+    def _audit(monkeypatch) -> tuple[list, set]:
+        """Returns the (op, buffer) touches that were not declared and
+        the labels of the ops whose bodies touched a buffer."""
+        from repro.gpusim.memory import DeviceArray, DeviceView
+        from repro.gpusim.stream import Stream
+
+        undeclared, touched = [], set()
+        running = []  # the running body's (label, read spans, write spans)
+        array_data, view_data = DeviceArray.data, DeviceView.data
+        enqueue = Stream.enqueue
+
+        def spans(bufs) -> list:
+            return [(b._root, b._lo, b._hi) for b in bufs]
+
+        def covered(buf, declared) -> bool:
+            return any(
+                buf._root is root and lo <= buf._lo and buf._hi <= hi
+                for root, lo, hi in declared
+            )
+
+        def guard(buf, arr):
+            if not running or running[-1] is None:
+                return arr
+            label, reads, writes = running[-1]
+            touched.add(label)
+            if covered(buf, writes):
+                return arr
+            if not covered(buf, reads):
+                undeclared.append((label, buf.label))
+            arr = arr.view()
+            arr.flags.writeable = False
+            return arr
+
+        def array_get(self):
+            return guard(self, array_data.fget(self))
+
+        def view_get(self):
+            running.append(None)  # its allocation's bytes are the view's
+            try:
+                arr = view_data.fget(self)
+            finally:
+                running.pop()
+            return guard(self, arr)
+
+        def audited(self, *args, fn=None, reads=(), writes=(), **kwargs):
+            if fn is not None:
+                op = (kwargs["label"], spans(reads), spans(writes))
+                body = fn
+
+                def fn():
+                    running.append(op)
+                    try:
+                        return body()
+                    finally:
+                        running.pop()
+
+            return enqueue(
+                self, *args, fn=fn, reads=reads, writes=writes, **kwargs
+            )
+
+        monkeypatch.setattr(
+            DeviceArray, "data", property(array_get, array_data.fset)
+        )
+        monkeypatch.setattr(DeviceView, "data", property(view_get))
+        monkeypatch.setattr(Stream, "enqueue", audited)
+        return undeclared, touched
+
+    @pytest.mark.parametrize("factory,kwargs,fault,recovery", [
+        ("make_culda", dict(gpus=1), None, None),
+        ("make_culda", dict(gpus=4, chunks_per_gpu=2), None, None),
+        ("make_distributed_culda", dict(nodes=2, gpus_per_node=2), None, None),
+        ("make_distributed_culda", dict(nodes=2, gpus_per_node=2),
+         dict(kind="node_failure", iteration=2, node=1), "elastic"),
+        ("make_culda", dict(gpus=4),
+         dict(kind="kernel_fault", iteration=2, device=1), "retry"),
+    ], ids=["1gpu", "4gpu_m2", "2x2", "2x2_node_loss", "4gpu_rollback"])
+    def test_kernels_touch_only_what_they_declare(
+        self, audit_corpus, monkeypatch, factory, kwargs, fault, recovery
+    ):
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.obs import workloads
+
+        algo = getattr(workloads, factory)(
+            audit_corpus, platform="pascal", num_topics=64, iterations=3,
+            seed=0, **kwargs,
+        )
+        plan = FaultPlan(faults=(FaultSpec(**fault),)) if fault else None
+        undeclared, touched = self._audit(monkeypatch)
+        algo.train(recovery=recovery, fault_plan=plan)
+        monkeypatch.undo()
+        assert not undeclared, sorted(set(undeclared))
+        kinds = {label.split(":")[0] for label in touched}
+        assert {"sampling", "update_phi", "update_theta"} <= kinds, kinds

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpusim.costmodel import CostModel, KernelCost, TransferCost
+from repro.gpusim.costmodel import CostModel, KernelCost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.interconnect import Link
 
@@ -126,16 +126,18 @@ class TestKernelTiming:
 
 
 class TestTransferTiming:
-    CM = CostModel()
+    """:meth:`Link.reserve` times every copy: the link's latency plus the
+    bytes at its bandwidth."""
 
     def test_bandwidth_plus_latency(self):
         link = Link("l", bandwidth_gbps=10.0, latency_seconds=1e-3)
-        t = self.CM.transfer_seconds(link, TransferCost(nbytes=10e9))
-        assert t == pytest.approx(1.0 + 1e-3)
+        start, end = link.reserve(10e9, earliest=0.0)
+        assert start == 0.0
+        assert end - start == pytest.approx(1.0 + 1e-3)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            TransferCost(nbytes=-1)
+            Link("l", bandwidth_gbps=10.0).reserve(-1, earliest=0.0)
 
 
 class TestDeviceSpec:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.kernel import KernelLaunch
+from repro.gpusim.memory import DeviceArray, DeviceView
 from repro.gpusim.platform import pascal_platform
 from repro.gpusim.stream import Event
 
@@ -104,6 +106,58 @@ class TestEvents:
         assert start3 == pytest.approx(s2.available_at - (
             pascal1.cost_model.kernel_seconds(gpu.spec, KernelCost(bytes_read=1.0))
         ))
+
+
+class TestBufferOrder:
+    """An op starts no earlier than the last write to any byte it reads
+    or writes, nor than the last read of any byte it writes, whichever
+    stream or device those ran on."""
+
+    @staticmethod
+    def _launch(stream, reads=(), writes=(), nbytes=1e9):
+        return KernelLaunch(
+            lambda: None, KernelCost(bytes_read=nbytes), "k",
+            reads=reads, writes=writes,
+        ).launch(stream)
+
+    def test_read_waits_for_the_last_write(self, pascal1):
+        gpu = pascal1.gpus[0]
+        s1, s2 = gpu.create_stream("a"), gpu.create_stream("b")
+        buf = DeviceArray(gpu, 16, np.int32)
+        _, w_end, _ = self._launch(s1, writes=(buf,))
+        assert self._launch(s2, reads=(buf,))[0] == w_end
+        # Reads do not order each other.
+        assert self._launch(s1, reads=(buf,))[0] == w_end
+
+    def test_write_waits_for_the_last_read(self, pascal1):
+        gpu = pascal1.gpus[0]
+        s1, s2 = gpu.create_stream("a"), gpu.create_stream("b")
+        buf = DeviceArray(gpu, 16, np.int32)
+        _, r_end, _ = self._launch(s1, reads=(buf,))
+        assert self._launch(s2, writes=(buf,))[0] == r_end
+
+    def test_views_order_only_the_bytes_they_share(self, pascal1):
+        gpu = pascal1.gpus[0]
+        s1, s2, s3 = (gpu.create_stream(x) for x in "abc")
+        buf = DeviceArray(gpu, 16, np.int32)
+        lo, hi = DeviceView(buf, 0, 8, np.int32), DeviceView(buf, 32, 8, np.int32)
+        _, w_end, _ = self._launch(s1, writes=(lo,))
+        assert self._launch(s2, reads=(hi,))[0] == 0.0
+        assert self._launch(s3, reads=(buf,))[0] == w_end
+
+    def test_copy_waits_for_its_source(self, pascal4):
+        src = DeviceArray(pascal4.gpus[1], 16, np.int32)
+        dst = DeviceArray(pascal4.gpus[0], 16, np.int32)
+        _, w_end, _ = self._launch(pascal4.gpus[1].default_stream, writes=(src,))
+        start, _ = pascal4.memcpy_p2p(dst, src)
+        assert start == w_end
+
+    def test_reset_clock_drops_the_stamps(self, pascal1):
+        gpu = pascal1.gpus[0]
+        buf = DeviceArray(gpu, 16, np.int32)
+        self._launch(gpu.create_stream("a"), writes=(buf,))
+        pascal1.reset_clock()
+        assert self._launch(gpu.create_stream("b"), reads=(buf,))[0] == 0.0
 
 
 class TestSynchronize:

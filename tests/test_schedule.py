@@ -15,7 +15,6 @@ from repro.sched.schedule import (
     ChunkRuntime,
     GpuWorker,
     download_chunk,
-    enqueue_chunk_compute,
     run_iteration,
     upload_chunk,
 )
@@ -87,12 +86,25 @@ class TestChunkMovement:
 
 
 class TestChunkCompute:
+    """One GPU's chunk work inside :func:`run_iteration`: sampling →
+    update φ → update θ on its compute stream."""
+
+    @staticmethod
+    def _iterate(machine, corpus, num_chunks=None):
+        hyper, cfg, runtimes, workers = _setup(
+            machine, corpus, num_chunks=num_chunks
+        )
+        held = _stage(machine, workers, runtimes)
+        run_iteration(machine, workers, runtimes, held, hyper, cfg)
+        machine.synchronize()
+        return hyper, runtimes, workers, held
+
     def test_updates_all_state(self, medium_corpus, pascal1):
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
         cr = runtimes[0]
-        dc = upload_chunk(pascal1, workers[0], cr)
+        held = _stage(pascal1, workers, runtimes)
         theta_before = cr.theta
-        enqueue_chunk_compute(pascal1, workers[0], cr, dc, hyper, cfg)
+        run_iteration(pascal1, workers, runtimes, held, hyper, cfg)
         pascal1.synchronize()
         # φ partial recounted from the new assignments.
         assert workers[0].phi_partial.data.sum() == cr.chunk.num_tokens
@@ -103,37 +115,28 @@ class TestChunkCompute:
         )
         assert recount == cr.theta
         # Device θ mirrors the host θ.
-        assert np.array_equal(dc.theta_data.data, cr.theta.data)
+        assert np.array_equal(held[0].theta_data.data, cr.theta.data)
 
     def test_stats_recorded(self, medium_corpus, pascal1):
-        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
+        _, runtimes, _, _ = self._iterate(pascal1, medium_corpus)
         cr = runtimes[0]
-        dc = upload_chunk(pascal1, workers[0], cr)
-        enqueue_chunk_compute(pascal1, workers[0], cr, dc, hyper, cfg)
         assert cr.last_stats is not None
         assert cr.last_stats.num_tokens == cr.chunk.num_tokens
 
     def test_phi_ready_event_precedes_theta_update(self, medium_corpus, pascal1):
-        """§6.2 ordering: the sync can start before update-θ finishes."""
-        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
-        cr = runtimes[0]
-        dc = upload_chunk(pascal1, workers[0], cr)
-        evt = enqueue_chunk_compute(pascal1, workers[0], cr, dc, hyper, cfg)
-        assert evt.time < workers[0].compute.available_at
+        """§6.2 ordering: update φ ends before update θ does, and the
+        sync starts as update φ ends, while update θ still runs."""
+        self._iterate(pascal1, medium_corpus)
+        first = {}
+        for iv in pascal1.trace.intervals:
+            first.setdefault(iv.kind, iv)
+        phi, theta = first["update_phi"], first["update_theta"]
+        assert phi.end < theta.end
+        assert first["sync"].start == phi.end
 
     def test_accumulate_mode_adds(self, medium_corpus, pascal1):
-        hyper, cfg, runtimes, workers = _setup(
-            pascal1, medium_corpus, num_chunks=2
-        )
-        w = workers[0]
-        dc0 = upload_chunk(pascal1, w, runtimes[0])
-        enqueue_chunk_compute(pascal1, w, runtimes[0], dc0, hyper, cfg)
-        dc1 = upload_chunk(pascal1, w, runtimes[1])
-        enqueue_chunk_compute(
-            pascal1, w, runtimes[1], dc1, hyper, cfg, accumulate=True
-        )
-        pascal1.synchronize()
-        assert w.phi_partial.data.sum() == medium_corpus.num_tokens
+        _, _, workers, _ = self._iterate(pascal1, medium_corpus, num_chunks=2)
+        assert workers[0].phi_partial.data.sum() == medium_corpus.num_tokens
 
 
 class TestIterations:
