@@ -95,9 +95,9 @@ def _nonneg_int(text: str) -> int:
 def _add_sync_arg(p: argparse.ArgumentParser) -> None:
     """The ``--sync`` flag shared by train and profile.
 
-    Choices come straight from the collective registry (plus ``auto``),
-    so registering a new collective surfaces it in every subcommand
-    without touching a hand-kept tuple here.
+    Choices come straight from the collectives (plus ``auto``), so a
+    new collective surfaces in every subcommand without touching a
+    hand-kept tuple here.
     """
     from repro.comm import sync_choices
 
@@ -110,24 +110,29 @@ def _add_sync_arg(p: argparse.ArgumentParser) -> None:
         "(see docs/SYNC.md)")
 
 
-def _add_internode_args(p: argparse.ArgumentParser) -> None:
-    """The multi-node flags of ``train`` (DistributedCuLDA).
-
-    ``--inter-sync`` choices come from the cluster-collective registry
-    (plus ``auto``), mirroring how ``--sync`` tracks the GPU registry.
-    """
-    from repro.comm import cluster_sync_choices
-
-    choices = cluster_sync_choices()
+def _add_cluster_args(p: argparse.ArgumentParser) -> None:
+    """The cluster-shape flags shared by train and profile."""
     p.add_argument("--nodes", type=_positive_int, default=1,
-                   help="cluster nodes for multi-node CuLDA; each node "
-                   "is one --platform machine joined by 10 GbE "
-                   "(default: 1 = the single-machine paper setup; see "
-                   "docs/DISTRIBUTED.md)")
+                   help="cluster nodes for multi-node CuLDA, where cluster "
+                   "fault plans apply; each node is one --platform machine "
+                   "joined by 10 GbE (default: 1 = the single-machine "
+                   "paper setup; see docs/DISTRIBUTED.md)")
     p.add_argument("--gpus-per-node", type=_positive_int, default=None,
                    metavar="G",
                    help="GPUs on each node with --nodes > 1 "
                    "(default: --gpus)")
+
+
+def _add_internode_args(p: argparse.ArgumentParser) -> None:
+    """The multi-node flags of ``train`` (DistributedCuLDA) beyond the
+    cluster's shape.
+
+    ``--inter-sync`` choices come from the cluster backends (plus
+    ``auto``), mirroring how ``--sync`` tracks the GPU collectives.
+    """
+    from repro.comm import cluster_sync_choices
+
+    choices = cluster_sync_choices()
     p.add_argument("--staleness", type=_nonneg_int, default=0,
                    metavar="S",
                    help="bounded staleness: nodes run up to S iterations "
@@ -176,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--platform", choices=PLATFORMS, default="volta",
                    help="simulated platform (culda/saberlda)")
     t.add_argument("--gpus", type=_positive_int, default=1)
+    _add_cluster_args(t)
     _add_internode_args(t)
     t.add_argument("--workers", type=_positive_int, default=4,
                    help="LDA* comparator cluster size (ldastar; takes no "
@@ -221,12 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--iterations", type=_positive_int, default=5)
     pr.add_argument("--platform", choices=PLATFORMS, default="volta")
     pr.add_argument("--gpus", type=_positive_int, default=1)
-    pr.add_argument("--nodes", type=_positive_int, default=1,
-                    help="simulated machines; > 1 profiles the "
-                    "multi-node trainer (cluster fault plans allowed)")
-    pr.add_argument("--gpus-per-node", type=_positive_int, default=None,
-                    help="GPUs per machine with --nodes > 1 "
-                    "(default: --gpus)")
+    _add_cluster_args(pr)
     _add_sync_arg(pr)
     pr.add_argument("--likelihood-every", type=_nonneg_int, default=0)
     pr.add_argument("--faults", metavar="PLAN.json",

@@ -1,20 +1,17 @@
-"""Pluggable collective-communication layer with a topology-aware planner.
+"""Pluggable collective-communication layer with a cost-model planner.
 
 ``repro.comm`` owns everything that moves φ between devices:
 
-- :mod:`~repro.comm.topology` — immutable fabric snapshots
-  (:class:`Topology`, :class:`LinkInfo`) derived from a simulated
-  machine or cluster network;
 - :mod:`~repro.comm.transfer` — the retry/host-fallback policy
   (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
-  (tree, ring, cpu_gather, hierarchical), each reached only as a
-  registered :class:`Collective` through its one ``allreduce``
+  (tree, ring, cpu_gather, hierarchical), each a :class:`Collective`
+  reached through its one ``allreduce``
   (``get_collective(name).allreduce(SyncContext(...))``; a cluster
-  node runs none), whose ``estimate`` replays it on an idle shadow
-  machine, in an ordered registry. The ring moves φ rows in place,
-  straight from one GPU's φ into the next one's, and ``hierarchical``
-  runs it as a 2-D ring over the socket grid;
+  node runs none), whose ``estimate`` replays it on an idle shadow of
+  the machine, in a fixed tie-break order. The ring moves φ rows in
+  place, straight from one GPU's φ into the next one's, and
+  ``hierarchical`` runs it as a 2-D ring over the socket grid;
 - :mod:`~repro.comm.cluster` — the inter-node backends (``eth_ring``,
   an allgather of sparse 16-bit Δφ, and ``param_server``) behind
   :class:`ClusterCollective`, whose one ``estimate`` replays a backend
@@ -22,7 +19,8 @@
 - :mod:`~repro.comm.planner` — :func:`plan_sync` and
   :func:`plan_cluster_sync`, one force-or-cheapest body that resolves
   ``--sync auto`` / ``--inter-sync auto`` into a :class:`SyncPlan`: the
-  cheapest feasible collective per (topology, payload, participants).
+  cheapest feasible collective for the machine's (or the cluster's)
+  current link states, payload and participants.
 
 Consumers — the training engine's sync phase, the serving φ
 re-broadcast, the multi-node trainer's inter-node leg — go through
@@ -41,7 +39,6 @@ from repro.comm.cluster import (
     cluster_collective_names,
     cluster_collectives,
     get_cluster_collective,
-    register_cluster_collective,
 )
 from repro.comm.collectives import (
     Collective,
@@ -52,7 +49,6 @@ from repro.comm.collectives import (
     collectives,
     get_collective,
     reduce_phi_tree,
-    register,
 )
 from repro.comm.planner import (
     AUTO,
@@ -63,7 +59,6 @@ from repro.comm.planner import (
     plan_sync,
     sync_choices,
 )
-from repro.comm.topology import NVLINK_CLASS_GBPS, LinkInfo, Topology
 from repro.comm.transfer import (
     TransferRetry,
     resilient_p2p,
@@ -78,12 +73,9 @@ __all__ = [
     "Collective",
     "CostEstimate",
     "EthRingCollective",
-    "LinkInfo",
-    "NVLINK_CLASS_GBPS",
     "ParamServerCollective",
     "SyncContext",
     "SyncPlan",
-    "Topology",
     "TransferRetry",
     "WireDelta",
     "broadcast_phi",
@@ -98,8 +90,6 @@ __all__ = [
     "plan_cluster_sync",
     "plan_sync",
     "reduce_phi_tree",
-    "register",
-    "register_cluster_collective",
     "resilient_p2p",
     "sync_choices",
     "with_retry",

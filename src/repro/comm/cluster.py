@@ -4,8 +4,7 @@ Multi-node training runs the paper's intra-node reduce tree (§5.2) on
 each machine, then combines what each node changed since the last
 global sync (its Δφ) across the Ethernet fabric. This module provides
 the two interchangeable backends for that inter-node leg, behind the
-same registry/planner pattern as the GPU collectives in
-:mod:`repro.comm.collectives`:
+same planner as the GPU collectives in :mod:`repro.comm.collectives`:
 
 - ``eth_ring`` — a leader ring over :class:`ClusterNetwork` that
   allgathers every node's Δφ in N−1 lock-stepped steps, each message
@@ -23,13 +22,12 @@ Both backends are **exact**: φ is combined in integer arithmetic, so
 the result is bit-identical whichever backend (or GPU layout) produced
 it, and both leave the server (when there is one) holding it. Their
 shared ``estimate`` prices a backend by rehearsing its traffic on an
-idle shadow cluster built from the
-:class:`~repro.comm.topology.Topology` snapshot — ``eth_ring`` from
-the per-node wire sizes alone, ``param_server`` by running its
-``allreduce`` through a zero-φ server — so the planner's predicted
-seconds are the simulator's measured seconds for the same ready times.
-``Topology.from_cluster`` excludes detector-dead nodes, so a plan can
-never route through one.
+idle shadow cluster that copies each node's liveness and NIC state —
+``eth_ring`` from the per-node wire sizes alone, ``param_server`` by
+running its ``allreduce`` through a zero-φ server — so the planner's
+predicted seconds are the simulator's measured seconds for the same
+ready times. A dead node stays dead in the shadow, and the planner
+leaves it out of every plan.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ import numpy as np
 
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
-from repro.comm.collectives import CostEstimate, _copy_state
-from repro.comm.topology import LinkInfo, Topology
+from repro.comm.collectives import CostEstimate, _link_state, _set_state
 from repro.comm.transfer import TransferRetry
 from repro.gpusim.errors import SyncPathError
 from repro.telemetry.context import emit_counter, telemetry_session
@@ -54,7 +51,6 @@ __all__ = [
     "ClusterCollective",
     "EthRingCollective",
     "ParamServerCollective",
-    "register_cluster_collective",
     "get_cluster_collective",
     "cluster_collective_names",
     "cluster_collectives",
@@ -254,49 +250,65 @@ class ClusterCollective:
     def estimate(
         self,
         network: ClusterNetwork,
-        topo: Topology,
         nodes: tuple[int, ...],
         pending: list[WireDelta],
         server: ShardedParameterServer | None = None,
     ) -> CostEstimate:
-        """Predicted cost of :meth:`allreduce` over *nodes* on *topo*
+        """Predicted cost of :meth:`allreduce` over *nodes* on *network*
         for the payload *pending* (``pending[i]`` is ``nodes[i]``'s Δφ)
         — the planner's ranking input.
 
         Rehearses the backend on an idle shadow network with
-        *network*'s node count and *topo*'s link states, from what its
+        *network*'s node states (:func:`_network_key`), from what its
         :meth:`replay_key` keeps of *pending* and *server*, so the
         prediction is the simulated time the same run takes from idle.
         """
-        if not nodes:
-            return CostEstimate(math.inf)
-        return _replay(
-            self,
-            network.num_nodes,
-            tuple(topo.host.items()),
-            tuple(nodes),
-            self.replay_key(tuple(nodes), pending, server),
+        return _estimate(
+            self, _network_key(network), tuple(nodes), pending, server
         )
+
+
+def _network_key(network: ClusterNetwork) -> tuple:
+    """The fabric part of a replay's memo key: each node's liveness and
+    its NIC's :func:`~repro.comm.collectives._link_state`."""
+    return tuple(
+        (network.node_alive(n), _link_state(link))
+        for n, link in enumerate(network.links)
+    )
+
+
+def _estimate(
+    collective: ClusterCollective,
+    fabric: tuple,
+    nodes: tuple[int, ...],
+    pending: list[WireDelta],
+    server: ShardedParameterServer | None,
+) -> CostEstimate:
+    """:meth:`ClusterCollective.estimate` on the network whose
+    :func:`_network_key` is *fabric*."""
+    if not nodes:
+        return CostEstimate(math.inf)
+    return _replay(
+        collective, fabric, nodes, collective.replay_key(nodes, pending, server)
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def _replay(
     collective: ClusterCollective,
-    num_nodes: int,
-    host: tuple[tuple[int, LinkInfo], ...],
+    fabric: tuple,
     nodes: tuple[int, ...],
     key: tuple,
 ) -> CostEstimate:
     """Rehearse *collective* on a fresh idle cluster built from the
-    arguments alone — they are the memo key, so a cached estimate can
-    only be reused for an identical replay."""
-    shadow = ClusterNetwork(num_nodes)
-    links = dict(host)
-    for n in range(num_nodes):
-        if n in links:
-            _copy_state(shadow.links[n], links[n])
-        else:
-            shadow.fail_node(n)  # the snapshot leaves dead nodes out
+    arguments alone (*fabric* is a :func:`_network_key`) — they are the
+    memo key, so a cached estimate can only be reused for an identical
+    replay."""
+    shadow = ClusterNetwork(len(fabric))
+    for n, (alive, state) in enumerate(fabric):
+        _set_state(shadow.links[n], state)
+        if not alive:
+            shadow.fail_node(n)
     # A throwaway session keeps the replay's byte, failover and repair
     # counters out of the caller's registry.
     with telemetry_session():
@@ -454,42 +466,24 @@ class ParamServerCollective(ClusterCollective):
         ).done
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors repro.comm.collectives; separate namespace so the
-# GPU --sync choices are untouched)
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, ClusterCollective] = {}
-
-
-def register_cluster_collective(collective: ClusterCollective) -> ClusterCollective:
-    """Add an inter-node backend to the registry. Registration order is
-    the ``auto`` tie-break, exactly as for the GPU collectives."""
-    if collective.name in _REGISTRY:
-        raise ValueError(
-            f"cluster collective {collective.name!r} is already registered"
-        )
-    _REGISTRY[collective.name] = collective
-    return collective
+#: The inter-node backends, in the planner's tie-break order (as for
+#: the GPU collectives, a separate namespace from ``--sync``'s).
+_CLUSTER_COLLECTIVES = (EthRingCollective(), ParamServerCollective())
 
 
 def get_cluster_collective(name: str) -> ClusterCollective:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        choices = ", ".join(["auto", *_REGISTRY])
-        raise ValueError(
-            f"unknown inter-node sync algorithm {name!r}; choices: {choices}"
-        ) from None
+    for collective in _CLUSTER_COLLECTIVES:
+        if collective.name == name:
+            return collective
+    raise ValueError(
+        f"unknown inter-node sync algorithm {name!r}; choices: "
+        + ", ".join(["auto", *cluster_collective_names()])
+    )
 
 
 def cluster_collective_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
+    return tuple(c.name for c in _CLUSTER_COLLECTIVES)
 
 
 def cluster_collectives() -> tuple[ClusterCollective, ...]:
-    return tuple(_REGISTRY.values())
-
-
-register_cluster_collective(EthRingCollective())
-register_cluster_collective(ParamServerCollective())
+    return _CLUSTER_COLLECTIVES

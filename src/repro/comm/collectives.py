@@ -15,8 +15,8 @@ inter-socket bridge; at tiny payloads link latency dominates and the
 rejected CPU-gather wins, and with dead peer links it is the only path
 left.
 
-Each strategy is a registered :class:`Collective`, reached by name
-through :func:`get_collective`, whose one ``allreduce`` is built from
+Each strategy is a :class:`Collective`, reached by name through
+:func:`get_collective`, whose one ``allreduce`` is built from
 executable steps (the tree's ``reduce_phi_tree`` and
 ``broadcast_phi``, the ring's reduce-scatter and all-gather over a row
 window, the host gather and scatter) that work on arbitrary *sublists*
@@ -30,7 +30,7 @@ every collective. A cluster node runs no collective: each of its GPUs
 sends its host only its own sparse Δφ
 (:func:`~repro.sched.schedule.send_phi_deltas`). The collective's
 ``estimate`` prices ``allreduce`` by running that same code on an idle
-shadow machine built from the topology snapshot, so
+shadow machine that copies the real one's specs and link states, so
 :func:`~repro.comm.planner.plan_sync` ranks the collectives by what
 they cost, not by a second description of them.
 
@@ -46,11 +46,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.comm.topology import LinkInfo, Topology
 from repro.comm.transfer import TransferRetry, resilient_p2p, with_retry
 from repro.core.kernels import KernelConfig, phi_reduce_cost
 from repro.gpusim.costmodel import KernelCost
-from repro.gpusim.device import DeviceSpec
 from repro.gpusim.errors import SyncPathError
 from repro.gpusim.interconnect import Link
 from repro.gpusim.kernel import KernelLaunch
@@ -63,7 +61,6 @@ __all__ = [
     "SyncContext",
     "CostEstimate",
     "Collective",
-    "register",
     "get_collective",
     "collective_names",
     "collectives",
@@ -550,7 +547,7 @@ class Collective:
     replica into every full φ, and :meth:`estimate` prices it by
     replaying it.
 
-    Each registered subclass defines ``allreduce`` itself, because
+    Each subclass defines ``allreduce`` itself, because
     ``bench/layertrace.py`` wraps it class by class. ``lane_counts``
     are the :attr:`SyncContext.lanes` the planner replays it at."""
 
@@ -564,64 +561,76 @@ class Collective:
     def estimate(
         self,
         machine: Machine,
-        topo: Topology,
         shape: tuple[int, int],
         config: KernelConfig,
         retry: TransferRetry | None = None,
         lanes: int = 1,
     ) -> CostEstimate:
         """Predicted cost of :meth:`allreduce` over *lanes* lanes on
-        *topo* for a (K, V) payload — the planner's ranking input.
+        *machine*'s alive GPUs for a (K, V) payload — the planner's
+        ranking input.
 
         Runs :meth:`allreduce` itself on an idle shadow machine with
-        *machine*'s specs and *topo*'s link states, so the prediction is
-        the simulated time the same run takes from idle.
+        *machine*'s specs and link states (:func:`_machine_key`), so the
+        prediction is the simulated time the same run takes from idle.
         """
         return _replay(
-            self,
-            machine.host_spec,
-            tuple(gpu.spec for gpu in machine.gpus),
-            len(set(machine.pcie)),  # GPUs on one socket share an uplink
-            topo.devices,
-            tuple(topo.host.items()),
-            tuple(topo.p2p.items()),
-            tuple(shape),
-            config,
-            retry,
-            lanes,
+            self, _machine_key(machine), tuple(shape), config, retry, lanes
         )
 
 
-def _copy_state(link: Link, info: LinkInfo) -> None:
-    link.bandwidth_gbps = info.bandwidth_gbps
-    link.latency_seconds = info.latency_seconds
-    link.up = info.up
+def _link_state(link: Link) -> tuple[float, float, bool]:
+    """What a replay copies of *link*: its effective bandwidth (the
+    degradation scale applied), latency and up state. A pending
+    transient fault (``fail_next``) stays out: retrying it is the run's
+    concern, not the plan's."""
+    return (
+        link.bandwidth_gbps * link.bandwidth_scale,
+        link.latency_seconds,
+        link.up,
+    )
+
+
+def _set_state(link: Link, state: tuple[float, float, bool]) -> None:
+    link.bandwidth_gbps, link.latency_seconds, link.up = state
+
+
+def _machine_key(machine: Machine, devices: list[int] | None = None) -> tuple:
+    """The fabric part of a replay's memo key: *machine*'s host and GPU
+    specs (two boxes with equal links still add at different speeds),
+    its host-link count, the participating *devices* (default: the
+    alive GPUs, the elastic G−1 set) and every link's
+    :func:`_link_state`, in :meth:`~repro.gpusim.platform.Machine.iter_links`
+    order."""
+    if devices is None:
+        devices = [g.device_id for g in machine.alive_gpus]
+    return (
+        machine.host_spec,
+        tuple(gpu.spec for gpu in machine.gpus),
+        len(set(machine.pcie)),  # GPUs on one socket share an uplink
+        tuple(int(d) for d in devices),
+        tuple(_link_state(link) for link in machine.iter_links()),
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def _replay(
     collective: Collective,
-    host_spec: DeviceSpec,
-    gpu_specs: tuple[DeviceSpec, ...],
-    num_host_links: int,
-    devices: tuple[int, ...],
-    host: tuple[tuple[int, LinkInfo], ...],
-    p2p: tuple[tuple[tuple[int, int], LinkInfo], ...],
+    fabric: tuple,
     shape: tuple[int, int],
     config: KernelConfig,
     retry: TransferRetry | None,
     lanes: int,
 ) -> CostEstimate:
     """Run *collective* over *lanes* lanes on a fresh idle machine built
-    from the arguments alone — they are the memo key, so a cached
-    estimate can only be reused for an identical replay. The cost is
-    the latest operation on any stream of the shadow's GPUs, or the
-    host clock if later."""
+    from the arguments alone (*fabric* is a :func:`_machine_key`) — they
+    are the memo key, so a cached estimate can only be reused for an
+    identical replay. The cost is the latest operation on any stream of
+    the shadow's GPUs, or the host clock if later."""
+    host_spec, gpu_specs, num_host_links, devices, links = fabric
     shadow = Machine(host_spec, list(gpu_specs), num_host_links=num_host_links)
-    for d, info in host:
-        _copy_state(shadow.pcie[d], info)
-    for (a, b), info in p2p:
-        _copy_state(shadow.p2p_link(a, b), info)
+    for link, state in zip(shadow.iter_links(), links):
+        _set_state(link, state)
     gpus = [shadow.gpus[d] for d in devices]
     dtype = np.uint16 if config.compressed else np.int32
 
@@ -725,44 +734,33 @@ class HierarchicalCollective(Collective):
         _ring_allreduce(ctx, _socket_grid(ctx))
 
 
-_COLLECTIVES: dict[str, Collective] = {}
-
-
-def register(collective: Collective) -> Collective:
-    """Add *collective* to the registry (registration order is the
-    planner's tie-break order: earlier wins on equal cost)."""
-    if not collective.name:
-        raise ValueError("collective must have a name")
-    if collective.name in _COLLECTIVES:
-        raise ValueError(f"collective {collective.name!r} already registered")
-    _COLLECTIVES[collective.name] = collective
-    return collective
+#: Every collective, in the planner's tie-break order: on equal cost the
+#: earlier wins, so the seed default ``gpu_tree`` comes first and
+#: ``auto`` can never be slower than the old hard-wired tree.
+_COLLECTIVES = (
+    TreeCollective(),
+    RingCollective(),
+    CpuGatherCollective(),
+    HierarchicalCollective(),
+)
 
 
 def get_collective(name: str) -> Collective:
-    """Look a registered collective up by name."""
-    try:
-        return _COLLECTIVES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sync algorithm {name!r}; choose from "
-            + ", ".join(("auto", *_COLLECTIVES))
-        ) from None
+    """Look a collective up by name."""
+    for collective in _COLLECTIVES:
+        if collective.name == name:
+            return collective
+    raise ValueError(
+        f"unknown sync algorithm {name!r}; choose from "
+        + ", ".join(("auto", *collective_names()))
+    )
 
 
 def collective_names() -> tuple[str, ...]:
-    """Registered collective names, in registration (tie-break) order."""
-    return tuple(_COLLECTIVES)
+    """The collectives' names, in tie-break order."""
+    return tuple(c.name for c in _COLLECTIVES)
 
 
 def collectives() -> tuple[Collective, ...]:
-    """The registered collectives, in registration order."""
-    return tuple(_COLLECTIVES.values())
-
-
-# The seed default registers first, so it wins every cost tie — auto
-# can never be slower than the old hard-wired gpu_tree on equal terms.
-register(TreeCollective())
-register(RingCollective())
-register(CpuGatherCollective())
-register(HierarchicalCollective())
+    """The collectives, in tie-break order."""
+    return _COLLECTIVES

@@ -91,11 +91,11 @@ class TrainConfig:
     reuse_pstar: bool = True
     # Scheduling.
     chunks_per_gpu: int | None = None   # None → smallest M that fits (§5.1)
-    sync_algorithm: str = "auto"        # planner picks; or any registered collective
+    sync_algorithm: str = "auto"        # planner picks; or any collective name
     overlap_transfers: bool = True
     # Multi-node (DistributedCuLDA; ignored by the single-machine trainer).
     #: Inter-node φ-sync backend: "auto" (cluster planner picks) or any
-    #: registered cluster collective ("eth_ring", "param_server").
+    #: cluster collective ("eth_ring", "param_server").
     inter_sync: str = "auto"
     #: Bounded staleness (F+NOMAD): nodes run up to s iterations on a
     #: stale global φ (plus their own pending updates) between

@@ -667,7 +667,7 @@ def synchronize_model(
     sampling reads the full φ and n_k, so it waits for the sync.
     ``algorithm`` is ``"auto"`` (:func:`~repro.comm.plan_sync` picks
     the cheapest collective for the current topology) or any
-    registered collective name, which forces that plan. Either way the
+    collective name, which forces that plan. Either way the
     plan's lane count picks how many of each GPU's sync streams the
     collective runs on. ``retry`` enables fault-tolerant transfers (see
     :class:`~repro.comm.TransferRetry`).

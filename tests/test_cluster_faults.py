@@ -19,7 +19,7 @@ from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.cluster.placement import place_token_lightest
-from repro.comm.topology import Topology
+from repro.comm import WireDelta, plan_cluster_sync
 from repro.core import DistributedCuLDA, TrainConfig
 from repro.engine.recovery import RecoveryPolicy, TrainingFailure
 from repro.faults.plan import FaultPlan, FaultSpec, cluster_chaos_plan
@@ -151,10 +151,16 @@ class TestClusterNetworkFaults:
         assert err.value.transient
 
     def test_fail_node_removes_from_topology(self):
+        """A failed node takes part in no cluster plan, asked for or
+        not."""
         net = ClusterNetwork(3)
-        assert Topology.from_cluster(net).devices == (0, 1, 2)
+        payload = [WireDelta.encode(np.ones((4, 16), dtype=np.int64))] * 3
+        assert plan_cluster_sync(net, payload).participants == (0, 1, 2)
         net.fail_node(1)
-        assert Topology.from_cluster(net).devices == (0, 2)
+        assert plan_cluster_sync(net, payload).participants == (0, 2)
+        assert plan_cluster_sync(
+            net, payload, nodes=[0, 1, 2]
+        ).participants == (0, 2)
 
 
 class TestParameterServerReplication:

@@ -1,9 +1,11 @@
 """Tests for the collective-communication layer (repro.comm).
 
-Covers the topology snapshot, the collective registry, the hierarchical
-all-reduce, the cost-model planner's per-topology decisions (including
-replanning around dead links), the structured no-path error every
-collective now raises, and the ``--sync auto`` bit-identity guarantee.
+Covers what the planner reads of the fabric (its telemetry labels, the
+link states its replays copy), the collectives' fixed order, the
+hierarchical all-reduce, the cost-model planner's per-fabric decisions
+(including replanning around dead links), the structured no-path error
+every collective now raises, and the ``--sync auto`` bit-identity
+guarantee.
 
 The Hypothesis section drives the planner over randomized intra-node
 fabrics (platforms, GPU counts, failed GPUs, degraded and downed
@@ -15,6 +17,8 @@ measured-cheapest collective.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +27,6 @@ from hypothesis import strategies as st
 from repro.comm import (
     AUTO,
     SyncContext,
-    Topology,
     TransferRetry,
     WireDelta,
     collective_names,
@@ -77,61 +80,88 @@ def _setup(machine, K=8, V=20, dtype=np.int32, seed=0, devices=None):
 
 
 # ----------------------------------------------------------------------
-# Topology snapshots
+# What the planner reads of the fabric
 # ----------------------------------------------------------------------
-class TestTopology:
+def _labels(plan) -> list[str]:
+    """The telemetry labels one planner call records."""
+    registry = MetricsRegistry()
+    with telemetry_session(registry=registry):
+        plan()
+    return [d["topology"] for d in decisions_from_registry(registry)]
+
+
+class TestPlannerFabric:
     def test_pascal_dual_socket_layout(self):
+        """Two sockets of two GPUs on a PCIe box, the pairs under one
+        switch faster than the pairs across the bridge."""
         m = pascal_platform(4)
-        t = Topology.from_machine(m)
-        assert t.devices == (0, 1, 2, 3)
-        assert t.sockets == ((0, 1), (2, 3))
-        assert t.num_sockets == 2
-        assert not t.has_nvlink
-        assert t.describe() == "4gpu-2sock-pcie"
-        # Same-socket pairs ride the PCIe switch, cross-socket pairs the
-        # (slower) inter-socket bridge.
-        assert t.p2p_info(0, 1).kind == "p2p_switch"
-        assert t.p2p_info(2, 3).kind == "p2p_switch"
-        assert t.p2p_info(0, 2).kind == "p2p_bridge"
-        assert (t.p2p_info(0, 1).bandwidth_gbps
-                > t.p2p_info(0, 2).bandwidth_gbps)
+        assert _labels(
+            lambda: plan_sync(m, PAYLOAD, KernelConfig())
+        ) == ["4gpu-2sock-pcie"]
+        assert [m.socket_of(d) for d in range(4)] == [0, 0, 1, 1]
+        assert (m.p2p_link(0, 1).bandwidth_gbps
+                > m.p2p_link(0, 2).bandwidth_gbps)
 
     def test_dgx_links_classified_nvlink(self):
-        t = Topology.from_machine(dgx_platform(4))
-        assert t.has_nvlink
-        assert all(i.kind == "nvlink" for i in t.p2p.values())
-        assert t.describe() == "4gpu-2sock-nvlink"
+        assert _labels(
+            lambda: plan_sync(dgx_platform(4), PAYLOAD, KernelConfig())
+        ) == ["4gpu-2sock-nvlink"]
 
-    def test_down_and_degraded_links_visible(self):
+    def test_single_gpu_rides_the_host_link(self):
+        assert _labels(
+            lambda: plan_sync(pascal_platform(1), PAYLOAD, KernelConfig())
+        ) == ["1gpu-1sock-host"]
+
+    def test_down_and_degraded_links_change_the_estimate(self):
+        """The replay copies each link's effective bandwidth and up
+        state: a degraded peer link slows the plan's own estimate, and
+        a downed one makes the collective that needs it infeasible."""
+        cfg = KernelConfig()
+
+        def seconds(m, name="ring"):
+            return plan_sync(m, PAYLOAD, cfg, algorithm=name).estimate.seconds
+
+        healthy = seconds(pascal_platform(2))
         m = pascal_platform(2)
+        m.p2p_link(0, 1).degrade(0.5)
+        assert seconds(m) > healthy
         m.p2p_link(0, 1).set_down()
+        assert seconds(m) == np.inf
+        m = pascal_platform(2)
         m.pcie[0].degrade(0.5)
-        t = Topology.from_machine(m)
-        assert not t.p2p_info(0, 1).up
-        assert t.host[0].bandwidth_gbps == pytest.approx(
-            t.host[1].bandwidth_gbps * 0.5
-        )
+        assert seconds(m, "cpu_gather") > seconds(pascal_platform(2), "cpu_gather")
 
     def test_transient_faults_invisible(self):
+        """A pending ``fail_next`` is the run's retry concern: every
+        estimate is the healthy box's."""
+        cfg, healthy = KernelConfig(), pascal_platform(2)
         m = pascal_platform(2)
         m.p2p_link(0, 1).fail_next(3)
-        assert Topology.from_machine(m).p2p_info(0, 1).up
+        m.pcie[0].fail_next(3)
+        for name in collective_names():
+            assert (
+                plan_sync(m, PAYLOAD, cfg, algorithm=name).estimate
+                == plan_sync(healthy, PAYLOAD, cfg, algorithm=name).estimate
+            )
 
     def test_device_subset_is_the_elastic_view(self):
         m = pascal_platform(4)
         m.gpus[1].fail()
-        t = Topology.from_machine(m)
-        assert t.devices == (0, 2, 3)
-        assert t.sockets == ((0,), (2, 3))
+        plans = []
+        assert _labels(
+            lambda: plans.append(plan_sync(m, PAYLOAD, KernelConfig()))
+        ) == ["3gpu-2sock-pcie"]
+        assert plans[0].participants == (0, 2, 3)
 
-    def test_from_cluster_is_all_eth(self):
+    def test_cluster_is_all_eth(self):
         from repro.cluster.network import ClusterNetwork
 
-        t = Topology.from_cluster(ClusterNetwork(num_nodes=3))
-        assert t.devices == (0, 1, 2)
-        assert t.p2p == {}
-        assert all(i.kind == "eth" for i in t.host.values())
-        assert t.describe() == "3node-eth"
+        payload = [WireDelta.encode(np.ones((4, 16), dtype=np.int64))] * 3
+        plans = []
+        assert _labels(lambda: plans.append(
+            plan_cluster_sync(ClusterNetwork(num_nodes=3), payload)
+        )) == ["3node-eth"]
+        assert plans[0].participants == (0, 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -260,10 +290,9 @@ class TestHierarchical:
             assert bridge_bytes(("ring", 1), socket) == 630_144
 
         fresh = pascal_platform(4)
-        topo = Topology.from_machine(fresh)
         estimates = [
             get_collective("hierarchical").estimate(
-                fresh, topo, BENCH_PAYLOAD, KernelConfig(), lanes=lanes
+                fresh, BENCH_PAYLOAD, KernelConfig(), lanes=lanes
             ).seconds * 1e6
             for lanes in (1, 2)
         ]
@@ -355,11 +384,10 @@ class TestPlanner:
         one lane's socket steps overlap the other's bridge steps, so
         the 2-D ring gains; the flat ring's lanes share every link, and
         it loses."""
-        m = pascal_platform(4)
-        topo, cfg = Topology.from_machine(m), KernelConfig()
+        m, cfg = pascal_platform(4), KernelConfig()
         replays = {
             (c.name, lanes): round(
-                c.estimate(m, topo, BENCH_PAYLOAD, cfg, lanes=lanes).seconds
+                c.estimate(m, BENCH_PAYLOAD, cfg, lanes=lanes).seconds
                 * 1e6, 2,
             )
             for c in collectives() for lanes in c.lane_counts
@@ -383,10 +411,9 @@ class TestPlanner:
             (pascal_platform(2), "ring", 88.23, 90.02),
             (dgx_platform(4), "hierarchical", 36.43, 39.57),
         ):
-            topo = Topology.from_machine(machine)
             assert [
                 round(get_collective(pick).estimate(
-                    machine, topo, BENCH_PAYLOAD, cfg, lanes=lanes
+                    machine, BENCH_PAYLOAD, cfg, lanes=lanes
                 ).seconds * 1e6, 2)
                 for lanes in (1, 2)
             ] == [one, two]
@@ -465,11 +492,8 @@ class TestPlanner:
         for platform in ("maxwell", "pascal", "volta", "dgx"):
             for gpus in (1, 2, 4):
                 m = make_machine(platform, gpus)
-                topo = Topology.from_machine(m)
                 auto = plan_sync(m, PAYLOAD, cfg)
-                tree = get_collective("gpu_tree").estimate(
-                    m, topo, PAYLOAD, cfg
-                )
+                tree = get_collective("gpu_tree").estimate(m, PAYLOAD, cfg)
                 assert auto.estimate.seconds <= tree.seconds + 1e-12
 
     def test_decisions_recorded_in_registry(self):
@@ -770,8 +794,7 @@ class TestPlannerReplayProperties:
                 key = (collective.name, lanes)
                 m = _fabric(*fabric)
                 est = collective.estimate(
-                    m, Topology.from_machine(m), shape, cfg, retry=retry,
-                    lanes=lanes,
+                    m, shape, cfg, retry=retry, lanes=lanes
                 )
                 seconds = _run(
                     _fabric(*fabric), collective.name, shape, cfg, retry, lanes
@@ -791,11 +814,19 @@ class TestPlannerReplayProperties:
         assert fastest <= min(measured.values()) * (1 + 1e-9)
 
     def test_memo_tells_apart_boxes_with_equal_snapshots(self):
-        # Pascal and Volta 4-GPU boxes have the same fabric but not the
+        # Pascal and Volta 4-GPU boxes have the same links but not the
         # same GPUs: each plan must return its own box's measured time.
         cfg = KernelConfig()
-        assert (Topology.from_machine(make_machine("pascal", 4))
-                == Topology.from_machine(make_machine("volta", 4)))
+
+        def links(m):
+            return [
+                (l.name, l.bandwidth_gbps, l.bandwidth_scale,
+                 l.latency_seconds, l.up)
+                for l in m.iter_links()
+            ]
+
+        assert (links(make_machine("pascal", 4))
+                == links(make_machine("volta", 4)))
         predicted = {}
         for platform in ("pascal", "volta"):
             plan = plan_sync(make_machine(platform, 4), BENCH_PAYLOAD, cfg)
@@ -846,9 +877,9 @@ def _reduce_steps(name, machine):
     *machine*'s GPUs: S sockets of g GPUs for ``hierarchical`` on equal
     sockets, else one row of G (the flat ring, G − 1 steps). Each GPU
     makes two copies per reduce step and one add."""
-    sockets = Topology.from_machine(machine).sockets
-    if name == "hierarchical" and len({len(s) for s in sockets}) == 1:
-        return len(sockets[0]) + len(sockets) - 2
+    sizes = Counter(machine.socket_of(g.device_id) for g in machine.gpus)
+    if name == "hierarchical" and len(set(sizes.values())) == 1:
+        return sizes[0] + len(sizes) - 2
     return len(machine.gpus) - 1
 
 

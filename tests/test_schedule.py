@@ -139,6 +139,149 @@ class TestChunkCompute:
         assert workers[0].phi_partial.data.sum() == medium_corpus.num_tokens
 
 
+@pytest.fixture
+def write_before(monkeypatch):
+    """``write_before(prefix, target, stream)`` runs a 1 ms write of
+    *target* (a device buffer, or a callable giving it at that moment)
+    on *stream* just before the first op whose label starts with
+    *prefix*. It returns a dict that then holds that write's end
+    (``"write"``) and the op's start (``"op"``)."""
+    from repro.gpusim.stream import Stream
+
+    enqueue = Stream.enqueue
+
+    def install(prefix, target, stream):
+        seen = {}
+
+        def patched(self, *args, **kwargs):
+            if "op" in seen or not kwargs["label"].startswith(prefix):
+                return enqueue(self, *args, **kwargs)
+            buf = target() if callable(target) else target
+            _, seen["write"], _ = enqueue(
+                stream, duration=1e-3, kind="h2d", label="rewrite",
+                writes=(buf,),
+            )
+            start, end, result = enqueue(self, *args, **kwargs)
+            seen["op"] = start
+            return start, end, result
+
+        monkeypatch.setattr(Stream, "enqueue", patched)
+        return seen
+
+    return install
+
+
+class TestDeclaredReadsWait:
+    """Each of these ops declares a read that its body takes from a host
+    mirror of the bytes, written earlier on the op's own stream or
+    before a ``synchronize``, so nothing else orders it today. Written
+    on another stream just before the op, the bytes must still be ready
+    before it starts: the declaration is what makes the op wait."""
+
+    @staticmethod
+    def _chunk(machine, corpus):
+        hyper, cfg, runtimes, workers = _setup(machine, corpus)
+        [dc] = _stage(machine, workers, runtimes)
+        return hyper, cfg, runtimes[0], workers[0], dc
+
+    def test_sampling_waits_for_its_chunk(
+        self, medium_corpus, pascal1, write_before
+    ):
+        from repro.sched.schedule import _enqueue_sample_and_phi
+
+        hyper, cfg, cr, w, dc = self._chunk(pascal1, medium_corpus)
+        seen = write_before("sampling:", dc.token_doc, w.upload)
+        _enqueue_sample_and_phi(w, cr, dc, hyper, cfg, False, None)
+        assert seen["op"] >= seen["write"]
+
+    def test_update_phi_waits_for_the_word_layout(
+        self, medium_corpus, pascal1, write_before
+    ):
+        from repro.sched.schedule import _enqueue_sample_and_phi
+
+        hyper, cfg, cr, w, dc = self._chunk(pascal1, medium_corpus)
+        seen = write_before("update_phi:", dc.word_indptr, w.upload)
+        _enqueue_sample_and_phi(w, cr, dc, hyper, cfg, False, None)
+        assert seen["op"] >= seen["write"]
+
+    @pytest.mark.parametrize("field", ["token_doc", "topics"])
+    def test_update_theta_waits_for_its_inputs(
+        self, medium_corpus, pascal1, write_before, field
+    ):
+        from repro.sched.schedule import (
+            _enqueue_sample_and_phi,
+            _enqueue_update_theta,
+        )
+
+        hyper, cfg, cr, w, dc = self._chunk(pascal1, medium_corpus)
+        _enqueue_sample_and_phi(w, cr, dc, hyper, cfg, False, None)
+        seen = write_before("update_theta:", getattr(dc, field), w.upload)
+        _enqueue_update_theta(w, cr, dc, hyper, cfg)
+        assert seen["op"] >= seen["write"]
+
+    def test_phi_compact_waits_for_its_base(
+        self, medium_corpus, pascal1, write_before
+    ):
+        from repro.sched.schedule import launch_phi_compact
+
+        _, cfg, _, workers = _setup(pascal1, medium_corpus)
+        w = workers[0]
+        seen = write_before("phi_delta_compact", w.phi_scratch, w.upload)
+        launch_phi_compact(w, cfg, w.sync)
+        assert seen["op"] >= seen["write"]
+
+    def test_by_word_sampling_waits_for_its_theta_replica(
+        self, medium_corpus, monkeypatch, write_before
+    ):
+        import repro.sched.byword as byword
+        from repro.core import TrainConfig
+
+        replicas, make = [], byword.DeviceArray
+
+        def recording(*args, **kwargs):
+            buf = make(*args, **kwargs)
+            if kwargs["label"] == "theta_full":
+                replicas.append(buf)
+            return buf
+
+        monkeypatch.setattr(byword, "DeviceArray", recording)
+        m = pascal_platform(2)
+        seen = write_before(
+            "sampling:w1", lambda: replicas[1], m.gpus[1].create_stream("w")
+        )
+        byword.train_by_word(
+            medium_corpus, m, TrainConfig(num_topics=8, iterations=1, seed=0)
+        )
+        assert seen["op"] >= seen["write"]
+
+    def test_fold_in_waits_for_its_tokens(
+        self, pascal1, monkeypatch, write_before
+    ):
+        import repro.serve.replica as replica
+        from repro.serve.request import InferenceRequest
+
+        staged, make = [], replica.DeviceArray
+
+        def recording(*args, **kwargs):
+            buf = make(*args, **kwargs)
+            staged.append(buf)
+            return buf
+
+        monkeypatch.setattr(replica, "DeviceArray", recording)
+        K, V = 4, 12
+        phi = np.arange(K * V, dtype=np.int64).reshape(K, V) % 7 + 1
+        seen = write_before(
+            "serve_batch[", lambda: staged[0], pascal1.gpus[0].create_stream("w")
+        )
+        replica.PhiReplica(pascal1.gpus[0]).execute(
+            [InferenceRequest(0, ((0, 3, 5, 5), (11, 2)))], phi,
+            LDAHyperParams(num_topics=K), 2, KernelConfig(),
+            not_before=0.0, batch_id=0, digest="d",
+        )
+        assert staged[0].label == "serve_tokens[0]"
+        assert seen["op"] >= seen["write"]
+
+
 class TestIterations:
     def test_resident_iteration_preserves_totals(self, medium_corpus, pascal4):
         hyper, cfg, runtimes, workers = _setup(pascal4, medium_corpus)
