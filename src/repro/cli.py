@@ -604,7 +604,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine import TrainingFailure
     from repro.obs.profiling import format_profile, profile_json
     from repro.telemetry import JSONLEmitter, MetricsRegistry
-    from repro.gpusim.trace import to_chrome_json
+    from repro.gpusim.trace import cluster_trace, to_chrome_json
     from repro.telemetry.exporters import to_prometheus
 
     if args.serve_trace:
@@ -643,20 +643,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report = profile_json(
         result, machines, registry, corpus.name, args.topics, top=args.top
     )
-    # The Chrome trace is node 0's timeline plus the host spans.
+    # Every node's machine ran on one clock: one timeline holds them all.
+    timeline = cluster_trace([m.trace for m in machines], len(machines[0].gpus))
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(to_chrome_json(machines[0].trace, extra=trainer.host_trace))
+            fh.write(to_chrome_json(timeline, extra=trainer.host_trace))
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(to_prometheus(registry))
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    print(format_profile(
-        report, [m.trace.gantt_text(width=80) for m in machines],
-        len(registry),
-    ))
+    print(format_profile(report, timeline.gantt_text(width=80), len(registry)))
     for path, what in ((args.trace, "chrome trace"),
                        (args.metrics, "prometheus metrics"),
                        (args.events, "event stream")):

@@ -191,10 +191,10 @@ class ClusterSyncContext:
 
     ``base`` is the last globally synced φ (int64 ``K×V``), which every
     node holds; ``pending[i]`` is node ``nodes[i]``'s Δφ since then
-    (its node-local intra-reduce result minus its contribution at that
-    sync), encoded for the wire. ``ready[i]`` is the earliest
-    global-clock time node ``i`` can start communicating (its
-    intra-node work is done then).
+    (the sum of its GPUs' partials minus that sum at the last sync),
+    encoded for the wire. ``ready[i]`` is when node ``i``'s host has
+    summed its Δφ, on the cluster's timeline: the leg reads nothing
+    else of the node.
     """
 
     network: ClusterNetwork
@@ -210,7 +210,7 @@ class ClusterSyncContext:
 class ClusterSyncResult:
     """Outcome of one inter-node combine: the new global φ (a fresh
     int64 array the caller owns), each participating node's completion
-    time on the global clock, and the payload bytes put on the wire."""
+    time on the cluster's timeline, and the payload bytes put on the wire."""
 
     phi: np.ndarray
     done: tuple[float, ...]

@@ -24,7 +24,8 @@ time breakdown) the paper reports.
 The trainer body is written per node over ``self.machines``: one
 machine here, N in :class:`~repro.core.distributed.DistributedCuLDA`,
 which adds only the cluster layer (inter-node leg, failure detection,
-node migration, cluster clock). Iteration control (likelihood cadence,
+node migration, barriers on the one timeline every node's machine runs
+on). Iteration control (likelihood cadence,
 early stopping, callbacks, checkpoint/resume) lives in
 :mod:`repro.engine`; this module implements the
 :class:`~repro.engine.algorithm.Algorithm` strategy surface for the
@@ -52,8 +53,8 @@ from repro.sched.partition import PartitionPlan, choose_chunking
 from repro.sched.schedule import (
     ChunkRuntime,
     GpuWorker,
+    busy_fractions,
     download_chunk,
-    iteration_trace_stats,
     launch_nk_rowsum,
     run_iteration,
     synchronize_model,
@@ -287,7 +288,6 @@ class CuLDA(Algorithm):
             if resume is not None:
                 self._restore_runtimes(resume)
 
-        self._t_prev_node = [0.0] * N
         self._node_workers: list[list[GpuWorker]] = [[] for _ in range(N)]
         #: Per node, the chunk each GPU holds (see ``run_iteration``).
         self._node_dev_chunks: list[list] = [[] for _ in range(N)]
@@ -343,7 +343,10 @@ class CuLDA(Algorithm):
     def run_iteration(self, state: RunState) -> IterationOutcome:
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
         legs = self._run_nodes(self._transfer_retry())
-        dt = max(self._t_prev_node[n] - start for n, (_, start) in legs.items())
+        dt = max(
+            self.machines[n].synchronize() - start
+            for n, (_, start) in legs.items()
+        )
         return self._outcome(legs, dt)
 
     def log_likelihood(self, state: RunState) -> float:
@@ -412,17 +415,12 @@ class CuLDA(Algorithm):
         """
         self._restore_runtimes(state)
         views = self._recount(state)
-        advance = 0.0
         for n in self._host_nodes:
-            machine = self.machines[n]
             self._upload_phi(n, views[n], "h2d:phi_rollback")
             self._stage_chunks(n)
-            t_now = machine.synchronize()
-            advance = max(advance, t_now - self._t_prev_node[n])
-            self._t_prev_node[n] = t_now
-        # Recovery time stays on the clock (no reset): fault handling is
-        # part of the run the timeline reports.
-        self._charge_recovery(advance)
+            # Recovery time stays on the clock (no reset): fault handling
+            # is part of the run the timeline reports.
+            self.machines[n].synchronize()
         state.phi = self._phi().astype(np.int32)
 
     def handle_device_loss(self, state: RunState) -> None:
@@ -438,18 +436,13 @@ class CuLDA(Algorithm):
         planner. Migration time stays on the simulated clock.
         """
         self._restore_runtimes(state)
-        self._charge_recovery(self._rebuild_nodes("h2d:phi_repartition"))
+        self._rebuild_nodes("h2d:phi_repartition")
         emit_gauge(
             "surviving_gpus", float(sum(len(w) for w in self._node_workers)),
             help="GPUs still alive after elastic re-partition",
         )
         # Refresh the restored state: φ reflects the recount.
         self.capture_state(state)
-
-    def _charge_recovery(self, seconds: float) -> None:
-        """Account a recovery stall of *seconds*. One machine keeps it on
-        its own clock only: it counts in ``total_sim_seconds``, and the
-        next iteration is timed from the end of the recovery."""
 
     # ------------------------------------------------------------------
     # Per-node internals
@@ -489,13 +482,12 @@ class CuLDA(Algorithm):
         label: str,
         state: RunState | None = None,
         reset_clock: bool = False,
-    ) -> float:
+    ) -> None:
         """Rebuild every node's device state under the current hosting
         map: free the old buffers, recount φ (see :meth:`_recount`), then
         create GPU workers on each hosting node's alive GPUs, upload the
         node's φ view, stage each GPU's first chunk, and leave every
-        machine synchronized. Returns the largest per-node clock advance
-        (zero when resetting clocks at init)."""
+        hosting machine synchronized (its clock reset at init)."""
         self._release()
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [
@@ -504,7 +496,6 @@ class CuLDA(Algorithm):
         views = self._recount(state)
         hyper, kcfg = self._hyper, self._kcfg
         hosting = set(self._host_nodes)
-        advance = 0.0
         for n in range(self.num_nodes):
             if n not in hosting:
                 self._node_workers[n] = []
@@ -520,13 +511,9 @@ class CuLDA(Algorithm):
             self._node_workers[n] = workers
             self._upload_phi(n, views[n], label)
             self._stage_chunks(n)
-            t_now = machine.synchronize()
+            machine.synchronize()
             if reset_clock:
                 machine.reset_clock()
-                t_now = 0.0
-            advance = max(advance, t_now - self._t_prev_node[n])
-            self._t_prev_node[n] = t_now
-        return advance
 
     def _stage_chunks(self, node: int) -> None:
         """Stage each GPU of *node*'s first chunk on it, freeing any chunk
@@ -569,13 +556,12 @@ class CuLDA(Algorithm):
     def _run_nodes(self, retry) -> dict[int, tuple[int, float]]:
         """Alg 1's iteration on every hosting node: WorkSchedule1/2, then
         the node's φ sync (:meth:`_sync_node`). Returns, per node, its
-        trace mark and the clock the iteration started at (the node's
-        clock, ``_t_prev_node``, ends it)."""
+        trace mark and its host clock when the iteration started. Each
+        host clock is left where the node's sync left it."""
         legs = {}
         for n in self._host_nodes:
             machine = self.machines[n]
-            mark = len(machine.trace.intervals)
-
+            legs[n] = (len(machine.trace.intervals), machine.host_time)
             with span("iteration"):
                 run_iteration(
                     machine, self._node_workers[n], self._node_runtimes[n],
@@ -583,9 +569,6 @@ class CuLDA(Algorithm):
                     overlap=self.config.overlap_transfers,
                     sync=lambda n=n: self._sync_node(n, retry),
                 )
-                t_now = machine.synchronize()
-            legs[n] = (mark, self._t_prev_node[n])
-            self._t_prev_node[n] = t_now
         return legs
 
     def _sync_node(self, node: int, retry) -> None:
@@ -598,19 +581,17 @@ class CuLDA(Algorithm):
 
     def _trace_stats(self, legs) -> tuple[float, float, dict]:
         """``(sync_seconds, p2p_bytes, busy share by device)`` over each
-        node's iteration window, from its start to the node's clock."""
+        node's iteration window: from its start to its host clock, which
+        the iteration has synchronized."""
         sync_seconds = p2p_bytes = 0
         busy = {}
         for n, (mark, start) in legs.items():
             machine = self.machines[n]
-            s, p, b = iteration_trace_stats(
-                machine.trace.intervals[mark:],
-                [w.device.device_id for w in self._node_workers[n]],
-                start, self._t_prev_node[n],
-            )
-            sync_seconds += s
-            p2p_bytes += p
-            for d, f in b.items():
+            ivs = machine.trace.intervals[mark:]
+            sync_seconds += sum(iv.duration for iv in ivs if iv.kind == "sync")
+            p2p_bytes += sum(iv.bytes_moved for iv in ivs if iv.kind == "p2p")
+            devices = [w.device.device_id for w in self._node_workers[n]]
+            for d, f in busy_fractions(ivs, devices, start, machine.host_time).items():
                 busy[self._device_key(n, d)] = f
         return sync_seconds, p2p_bytes, busy
 
@@ -684,10 +665,9 @@ class CuLDA(Algorithm):
                 device=str(dev),
             )
 
-    def _collect(self) -> float:
+    def _collect(self) -> None:
         """Final collection on every hosting node (Alg 1 lines 17-20 /
-        35). Returns the slowest node's collection time."""
-        tail = 0.0
+        35)."""
         for n in self._host_nodes:
             machine = self.machines[n]
             workers = self._node_workers[n]
@@ -696,8 +676,6 @@ class CuLDA(Algorithm):
             )
             for w, dc in zip(workers, self._node_dev_chunks[n]):
                 download_chunk(machine, w, dc)
-            tail = max(tail, machine.synchronize() - self._t_prev_node[n])
-        return tail
 
     def _result(
         self, state: RunState, wall_seconds: float, total_sim: float, **where

@@ -23,9 +23,13 @@ substrate with hierarchical synchronization:
    change from the view the host last sent the node, in one h2d that
    one kernel adds in (docs/DISTRIBUTED.md §2).
 
+Every node's machine runs on the cluster's one timeline. An iteration
+starts at a barrier (``_barrier``); a node's leg starts once its host
+has summed its Δφ, and its Δ upload once the leg has delivered to it.
+
 This class adds only that cluster layer: the inter-node leg, failure
 detection, the parameter server, the staleness cache, node migration,
-the cluster clock and the ``dist_*`` checkpoint extras. A one-node
+the barriers and the ``dist_*`` checkpoint extras. A one-node
 cluster has none of it, so ``DistributedCuLDA`` over one machine *is*
 the single-machine trainer (same plan, same timings, same checkpoint
 bytes).
@@ -149,7 +153,7 @@ class DistributedCuLDA(CuLDA):
         registry=None,
     ):
         """A one-node cluster has no cluster layer — no inter-node leg,
-        no cluster clock, no ``dist_*`` extras — so after the same
+        no barriers, no ``dist_*`` extras — so after the same
         argument checks it is the single-machine trainer itself."""
         if len(machines) != 1:
             return super().__new__(cls)
@@ -203,7 +207,7 @@ class DistributedCuLDA(CuLDA):
         self._contrib: dict[int, np.ndarray] = {}
         #: Nodes whose Δ bases were reset since their last send.
         self._fresh: set[int] = set()
-        self._cluster_time = 0.0
+        #: When the last completed iteration ended (see run_iteration).
         self._charged = 0.0
         extras = resume.extras if resume is not None else {}
         self._net_base = 0.0
@@ -253,7 +257,7 @@ class DistributedCuLDA(CuLDA):
         for n in sorted(self._dead_nodes):
             if self.network.node_alive(n):
                 self.network.fail_node(n)
-            self.membership.force_dead(n, self._cluster_time)
+            self.membership.force_dead(n, self._charged)
 
     def _recount(self, state: RunState | None = None) -> dict[int, np.ndarray]:
         """Keeps every node's contribution and their sum, plus the
@@ -352,10 +356,6 @@ class DistributedCuLDA(CuLDA):
     def _device_key(self, node: int, device: int):
         return f"{node}.{device}"
 
-    def _charge_recovery(self, seconds: float) -> None:
-        """The cluster clock charges the stall to the next iteration."""
-        self._cluster_time += seconds
-
     def start_event(self, state: RunState) -> dict:
         event = super().start_event(state)
         event.update(
@@ -375,7 +375,8 @@ class DistributedCuLDA(CuLDA):
         hosts = list(self._host_nodes)
 
         # --- failure detection: the barrier stalls on silent nodes -----
-        self.membership.observe(self._cluster_time)
+        t0 = self._barrier()
+        self.membership.observe(t0)
         # Checksum-verify the φ shards before any backend overwrites
         # them in lockstep, so silent corruption is repaired (and
         # counted) rather than papered over.
@@ -386,7 +387,6 @@ class DistributedCuLDA(CuLDA):
             # A hosting node is silent: the BSP barrier stalls until the
             # failure detector rules. The stall stays on the clock even
             # though the iteration is aborted and re-run after recovery.
-            t0 = self._cluster_time
             verdict_at = self.membership.await_verdict(n, t0)
             if verdict_at > t0:
                 emit_counter(
@@ -395,18 +395,16 @@ class DistributedCuLDA(CuLDA):
                          "node failures and re-partitioning after them.",
                     phase="detect",
                 )
-            self._cluster_time = max(self._cluster_time, verdict_at)
+            t0 = self._barrier(verdict_at)
             if self.membership.is_dead(n):
                 raise NodeLost(n)
             # The NIC came back during the stall; training proceeds.
 
         # --- intra-node leg: the paper's iteration, per machine, whose
-        # sync sends each GPU's Δφ to its node's host ------------------
+        # sync sends each GPU's Δφ to its node's host. A node is ready
+        # for the inter-node leg once its host has summed them. --------
         legs = self._run_nodes(retry)
-        dt_intra = {
-            n: self._t_prev_node[n] - start for n, (_, start) in legs.items()
-        }
-        ready = {n: self._cluster_time + dt_intra[n] for n in hosts}
+        ready = {n: self.machines[n].host_time for n in hosts}
 
         # Node n's host now holds the sum of its chunk counts — the
         # node's contribution. Nodes hosting nothing (dead, their work
@@ -471,18 +469,18 @@ class DistributedCuLDA(CuLDA):
         deltas: dict[tuple[int, int], tuple[WireDelta, np.ndarray]] = {}
         finish = {}
         for n in hosts:
-            machine, start = self.machines[n], legs[n][1]
-            # The node's host sends once the leg has delivered to it:
-            # done[n] on the cluster clock, mapped onto the node's.
-            machine.advance_host(start + done[n] - self._cluster_time)
+            machine = self.machines[n]
+            # The node's host sends once its GPUs are idle and the leg
+            # has delivered to it.
+            machine.synchronize()
+            machine.advance_host(done[n])
             key = (id(views[n]), id(held[n]))
             if key not in deltas:
                 delta = WireDelta.between(views[n], held[n])
                 deltas[key] = (delta, delta.pack())
             self._send_delta(n, *deltas[key])
             self._held[n] = views[n]
-            self._t_prev_node[n] = machine.synchronize()
-            finish[n] = self._cluster_time + self._t_prev_node[n] - start
+            finish[n] = machine.synchronize()
         t_next = max(finish.values())
         for n in hosts:
             emit_counter(
@@ -494,7 +492,6 @@ class DistributedCuLDA(CuLDA):
         # recovery stall (detection, re-partition, re-shard) between the
         # two lands on this iteration's simulated duration.
         dt_iter = t_next - self._charged
-        self._cluster_time = t_next
         self._charged = t_next
         net_seconds = (
             max(done.values()) - max(ready.values()) if sync_round else 0.0
@@ -504,7 +501,7 @@ class DistributedCuLDA(CuLDA):
             legs, dt_iter, network_seconds=net_seconds,
             stats={
                 "network_seconds": net_seconds,
-                "compute_seconds": max(dt_intra.values()),
+                "compute_seconds": max(ready.values()) - t0,
             },
             event={
                 "sync_round": sync_round,
@@ -548,9 +545,11 @@ class DistributedCuLDA(CuLDA):
                 state.extras[f"dist_node_base_{n}"] = self._node_base[n].copy()
 
     def finalize(self, state: RunState, wall_seconds: float) -> TrainResult:
-        # The cluster clock runs through the slowest node's final
+        # The cluster's total runs through the slowest node's final
         # collection.
-        total_sim = self._sim_base + self._cluster_time + self._collect()
+        self._barrier()
+        self._collect()
+        total_sim = self._sim_base + self._barrier()
         N = self.num_nodes
         return self._result(
             state, wall_seconds, total_sim,
@@ -594,7 +593,7 @@ class DistributedCuLDA(CuLDA):
         """
         N, W = self.num_nodes, self.num_workers
         M = self._plan.chunks_per_gpu
-        t_start = self._cluster_time
+        t_start = self._barrier()
         self._restore_hosting(state)
 
         dead = set(self._dead_nodes) | set(self.membership.dead_nodes)
@@ -640,11 +639,9 @@ class DistributedCuLDA(CuLDA):
         # including the dead node's — is drained exactly once.
         super().handle_device_loss(state)
 
-        _, done = self.server.reshard(self._phi_cache, self._cluster_time)
-        self._cluster_time = max(self._cluster_time, done)
+        _, done = self.server.reshard(self._phi_cache, self._barrier())
+        stall = self._barrier(done) - t_start
         self._park_plan()
-
-        stall = self._cluster_time - t_start
         if stall > 0:
             emit_counter(
                 "node_recovery_stall_seconds_total", stall,
@@ -663,6 +660,15 @@ class DistributedCuLDA(CuLDA):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _barrier(self, t: float = 0.0) -> float:
+        """The cluster's barrier: synchronize every machine, and move
+        every host clock to the latest of their times and *t*. Returns
+        that time."""
+        t = max(t, *(m.synchronize() for m in self.machines))
+        for machine in self.machines:
+            machine.advance_host(t)
+        return t
+
     def _park_plan(self) -> None:
         """Park the chunk-hosting map in the replicated parameter server,
         so the plan survives the node that owned any given assignment

@@ -38,7 +38,10 @@ class IterationStats:
     """Per-iteration measurements (the Fig 7 series).
 
     The first six fields match the historical CuLDA layout; the trailing
-    network/compute split is populated by the distributed trainer.
+    network/compute split is populated by the distributed trainer. There
+    ``compute_seconds`` runs from the iteration's barrier to the last
+    host's Δφ sum, and ``network_seconds`` from there to the inter-node
+    leg's last delivery.
     """
 
     iteration: int

@@ -12,10 +12,11 @@ evaluation asks of its profiler:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
-__all__ = ["Interval", "TraceRecorder", "to_chrome_json", "union_length"]
+__all__ = ["Interval", "TraceRecorder", "cluster_trace", "to_chrome_json",
+           "union_length"]
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,26 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+
+def cluster_trace(traces: Sequence[TraceRecorder], gpus_per_node: int) -> TraceRecorder:
+    """One recorder over the traces of a cluster whose machines share one
+    clock. Node *n*'s GPU *j* becomes device ``n·G + j``, the global id
+    fault plans use, and node *n*'s host device ``−2 − n`` (stream
+    ``node{n}.host``), apart from the telemetry host spans at −1. A
+    single machine's trace is returned as it is."""
+    if len(traces) == 1:
+        return traces[0]
+    merged = TraceRecorder()
+    for n, trace in enumerate(traces):
+        for iv in trace.intervals:
+            if iv.device_id < 0:
+                dev, stream = -2 - n, f"node{n}.host"
+            else:
+                dev = n * gpus_per_node + iv.device_id
+                stream = f"{dev}.{iv.stream.split('.', 1)[1]}"
+            merged.intervals.append(replace(iv, device_id=dev, stream=stream))
+    return merged
 
 
 def to_chrome_json(trace: TraceRecorder, extra: TraceRecorder | None = None) -> str:

@@ -118,10 +118,10 @@ def profile_json(
     }
 
 
-def format_profile(report: dict, gantts: list[str], families: int) -> str:
-    """The text view of a :func:`profile_json` *report*. Only the
-    per-node text Gantts (*gantts*) and the registry's metric-family
-    count (*families*) are not in the document."""
+def format_profile(report: dict, gantt: str, families: int) -> str:
+    """The text view of a :func:`profile_json` *report*. Only the text
+    Gantt of every node's timeline (*gantt*) and the registry's
+    metric-family count (*families*) are not in the document."""
     lines = [
         f"profile: {report['corpus']} on {report['machine']}, "
         f"K={report['num_topics']}, {report['iterations']} iteration(s)",
@@ -180,9 +180,5 @@ def format_profile(report: dict, gantts: list[str], families: int) -> str:
         ]
         lines.append("")
 
-    lines.append("timeline (text Gantt):")
-    for n, gantt in enumerate(gantts):
-        if len(gantts) > 1:
-            lines.append(f"node {n}:")
-        lines.append(gantt)
+    lines += ["timeline (text Gantt):", gantt]
     return "\n".join(lines)

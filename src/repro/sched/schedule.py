@@ -100,7 +100,6 @@ __all__ = [
     "synchronize_model",
     "send_phi_deltas",
     "busy_fractions",
-    "iteration_trace_stats",
 ]
 
 
@@ -823,13 +822,3 @@ def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, flo
     for d, spans in by_dev.items():
         out[d] = union_length(spans) / dt
     return out
-
-
-def iteration_trace_stats(
-    intervals, device_ids, t0: float, t1: float
-) -> tuple[float, float, dict[int, float]]:
-    """Summarize one iteration's trace slice: ``(sync_seconds,
-    p2p_bytes, busy_fraction_by_device)`` over the window [t0, t1]."""
-    sync_seconds = sum(iv.duration for iv in intervals if iv.kind == "sync")
-    p2p_bytes = sum(iv.bytes_moved for iv in intervals if iv.kind == "p2p")
-    return sync_seconds, p2p_bytes, busy_fractions(intervals, device_ids, t0, t1)

@@ -228,9 +228,7 @@ class PhiReplica:
     ) -> WordTables:
         tables = self._tables.get(digest)
         if tables is None:
-            tables = foldin_tables(phi, hyper)
-            if digest in self._models:
-                self._tables[digest] = tables
+            tables = self._tables[digest] = foldin_tables(phi, hyper)
         return tables
 
     # ------------------------------------------------------------------
@@ -247,8 +245,9 @@ class PhiReplica:
     ) -> BatchExecution:
         """Run *batch* on this replica, charging the simulated clock.
 
-        *digest* names *phi*'s checkpoint; the sampler tables are cached
-        under it while φ stays resident.
+        *digest* names *phi*'s checkpoint, which :meth:`ensure_model`
+        has made resident here: the fold-in kernel reads that buffer, and
+        the sampler tables are cached under it while φ stays resident.
 
         Raises any :class:`~repro.gpusim.errors.FaultError` the
         simulated hardware surfaces; the caller owns failover. Staged
@@ -302,7 +301,7 @@ class PhiReplica:
                 cost=cost,
                 label=f"serve_batch[{batch_id}]",
                 kind="serve",
-                reads=(token_buf,),
+                reads=(token_buf, self._models[digest]),
             ).launch(self.stream, not_before=not_before)
 
             doc_topic = np.concatenate([r.doc_topic for r in results], axis=0)

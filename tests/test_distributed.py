@@ -794,6 +794,24 @@ class TestNodeLossRecovery:
         assert chaos.rollbacks == 0  # repaired by checksums, not rollback
         assert any(e["kind"] == "shard_repair" for e in algo.server.events)
 
+    def test_detect_stall_is_the_detectors(self, corpus):
+        """Node 1 dies at iteration 2's barrier. It was last heard at
+        the heartbeat tick at t = 0, so the verdict lands at the lease's
+        2.0 s, and the stall runs from the barrier to it: faster
+        iterations before the failure lengthen it by the time they
+        save."""
+        registry = MetricsRegistry()
+        result = _trainer(corpus, 2, 2, registry).train(
+            recovery="elastic", fault_plan=_node_plan(2, 1)
+        )
+        [detect] = [
+            s.value
+            for s in registry.get("node_recovery_stall_seconds_total").samples()
+            if s.labels["phase"] == "detect"
+        ]
+        before = sum(it.sim_seconds for it in result.iterations[:2])
+        assert detect == pytest.approx(2.0 - before, rel=0, abs=1e-12)
+
     def test_stall_charged_to_simulated_clock(self, corpus):
         clean = _trainer(corpus, 2, 2).train()
         chaos = _trainer(corpus, 2, 2).train(
@@ -890,7 +908,7 @@ class TestMigrationProperties:
 
 class _Boundaries(TrainerCallback):
     """Per iteration boundary of a cluster run: each machine's trace
-    length and clock, and the network's message count."""
+    length and the network's message count."""
 
     def __init__(self, trainer):
         self.trainer = trainer
@@ -900,11 +918,78 @@ class _Boundaries(TrainerCallback):
         t = self.trainer
         self.marks.append((
             [len(m.trace.intervals) for m in t.machines],
-            [m.host_time for m in t.machines],
             len(t.network.messages),
         ))
 
     on_train_start = on_iteration_end = _mark
+
+    def iterations(self):
+        """Per completed iteration: each machine's trace slice and the
+        network's messages over it."""
+        t = self.trainer
+        for (cuts, sent), (ends, sent_end) in zip(self.marks, self.marks[1:]):
+            yield [
+                m.trace.intervals[cut:end]
+                for m, cut, end in zip(t.machines, cuts, ends)
+            ], t.network.messages[sent:sent_end]
+
+
+class TestOneTimeline:
+    """Every node's machine runs on the cluster's timeline. Iteration
+    *i*'s trace slices on every node lie within [Σ_{j<i} sim_j,
+    Σ_{j≤i} sim_j] (a rerun's window also holds the aborted attempt and
+    its rollback), and the latest slice ends at ``total_sim_seconds``."""
+
+    @pytest.mark.parametrize("chunks_per_gpu,fault_device", [
+        (1, None), (2, None), (1, 0), (1, 3),
+    ])
+    def test_slices_lie_in_their_iteration(
+        self, corpus, chunks_per_gpu, fault_device
+    ):
+        plan = None
+        if fault_device is not None:
+            plan = FaultPlan(faults=(FaultSpec(
+                kind="kernel_fault", iteration=2, device=fault_device),))
+        trainer = _trainer(corpus, 2, 2, chunks_per_gpu=chunks_per_gpu)
+        marks = _Boundaries(trainer)
+        result = trainer.train(
+            callbacks=[marks], recovery="retry", fault_plan=plan
+        )
+        assert result.rollbacks == (plan is not None)
+        bounds = np.cumsum([0.0] + [it.sim_seconds for it in result.iterations])
+        slices = [nodes for nodes, _ in marks.iterations()]
+        cuts, _ = marks.marks[-1]
+        slices.append([
+            m.trace.intervals[cut:] for m, cut in zip(trainer.machines, cuts)
+        ])  # the final collection
+        bounds = [*bounds, result.total_sim_seconds]
+        for i, nodes in enumerate(slices):
+            for n, ivs in enumerate(nodes):
+                assert ivs, (i, n)
+                assert min(iv.start for iv in ivs) >= bounds[i] - 1e-12, (i, n)
+                assert max(iv.end for iv in ivs) <= bounds[i + 1] + 1e-12, (i, n)
+        last = max(iv.end for m in trainer.machines for iv in m.trace.intervals)
+        assert last == pytest.approx(result.total_sim_seconds, rel=1e-12)
+
+    def test_leg_starts_at_the_hosts_delta_sum(self, corpus):
+        """A node is ready for the inter-node leg once its host has
+        summed its GPUs' Δφ. At M = 2 each GPU downloads its penultimate
+        chunk after its sync, and the leg does not wait for it: in each
+        round the ring's first message starts as the last host add
+        ends."""
+        trainer = _trainer(
+            corpus, 2, 2, num_topics=128, chunks_per_gpu=2,
+            inter_sync="eth_ring",
+        )
+        marks = _Boundaries(trainer)
+        trainer.train(callbacks=[marks])
+        for nodes, messages in marks.iterations():
+            adds = [
+                iv.end for ivs in nodes for iv in ivs
+                if iv.label == "phi_delta_host_add"
+            ]
+            ring = [m[4] for m in messages if m[0] == "internode_ring"]
+            assert ring and min(ring) == max(adds)
 
 
 class TestNodeSyncToHost:
@@ -919,20 +1004,15 @@ class TestNodeSyncToHost:
     def test_copies_wait_for_their_data(self, corpus, staleness, sync):
         """No φ d2h starts before the φ work before it on its GPU (the
         update or the reduce) ends, and no φ upload starts before the
-        inter-node leg has delivered to its node, on that node's own
-        clock."""
+        inter-node leg has delivered to its node."""
         trainer = _trainer(
             corpus, 2, 2, staleness=staleness, sync_algorithm=sync
         )
         marks = _Boundaries(trainer)
-        result = trainer.train(callbacks=[marks])
-        starts = np.cumsum([0.0] + [it.sim_seconds for it in result.iterations])
+        trainer.train(callbacks=[marks])
         checked = {"d2h": 0, "h2d": 0}
-        for i in range(len(result.iterations)):
-            (cuts, clocks, sent), (ends, _, sent_end) = marks.marks[i:i + 2]
-            messages = trainer.network.messages[sent:sent_end]
-            for n, machine in enumerate(trainer.machines):
-                ivs = machine.trace.intervals[cuts[n]:ends[n]]
+        for i, (nodes, messages) in enumerate(marks.iterations()):
+            for n, ivs in enumerate(nodes):
                 for k, iv in enumerate(ivs):
                     if iv.kind == "d2h" and "phi" in iv.label:
                         before = [
@@ -945,10 +1025,10 @@ class TestNodeSyncToHost:
                 delivered = [m[5] for m in messages if n in (m[1], m[2])]
                 if not delivered:
                     continue  # no leg this round (inside a staleness window)
-                arrives = clocks[n] + max(delivered) - starts[i]
+                arrives = max(delivered)
                 for iv in ivs:
                     if iv.kind == "h2d" and iv.label.startswith("h2d:phi"):
-                        assert iv.start >= arrives - 1e-12, (i, n, iv)
+                        assert iv.start >= arrives, (i, n, iv)
                         checked["h2d"] += 1
         assert checked["d2h"] and checked["h2d"]
 
@@ -1030,13 +1110,9 @@ class TestNodeSyncToHost:
 
         trainer.train(callbacks=[marks, Partials()])
         before = {key: 0 for key in partials[0]}
-        for i, now in enumerate(partials):
-            (cuts, _, _), (ends, _, _) = marks.marks[i:i + 2]
-            for n, machine in enumerate(trainer.machines):
-                copies = [
-                    iv for iv in machine.trace.intervals[cuts[n]:ends[n]]
-                    if iv.kind == "d2h"
-                ]
+        for now, (nodes, _) in zip(partials, marks.iterations()):
+            for n, ivs in enumerate(nodes):
+                copies = [iv for iv in ivs if iv.kind == "d2h"]
                 for d in (0, 1):
                     mine = [iv for iv in copies if iv.device_id == d]
                     assert [iv.label for iv in mine] == [
@@ -1174,6 +1250,30 @@ class TestCLIDistributed:
         ])
         assert rc == 0
         assert "2x Pascal Platform" in capsys.readouterr().out
+
+    def test_profile_trace_holds_every_node(self, capsys, tmp_path):
+        """One Chrome trace for the cluster: a process per GPU by its
+        global device id, one per node host, and the host spans at −1.
+        The nodes share one clock, so the latest GPU slice ends at the
+        run's simulated total."""
+        trace = tmp_path / "trace.json"
+        rc = main([
+            "profile", "--synthetic", "pubmed", "--tokens", "8000",
+            "--topics", "8", "--iterations", "3", "--platform", "pascal",
+            "--nodes", "2", "--gpus-per-node", "2", "--format", "json",
+            "--trace", str(trace),
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        slices = [
+            e for e in json.loads(trace.read_text())["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        assert {e["pid"] for e in slices} == {-3, -2, -1, 0, 1, 2, 3}
+        hosts = {e["pid"] for e in slices if e["name"] == "phi_delta_host_add"}
+        assert hosts == {-3, -2}
+        end = max(e["ts"] + e["dur"] for e in slices if e["pid"] >= 0)
+        assert end / 1e6 == pytest.approx(report["simulated_seconds"], rel=1e-12)
 
     def test_staleness_requires_multinode(self, capsys):
         rc = main(self.ARGS + ["--staleness", "1"])

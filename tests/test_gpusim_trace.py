@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpusim.trace import Interval, TraceRecorder, union_length
+from repro.gpusim.trace import (
+    Interval,
+    TraceRecorder,
+    cluster_trace,
+    union_length,
+)
 
 
 def _mk(rec, kind, start, end, dev=0, stream="0.s"):
@@ -128,6 +133,24 @@ class TestGantt:
         text = r.gantt_text(width=16)
         assert "0.compute" in text and "0.upload" in text
         assert "S" in text and "H" in text
+
+
+class TestClusterTrace:
+    def test_global_device_ids_and_node_hosts(self):
+        nodes = [TraceRecorder(), TraceRecorder()]
+        for n, r in enumerate(nodes):
+            _mk(r, "sampling", n, n + 1, dev=1, stream="1.compute")
+            _mk(r, "host", n, n + 1, dev=-1, stream="host")
+        merged = cluster_trace(nodes, gpus_per_node=2)
+        assert [(iv.device_id, iv.stream, iv.start) for iv in merged.intervals] == [
+            (1, "1.compute", 0), (-2, "node0.host", 0),
+            (3, "3.compute", 1), (-3, "node1.host", 1),
+        ]
+
+    def test_one_machine_is_its_own_trace(self):
+        r = TraceRecorder()
+        _mk(r, "host", 0, 1, dev=-1, stream="host")
+        assert cluster_trace([r], gpus_per_node=4) is r
 
 
 class TestInterval:

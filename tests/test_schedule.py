@@ -254,8 +254,11 @@ class TestDeclaredReadsWait:
         )
         assert seen["op"] >= seen["write"]
 
-    def test_fold_in_waits_for_its_tokens(
-        self, pascal1, monkeypatch, write_before
+    @pytest.mark.parametrize(
+        "read", ["serve_tokens[0]", "phi[d]"], ids=["tokens", "phi"]
+    )
+    def test_fold_in_waits_for_its_inputs(
+        self, pascal1, monkeypatch, write_before, read
     ):
         import repro.serve.replica as replica
         from repro.serve.request import InferenceRequest
@@ -270,15 +273,18 @@ class TestDeclaredReadsWait:
         monkeypatch.setattr(replica, "DeviceArray", recording)
         K, V = 4, 12
         phi = np.arange(K * V, dtype=np.int64).reshape(K, V) % 7 + 1
+        rep = replica.PhiReplica(pascal1.gpus[0])
+        rep.ensure_model("d", phi)
         seen = write_before(
-            "serve_batch[", lambda: staged[0], pascal1.gpus[0].create_stream("w")
+            "serve_batch[",
+            lambda: next(b for b in staged if b.label == read),
+            pascal1.gpus[0].create_stream("w"),
         )
-        replica.PhiReplica(pascal1.gpus[0]).execute(
+        rep.execute(
             [InferenceRequest(0, ((0, 3, 5, 5), (11, 2)))], phi,
             LDAHyperParams(num_topics=K), 2, KernelConfig(),
             not_before=0.0, batch_id=0, digest="d",
         )
-        assert staged[0].label == "serve_tokens[0]"
         assert seen["op"] >= seen["write"]
 
 
