@@ -127,7 +127,7 @@ def resilient_p2p(
             help="p2p transfers re-routed through host memory",
             link=exc.link_name, op=label,
         )
-        _, _, host = with_retry(
+        _, staged, host = with_retry(
             lambda: machine.memcpy_d2h(
                 src, stream=src_stream, label=f"{label}_via_host_d2h",
                 pinned=False,
@@ -135,12 +135,10 @@ def resilient_p2p(
             src_stream, f"{label}_via_host_d2h", retry,
             devices=(src.device.device_id,),
         )
-        staged = src_stream.record(label=f"{label}_staged")
-        dst_stream.wait_event(staged)
         return with_retry(
             lambda: machine.memcpy_h2d(
                 dst, host, stream=dst_stream, label=f"{label}_via_host_h2d",
-                pinned=False,
+                pinned=False, not_before=staged,
             ),
             dst_stream, f"{label}_via_host_h2d", retry,
             devices=(dst.device.device_id,),

@@ -485,9 +485,10 @@ class CuLDA(Algorithm):
     ) -> None:
         """Rebuild every node's device state under the current hosting
         map: free the old buffers, recount φ (see :meth:`_recount`), then
-        create GPU workers on each hosting node's alive GPUs, upload the
-        node's φ view, stage each GPU's first chunk, and leave every
-        hosting machine synchronized (its clock reset at init)."""
+        create GPU workers on each hosting node's alive GPUs, allocate
+        each one's chunk slots for its chunks, upload the node's φ view,
+        stage each GPU's first chunk, and leave every hosting machine
+        synchronized (its clock reset at init)."""
         self._release()
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [
@@ -508,6 +509,8 @@ class CuLDA(Algorithm):
             ]
             if not workers:
                 raise FaultError(f"node {n} hosts work but has no alive GPUs")
+            for g, w in enumerate(workers):
+                w.allocate_slots(self._node_runtimes[n][g::len(workers)])
             self._node_workers[n] = workers
             self._upload_phi(n, views[n], label)
             self._stage_chunks(n)
@@ -516,15 +519,13 @@ class CuLDA(Algorithm):
                 machine.reset_clock()
 
     def _stage_chunks(self, node: int) -> None:
-        """Stage each GPU of *node*'s first chunk on it, freeing any chunk
-        it held: the one it samples first next iteration."""
+        """Stage each GPU of *node*'s first chunk in its first slot: the
+        chunk it samples first next iteration."""
         machine, local = self.machines[node], self._node_runtimes[node]
         retry = self._transfer_retry()
-        for dc in self._node_dev_chunks[node]:
-            dc.free_all()
         self._node_dev_chunks[node] = [
             with_retry(
-                lambda g=g, w=w: upload_chunk(machine, w, local[g]),
+                lambda g=g, w=w: upload_chunk(machine, w, local[g], w.slots[0]),
                 w.upload, f"h2d:chunk{local[g].chunk_id}", retry,
                 devices=(w.device.device_id,),
             )
@@ -545,12 +546,11 @@ class CuLDA(Algorithm):
             launch_nk_rowsum(w, self._kcfg, w.upload)
 
     def _release(self) -> None:
-        """Free every node's device buffers (host-side bookkeeping only;
-        a dead GPU's memory is gone with the GPU)."""
-        for n in range(self.num_nodes):
-            for dc in self._node_dev_chunks[n]:
-                dc.free_all()
-            for w in self._node_workers[n]:
+        """Free every node's device buffers, chunk slots included
+        (host-side bookkeeping only; a dead GPU's memory is gone with the
+        GPU)."""
+        for workers in self._node_workers:
+            for w in workers:
                 w.free_all()
 
     def _run_nodes(self, retry) -> dict[int, tuple[int, float]]:

@@ -470,9 +470,9 @@ class DistributedCuLDA(CuLDA):
         finish = {}
         for n in hosts:
             machine = self.machines[n]
-            # The node's host sends once its GPUs are idle and the leg
-            # has delivered to it.
-            machine.synchronize()
+            # The node's host sends once the leg has delivered to it.
+            # The copies read the host clock, and the apply kernel waits
+            # for the buffers it writes, not for chunk downloads.
             machine.advance_host(done[n])
             key = (id(views[n]), id(held[n]))
             if key not in deltas:

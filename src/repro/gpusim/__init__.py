@@ -8,10 +8,10 @@ DESIGN.md §2). It models a single host with one or more GPUs:
 - :mod:`repro.gpusim.memory` — device memory allocation with capacity
   enforcement; :class:`DeviceArray` buffers that hold real NumPy data
   and stamp when each byte range was last written and read.
-- :mod:`repro.gpusim.stream` — CUDA-style streams and events over a
-  simulated clock; operations on one stream serialize, operations on
-  different streams (or devices) overlap, and an operation waits for
-  the buffers it reads and writes.
+- :mod:`repro.gpusim.stream` — CUDA-style streams over a simulated
+  clock; operations on one stream serialize, operations on different
+  streams (or devices) overlap, and an operation waits for the buffers
+  it reads and writes.
 - :mod:`repro.gpusim.kernel` — the kernel-launch abstraction: a kernel
   executes its real numerics immediately and is charged simulated time
   from its reported :class:`KernelCost`.
@@ -50,7 +50,7 @@ from repro.gpusim.platform import (
     pascal_platform,
     volta_platform,
 )
-from repro.gpusim.stream import Event, Stream
+from repro.gpusim.stream import Stream
 from repro.gpusim.trace import Interval, TraceRecorder, to_chrome_json
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "GPU_TITAN_X",
     "GPU_TITAN_XP",
     "GPU_V100",
-    "Event",
     "Stream",
     "Interval",
     "TraceRecorder",

@@ -342,15 +342,18 @@ class Machine:
         self, stream: Stream, link: Link, direction: int, buf: DeviceArray,
         pinned: bool, kind: str, label: str, fn: Callable[[bool], object],
         reads: tuple[DeviceArray, ...] = (), writes: tuple[DeviceArray, ...] = (),
+        not_before: float = 0.0,
     ) -> tuple[float, float, object]:
         """Move *buf*'s bytes over *link* as one op on *stream*: the link
-        is reserved from when the stream and the buffers the copy *reads*
-        and *writes* allow, at twice the bytes from pageable memory
-        (``pinned=False``, the staging copy), and ``fn(corrupt)`` does
-        the copy, *corrupt* saying whether the link flips the payload."""
+        is reserved from when the stream, the buffers the copy *reads*
+        and *writes* and *not_before* allow, at twice the bytes from
+        pageable memory (``pinned=False``, the staging copy), and
+        ``fn(corrupt)`` does the copy, *corrupt* saying whether the link
+        flips the payload."""
         l_start, l_end = link.reserve(
             buf.nbytes if pinned else 2 * buf.nbytes,
-            stream.earliest(reads, writes), direction=direction,
+            max(stream.earliest(reads, writes), not_before),
+            direction=direction,
         )
         corrupt = link.take_corruption()
         return stream.enqueue(
@@ -366,11 +369,14 @@ class Machine:
         stream: Stream | None = None,
         label: str = "h2d",
         pinned: bool = True,
+        not_before: float = 0.0,
     ) -> tuple[float, float]:
         """Copy host array *src* into device buffer *dst* (timed).
 
         ``pinned=False`` models a copy from pageable host memory, which
         runs at roughly half the pinned DMA rate (the staging copy).
+        The copy starts no earlier than ``not_before``: when *src* is
+        data the host received from a device, the end of that copy.
         """
         if src.shape != dst.shape:
             raise ValueError(f"h2d shape mismatch {src.shape} != {dst.shape}")
@@ -380,6 +386,7 @@ class Machine:
         start, end, _ = self._copy(
             stream, self.pcie[dst.device.device_id], 0, dst, pinned, "h2d",
             label, lambda corrupt: _deliver(dst, src, corrupt), writes=(dst,),
+            not_before=not_before,
         )
         return start, end
 

@@ -1,4 +1,4 @@
-"""Streams and events over the simulated clock.
+"""Streams over the simulated clock.
 
 Timing semantics mirror CUDA's:
 
@@ -12,14 +12,11 @@ Timing semantics mirror CUDA's:
   and no earlier than the last read of any byte it writes ends (each
   buffer's stamps, :meth:`~repro.gpusim.memory.DeviceArray.ready_at`),
   whichever streams those ran on. So a copy waits for its source to be
-  written and a kernel for its inputs, with no event placed by hand.
-- :class:`Event` captures a point on a stream's timeline
-  (:meth:`Stream.record`); :meth:`Stream.wait_event` makes every later
-  operation on the stream start no earlier than the event, and an event
-  recorded after the wait no earlier than it either, as
-  ``cudaEventRecord`` after ``cudaStreamWaitEvent`` completes only once
-  the waited-on event has. Events remain for orders that are not about
-  a device buffer: memory reuse, and data relayed through host memory.
+  written, a kernel for its inputs, and a chunk's upload for the last
+  use of the slot it overwrites, with no event placed by hand.
+- An operation starts no earlier than the host clock, and no earlier
+  than its ``not_before``: an order that is not about a device buffer,
+  such as a link grant or data relayed through host memory.
 
 An operation is *executed functionally at enqueue time* (its NumPy work
 happens immediately) but is *charged* on the simulated timeline. That is
@@ -38,32 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpusim.device import Device
     from repro.gpusim.memory import DeviceArray
 
-__all__ = ["Event", "Stream"]
-
-
-class Event:
-    """A recorded point on the simulated timeline (CUDA event)."""
-
-    def __init__(self, label: str = "event"):
-        self.label = label
-        self._time: float | None = None
-
-    @property
-    def recorded(self) -> bool:
-        return self._time is not None
-
-    @property
-    def time(self) -> float:
-        """The simulated time of the event; raises if never recorded."""
-        if self._time is None:
-            raise RuntimeError(f"event {self.label!r} was never recorded")
-        return self._time
-
-    def _record(self, t: float) -> None:
-        self._time = t
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Event({self.label!r}, t={self._time})"
+__all__ = ["Stream"]
 
 
 class Stream:
@@ -74,22 +46,6 @@ class Stream:
         self.stream_id = stream_id
         self.label = label
         self.available_at = 0.0
-        self._pending_after = 0.0  # max event time waited on
-
-    # ------------------------------------------------------------------
-    # Dependencies
-    # ------------------------------------------------------------------
-    def wait_event(self, event: Event) -> None:
-        """Delay subsequent operations until *event* has occurred."""
-        self._pending_after = max(self._pending_after, event.time)
-
-    def record(self, label: str = "event") -> Event:
-        """Record an event at the stream's current frontier: after its
-        last operation and after every event it has been told to wait
-        for."""
-        event = Event(label)
-        event._record(max(self.available_at, self._pending_after))
-        return event
 
     # ------------------------------------------------------------------
     # Enqueueing
@@ -98,13 +54,12 @@ class Stream:
         self, reads: Sequence[DeviceArray] = (), writes: Sequence[DeviceArray] = ()
     ) -> float:
         """When an operation issued now may start: after the stream's
-        last operation, every event it waits for and the host clock, and
-        once its *reads* and *writes* are ready to touch."""
+        last operation and the host clock, and once its *reads* and
+        *writes* are ready to touch."""
         machine = self.device.machine
         epoch = machine.clock_epoch
         return max(
             self.available_at,
-            self._pending_after,
             machine.host_time,
             *(buf.ready_at(False, epoch) for buf in reads),
             *(buf.ready_at(True, epoch) for buf in writes),
@@ -127,7 +82,8 @@ class Stream:
         Returns ``(start, end, result)`` in simulated time. The operation
         starts at :meth:`earliest` for the device buffers it *reads* and
         *writes*, and stamps them until its end. ``not_before`` lets
-        callers add a dependency that is not a buffer (a link grant).
+        callers add a dependency that is not a buffer (a link grant, or
+        the end of the copy that staged a relayed payload on the host).
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
@@ -138,7 +94,6 @@ class Stream:
         start = max(self.earliest(reads, writes), not_before)
         end = start + duration
         self.available_at = end
-        self._pending_after = 0.0
         now = self.device.machine.host_time
         for buf in reads:
             buf.stamp(end, False, now)

@@ -122,7 +122,6 @@ def project_iteration_seconds(
     cfg: ProjectionConfig,
     kd_token: float,
     num_gpus: int = 1,
-    p2p_gbps: float | None = None,
 ) -> dict[str, float]:
     """Simulated seconds of one iteration, by component.
 
@@ -160,7 +159,7 @@ def project_iteration_seconds(
     # φ synchronization (G > 1): reduce tree + broadcast (§5.2).
     t_sync = 0.0
     if G > 1:
-        p2p = (p2p_gbps or cfg.p2p_gbps) * 1e9
+        p2p = cfg.p2p_gbps * 1e9
         phi_bytes = float(K) * V * cfg.kernel.phi_bytes
         steps = int(np.ceil(np.log2(G)))
         t_add = cm.kernel_seconds(spec, phi_reduce_cost(K, V, cfg.kernel))

@@ -94,13 +94,15 @@ def chunk_device_bytes(
     num_words: int,
     config: KernelConfig,
 ) -> int:
-    """Device bytes of one chunk's buffers, field by field as
-    :func:`~repro.sched.schedule.upload_chunk` allocates them.
+    """Device bytes of one chunk, field by field as
+    :class:`~repro.sched.schedule.DeviceChunk` lays it out in a slot.
 
     *theta_entries* is the θ capacity Σ_d min(DocLen_d, K). Exact
-    counts give one chunk's bytes (:func:`choose_chunking`); dataset
-    averages give the paper-scale estimate
-    (:func:`~repro.perfmodel.capacity.plan_memory`).
+    counts give one chunk's bytes: :func:`choose_chunking` budgets
+    with them, and each of a GPU's slots
+    (:meth:`~repro.sched.schedule.GpuWorker.allocate_slots`) is this
+    size for the largest of its chunks. Dataset averages give the
+    paper-scale estimate (:func:`~repro.perfmodel.capacity.plan_memory`).
     """
     idx_b = config.index_bytes
     return int(
@@ -146,8 +148,8 @@ def model_device_bytes(
 
 
 def chunk_slots(chunks_per_gpu: int) -> int:
-    """Chunk buffers a GPU holds at once: one resident chunk at M = 1,
-    two (double buffering) when WorkSchedule2 streams."""
+    """Chunk slots a GPU allocates: one resident chunk at M = 1, two
+    (double buffering) when WorkSchedule2 streams."""
     return 1 if chunks_per_gpu == 1 else 2
 
 

@@ -5,8 +5,9 @@ Two schedules, selected by the chunk multiplier M chosen in
 (:func:`run_iteration`). Every GPU always holds one of its chunks: the
 trainer stages each GPU's first chunk before iteration 0, and a GPU
 keeps the chunk it samples last in an iteration and samples it first in
-the next. A chunk lives in one device allocation, so it moves up in one
-h2d and its topics and θ come back in one d2h.
+the next. Each GPU allocates its chunk slots once, and a chunk is laid
+out in one of them, so it moves up in one h2d and its topics and θ come
+back in one d2h.
 
 - **WorkSchedule1** (M = 1): every GPU holds its chunk for the whole
   training run; data moves host→device once before iteration 0 and
@@ -20,9 +21,11 @@ h2d and its topics and θ come back in one d2h.
   it kept, and streams the other M − 1 through a second slot, uploading
   the next chunk on an upload stream while one computes and downloading
   finished chunks on a download stream — the stream-pipelined double
-  buffering of §5.1. An upload waits for the download that frees its
-  slot, so a GPU holds at most two chunks, as
-  :func:`~repro.sched.partition.chunk_slots` budgets. The per-GPU
+  buffering of §5.1. A GPU has the two slots
+  :func:`~repro.sched.partition.chunk_slots` budgets, each the size of
+  its largest chunk, so its memory is exactly §5.1's budget. An upload
+  goes into the slot the chunk before it does not occupy, so it starts
+  after the download that last read that slot. The per-GPU
   partial φ accumulates across its M chunks before the sync; chunk
   order within a GPU changes no bit, because every chunk samples the
   iteration-start φ with its own RNG and θ. The penultimate chunk's
@@ -73,8 +76,9 @@ from repro.gpusim.errors import KernelFault
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray, DeviceView
 from repro.gpusim.platform import Machine
-from repro.gpusim.stream import Event, Stream
+from repro.gpusim.stream import Stream
 from repro.gpusim.trace import union_length
+from repro.sched.partition import chunk_device_bytes, chunk_slots
 from repro.comm import (
     AUTO,
     SyncContext,
@@ -131,15 +135,22 @@ def _fields(cr: ChunkRuntime) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def _theta_capacity(cr: ChunkRuntime, num_topics: int) -> int:
+    """θ's room in entries: Σ_d min(DocLen_d, K)."""
+    return int(np.minimum(cr.chunk.doc_lengths, num_topics).sum())
+
+
 class DeviceChunk:
-    """One chunk on a GPU, in one device allocation: its fields back to
-    back, the corpus layout first and the state (topics, θ) last, so the
-    chunk goes up in one h2d and its state comes back in one d2h, each
-    carrying exactly its fields' bytes. θ has room for its capacity
-    Σ_d min(DocLen_d, K) entries, as
+    """One chunk laid out over a slot of its GPU
+    (:attr:`GpuWorker.slots`): its fields back to back from the slot's
+    first byte, the corpus layout first and the state (topics, θ) last,
+    so the chunk goes up in one h2d and its state comes back in one
+    d2h, each carrying exactly its fields' bytes. θ has room for its
+    capacity Σ_d min(DocLen_d, K) entries, as
     :func:`~repro.sched.partition.chunk_device_bytes` budgets, so the θ
     update rewrites it in place. Each field is a typed
-    :class:`~repro.gpusim.memory.DeviceView` of the allocation."""
+    :class:`~repro.gpusim.memory.DeviceView` of the slot; the chunk
+    allocates and frees nothing."""
 
     token_doc: DeviceView
     word_indptr: DeviceView
@@ -150,18 +161,16 @@ class DeviceChunk:
     theta_indices: DeviceView
     theta_data: DeviceView
 
-    def __init__(self, device: Device, cr: ChunkRuntime, num_topics: int):
+    def __init__(self, slot: DeviceArray, cr: ChunkRuntime, num_topics: int):
         fields = _fields(cr)
         self.chunk_id = cr.chunk_id
+        self.slot = slot
         self._corpus_bytes = sum(a.nbytes for _, a in fields[:4])
         th = cr.theta
-        capacity = int(np.minimum(cr.chunk.doc_lengths, num_topics).sum())
-        self.buf = DeviceArray(
-            device,
+        self._theta_end = (
             self._corpus_bytes + cr.topics.nbytes + th.indptr.nbytes
-            + capacity * (th.indices.itemsize + th.data.itemsize),
-            np.uint8,
-            label=f"chunk{cr.chunk_id}",
+            + _theta_capacity(cr, num_topics)
+            * (th.indices.itemsize + th.data.itemsize)
         )
         self._place(fields, 0)
 
@@ -169,27 +178,27 @@ class DeviceChunk:
         """Lay *fields* out back to back from byte *offset*."""
         for name, arr in fields:
             setattr(self, name, DeviceView(
-                self.buf, offset, arr.shape, arr.dtype,
-                label=f"{self.buf.label}.{name}",
+                self.slot, offset, arr.shape, arr.dtype,
+                label=f"chunk{self.chunk_id}.{name}",
             ))
             offset += arr.nbytes
         self._end = offset
 
     def whole(self) -> DeviceView:
         """Every field's bytes: what an upload moves."""
-        return DeviceView(self.buf, 0, self._end, np.uint8, "chunk")
+        return DeviceView(self.slot, 0, self._end, np.uint8, "chunk")
 
     def state(self) -> DeviceView:
         """The topics' and θ's bytes: what a download moves."""
         return DeviceView(
-            self.buf, self._corpus_bytes, self._end - self._corpus_bytes,
+            self.slot, self._corpus_bytes, self._end - self._corpus_bytes,
             np.uint8, "chunk_state",
         )
 
     def theta_room(self) -> DeviceView:
         """θ's bytes at its capacity: what an update θ may rewrite."""
         lo = self._corpus_bytes + self.topics.nbytes
-        return DeviceView(self.buf, lo, self.buf.nbytes - lo, np.uint8, "chunk_theta")
+        return DeviceView(self.slot, lo, self._theta_end - lo, np.uint8, "chunk_theta")
 
     def write_theta(self, theta: SparseTheta) -> None:
         """Rewrite θ in place after an update (its entry count changes)."""
@@ -202,14 +211,11 @@ class DeviceChunk:
         for name, arr in fields:
             getattr(self, name).data[...] = arr
 
-    def free_all(self) -> None:
-        if not self.buf.freed:
-            self.buf.free()
-
 
 class GpuWorker:
-    """Per-GPU streams and model buffers. ``sync`` and ``sync_lane`` are
-    the φ sync's two lanes (:attr:`~repro.comm.SyncContext.lanes`)."""
+    """Per-GPU streams, model buffers and chunk slots. ``sync`` and
+    ``sync_lane`` are the φ sync's two lanes
+    (:attr:`~repro.comm.SyncContext.lanes`)."""
 
     def __init__(
         self,
@@ -231,9 +237,33 @@ class GpuWorker:
         self.phi_partial = DeviceArray(device, shape, phi_dtype, label="phi_partial")
         self.phi_scratch = DeviceArray(device, shape, phi_dtype, label="phi_scratch")
         self.n_k = DeviceArray(device, (num_topics,), np.int64, label="n_k")
+        #: The buffers the GPU's chunks are laid out in
+        #: (:meth:`allocate_slots`).
+        self.slots: list[DeviceArray] = []
+
+    def allocate_slots(self, chunks: list[ChunkRuntime]) -> None:
+        """Allocate the slots that *chunks*, this GPU's chunks, are laid
+        out in: :func:`~repro.sched.partition.chunk_slots` of them, each
+        :func:`~repro.sched.partition.chunk_device_bytes` of the largest
+        chunk, as §5.1 budgets."""
+        K = self.phi_full.shape[0]
+        nbytes = max(
+            chunk_device_bytes(
+                cr.chunk.num_tokens, cr.chunk.num_docs,
+                _theta_capacity(cr, K), cr.chunk.num_words, self.config,
+            )
+            for cr in chunks
+        )
+        self.slots = [
+            DeviceArray(self.device, nbytes, np.uint8, label=f"chunk_slot{i}")
+            for i in range(chunk_slots(len(chunks)))
+        ]
 
     def free_all(self) -> None:
-        for buf in (self.phi_full, self.phi_partial, self.phi_scratch, self.n_k):
+        for buf in (
+            self.phi_full, self.phi_partial, self.phi_scratch, self.n_k,
+            *self.slots,
+        ):
             if not buf.freed:
                 buf.free()
 
@@ -254,24 +284,23 @@ def upload_chunk(
     machine: Machine,
     worker: GpuWorker,
     cr: ChunkRuntime,
+    slot: DeviceArray,
     stream: Stream | None = None,
 ) -> DeviceChunk:
-    """Allocate *cr*'s device buffer and copy the chunk up in one h2d
-    (timed) from its pinned host image, its fields back to back."""
-    dc = DeviceChunk(worker.device, cr, worker.phi_full.shape[0])
+    """Lay *cr* out in *slot*, one of *worker*'s chunk slots, and copy
+    the chunk up in one h2d (timed) from its pinned host image, its
+    fields back to back. The copy writes the slot, so it starts after
+    the last operation that used those bytes."""
+    dc = DeviceChunk(slot, cr, worker.phi_full.shape[0])
     dst = dc.whole()
     image = np.concatenate([
         np.ascontiguousarray(a).reshape(-1).view(np.uint8)
         for _, a in _fields(cr)
     ])
-    try:
-        machine.memcpy_h2d(
-            dst, image, stream=stream or worker.upload,
-            label=f"h2d:chunk{cr.chunk_id}",
-        )
-    except BaseException:
-        dc.free_all()  # a faulted copy returns no chunk to free later
-        raise
+    machine.memcpy_h2d(
+        dst, image, stream=stream or worker.upload,
+        label=f"h2d:chunk{cr.chunk_id}",
+    )
     _emit_transfer(dst.nbytes, "h2d", worker)
     return dc
 
@@ -283,7 +312,7 @@ def download_chunk(
     stream: Stream | None = None,
 ) -> None:
     """Copy the chunk's mutable state (topics, θ) back to the host in
-    one d2h (timed) and free its device buffer.
+    one d2h (timed). Its slot stays allocated for the next chunk.
 
     The host mirrors are already current (kernel bodies update them);
     the transfer is charged for timing fidelity.
@@ -293,7 +322,6 @@ def download_chunk(
         src, stream=stream or worker.download, label=f"d2h:chunk{dc.chunk_id}"
     )
     _emit_transfer(src.nbytes, "d2h", worker)
-    dc.free_all()
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +759,7 @@ def run_iteration(
     GPU g's chunks are ``runtimes[g::G]`` (an elastic layout after a
     migration may leave GPUs with different counts). ``held[g]`` is the
     one on GPU g: the GPU samples it first, then streams its other
-    chunks through a second slot, and keeps the last one it samples in
+    chunks through its second slot, and keeps the last one it samples in
     ``held[g]`` for the next iteration. So at M = 1 no chunk moves
     (WorkSchedule1); at M > 1 (WorkSchedule2) each GPU moves M − 1
     chunks each way, and its first sampling launch waits on no upload.
@@ -746,13 +774,13 @@ def run_iteration(
     With ``overlap=True`` copies run on the upload and download streams,
     so a chunk stages while the one before it computes (§5.1's
     pipelining); with False they go through the compute stream (the
-    ablation's serial variant). An upload waits for the download that
-    frees its slot, so a GPU never holds more than two of its chunks.
-    ``sync()`` is the iteration's φ sync; by default the planned
-    collective (:func:`synchronize_model`). No event orders data: each
+    ablation's serial variant). Each upload goes into the slot the chunk
+    before it does not occupy. ``sync()`` is the iteration's φ sync; by
+    default the planned collective (:func:`synchronize_model`). Each
     kernel and copy names the buffers it reads and writes, so sampling
-    waits for its chunk's upload, a download for its chunk's update θ
-    and the sync for update φ.
+    waits for its chunk's upload, a download for its chunk's update θ,
+    the sync for update φ, and an upload for the download that last
+    read its slot.
     """
     G = len(workers)
     if len(held) != G or len(runtimes) < G:
@@ -761,50 +789,42 @@ def run_iteration(
     # Each GPU's penultimate chunk: (worker, download stream, runtime,
     # device chunk).
     deferred = []
-    try:
-        for g, worker in enumerate(workers):
-            mine = runtimes[g::G]
-            first = [cr for cr in mine if cr.chunk_id == held[g].chunk_id]
-            if not first:
-                raise ValueError(
-                    f"GPU {worker.device.device_id} holds chunk "
-                    f"{held[g].chunk_id}, which is not one of its chunks"
-                )
-            order = first + [cr for cr in mine if cr is not first[0]]
-            last = len(order) - 1
-            up = worker.upload if overlap else worker.compute
-            down = worker.download if overlap else worker.compute
-            freed: list[Event] = []  # freed[i]: order[i]'s slot is free
-            for m, cr in enumerate(order):
-                if m:
-                    if m >= 2:
-                        up.wait_event(freed[m - 2])
-                    held[g] = upload_chunk(machine, worker, cr, stream=up)
-                dc = held[g]
-                _enqueue_sample_and_phi(
-                    worker, cr, dc, hyper, config,
-                    accumulate=m > 0, tables=tables[g],
-                )
-                if m == last - 1:
-                    deferred.append((worker, down, cr, dc))
-                    continue
-                if m == last and last:
-                    _, _, pen_cr, pen_dc = deferred[-1]
-                    _enqueue_update_theta(worker, pen_cr, pen_dc, hyper, config)
-                _enqueue_update_theta(worker, cr, dc, hyper, config)
-                if m < last:
-                    download_chunk(machine, worker, dc, stream=down)
-                    freed.append(down.record(label=f"freed:chunk{cr.chunk_id}"))
-        if sync is None:
-            synchronize_model(machine, workers, config)
-        else:
-            sync()
-        for worker, down, _, dc in deferred:
-            download_chunk(machine, worker, dc, stream=down)
-    finally:
-        # A fault may leave a penultimate chunk neither held nor freed.
-        for *_, dc in deferred:
-            dc.free_all()
+    for g, worker in enumerate(workers):
+        mine = runtimes[g::G]
+        first = [cr for cr in mine if cr.chunk_id == held[g].chunk_id]
+        if not first:
+            raise ValueError(
+                f"GPU {worker.device.device_id} holds chunk "
+                f"{held[g].chunk_id}, which is not one of its chunks"
+            )
+        order = first + [cr for cr in mine if cr is not first[0]]
+        last = len(order) - 1
+        up = worker.upload if overlap else worker.compute
+        down = worker.download if overlap else worker.compute
+        for m, cr in enumerate(order):
+            if m:
+                slot = next(s for s in worker.slots if s is not held[g].slot)
+                held[g] = upload_chunk(machine, worker, cr, slot, stream=up)
+            dc = held[g]
+            _enqueue_sample_and_phi(
+                worker, cr, dc, hyper, config,
+                accumulate=m > 0, tables=tables[g],
+            )
+            if m == last - 1:
+                deferred.append((worker, down, cr, dc))
+                continue
+            if m == last and last:
+                _, _, pen_cr, pen_dc = deferred[-1]
+                _enqueue_update_theta(worker, pen_cr, pen_dc, hyper, config)
+            _enqueue_update_theta(worker, cr, dc, hyper, config)
+            if m < last:
+                download_chunk(machine, worker, dc, stream=down)
+    if sync is None:
+        synchronize_model(machine, workers, config)
+    else:
+        sync()
+    for worker, down, _, dc in deferred:
+        download_chunk(machine, worker, dc, stream=down)
 
 
 def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, float]:

@@ -1032,6 +1032,34 @@ class TestNodeSyncToHost:
                         checked["h2d"] += 1
         assert checked["d2h"] and checked["h2d"]
 
+    def test_lone_node_uploads_once_its_sum_ends(self):
+        """After node 1 dies, node 0 hosts every chunk, two per GPU, and
+        the leg has nothing to wait for. Its Δ upload reads only the
+        host's sum, so each GPU's ``h2d:phi_delta`` starts as the last
+        ``phi_delta_host_add`` ends, not once the penultimate chunk's
+        download, which it does not read, ends."""
+        from repro.obs.workloads import make_corpus, make_distributed_culda
+
+        trainer = make_distributed_culda(
+            make_corpus("nytimes", tokens=20_000, seed=0), nodes=2,
+            gpus_per_node=2, platform="pascal", num_topics=64, iterations=5,
+            seed=0,
+        )
+        result = trainer.train(recovery="elastic", fault_plan=FaultPlan(
+            faults=(FaultSpec(kind="node_failure", iteration=2, node=1),)))
+        assert result.repartitions == 1
+        ivs = trainer.machines[0].trace.intervals
+        lost = max(
+            i for i, iv in enumerate(ivs) if iv.label == "h2d:phi_repartition"
+        )
+        summed, starts = 0.0, []
+        for iv in ivs[lost:]:
+            if iv.label == "phi_delta_host_add":
+                summed = iv.end
+            elif iv.label == "h2d:phi_delta":
+                starts.append(iv.start - summed)
+        assert starts == [0.0] * 6  # iterations 2-4, two GPUs each
+
     @pytest.mark.parametrize("sync", ["gpu_tree", "ring", "cpu_gather",
                                       "hierarchical"])
     def test_cluster_never_runs_the_intra_allreduce(

@@ -433,6 +433,34 @@ class TestTransientLinkFaults:
         assert _counter(registry, "degraded_sync_total",
                         link="p2p[0-1]", op="phi_reduce_copy") > 0
 
+    @pytest.mark.parametrize("gpus", [2, 4])
+    def test_relayed_copy_waits_for_its_staging(self, gpus):
+        """A copy re-routed through host memory lands on the receiver in
+        an h2d that starts no earlier than the sender's d2h ends, the
+        copy's ``not_before``; nothing about the receiving buffer orders
+        it. On this corpus the order binds: each broadcast's h2d starts
+        exactly then."""
+        from repro.corpus.synthetic import nytimes_like
+
+        machine = pascal_platform(gpus)
+        CuLDA(
+            nytimes_like(num_tokens=6000, seed=0), machine,
+            TrainConfig(num_topics=8, iterations=3, seed=0,
+                        sync_algorithm="gpu_tree"),
+        ).train(
+            fault_plan=FaultPlan(faults=(
+                FaultSpec(kind="link_down", iteration=1, link="p2p[0-1]"),)),
+            recovery="retry",
+        )
+        staged, gaps = {}, []
+        for iv in machine.trace.intervals:
+            op, _, leg = iv.label.rpartition("_via_host_")
+            if leg == "d2h":
+                staged[op] = iv.end
+            elif leg == "h2d":
+                gaps.append(iv.start - staged.pop(op))
+        assert gaps and min(gaps) == 0.0
+
     def test_degraded_link_slows_but_completes(self, corpus):
         plan = FaultPlan(faults=(
             FaultSpec(kind="link_degraded", iteration=1, link="p2p[0-1]",

@@ -1,4 +1,4 @@
-"""Tests for streams, events, and overlap semantics (CUDA timing rules)."""
+"""Tests for streams, buffer order, and overlap semantics (CUDA timing rules)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import pytest
 from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray, DeviceView
-from repro.gpusim.platform import pascal_platform
-from repro.gpusim.stream import Event
 
 
 def _kernel(seconds_bytes=1e8, label="k"):
@@ -44,68 +42,6 @@ class TestStreamOrdering:
         s = pascal1.gpus[0].default_stream
         with pytest.raises(ValueError):
             s.enqueue(-1.0, "x", "x")
-
-
-class TestEvents:
-    def test_unrecorded_event_raises(self):
-        e = Event("never")
-        assert not e.recorded
-        with pytest.raises(RuntimeError):
-            _ = e.time
-
-    def test_record_captures_frontier(self, pascal1):
-        s = pascal1.gpus[0].default_stream
-        _kernel(1e9).launch(s)
-        e = s.record(label="after")
-        assert e.time == s.available_at
-
-    def test_wait_event_cross_stream(self, pascal1):
-        gpu = pascal1.gpus[0]
-        s1, s2 = gpu.create_stream("a"), gpu.create_stream("b")
-        _, end, _ = _kernel(1e9).launch(s1)
-        e = s1.record()
-        s2.wait_event(e)
-        b0, _, _ = _kernel().launch(s2)
-        assert b0 >= end
-
-    def test_wait_event_cross_device(self, pascal4):
-        s1 = pascal4.gpus[0].default_stream
-        s2 = pascal4.gpus[1].default_stream
-        _, end, _ = _kernel(1e9).launch(s1)
-        e = s1.record()
-        s2.wait_event(e)
-        b0, _, _ = _kernel().launch(s2)
-        assert b0 >= end
-
-    def test_record_after_wait_is_no_earlier_than_the_wait(self, pascal1):
-        """An event recorded right after a wait, with no operation in
-        between, occurs no earlier than the waited-on event (as
-        ``cudaEventRecord`` after ``cudaStreamWaitEvent``), so a stream
-        that waits on it is ordered after the first stream's kernel."""
-        gpu = pascal1.gpus[0]
-        s1, s2, s3 = (gpu.create_stream(x) for x in "abc")
-        _, end, _ = _kernel(1e9).launch(s1)
-        s2.wait_event(s1.record())
-        relay = s2.record()
-        assert relay.time == end
-        s3.wait_event(relay)
-        start, _, _ = _kernel().launch(s3)
-        assert start >= end
-
-    def test_wait_consumed_after_one_op(self, pascal1):
-        """The pending dependency applies to the next op only (as an
-        in-order stream's wait does)."""
-        gpu = pascal1.gpus[0]
-        s1, s2 = gpu.create_stream("a"), gpu.create_stream("b")
-        _kernel(1e10).launch(s1)
-        e = s1.record()
-        s2.wait_event(e)
-        _kernel(1.0).launch(s2)  # tiny kernel, gated by the event
-        start3, _, _ = _kernel(1.0).launch(s2)
-        # Third op starts right after the second, not re-gated.
-        assert start3 == pytest.approx(s2.available_at - (
-            pascal1.cost_model.kernel_seconds(gpu.spec, KernelCost(bytes_read=1.0))
-        ))
 
 
 class TestBufferOrder:
@@ -151,6 +87,19 @@ class TestBufferOrder:
         _, w_end, _ = self._launch(pascal4.gpus[1].default_stream, writes=(src,))
         start, _ = pascal4.memcpy_p2p(dst, src)
         assert start == w_end
+
+    def test_relayed_h2d_starts_no_earlier_than_not_before(self, pascal4):
+        """A copy of data the host received from another device names
+        that copy's end: nothing about its destination buffer orders it,
+        and it reserves its link from there."""
+        src = DeviceArray(pascal4.gpus[1], 16, np.int32)
+        dst = DeviceArray(pascal4.gpus[0], 16, np.int32)
+        _, staged, host = pascal4.memcpy_d2h(src, pinned=False)
+        assert pascal4.host_time < staged
+        start, _ = pascal4.memcpy_h2d(dst, host, pinned=False, not_before=staged)
+        assert start == staged
+        free = DeviceArray(pascal4.gpus[2], 16, np.int32)
+        assert pascal4.memcpy_h2d(free, host)[0] == 0.0
 
     def test_reset_clock_drops_the_stamps(self, pascal1):
         gpu = pascal1.gpus[0]

@@ -39,8 +39,15 @@ def _init_phi(runtimes, K, V):
 
 
 def _stage(machine, workers, runtimes):
-    """Each GPU's first chunk, staged on it as the trainer stages it."""
-    return [upload_chunk(machine, w, runtimes[g]) for g, w in enumerate(workers)]
+    """Each GPU's chunk slots for its chunks, and its first chunk staged
+    in the first slot, as the trainer stages them."""
+    G = len(workers)
+    for g, w in enumerate(workers):
+        w.allocate_slots(runtimes[g::G])
+    return [
+        upload_chunk(machine, w, runtimes[g], w.slots[0])
+        for g, w in enumerate(workers)
+    ]
 
 
 def _setup(machine, corpus, K=8, num_chunks=None):
@@ -65,23 +72,28 @@ def _setup(machine, corpus, K=8, num_chunks=None):
 class TestChunkMovement:
     def test_upload_roundtrip(self, medium_corpus, pascal1):
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
-        dc = upload_chunk(pascal1, workers[0], runtimes[0])
+        [dc] = _stage(pascal1, workers, runtimes)
         assert np.array_equal(dc.token_doc.data, runtimes[0].chunk.token_doc)
         assert np.array_equal(dc.topics.data, runtimes[0].topics)
         download_chunk(pascal1, workers[0], dc)
-        assert dc.topics.freed
+        assert dc.slot is workers[0].slots[0] and not dc.slot.freed
 
-    def test_upload_charges_memory(self, medium_corpus, pascal1):
+    def test_upload_allocates_nothing(self, medium_corpus, pascal1):
+        """A chunk's memory is a slot its worker allocated once: laying
+        the chunk out and copying it up allocates nothing, and copying
+        its state back frees nothing."""
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
-        before = pascal1.gpus[0].allocator.bytes_in_use
-        dc = upload_chunk(pascal1, workers[0], runtimes[0])
-        assert pascal1.gpus[0].allocator.bytes_in_use > before
-        dc.free_all()
-        assert pascal1.gpus[0].allocator.bytes_in_use == before
+        w, allocator = workers[0], pascal1.gpus[0].allocator
+        w.allocate_slots(runtimes)
+        before = allocator.bytes_in_use
+        dc = upload_chunk(pascal1, w, runtimes[0], w.slots[0])
+        assert allocator.bytes_in_use == before
+        download_chunk(pascal1, w, dc)
+        assert allocator.bytes_in_use == before
 
     def test_upload_takes_simulated_time(self, medium_corpus, pascal1):
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
-        upload_chunk(pascal1, workers[0], runtimes[0])
+        _stage(pascal1, workers, runtimes)
         assert pascal1.synchronize() > 0
 
 
@@ -315,20 +327,26 @@ class TestIterations:
             workers[0].phi_full.data.astype(np.int64), expected
         )
 
-    def test_streaming_frees_chunks(self, medium_corpus, pascal1):
-        """The GPU keeps exactly the chunk it sampled last, until the
-        collection downloads it."""
+    def test_streaming_keeps_its_slots(self, medium_corpus, pascal1):
+        """The GPU keeps the chunk it sampled last, and its bytes in use
+        stay at the model plus its two slots through the iteration and
+        the collection: no chunk is allocated or freed."""
+        from repro.sched.partition import model_device_bytes
+
         hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus, num_chunks=3)
         allocator = pascal1.gpus[0].allocator
-        before = allocator.bytes_in_use
         held = _stage(pascal1, workers, runtimes)
         assert held[0].chunk_id == 0
+        budget = (
+            model_device_bytes(hyper.num_topics, medium_corpus.num_words, cfg)
+            + 2 * workers[0].slots[0].nbytes
+        )
+        assert allocator.bytes_in_use == allocator.peak_bytes == budget
         run_iteration(pascal1, workers, runtimes, held, hyper, cfg)
         pascal1.synchronize()
         assert held[0].chunk_id == 2
-        assert allocator.bytes_in_use == before + held[0].buf.nbytes
         download_chunk(pascal1, workers[0], held[0])
-        assert allocator.bytes_in_use == before
+        assert allocator.bytes_in_use == allocator.peak_bytes == budget
 
     def test_streaming_overlap_hides_transfers(self, medium_corpus):
         """WorkSchedule2's point: with overlap on, h2d transfers and
@@ -435,6 +453,23 @@ class _Cuts(TrainerCallback):
         self.at.append(len(self.machine.trace.intervals))
 
 
+class _Residency(TrainerCallback):
+    """At every iteration boundary, each GPU's bytes in use and its
+    chunks (GPU g of G holds ``runtimes[g::G]`` of its node's)."""
+
+    def __init__(self, trainer):
+        self.trainer = trainer
+        self.at: list[list[tuple[int, list]]] = []
+
+    def on_iteration_end(self, event):
+        local = self.trainer._node_runtimes[0]
+        workers = self.trainer._node_workers[0]
+        self.at.append([
+            (w.device.allocator.bytes_in_use, local[g::len(workers)])
+            for g, w in enumerate(workers)
+        ])
+
+
 class TestChunkResidency:
     """Each GPU keeps the chunk it samples last and samples it first in
     the next iteration; a chunk moves up in one h2d and its state comes
@@ -475,15 +510,25 @@ class TestChunkResidency:
             assert max(sums) == pytest.approx(min(sums), rel=1e-4), gpu
 
     def test_allocation_is_the_planned_chunk_bytes(self, medium_corpus, pascal1):
+        """Each slot is the planned bytes of the GPU's largest chunk, and
+        a chunk laid out in it fills its planned bytes exactly: its
+        fields from the slot's first byte, θ at its capacity last."""
         from repro.sched.partition import estimate_chunk_device_bytes
 
-        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus)
+        hyper, cfg, runtimes, workers = _setup(pascal1, medium_corpus, num_chunks=2)
+        planned = [
+            estimate_chunk_device_bytes(
+                medium_corpus,
+                (cr.chunk.doc_offset, cr.chunk.doc_offset + cr.chunk.num_docs),
+                hyper, cfg,
+            )
+            for cr in runtimes
+        ]
+        [dc] = _stage(pascal1, workers, runtimes)
+        assert [s.nbytes for s in workers[0].slots] == [max(planned)] * 2
         cr = runtimes[0]
-        dc = upload_chunk(pascal1, workers[0], cr)
-        doc_range = (cr.chunk.doc_offset, cr.chunk.doc_offset + cr.chunk.num_docs)
-        assert dc.buf.nbytes == estimate_chunk_device_bytes(
-            medium_corpus, doc_range, hyper, cfg
-        )
+        before_theta = sum(a.nbytes for a in _fields(cr)[:5])
+        assert before_theta + dc.theta_room().nbytes == planned[0]
         for view, arr in zip(
             (dc.token_doc, dc.word_indptr, dc.doc_map_indptr,
              dc.doc_map_indices, dc.topics, dc.theta_indptr,
@@ -514,6 +559,59 @@ class TestChunkResidency:
         }
         assert moved == {**up, **down}
         assert [dc.chunk_id for dc in held] == [2, 3]
+
+    @pytest.mark.parametrize("gpus, chunks_per_gpu, loss", [
+        (1, 1, False), (1, 4, False), (4, 2, False), (4, 2, True),
+    ], ids=["1gpu-M1", "1gpu-M4", "4gpu-M2", "4gpu-M2-gpu-loss"])
+    def test_each_gpu_holds_its_planned_bytes(
+        self, corpus, gpus, chunks_per_gpu, loss
+    ):
+        """§5.1's budget is each GPU's memory, exactly: at every
+        iteration boundary its bytes in use are the model plus
+        ``chunk_slots(M_g)`` times its largest chunk's planned bytes, for
+        its M_g chunks. After an elastic GPU loss, GPUs that hold three
+        chunks still hold two slots. A fault-free run's peak is the
+        budget :func:`~repro.sched.partition.choose_chunking` checks."""
+        from repro.core import CuLDA, TrainConfig
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.sched.partition import (
+            chunk_slots,
+            estimate_chunk_device_bytes,
+            model_device_bytes,
+            partition_by_tokens,
+        )
+
+        cfg = TrainConfig(
+            num_topics=16, iterations=4, seed=0, chunks_per_gpu=chunks_per_gpu
+        )
+        trainer = CuLDA(corpus, pascal_platform(gpus), cfg)
+        seen = _Residency(trainer)
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="device_failure", iteration=2, device=1),))
+        result = trainer.train(
+            callbacks=[seen], recovery="elastic" if loss else None,
+            fault_plan=plan if loss else None,
+        )
+        hyper, kcfg = cfg.hyper(), cfg.kernel_config()
+        model = model_device_bytes(hyper.num_topics, corpus.num_words, kcfg)
+
+        def planned(doc_range):
+            return estimate_chunk_device_bytes(corpus, doc_range, hyper, kcfg)
+
+        def docs(cr):
+            return cr.chunk.doc_offset, cr.chunk.doc_offset + cr.chunk.num_docs
+
+        assert len(seen.at) == 4
+        for boundary in seen.at:
+            for in_use, chunks in boundary:
+                largest = max(planned(docs(cr)) for cr in chunks)
+                assert in_use == model + chunk_slots(len(chunks)) * largest
+        if loss:
+            assert max(len(chunks) for _, chunks in seen.at[-1]) == 3
+        else:
+            ranges = partition_by_tokens(corpus, chunks_per_gpu * gpus)
+            budget = model + chunk_slots(chunks_per_gpu) * max(map(planned, ranges))
+            assert result.peak_device_bytes == budget
 
     def test_one_chunk_each_way_per_gpu_and_iteration(self, corpus):
         machine = pascal_platform(4)
@@ -570,6 +668,9 @@ class TestChunkResidency:
         assert faulted.theta == clean.theta
 
     def test_faulted_upload_frees_its_chunk(self, corpus):
+        """A faulted upload lands in a slot the worker already holds: the
+        rollback needs no memory beyond the clean run's, and the run
+        leaves nothing allocated."""
         from repro.faults import FaultPlan, FaultSpec
 
         clean, _ = self._train(corpus, pascal_platform(4), chunks_per_gpu=2)
@@ -582,6 +683,7 @@ class TestChunkResidency:
         )
         assert faulted.rollbacks == 1
         assert np.array_equal(faulted.phi, clean.phi)
+        assert faulted.peak_device_bytes == clean.peak_device_bytes
         assert [gpu.allocator.bytes_in_use for gpu in machine.gpus] == [0] * 4
 
     def test_gpu_loss_stays_bit_identical(self, corpus):
