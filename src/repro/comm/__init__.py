@@ -2,8 +2,9 @@
 
 ``repro.comm`` owns everything that moves φ between devices:
 
-- :mod:`~repro.comm.transfer` — the retry/host-fallback policy
-  (:class:`TransferRetry`, :func:`with_retry`, :func:`resilient_p2p`);
+- :mod:`~repro.comm.transfer` — the retry policy every copy carries
+  (:class:`TransferRetry`) and the host re-route for a peer copy whose
+  link fails past it (:func:`resilient_p2p`);
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical), each a :class:`Collective`
   reached through its one ``allreduce``
@@ -59,11 +60,7 @@ from repro.comm.planner import (
     plan_sync,
     sync_choices,
 )
-from repro.comm.transfer import (
-    TransferRetry,
-    resilient_p2p,
-    with_retry,
-)
+from repro.comm.transfer import TransferRetry, resilient_p2p
 
 __all__ = [
     "AUTO",
@@ -92,5 +89,4 @@ __all__ = [
     "reduce_phi_tree",
     "resilient_p2p",
     "sync_choices",
-    "with_retry",
 ]

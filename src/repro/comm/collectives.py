@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.comm.transfer import TransferRetry, resilient_p2p, with_retry
+from repro.comm.transfer import TransferRetry, resilient_p2p
 from repro.core.kernels import KernelConfig, phi_reduce_cost
 from repro.gpusim.costmodel import KernelCost
 from repro.gpusim.errors import SyncPathError
@@ -280,11 +280,9 @@ def _cpu_gather(
         # The gather lands in the host model arrays — pageable memory,
         # so it runs at the staging-copy rate (unlike the pinned chunk
         # buffers WorkSchedule2 streams through).
-        _, _, arr = with_retry(
-            lambda g=g: machine.memcpy_d2h(
-                partials[g], stream=streams[g], label="phi_gather", pinned=False
-            ),
-            streams[g], "phi_gather", retry, devices=(dev,),
+        _, _, arr = machine.memcpy_d2h(
+            partials[g], stream=streams[g], label="phi_gather", pinned=False,
+            retry=retry,
         )
         emit_counter(
             "sync_bytes_total", partials[g].nbytes,
@@ -314,12 +312,9 @@ def _cpu_gather(
     )
     for g in range(G):
         dev = fulls[g].device.device_id
-        with_retry(
-            lambda g=g: machine.memcpy_h2d(
-                fulls[g], total, stream=streams[g], label="phi_scatter",
-                pinned=False,
-            ),
-            streams[g], "phi_scatter", retry, devices=(dev,),
+        machine.memcpy_h2d(
+            fulls[g], total, stream=streams[g], label="phi_scatter",
+            pinned=False, retry=retry,
         )
         emit_counter(
             "sync_bytes_total", fulls[g].nbytes,

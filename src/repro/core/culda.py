@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.corpus.corpus import Corpus, TokenChunk
-from repro.comm import with_retry
 from repro.core.kernels import KernelConfig, accumulate_phi
 from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
@@ -261,16 +260,17 @@ class CuLDA(Algorithm):
         )
         return loop.run()
 
-    def _transfer_retry(self):
-        policy = self.recovery_policy
-        return policy.transfer_retry() if policy is not None else None
-
     # ------------------------------------------------------------------
     # Algorithm strategy surface
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
         cfg = self.config
         self._hyper, self._kcfg = cfg.hyper(), cfg.kernel_config()
+        policy = self.recovery_policy
+        #: Every copy's transfer-retry policy for this run.
+        self._retry = policy.transfer_retry() if policy is not None else None
+        #: When the last completed iteration ended (see :meth:`_charge`).
+        self._charged = 0.0
         N = self.num_nodes
 
         with span("preprocess"):
@@ -342,12 +342,9 @@ class CuLDA(Algorithm):
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
         """One WorkSchedule1/2 pass (Alg 1 lines 10-16 / 23-34)."""
-        legs = self._run_nodes(self._transfer_retry())
-        dt = max(
-            self.machines[n].synchronize() - start
-            for n, (_, start) in legs.items()
-        )
-        return self._outcome(legs, dt)
+        legs = self._run_nodes()
+        t_end = max(self.machines[n].synchronize() for n in legs)
+        return self._outcome(legs, self._charge(t_end))
 
     def log_likelihood(self, state: RunState) -> float:
         """Joint log-likelihood per token from the host mirrors.
@@ -522,26 +519,18 @@ class CuLDA(Algorithm):
         """Stage each GPU of *node*'s first chunk in its first slot: the
         chunk it samples first next iteration."""
         machine, local = self.machines[node], self._node_runtimes[node]
-        retry = self._transfer_retry()
         self._node_dev_chunks[node] = [
-            with_retry(
-                lambda g=g, w=w: upload_chunk(machine, w, local[g], w.slots[0]),
-                w.upload, f"h2d:chunk{local[g].chunk_id}", retry,
-                devices=(w.device.device_id,),
-            )
+            upload_chunk(machine, w, local[g], w.slots[0], retry=self._retry)
             for g, w in enumerate(self._node_workers[node])
         ]
 
     def _upload_phi(self, node: int, view_host: np.ndarray, label: str) -> None:
         """Copy a φ view to every GPU of *node* and recount n_k there."""
         machine = self.machines[node]
-        retry = self._transfer_retry()
         for w in self._node_workers[node]:
-            with_retry(
-                lambda w=w: machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload, label=label
-                ),
-                w.upload, label, retry, devices=(w.device.device_id,),
+            machine.memcpy_h2d(
+                w.phi_full, view_host, stream=w.upload, label=label,
+                retry=self._retry,
             )
             launch_nk_rowsum(w, self._kcfg, w.upload)
 
@@ -553,7 +542,7 @@ class CuLDA(Algorithm):
             for w in workers:
                 w.free_all()
 
-    def _run_nodes(self, retry) -> dict[int, tuple[int, float]]:
+    def _run_nodes(self) -> dict[int, tuple[int, float]]:
         """Alg 1's iteration on every hosting node: WorkSchedule1/2, then
         the node's φ sync (:meth:`_sync_node`). Returns, per node, its
         trace mark and its host clock when the iteration started. Each
@@ -567,17 +556,24 @@ class CuLDA(Algorithm):
                     machine, self._node_workers[n], self._node_runtimes[n],
                     self._node_dev_chunks[n], self._hyper, self._kcfg,
                     overlap=self.config.overlap_transfers,
-                    sync=lambda n=n: self._sync_node(n, retry),
+                    sync=lambda n=n: self._sync_node(n), retry=self._retry,
                 )
         return legs
 
-    def _sync_node(self, node: int, retry) -> None:
+    def _sync_node(self, node: int) -> None:
         """Node *node*'s φ sync: the §5.2 collective ``--sync`` plans for
         the machine."""
         synchronize_model(
             self.machines[node], self._node_workers[node], self._kcfg,
-            self.config.sync_algorithm, retry=retry,
+            self.config.sync_algorithm, retry=self._retry,
         )
+
+    def _charge(self, t_end: float) -> float:
+        """The simulated seconds of an iteration that ends at *t_end*:
+        from the end of the last completed one, so an aborted attempt
+        and the recovery after it land on the iteration that reruns."""
+        dt, self._charged = t_end - self._charged, t_end
+        return dt
 
     def _trace_stats(self, legs) -> tuple[float, float, dict]:
         """``(sync_seconds, p2p_bytes, busy share by device)`` over each
@@ -672,10 +668,11 @@ class CuLDA(Algorithm):
             machine = self.machines[n]
             workers = self._node_workers[n]
             machine.memcpy_d2h(
-                workers[0].phi_full, stream=workers[0].download, label="d2h:phi"
+                workers[0].phi_full, stream=workers[0].download,
+                label="d2h:phi", retry=self._retry,
             )
             for w, dc in zip(workers, self._node_dev_chunks[n]):
-                download_chunk(machine, w, dc)
+                download_chunk(machine, w, dc, retry=self._retry)
 
     def _result(
         self, state: RunState, wall_seconds: float, total_sim: float, **where

@@ -207,8 +207,6 @@ class DistributedCuLDA(CuLDA):
         self._contrib: dict[int, np.ndarray] = {}
         #: Nodes whose Δ bases were reset since their last send.
         self._fresh: set[int] = set()
-        #: When the last completed iteration ended (see run_iteration).
-        self._charged = 0.0
         extras = resume.extras if resume is not None else {}
         self._net_base = 0.0
         if "dist_net_base" in extras:
@@ -303,7 +301,7 @@ class DistributedCuLDA(CuLDA):
         self._contrib[node] = np.zeros(view_host.shape, dtype=np.int64)
         self._fresh.add(node)
 
-    def _sync_node(self, node: int, retry) -> None:
+    def _sync_node(self, node: int) -> None:
         """A cluster node runs no §5.2 collective: each GPU sends its
         host only its partial's change, which the host checks and adds
         into the node's contribution (``send_phi_deltas``). Right after
@@ -320,7 +318,7 @@ class DistributedCuLDA(CuLDA):
             self._fresh.discard(node)
         send_phi_deltas(
             self.machines[node], workers, self._kcfg, self._contrib[node],
-            columns, retry,
+            columns, self._retry,
         )
 
     def _send_delta(
@@ -335,7 +333,8 @@ class DistributedCuLDA(CuLDA):
             )
             try:
                 machine.memcpy_h2d(
-                    buf, payload, stream=w.upload, label="h2d:phi_delta"
+                    buf, payload, stream=w.upload, label="h2d:phi_delta",
+                    retry=self._retry,
                 )
                 launch_phi_delta(w, buf, delta, w.upload)
             finally:
@@ -371,7 +370,6 @@ class DistributedCuLDA(CuLDA):
         N = self.num_nodes
         it = state.iteration
         sync_round = cfg.staleness == 0 or it % (cfg.staleness + 1) == 0
-        retry = self._transfer_retry()
         hosts = list(self._host_nodes)
 
         # --- failure detection: the barrier stalls on silent nodes -----
@@ -403,7 +401,7 @@ class DistributedCuLDA(CuLDA):
         # --- intra-node leg: the paper's iteration, per machine, whose
         # sync sends each GPU's Δφ to its node's host. A node is ready
         # for the inter-node leg once its host has summed them. --------
-        legs = self._run_nodes(retry)
+        legs = self._run_nodes()
         ready = {n: self.machines[n].host_time for n in hosts}
 
         # Node n's host now holds the sum of its chunk counts — the
@@ -445,7 +443,7 @@ class DistributedCuLDA(CuLDA):
                     network=self.network, nodes=nodes, base=self._phi_cache,
                     pending=[wire[n] for n in nodes],
                     ready=[ready[n] for n in nodes],
-                    retry=retry, server=self.server,
+                    retry=self._retry, server=self.server,
                 )
             )
             done = {n: result.done[i] for i, n in enumerate(nodes)}
@@ -488,11 +486,9 @@ class DistributedCuLDA(CuLDA):
                 help="time nodes wait at the inter-node sync barrier",
                 node=str(n),
             )
-        # Charge from the last *completed* iteration's finish, so any
-        # recovery stall (detection, re-partition, re-shard) between the
-        # two lands on this iteration's simulated duration.
-        dt_iter = t_next - self._charged
-        self._charged = t_next
+        # Any recovery stall (detection, re-partition, re-shard) since
+        # the last completed iteration lands on this one.
+        dt_iter = self._charge(t_next)
         net_seconds = (
             max(done.values()) - max(ready.values()) if sync_round else 0.0
         )

@@ -28,10 +28,12 @@ import numpy as np
 
 from repro.gpusim.costmodel import CostModel, KernelCost
 from repro.gpusim.device import Device, DeviceSpec
+from repro.gpusim.errors import LinkDown, SyncPathError
 from repro.gpusim.interconnect import Link
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.stream import Stream
 from repro.gpusim.trace import TraceRecorder
+from repro.telemetry.context import emit_counter
 
 __all__ = [
     "Machine",
@@ -342,19 +344,47 @@ class Machine:
         self, stream: Stream, link: Link, direction: int, buf: DeviceArray,
         pinned: bool, kind: str, label: str, fn: Callable[[bool], object],
         reads: tuple[DeviceArray, ...] = (), writes: tuple[DeviceArray, ...] = (),
-        not_before: float = 0.0,
+        not_before: float = 0.0, retry=None,
     ) -> tuple[float, float, object]:
         """Move *buf*'s bytes over *link* as one op on *stream*: the link
         is reserved from when the stream, the buffers the copy *reads*
         and *writes* and *not_before* allow, at twice the bytes from
         pageable memory (``pinned=False``, the staging copy), and
         ``fn(corrupt)`` does the copy, *corrupt* saying whether the link
-        flips the payload."""
-        l_start, l_end = link.reserve(
-            buf.nbytes if pinned else 2 * buf.nbytes,
-            max(stream.earliest(reads, writes), not_before),
-            direction=direction,
-        )
+        flips the payload.
+
+        A transient :class:`~repro.gpusim.errors.LinkDown` is retried
+        while *retry* (a :class:`~repro.comm.TransferRetry`) has budget
+        left, each retry after a backoff stall on *stream* that doubles
+        per attempt. Any other failure, and the last one the budget
+        allows, raises :class:`~repro.gpusim.errors.SyncPathError`
+        naming the link, *label* and the devices of the copy's buffers.
+        """
+        budget = retry.max_retries if retry is not None else 0
+        for attempt in range(budget + 1):
+            try:
+                l_start, l_end = link.reserve(
+                    buf.nbytes if pinned else 2 * buf.nbytes,
+                    max(stream.earliest(reads, writes), not_before),
+                    direction=direction,
+                )
+                break
+            except LinkDown as exc:
+                if not exc.transient or attempt == budget:
+                    raise SyncPathError(
+                        exc.link_name, label,
+                        devices=[b.device.device_id for b in (*reads, *writes)],
+                        transient=exc.transient,
+                    ) from exc
+                emit_counter(
+                    "transfer_retries_total", 1,
+                    help="link transfers retried after a transient failure",
+                    link=exc.link_name, op=label,
+                )
+                stream.enqueue(
+                    duration=retry.backoff_seconds * 2.0**attempt,
+                    kind="stall", label=f"retry_backoff:{label}",
+                )
         corrupt = link.take_corruption()
         return stream.enqueue(
             duration=l_end - l_start, kind=kind, label=label,
@@ -370,6 +400,7 @@ class Machine:
         label: str = "h2d",
         pinned: bool = True,
         not_before: float = 0.0,
+        retry=None,
     ) -> tuple[float, float]:
         """Copy host array *src* into device buffer *dst* (timed).
 
@@ -377,6 +408,7 @@ class Machine:
         runs at roughly half the pinned DMA rate (the staging copy).
         The copy starts no earlier than ``not_before``: when *src* is
         data the host received from a device, the end of that copy.
+        *retry* is the copy's transfer-retry policy (see :meth:`_copy`).
         """
         if src.shape != dst.shape:
             raise ValueError(f"h2d shape mismatch {src.shape} != {dst.shape}")
@@ -386,7 +418,7 @@ class Machine:
         start, end, _ = self._copy(
             stream, self.pcie[dst.device.device_id], 0, dst, pinned, "h2d",
             label, lambda corrupt: _deliver(dst, src, corrupt), writes=(dst,),
-            not_before=not_before,
+            not_before=not_before, retry=retry,
         )
         return start, end
 
@@ -396,11 +428,12 @@ class Machine:
         stream: Stream | None = None,
         label: str = "d2h",
         pinned: bool = True,
+        retry=None,
     ) -> tuple[float, float, np.ndarray]:
         """Copy device buffer *src* back to the host (timed).
 
         ``pinned=False`` models a copy into pageable host memory (half
-        the pinned DMA rate).
+        the pinned DMA rate). *retry* as for :meth:`memcpy_h2d`.
         """
         stream = stream or src.device.default_stream
         if stream.device is not src.device:
@@ -414,7 +447,7 @@ class Machine:
 
         return self._copy(
             stream, self.pcie[src.device.device_id], 1, src, pinned, "d2h",
-            label, fetch, reads=(src,),
+            label, fetch, reads=(src,), retry=retry,
         )
 
     def memcpy_p2p(
@@ -423,9 +456,11 @@ class Machine:
         src: DeviceArray,
         stream: Stream | None = None,
         label: str = "p2p",
+        retry=None,
     ) -> tuple[float, float]:
         """Copy between two GPUs over their peer link (timed on the
-        destination device's stream, as cudaMemcpyPeerAsync does)."""
+        destination device's stream, as cudaMemcpyPeerAsync does).
+        *retry* as for :meth:`memcpy_h2d`."""
         if dst.shape != src.shape:
             raise ValueError("p2p shape mismatch")
         if dst.device is src.device:
@@ -438,7 +473,7 @@ class Machine:
             0 if src.device.device_id < dst.device.device_id else 1,
             src, True, "p2p", label,
             lambda corrupt: _deliver(dst, src_data, corrupt),
-            reads=(src,), writes=(dst,),
+            reads=(src,), writes=(dst,), retry=retry,
         )
         return start, end
 

@@ -85,7 +85,6 @@ from repro.comm import (
     TransferRetry,
     WireDelta,
     plan_sync,
-    with_retry,
 )
 from repro.telemetry.context import emit_counter, emit_gauge_max
 from repro.telemetry.spans import span
@@ -286,11 +285,13 @@ def upload_chunk(
     cr: ChunkRuntime,
     slot: DeviceArray,
     stream: Stream | None = None,
+    retry: TransferRetry | None = None,
 ) -> DeviceChunk:
     """Lay *cr* out in *slot*, one of *worker*'s chunk slots, and copy
     the chunk up in one h2d (timed) from its pinned host image, its
-    fields back to back. The copy writes the slot, so it starts after
-    the last operation that used those bytes."""
+    fields back to back, with *retry* as the copy's policy. The copy
+    writes the slot, so it starts after the last operation that used
+    those bytes."""
     dc = DeviceChunk(slot, cr, worker.phi_full.shape[0])
     dst = dc.whole()
     image = np.concatenate([
@@ -299,7 +300,7 @@ def upload_chunk(
     ])
     machine.memcpy_h2d(
         dst, image, stream=stream or worker.upload,
-        label=f"h2d:chunk{cr.chunk_id}",
+        label=f"h2d:chunk{cr.chunk_id}", retry=retry,
     )
     _emit_transfer(dst.nbytes, "h2d", worker)
     return dc
@@ -310,16 +311,19 @@ def download_chunk(
     worker: GpuWorker,
     dc: DeviceChunk,
     stream: Stream | None = None,
+    retry: TransferRetry | None = None,
 ) -> None:
     """Copy the chunk's mutable state (topics, θ) back to the host in
-    one d2h (timed). Its slot stays allocated for the next chunk.
+    one d2h (timed), with *retry* as the copy's policy. Its slot stays
+    allocated for the next chunk.
 
     The host mirrors are already current (kernel bodies update them);
     the transfer is charged for timing fidelity.
     """
     src = dc.state()
     machine.memcpy_d2h(
-        src, stream=stream or worker.download, label=f"d2h:chunk{dc.chunk_id}"
+        src, stream=stream or worker.download,
+        label=f"d2h:chunk{dc.chunk_id}", retry=retry,
     )
     _emit_transfer(src.nbytes, "d2h", worker)
 
@@ -636,22 +640,16 @@ def send_phi_deltas(
         for g, w in enumerate(workers):
             layout, payload = launch_phi_compact(w, config, w.sync)
             staged += [layout, payload]
-            _, end, got = with_retry(
-                lambda: machine.memcpy_d2h(
-                    layout, stream=w.sync, label="d2h:phi_delta_layout"
-                ),
-                w.sync, "d2h:phi_delta_layout", retry,
-                devices=(w.device.device_id,),
+            _, end, got = machine.memcpy_d2h(
+                layout, stream=w.sync, label="d2h:phi_delta_layout",
+                retry=retry,
             )
             layouts.append((end, g, got, payload))
         for end, g, got, payload in sorted(layouts, key=lambda item: item[0]):
             machine.advance_host(end)
             w = workers[g]
-            _, p_end, data = with_retry(
-                lambda: machine.memcpy_d2h(
-                    payload, stream=w.sync, label="d2h:phi_delta"
-                ),
-                w.sync, "d2h:phi_delta", retry, devices=(w.device.device_id,),
+            _, p_end, data = machine.memcpy_d2h(
+                payload, stream=w.sync, label="d2h:phi_delta", retry=retry
             )
             emit_counter(
                 "sync_bytes_total", data.nbytes,
@@ -753,6 +751,7 @@ def run_iteration(
     config: KernelConfig,
     overlap: bool = True,
     sync: Callable[[], None] | None = None,
+    retry: TransferRetry | None = None,
 ) -> None:
     """One iteration of Alg 1 on one machine, WorkSchedule1 and 2 alike.
 
@@ -776,7 +775,8 @@ def run_iteration(
     pipelining); with False they go through the compute stream (the
     ablation's serial variant). Each upload goes into the slot the chunk
     before it does not occupy. ``sync()`` is the iteration's φ sync; by
-    default the planned collective (:func:`synchronize_model`). Each
+    default the planned collective (:func:`synchronize_model`), and
+    *retry* is every chunk copy's transfer-retry policy. Each
     kernel and copy names the buffers it reads and writes, so sampling
     waits for its chunk's upload, a download for its chunk's update θ,
     the sync for update φ, and an upload for the download that last
@@ -804,7 +804,9 @@ def run_iteration(
         for m, cr in enumerate(order):
             if m:
                 slot = next(s for s in worker.slots if s is not held[g].slot)
-                held[g] = upload_chunk(machine, worker, cr, slot, stream=up)
+                held[g] = upload_chunk(
+                    machine, worker, cr, slot, stream=up, retry=retry
+                )
             dc = held[g]
             _enqueue_sample_and_phi(
                 worker, cr, dc, hyper, config,
@@ -818,13 +820,13 @@ def run_iteration(
                 _enqueue_update_theta(worker, pen_cr, pen_dc, hyper, config)
             _enqueue_update_theta(worker, cr, dc, hyper, config)
             if m < last:
-                download_chunk(machine, worker, dc, stream=down)
+                download_chunk(machine, worker, dc, stream=down, retry=retry)
     if sync is None:
-        synchronize_model(machine, workers, config)
+        synchronize_model(machine, workers, config, retry=retry)
     else:
         sync()
     for worker, down, _, dc in deferred:
-        download_chunk(machine, worker, dc, stream=down)
+        download_chunk(machine, worker, dc, stream=down, retry=retry)
 
 
 def busy_fractions(intervals, device_ids, t0: float, t1: float) -> dict[int, float]:

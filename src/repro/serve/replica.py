@@ -27,8 +27,9 @@ tables.
 
 The fault surface is the same as training's: a dead device raises
 :class:`~repro.gpusim.errors.DeviceLost` at enqueue, a dead or flaky
-uplink raises :class:`~repro.gpusim.errors.LinkDown` at the link
-reservation, an armed kernel fault raises
+uplink raises :class:`~repro.gpusim.errors.SyncPathError` (a
+``LinkDown``) naming the copy at the link reservation, an armed kernel
+fault raises
 :class:`~repro.gpusim.errors.KernelFault` — the scheduler catches all
 of them and fails over.
 """
@@ -169,9 +170,10 @@ class PhiReplica:
         return digest in self._models
 
     # ------------------------------------------------------------------
-    def ensure_model(self, digest: str, phi: np.ndarray) -> bool:
+    def ensure_model(self, digest: str, phi: np.ndarray, retry=None) -> bool:
         """Make φ resident on this replica; returns True if a (timed)
-        upload happened, False on a residency hit.
+        upload happened, False on a residency hit. *retry* is the
+        upload's :class:`~repro.comm.TransferRetry`.
 
         Under memory pressure the replica evicts its least-recently
         used φ buffers until the new one fits (raising only if φ cannot
@@ -197,7 +199,9 @@ class PhiReplica:
                 _, victim = next(iter(self._models.items()))
                 self._drop(victim)
         try:
-            machine.memcpy_h2d(buf, phi32, stream=self.stream, label="phi_load")
+            machine.memcpy_h2d(
+                buf, phi32, stream=self.stream, label="phi_load", retry=retry
+            )
         except BaseException:
             buf.free()
             raise

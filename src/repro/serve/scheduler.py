@@ -15,8 +15,9 @@ and replicas marked ``dead`` — by a
 fault budget — are **never selected again** (a permanent ``dead_replicas``
 set, not a per-request skip). When a replica dies and a warm spare
 remains, the spare is activated in its place (``respawning``) and φ is
-re-broadcast to it over its PCIe uplink, retried with exponential
-backoff via PR 3's :class:`~repro.comm.TransferRetry` path.
+re-broadcast to it over its PCIe uplink, a copy that retries a
+transient failure with exponential backoff under the scheduler's
+:class:`~repro.comm.TransferRetry`.
 
 Failover semantics are unchanged from PR 4: a dispatch that raises a
 :class:`~repro.gpusim.errors.FaultError` moves the batch to the next
@@ -143,17 +144,6 @@ class ReplicaScheduler:
         )
 
     # ------------------------------------------------------------------
-    def _ensure_model(self, replica: PhiReplica, digest: str,
-                      phi: np.ndarray) -> bool:
-        """φ residency with the PR 3 transfer-retry path on the uplink."""
-        from repro.comm import with_retry
-
-        return with_retry(
-            lambda: replica.ensure_model(digest, phi),
-            replica.stream, "serve_phi_broadcast", self.upload_retry,
-            devices=(replica.device.device_id,),
-        )
-
     def _note_fault(self, replica: PhiReplica, exc: FaultError,
                     now: float) -> None:
         if isinstance(exc, DeviceLost):
@@ -240,7 +230,7 @@ class ReplicaScheduler:
                     continue
                 tried.add(replica.replica_id)
                 try:
-                    uploaded = self._ensure_model(replica, digest, phi)
+                    uploaded = replica.ensure_model(digest, phi, self.upload_retry)
                     execution = replica.execute(
                         batch, phi, hyper, default_iterations, config,
                         not_before=now, batch_id=batch_id, digest=digest,
@@ -310,7 +300,7 @@ class ReplicaScheduler:
         against the replica's health and abandoned).
         """
         try:
-            uploaded = self._ensure_model(replica, digest, phi)
+            uploaded = replica.ensure_model(digest, phi, self.upload_retry)
             execution = replica.execute(
                 batch, phi, hyper, default_iterations, config,
                 not_before=not_before, batch_id=batch_id, digest=digest,

@@ -430,9 +430,13 @@ class TestSimClockPinned:
         """The rollback's φ upload into GPU 0's ``phi_full`` waits for
         the aborted ``sampling:chunk0``, which reads it until
         200.533 µs; it used to start at 181.058 µs, so the run took
-        514.57 µs, not 534.04."""
+        514.57 µs, not 534.04. The rerun iteration 2 is charged from the
+        end of iteration 1, so the aborted attempt and the rollback are
+        on it: 171.928 µs, where it read 90.529 µs like every other
+        iteration and the iterations summed to 452.64 µs, not the run's
+        534.04 (was ``a715d35e36bf02de``)."""
         _, result = self._rollback_run(pin_corpus)
-        assert self._digest(result) == "a715d35e36bf02de"
+        assert self._digest(result) == "d1696469fb5d23fa"
 
     def test_rollback_upload_waits_for_the_aborted_reads(self, pin_corpus):
         """A fault cuts iteration 2 short on GPU 1 while the other GPUs'

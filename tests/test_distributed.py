@@ -1160,11 +1160,11 @@ class TestNodeSyncToHost:
 
         memcpy_d2h, armed = Machine.memcpy_d2h, []
 
-        def d2h(self, src, stream=None, label="d2h", pinned=True):
+        def d2h(self, src, stream=None, label="d2h", pinned=True, retry=None):
             if label == "d2h:phi_delta" and armed:
                 armed.pop()
                 self.pcie[src.device.device_id].corrupt_next()
-            return memcpy_d2h(self, src, stream, label, pinned)
+            return memcpy_d2h(self, src, stream, label, pinned, retry)
 
         class Arm(TrainerCallback):
             def on_iteration_end(self, event):

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from repro.core import CuLDA, TrainConfig
-from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
+from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus, nytimes_like
 from repro.engine import RecoveryPolicy, TrainingFailure, validate_state
 from repro.engine.loop import LoopConfig
 from repro.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.gpusim import DeviceLost, KernelFault, LinkDown
 from repro.gpusim.errors import SyncPathError
 from repro.gpusim.platform import pascal_platform
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,14 @@ def corpus():
     )
 
 
+@pytest.fixture(scope="module")
+def nytimes():
+    return nytimes_like(num_tokens=6000, seed=0)
+
+
 def _train(corpus, gpus=4, iterations=6, *, plan=None, recovery=None,
-           registry=None, sync="gpu_tree", **train_kwargs):
+           registry=None, sync="gpu_tree", chunks_per_gpu=None,
+           **train_kwargs):
     # Forced gpu_tree: these tests exercise the retry/fallback machinery
     # on specific links, so the sync planner must not re-route around
     # the very faults being injected (planner behaviour under fault
@@ -41,7 +47,7 @@ def _train(corpus, gpus=4, iterations=6, *, plan=None, recovery=None,
     trainer = CuLDA(
         corpus, pascal_platform(gpus),
         TrainConfig(num_topics=8, iterations=iterations, seed=0,
-                    sync_algorithm=sync),
+                    sync_algorithm=sync, chunks_per_gpu=chunks_per_gpu),
         registry=registry,
     )
     return trainer.train(fault_plan=plan, recovery=recovery, **train_kwargs)
@@ -420,8 +426,8 @@ class TestTransientLinkFaults:
                         link="p2p[0-1]", op="phi_reduce_copy") == 2
 
     def test_retry_budget_exhaustion_falls_back_to_host(self, corpus):
-        # A permanently-down link outlives any retry budget; the copy
-        # then re-routes through CPU memory and the model is still
+        # A permanently-down link is not retried: the copy re-routes
+        # through CPU memory at once and the model is still
         # bit-identical to the failure-free run.
         plan = FaultPlan(faults=(
             FaultSpec(kind="link_down", iteration=2, link="p2p[0-1]"),))
@@ -434,17 +440,15 @@ class TestTransientLinkFaults:
                         link="p2p[0-1]", op="phi_reduce_copy") > 0
 
     @pytest.mark.parametrize("gpus", [2, 4])
-    def test_relayed_copy_waits_for_its_staging(self, gpus):
+    def test_relayed_copy_waits_for_its_staging(self, nytimes, gpus):
         """A copy re-routed through host memory lands on the receiver in
         an h2d that starts no earlier than the sender's d2h ends, the
         copy's ``not_before``; nothing about the receiving buffer orders
         it. On this corpus the order binds: each broadcast's h2d starts
         exactly then."""
-        from repro.corpus.synthetic import nytimes_like
-
         machine = pascal_platform(gpus)
         CuLDA(
-            nytimes_like(num_tokens=6000, seed=0), machine,
+            nytimes, machine,
             TrainConfig(num_topics=8, iterations=3, seed=0,
                         sync_algorithm="gpu_tree"),
         ).train(
@@ -460,6 +464,90 @@ class TestTransientLinkFaults:
             elif leg == "h2d":
                 gaps.append(iv.start - staged.pop(op))
         assert gaps and min(gaps) == 0.0
+
+    @pytest.mark.parametrize("gpus,rerouted,clean", [
+        (2, 57.91e-6, 44.35e-6), (4, 75.53e-6, 59.70e-6),
+    ])
+    def test_down_link_is_never_retried(self, nytimes, gpus, rerouted, clean):
+        """A link that is down for good fails its copy on the first
+        attempt, whatever the retry budget: from iteration 1 the tree's
+        copies over p2p[0-1] go straight to the host re-route, with no
+        backoff and no retry counted. While each such copy spent the
+        whole budget first, those iterations took 736.22 µs on 2 GPUs
+        and 755.62 µs on 4."""
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="link_down", iteration=1, link="p2p[0-1]"),))
+        registry = MetricsRegistry()
+        faulty = _train(nytimes, gpus, 5, plan=plan, recovery="retry",
+                        registry=registry)
+        healthy = _train(nytimes, gpus, 5)
+        assert [it.sim_seconds for it in faulty.iterations] == pytest.approx(
+            [clean] + [rerouted] * 4, abs=5e-9
+        )
+        assert [it.sim_seconds for it in healthy.iterations] == pytest.approx(
+            [clean] * 5, abs=5e-9
+        )
+        assert registry.get("transfer_retries_total") is None
+        assert _counter(registry, "degraded_sync_total",
+                        link="p2p[0-1]", op="phi_reduce_copy") == 4
+        assert np.array_equal(faulty.phi, healthy.phi)
+
+    def test_cluster_send_never_retries_a_downed_nic(self):
+        """``ClusterNetwork.send`` keeps the copies' rule: a NIC that is
+        down for good fails the message on its first attempt, under a
+        retry policy too."""
+        from repro.cluster.network import ClusterNetwork
+        from repro.comm import TransferRetry
+
+        net = ClusterNetwork(2)
+        net.links[0].set_down()
+        registry = MetricsRegistry()
+        with telemetry_session(registry=registry):
+            with pytest.raises(SyncPathError) as err:
+                net.send(0, 1, 1e3, 0.0, op="probe", retry=TransferRetry())
+        assert (err.value.op, err.value.devices) == ("probe", (0, 1))
+        assert not err.value.transient
+        assert net.links[0].num_failed_transfers == 1
+        assert registry.get("cluster_transfer_retries_total") is None
+
+    @staticmethod
+    def _flaky_chunk_upload():
+        # GPU 1's host link drops its next transfer from iteration 1 on:
+        # at M = 2 that is the upload of chunk 1, the GPU's second chunk.
+        return FaultPlan(faults=(
+            FaultSpec(kind="link_flaky", iteration=1, link="pcie[1]",
+                      count=1),))
+
+    def test_streamed_chunk_copy_retries_in_place(self, nytimes):
+        """A streamed chunk's upload carries the run's retry, as staging
+        does: a dropped transfer costs one backoff, not a rollback."""
+        registry = MetricsRegistry()
+        result = _train(nytimes, 2, 5, plan=self._flaky_chunk_upload(),
+                        recovery="retry", registry=registry,
+                        chunks_per_gpu=2)
+        clean = _train(nytimes, 2, 5, chunks_per_gpu=2)
+        assert result.rollbacks == 0
+        retries = registry.get("transfer_retries_total").samples()
+        assert [(s.labels, s.value) for s in retries] == [
+            ({"link": "pcie[1]", "op": "h2d:chunk1"}, 1.0)
+        ]
+        assert result.iterations[1].sim_seconds == pytest.approx(
+            149.73e-6, abs=5e-9
+        )
+        assert np.array_equal(result.phi, clean.phi)
+
+    def test_failed_chunk_copy_is_structured(self, nytimes):
+        """With no recovery policy the same dropped upload ends the run
+        in a failure whose cause names the copy and its device."""
+        with pytest.raises(TrainingFailure) as err:
+            _train(nytimes, 2, 5, plan=self._flaky_chunk_upload(),
+                   chunks_per_gpu=2)
+        cause = err.value.cause
+        assert isinstance(cause, SyncPathError)
+        assert (cause.op, cause.devices, cause.link_name) == (
+            "h2d:chunk1", (1,), "pcie[1]"
+        )
+        assert cause.transient
 
     def test_degraded_link_slows_but_completes(self, corpus):
         plan = FaultPlan(faults=(
@@ -493,6 +581,31 @@ class TestRollbackRecovery:
         clean = _train(corpus, gpus=2)
         assert result.rollbacks == 1
         assert np.array_equal(result.phi, clean.phi)
+
+    @pytest.mark.parametrize("gpus,fault,recovery,rerun", [
+        (2, FaultSpec(kind="kernel_fault", iteration=2, device=1,
+                      op="sampling"), "retry", 93.60e-6),
+        (4, FaultSpec(kind="device_failure", iteration=2, device=1),
+         "elastic", 114.94e-6),
+    ])
+    def test_recovery_is_charged_to_the_rerun(
+        self, nytimes, gpus, fault, recovery, rerun
+    ):
+        """One machine charges an iteration from the end of the last
+        completed one, as the cluster does, so the aborted attempt and
+        the recovery land on the rerun and the iterations sum to the
+        run's total. They used to be in no iteration: the iterations
+        summed to 275.17 µs of 313.74 after the rollback and to 384.88
+        of 418.78 after the GPU loss."""
+        result = _train(nytimes, gpus, 5, plan=FaultPlan(faults=(fault,)),
+                        recovery=recovery, chunks_per_gpu=2)
+        assert result.rollbacks + result.repartitions == 1
+        assert sum(it.sim_seconds for it in result.iterations) == (
+            pytest.approx(result.total_sim_seconds, rel=1e-12)
+        )
+        assert result.iterations[2].sim_seconds == pytest.approx(
+            rerun, abs=5e-9
+        )
 
     def test_exhausted_rollback_budget_fails_structured(self, corpus):
         # A zero rollback budget turns the first detected corruption

@@ -109,6 +109,44 @@ class TestBufferOrder:
         assert self._launch(gpu.create_stream("b"), reads=(buf,))[0] == 0.0
 
 
+class TestCopyRetry:
+    """A copy carries its retry policy: it retries a transient link
+    failure after a backoff stall on its own stream, and any other
+    failure raises a SyncPathError naming the copy's op and the devices
+    of its buffers."""
+
+    def test_down_link_fails_on_the_first_attempt(self, pascal4):
+        from repro.comm import TransferRetry
+        from repro.gpusim.errors import SyncPathError
+
+        src = DeviceArray(pascal4.gpus[1], 16, np.int32)
+        dst = DeviceArray(pascal4.gpus[0], 16, np.int32)
+        link = pascal4.p2p_link(0, 1)
+        link.set_down()
+        with pytest.raises(SyncPathError) as err:
+            pascal4.memcpy_p2p(dst, src, label="probe", retry=TransferRetry())
+        assert (err.value.op, err.value.devices) == ("probe", (1, 0))
+        assert not err.value.transient
+        assert link.num_failed_transfers == 1
+        assert not pascal4.trace.intervals  # no backoff stall
+
+    def test_transient_failure_retried_after_one_backoff(self, pascal1):
+        from repro.comm import TransferRetry
+
+        gpu = pascal1.gpus[0]
+        buf = DeviceArray(gpu, 16, np.int32)
+        pascal1.pcie[0].fail_next(1)
+        start, _ = pascal1.memcpy_h2d(
+            buf, np.arange(16, dtype=np.int32), label="probe",
+            retry=TransferRetry(max_retries=2, backoff_seconds=1e-4),
+        )
+        [stall] = [iv for iv in pascal1.trace.intervals if iv.kind == "stall"]
+        assert stall.label == "retry_backoff:probe"
+        assert stall.stream == f"0.{gpu.default_stream.label}"
+        assert start == stall.end == 1e-4
+        assert np.array_equal(buf.data, np.arange(16))
+
+
 class TestSynchronize:
     def test_stream_synchronize_advances_host(self, pascal1):
         s = pascal1.gpus[0].default_stream
