@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--seed", type=int, default=0)
     lg.add_argument("--smoke", action="store_true",
                     help="CI preset: small fixed trace, fails if any "
-                    "request is lost")
+                    "request is lost or any payload differs from its "
+                    "direct fold-in")
     lg.add_argument("--chaos", action="store_true",
                     help="run under a serving chaos plan (default plan "
                     "unless --faults is given) and check the serving "
@@ -868,10 +869,25 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
               f"accounted for exactly once ({report.failovers} "
               f"failover(s), {report.respawns} respawn(s))")
         return 0
-    if args.smoke and report.count("completed") != len(requests):
-        print("error: smoke run lost requests (expected every request "
-              "to complete)", file=sys.stderr)
-        return 1
+    if args.smoke:
+        if report.count("completed") != len(requests):
+            print("error: smoke run lost requests (expected every request "
+                  "to complete)", file=sys.stderr)
+            return 1
+        from repro.serve import verify_report
+
+        # Batching must not move a bit: every payload against its
+        # direct fold-in.
+        violations = verify_report(
+            report, requests, default_iterations=args.iterations
+        )
+        if violations:
+            print("smoke invariant violations:", file=sys.stderr)
+            for violation in violations:
+                print(f"  - {violation}", file=sys.stderr)
+            return 1
+        print(f"smoke: all {len(requests)} payloads equal their direct "
+              "fold-in")
     return 0
 
 

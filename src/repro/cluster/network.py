@@ -142,8 +142,13 @@ class ClusterNetwork:
     def _send_once(
         self, src: int, dst: int, nbytes: float, earliest: float
     ) -> tuple[float, float]:
-        s1, e1 = self.links[src].reserve(nbytes, earliest, direction=0)
-        s2, e2 = self.links[dst].reserve(nbytes, s1, direction=1)
+        egress, ingress = self.links[src], self.links[dst]
+        # Both NICs admit the message before either is held, so one the
+        # receiver refuses costs the sender no time and moves no bytes.
+        egress.admit()
+        ingress.admit()
+        s1, e1 = egress.reserve(nbytes, earliest, direction=0)
+        s2, e2 = ingress.reserve(nbytes, s1, direction=1)
         return s1, max(e1, e2)
 
     def total_bytes(self) -> float:

@@ -366,6 +366,7 @@ class CuLDA(Algorithm):
         state.topics = [r.topics for r in self._runtimes]
         state.thetas = [r.theta for r in self._runtimes]
         state.rngs = [r.rng for r in self._runtimes]
+        state.sim_mark = self._charged
 
     def check_invariants(self, state: RunState) -> list[str]:
         """Every GPU of a node must hold the same synchronized φ replica —
@@ -408,9 +409,11 @@ class CuLDA(Algorithm):
         to every worker, and each GPU stages its first chunk afresh.
         With the snapshot's RNG stream positions the
         rerun of the poisoned iteration is bit-identical to a run that
-        never faulted.
+        never faulted. The iterations after the snapshot are discarded,
+        so their time, and the rollback's, is charged to the rerun.
         """
         self._restore_runtimes(state)
+        self._charged = state.sim_mark
         views = self._recount(state)
         for n in self._host_nodes:
             self._upload_phi(n, views[n], "h2d:phi_rollback")
@@ -430,9 +433,11 @@ class CuLDA(Algorithm):
         is re-spawned, so the recovered model is bit-identical to the
         fault-free run; φ is recounted exactly and the node's reduce
         tree is re-planned at the new fan-in by the per-machine sync
-        planner. Migration time stays on the simulated clock.
+        planner. Migration time stays on the simulated clock, charged
+        with the discarded iterations to the rerun, as a rollback's is.
         """
         self._restore_runtimes(state)
+        self._charged = state.sim_mark
         self._rebuild_nodes("h2d:phi_repartition")
         emit_gauge(
             "surviving_gpus", float(sum(len(w) for w in self._node_workers)),

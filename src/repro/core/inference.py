@@ -13,12 +13,15 @@ then estimate each document's topic mixture and the held-out
 likelihood. The sampler reuses the training kernel
 (:func:`repro.core.kernels.gibbs_sample_chunk`) with φ frozen — the
 same vectorized path, so inference inherits the kernels' tested
-semantics.
+semantics. A batch of corpora (a serving batch) folds in with one
+sampler call and one θ recount per sweep, each corpus a document group
+of the call, so each gets exactly the bits of its own call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from repro.core.kernels import (
     word_tables,
 )
 from repro.core.model import LDAHyperParams, SparseTheta
-from repro.corpus.corpus import Corpus
+from repro.corpus.corpus import Corpus, TokenChunk
 
 __all__ = [
     "InferenceResult",
@@ -61,26 +64,31 @@ class InferenceResult:
 
 
 def infer_documents(
-    corpus: Corpus,
+    corpus: Corpus | Sequence[Corpus],
     phi: np.ndarray,
     hyper: LDAHyperParams,
-    iterations: int = 20,
+    iterations: int | Sequence[int] = 20,
     burn_in: int | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     config: KernelConfig | None = None,
     tables: WordTables | None = None,
-) -> InferenceResult:
+) -> InferenceResult | list[InferenceResult]:
     """Fold *corpus* into a trained model.
 
     Parameters
     ----------
     corpus: unseen documents (word ids must index the training φ's
-        columns).
+        columns), or a batch: a sequence of corpora, each folded in
+        exactly as its own call would fold it. A batch returns one
+        result per corpus, in order, and runs one sampler call and one
+        θ recount per sweep over the corpora still sweeping.
     phi: trained ``int[K, V]`` topic–word counts (frozen).
     hyper: the training hyperparameters.
-    iterations: Gibbs sweeps over the new documents.
-    burn_in: sweeps before θ starts being averaged (default: half).
-    seed: RNG seed.
+    iterations: Gibbs sweeps over the new documents; for a batch, one
+        count per corpus or one for all.
+    burn_in: sweeps before θ starts being averaged (default: half of
+        each corpus's sweeps).
+    seed: RNG seed; for a batch, one per corpus or one for all.
     tables: :func:`foldin_tables` of *phi*. Built once per call when
         not given; a caller that folds many corpora into one φ builds
         them once and passes them here. The result is the same bits
@@ -88,9 +96,17 @@ def infer_documents(
 
     Returns
     -------
-    :class:`InferenceResult` with the averaged, smoothed θ estimate.
+    :class:`InferenceResult` with the averaged, smoothed θ estimate
+    (a list of them for a batch).
     """
-    if iterations < 1:
+    single = isinstance(corpus, Corpus)
+    batch = [corpus] if single else list(corpus)
+    G = len(batch)
+    if not G:
+        raise ValueError("no corpora to fold in")
+    sweeps = _per_corpus(iterations, G, "iterations")
+    seeds = _per_corpus(seed, G, "seed")
+    if min(sweeps) < 1:
         raise ValueError("iterations must be >= 1")
     phi = np.asarray(phi)
     if phi.ndim != 2:
@@ -101,15 +117,16 @@ def infer_documents(
     K = hyper.num_topics
     if phi.shape[0] != K:
         raise ValueError(f"phi has {phi.shape[0]} topics, hyper says {K}")
-    if corpus.num_words > phi.shape[1]:
-        raise ValueError(
-            f"corpus vocabulary ({corpus.num_words}) exceeds phi columns "
-            f"({phi.shape[1]}); map unseen words before inference"
-        )
-    _check_word_ids(corpus, phi.shape[1])
+    for c in batch:
+        if c.num_words > phi.shape[1]:
+            raise ValueError(
+                f"corpus vocabulary ({c.num_words}) exceeds phi columns "
+                f"({phi.shape[1]}); map unseen words before inference"
+            )
+        _check_word_ids(c, phi.shape[1])
     config = config or KernelConfig(compressed=False)
-    burn_in = iterations // 2 if burn_in is None else burn_in
-    if not 0 <= burn_in < iterations:
+    burn_ins = [n // 2 if burn_in is None else burn_in for n in sweeps]
+    if any(not 0 <= b < n for b, n in zip(burn_ins, sweeps)):
         raise ValueError("burn_in must lie in [0, iterations)")
 
     # Frozen statistics: p* and Q are built once and read by every sweep
@@ -121,42 +138,77 @@ def infer_documents(
             f"tables cover {tables.pstar.shape} (topics, words), phi is "
             f"{phi.shape}"
         )
-    # Pad the corpus vocabulary to φ's columns if phi is wider.
-    V = phi.shape[1]
-    if corpus.num_words < V:
-        corpus = Corpus(
-            corpus.token_word, corpus.doc_indptr, V, name=corpus.name
-        )
 
-    chunk = corpus.to_chunk()
-    rng = np.random.default_rng(seed)
-    topics = rng.integers(0, K, size=chunk.num_tokens).astype(np.int32)
+    # The batch as document groups of one corpus over φ's columns, the
+    # longest fold-ins first: the groups still sweeping are a prefix.
+    order = sorted(range(G), key=lambda g: -sweeps[g])
+    group = [batch[g] for g in order]
+    sweeps, burn_ins = [sweeps[g] for g in order], [burn_ins[g] for g in order]
+    rngs = [np.random.default_rng(seeds[g]) for g in order]
+    docs = np.zeros(G + 1, dtype=np.int64)     # group g's documents
+    np.cumsum([c.num_docs for c in group], out=docs[1:])
+    indptr = np.zeros(docs[-1] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([c.doc_lengths for c in group]), out=indptr[1:])
+    combined = Corpus(
+        np.concatenate([c.token_word for c in group]), indptr, phi.shape[1]
+    )
+    chunk = combined.to_chunk()
+    # Each group's initial topics in its own chunk order, which is its
+    # tokens' order in the combined chunk (the word sort is stable).
+    token_group = np.searchsorted(docs, chunk.token_doc, side="right") - 1
+    topics = np.empty(chunk.num_tokens, dtype=np.int32)
+    topics[np.argsort(token_group, kind="stable")] = np.concatenate([
+        rng.integers(0, K, size=c.num_tokens).astype(np.int32)
+        for rng, c in zip(rngs, group)
+    ])
     theta = recount_theta(chunk, topics, K, compressed=False)
 
-    D = chunk.num_docs
-    theta_accum = np.zeros((D, K), dtype=np.float64)
-    samples = 0
-    for it in range(iterations):
+    doc_burn_in = np.repeat(burn_ins, np.diff(docs))
+    theta_accum = np.zeros((combined.num_docs, K), dtype=np.float64)
+    final = [theta] * G                    # the θ each group ends on
+    live = G
+    for it in range(sweeps[0]):
+        if sweeps[live - 1] == it:       # drop the groups that are done
+            live = sum(n > it for n in sweeps)
+            keep = chunk.token_doc < docs[live]
+            chunk = TokenChunk.from_corpus_range(combined, 0, int(docs[live]))
+            topics, theta = topics[keep], theta.rows(0, int(docs[live]))
         topics, _ = gibbs_sample_chunk(
-            chunk, topics, theta, phi, None, hyper, rng, config, tables
+            chunk, topics, theta, phi, None, hyper, rngs[:live], config,
+            tables, docs[: live + 1],
         )
         theta = recount_theta(chunk, topics, K, compressed=False)
-        if it >= burn_in:
-            theta_accum += theta.to_dense()
-            samples += 1
+        final[:live] = [theta] * live
+        averaged = doc_burn_in[: docs[live]] <= it
+        theta_accum[: docs[live]][averaged] += theta.to_dense()[averaged]
 
-    mean_theta = theta_accum / max(samples, 1)
-    lengths = chunk.doc_lengths.astype(np.float64)
+    samples = np.repeat(np.subtract(sweeps, burn_ins), np.diff(docs))
+    mean_theta = theta_accum / samples[:, None]
     doc_topic = (mean_theta + hyper.alpha) / (
-        lengths[:, None] + K * hyper.alpha
+        combined.doc_lengths.astype(np.float64)[:, None] + K * hyper.alpha
     )
-    ll = _predictive_log_likelihood(corpus, doc_topic, tables.pstar)
-    return InferenceResult(
-        theta=theta,
-        doc_topic=doc_topic,
-        log_likelihood_per_token=ll,
-        iterations=iterations,
-    )
+    results: list[InferenceResult] = [None] * G  # type: ignore[list-item]
+    for i, g in enumerate(order):
+        rows = doc_topic[docs[i] : docs[i + 1]]
+        results[g] = InferenceResult(
+            theta=final[i].rows(int(docs[i]), int(docs[i + 1])),
+            doc_topic=rows,
+            log_likelihood_per_token=_predictive_log_likelihood(
+                group[i], rows, tables.pstar
+            ),
+            iterations=sweeps[i],
+        )
+    return results[0] if single else results
+
+
+def _per_corpus(value, count: int, name: str) -> list[int]:
+    """*value* as one int per corpus of a batch of *count*."""
+    if isinstance(value, (int, np.integer)):
+        return [int(value)] * count
+    values = [int(v) for v in value]
+    if len(values) != count:
+        raise ValueError(f"{name} has {len(values)} entries for {count} corpora")
+    return values
 
 
 def foldin_tables(phi: np.ndarray, hyper: LDAHyperParams) -> WordTables:

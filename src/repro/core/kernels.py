@@ -37,16 +37,25 @@ sampler builds S, Q and the p₁ prefix sums once per run
 (:attr:`~repro.corpus.corpus.TokenChunk.runs`), and each token draws
 its own uniform, branch and search. Statistics and costs stay per
 token, as the CUDA kernel samples.
+
+One launch may also sample independent *document groups* (a serving
+batch: one group per request). Each group draws its uniforms from its
+own generator, and the running sums behind S and the p₁ search restart
+at the group's first run and wherever the group's own call would start
+a new slab, so every group gets the bits of a call over its documents
+alone. Every other step works per run or per token, and the word-first
+sort is stable, so a group's runs keep their own order in the combined
+chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.corpus.corpus import TokenChunk
+from repro.corpus.corpus import DocWordRuns, TokenChunk
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.gpusim.costmodel import KernelCost
 from repro.telemetry.context import emit_counter
@@ -225,9 +234,10 @@ def gibbs_sample_chunk(
     phi: np.ndarray,
     n_k: np.ndarray | None,
     hyper: LDAHyperParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     config: KernelConfig | None = None,
     tables: WordTables | None = None,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SamplingStats]:
     """Sample a new topic for every token of *chunk* (Alg 2, vectorized).
 
@@ -237,6 +247,13 @@ def gibbs_sample_chunk(
     :func:`word_tables` of ``(phi, n_k)``, built here when not given
     (*phi* and *n_k* are read only for that); callers that sample
     against one frozen φ many times build them once and pass them in.
+
+    *groups*, if given, splits the chunk's local documents into
+    independent groups, ``int64[G+1]`` boundaries (group g is documents
+    ``groups[g]:groups[g+1]``), and *rng* is then one generator per
+    group. Each group's topics are exactly those of a call over its
+    documents alone with its generator (see "Sampling semantics" in
+    the module docstring); the stats cover the whole launch.
 
     The vectorization reproduces the S/Q control flow exactly:
 
@@ -258,6 +275,18 @@ def gibbs_sample_chunk(
     K, V = hyper.num_topics, chunk.num_words
     alpha = hyper.alpha
     T = chunk.num_tokens
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.int64)
+        if (
+            groups.size != len(rng) + 1 or groups[0] != 0
+            or groups[-1] != chunk.num_docs or np.any(np.diff(groups) < 0)
+        ):
+            raise ValueError(
+                f"groups must split the chunk's {chunk.num_docs} documents "
+                f"into one range per generator ({len(rng)}); got {groups}"
+            )
+        if len(rng) == 1:       # one group is the whole chunk
+            (rng,), groups = rng, None
     if T == 0:
         return topics.copy(), SamplingStats(0, 0, 0, 1, 1)
 
@@ -271,13 +300,21 @@ def gibbs_sample_chunk(
         )
     pstar_flat = tables.pstar_vk.ravel()       # index w·K + k
 
-    runs = chunk.runs
+    runs, place = chunk.runs, None
+    if groups is not None:
+        runs, place, group_runs = _group_runs(chunk, groups)
     t_ip, t_idx, t_cnt = theta.indptr, theta.indices, theta.data
     run_kd = t_ip[runs.doc + 1] - t_ip[runs.doc]        # K_d of each run
     run_q = tables.q[runs.word]
 
-    new_topics = np.empty(T, dtype=topics.dtype)
-    u_all = rng.random(T)
+    if groups is None:
+        u_all = rng.random(T)
+        group_runs = np.array([0, run_kd.size])
+    else:
+        u_all = np.concatenate([
+            g.random(n) for g, n in zip(rng, np.diff(runs.starts[group_runs]))
+        ])
+    drawn = np.empty(T, dtype=topics.dtype)
 
     kd_sum = int(run_kd @ np.diff(runs.starts))
     p1_draws = 0
@@ -286,7 +323,7 @@ def gibbs_sample_chunk(
     dense_levels = int(tree_search_levels(K, WARP_SIZE)[0])
 
     # Slab over runs so the (run × K_d) expansion stays bounded.
-    for rlo, rhi in _slab_edges(run_kd, config.token_slab):
+    for rlo, rhi, parts in _slabs(run_kd, group_runs, config.token_slab):
         tlo, thi = int(runs.starts[rlo]), int(runs.starts[rhi])
         docs = runs.doc[rlo:rhi]
         words = runs.word[rlo:rhi]
@@ -307,10 +344,14 @@ def gibbs_sample_chunk(
         vals *= t_cnt[flat_pos]
 
         # Masses per run. The running cumsum fixes S's bits and is what
-        # the p₁ search below reads.
-        cs = np.cumsum(vals, out=vals)
+        # the p₁ search below reads; it restarts at each part.
+        part_start = row_start[parts]
+        for a, b in zip(part_start[:-1], part_start[1:]):
+            np.cumsum(vals[a:b], out=vals[a:b])
+        cs = vals
         seg_end = row_start[1:] - 1
         seg_base = np.concatenate(([0.0], cs[seg_end[:-1]]))
+        seg_base[parts[:-1]] = 0.0
         S = cs[seg_end] - seg_base
 
         # The branch draw, per token: its own u against its run's S + Q.
@@ -326,14 +367,19 @@ def gibbs_sample_chunk(
             r = run[t_local]
             # p₁ trees span each run's K_d leaves.
             probe_levels += int(tree_search_levels(L, WARP_SIZE)[r].sum())
-            # Global-cumsum trick: vals > 0 strictly, so the hit stays
-            # inside the run's own segment.
-            j = np.searchsorted(
-                cs, seg_base[r] + target[t_local], side="right"
-            )
+            # Running-sum trick: vals > 0 strictly, so the hit stays
+            # inside the run's own segment of its part's sums.
+            x = seg_base[r] + target[t_local]
+            j = np.empty_like(r)
+            cut = np.searchsorted(r, parts)   # sparse tokens per part
+            for p in range(parts.size - 1):
+                a, b = part_start[p], part_start[p + 1]
+                j[cut[p]:cut[p + 1]] = a + np.searchsorted(
+                    cs[a:b], x[cut[p]:cut[p + 1]], side="right"
+                )
             j = np.minimum(j, seg_end[r])
             j = np.maximum(j, row_start[r])
-            new_topics[tlo + t_local] = k_flat[j]
+            drawn[tlo + t_local] = k_flat[j]
 
         # --- p₂ branch: search the word's dense prefix sums -----------
         dense_mask = ~sparse_mask
@@ -341,10 +387,14 @@ def gibbs_sample_chunk(
             d_local = np.flatnonzero(dense_mask)
             probe_levels += dense_levels * d_local.size
             resid = target[d_local] - S_tok[d_local]
-            new_topics[tlo + d_local] = _p2_search(
+            drawn[tlo + d_local] = _p2_search(
                 tables.pstar_vk, words[run[d_local]], resid, alpha
             )
 
+    new_topics = drawn
+    if place is not None:
+        new_topics = np.empty_like(drawn)
+        new_topics[place] = drawn
     num_blocks, num_segments = chunk.sampling_plan
     stats = SamplingStats(
         num_tokens=T,
@@ -374,6 +424,61 @@ def gibbs_sample_chunk(
         help="index-tree search levels descended across all draws",
     )
     return new_topics, stats
+
+
+def _group_runs(
+    chunk: TokenChunk, groups: np.ndarray
+) -> tuple[DocWordRuns, np.ndarray, np.ndarray]:
+    """The chunk's runs group by group, each group's in chunk order.
+
+    Returns the reordered runs, the chunk position of each reordered
+    token, and each group's first run (``int64[G+1]``).
+    """
+    runs = chunk.runs
+    G = groups.size - 1
+    run_group = np.searchsorted(groups, runs.doc, side="right") - 1
+    order = np.argsort(run_group, kind="stable")
+    group_runs = np.zeros(G + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run_group, minlength=G), out=group_runs[1:])
+    length = np.diff(runs.starts)[order]
+    starts = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(length, out=starts[1:])
+    place = np.repeat(runs.starts[order] - starts[:-1], length)
+    place += np.arange(chunk.num_tokens, dtype=np.int64)
+    grouped = DocWordRuns(
+        starts=starts,
+        doc=runs.doc[order],
+        word=runs.word[order],
+        token_run=np.repeat(np.arange(order.size, dtype=np.int64), length),
+    )
+    return grouped, place, group_runs
+
+
+def _slabs(
+    run_kd: np.ndarray, group_runs: np.ndarray, slab: int
+) -> list[tuple[int, int, np.ndarray]]:
+    """The sampler's slabs over runs grouped as *group_runs* says.
+
+    Each group's own :func:`_slab_edges` are its *parts*, the ranges
+    whose running sums start afresh; whole parts pack into slabs of at
+    most *slab* entries (a larger part gets its own). Returns, per slab,
+    its run range and its parts' run offsets within it (``[0, …, n]``).
+    One group's parts are its slabs: greedy edges never pack two.
+    """
+    csum = np.zeros(run_kd.size + 1, dtype=np.int64)
+    np.cumsum(run_kd, out=csum[1:])
+    bounds, mass = group_runs.tolist(), csum[group_runs].tolist()
+    starts: list[int] = []
+    for a, b, ma, mb in zip(bounds, bounds[1:], mass, mass[1:]):
+        if mb - ma > slab:
+            starts += [a + lo for lo, _ in _slab_edges(run_kd[a:b], slab)]
+        elif b > a:
+            starts.append(a)
+    cuts = np.array([*starts, run_kd.size])
+    return [
+        (int(cuts[lo]), int(cuts[hi]), cuts[lo : hi + 1] - cuts[lo])
+        for lo, hi in _slab_edges(np.diff(csum[cuts]), slab)
+    ]
 
 
 def _p2_search(

@@ -114,6 +114,14 @@ class SparseTheta:
         """``K_d`` of every document — the paper's sparsity quantity."""
         return np.diff(self.indptr)
 
+    def rows(self, start: int, stop: int) -> "SparseTheta":
+        """Documents ``[start, stop)`` as their own θ, renumbered from 0."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return SparseTheta(
+            self.indptr[start : stop + 1] - lo, self.indices[lo:hi],
+            self.data[lo:hi], self.num_topics,
+        )
+
     def to_dense(self) -> np.ndarray:
         """Dense ``int32[num_docs, K]`` (tests / tiny problems only)."""
         dense = np.zeros((self.num_docs, self.num_topics), dtype=np.int32)

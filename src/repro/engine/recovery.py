@@ -195,4 +195,5 @@ def snapshot_run_state(state: RunState) -> RunState:
         thetas=thetas,
         rngs=[thaw_rng_state(freeze_rng_state(r)) for r in state.rngs],
         extras={k: np.copy(v) for k, v in state.extras.items()},
+        sim_mark=state.sim_mark,
     )

@@ -56,6 +56,11 @@ class RunState:
     rngs: per-shard RNG generators, stream position intact.
     extras: algorithm-specific arrays (pending parameter-server deltas,
         SCVB0 expected counts, counters) keyed by name.
+    sim_mark: where this run's simulated timeline stood when the state
+        was captured. Restoring the state rewinds the trainer's charge
+        mark to it, so the iterations it discards are charged to the
+        rerun. Not serialized: a resumed run's clock restarts at 0, so
+        it equals ``sim_seconds`` only in a run that did not resume.
     """
 
     algo: str
@@ -67,6 +72,7 @@ class RunState:
     thetas: list | None = None
     rngs: list[np.random.Generator] = field(default_factory=list)
     extras: dict[str, np.ndarray] = field(default_factory=dict)
+    sim_mark: float = 0.0
 
     @property
     def num_shards(self) -> int:

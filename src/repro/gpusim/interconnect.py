@@ -88,6 +88,18 @@ class Link:
             return True
         return False
 
+    def admit(self) -> None:
+        """Raise :class:`~repro.gpusim.errors.LinkDown` if the link cannot
+        carry a transfer now: it is out of service, or a transient fault
+        is pending (which this attempt consumes)."""
+        if not self.up:
+            self.num_failed_transfers += 1
+            raise LinkDown(self.name)
+        if self._fail_next > 0:
+            self._fail_next -= 1
+            self.num_failed_transfers += 1
+            raise LinkDown(self.name, transient=True)
+
     def reserve(self, nbytes: float, earliest: float, direction: int = 0) -> tuple[float, float]:
         """Reserve the link for *nbytes* starting no earlier than *earliest*.
 
@@ -99,13 +111,7 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if not self.up:
-            self.num_failed_transfers += 1
-            raise LinkDown(self.name)
-        if self._fail_next > 0:
-            self._fail_next -= 1
-            self.num_failed_transfers += 1
-            raise LinkDown(self.name, transient=True)
+        self.admit()
         d = direction if self.duplex else 0
         if d not in (0, 1):
             raise ValueError("direction must be 0 or 1")

@@ -14,13 +14,16 @@ clock for three things, the same way training does:
 3. **result download** — the stacked ``doc_topic`` rows back to the
    host.
 
-Functionally each request runs its own
-:func:`repro.core.inference.infer_documents` with its own seed, so the
-payload is bit-identical to a direct call — batching, placement, and
-failover only move *time*, never bits. The sampler's p\\*/Q tables
-(:func:`~repro.core.inference.foldin_tables`) are built once per
-resident model, at its first batch on the replica, and shared by every
-request after it: the functional counterpart of the kernel's shared
+Functionally the batch is one
+:func:`repro.core.inference.infer_documents` call over the requests'
+corpora, each with its own seed and sweep count: one sampler call and
+one θ recount per sweep, so the wall clock pays per batch, as the
+simulated clock does. Each request is a document group of the sampler
+call, so its payload is bit-identical to a direct call — batching,
+placement, and failover only move *time*, never bits. The sampler's
+p\\*/Q tables (:func:`~repro.core.inference.foldin_tables`) are built
+once per resident model, at its first batch on the replica, and shared
+by every batch after it: the functional counterpart of the kernel's shared
 p\\* staging (§6.1). They live and die with the φ buffer, keyed by the
 same content digest, so a rewritten checkpoint never meets stale
 tables.
@@ -69,8 +72,9 @@ __all__ = ["PhiReplica", "BatchExecution", "foldin_batch_cost", "batch_corpus"]
 def batch_corpus(batch: list[InferenceRequest], num_words: int) -> Corpus:
     """The batch's documents concatenated into one corpus.
 
-    Only used for cost accounting and transfer sizing — the functional
-    fold-in stays per-request (own corpus, own RNG stream).
+    Used for cost accounting and transfer sizing. The functional
+    fold-in takes the requests' own corpora, each a document group of
+    the sampler call with its own RNG stream.
     """
     docs: list[tuple[int, ...]] = []
     for req in batch:
@@ -279,26 +283,26 @@ class PhiReplica:
             )
 
             def run_foldin() -> list[InferenceResult]:
-                tables = self._word_tables(digest, phi, hyper)
-                return [
-                    infer_documents(
+                return infer_documents(
+                    [
                         Corpus.from_documents(
                             req.docs, num_words=num_words,
                             name=f"req{req.request_id}",
-                        ),
-                        phi,
-                        hyper,
-                        iterations=(
-                            req.iterations
-                            if req.iterations is not None
-                            else default_iterations
-                        ),
-                        seed=req.seed,
-                        config=config,
-                        tables=tables,
-                    )
-                    for req in batch
-                ]
+                        )
+                        for req in batch
+                    ],
+                    phi,
+                    hyper,
+                    iterations=[
+                        req.iterations
+                        if req.iterations is not None
+                        else default_iterations
+                        for req in batch
+                    ],
+                    seed=[req.seed for req in batch],
+                    config=config,
+                    tables=self._word_tables(digest, phi, hyper),
+                )
 
             kernel_start, kernel_end, results = KernelLaunch(
                 fn=run_foldin,

@@ -425,6 +425,28 @@ class TestServeCli:
         assert "requests:" in out
         assert "latency (simulated):" in out
         assert "serve_requests_total{status=completed}" in out
+        assert "payloads equal their direct fold-in" in out
+
+    def test_loadgen_smoke_fails_on_a_changed_payload(
+        self, capsys, monkeypatch, serve_checkpoints
+    ):
+        """The smoke run checks every payload against a direct fold-in,
+        so a batch that moves one bit fails it."""
+        import repro.serve.replica as replica
+
+        fold_in = replica.infer_documents
+
+        def nudged(*args, **kwargs):
+            results = fold_in(*args, **kwargs)
+            results[0].doc_topic[0, 0] *= 1 + 1e-12
+            return results
+
+        monkeypatch.setattr(replica, "infer_documents", nudged)
+        rc = main(["loadgen", "--model", serve_checkpoints[0], "--smoke"])
+        assert rc == 1
+        assert "differs from a direct infer_documents call" in (
+            capsys.readouterr().err
+        )
 
     def test_loadgen_multi_model_with_metrics(self, capsys, tmp_path,
                                               serve_checkpoints):

@@ -149,6 +149,10 @@ class TestClusterNetworkFaults:
         with pytest.raises(SyncPathError) as err:
             net.send(0, 1, 1000.0, 0.0, op="ps_pull", retry=retry)
         assert err.value.transient
+        # The receiver refused every attempt: none held the sender's
+        # NIC or counted its bytes.
+        assert net.links[0].busy_until(0) == 0.0
+        assert net.total_bytes() == 0
 
     def test_fail_node_removes_from_topology(self):
         """A failed node takes part in no cluster plan, asked for or

@@ -11,7 +11,7 @@ from repro.core.inference import (
     held_out_log_likelihood,
     infer_documents,
 )
-from repro.core.kernels import word_tables
+from repro.core.kernels import KernelConfig, word_tables
 from repro.core.model import LDAHyperParams
 from repro.corpus.corpus import Corpus
 from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
@@ -34,6 +34,59 @@ def trained():
 
 
 class TestInferDocuments:
+    @pytest.mark.parametrize("config", [
+        None, KernelConfig(compressed=False, token_slab=64),
+    ])
+    def test_single_corpus_bits_pinned(self, config):
+        """Absolute bits of one corpus's fold-in (12 documents, 3,941
+        tokens, V = 644), recorded before a batch of corpora shared one
+        sampler call: sha256 of doc_topic, θ's three arrays and the
+        log-likelihood. The small slab splits the call into many."""
+        import hashlib
+
+        from repro.corpus.synthetic import nytimes_like
+
+        corpus = nytimes_like(num_tokens=4000, seed=1)
+        phi = np.random.default_rng(5).integers(
+            0, 40, size=(16, corpus.num_words)
+        )
+        inf = infer_documents(corpus, phi, LDAHyperParams(num_topics=16),
+                              iterations=6, seed=3, config=config)
+        digest = hashlib.sha256()
+        for a in (inf.doc_topic, inf.theta.indptr, inf.theta.indices,
+                  inf.theta.data, np.float64(inf.log_likelihood_per_token)):
+            digest.update(a.tobytes())
+        assert digest.hexdigest()[:16] == "270ff873699aff06"
+        assert inf.log_likelihood_per_token == -6.395738699741405
+
+    def test_batch_equals_separate_calls(self, trained):
+        """Each corpus of a batch gets its own call's bits, whatever the
+        others' sweep counts and seeds."""
+        result, _, held = trained
+        corpora = [held.slice_docs(a, b) for a, b in
+                   ((0, 3), (3, 4), (4, 10), (10, 12))]
+        sweeps, seeds = [4, 2, 5, 4], [7, 8, 9, 7]
+        batch = infer_documents(corpora, result.phi, result.hyper,
+                                iterations=sweeps, seed=seeds)
+        for corpus, n, seed, got in zip(corpora, sweeps, seeds, batch):
+            want = infer_documents(corpus, result.phi, result.hyper,
+                                   iterations=n, seed=seed)
+            assert np.array_equal(got.doc_topic, want.doc_topic)
+            assert got.theta == want.theta
+            assert got.log_likelihood_per_token == (
+                want.log_likelihood_per_token
+            )
+            assert got.iterations == n
+
+    def test_batch_arguments_checked(self, trained):
+        result, _, held = trained
+        with pytest.raises(ValueError, match="2 entries for 3 corpora"):
+            infer_documents([held] * 3, result.phi, result.hyper,
+                            iterations=[2, 3])
+        with pytest.raises(ValueError, match="iterations"):
+            infer_documents([held] * 2, result.phi, result.hyper,
+                            iterations=[2, 0])
+
     def test_shapes_and_normalization(self, trained):
         result, _, held = trained
         inf = infer_documents(held, result.phi, result.hyper, iterations=10,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from repro.core.kernels import (
@@ -359,6 +361,75 @@ class TestRunOracle:
         assert 0 < stats.p1_draws < stats.num_tokens
         self._check(chunk, state.topics, state.theta, state.phi,
                     state.n_k, hyper8)
+
+
+class TestDocumentGroups:
+    """A launch over document groups samples each group exactly as a
+    call over its documents alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 25), min_size=1, max_size=12),
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+        slab=st.sampled_from([1, 40, KernelConfig().token_slab]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_group_samples_as_its_own_call(
+        self, lengths, cuts, slab, seed
+    ):
+        K, V = 8, 30
+        hyper = LDAHyperParams(K)
+        gen = np.random.default_rng(seed)
+        corpus = Corpus.from_documents(
+            [gen.integers(0, V, size=n) for n in lengths], num_words=V
+        )
+        D = corpus.num_docs
+        groups = np.array([0, *sorted(min(c, D) for c in cuts), D])
+        G = groups.size - 1
+        phi = gen.integers(0, 20, size=(K, V)).astype(np.int32)
+        n_k = phi.sum(axis=1, dtype=np.int64)
+        chunk = corpus.to_chunk()
+        topics = gen.integers(0, K, size=chunk.num_tokens).astype(np.uint16)
+        config = KernelConfig(token_slab=slab)
+        got, stats = gibbs_sample_chunk(
+            chunk, topics, recount_theta(chunk, topics, K), phi, n_k, hyper,
+            [np.random.default_rng(seed + g) for g in range(G)], config,
+            groups=groups,
+        )
+
+        per_token = np.zeros(4, dtype=np.int64)
+        for g in range(G):
+            own = corpus.slice_docs(groups[g], groups[g + 1]).to_chunk()
+            # The combined chunk's word sort is stable, so the group's
+            # tokens sit in its own chunk's order.
+            mine = (chunk.token_doc >= groups[g]) & (
+                chunk.token_doc < groups[g + 1]
+            )
+            want, s = gibbs_sample_chunk(
+                own, topics[mine], recount_theta(own, topics[mine], K),
+                phi, n_k, hyper, np.random.default_rng(seed + g), config,
+            )
+            assert np.array_equal(got[mine], want)
+            per_token += (s.num_tokens, s.kd_sum, s.p1_draws,
+                          s.tree_probe_levels)
+        assert got.dtype == topics.dtype
+        assert tuple(per_token) == (
+            stats.num_tokens, stats.kd_sum, stats.p1_draws,
+            stats.tree_probe_levels,
+        )
+        if chunk.num_tokens:
+            assert (stats.num_blocks, stats.num_word_segments) == (
+                chunk.sampling_plan
+            )
+
+    def test_groups_must_cover_the_chunk(self, small_corpus, hyper8, rng):
+        chunk = small_corpus.to_chunk()
+        state = LDAState.initialize(chunk, hyper8, seed=0)
+        with pytest.raises(ValueError, match="groups must split"):
+            gibbs_sample_chunk(
+                chunk, state.topics, state.theta, state.phi, state.n_k,
+                hyper8, [rng, rng], groups=np.array([0, 1]),
+            )
 
 
 class TestDocWordRuns:

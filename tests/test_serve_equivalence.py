@@ -19,7 +19,12 @@ from repro.core.serialization import load_model
 from repro.corpus.corpus import Corpus
 from repro.faults import FaultPlan
 from repro.gpusim.platform import make_machine
-from repro.serve import InferenceService, ServiceConfig, poisson_trace
+from repro.serve import (
+    InferenceRequest,
+    InferenceService,
+    ServiceConfig,
+    poisson_trace,
+)
 
 ITERATIONS = 4
 
@@ -160,6 +165,31 @@ class TestServeEqualsDirect:
         stale = direct(second[0], old)
         served = report.results[0]
         assert not np.array_equal(served.doc_topic, stale.doc_topic)
+
+    def test_mixed_sweep_counts_in_one_batch(self, ckpt, serve_checkpoints):
+        """Requests asking for 2, 3 and 5 sweeps share one batch; each
+        sweeps only as often as it asked and keeps its own burn-in."""
+        V = int(ckpt.phi.shape[1])
+        requests = [
+            InferenceRequest(
+                request_id=i, docs=((i, 3 * i + 1, 5, 7 + i), (2, 9, i)),
+                model_key=serve_checkpoints[0], seed=40 + i, iterations=n,
+            )
+            for i, n in enumerate((2, 3, 5))
+        ]
+        report = serve(requests, gpus=1)
+        assert len({r.batch_id for r in report.results}) == 1
+        assert report.count("completed") == len(requests)
+        for got in report.results:
+            req = got.request
+            want = infer_documents(
+                Corpus.from_documents(req.docs, num_words=V), ckpt.phi,
+                ckpt.hyper, iterations=req.iterations, seed=req.seed,
+            )
+            assert np.array_equal(got.doc_topic, want.doc_topic)
+            assert got.log_likelihood_per_token == (
+                want.log_likelihood_per_token
+            )
 
     def test_timings_differ_even_when_bits_do_not(self, trace, ckpt):
         """Sanity: the simulated clock *does* see the batching policy
